@@ -403,6 +403,12 @@ class CachePolicy(abc.ABC):
     #: (:meth:`prepare`) before simulation.  Only OPT sets this.
     offline: bool = False
 
+    #: Whether an offline policy can adopt the stream-wide future index its
+    #: class's ``build_read_index`` builds (via ``adopt_read_index``).  The
+    #: engine then builds that index once per pass and shares it; offline
+    #: policies that cannot share it are prepared with :meth:`prepare`.
+    shares_read_index: bool = False
+
     #: Instance attributes excluded from :meth:`snapshot`: anything that is
     #: not kernel state (the replay loop's bookkeeping hooks).
     _SNAPSHOT_EXCLUDE: frozenset[str] = frozenset({"_stats_view"})
@@ -445,14 +451,17 @@ class CachePolicy(abc.ABC):
         view = self._stats_view
         return view if view is not None else CacheStats()
 
-    def prepare(self, requests: Sequence[IORequest], start_seq: int = 0) -> None:
+    def prepare(self, requests: Any, start_seq: int = 0) -> None:
         """Give offline policies (OPT) the full request stream in advance.
 
         Online policies ignore this.  The simulator calls it once before the
         first :meth:`access` when the policy declares ``offline = True``.
-        ``start_seq`` is the sequence number the simulator will assign to
-        ``requests[0]``; offline policies must index future positions in the
-        same numbering that :meth:`access` will see.
+        *requests* is any request source the engine replays: a request
+        sequence or a lazy source (``iter_requests()``, and possibly
+        ``iter_columnar()``).  ``start_seq`` is the sequence number the
+        simulator will assign to the first request; offline policies must
+        index future positions in the same numbering that :meth:`access`
+        will see.
         """
 
     @abc.abstractmethod

@@ -33,11 +33,25 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable
 
-from repro.cache.base import HIT, MISS_ADMIT, MISS_BYPASS, AccessOutcome, CachePolicy
+try:  # optional acceleration for the batch kernel path
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on numpy-less installs
+    _np = None
+
+from repro.cache.base import (
+    HIT,
+    MISS_ADMIT,
+    MISS_BYPASS,
+    AccessOutcome,
+    AccessOutcomeBatch,
+    CachePolicy,
+    _mixed_batch,
+)
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.simulation.request import IORequest
+    from repro.trace.columnar import ColumnarChunk
 
 __all__ = ["TQPolicy", "DEFAULT_REQUEST_TYPE_HINT", "DEFAULT_REPLACEMENT_VALUES", "DEFAULT_RECOVERY_VALUES"]
 
@@ -47,6 +61,9 @@ DEFAULT_REQUEST_TYPE_HINT = "request_type"
 DEFAULT_REPLACEMENT_VALUES = frozenset({"replacement_write", "synchronous_write"})
 #: Hint values denoting recovery-class writes (poor caching candidates).
 DEFAULT_RECOVERY_VALUES = frozenset({"recovery_write"})
+
+# Request classes as the batch kernel's int codes (reads are always OTHER).
+_OTHER, _REPLACEMENT, _RECOVERY = 0, 1, 2
 
 
 class TQPolicy(CachePolicy):
@@ -141,6 +158,93 @@ class TQPolicy(CachePolicy):
             return AccessOutcome(False, admitted=True, evicted=(victim,))
         self._enqueue(page, klass, seq)
         return MISS_ADMIT
+
+    def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
+        # Fused batch kernel.  A request's class depends only on (is-write,
+        # hint set), so it is computed once per hint-dictionary entry and
+        # gathered per request; the two-queue state machine then runs over
+        # the page/class/seq columns, performing access()'s OrderedDict
+        # operations in the same order.  Stale demotion is seq arithmetic:
+        # ``deadline`` is a lower bound on (oldest high-queue enqueue seq +
+        # lifetime) — the oldest entry only ever gets younger — so the
+        # demotion scan runs only once a request's seq passes it.
+        name = self._hint_name
+        replacement = self._replacement_values
+        recovery = self._recovery_values
+        class_of_hint = [
+            _REPLACEMENT
+            if value in replacement
+            else _RECOVERY
+            if value in recovery
+            else _OTHER
+            for value in (hints.get(name) for hints in chunk.hint_sets)
+        ]
+        classes = _np.where(
+            chunk.write, _np.array(class_of_hint, _np.int64)[chunk.hint_id], _OTHER
+        ).tolist()
+        pages = chunk.page.tolist()
+        seqs = chunk.seq_list()
+
+        high = self._high
+        low = self._low
+        lifetime = self._lifetime
+        capacity = self.capacity
+        bypass_recovery = not self._cache_recovery_writes
+        replacement_class = _REPLACEMENT
+        recovery_class = _RECOVERY
+        size = len(high) + len(low)
+        deadline = next(iter(high.values())) + lifetime if high else -1
+
+        n = len(pages)
+        hit_flags = bytearray(n)
+        admit_flags = bytearray(n)
+        bypass_flags = bytearray(n)
+        evict_pos: list[int] = []
+        evicted: list[int] = []
+
+        for i, page, klass, seq in zip(range(n), pages, classes, seqs):
+            if seq > deadline and high:
+                # _demote_stale(seq), then re-derive the exact deadline.
+                while high:
+                    oldest, enqueued = next(iter(high.items()))
+                    if seq - enqueued <= lifetime:
+                        break
+                    del high[oldest]
+                    low[oldest] = None
+                    low.move_to_end(oldest, last=False)
+                deadline = next(iter(high.values())) + lifetime if high else -1
+
+            if page in high:
+                del high[page]
+                hit_flags[i] = 1
+            elif page in low:
+                del low[page]
+                hit_flags[i] = 1
+            elif klass == recovery_class and bypass_recovery:
+                bypass_flags[i] = 1
+                continue
+            else:
+                if size >= capacity:
+                    # _evict_one()
+                    if low:
+                        victim, _ = low.popitem(last=False)
+                    else:
+                        victim, _ = high.popitem(last=False)
+                    evict_pos.append(i)
+                    evicted.append(victim)
+                else:
+                    size += 1
+                admit_flags[i] = 1
+
+            # _enqueue(page, klass, seq)
+            if klass == replacement_class:
+                if not high:
+                    deadline = seq + lifetime
+                high[page] = seq
+            else:
+                low[page] = None
+
+        return _mixed_batch(hit_flags, admit_flags, bypass_flags, evict_pos, evicted)
 
     # ------------------------------------------------------------ inspection
     def contains(self, page: int) -> bool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 try:  # optional acceleration for the columnar replay path
     import numpy as _np
@@ -45,7 +45,7 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
 
 from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
-from repro.cache.opt import OPTPolicy
+from repro.cache.opt import OPTPolicy, ReadIndex
 from repro.simulation.multiclient import partition_capacity
 
 if TYPE_CHECKING:  # imported for type annotations only
@@ -81,6 +81,10 @@ class ShardRouter(abc.ABC):
 
     #: Short name used by :func:`make_router` and in experiment output.
     name: str = "base"
+
+    #: Whether routing is a function of the page alone, so that every
+    #: request for a page lands on the same shard.
+    page_keyed: bool = False
 
     def __init__(self, shards: int):
         self.shards = _validate_shards(shards)
@@ -133,6 +137,7 @@ class HashRouter(ShardRouter):
     """Uniform page-hash routing: shard = mix(page) mod S."""
 
     name = "hash"
+    page_keyed = True
 
     def route(self, request: IORequest) -> int:
         return _mix_page(request.page) % self.shards
@@ -160,6 +165,7 @@ class PageRangeRouter(ShardRouter):
     """
 
     name = "range"
+    page_keyed = True
 
     def __init__(self, shards: int, span: int):
         super().__init__(shards)
@@ -281,10 +287,11 @@ class ShardedCache(CachePolicy):
     goes to the first shards), so a cluster always competes against a
     unified cache of the same total size.
 
-    Offline support: a cluster of OPT shards is itself offline.  The shared
-    future-read index is global (page -> read positions in global sequence
-    numbers), so every shard adopts the same index and consults only the
-    pages routed to it.
+    Offline support: a cluster of OPT shards is itself offline, and every
+    shard reads one next-read column in global sequence numbers.  With a
+    page-keyed router (hash, range) that is the stream-wide index, shared
+    with a unified OPT; otherwise the cluster builds per-shard indexes
+    (see :meth:`prepare`).
     """
 
     hint_aware = False  # refined per instance from the wrapped policy
@@ -329,6 +336,13 @@ class ShardedCache(CachePolicy):
     @property
     def offline(self) -> bool:  # type: ignore[override]
         return any(shard.offline for shard in self._shards)
+
+    @property
+    def shares_read_index(self) -> bool:  # type: ignore[override]
+        """Only a page-keyed router makes the stream-wide index exact per
+        shard: a page's every request, and so its next read, is on the
+        shard that looks it up."""
+        return self._router.page_keyed
 
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
         return self._shards[self._router.route(request)].access(request, seq)
@@ -411,25 +425,23 @@ class ShardedCache(CachePolicy):
         self._router = copy.deepcopy(state["router"])
 
     # ------------------------------------------------------- offline support
-    def prepare(self, requests: Sequence[IORequest], start_seq: int = 0) -> None:
-        """Hand offline shards the full stream (global sequence numbering).
+    def prepare(self, requests: Any, start_seq: int = 0) -> None:
+        """Index the stream for the offline shards (global sequence numbering).
 
-        Each shard only ever looks up the pages routed to it, so sharing the
-        full-stream index is equivalent to indexing its sub-stream.  Shards
-        supporting ``adopt_read_index`` (OPT) share **one** index built in a
-        single pass; only offline shards without that hook pay their own
-        ``prepare`` pass over the stream.
+        All shards share **one** next-read column, built in a single pass.
+        A page-keyed router sends a page's every request to one shard, so
+        the stream-wide index is exactly each shard's own.  Any other router
+        (client affinity) may split a page's requests across shards, where
+        the stream-wide next read can belong to another shard; the cluster
+        then routes the stream itself and indexes each shard's sub-stream.
         """
-        shared_index = None
-        for shard in self._shards:
-            if not shard.offline:
-                continue
-            if hasattr(shard, "adopt_read_index"):
-                if shared_index is None:
-                    shared_index = self.build_read_index(requests, start_seq)
-                shard.adopt_read_index(shared_index)
-            else:
-                shard.prepare(requests, start_seq)
+        if self._router.page_keyed:
+            index = self.build_read_index(requests, start_seq)
+        else:
+            # Route a copy, so the live router keeps the state the replay
+            # starts from.
+            index = ReadIndex.build(requests, start_seq, copy.deepcopy(self._router))
+        self.adopt_read_index(index)
 
     #: The global future-read index builder.  Deliberately the *same
     #: function object* as ``OPTPolicy.build_read_index`` so the engine's
@@ -437,8 +449,12 @@ class ShardedCache(CachePolicy):
     #: unified OPT and every OPT-backed cluster in the same pass.
     build_read_index = staticmethod(OPTPolicy.build_read_index)
 
-    def adopt_read_index(self, read_positions: dict[int, list[int]]) -> None:
-        """Forward a pre-built future-read index to the offline shards."""
+    def adopt_read_index(self, index: ReadIndex) -> None:
+        """Forward a pre-built future-read index to the offline shards.
+
+        The index must be keyed the way the router splits the stream: the
+        stream-wide index only for a page-keyed router (see :meth:`prepare`).
+        """
         for shard in self._shards:
             if not shard.offline:
                 continue
@@ -448,4 +464,4 @@ class ShardedCache(CachePolicy):
                     f"offline shard policy {shard.name!r} does not support "
                     "adopt_read_index; replay it through prepare() instead"
                 )
-            adopt(read_positions)
+            adopt(index)

@@ -43,6 +43,7 @@ import pickle
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
@@ -620,40 +621,34 @@ class MultiPolicySimulator:
     def _prepare_offline(self, source: RequestSource, start_seq: int) -> None:
         """Prepare offline policies, sharing one future index per index builder.
 
-        OPT-style policies (``build_read_index``/``adopt_read_index``) are
-        fed a streaming pass, so a lazy source never has to materialize; a
-        generic ``prepare`` contract expects a sequence, so only that legacy
-        path materializes a lazy source (once).  The shared-index cache is
-        keyed by the builder function itself, so types that delegate to the
-        same builder (``ShardedCache`` reuses OPT's) share one index with it
-        instead of each indexing the stream.
+        Policies that can adopt the stream-wide index
+        (``shares_read_index``: OPT, and OPT clusters with a page-keyed
+        router) get it through ``adopt_read_index``.  The index is built
+        from the source as given, so a columnar source is indexed from its
+        page/write columns and never decodes into request objects.  The
+        shared-index cache is keyed by the builder function itself, so types
+        that delegate to the same builder (``ShardedCache`` reuses OPT's)
+        share one index with it instead of each indexing the stream.  Every
+        other offline policy indexes the source itself in ``prepare``.
         """
         shared_indexes: dict[object, object] = {}
-        materialized: Sequence[IORequest] | None = None
         for policy in self._policies:
             if not policy.offline:
                 continue
             cls = type(policy)
-            if hasattr(cls, "build_read_index") and hasattr(policy, "adopt_read_index"):
+            if (
+                policy.shares_read_index
+                and hasattr(cls, "build_read_index")
+                and hasattr(policy, "adopt_read_index")
+            ):
                 builder = cls.build_read_index
                 index = shared_indexes.get(builder)
                 if index is None:
-                    stream = (
-                        source
-                        if isinstance(source, (list, tuple))
-                        else source.iter_requests()
-                    )
-                    index = builder(stream, start_seq)
+                    index = builder(source, start_seq)
                     shared_indexes[builder] = index
                 policy.adopt_read_index(index)
             else:
-                if materialized is None:
-                    materialized = (
-                        source
-                        if isinstance(source, (list, tuple))
-                        else list(source.iter_requests())
-                    )
-                policy.prepare(materialized, start_seq)
+                policy.prepare(source, start_seq)
 
 
 @dataclass(frozen=True)
@@ -820,24 +815,11 @@ def _ensure_streams(streams: Iterable[RequestSource | None]) -> None:
         ensure()
 
 
-def _run_cell_batch(
-    cells: Sequence[SweepCell],
-    track_per_client: bool,
-    cost_model: CostModel | None = None,
-    rolling_window: int | None = None,
-    queueing_model: QueueingModel | None = None,
-    columnar: bool | None = None,
-) -> list[list[SimulationResult]]:
-    """Worker entry point: run one batch of cells against the worker stream."""
-    return _run_cells(
-        cells,
-        _WORKER_REQUESTS,
-        track_per_client,
-        cost_model,
-        rolling_window,
-        queueing_model,
-        columnar,
-    )
+def _run_cell_batch(payload: bytes) -> list[list[SimulationResult]]:
+    """Worker entry point: run one pickled batch of cells (plus the runner's
+    replay options) against the worker stream."""
+    cells, *options = pickle.loads(payload)
+    return _run_cells(cells, _WORKER_REQUESTS, *options)
 
 
 class ParallelSweepRunner:
@@ -886,23 +868,16 @@ class ParallelSweepRunner:
     def run(self, cells: Iterable[SweepCell], parameter: str) -> SweepResult:
         cells = list(cells)
         jobs = min(self._jobs, len(cells))
-        if jobs > 1 and not self._specs_picklable(cells):
-            warnings.warn(
-                "sweep cells are not picklable (non-module-level policy "
-                "factory?); falling back to the serial path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            jobs = 1
         if jobs > 1:
             try:
                 outcomes = self._run_parallel(cells, jobs)
-            except Exception as error:
-                # Anything that breaks the worker pool (most likely an
-                # unpicklable request stream) degrades to the serial path
-                # rather than failing the sweep: workers build all state
-                # themselves, so a failed parallel attempt leaves nothing
-                # behind.
+            except (BrokenProcessPool, pickle.PicklingError) as error:
+                # Cells that cannot be shipped to workers (a closure policy
+                # factory, an unpicklable request stream) or a pool that
+                # dies degrade to the serial path rather than failing the
+                # sweep: workers build all state themselves, so a failed
+                # parallel attempt leaves nothing behind.  Anything a
+                # worker's replay raises propagates as it is.
                 warnings.warn(
                     f"parallel sweep failed ({type(error).__name__}: {error}); "
                     "falling back to the serial path",
@@ -946,30 +921,33 @@ class ParallelSweepRunner:
         # the amortisation and the parallelism.
         chunk = -(-len(cells) // jobs)  # ceil division
         batches = [cells[start : start + chunk] for start in range(0, len(cells), chunk)]
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(self._requests,)
-        ) as executor:
-            futures = [
-                executor.submit(
-                    _run_cell_batch,
-                    batch,
-                    self._track_per_client,
-                    self._cost_model,
-                    self._rolling_window,
-                    self._queueing,
-                    self._columnar,
+        # Pickle here rather than in the pool's feeder thread, so a pickling
+        # failure is told apart from an exception raised by a worker's
+        # replay: pickle reports one as PicklingError, TypeError or
+        # AttributeError, depending on the object.
+        try:
+            payloads = [
+                pickle.dumps(
+                    (
+                        batch,
+                        self._track_per_client,
+                        self._cost_model,
+                        self._rolling_window,
+                        self._queueing,
+                        self._columnar,
+                    )
                 )
                 for batch in batches
             ]
+        except (pickle.PicklingError, TypeError, AttributeError) as error:
+            raise pickle.PicklingError(
+                f"sweep cells cannot be shipped to worker processes "
+                f"(non-module-level policy factory or unpicklable request "
+                f"stream?): {error}"
+            ) from error
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(self._requests,)
+        ) as executor:
+            futures = [executor.submit(_run_cell_batch, payload) for payload in payloads]
             batch_outcomes = [future.result() for future in futures]
         return [cell_results for batch in batch_outcomes for cell_results in batch]
-
-    def _specs_picklable(self, cells: Sequence[SweepCell]) -> bool:
-        """Probe only the specs: the realistic pickling hazard is a closure
-        factory, and probing full cells would serialize every per-cell
-        request stream twice."""
-        try:
-            pickle.dumps([cell.specs for cell in cells])
-            return True
-        except Exception:
-            return False

@@ -5,9 +5,10 @@ The batch kernel contract (:meth:`repro.cache.base.CachePolicy
 the scalar ``access()`` loop over the same requests — and must leave the
 policy in the identical state.  This suite derives its policy list from the
 registry (:func:`repro.cache.registry.available_policies`), so every
-registered policy — those with fused batch kernels (LRU, FIFO, CLOCK, the
-sharded cluster) and those running the default materialising fallback — is
-held to the contract over random request streams and random chunk splits.
+registered policy — those with fused batch kernels (LRU, FIFO, CLOCK, ARC,
+CAR, CLIC, TQ, OPT, the sharded cluster) and those running the default
+materialising fallback — is held to the contract over random request
+streams and random chunk splits.
 lintkit's ``batch-kernel-parity`` rule enforces that any policy overriding
 ``batch_access`` stays covered here.
 
@@ -28,7 +29,10 @@ from repro.core.config import CLICConfig
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
 from repro.trace.columnar import ColumnarChunk
 
-from tests.strategies import request_streams
+from repro.core.hints import EMPTY_HINT_SET
+from repro.simulation.request import IORequest
+
+from tests.strategies import hint_sets, io_requests, request_streams
 
 np = pytest.importorskip("numpy")
 
@@ -41,12 +45,17 @@ _POLICY_KWARGS = {
 }
 
 #: Sharded variants: the cluster's gather/scatter batch path (all shards
-#: batch-capable), its whole-cluster fallback (ARC shards), and each router.
+#: batch-capable), its whole-cluster fallback (LFU shards), each router,
+#: and OPT shards reading the stream-wide index (hash) or the cluster's
+#: per-shard index (client: the streams' two clients share page ids).
 _SHARDED_VARIANTS = [
     ("SHARDED[LRU,hash]", {"policy": "LRU", "shards": 3, "router": "hash"}),
     ("SHARDED[CLOCK,range]", {"policy": "CLOCK", "shards": 2, "router": "range", "page_span": 41}),
     ("SHARDED[FIFO,client]", {"policy": "FIFO", "shards": 2, "router": "client"}),
     ("SHARDED[ARC,hash]", {"policy": "ARC", "shards": 2, "router": "hash"}),
+    ("SHARDED[LFU,hash]", {"policy": "LFU", "shards": 2, "router": "hash"}),
+    ("SHARDED[OPT,hash]", {"policy": "OPT", "shards": 3, "router": "hash"}),
+    ("SHARDED[OPT,client]", {"policy": "OPT", "shards": 2, "router": "client"}),
 ]
 
 #: CLIC variants beyond the default HintTable case: a Space-Saving tracker
@@ -58,6 +67,19 @@ _CLIC_VARIANTS = [
     ("CLIC[topk4]", {"config": CLICConfig(window_size=20, top_k=4, charge_metadata=False)}),
     ("CLIC[topk1]", {"config": CLICConfig(window_size=13, top_k=1, charge_metadata=False)}),
     ("CLIC[decay]", {"config": CLICConfig(window_size=7, decay=0.5, charge_metadata=False)}),
+]
+
+
+#: TQ variants over streams carrying TQ's write-hint domain (the shared
+#: streams' kind/obj hints never reach its replacement, recovery or
+#: demotion branches): short write-queue lifetimes demote mid-chunk, and
+#: cached recovery writes take the admit branch instead of the bypass.
+_TQ_VARIANTS = [
+    ("TQ[request_type]", {}),
+    ("TQ[lifetime0]", {"write_queue_lifetime": 0}),
+    ("TQ[lifetime1]", {"write_queue_lifetime": 1}),
+    ("TQ[lifetime3]", {"write_queue_lifetime": 3}),
+    ("TQ[cache_recovery]", {"cache_recovery_writes": True}),
 ]
 
 
@@ -76,6 +98,23 @@ CASE_IDS = [case[0] for case in CASES]
 CAPACITY = 12
 
 STREAMS = request_streams(min_size=1, max_size=200)
+
+#: TQ's request_type domain: both replacement values, the recovery value,
+#: a value TQ ignores, and requests without hints.  Streams are at least 40
+#: requests long, so that every example overflows the cache and the
+#: queue a write class lands in decides evictions.
+REQUEST_TYPE_HINTS = st.one_of(
+    st.just(EMPTY_HINT_SET),
+    hint_sets(
+        names=("request_type",),
+        values=st.sampled_from(
+            ["replacement_write", "synchronous_write", "recovery_write", "other"]
+        ),
+    ),
+)
+TQ_STREAMS = st.lists(
+    io_requests(max_page=20, hints=REQUEST_TYPE_HINTS), min_size=40, max_size=200
+)
 
 #: Random chunk splits: sizes drawn until the stream is consumed, so the
 #: batch path sees chunk boundaries everywhere (including size-1 chunks).
@@ -107,6 +146,23 @@ def _split(stream, sizes):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_batch_access_matches_scalar(name, kwargs, stream, sizes):
+    _assert_batch_matches_scalar(name, kwargs, stream, sizes)
+
+
+@pytest.mark.parametrize("kwargs", [v[1] for v in _TQ_VARIANTS], ids=[v[0] for v in _TQ_VARIANTS])
+@given(stream=TQ_STREAMS, sizes=CHUNK_SIZES)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_tq_batch_access_matches_scalar_on_write_hints(kwargs, stream, sizes):
+    _assert_batch_matches_scalar("TQ", kwargs, stream, sizes)
+
+
+def _assert_batch_matches_scalar(
+    name: str, kwargs: dict, stream: list[IORequest], sizes: list[int]
+) -> None:
     scalar = _build(name, kwargs)
     batched = _build(name, kwargs)
     if scalar.offline:
@@ -186,7 +242,7 @@ def test_default_batch_access_materialises_chunk_once(monkeypatch):
 
     monkeypatch.setattr(columnar_mod, "IORequest", counting_request)
 
-    for name in ("LFU", "MQ", "TQ"):
+    for name in ("LFU", "MQ", "2Q"):
         policy = create_policy(name, capacity=CAPACITY)
         # These policies must actually run the fallback for the test to mean
         # anything; if one grows a fused kernel, swap it out here.

@@ -8,8 +8,9 @@ import pytest
 
 from repro.cache.arc import ARCPolicy
 from repro.cache.lru import LRUPolicy
-from repro.cache.opt import OPTPolicy
+from repro.cache.opt import NEVER, OPTPolicy
 from repro.simulation.simulator import CacheSimulator
+from repro.trace.columnar import ColumnarChunk
 
 from tests.conftest import rd, wr
 
@@ -98,6 +99,43 @@ class TestOPT:
             # Full AccessOutcome equality: same hit *and* the same
             # admission/bypass/eviction event, request for request.
             assert direct.access(request, seq) == adopted.access(request, seq)
+
+    def test_heap_stays_bounded_and_compaction_keeps_outcomes(self):
+        """Regression: stale heap entries only left through _pop_farthest,
+        so the heap grew with the stream (a capacity-10 OPT over 200k reads
+        of 50 pages ended with 101,526 entries).  Compaction keeps it at
+        most 2x capacity without changing a single outcome."""
+
+        class Uncompacted(OPTPolicy):
+            def _compact(self) -> None:
+                pass
+
+        rng = random.Random(5)
+        requests = [rd(rng.randrange(50)) for _ in range(20_000)]
+        index = OPTPolicy.build_read_index(requests)
+        scalar, batched, reference = OPTPolicy(10), OPTPolicy(10), Uncompacted(10)
+        for policy in (scalar, batched, reference):
+            policy.adopt_read_index(index)
+
+        expected = [reference.access(request, seq) for seq, request in enumerate(requests)]
+        assert len(reference._heap) > 1_000
+        outcomes = []
+        for seq, request in enumerate(requests):
+            outcomes.append(scalar.access(request, seq))
+            assert len(scalar._heap) <= 20
+        assert outcomes == expected
+        batch_outcomes = []
+        for start in range(0, len(requests), 97):
+            chunk = ColumnarChunk.from_requests(requests[start : start + 97], start)
+            batch_outcomes.extend(batched.batch_access(chunk).outcomes())
+            assert len(batched._heap) <= 20
+        assert batch_outcomes == expected
+
+    def test_index_holds_the_next_read_of_each_position(self):
+        requests = [rd(1), wr(2), rd(2), wr(1), rd(3), rd(1), wr(2)]
+        index = OPTPolicy.build_read_index(requests, start_seq=10)
+        assert index.start == 10
+        assert index.next_read.tolist() == [15, 12, NEVER, 15, NEVER, NEVER, NEVER]
 
     def test_reset_keeps_future_index(self):
         requests = [rd(1), rd(2), rd(1)]

@@ -24,6 +24,7 @@ from repro.simulation.multiclient import interleave_round_robin, partition_capac
 from repro.simulation.request import IORequest, RequestKind
 from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
+from repro.trace.columnar import ColumnarSource
 
 
 def _trace(rng: random.Random, clients=("alpha",), n=3000, pages=800):
@@ -250,13 +251,56 @@ class TestClusterBehaviour:
         # The engine builds ONE future-read index for the whole pass: the
         # unified OPT and every OPT shard adopt the same object.
         for shard in cluster.shards:
-            assert shard._read_positions is unified_policy._read_positions
+            assert shard._index is unified_policy._index
+
+    def test_client_routed_opt_equals_opt_on_each_shard_substream(self, rng):
+        """Client routing can send one page to several shards, so each OPT
+        shard must see its own sub-stream's next reads.
+
+        Regression: the cluster adopted the stream-wide index.  On the
+        6-request stream below, b's read of page 1 (on the other shard)
+        pinned page 1 in a's shard with a stale next read, and client a
+        scored 0 read hits where OPT on a's own sub-stream scores 2.
+        """
+        tiny = [
+            IORequest(page=page, kind=RequestKind.READ, hints=make_hint_set(client))
+            for page, client in zip((1, 2, 3, 1, 2, 2), "aaabaa")
+        ]
+        shared_pages = _trace(rng, clients=("a", "b"), n=1600, pages=150)
+        for stream, capacity in ((tiny, 2), (shared_pages, 41)):
+            by_client: dict[str, list[IORequest]] = {}
+            for request in stream:
+                by_client.setdefault(request.client_id, []).append(request)
+            expected = [
+                CacheSimulator(create_policy("OPT", capacity=size)).run(sub).stats
+                for size, sub in zip(partition_capacity(capacity, 2), by_client.values())
+            ]
+            # A list is indexed request by request, a columnar source
+            # routed chunk by chunk.
+            for source in (stream, ColumnarSource(stream)):
+                cluster = ShardedCache(
+                    capacity=capacity, policy="OPT", shards=2, router="client"
+                )
+                (result,) = MultiPolicySimulator([cluster]).run(source)
+                assert list(result.per_shard) == expected
+        assert expected[0].read_hits > 0
+
+    def test_only_page_keyed_clusters_share_the_stream_index(self, rng):
+        requests = _trace(rng, clients=("a", "b"), n=1000)
+        unified = create_policy("OPT", capacity=40)
+        by_page = ShardedCache(capacity=40, policy="OPT", shards=2, router="hash")
+        by_client = ShardedCache(capacity=40, policy="OPT", shards=2, router="client")
+        MultiPolicySimulator([unified, by_page, by_client]).run(requests)
+        assert all(shard._index is unified._index for shard in by_page.shards)
+        first, second = [shard._index for shard in by_client.shards]
+        assert first is second
+        assert first is not unified._index
 
     def test_prepare_shares_one_index_across_opt_shards(self, rng):
         """The CacheSimulator path must not index the stream once per shard."""
         cluster = ShardedCache(capacity=40, policy="OPT", shards=3)
         CacheSimulator(cluster).run(_trace(rng, n=1000))
-        first, *rest = [shard._read_positions for shard in cluster.shards]
+        first, *rest = [shard._index for shard in cluster.shards]
         for positions in rest:
             assert positions is first
 

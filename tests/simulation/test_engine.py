@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
+from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.config import CLICConfig
 from repro.simulation.engine import (
@@ -19,6 +21,25 @@ from repro.simulation.sweep import sweep_cache_sizes
 
 from repro.core.hints import make_hint_set
 from repro.simulation.request import IORequest, RequestKind
+
+
+class _KernelBug(LRUPolicy):
+    """A policy whose kernel raises on its first request."""
+
+    def access(self, request, seq):
+        raise RuntimeError("kernel bug")
+
+    def batch_access(self, chunk):
+        raise RuntimeError("kernel bug")
+
+
+#: One entry per _KernelBug built in this process.
+_KERNEL_BUGS_BUILT: list[int] = []
+
+
+def _build_kernel_bug() -> _KernelBug:
+    _KERNEL_BUGS_BUILT.append(1)
+    return _KernelBug(30)
 
 
 def _mixed_trace(rng: random.Random, clients=("alpha",), n=4000):
@@ -205,6 +226,21 @@ class TestParallelSweepRunner:
         with pytest.warns(RuntimeWarning, match="serial"):
             sweep = ParallelSweepRunner(jobs=2).run(cells, parameter="x")
         assert len(sweep.series["LRU"]) == 2
+
+    def test_worker_kernel_exception_propagates_once(self, rng):
+        """A policy raising inside a worker fails the sweep with its own
+        exception.  Regression: any pool exception made the whole sweep
+        run a second time serially, behind a RuntimeWarning."""
+        requests = _mixed_trace(rng, n=300)
+        spec = PolicySpec(label="bug", factory=_build_kernel_bug)
+        cells = [SweepCell(x=0.0, specs=(spec,)), SweepCell(x=1.0, specs=(spec,))]
+        _KERNEL_BUGS_BUILT.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="kernel bug"):
+                ParallelSweepRunner(requests, jobs=2).run(cells, parameter="x")
+        # Workers built the policies; no serial rerun built one here.
+        assert _KERNEL_BUGS_BUILT == []
 
     def test_clic_config_cells_survive_pickling(self, rng):
         """CLIC cells (config kwargs) run under worker processes."""

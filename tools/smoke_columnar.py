@@ -8,9 +8,9 @@ path decodes straight into arrays) twice through
 every policy.  Two passes:
 
 * **plain pass** — a mixed policy grid: the fused batch kernels (LRU,
-  FIFO, CLOCK, and the hint-aware/adaptive ARC, CAR, CLIC), a fallback
-  kernel (LFU), and the offline OPT, stats and per-client accounting
-  only;
+  FIFO, CLOCK, the hint-aware/adaptive ARC, CAR, CLIC and TQ, and the
+  offline OPT) — so all five paper-grid policies — plus a fallback kernel
+  (LFU), stats and per-client accounting only;
 * **observed pass** — SHARDED clusters x hdd cost model x rolling windows
   x open-loop queueing, so every batch-native observer (per-shard stats,
   cost, rolling, queueing) is diffed against its scalar accounting too.
@@ -33,8 +33,9 @@ from repro.simulation.engine import MultiPolicySimulator
 from repro.simulation.queueing import QueueingModel
 from repro.workloads.arrivals import PoissonArrivals
 
-#: The plain pass: every fused batch kernel, one fallback kernel, offline OPT.
-PLAIN_POLICIES = ("LRU", "FIFO", "CLOCK", "ARC", "CAR", "CLIC", "LFU", "OPT")
+#: The plain pass: every fused batch kernel (incl. offline OPT and every
+#: paper-grid policy), one fallback kernel.
+PLAIN_POLICIES = ("LRU", "FIFO", "CLOCK", "ARC", "CAR", "CLIC", "TQ", "LFU", "OPT")
 
 #: The observed pass: (label, sharded-cluster kwargs).
 SHARDED_VARIANTS = (
