@@ -30,7 +30,6 @@ from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
     clic_kwargs,
-    generate_trace,
     trace_source,
 )
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
@@ -149,11 +148,12 @@ def run_cluster_experiment(
     # at S = len(multi_trace_names) the cluster is the paper's static
     # partitioning rebuilt from shards.
     if multi_trace_names:
-        traces = [
-            generate_trace(name, settings, client_id=f"client-{name}")
-            for name in multi_trace_names
-        ]
-        interleaved = interleave_round_robin([trace.requests() for trace in traces])
+        interleaved = interleave_round_robin(
+            [
+                trace_source(name, settings, client_id=f"client-{name}")
+                for name in multi_trace_names
+            ]
+        )
         sweep = sweep_shard_counts(
             interleaved,
             cache_size=cache_size,

@@ -15,6 +15,7 @@ from repro.cache.registry import PAPER_POLICIES
 from repro.core.config import CLICConfig
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import RequestSource
+from repro.simulation.request import IORequest
 from repro.trace.cache import TraceSpec, default_trace_cache
 from repro.trace.records import Trace
 from repro.workloads.standard import clic_window_for, standard_trace
@@ -171,7 +172,7 @@ def trace_source(
     name: str,
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     client_id: str | None = None,
-) -> RequestSource:
+) -> TraceSpec | list[IORequest]:
     """The preferred request source for sweeps over a standard trace.
 
     With the on-disk trace cache enabled (the default) this is a lazy

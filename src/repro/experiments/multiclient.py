@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.common import DEFAULT_SETTINGS, ExperimentSettings, generate_trace
+from repro.experiments.common import DEFAULT_SETTINGS, ExperimentSettings, trace_source
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
 from repro.simulation.multiclient import interleave_round_robin, partition_capacity
 
@@ -68,19 +68,18 @@ def run_multiclient_experiment(
     Each client is a separate instance (distinct client id), so CLIC treats
     their hint types as distinct, exactly as Section 2 requires.
     """
-    traces = [
-        generate_trace(name, settings, client_id=f"client-{name}")
-        for name in trace_names
-    ]
     client_ids = [f"client-{name}" for name in trace_names]
+    sources = [
+        trace_source(name, settings, client_id=client_id)
+        for name, client_id in zip(trace_names, client_ids)
+    ]
 
     # --- One engine grid: the shared-cache cell replays the round-robin
     # interleaved workload, and one private-cache cell per client replays
     # that client's full-length (untruncated) trace, as in the paper.
     # ``settings.jobs > 1`` runs the cells on worker processes.
     config = settings.clic_config()
-    interleaved = interleave_round_robin([trace.requests() for trace in traces])
-    private_sizes = partition_capacity(shared_cache_size, len(traces))
+    private_sizes = partition_capacity(shared_cache_size, len(sources))
     cells = [
         SweepCell(
             x=0.0,
@@ -92,10 +91,10 @@ def run_multiclient_experiment(
                     kwargs={"config": config},
                 ),
             ),
-            requests=interleaved,
+            requests=interleave_round_robin(sources),
         )
     ]
-    for index, (name, trace, size) in enumerate(zip(trace_names, traces, private_sizes)):
+    for index, (name, source, size) in enumerate(zip(trace_names, sources, private_sizes)):
         cells.append(
             SweepCell(
                 x=float(index + 1),
@@ -107,7 +106,7 @@ def run_multiclient_experiment(
                         kwargs={"config": config},
                     ),
                 ),
-                requests=trace.requests(),
+                requests=source,
             )
         )
     grid = ParallelSweepRunner(jobs=settings.jobs).run(cells, parameter="cell")

@@ -31,9 +31,9 @@ from repro.simulation.metrics import (
     format_table,
 )
 from repro.simulation.multiclient import (
+    InterleavedSource,
     interleave_round_robin,
     partition_capacity,
-    remap_pages,
 )
 from repro.simulation.queueing import QueueingModel, QueueingObserver, QueueingStats
 from repro.simulation.request import IORequest, RequestKind, read_request, write_request
@@ -72,9 +72,9 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "format_table",
+    "InterleavedSource",
     "interleave_round_robin",
     "partition_capacity",
-    "remap_pages",
     "ShardedCache",
     "ShardRouter",
     "HashRouter",

@@ -40,6 +40,7 @@ protocol*:
 from __future__ import annotations
 
 import pickle
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -767,17 +768,31 @@ def _run_cells(
 
     outcomes: list[list[SimulationResult]] = [[] for _ in cells]
     for group_key, cell_indices in groups.items():
-        policies = [
-            spec.build() for index in cell_indices for spec in cells[index].specs
-        ]
-        results = MultiPolicySimulator(
-            policies,
-            track_per_client=track_per_client,
-            cost_model=cost_model,
-            rolling_window=rolling_window,
-            queueing_model=queueings[group_key],
-            columnar=columnar,
-        ).run(streams[group_key])
+        try:
+            policies = [
+                spec.build() for index in cell_indices for spec in cells[index].specs
+            ]
+            results = MultiPolicySimulator(
+                policies,
+                track_per_client=track_per_client,
+                cost_model=cost_model,
+                rolling_window=rolling_window,
+                queueing_model=queueings[group_key],
+                columnar=columnar,
+            ).run(streams[group_key])
+        except Exception as error:
+            # Name the failing pass (PEP 678 notes, Python 3.11+); a worker's
+            # exception keeps its notes when it is pickled back to the parent.
+            if sys.version_info >= (3, 11):
+                error.add_note(
+                    "in the replay pass of sweep cells "
+                    + "; ".join(
+                        f"x={cells[index].x!r}: "
+                        + ", ".join(repr(spec.label) for spec in cells[index].specs)
+                        for index in cell_indices
+                    )
+                )
+            raise
         offset = 0
         for index in cell_indices:
             width = len(cells[index].specs)

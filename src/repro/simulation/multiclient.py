@@ -4,75 +4,253 @@ The paper evaluates CLIC with several DB2 instances sharing one storage
 server: the per-client traces are interleaved round-robin, one request from
 each trace in turn, and all traces are truncated to the length of the
 shortest so no client dominates by sheer length.  Each client manages its own
-database, so page identifiers of different clients never collide; this module
-remaps page ids into disjoint ranges to guarantee that.
+database, so page identifiers of different clients never collide; the
+interleaver remaps page ids into disjoint ranges to guarantee that.
+
+Interleaving is columnar: :class:`InterleavedSource` zips the clients'
+:class:`~repro.trace.columnar.ColumnarChunk` streams into one, so the
+consolidated workload replays through the policies' batch kernels without
+building a request object, and a parallel sweep ships the clients' trace
+specs to its workers instead of the interleaved requests.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Generic,
+    Hashable,
+    Iterator,
+    Protocol,
+    Sequence,
+    TypeVar,
+    runtime_checkable,
+)
 
+try:  # the interleaver works on numpy columns
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on numpy-less installs
+    _np = None
+
+from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.simulation.request import IORequest
+from repro.trace.columnar import ColumnarChunk
 
-__all__ = ["remap_pages", "interleave_round_robin", "partition_capacity"]
+__all__ = [
+    "ColumnarInput",
+    "InterleavedSource",
+    "interleave_round_robin",
+    "partition_capacity",
+]
 
 
-def remap_pages(requests: Sequence[IORequest], offset: int) -> list[IORequest]:
-    """Return a copy of *requests* with every page id shifted by *offset*."""
-    return [
-        IORequest(
-            page=request.page + offset,
-            kind=request.kind,
-            hints=request.hints,
-            client_id=request.client_id,
-        )
-        for request in requests
-    ]
+@runtime_checkable
+class ColumnarInput(Protocol):
+    """A re-iterable request source that decodes to columnar chunks
+    (:class:`~repro.trace.cache.TraceSpec`,
+    :class:`~repro.trace.binio.StreamedTrace`, ...)."""
+
+    def iter_columnar(self) -> Iterator[ColumnarChunk]: ...
+
+
+#: One client of an :class:`InterleavedSource`: a columnar source, or a
+#: request list lifted into one chunk.
+ClientStream = ColumnarInput | ColumnarChunk
+
+
+def _columns(source: ClientStream) -> Iterator[ColumnarChunk]:
+    if isinstance(source, ColumnarChunk):
+        yield source
+    else:
+        yield from source.iter_columnar()
+
+
+_Entry = TypeVar("_Entry")
+
+
+class _TableMerge(Generic[_Entry]):
+    """Merges the clients' lookup tables (hint sets or client ids) into one
+    stream-wide table, deduplicated by *key* in first-seen order."""
+
+    def __init__(self, key: Callable[[_Entry], Hashable], *entries: _Entry) -> None:
+        self._key = key
+        self._slots: dict[Hashable, int] = {}
+        self._entries: list[_Entry] = []
+        self.table: tuple[_Entry, ...] = ()
+        self.remap(entries)
+
+    def remap(self, table: Sequence[_Entry]) -> Any:
+        """Index array taking *table*'s positions to merged-table positions."""
+        slots = self._slots
+        out = _np.empty(len(table), _np.int64)
+        for position, entry in enumerate(table):
+            key = self._key(entry)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(self._entries)
+                self._entries.append(entry)
+            out[position] = slot
+        if len(self._entries) != len(self.table):
+            self.table = tuple(self._entries)
+        return out
+
+
+@dataclass(frozen=True)
+class InterleavedSource:
+    """Client traces interleaved round-robin, as a lazy columnar request source.
+
+    Build it with :func:`interleave_round_robin`, which fixes
+    ``page_stride`` and ``rounds`` (requests taken from each client: the
+    shortest trace's length).  Request ``r`` of client ``i`` becomes request
+    ``r * len(sources) + i`` of the stream, with page ``page + i *
+    page_stride``.
+
+    The source is frozen, picklable and compares by its inputs, so a sweep
+    folds the cells replaying it into one pass and ships trace specs, not
+    requests, to worker processes.  :meth:`iter_columnar` decodes at most
+    one block per client at a time.
+    """
+
+    sources: tuple[ClientStream, ...]
+    page_stride: int
+    rounds: int
+
+    def __len__(self) -> int:
+        return self.rounds * len(self.sources)
+
+    def ensure(self) -> None:
+        """Make sure every client's trace is on disk (see ``TraceSpec.ensure``)."""
+        for source in self.sources:
+            ensure = getattr(source, "ensure", None)
+            if callable(ensure):
+                ensure()
+
+    def iter_requests(self) -> Iterator[IORequest]:
+        for chunk in self.iter_columnar():
+            yield from chunk.requests()
+
+    def __iter__(self) -> Iterator[IORequest]:
+        return self.iter_requests()
+
+    def iter_columnar(self) -> Iterator[ColumnarChunk]:
+        """Yield the interleaved stream as chunks, one per run of rounds that
+        every client's current block covers.
+
+        Hint ids and client indices are remapped into stream-wide tables
+        that grow as the clients' tables do; hint id 0 stays the empty set.
+        """
+        return self._interleave([_columns(source) for source in self.sources])
+
+    def _interleave(self, streams: list[Iterator[ColumnarChunk]]) -> Iterator[ColumnarChunk]:
+        k = len(streams)
+        hints = _TableMerge(HintSet.identity, EMPTY_HINT_SET)
+        clients: _TableMerge[str] = _TableMerge(str)  # a client id is its own key
+        blocks: list[ColumnarChunk | None] = [None] * k
+        offsets = [0] * k
+        # Per client: the tables its blocks carry (re-remapped whenever they
+        # change) and their index remaps into the merged tables.
+        hint_tables: list[tuple[HintSet, ...]] = [()] * k
+        client_tables: list[tuple[str, ...]] = [()] * k
+        hint_maps: list[Any] = [None] * k
+        client_maps: list[Any] = [None] * k
+        left = self.rounds
+        seq = 0
+        while left:
+            # Every client's current block, advanced past exhausted ones;
+            # this chunk takes as many rounds as all of them still cover.
+            current: list[ColumnarChunk] = []
+            rounds = left
+            for i, stream in enumerate(streams):
+                block = blocks[i]
+                while block is None or offsets[i] == len(block):
+                    block = next(stream, None)
+                    if block is None:
+                        raise ValueError(
+                            f"interleaved client {i} ended before {self.rounds} "
+                            "requests (its trace changed since interleaving)"
+                        )
+                    offsets[i] = 0
+                    if block.hint_sets is not hint_tables[i]:
+                        hint_tables[i] = block.hint_sets
+                        hint_maps[i] = hints.remap(block.hint_sets)
+                    if block.clients is not client_tables[i]:
+                        client_tables[i] = block.clients
+                        client_maps[i] = clients.remap(block.clients)
+                blocks[i] = block
+                current.append(block)
+                rounds = min(rounds, len(block) - offsets[i])
+            n = rounds * k
+            page = _np.empty(n, _np.int64)
+            write = _np.empty(n, _np.bool_)
+            hint_id = _np.empty(n, _np.int64)
+            client_idx = _np.empty(n, _np.int64)
+            for i, block in enumerate(current):
+                lo = offsets[i]
+                hi = offsets[i] = lo + rounds
+                page[i::k] = block.page[lo:hi] + i * self.page_stride
+                write[i::k] = block.write[lo:hi]
+                hint_id[i::k] = hint_maps[i][block.hint_id[lo:hi]]
+                client_idx[i::k] = client_maps[i][block.client_idx[lo:hi]]
+            yield ColumnarChunk(
+                page,
+                write,
+                hint_id,
+                client_idx,
+                _np.arange(seq, seq + n, dtype=_np.int64),
+                hints.table,
+                clients.table,
+            )
+            seq += n
+            left -= rounds
 
 
 def interleave_round_robin(
-    traces: Sequence[Sequence[IORequest]],
-    truncate: bool = True,
+    traces: Sequence[ColumnarInput | Sequence[IORequest]],
     page_stride: int | None = None,
-) -> list[IORequest]:
+) -> InterleavedSource:
     """Interleave several client traces round-robin into one server workload.
+
+    Every trace is truncated to the length of the shortest one (the paper
+    does this to eliminate bias towards longer traces).
 
     Parameters
     ----------
     traces:
-        One request sequence per client.
-    truncate:
-        Truncate every trace to the length of the shortest one (the paper does
-        this to eliminate bias towards longer traces).
+        One request source per client: a columnar source
+        (:class:`~repro.trace.cache.TraceSpec`,
+        :class:`~repro.trace.binio.StreamedTrace`) or a request list, which
+        is lifted once with :meth:`ColumnarChunk.from_requests`.
     page_stride:
         Distance between the page-id ranges assigned to consecutive clients.
         ``None`` derives a safe stride from the largest page id observed.
+
+    The lengths and the largest page id come from one columnar pass over
+    each trace, here; the returned source replays lazily.
     """
-    if not traces:
-        return []
-    if any(len(trace) == 0 for trace in traces):
-        raise ValueError("cannot interleave an empty trace")
-
-    if page_stride is None:
-        max_page = max(request.page for trace in traces for request in trace)
-        page_stride = max_page + 1
-
-    length = min(len(trace) for trace in traces) if truncate else max(len(trace) for trace in traces)
-    interleaved: list[IORequest] = []
-    for position in range(length):
-        for index, trace in enumerate(traces):
-            if position >= len(trace):
-                continue
-            request = trace[position]
-            interleaved.append(
-                IORequest(
-                    page=request.page + index * page_stride,
-                    kind=request.kind,
-                    hints=request.hints,
-                    client_id=request.client_id,
-                )
-            )
-    return interleaved
+    if _np is None:  # pragma: no cover - exercised on numpy-less installs
+        raise RuntimeError("multi-client interleaving requires numpy")
+    sources: list[ClientStream] = [
+        trace if isinstance(trace, ColumnarInput) else ColumnarChunk.from_requests(trace)
+        for trace in traces
+    ]
+    lengths: list[int] = []
+    top = -1
+    for source in sources:
+        length = 0
+        for chunk in _columns(source):
+            if len(chunk):
+                length += len(chunk)
+                top = max(top, int(chunk.page.max()))
+        if not length:
+            raise ValueError("cannot interleave an empty trace")
+        lengths.append(length)
+    return InterleavedSource(
+        sources=tuple(sources),
+        page_stride=top + 1 if page_stride is None else page_stride,
+        rounds=min(lengths, default=0),
+    )
 
 
 def partition_capacity(total: int, clients: int) -> list[int]:

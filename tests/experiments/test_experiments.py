@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.cluster import run_cluster_experiment
@@ -22,6 +25,7 @@ from repro.experiments.schemas_table import run_hint_schema_table
 from repro.experiments.topk import run_topk_experiment
 from repro.experiments.traces_table import run_trace_table
 from repro.experiments.ablations import run_metadata_charge_ablation, run_window_ablation
+from repro.trace.cache import TraceCache, default_trace_cache, set_default_trace_cache
 
 
 #: Tiny settings so the full experiment pipeline runs in seconds under pytest.
@@ -164,6 +168,33 @@ class TestFigure11:
         rows = result.as_rows()
         assert rows[-1]["trace"] == "overall"
         assert 0.0 <= result.shared_overall <= 1.0
+
+    def test_workers_replay_the_interleaved_source_like_the_serial_path(self):
+        """jobs=2 ships the interleaved source (trace specs) to the workers
+        and must not fall back to the serial path (warnings are errors)."""
+        kwargs = dict(trace_names=("DB2_C60", "DB2_C300"), shared_cache_size=1200)
+        serial = run_multiclient_experiment(**kwargs, settings=TINY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parallel = run_multiclient_experiment(
+                **kwargs, settings=replace(TINY, jobs=2)
+            )
+        assert parallel == serial
+
+    def test_list_inputs_equal_trace_spec_inputs(self):
+        """With the trace cache off the clients are request lists, lifted
+        into columns; the results equal the cached, streamed run."""
+        kwargs = dict(trace_names=("DB2_C60", "DB2_C300"), shared_cache_size=1200)
+        streamed = run_multiclient_experiment(**kwargs, settings=TINY)
+        previous = default_trace_cache()
+        set_default_trace_cache(TraceCache(enabled=False))
+        clear_trace_cache()
+        try:
+            lists = run_multiclient_experiment(**kwargs, settings=TINY)
+        finally:
+            set_default_trace_cache(previous)
+            clear_trace_cache()
+        assert lists == streamed
 
 
 class TestClusterExperiment:

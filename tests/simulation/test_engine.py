@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import warnings
 
 import pytest
@@ -237,10 +238,20 @@ class TestParallelSweepRunner:
         _KERNEL_BUGS_BUILT.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RuntimeError, match="kernel bug"):
+            with pytest.raises(RuntimeError, match="kernel bug") as raised:
                 ParallelSweepRunner(requests, jobs=2).run(cells, parameter="x")
         # Workers built the policies; no serial rerun built one here.
         assert _KERNEL_BUGS_BUILT == []
+        if sys.version_info < (3, 11):
+            return  # exception notes (PEP 678) need Python 3.11
+        # The exception names the failing pass: the first worker's one cell.
+        assert raised.value.__notes__ == ["in the replay pass of sweep cells x=0.0: 'bug'"]
+        # Serially both cells share one pass, and the note names both.
+        with pytest.raises(RuntimeError, match="kernel bug") as raised:
+            ParallelSweepRunner(requests, jobs=1).run(cells, parameter="x")
+        assert raised.value.__notes__ == [
+            "in the replay pass of sweep cells x=0.0: 'bug'; x=1.0: 'bug'"
+        ]
 
     def test_clic_config_cells_survive_pickling(self, rng):
         """CLIC cells (config kwargs) run under worker processes."""

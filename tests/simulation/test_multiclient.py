@@ -2,21 +2,59 @@
 
 from __future__ import annotations
 
-import pytest
+import pickle
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.hints import EMPTY_HINT_SET
 from repro.simulation.multiclient import (
+    InterleavedSource,
     interleave_round_robin,
     partition_capacity,
-    remap_pages,
 )
-from repro.simulation.request import RequestKind
+from repro.simulation.request import IORequest, RequestKind
+from repro.trace import binio
+from repro.trace.cache import TraceSpec
+from repro.trace.columnar import ColumnarChunk
 
 from tests.conftest import hint, rd
+from tests.strategies import rich_io_requests
 
 
 def client_trace(client_id: str, pages: list[int]):
     hs = hint(client_id, table="t")
     return [rd(page, hs) for page in pages]
+
+
+def oracle_round_robin(
+    traces: list[list[IORequest]], page_stride: int | None = None
+) -> list[IORequest]:
+    """The object-path round-robin the columnar interleaver replaced."""
+    if not traces:
+        return []
+    if page_stride is None:
+        max_page = max(request.page for trace in traces for request in trace)
+        page_stride = max_page + 1
+    length = min(len(trace) for trace in traces)
+    interleaved: list[IORequest] = []
+    for position in range(length):
+        for index, trace in enumerate(traces):
+            request = trace[position]
+            interleaved.append(
+                IORequest(
+                    page=request.page + index * page_stride,
+                    kind=request.kind,
+                    hints=request.hints,
+                    client_id=request.client_id,
+                )
+            )
+    return interleaved
 
 
 class TestInterleaving:
@@ -33,12 +71,6 @@ class TestInterleaving:
         combined = interleave_round_robin([a, b])
         # One request per client per round, one round only.
         assert len(combined) == 2
-
-    def test_no_truncation_keeps_all_requests(self):
-        a = client_trace("a", [1, 2, 3])
-        b = client_trace("b", [7])
-        combined = interleave_round_robin([a, b], truncate=False)
-        assert len(combined) == 4
 
     def test_page_ids_are_disjoint_across_clients(self):
         a = client_trace("a", [1, 2, 3])
@@ -57,7 +89,7 @@ class TestInterleaving:
     def test_hints_and_kind_preserved(self):
         hs = hint("a", table="stock")
         trace = [rd(1, hs)]
-        combined = interleave_round_robin([trace, client_trace("b", [5])])
+        combined = list(interleave_round_robin([trace, client_trace("b", [5])]))
         assert combined[0].hints == hs
         assert combined[0].kind is RequestKind.READ
 
@@ -66,19 +98,146 @@ class TestInterleaving:
             interleave_round_robin([client_trace("a", [1]), []])
 
     def test_no_traces_returns_empty(self):
-        assert interleave_round_robin([]) == []
+        assert list(interleave_round_robin([])) == []
 
 
-class TestRemapPages:
-    def test_offset_applied(self):
-        trace = client_trace("a", [1, 2])
-        remapped = remap_pages(trace, offset=500)
-        assert [r.page for r in remapped] == [501, 502]
+#: Small real traces, generated once into the session's trace cache.
+SPECS = (
+    TraceSpec("DB2_C60", seed=3, target_requests=300, client_id="client-c60"),
+    TraceSpec("DB2_H400", seed=3, target_requests=200, client_id="client-h400"),
+    TraceSpec("MY_H65", seed=3, target_requests=250),
+)
 
-    def test_original_untouched(self):
-        trace = client_trace("a", [1])
-        remap_pages(trace, offset=10)
-        assert trace[0].page == 1
+def _streamed(path: Path, requests: list[IORequest], block: int) -> binio.StreamedTrace:
+    """*requests* written to a binary trace with *block* requests per BLOCK."""
+    with mock.patch.object(binio, "BLOCK_REQUESTS", block):
+        with binio.BinaryTraceWriter(path) as writer:
+            writer.write_all(requests)
+    return binio.open_trace_binary(path)
+
+
+def _client_inputs():
+    """One client: ``("list", requests)``, ``("streamed", (requests, block))``
+    for a binary trace written with *block* requests per BLOCK (so a dozen
+    requests span several blocks, the hint table grows between them, and
+    clients' block boundaries fall out of step), or ``("spec", spec)`` for a
+    real trace."""
+    requests = st.lists(rich_io_requests(), min_size=1, max_size=14)
+    return st.one_of(
+        st.tuples(st.just("list"), requests),
+        st.tuples(st.just("streamed"), st.tuples(requests, st.integers(1, 5))),
+        st.tuples(st.just("spec"), st.sampled_from(SPECS)),
+    )
+
+
+@pytest.mark.property
+class TestInterleavedSourceProperties:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        clients=st.lists(_client_inputs(), min_size=1, max_size=4),
+        page_stride=st.one_of(st.none(), st.integers(min_value=0, max_value=2**41)),
+    )
+    def test_equals_the_object_round_robin(self, clients, page_stride):
+        with tempfile.TemporaryDirectory() as tmp:
+            sources: list = []
+            oracle_inputs: list[list[IORequest]] = []
+            for index, (kind, payload) in enumerate(clients):
+                if kind == "spec":
+                    sources.append(payload)
+                    oracle_inputs.append(payload.load().requests())
+                elif kind == "streamed":
+                    streamed = _streamed(Path(tmp) / f"client-{index}.bin", *payload)
+                    sources.append(streamed)
+                    # The file's own decode: its dictionary may fold hint
+                    # sets that compare equal (True == 1).
+                    oracle_inputs.append(list(streamed.iter_requests()))
+                else:
+                    sources.append(payload)
+                    oracle_inputs.append(payload)
+
+            source = interleave_round_robin(sources, page_stride=page_stride)
+            oracle = oracle_round_robin(oracle_inputs, page_stride)
+
+            assert len(source) == len(oracle)
+            assert list(source) == oracle
+
+            chunks = list(source.iter_columnar())
+            expected = ColumnarChunk.from_requests(oracle)
+            for chunk in chunks:
+                assert chunk.hint_sets[0] is EMPTY_HINT_SET
+            columns = {
+                name: np.concatenate([getattr(chunk, name) for chunk in chunks])
+                for name in ("page", "write", "hint_id", "seq")
+            }
+            assert columns["page"].tolist() == expected.page.tolist()
+            assert columns["write"].tolist() == expected.write.tolist()
+            assert columns["seq"].tolist() == list(range(len(oracle)))
+            # Hint id 0 is exactly the requests without hints.
+            assert (columns["hint_id"] == 0).tolist() == (expected.hint_id == 0).tolist()
+            assert [c.hint_sets[h] for c in chunks for h in c.hint_id.tolist()] == [
+                expected.hint_sets[h] for h in expected.hint_id.tolist()
+            ]
+            assert [c.clients[i] for c in chunks for i in c.client_idx.tolist()] == [
+                expected.clients[i] for i in expected.client_idx.tolist()
+            ]
+
+
+class TestInterleavedSource:
+    def test_equal_inputs_give_equal_hashable_picklable_sources(self):
+        first = interleave_round_robin(list(SPECS[:2]))
+        second = interleave_round_robin(list(SPECS[:2]))
+        assert isinstance(first, InterleavedSource)
+        assert first == second and hash(first) == hash(second)
+        assert pickle.loads(pickle.dumps(first)) == first
+        assert interleave_round_robin(list(SPECS[1::-1])) != first
+
+    def test_lists_are_lifted_once_into_chunks(self):
+        source = interleave_round_robin([client_trace("a", [1, 2, 3]), SPECS[0]])
+        assert isinstance(source.sources[0], ColumnarChunk)
+        assert source.sources[1] is SPECS[0]
+
+    def test_ensure_delegates_to_the_inputs(self):
+        calls = []
+
+        class Spy:
+            def __init__(self, requests):
+                self._chunk = ColumnarChunk.from_requests(requests)
+
+            def iter_columnar(self):
+                yield self._chunk
+
+            def ensure(self):
+                calls.append(self)
+
+        spies = [Spy(client_trace("a", [1])), Spy(client_trace("b", [2]))]
+        interleave_round_robin(spies).ensure()
+        assert calls == spies
+
+    def test_clients_whose_blocks_fall_out_of_step(self, tmp_path):
+        """A chunk ends wherever any client's block ends, mid-block for the
+        others."""
+        traces = [client_trace("a", list(range(7))), client_trace("b", list(range(8)))]
+        sources = [
+            _streamed(tmp_path / "a.bin", traces[0], 2),
+            _streamed(tmp_path / "b.bin", traces[1], 3),
+        ]
+        source = interleave_round_robin(sources)
+        assert [len(chunk) for chunk in source.iter_columnar()] == [4, 2, 2, 4, 2]
+        assert list(source) == oracle_round_robin(traces)
+
+    def test_a_client_that_shrank_since_interleaving_is_an_error(self):
+        blocks = [client_trace("a", [1, 2]), client_trace("a", [3])]
+
+        class Shrinking:
+            def iter_columnar(self):
+                for block in blocks:
+                    yield ColumnarChunk.from_requests(block)
+
+        source = interleave_round_robin([Shrinking(), client_trace("b", [4, 5, 6])])
+        assert source.rounds == 3
+        blocks.pop()
+        with pytest.raises(ValueError, match="ended before 3 requests"):
+            list(source.iter_columnar())
 
 
 class TestPartitionCapacity:
