@@ -41,15 +41,18 @@ move or ``--json ''`` to skip) recording the measured timings next to the
 pre-refactor baseline captured on the machine that ran the refactor, so the
 perf trajectory of the replay core is tracked in version control.
 
-A second, columnar four-way follows: the batch-kernel grid (LRU / FIFO /
+A second, columnar section follows: the batch-kernel grid (LRU / FIFO /
 CLOCK plus the hint-aware and adaptive kernels added since — ARC, CAR and
-CLIC) is swept four ways over the same cached binary trace — object serial,
-object ``jobs=N``, columnar serial, columnar ``jobs=N`` — with two gates:
+CLIC) is replayed from the same cached binary trace three ways — the
+bench-local ``object replay`` baseline (:func:`object_replay_sweep`: the
+scalar loop the engine ran before it became columnar-only), engine serial
+and engine ``jobs=N`` — with three gates:
 
-* **columnar identity** — all four paths must produce identical per-point
-  hit/miss stats: the columnar path is a pure fast path, never a fork;
-* **columnar speedup (full grid)** — columnar serial must replay the
-  full grid at >= ``--columnar-gate`` (default 2.0x) the object-serial
+* **columnar identity** — every path must produce identical per-point
+  hit/miss stats: batch kernels and column-native observers are a pure
+  fast path over ``access()``, never a fork;
+* **columnar speedup (full grid)** — engine serial must replay the full
+  grid at >= ``--columnar-gate`` (default 2.0x) the object-replay
   throughput.  The hint-aware/adaptive kernels are intrinsically
   sequential state machines (every request reads state the previous one
   wrote), so their batch loops win ~1.5-2.5x over scalar replay — they
@@ -67,7 +70,8 @@ claims parallelism); both the requested and the effective counts land in
 the JSON records.
 
 The columnar section writes ``BENCH_9.json`` (``--json9``, same
-conventions) via :func:`bench_common.emit_bench_json`.
+conventions) via :func:`bench_common.emit_bench_json`; its ``object
+serial`` timings are the bench-local object replay.
 
 Run it standalone (CI runs this as a smoke test)::
 
@@ -92,7 +96,7 @@ from repro.simulation.sweep import sweep_cache_sizes
 
 DEFAULT_POLICIES = ("OPT", "LRU", "ARC", "TQ")
 DEFAULT_SIZES = (450, 900, 1_800, 3_600)
-#: The columnar four-way grid: every policy with a fused batch kernel.
+#: The columnar grid: every policy with a fused batch kernel.
 COLUMNAR_POLICIES = ("LRU", "FIFO", "CLOCK", "ARC", "CAR", "CLIC")
 #: The engine-overhead-dominated subset whose aggregate the original
 #: BENCH_9.json gated at 3.0x; kept as its own metric so the number stays
@@ -179,49 +183,110 @@ def _grid_cells(cache_sizes, policies):
     ]
 
 
-def _time_paths(spec, cells, paths, repeat):
-    timings, sweeps = {}, {}
-    for label, options in paths.items():
-        best = None
-        for _ in range(max(1, repeat)):
-            runner = ParallelSweepRunner(requests=spec, **options)
-            started = time.perf_counter()
-            sweep = runner.run(cells, parameter="capacity")
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best, sweeps[label] = elapsed, sweep
-        timings[label] = best
-    return timings, sweeps
+def object_replay_sweep(spec, cache_sizes, policies):
+    """The object replay baseline: one scalar pass feeding every cell.
+
+    Per decoded block of the cached trace (``spec.iter_chunks()``) it does
+    what the engine's object loop did per chunk before the engine replayed
+    only columnar chunks: ``list(map(policy.access, chunk, seqs))`` for
+    every (policy, size) cell, then one counting pass over the outcomes.
+    Returns ``{name: [(capacity, CacheStats), ...]}``.
+    """
+    cells = [
+        (name, capacity, create_policy(name, capacity=capacity))
+        for capacity in cache_sizes
+        for name in policies
+    ]
+    stats = [CacheStats() for _ in cells]
+    seq = 0
+    for chunk in spec.iter_chunks():
+        seqs = range(seq, seq + len(chunk))
+        for (_, _, policy), counted in zip(cells, stats):
+            outcomes = list(map(policy.access, chunk, seqs))
+            rr = rh = wh = ev = adm = byp = 0
+            for request, outcome in zip(chunk, outcomes):
+                if request.is_read:
+                    rr += 1
+                    if outcome.hit:
+                        rh += 1
+                elif outcome.hit:
+                    wh += 1
+                if outcome.admitted:
+                    adm += 1
+                if outcome.bypassed:
+                    byp += 1
+                if outcome.evicted:
+                    ev += len(outcome.evicted)
+            counted.read_requests += rr
+            counted.read_hits += rh
+            counted.write_requests += len(chunk) - rr
+            counted.write_hits += wh
+            counted.evictions += ev
+            counted.admissions += adm
+            counted.bypasses += byp
+        seq += len(chunk)
+    curves = {name: [] for name in policies}
+    for (name, capacity, _), counted in zip(cells, stats):
+        curves[name].append((float(capacity), counted))
+    return curves
 
 
-def columnar_four_way(spec, cache_sizes, policies, jobs, repeat):
-    """Sweep the batch-kernel grid object/columnar x serial/jobs=N.
+def _time(fn, repeat):
+    """Best-of-*repeat* seconds and the last result of ``fn()``."""
+    best, result = None, None
+    for _ in range(max(1, repeat)):
+        started = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - started
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
 
-    Returns ``(timings, sweeps)``: best-of-*repeat* seconds and the
-    :class:`SweepResult` per path, all replayed from the same cached binary
-    trace so the columnar path decodes straight into arrays.
+
+def _engine_curves(spec, cache_sizes, policies, jobs):
+    """One engine sweep of the grid, as ``{name: [(x, CacheStats), ...]}``."""
+    sweep = ParallelSweepRunner(requests=spec, jobs=jobs).run(
+        _grid_cells(cache_sizes, policies), parameter="capacity"
+    )
+    return {
+        name: [(point.x, point.result.stats) for point in sweep.series[name]]
+        for name in policies
+    }
+
+
+def columnar_three_way(spec, cache_sizes, policies, jobs, repeat):
+    """Replay the batch-kernel grid: object replay, engine serial and
+    engine ``jobs=N``, all from the same cached binary trace.
+
+    Returns ``(timings, curves)``: best-of-*repeat* seconds and the
+    per-point stats per path.
     """
     paths = {
-        "object serial": dict(jobs=1, columnar=False),
-        f"object jobs={jobs}": dict(jobs=jobs, columnar=False),
-        "columnar serial": dict(jobs=1, columnar=True),
-        f"columnar jobs={jobs}": dict(jobs=jobs, columnar=True),
+        "object serial": lambda: object_replay_sweep(spec, cache_sizes, policies),
+        "columnar serial": lambda: _engine_curves(spec, cache_sizes, policies, 1),
+        f"columnar jobs={jobs}": (
+            lambda: _engine_curves(spec, cache_sizes, policies, jobs)
+        ),
     }
-    return _time_paths(spec, _grid_cells(cache_sizes, policies), paths, repeat)
+    timings, curves = {}, {}
+    for label, run in paths.items():
+        timings[label], curves[label] = _time(run, repeat)
+    return timings, curves
 
 
 def columnar_serial_pair(spec, cache_sizes, policies, repeat):
-    """Time object-serial vs columnar-serial over a (sub)grid.
+    """Time object replay vs engine serial over a (sub)grid.
 
     Used for the core LRU/FIFO/CLOCK subset, whose speedup is gated
     separately from the full grid (see module docstring).
     """
-    paths = {
-        "core object serial": dict(jobs=1, columnar=False),
-        "core columnar serial": dict(jobs=1, columnar=True),
+    return {
+        "core object serial": _time(
+            lambda: object_replay_sweep(spec, cache_sizes, policies), repeat
+        )[0],
+        "core columnar serial": _time(
+            lambda: _engine_curves(spec, cache_sizes, policies, 1), repeat
+        )[0],
     }
-    timings, _ = _time_paths(spec, _grid_cells(cache_sizes, policies), paths, repeat)
-    return timings
 
 
 def main(argv=None) -> int:
@@ -249,7 +314,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--json9",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_9.json"),
-        help="where to write the columnar four-way record (empty string to skip)",
+        help="where to write the columnar record (empty string to skip)",
     )
     parser.add_argument(
         "--columnar-gate", type=float, default=COLUMNAR_SPEEDUP_GATE,
@@ -285,27 +350,18 @@ def main(argv=None) -> int:
         f"({', '.join(policies)})"
     )
 
-    def timed(fn):
-        best, curves = None, None
-        for _ in range(max(1, args.repeat)):
-            started = time.perf_counter()
-            curves = fn()
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return best, curves
-
     timings = {}
-    timings["seed serial"], seed_curves = timed(
-        lambda: seed_serial_sweep(requests, sizes, policies)
+    timings["seed serial"], seed_curves = _time(
+        lambda: seed_serial_sweep(requests, sizes, policies), args.repeat
     )
-    timings["pipeline serial"], pipeline_curves = timed(
-        lambda: pipeline_serial_sweep(requests, sizes, policies)
+    timings["pipeline serial"], pipeline_curves = _time(
+        lambda: pipeline_serial_sweep(requests, sizes, policies), args.repeat
     )
-    timings["engine serial"], engine_curves = timed(
-        lambda: engine_sweep(requests, sizes, policies, jobs=1)
+    timings["engine serial"], engine_curves = _time(
+        lambda: engine_sweep(requests, sizes, policies, jobs=1), args.repeat
     )
-    timings[f"engine jobs={jobs}"], parallel_curves = timed(
-        lambda: engine_sweep(requests, sizes, policies, jobs=jobs)
+    timings[f"engine jobs={jobs}"], parallel_curves = _time(
+        lambda: engine_sweep(requests, sizes, policies, jobs=jobs), args.repeat
     )
 
     # --- Correctness: all four paths must agree exactly.
@@ -356,33 +412,26 @@ def main(argv=None) -> int:
         pre_refactor_baseline=PRE_REFACTOR_BASELINE,
     )
 
-    # --- Columnar four-way: the batch-kernel grid, object vs columnar.
+    # --- Columnar section: the batch-kernel grid, object replay vs engine.
     spec = trace_spec(args.trace, settings)
     spec.ensure()
     columnar_policies = tuple(p for p in COLUMNAR_POLICIES)
-    col_timings, col_sweeps = columnar_four_way(
+    col_timings, col_curves = columnar_three_way(
         spec, sizes, columnar_policies, jobs, args.repeat
     )
 
     # Hard identity gate: every path yields identical per-point stats.
     reference_label = "object serial"
-    reference = col_sweeps[reference_label]
+    reference = col_curves[reference_label]
     columnar_identical = True
-    for label, sweep in col_sweeps.items():
-        if sweep.labels() != reference.labels():
-            print(f"FAIL: {label!r} swept different policies than the object path")
-            columnar_identical = False
-            continue
-        for name in reference.labels():
-            if sweep.curve(name) != reference.curve(name):
-                print(f"FAIL: {label!r} {name} hit-ratio curve diverged")
+    for label, curves in col_curves.items():
+        for name in columnar_policies:
+            points = [(x, stats.as_dict()) for x, stats in curves[name]]
+            if points != [(x, stats.as_dict()) for x, stats in reference[name]]:
+                print(f"FAIL: {label!r} {name} stats diverged from the object replay")
                 columnar_identical = False
-            for a, b in zip(sweep.series[name], reference.series[name]):
-                if a.result.stats.as_dict() != b.result.stats.as_dict():
-                    print(f"FAIL: {label!r} {name} x={a.x:g} stats diverged")
-                    columnar_identical = False
     if columnar_identical:
-        print("\ncolumnar output: identical across all four paths")
+        print("\ncolumnar output: identical across all three paths")
 
     col_baseline = col_timings[reference_label]
     print(f"\n{'path':<20} {'seconds':>8} {'speedup':>8}   (columnar grid: "
@@ -451,7 +500,7 @@ def main(argv=None) -> int:
               f"threshold for {cpus} CPU(s)")
         ok = False
     if not columnar_identical:
-        print("FAIL: columnar path diverged from the object path")
+        print("FAIL: the engine diverged from the object replay")
         ok = False
     if columnar_speedup < args.columnar_gate:
         print(f"FAIL: columnar serial speedup {columnar_speedup:.2f}x below "

@@ -19,16 +19,12 @@ from __future__ import annotations
 
 import abc
 import copy
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from typing import TYPE_CHECKING
 
-try:  # optional acceleration for the batch kernel path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.simulation.request import IORequest
@@ -170,8 +166,6 @@ class AccessOutcomeBatch:
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[AccessOutcome]) -> "AccessOutcomeBatch":
         """Lift a scalar outcome list into a batch (memoising the list)."""
-        if _np is None:  # pragma: no cover - batch paths require numpy
-            raise RuntimeError("AccessOutcomeBatch requires numpy")
         n = len(outcomes)
         hit = _np.fromiter((outcome.hit for outcome in outcomes), _np.bool_, n)
         admitted = _np.fromiter(
@@ -236,8 +230,6 @@ def _admit_batch(
     bypassed, and request ``evict_pos[k]`` evicted page ``evicted[k]`` (at
     most one eviction per access).
     """
-    if _np is None:  # pragma: no cover - batch paths require numpy
-        raise RuntimeError("AccessOutcomeBatch requires numpy")
     n = len(hit_flags)
     hit = _np.frombuffer(bytes(hit_flags), dtype=_np.bool_)
     bypassed = _np.zeros(n, _np.bool_)
@@ -264,8 +256,6 @@ def _mixed_batch(
     Explicit 0/1 flags per request for hit/admitted/bypassed, plus at most
     one eviction per access (``evict_pos[k]`` evicted ``evicted[k]``).
     """
-    if _np is None:  # pragma: no cover - batch paths require numpy
-        raise RuntimeError("AccessOutcomeBatch requires numpy")
     n = len(hit_flags)
     hit = _np.frombuffer(bytes(hit_flags), dtype=_np.bool_)
     admitted = _np.frombuffer(bytes(admit_flags), dtype=_np.bool_)
@@ -284,8 +274,6 @@ def _mixed_batch(
 def _all_hit_batch(n: int) -> AccessOutcomeBatch:
     """Assemble the batch for a chunk where every request hit (no state
     change other than recency/reference updates)."""
-    if _np is None:  # pragma: no cover - batch paths require numpy
-        raise RuntimeError("AccessOutcomeBatch requires numpy")
     return AccessOutcomeBatch(
         _np.ones(n, _np.bool_),
         _np.zeros(n, _np.bool_),
@@ -410,8 +398,8 @@ class CachePolicy(abc.ABC):
     shares_read_index: bool = False
 
     #: Instance attributes excluded from :meth:`snapshot`: anything that is
-    #: not kernel state (the replay loop's bookkeeping hooks).
-    _SNAPSHOT_EXCLUDE: frozenset[str] = frozenset({"_stats_view"})
+    #: not kernel state.
+    _SNAPSHOT_EXCLUDE: frozenset[str] = frozenset()
 
     #: Names of attributes shared by reference across snapshots instead of
     #: being deep-copied: immutable-by-contract structures that may be
@@ -420,36 +408,12 @@ class CachePolicy(abc.ABC):
 
     def __init__(self, capacity: int):
         self._capacity = validate_capacity(capacity)
-        #: Stats of the policy's most recent simulation run, installed by the
-        #: replay loop for the deprecated :attr:`stats` shim.  Not kernel
-        #: state; never read it from within a policy.
-        self._stats_view: CacheStats | None = None
 
     # ------------------------------------------------------------------ API
     @property
     def capacity(self) -> int:
         """Cache capacity in pages."""
         return self._capacity
-
-    @property
-    def stats(self) -> CacheStats:
-        """Deprecated: stats of the policy's most recent simulation run.
-
-        Policies are pure kernels and no longer do their own accounting;
-        read statistics from :attr:`SimulationResult.stats` (or attach a
-        :class:`~repro.simulation.observers.StatsObserver`) instead.  This
-        shim returns the stats the last replay installed — empty if the
-        policy has only been driven directly, outside a simulator.
-        """
-        warnings.warn(
-            "CachePolicy.stats is deprecated: policies no longer own "
-            "accounting; read SimulationResult.stats (or attach a "
-            "StatsObserver) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        view = self._stats_view
-        return view if view is not None else CacheStats()
 
     def prepare(self, requests: Any, start_seq: int = 0) -> None:
         """Give offline policies (OPT) the full request stream in advance.
@@ -488,6 +452,12 @@ class CachePolicy(abc.ABC):
         covered by the scalar==batch equivalence suite
         (``tests/cache/test_batch_parity.py``); lintkit's
         ``batch-kernel-parity`` rule enforces this.
+
+        The replay engine calls only this method, so a subclass that
+        overrides :meth:`access` of a policy with a fused kernel must
+        override this one too, or set ``batch_access =
+        CachePolicy.batch_access`` to route every request through its
+        :meth:`access`.
         """
         requests = chunk.requests()
         outcomes = list(map(self.access, requests, chunk.seq_list()))
@@ -511,12 +481,7 @@ class CachePolicy(abc.ABC):
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Drop all cached pages (capacity is kept).
-
-        Also forgets the last run's stats view (the deprecated shim), so a
-        reset policy looks freshly built.
-        """
-        self._stats_view = None
+        """Drop all cached pages (capacity is kept)."""
 
     # ---------------------------------------------------------- snapshotting
     def snapshot(self) -> Mapping[str, object]:

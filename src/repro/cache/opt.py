@@ -24,10 +24,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
-try:  # the next-read index is a numpy column
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 from repro.cache.base import (
     HIT,
@@ -98,8 +95,6 @@ class ReadIndex(NamedTuple):
         current state), a read only counts as the next read of requests on
         its own shard: one column holding every shard's own index.
         """
-        if _np is None:  # pragma: no cover - exercised on numpy-less installs
-            raise RuntimeError("OPT's next-read index requires numpy")
         pages: list[Any] = []
         writes: list[Any] = []
         shards: list[Any] = []

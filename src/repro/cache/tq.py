@@ -33,10 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable
 
-try:  # optional acceleration for the batch kernel path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 from repro.cache.base import (
     HIT,

@@ -39,10 +39,7 @@ import abc
 import copy
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-try:  # optional acceleration for the columnar replay path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
 from repro.cache.opt import OPTPolicy, ReadIndex

@@ -27,14 +27,16 @@ fail.
 Request streams come in two shapes, unified by the *request-source
 protocol*:
 
-* plain sequences (lists/tuples of :class:`IORequest`), replayed by slicing;
+* plain sequences (lists/tuples of :class:`IORequest`), lifted chunk by
+  chunk into columns;
 * **lazy sources** — any object with a re-iterable ``iter_requests()``
   method, e.g. :class:`repro.trace.cache.TraceSpec` or
   :class:`repro.trace.binio.StreamedTrace` — replayed chunk-by-chunk with
-  bounded memory (the full request list is never materialized).  A lazy
-  source that is also cheaply picklable is what ``jobs > 1`` ships to worker
-  processes: each worker opens the trace itself instead of receiving
-  millions of pickled request objects.
+  bounded memory (the full request list is never materialized); those with
+  ``iter_columnar()`` decode straight into columns.  A lazy source that is
+  also cheaply picklable is what ``jobs > 1`` ships to worker processes:
+  each worker opens the trace itself instead of receiving millions of
+  pickled request objects.
 """
 
 from __future__ import annotations
@@ -50,10 +52,7 @@ from itertools import islice
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
-try:  # optional acceleration; the object path is bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 from repro.cache.base import CachePolicy, CacheStats
 from repro.cache.registry import create_policy
@@ -71,7 +70,7 @@ from repro.simulation.observers import (
     shard_observer_for,
 )
 from repro.simulation.queueing import QueueingModel
-from repro.simulation.request import IORequest, RequestKind
+from repro.simulation.request import IORequest
 from repro.trace.columnar import ColumnarChunk, columnar_chunks
 
 __all__ = [
@@ -108,19 +107,10 @@ def _as_request_source(requests: Iterable[IORequest]) -> RequestSource:
 
 
 def _iter_request_chunks(source: RequestSource, chunk_size: int) -> Iterator[list[IORequest]]:
-    """Yield *source* as consecutive request lists (at most ~*chunk_size*).
-
-    Sources exposing ``iter_chunks()`` (:class:`StreamedTrace` decodes its
-    blocks into lists already) are consumed chunk-by-chunk directly instead
-    of being re-buffered through a per-request iterator.  Replay results do
-    not depend on chunk boundaries, so the native chunking is used as-is.
-    """
+    """Yield *source* as consecutive request lists of at most *chunk_size*."""
     if isinstance(source, (list, tuple)):
         for start in range(0, len(source), chunk_size):
             yield source[start : start + chunk_size]
-        return
-    if hasattr(source, "iter_chunks"):
-        yield from source.iter_chunks()
         return
     iterator = source.iter_requests()
     while True:
@@ -128,30 +118,6 @@ def _iter_request_chunks(source: RequestSource, chunk_size: int) -> Iterator[lis
         if not chunk:
             return
         yield chunk
-
-
-def _split_chunks_at_windows(
-    chunks: Iterator[list[IORequest]], window: int, start_seq: int
-) -> Iterator[list[IORequest]]:
-    """Re-chunk a stream so no chunk crosses a window boundary.
-
-    Replay results never depend on chunk boundaries, so splitting is free of
-    observable effect on hit/miss outcomes; it only guarantees that the
-    replay loop sees every ``seq % window == 0`` crossing between chunks,
-    where rolling snapshots are taken.
-    """
-    seq = start_seq
-    for chunk in chunks:
-        offset, length = 0, len(chunk)
-        while offset < length:
-            room = window - (seq % window)
-            take = min(room, length - offset)
-            if offset == 0 and take == length:
-                yield chunk
-            else:
-                yield chunk[offset : offset + take]
-            seq += take
-            offset += take
 
 
 def _iter_columnar_chunks(
@@ -162,9 +128,8 @@ def _iter_columnar_chunks(
     Sources exposing ``iter_columnar()`` (:class:`StreamedTrace`,
     :class:`~repro.trace.cache.TraceSpec`,
     :class:`~repro.trace.columnar.ColumnarSource`) decode straight into
-    arrays; anything else is replayed through the object chunker and lifted
-    with :meth:`ColumnarChunk.from_requests` (correct, but no faster than
-    the object path — it exists so ``columnar=True`` works on any source).
+    arrays; anything else is cut into request lists and each list is lifted
+    with :meth:`ColumnarChunk.from_requests`.
     """
     if hasattr(source, "iter_columnar"):
         yield from source.iter_columnar()
@@ -172,10 +137,16 @@ def _iter_columnar_chunks(
     yield from columnar_chunks(_iter_request_chunks(source, chunk_size), start_seq)
 
 
-def _split_columnar_at_windows(
+def _split_at_windows(
     chunks: Iterator[ColumnarChunk], window: int, start_seq: int
 ) -> Iterator[ColumnarChunk]:
-    """Columnar twin of :func:`_split_chunks_at_windows` (slices are views)."""
+    """Re-chunk a stream so no chunk crosses a window boundary.
+
+    Replay results never depend on chunk boundaries, so splitting is free of
+    observable effect on hit/miss outcomes; it only guarantees that the
+    replay loop sees every ``seq % window == 0`` crossing between chunks,
+    where rolling snapshots are taken.  Slices are array views.
+    """
     seq = start_seq
     for chunk in chunks:
         offset, length = 0, len(chunk)
@@ -221,7 +192,6 @@ class MultiPolicySimulator:
         observer_factories: Sequence[
             Callable[[CachePolicy, int], ReplayObserver]
         ] = (),
-        columnar: bool | None = None,
     ):
         self._policies = list(policies)
         self._track_per_client = track_per_client
@@ -232,16 +202,6 @@ class MultiPolicySimulator:
         #: policy, fed from the same outcome stream as everything else.
         self._queueing_model = queueing_model
         self._observer_factories = tuple(observer_factories)
-        #: Columnar dispatch: ``None`` auto-detects (engage when numpy is
-        #: available and the source decodes to arrays natively), ``True``
-        #: forces it for any source, ``False`` pins the object path.  The
-        #: two paths are bit-identical; this is purely a throughput switch.
-        self._columnar = columnar
-        if columnar and _np is None:
-            raise RuntimeError(
-                "columnar replay requires numpy; pass columnar=False (or "
-                "None) to use the object path"
-            )
 
     @property
     def policies(self) -> list[CachePolicy]:
@@ -281,10 +241,8 @@ class MultiPolicySimulator:
             self._prepare_offline(source, start_seq)
 
         n = len(policies)
-        accessors = [policy.access for policy in policies]
+        batch_accessors = [policy.batch_access for policy in policies]
         track = self._track_per_client
-        read_kind = RequestKind.READ
-        chunk_size = self.CHUNK_SIZE
         cost_model = self._cost_model
         rolling = self._rolling_window
 
@@ -343,222 +301,50 @@ class MultiPolicySimulator:
                 if interval:
                     boundary = gcd(boundary, interval)
 
-        use_columnar = self._columnar
-        if use_columnar is None:
-            use_columnar = _np is not None and hasattr(source, "iter_columnar")
-
-        started = time.perf_counter()  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
-        if use_columnar:
-            per_client = self._replay_columnar(
-                source, start_seq, accessors, pipelines, stats_obs, boundary
-            )
-            elapsed = time.perf_counter() - started  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
-            return self._assemble_results(
-                per_client, elapsed, stats_obs, shard_obs, cost_obs, rolling_obs, queueing_obs
-            )
-
         # client_id -> [read_requests, write_requests, read hits per policy,
         # write hits per policy].  The request counts are policy-independent,
         # so they are counted once per chunk and shared by all N per-client
-        # results; ``chunk_targets`` maps each request of a chunk to the
-        # hit-counter list its hits go to.
-        #
-        # Streams from a single client (every standard trace) never pay that
-        # bookkeeping: as long as only one client has been seen, the replay
-        # loop lets ``map`` drive each policy through a whole chunk at C
-        # speed, and the client's counts are recovered from the stats
-        # observers afterwards.  The moment a second client appears (only
-        # possible at a chunk boundary, since each chunk is scanned before it
-        # is replayed) the totals so far are attributed to the first client
-        # and the per-request slow path takes over.
+        # results; each policy's hits are masked popcounts of its hit column.
         per_client: dict[str, list] = {}
-        sole_client: str | None = None
-        multi_client = False
         seq_base = start_seq
-
-        def snapshot_counts() -> list:
-            stats0 = stats_obs[0]
-            return [
-                stats0.read_requests,
-                stats0.write_requests,
-                [observer.read_hits for observer in stats_obs],
-                [observer.write_hits for observer in stats_obs],
-            ]
-
-        chunks = _iter_request_chunks(source, chunk_size)
-        if boundary:
-            chunks = _split_chunks_at_windows(chunks, boundary, start_seq)
-        for chunk in chunks:
-            if track and not multi_client:
-                chunk_clients = {request.client_id for request in chunk}
-                if sole_client is None and len(chunk_clients) == 1:
-                    # The singleton's value, read without set iteration.
-                    sole_client = chunk[0].client_id
-                if len(chunk_clients) > 1 or (
-                    sole_client is not None and chunk_clients != {sole_client}
-                ):
-                    multi_client = True
-                    if sole_client is not None and seq_base > start_seq:
-                        per_client[sole_client] = snapshot_counts()
-            if track and multi_client:
-                chunk_targets: list[list[int]] = []
-                append_target = chunk_targets.append
-                for request in chunk:
-                    row = per_client.get(request.client_id)
-                    if row is None:
-                        row = [0, 0, [0] * n, [0] * n]
-                        per_client[request.client_id] = row
-                    if request.kind is read_kind:
-                        row[0] += 1
-                        append_target(row[2])
-                    else:
-                        row[1] += 1
-                        append_target(row[3])
-                for j in range(n):
-                    access = accessors[j]
-                    seq = seq_base
-                    outcomes = []
-                    append = outcomes.append
-                    for request, hits in zip(chunk, chunk_targets):
-                        outcome = access(request, seq)
-                        if outcome.hit:
-                            hits[j] += 1
-                        append(outcome)
-                        seq += 1
-                    for observer in pipelines[j]:
-                        observer.on_chunk(chunk, seq_base, outcomes)
-            else:
-                # Sole-client fast path: ``map`` drives each policy through
-                # the whole chunk at C speed; the chunk's outcome list is
-                # then handed to every observer in one batched call.
-                seqs = range(seq_base, seq_base + len(chunk))
-                for j in range(n):
-                    outcomes = list(map(accessors[j], chunk, seqs))
-                    for observer in pipelines[j]:
-                        observer.on_chunk(chunk, seq_base, outcomes)
-            seq_base += len(chunk)
-            for pipeline in pipelines:
-                for observer in pipeline:
-                    observer.on_chunk_end(seq_base)
-
-        if track and not multi_client and sole_client is not None:
-            per_client[sole_client] = snapshot_counts()
-        elapsed = time.perf_counter() - started  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
-        return self._assemble_results(
-            per_client, elapsed, stats_obs, shard_obs, cost_obs, rolling_obs, queueing_obs
-        )
-
-    def _replay_columnar(
-        self,
-        source: RequestSource,
-        start_seq: int,
-        accessors: list[Callable[[IORequest, int], object]],
-        pipelines: list[list[ReplayObserver]],
-        stats_obs: list[StatsObserver],
-        boundary: int,
-    ) -> dict[str, list]:
-        """The columnar twin of the object replay loop in :meth:`run`.
-
-        Chunks flow through as arrays: policies with a batch kernel get the
-        chunk itself (`batch_access`), the rest run the identical scalar
-        loop over the chunk's memoised request list; observers are fed via
-        ``on_batch`` (batch-native or materialising fallback) or
-        ``on_chunk`` respectively.  All accounting — per-client rows, the
-        sole-/multi-client transition, observer boundaries — mirrors the
-        object loop decision for decision, so both paths produce
-        bit-identical results.
-        """
-        policies = self._policies
-        n = len(policies)
-        track = self._track_per_client
-        scalar_base = CachePolicy.batch_access
-        batch_kernels = [
-            policy.batch_access
-            if type(policy).batch_access is not scalar_base
-            else None
-            for policy in policies
-        ]
-        per_client: dict[str, list] = {}
-        sole_client: str | None = None
-        multi_client = False
-        seq_base = start_seq
-
-        def snapshot_counts() -> list:
-            stats0 = stats_obs[0]
-            return [
-                stats0.read_requests,
-                stats0.write_requests,
-                [observer.read_hits for observer in stats_obs],
-                [observer.write_hits for observer in stats_obs],
-            ]
-
+        started = time.perf_counter()  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
         chunks = _iter_columnar_chunks(source, self.CHUNK_SIZE, start_seq)
         if boundary:
-            chunks = _split_columnar_at_windows(chunks, boundary, start_seq)
+            chunks = _split_at_windows(chunks, boundary, start_seq)
         for chunk in chunks:
             if chunk.seq_base != seq_base:
                 # Sources number chunks from their own origin (0 for a
                 # decoded trace); the engine's numbering wins.
                 chunk = chunk.rebase(seq_base)
-            size = len(chunk)
-            client_rows: list[tuple[list, object, object]] | None = None
+            client_rows: list[tuple[list, object, object]] = []
             if track:
-                present = chunk.present_clients()
-                if not multi_client:
-                    chunk_clients = {client_id for client_id, _ in present}
-                    if sole_client is None and len(chunk_clients) == 1:
-                        sole_client = present[0][0]
-                    if len(chunk_clients) > 1 or (
-                        sole_client is not None and chunk_clients != {sole_client}
-                    ):
-                        multi_client = True
-                        if sole_client is not None and seq_base > start_seq:
-                            per_client[sole_client] = snapshot_counts()
-                if multi_client:
-                    write = chunk.write
-                    client_rows = []
-                    for client_id, mask in present:
-                        row = per_client.get(client_id)
-                        if row is None:
-                            row = [0, 0, [0] * n, [0] * n]
-                            per_client[client_id] = row
-                        read_mask = mask & ~write
-                        write_mask = mask & write
-                        row[0] += int(_np.count_nonzero(read_mask))
-                        row[1] += int(_np.count_nonzero(write_mask))
-                        client_rows.append((row, read_mask, write_mask))
+                write = chunk.write
+                for client_id, mask in chunk.present_clients():
+                    row = per_client.get(client_id)
+                    if row is None:
+                        row = [0, 0, [0] * n, [0] * n]
+                        per_client[client_id] = row
+                    read_mask = mask & ~write
+                    write_mask = mask & write
+                    row[0] += int(_np.count_nonzero(read_mask))
+                    row[1] += int(_np.count_nonzero(write_mask))
+                    client_rows.append((row, read_mask, write_mask))
             for j in range(n):
-                kernel = batch_kernels[j]
-                if kernel is not None:
-                    batch = kernel(chunk)
-                    if client_rows is not None:
-                        hit = batch.hit
-                        for row, read_mask, write_mask in client_rows:
-                            row[2][j] += int(_np.count_nonzero(hit & read_mask))
-                            row[3][j] += int(_np.count_nonzero(hit & write_mask))
-                    for observer in pipelines[j]:
-                        observer.on_batch(chunk, batch)
-                else:
-                    requests = chunk.requests()
-                    outcomes = list(
-                        map(accessors[j], requests, range(seq_base, seq_base + size))
-                    )
-                    if client_rows is not None:
-                        hit = _np.fromiter(
-                            (outcome.hit for outcome in outcomes), _np.bool_, size
-                        )
-                        for row, read_mask, write_mask in client_rows:
-                            row[2][j] += int(_np.count_nonzero(hit & read_mask))
-                            row[3][j] += int(_np.count_nonzero(hit & write_mask))
-                    for observer in pipelines[j]:
-                        observer.on_chunk(requests, seq_base, outcomes)
-            seq_base += size
+                batch = batch_accessors[j](chunk)
+                hit = batch.hit
+                for row, read_mask, write_mask in client_rows:
+                    row[2][j] += int(_np.count_nonzero(hit & read_mask))
+                    row[3][j] += int(_np.count_nonzero(hit & write_mask))
+                for observer in pipelines[j]:
+                    observer.on_batch(chunk, batch)
+            seq_base += len(chunk)
             for pipeline in pipelines:
                 for observer in pipeline:
                     observer.on_chunk_end(seq_base)
-        if track and not multi_client and sole_client is not None:
-            per_client[sole_client] = snapshot_counts()
-        return per_client
+        elapsed = time.perf_counter() - started  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
+        return self._assemble_results(
+            per_client, elapsed, stats_obs, shard_obs, cost_obs, rolling_obs, queueing_obs
+        )
 
     def _assemble_results(
         self,
@@ -584,9 +370,6 @@ class MultiPolicySimulator:
                 for client_id, row in per_client.items()
             }
             stats = stats_obs[j].finalize()
-            # Back-compat: the deprecated ``policy.stats`` shim reports this
-            # run's accounting until the policy's next reset.
-            policy._stats_view = stats
             shard = shard_obs[j]
             per_shard = shard.finalize() if shard is not None else ()
             latency = None
@@ -737,7 +520,6 @@ def _run_cells(
     cost_model: CostModel | None = None,
     rolling_window: int | None = None,
     queueing_model: QueueingModel | None = None,
-    columnar: bool | None = None,
 ) -> list[list[SimulationResult]]:
     """Run *cells*, folding same-stream cells into one shared replay pass.
 
@@ -778,7 +560,6 @@ def _run_cells(
                 cost_model=cost_model,
                 rolling_window=rolling_window,
                 queueing_model=queueings[group_key],
-                columnar=columnar,
             ).run(streams[group_key])
         except Exception as error:
             # Name the failing pass (PEP 678 notes, Python 3.11+); a worker's
@@ -854,15 +635,10 @@ class ParallelSweepRunner:
         cost_model: CostModel | None = None,
         rolling_window: int | None = None,
         queueing: QueueingModel | None = None,
-        columnar: bool | None = None,
     ):
         self._requests = requests
         self._jobs = 1 if jobs is None else int(jobs)
         self._track_per_client = track_per_client
-        #: Columnar dispatch for every cell's replay (see
-        #: :class:`MultiPolicySimulator`): a plain bool/None, so it ships to
-        #: workers with the cells; both paths are bit-identical.
-        self._columnar = columnar
         #: Optional service-time pricing applied to every cell's replay
         #: (:mod:`repro.simulation.costmodel`).  Cost models are plain
         #: picklable objects, so they ship to worker processes with the
@@ -918,7 +694,6 @@ class ParallelSweepRunner:
             self._cost_model,
             self._rolling_window,
             self._queueing,
-            self._columnar,
         )
 
     def _run_parallel(
@@ -949,7 +724,6 @@ class ParallelSweepRunner:
                         self._cost_model,
                         self._rolling_window,
                         self._queueing,
-                        self._columnar,
                     )
                 )
                 for batch in batches

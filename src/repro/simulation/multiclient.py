@@ -29,10 +29,7 @@ from typing import (
     runtime_checkable,
 )
 
-try:  # the interleaver works on numpy columns
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.simulation.request import IORequest
@@ -229,8 +226,6 @@ def interleave_round_robin(
     The lengths and the largest page id come from one columnar pass over
     each trace, here; the returned source replays lazily.
     """
-    if _np is None:  # pragma: no cover - exercised on numpy-less installs
-        raise RuntimeError("multi-client interleaving requires numpy")
     sources: list[ClientStream] = [
         trace if isinstance(trace, ColumnarInput) else ColumnarChunk.from_requests(trace)
         for trace in traces

@@ -10,8 +10,11 @@ observer over the outcome stream, attached by the single replay orchestrator
 The observer contract (:class:`ReplayObserver`):
 
 * :meth:`~ReplayObserver.on_outcome` — fold one ``(request, seq, outcome)``
-  event; the replay loop prefers the batched :meth:`~ReplayObserver
-  .on_chunk`, which observers override with fused loops for hot-path speed.
+  event: the scalar reference every observer implements.
+* :meth:`~ReplayObserver.on_batch` — fold one columnar chunk and its
+  batched outcomes; the only hook the replay loop calls per chunk.  The
+  default loops over :meth:`~ReplayObserver.on_outcome`; the built-in
+  observers override it with column arithmetic.
 * :meth:`~ReplayObserver.on_chunk_end` — the loop crossed a chunk boundary
   at sequence number ``seq_end`` (exclusive).  Observers declaring a
   :attr:`~ReplayObserver.boundary_interval` are guaranteed a call at every
@@ -23,7 +26,7 @@ The observer contract (:class:`ReplayObserver`):
   destructive: safe to call more than once.
 
 Writing an observer: subclass :class:`ReplayObserver`, implement
-``on_outcome`` (override ``on_chunk`` only if profiling says so), ``merge``
+``on_outcome`` (override ``on_batch`` only if profiling says so), ``merge``
 and ``finalize``, then attach instances via the simulators'
 ``observer_factories`` hook.  Observers must not call back into the policy's
 ``access`` and must not mutate requests or outcomes — many observers share
@@ -33,12 +36,9 @@ one outcome stream.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-try:  # optional acceleration; on_batch is only reachable with numpy present
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 from repro.cache.base import AccessOutcome, CacheStats
 
@@ -72,27 +72,17 @@ class ReplayObserver(abc.ABC):
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
         """Fold one replayed request's outcome event."""
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        """Fold one chunk of consecutive outcomes (requests[i] has sequence
-        number ``seq_base + i``).  Default: loop over :meth:`on_outcome`."""
-        on_outcome = self.on_outcome
-        seq = seq_base
-        for request, outcome in zip(requests, outcomes):
-            on_outcome(request, seq, outcome)
-            seq += 1
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        """Fold one columnar chunk of batched outcomes (the columnar replay
-        path's analogue of :meth:`on_chunk`).  Default: materialise the
-        chunk's requests and the batch's scalar outcomes and delegate — so
-        any observer is columnar-correct out of the box; batch-native
-        overrides are purely a performance fast path."""
-        self.on_chunk(chunk.requests(), chunk.seq_base, batch.outcomes())
+        """Fold one columnar chunk of batched outcomes (request *i* of the
+        chunk has outcome *i* of the batch).  Default: materialise the
+        chunk's requests and the batch's scalar outcomes and loop over
+        :meth:`on_outcome` — so any observer is correct out of the box;
+        column-native overrides are purely a performance fast path."""
+        on_outcome = self.on_outcome
+        for request, seq, outcome in zip(
+            chunk.requests(), chunk.seq_list(), batch.outcomes()
+        ):
+            on_outcome(request, seq, outcome)
 
     def on_chunk_end(self, seq_end: int) -> None:
         """The replay crossed a chunk boundary; ``seq_end`` is exclusive."""
@@ -151,38 +141,8 @@ class StatsObserver(ReplayObserver):
         if outcome.evicted:
             self.evictions += len(outcome.evicted)
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        # Fused local-counter loop: this runs once per policy per chunk and
-        # is the whole accounting cost of the stats-only replay path.
-        rr = rh = wr = wh = ev = adm = byp = 0
-        for request, outcome in zip(requests, outcomes):
-            if request.is_read:
-                rr += 1
-                if outcome.hit:
-                    rh += 1
-            elif outcome.hit:
-                wh += 1
-            if outcome.admitted:
-                adm += 1
-            if outcome.bypassed:
-                byp += 1
-            if outcome.evicted:
-                ev += len(outcome.evicted)
-        self.read_requests += rr
-        self.read_hits += rh
-        self.write_requests += len(requests) - rr
-        self.write_hits += wh
-        self.evictions += ev
-        self.admissions += adm
-        self.bypasses += byp
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        # Batch-native: whole-column popcounts replace the per-outcome loop.
+        # Whole-column popcounts replace the per-outcome loop.
         write = chunk.write
         hit = batch.hit
         wr = int(_np.count_nonzero(write))
@@ -237,20 +197,8 @@ class ShardStatsObserver(ReplayObserver):
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
         self._shards[self._route(request)].record_outcome(request, outcome)
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        route = self._route
-        shards = self._shards
-        for request, outcome in zip(requests, outcomes):
-            shards[route(request)].record_outcome(request, outcome)
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        # Batch-native: re-route the whole chunk with the router's column
-        # kernel (post-access, so stateful routers resolve to pure lookups),
+        # Re-route the whole chunk with the router's column kernel (post-access, so stateful routers resolve to pure lookups),
         # then fold per-shard masked popcounts.
         shard_ids = self._router.route_batch(chunk)
         write = chunk.write
@@ -322,16 +270,6 @@ class CostObserver(ReplayObserver):
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
         self._accumulator.charge(request, outcome.hit)
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        charge = self._accumulator.charge
-        for request, outcome in zip(requests, outcomes):
-            charge(request, outcome.hit)
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
         accumulator = self._accumulator
         if getattr(accumulator, "class_counting", False):
@@ -345,8 +283,10 @@ class CostObserver(ReplayObserver):
             )
             return
         # Seek-aware (or sharded seek-aware) accumulators need the exact
-        # per-request head walk: materialise and run the scalar loop.
-        super().on_batch(chunk, batch)
+        # per-request head walk, which reads only each request's hit flag.
+        charge = accumulator.charge
+        for request, hit in zip(chunk.requests(), batch.hit.tolist()):
+            charge(request, hit)
 
     def merge(self, other: "CostObserver") -> None:
         self._merged.append(other)
@@ -429,50 +369,11 @@ class RollingObserver(ReplayObserver):
             counts[4] += len(outcome.evicted)
         self._seq = seq + 1
 
-    def on_chunk(
-        self,
-        requests: Sequence[IORequest],
-        seq_base: int,
-        outcomes: Sequence[AccessOutcome],
-    ) -> None:
-        # The replay loop aligns chunks to ``boundary_interval``, so the
-        # outer loop normally runs exactly once; chunks from a direct driver
-        # may straddle boundaries and are split here.
-        window = self._window
-        length = len(requests)
-        offset = 0
-        while offset < length:
-            seq = seq_base + offset
-            boundary = seq - (seq % window)
-            if boundary > self._start:
-                self._close(boundary)
-            take = min(window - (seq % window), length - offset)
-            rr = rh = wr = wh = ev = 0
-            for index in range(offset, offset + take):
-                request = requests[index]
-                outcome = outcomes[index]
-                if request.is_read:
-                    rr += 1
-                    if outcome.hit:
-                        rh += 1
-                else:
-                    wr += 1
-                    if outcome.hit:
-                        wh += 1
-                if outcome.evicted:
-                    ev += len(outcome.evicted)
-            counts = self._counts
-            counts[0] += rr
-            counts[1] += rh
-            counts[2] += wr
-            counts[3] += wh
-            counts[4] += ev
-            offset += take
-            self._seq = seq + take
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        # Batch-native: the same window segmentation as on_chunk, with each
-        # segment folded by column popcounts instead of a per-request loop.
+        # The replay loop aligns chunks to ``boundary_interval``, so the
+        # outer loop normally runs once; chunks from a direct caller may
+        # straddle boundaries and are split here.  Each segment is folded by
+        # column popcounts instead of a per-request loop.
         window = self._window
         length = len(chunk)
         write = chunk.write

@@ -25,13 +25,13 @@ exactly, and the integral cut at the last arrival ``T`` (the ``L``
 numerator of Little's law) is ``sum(sojourn_i) - sum(max(0, d_i - T))``
 over departure times ``d_i`` — so the hot loop only records departures.
 
-When numpy is available, single-server position-independent replays (the
-whole default ``load`` sweep) run the Lindley recursion vectorised per
-chunk: with service prefix sums ``S_i`` the recursion unrolls to
+Single-server position-independent replays (the whole default ``load``
+sweep) run the Lindley recursion vectorised over the banked columns: with
+service prefix sums ``S_i`` the recursion unrolls to
 ``depart_i = S_i + max(busy_0, max_{j<=i}(t_j - S_{j-1}))`` — a cumsum
-plus a running maximum, exact in ``int64``.  The scalar fallback produces
-the same integers bit for bit; numpy is an accelerator, never a
-dependency.
+plus a running maximum, exact in ``int64``.  Seek devices and multi-server
+shards run the scalar per-event queues, which produce the same integers bit
+for bit on the configurations both can serve.
 
 It is packaged as a :class:`ReplayObserver` (:class:`QueueingObserver`):
 the replay loop feeds it the outcome stream, it prices each outcome with
@@ -60,11 +60,9 @@ from dataclasses import dataclass, field, replace
 from heapq import heapreplace
 from typing import TYPE_CHECKING, Any, Sequence
 
-try:  # optional acceleration; the scalar path is bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
+from repro.cache.base import AccessOutcomeBatch
 from repro.simulation.costmodel import (
     HISTOGRAM_BUCKET_BOUNDS_US,
     WRITE_POLICIES,
@@ -75,12 +73,12 @@ from repro.simulation.costmodel import (
 from repro.simulation.cluster import HashRouter
 from repro.simulation.observers import ReplayObserver
 from repro.simulation.request import RequestKind, read_request, write_request
+from repro.trace.columnar import ColumnarChunk
 from repro.workloads.arrivals import ArrivalProcess
 
 if TYPE_CHECKING:  # imported for type annotations only
-    from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
+    from repro.cache.base import AccessOutcome, CachePolicy
     from repro.simulation.request import IORequest
-    from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
     "QueueingModel",
@@ -95,7 +93,7 @@ _LAST_BUCKET = len(HISTOGRAM_BUCKET_BOUNDS_US) - 1
 _BOUNDS_NS: tuple[int, ...] = tuple(
     int(bound * 1000.0 + 0.5) for bound in HISTOGRAM_BUCKET_BOUNDS_US
 )
-_BOUNDS_NS_ARRAY = None if _np is None else _np.array(_BOUNDS_NS, dtype=_np.int64)
+_BOUNDS_NS_ARRAY = _np.array(_BOUNDS_NS, dtype=_np.int64)
 
 #: Throwaway requests used to probe a device's constant price classes.
 _PROBE_READ = read_request(page=0)
@@ -409,48 +407,13 @@ class _ArrivalTape:
         self._times = arrivals.times(start_seq)
         self._next_seq = start_seq
         self._chunk_seq = -1
-        self._arrivals_ns: "Sequence[int] | None" = None
-        self._reads: "Sequence[bool] | None" = None
+        self._arrivals_ns: Any = None
+        self._reads: Any = None
         self._mixed_pages = None
 
-    def columns(
-        self, seq_base: int, requests: Sequence["IORequest"]
-    ) -> tuple[Sequence[int], Sequence[bool]]:
-        n = len(requests)
-        if seq_base == self._chunk_seq and len(self._arrivals_ns) == n:
-            return self._arrivals_ns, self._reads
-        if seq_base != self._next_seq:
-            raise ValueError(
-                "observers sharing an arrival tape must consume identical "
-                f"chunks in order (expected seq {self._next_seq}, got {seq_base})"
-            )
-        read = RequestKind.READ
-        if _np is not None:
-            # Elementwise multiply/add then truncate: per value exactly
-            # ``int(t * 1000.0 + 0.5)``, the scalar conversion below.
-            times_us = _np.fromiter(self._times, _np.float64, n)
-            arrivals_ns = (times_us * 1000.0 + 0.5).astype(_np.int64)
-            reads = _np.fromiter(
-                (request.kind is read for request in requests), _np.bool_, n
-            )
-        else:
-            next_time = self._times.__next__
-            arrivals_ns = [int(next_time() * 1000.0 + 0.5) for _ in range(n)]
-            reads = [request.kind is read for request in requests]
-        self._arrivals_ns = arrivals_ns
-        self._reads = reads
-        self._mixed_pages = None
-        self._chunk_seq = seq_base
-        self._next_seq = seq_base + n
-        return arrivals_ns, reads
-
-    def columns_columnar(self, chunk: "ColumnarChunk") -> tuple[Any, Any]:
-        """Columnar twin of :meth:`columns`: arrivals from the same shared
-        clock, reads straight off the chunk's write column — no request
-        objects.  One run may mix both flavours on the same chunk (the
-        engine dispatches per policy), so the per-chunk cache is shared:
-        whichever flavour sees the chunk first materialises, the values are
-        identical either way."""
+    def columns(self, chunk: "ColumnarChunk") -> tuple[Any, Any]:
+        """The chunk's arrival timestamps (``int64`` ns, from the shared
+        clock) and read flags (the negated write column)."""
         n = len(chunk)
         seq_base = chunk.seq_base
         if seq_base == self._chunk_seq and len(self._arrivals_ns) == n:
@@ -460,6 +423,8 @@ class _ArrivalTape:
                 "observers sharing an arrival tape must consume identical "
                 f"chunks in order (expected seq {self._next_seq}, got {seq_base})"
             )
+        # Elementwise multiply/add then truncate: per value exactly
+        # ``int(t * 1000.0 + 0.5)``, the scalar conversion of ``_to_ns``.
         times_us = _np.fromiter(self._times, _np.float64, n)
         arrivals_ns = (times_us * 1000.0 + 0.5).astype(_np.int64)
         reads = ~chunk.write
@@ -470,23 +435,14 @@ class _ArrivalTape:
         self._next_seq = seq_base + n
         return arrivals_ns, reads
 
-    def mixed_pages(self, requests: Sequence["IORequest"]) -> Any:
+    def mixed_pages(self, chunk: "ColumnarChunk") -> Any:
         """The murmur-mixed page ids of the current chunk (``uint64``).
 
         :class:`~repro.simulation.cluster.HashRouter` routes via
         ``mix(page) % shards``; the mix is shard-count-independent, so one
         shared column serves every hash-routed cluster in the run.  The
         wrapping uint64 pipeline is exact — identical to the scalar
-        ``_mix_page`` — and only the numpy fast path calls this."""
-        if self._mixed_pages is None:
-            pages = _np.fromiter(
-                (request.page for request in requests), _np.uint64, len(requests)
-            )
-            self._mixed_pages = _mix_column(pages)
-        return self._mixed_pages
-
-    def mixed_pages_columnar(self, chunk: "ColumnarChunk") -> Any:
-        """Columnar twin of :meth:`mixed_pages` (same shared cache)."""
+        ``_mix_page``."""
         if self._mixed_pages is None:
             self._mixed_pages = _mix_column(chunk.page.astype(_np.uint64))
         return self._mixed_pages
@@ -517,8 +473,8 @@ class _MultiServerQueue:
     """One FCFS shard with ``c`` servers: min-heap of busy-until times.
 
     Arrivals are assigned to the earliest-free server in arrival order
-    (G/G/c FCFS).  Always the scalar path — multi-server recursions do
-    not unroll into prefix scans — so numpy presence cannot matter.
+    (G/G/c FCFS).  Always the scalar path: multi-server recursions do
+    not unroll into prefix scans.
     """
 
     __slots__ = ("servers", "busy")
@@ -548,9 +504,10 @@ class QueueingObserver(ReplayObserver):
 
     Position-independent devices price by outcome class, so their service
     times come from three probed constants; seek devices (HDD) price each
-    event through this observer's own per-shard cost accumulators.  With
-    numpy available, single-server constant-price replays take the
-    vectorised chunk path; both paths produce identical integers.
+    event through this observer's own per-shard cost accumulators.
+    Single-server constant-price replays bank columns for the vectorised
+    Lindley pass; everything else runs the scalar queues per event.  Both
+    produce identical integers.
     """
 
     __slots__ = (
@@ -618,9 +575,7 @@ class QueueingObserver(ReplayObserver):
                 _to_ns(probe.price(_PROBE_WRITE, False)),
             )
             self._pricers = []
-        self._vector = (
-            _np is not None and servers == 1 and self._service_ns is not None
-        )
+        self._vector = servers == 1 and self._service_ns is not None
         if self._vector:
             self._queues = []
             self._delay_hist = None
@@ -648,99 +603,47 @@ class QueueingObserver(ReplayObserver):
         self._finalized: QueueingStats | None = None
 
     def on_outcome(self, request: "IORequest", seq: int, outcome: "AccessOutcome") -> None:
-        self.on_chunk((request,), seq, (outcome,))
-
-    def on_chunk(
-        self,
-        requests: Sequence["IORequest"],
-        seq_base: int,
-        outcomes: Sequence["AccessOutcome"],
-    ) -> None:
-        if not requests:
-            return
-        arrivals_ns, reads = self._tape.columns(seq_base, requests)
-        if self._first_ns is None:
-            self._first_ns = int(arrivals_ns[0])
-        if self._vector:
-            self._chunk_vector(requests, outcomes, arrivals_ns, reads)
-        else:
-            self._chunk_scalar(requests, outcomes, arrivals_ns)
-        self._count += len(requests)
-        self._last_ns = int(arrivals_ns[-1])
+        self.on_batch(
+            ColumnarChunk.from_requests((request,), seq),
+            AccessOutcomeBatch.from_outcomes((outcome,)),
+        )
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
         if not len(chunk):
             return
-        if not self._vector:
-            # Seek devices and multi-server shards need the per-event scalar
-            # walk: materialise the chunk and take the on_chunk path.
-            super().on_batch(chunk, batch)
-            return
-        # Vector mode banks columns for the finalize-time Lindley pass; on
-        # the columnar path every column already exists — nothing is
-        # materialised.
-        arrivals_ns, reads = self._tape.columns_columnar(chunk)
+        arrivals_ns, reads = self._tape.columns(chunk)
         if self._first_ns is None:
             self._first_ns = int(arrivals_ns[0])
-        self._arrival_chunks.append(arrivals_ns)
-        self._read_chunks.append(reads)
-        self._hit_chunks.append(batch.hit)
-        if self._route is not None:
-            if type(self._router) is HashRouter:
-                self._shard_chunks.append(self._tape.mixed_pages_columnar(chunk))
-            else:
-                self._shard_chunks.append(self._router.route_batch(chunk))
+        if self._vector:
+            # Bank the columns for the finalize-time Lindley pass: the
+            # integer recursion is chunk-boundary-free, so nothing per chunk
+            # depends on queue state, and one pass over the concatenated
+            # series replaces dozens of small-array numpy calls.  The
+            # arrival/read/mixed-page columns are the tape's shared arrays.
+            self._arrival_chunks.append(arrivals_ns)
+            self._read_chunks.append(reads)
+            self._hit_chunks.append(batch.hit)
+            if self._route is not None:
+                if type(self._router) is HashRouter:
+                    self._shard_chunks.append(self._tape.mixed_pages(chunk))
+                else:
+                    self._shard_chunks.append(self._router.route_batch(chunk))
+        else:
+            self._chunk_scalar(
+                chunk.requests(), batch.hit.tolist(), arrivals_ns.tolist()
+            )
         self._count += len(chunk)
         self._last_ns = int(arrivals_ns[-1])
 
     # ------------------------------------------------------------ chunk paths
-    def _chunk_vector(
-        self,
-        requests: Sequence["IORequest"],
-        outcomes: Sequence["AccessOutcome"],
-        arrivals_ns: Sequence[int],
-        reads: Sequence[bool],
-    ) -> None:
-        """Bank one chunk's columns for the finalize-time vector pass.
-
-        The integer Lindley recursion is chunk-boundary-free, so nothing
-        per-chunk depends on queue state: the only column that must be
-        captured while the outcome objects are alive is the hit flags.
-        Everything else (pricing, recursion, totals, histograms) runs once
-        over the whole concatenated series in :meth:`_finalize_own`, which
-        replaces dozens of small-array numpy calls with a handful of large
-        ones; the arrival/read/mixed-page columns are appended as shared
-        references to the tape's arrays, not copies.
-        """
-        np = _np
-        n = len(requests)
-        self._arrival_chunks.append(arrivals_ns)
-        self._read_chunks.append(reads)
-        self._hit_chunks.append(
-            np.fromiter((outcome.hit for outcome in outcomes), np.bool_, n)
-        )
-        if self._route is not None:
-            if type(self._router) is HashRouter:
-                self._shard_chunks.append(self._tape.mixed_pages(requests))
-            else:
-                self._shard_chunks.append(
-                    np.fromiter(
-                        (self._route(request) for request in requests),
-                        np.int64,
-                        n,
-                    )
-                )
-
     def _chunk_scalar(
         self,
         requests: Sequence["IORequest"],
-        outcomes: Sequence["AccessOutcome"],
+        hits: Sequence[bool],
         arrivals_ns: Sequence[int],
     ) -> None:
-        """One chunk through the scalar queues (no numpy, seek devices, or
-        multi-server shards).  Same integers as the vector path."""
-        if _np is not None and not isinstance(arrivals_ns, list):
-            arrivals_ns = arrivals_ns.tolist()
+        """One chunk through the scalar queues, event by event (seek
+        devices, multi-server shards).  Same integers as the vector pass."""
         consts = self._service_ns
         if consts is not None:
             hit_ns, miss_ns, write_ns = consts
@@ -757,15 +660,15 @@ class QueueingObserver(ReplayObserver):
         total_delay = 0
         total_sojourn = 0
         total_service = 0
-        for t_ns, request, outcome in zip(arrivals_ns, requests, outcomes):
+        for t_ns, request, hit in zip(arrivals_ns, requests, hits):
             shard = route(request) if route is not None else 0
             if consts is not None:
                 if request.kind is read:
-                    service = hit_ns if outcome.hit else miss_ns
+                    service = hit_ns if hit else miss_ns
                 else:
                     service = write_ns
             else:
-                service = int(pricers[shard].price(request, outcome.hit) * 1000.0 + 0.5)
+                service = int(pricers[shard].price(request, hit) * 1000.0 + 0.5)
             delay = queues[shard].admit(t_ns, service)
             sojourn = delay + service
             departs_append(t_ns + sojourn)

@@ -62,7 +62,6 @@ class CacheSimulator:
         observer_factories: Sequence[
             Callable[[CachePolicy, int], ReplayObserver]
         ] = (),
-        columnar: bool | None = None,
     ):
         self._policy = policy
         self._engine = MultiPolicySimulator(
@@ -72,7 +71,6 @@ class CacheSimulator:
             rolling_window=rolling_window,
             queueing_model=queueing_model,
             observer_factories=observer_factories,
-            columnar=columnar,
         )
 
     @property
@@ -99,7 +97,6 @@ def simulate(
     cost_model: CostModel | None = None,
     rolling_window: int | None = None,
     queueing_model: QueueingModel | None = None,
-    columnar: bool | None = None,
 ) -> SimulationResult:
     """Convenience wrapper: ``CacheSimulator(policy).run(requests)``."""
     return CacheSimulator(
@@ -108,5 +105,4 @@ def simulate(
         cost_model=cost_model,
         rolling_window=rolling_window,
         queueing_model=queueing_model,
-        columnar=columnar,
     ).run(requests)

@@ -34,10 +34,7 @@ from pathlib import Path
 from types import TracebackType
 from typing import Any, BinaryIO, Iterable, Iterator
 
-try:  # optional acceleration for the columnar decode path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.simulation.request import IORequest, RequestKind
@@ -355,11 +352,6 @@ class StreamedTrace:
         exact same :class:`TraceFormatError` as :meth:`iter_chunks` and
         well-formed ones decode to identical requests either way.
         """
-        if _np is None:
-            raise RuntimeError(
-                "StreamedTrace.iter_columnar requires numpy; "
-                "use iter_chunks for the object path"
-            )
         with self.path.open("rb") as handle:
             self._check_header(handle)
             hint_sets: dict[int, HintSet] = {}
@@ -668,7 +660,7 @@ def _decode_block_columnar(
     handled by the scalar decoder (which raises the canonical
     :class:`TraceFormatError` for genuinely garbled input).
     """
-    if _np is None or expected == 0 or not body:
+    if expected == 0 or not body:
         return None
     arr = _np.frombuffer(body, dtype=_np.uint8)
     ends = _np.flatnonzero(arr < 0x80)

@@ -133,10 +133,9 @@ class TraceSpec:
         return default_trace_cache().open(self).iter_chunks()
 
     def iter_columnar(self) -> "Iterator[ColumnarChunk]":
-        """Stream the trace as columnar chunks (the engine's array path).
-
-        Requires numpy; the same blocks as :meth:`iter_chunks`, decoded
-        straight into arrays."""
+        """Stream the trace as columnar chunks (what the engine replays):
+        the same blocks as :meth:`iter_chunks`, decoded straight into
+        arrays."""
         return default_trace_cache().open(self).iter_columnar()
 
     def __iter__(self) -> Iterator[IORequest]:

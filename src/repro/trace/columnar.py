@@ -3,66 +3,43 @@
 A :class:`ColumnarChunk` carries one decoded trace block as parallel numpy
 arrays — page, op, hint-dictionary id, client-id index, sequence number —
 instead of a list of :class:`~repro.simulation.request.IORequest` objects.
-It is the unit of work of the columnar replay path: the binary trace reader
+It is the unit of work of the replay engine: the binary trace reader
 (:meth:`repro.trace.binio.StreamedTrace.iter_columnar`) decodes straight
-into chunks, batch policy kernels (:meth:`repro.cache.base.CachePolicy.
-batch_access`) consume them, and batch-aware observers
+into chunks, policy kernels (:meth:`repro.cache.base.CachePolicy.
+batch_access`) consume them, and observers
 (:meth:`repro.simulation.observers.ReplayObserver.on_batch`) account them
 without materialising per-request objects.
 
-Both sides can always fall back: :meth:`ColumnarChunk.from_requests` lifts a
+Request lists convert both ways: :meth:`ColumnarChunk.from_requests` lifts a
 request list into a chunk, and :meth:`ColumnarChunk.requests` materialises
 the exact equivalent request list (memoised, so at most one materialisation
-per chunk serves every scalar consumer).  The object path remains the
-bit-identical reference implementation; columnar replay must never change a
-single counter.
-
-numpy is an accelerator, never a dependency: when it is missing the engine
-simply keeps using the object path (``NUMPY_AVAILABLE`` is the feature
-probe).
+per chunk serves every scalar consumer).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-try:  # optional acceleration; the object path is bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as np
 
 from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.simulation.request import IORequest, RequestKind
 
 __all__ = [
     "COLUMNAR_CHUNK_REQUESTS",
-    "NUMPY_AVAILABLE",
     "ColumnarChunk",
     "ColumnarSource",
     "columnar_chunks",
 ]
 
-#: True when numpy is importable and the columnar path can engage.
-NUMPY_AVAILABLE = _np is not None
-
 #: Requests per chunk produced by :class:`ColumnarSource`; matches the
 #: binary trace BLOCK size so both sources batch identically.
 COLUMNAR_CHUNK_REQUESTS = 4096
 
-# Arrays are annotated as ``Any``: numpy is optional at runtime, so the
-# module cannot reference ``np.ndarray`` in evaluated positions.
+# Columns are numpy arrays of several dtypes, annotated loosely.
 Array = Any
 
 _EMPTY_IDENTITY = ("", (), ())
-
-
-def _require_numpy() -> Any:
-    if _np is None:
-        raise RuntimeError(
-            "the columnar replay path requires numpy; "
-            "use the object path (iter_chunks/iter_requests) instead"
-        )
-    return _np
 
 
 class ColumnarChunk:
@@ -142,43 +119,48 @@ class ColumnarChunk:
     ) -> "ColumnarChunk":
         """Lift a request list into a chunk (the object-side converter).
 
-        The resulting chunk memoises *requests* itself, so a follow-up
-        :meth:`requests` call returns the original objects at zero cost.
+        Hint sets are deduplicated by :meth:`HintSet.identity`, and the
+        first object seen with an identity is its table entry.  Traces share
+        a few hint-set objects across many requests, so the identity is
+        computed once per object, not once per request.  The resulting chunk
+        memoises *requests* itself, so a follow-up :meth:`requests` call
+        returns the original objects at zero cost.
         """
-        np = _require_numpy()
         n = len(requests)
-        page = np.fromiter((request.page for request in requests), np.int64, n)
-        write = np.fromiter(
-            (not request.is_read for request in requests), np.bool_, n
-        )
         hint_sets: list[HintSet] = [EMPTY_HINT_SET]
-        hint_index: dict[tuple, int] = {}
-        clients: list[str] = []
-        client_index: dict[str, int] = {}
-        hint_id = np.empty(n, np.int64)
-        client_idx = np.empty(n, np.int64)
-        for i, request in enumerate(requests):
+        hint_index: dict[tuple, int] = {_EMPTY_IDENTITY: 0}
+        # id(hints) -> hint id; the objects stay alive in *requests*.
+        hint_slot: dict[int, int] = {}
+        slot_of = hint_slot.get
+        hint_id: list[int] = []
+        for request in requests:
             hints = request.hints
-            identity = hints.identity()
-            if identity == _EMPTY_IDENTITY:
-                hint_id[i] = 0
-            else:
+            idx = slot_of(id(hints))
+            if idx is None:
+                identity = hints.identity()
                 idx = hint_index.get(identity)
                 if idx is None:
-                    idx = len(hint_sets)
-                    hint_index[identity] = idx
+                    idx = hint_index[identity] = len(hint_sets)
                     hint_sets.append(hints)
-                hint_id[i] = idx
-            client = request.client_id
-            cidx = client_index.get(client)
-            if cidx is None:
-                cidx = len(clients)
-                client_index[client] = cidx
-                clients.append(client)
-            client_idx[i] = cidx
-        seq = np.arange(start_seq, start_seq + n, dtype=np.int64)
+                hint_slot[id(hints)] = idx
+            hint_id.append(idx)
+        client_index: dict[str, int] = {}
+        index_client = client_index.setdefault
+        write_kind = RequestKind.WRITE
         chunk = cls(
-            page, write, hint_id, client_idx, seq, tuple(hint_sets), tuple(clients)
+            np.array([request.page for request in requests], np.int64),
+            np.array([request.kind is write_kind for request in requests], np.bool_),
+            np.array(hint_id, np.int64),
+            np.array(
+                [
+                    index_client(request.client_id, len(client_index))
+                    for request in requests
+                ],
+                np.int64,
+            ),
+            np.arange(start_seq, start_seq + n, dtype=np.int64),
+            tuple(hint_sets),
+            tuple(client_index),
         )
         chunk._requests = list(requests)
         return chunk
@@ -188,8 +170,8 @@ class ColumnarChunk:
 
         The list is identical — field for field — to what the scalar
         decoder produces for the same records, so every scalar consumer
-        (fallback kernels, fallback observers) sees exactly the object-path
-        inputs.
+        (the default ``batch_access`` and ``on_batch``, seek-aware pricing)
+        sees exactly the requests the trace holds.
         """
         if self._requests is None:
             read_kind = RequestKind.READ
@@ -267,7 +249,6 @@ class ColumnarChunk:
         Requests carry no sequence number, so the memoised list (if any)
         stays valid and is shared.
         """
-        np = _require_numpy()
         chunk = ColumnarChunk(
             self.page,
             self.write,
@@ -288,7 +269,6 @@ class ColumnarChunk:
         row-selector for that client — the per-client accounting primitive
         of the columnar engine loop.
         """
-        np = _require_numpy()
         unique, first = np.unique(self.client_idx, return_index=True)
         order = np.argsort(first, kind="stable")
         out: list[tuple[str, Array]] = []

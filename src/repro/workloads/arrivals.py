@@ -48,10 +48,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-try:  # optional acceleration; every consumer works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 __all__ = [
     "ArrivalProcess",
@@ -101,18 +98,12 @@ _INV_2_53 = 2.0**-53
 def _unit_uniforms(seed: int, stream: int = 0) -> Iterator[float]:
     """Yield ``unit_uniform(seed, 0, stream), unit_uniform(seed, 1, stream), ...``
 
-    Bit-identical to calling :func:`unit_uniform` per index.  With numpy
-    present the splitmix64 pipeline runs vectorised over ``uint64`` blocks;
-    every operation involved (wrapping 64-bit integer arithmetic, shifts,
-    xors, the exact int-to-float conversion of a value below ``2**53``, and
-    scaling by a power of two) is exact, so the two code paths can never
-    diverge — arrival clocks do not depend on whether numpy is installed.
+    Bit-identical to calling :func:`unit_uniform` per index: the splitmix64
+    pipeline runs vectorised over ``uint64`` blocks, and every operation
+    involved (wrapping 64-bit integer arithmetic, shifts, xors, the exact
+    int-to-float conversion of a value below ``2**53``, and scaling by a
+    power of two) is exact.
     """
-    if _np is None:
-        index = 0
-        while True:
-            yield unit_uniform(seed, index, stream)
-            index += 1
     base = _np.uint64((seed + stream * _STREAM_STRIDE) & _MASK64)
     golden = _np.uint64(_GOLDEN)
     mul1 = _np.uint64(0xBF58476D1CE4E5B9)

@@ -132,16 +132,8 @@ class TestCachePolicyBase:
         with pytest.raises(TypeError):
             CachePolicy(4)  # type: ignore[abstract]
 
-    def test_reset_clears_state_and_stats_view(self):
+    def test_reset_clears_state(self):
         policy = LRUPolicy(2)
         simulate(policy, [rd(1)])
         policy.reset()
-        with pytest.warns(DeprecationWarning):
-            assert policy.stats.requests == 0
         assert len(policy) == 0
-
-    def test_stats_shim_warns_and_mirrors_the_last_run(self):
-        policy = LRUPolicy(2)
-        result = simulate(policy, [rd(1), rd(1), wr(2)])
-        with pytest.warns(DeprecationWarning, match="CachePolicy.stats is deprecated"):
-            assert policy.stats == result.stats

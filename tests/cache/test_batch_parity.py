@@ -12,13 +12,15 @@ streams and random chunk splits.
 lintkit's ``batch-kernel-parity`` rule enforces that any policy overriding
 ``batch_access`` stays covered here.
 
-The engine-level half of the contract — the columnar replay path produces
-the same results at any job count — is pinned by the sweep test at the
-bottom.
+The engine-level half of the contract — the replay produces the same
+results at any job count — is pinned by the sweep test at the bottom; that
+the engine's full result equals a scalar replay is pinned by
+``tests/simulation/test_engine_oracle.py``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,8 +35,6 @@ from repro.core.hints import EMPTY_HINT_SET
 from repro.simulation.request import IORequest
 
 from tests.strategies import hint_sets, io_requests, request_streams
-
-np = pytest.importorskip("numpy")
 
 pytestmark = pytest.mark.property
 
@@ -257,7 +257,8 @@ def test_default_batch_access_materialises_chunk_once(monkeypatch):
 
 @pytest.mark.slow
 def test_columnar_sweep_jobs_invariant():
-    """jobs=1 and jobs=2 produce identical sweeps on the columnar path."""
+    """jobs=1 and jobs=2 produce identical sweeps (list input, lifted into
+    columnar chunks)."""
     from repro.workloads.standard import standard_trace
 
     trace = standard_trace("DB2_C60", target_requests=6_000)
@@ -280,7 +281,7 @@ def test_columnar_sweep_jobs_invariant():
     ]
 
     def run(jobs):
-        runner = ParallelSweepRunner(requests=requests, jobs=jobs, columnar=True)
+        runner = ParallelSweepRunner(requests=requests, jobs=jobs)
         return runner.run(cells, parameter="capacity")
 
     serial = run(1)

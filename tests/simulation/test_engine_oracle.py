@@ -1,0 +1,197 @@
+"""The engine's full result equals a scalar replay.
+
+:class:`~repro.simulation.engine.MultiPolicySimulator` replays columnar
+chunks: batch kernels, column-native observers, per-client rows as masked
+popcounts, chunks split at rolling-window boundaries.  The oracle here is
+the definition those shortcuts must reproduce: one ``access()`` per request
+in stream order, each observer folding that outcome through its scalar
+``on_outcome``, per-client stats counted request by request.  Every field
+of every result must match — stats, per-client, per-shard, latency,
+per-shard latency, rolling windows and queueing.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.cache.base import CacheStats
+from repro.cache.registry import available_policies, create_policy
+from repro.core.hints import make_hint_set
+from repro.simulation.costmodel import CostModel
+from repro.simulation.engine import MultiPolicySimulator
+from repro.simulation.observers import (
+    CostObserver,
+    RollingObserver,
+    StatsObserver,
+    shard_observer_for,
+)
+from repro.simulation.queueing import QueueingModel
+from repro.simulation.request import IORequest, RequestKind
+from repro.trace.cache import TraceSpec
+from repro.workloads.arrivals import PoissonArrivals
+
+CAPACITY = 150
+#: Not a multiple of the engine's 4,096-request chunks.
+START_SEQ = 1_234
+#: Does not divide 4,096, so window and chunk boundaries fall out of step.
+ROLLING_WINDOW = 1_000
+
+#: Registry kwargs for the policies that need them.
+_POLICY_KWARGS = {"SHARDED": {"policy": "LRU", "shards": 3, "router": "hash"}}
+
+#: (label, SHARDED kwargs) replayed with every observer attached.
+_OBSERVED_CLUSTERS = [
+    ("SHARDED[LRU,hash]x4", {"policy": "LRU", "shards": 4, "router": "hash"}),
+    ("SHARDED[ARC,hash]x2", {"policy": "ARC", "shards": 2, "router": "hash"}),
+    ("SHARDED[OPT,client]x2", {"policy": "OPT", "shards": 2, "router": "client"}),
+]
+
+_QUEUEING = {
+    "hdd": QueueingModel(
+        arrivals=PoissonArrivals(rate_rps=4_000.0, seed=7),
+        device="hdd",
+        page_span=2_000,
+    ),
+    "ssd-2-servers": QueueingModel(
+        arrivals=PoissonArrivals(rate_rps=30_000.0, seed=7), servers_per_shard=2
+    ),
+}
+
+
+def _two_client_stream(n: int = 9_000) -> list[IORequest]:
+    """Hinted reads and writes from two clients sharing a page range, with
+    TQ's write hints among them so every policy has work to do."""
+    rng = random.Random(2_009)
+    hints = {
+        client: [
+            make_hint_set(client, object_id="hot"),
+            make_hint_set(client, object_id="cold"),
+            make_hint_set(client, request_type="replacement_write"),
+            make_hint_set(client, request_type="recovery_write"),
+        ]
+        for client in ("alpha", "beta")
+    }
+    stream = []
+    for _ in range(n):
+        client = "alpha" if rng.random() < 0.6 else "beta"
+        hot, cold, replacement, recovery = hints[client]
+        if rng.random() < 0.75:
+            page = rng.randrange(120) if rng.random() < 0.6 else rng.randrange(2_000)
+            stream.append(
+                IORequest(page, RequestKind.READ, hot if page < 120 else cold, client)
+            )
+        else:
+            write_hints = replacement if rng.random() < 0.7 else recovery
+            stream.append(
+                IORequest(rng.randrange(2_000), RequestKind.WRITE, write_hints, client)
+            )
+    return stream
+
+
+STREAM = _two_client_stream()
+SPEC = TraceSpec("DB2_C60", seed=17, target_requests=6_000)
+
+
+def _inputs(kind: str):
+    """``(engine input, request list the oracle replays)``."""
+    if kind == "list":
+        return STREAM, STREAM
+    if kind == "generator":
+        return (request for request in STREAM), STREAM
+    return SPEC, list(SPEC.iter_requests())
+
+
+def scalar_replay(policy, requests, start_seq, cost_model=None, rolling_window=None,
+                  queueing_model=None) -> dict:
+    """The reference replay: ``access()`` then every observer's
+    ``on_outcome``, one request at a time."""
+    if policy.offline:
+        policy.prepare(requests, start_seq)
+    stats = StatsObserver()
+    shard = shard_observer_for(policy)
+    cost = CostObserver(cost_model.accumulator_for(policy)) if cost_model else None
+    roll = RollingObserver(rolling_window, start_seq) if rolling_window else None
+    queueing = (
+        queueing_model.observer_for(policy, start_seq) if queueing_model else None
+    )
+    observers = [obs for obs in (stats, shard, cost, roll, queueing) if obs is not None]
+    per_client: dict[str, CacheStats] = {}
+    for seq, request in enumerate(requests, start_seq):
+        outcome = policy.access(request, seq)
+        for observer in observers:
+            observer.on_outcome(request, seq, outcome)
+        per_client.setdefault(request.client_id, CacheStats()).record(
+            request, outcome.hit
+        )
+    per_shard = shard.finalize() if shard is not None else ()
+    latency = cost.finalize() if cost is not None else None
+    shard_latency = ()
+    if cost is not None and per_shard:
+        shard_latency = cost.shard_latencies() or cost_model.shard_latencies(per_shard)
+    return {
+        "stats": stats.finalize(),
+        "per_client": list(per_client.items()),
+        "per_shard": per_shard,
+        "latency": latency,
+        "shard_latency": shard_latency,
+        "rolling": roll.finalize() if roll is not None else None,
+        "queueing": queueing.finalize() if queueing is not None else None,
+    }
+
+
+def engine_fields(result) -> dict:
+    return {
+        "stats": result.stats,
+        "per_client": list(result.per_client.items()),
+        "per_shard": result.per_shard,
+        "latency": result.latency,
+        "shard_latency": result.shard_latency,
+        "rolling": result.rolling,
+        "queueing": result.queueing,
+    }
+
+
+@pytest.mark.parametrize("kind", ["list", "generator", "trace-spec"])
+def test_every_registered_policy_matches_the_scalar_replay(kind):
+    source, requests = _inputs(kind)
+    names = available_policies()
+    assert {"LFU", "MQ", "2Q", "OPT"} <= set(names)  # the fallbacks and OPT
+
+    def build(name):
+        return create_policy(name, capacity=CAPACITY, **_POLICY_KWARGS.get(name, {}))
+
+    results = MultiPolicySimulator([build(name) for name in names]).run(
+        source, start_seq=START_SEQ
+    )
+    for name, result in zip(names, results):
+        expected = scalar_replay(build(name), requests, START_SEQ)
+        assert engine_fields(result) == expected, name
+    if kind != "trace-spec":
+        assert [client for client, _ in results[0].per_client.items()] == [
+            "alpha",
+            "beta",
+        ]
+
+
+@pytest.mark.parametrize("queueing", sorted(_QUEUEING))
+@pytest.mark.parametrize("kind", ["list", "generator", "trace-spec"])
+def test_clusters_with_every_observer_match_the_scalar_replay(kind, queueing):
+    source, requests = _inputs(kind)
+    options = dict(
+        cost_model=CostModel(device="hdd", page_span=2_000),
+        rolling_window=ROLLING_WINDOW,
+        queueing_model=_QUEUEING[queueing],
+    )
+
+    def build(kwargs):
+        return create_policy("SHARDED", capacity=CAPACITY, **kwargs)
+
+    results = MultiPolicySimulator(
+        [build(kwargs) for _, kwargs in _OBSERVED_CLUSTERS], **options
+    ).run(source, start_seq=START_SEQ)
+    for (label, kwargs), result in zip(_OBSERVED_CLUSTERS, results):
+        expected = scalar_replay(build(kwargs), requests, START_SEQ, **options)
+        assert expected["shard_latency"] and expected["queueing"].request_count
+        assert engine_fields(result) == expected, label

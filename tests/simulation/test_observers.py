@@ -20,6 +20,7 @@ from repro.simulation.observers import (
     shard_observer_for,
 )
 from repro.simulation.simulator import CacheSimulator, simulate
+from repro.trace.columnar import ColumnarChunk
 
 from tests.conftest import rd, wr
 
@@ -35,12 +36,10 @@ def _trace(n=2000, pages=120, seed=3):
 def _drive(observer: ReplayObserver, policy, stream, start_seq=0, chunk=256):
     """Feed *observer* the outcome stream of *policy*, chunk-batched."""
     for base in range(0, len(stream), chunk):
-        part = stream[base : base + chunk]
-        outcomes = [
-            policy.access(request, start_seq + base + i)
-            for i, request in enumerate(part)
-        ]
-        observer.on_chunk(part, start_seq + base, outcomes)
+        part = ColumnarChunk.from_requests(
+            stream[base : base + chunk], start_seq + base
+        )
+        observer.on_batch(part, policy.batch_access(part))
         observer.on_chunk_end(start_seq + base + len(part))
 
 
@@ -53,7 +52,7 @@ class TestStatsObserver:
         expected = simulate(LRUPolicy(40), stream).stats
         assert observer.finalize() == expected
 
-    def test_on_outcome_and_on_chunk_agree(self):
+    def test_on_outcome_and_on_batch_agree(self):
         stream = _trace(n=500)
         a, b = StatsObserver(), StatsObserver()
         pa, pb = LRUPolicy(30), LRUPolicy(30)

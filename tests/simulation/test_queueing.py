@@ -29,12 +29,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.base import HIT, MISS_ADMIT
+from repro.cache.base import HIT, MISS_ADMIT, AccessOutcomeBatch
 from repro.cache.registry import create_policy
 from repro.simulation.costmodel import HISTOGRAM_BUCKET_BOUNDS_US, CostModel
-from repro.simulation.queueing import QueueingModel, QueueingObserver, QueueingStats
+from repro.simulation.queueing import (
+    QueueingModel,
+    QueueingObserver,
+    QueueingStats,
+    _fresh_histogram,
+    _SingleServerQueue,
+)
 from repro.simulation.request import RequestKind, read_request
 from repro.simulation.simulator import simulate
+from repro.trace.columnar import ColumnarChunk
 from repro.workloads.arrivals import PoissonArrivals
 
 from tests.strategies import request_streams
@@ -62,10 +69,27 @@ class _NoPolicy:
     """Stand-in policy for driving a QueueingObserver directly (no router)."""
 
 
+class _ScalarQueueingObserver(QueueingObserver):
+    """Runs single-server constant-price shards through the scalar per-event
+    queues, which production reserves for seek devices and multi-server
+    shards: the reference the vector Lindley pass must match."""
+
+    def __init__(self, model: QueueingModel, policy, start_seq: int = 0):
+        super().__init__(model, policy, start_seq)
+        assert self._vector and model.servers_per_shard == 1
+        self._vector = False
+        self._queues = [_SingleServerQueue() for _ in range(self._shard_count)]
+        self._delay_hist = _fresh_histogram()
+        self._sojourn_hist = _fresh_histogram()
+
+
 def _drive(model: QueueingModel, requests, outcomes, start_seq: int = 0):
     """Feed synthetic (request, outcome) pairs through a fresh observer."""
     observer = QueueingObserver(model, _NoPolicy(), start_seq)
-    observer.on_chunk(requests, start_seq, outcomes)
+    observer.on_batch(
+        ColumnarChunk.from_requests(requests, start_seq),
+        AccessOutcomeBatch.from_outcomes(outcomes),
+    )
     return observer
 
 
@@ -290,15 +314,10 @@ class TestStructuralLaws:
         assert sum(stats.sojourn_histogram) == stats.request_count
 
     @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
-    def test_vector_and_scalar_paths_produce_identical_integers(
-        self, monkeypatch, sharded
-    ):
-        """The numpy chunk path and the pure-Python fallback are the same
-        simulation: every field of the finalized stats — totals,
+    def test_vector_and_scalar_paths_produce_identical_integers(self, sharded):
+        """The vector Lindley pass and the scalar per-event queues are the
+        same simulation: every field of the finalized stats — totals,
         histograms, areas — is bit-identical, fed chunk by chunk."""
-        pytest.importorskip("numpy")
-        import repro.simulation.queueing as queueing_module
-
         from repro.simulation.request import write_request
 
         stream = [
@@ -314,17 +333,18 @@ class TestStructuralLaws:
         outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
         model = _poisson_model(11_000.0)
 
-        def run() -> QueueingStats:
-            observer = QueueingObserver(model, policy, 0)
+        def run(observer: QueueingObserver) -> QueueingStats:
             for base in range(0, len(stream), 700):  # uneven chunk boundaries
-                observer.on_chunk(
-                    stream[base : base + 700], base, outcomes[base : base + 700]
+                observer.on_batch(
+                    ColumnarChunk.from_requests(stream[base : base + 700], base),
+                    AccessOutcomeBatch.from_outcomes(outcomes[base : base + 700]),
                 )
             return observer.finalize()
 
-        fast = run()
-        monkeypatch.setattr(queueing_module, "_np", None)
-        slow = run()
+        vector = QueueingObserver(model, policy, 0)
+        assert vector._vector
+        fast = run(vector)
+        slow = run(_ScalarQueueingObserver(model, policy, 0))
         assert fast == slow
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.base import CachePolicy
 from repro.cache.lru import LRUPolicy
 from repro.cache.opt import OPTPolicy
 from repro.simulation.simulator import CacheSimulator, simulate
@@ -23,6 +24,10 @@ class TestCacheSimulator:
         seen = []
 
         class Recorder(LRUPolicy):
+            # Replay calls batch_access: the base scalar lift routes every
+            # request through the access() override below.
+            batch_access = CachePolicy.batch_access
+
             def access(self, request, seq):
                 seen.append(seq)
                 return super().access(request, seq)
@@ -34,6 +39,10 @@ class TestCacheSimulator:
         seen = []
 
         class Recorder(LRUPolicy):
+            # Replay calls batch_access: the base scalar lift routes every
+            # request through the access() override below.
+            batch_access = CachePolicy.batch_access
+
             def access(self, request, seq):
                 seen.append(seq)
                 return super().access(request, seq)

@@ -1,4 +1,6 @@
-"""Known-bad fixture: both observer-purity rules fire on LeakyObserver."""
+"""Known-bad fixture: both observer-purity rules fire on LeakyObserver;
+observer-merge-required also fires on BatchLeakyObserver, which accumulates
+only in on_batch."""
 
 
 class ReplayObserver:
@@ -12,6 +14,17 @@ class LeakyObserver(ReplayObserver):
     def on_outcome(self, request, seq, outcome):
         outcome.hit = True  # observer-param-mutation
         self._hits += 1  # accumulates state, but merge() is missing
+
+    def finalize(self):
+        return self._hits
+
+
+class BatchLeakyObserver(ReplayObserver):
+    def __init__(self) -> None:
+        self._hits = 0
+
+    def on_batch(self, chunk, batch):
+        self._hits += int(batch.hit.sum())  # accumulates, but merge() is missing
 
     def finalize(self):
         return self._hits

@@ -95,6 +95,18 @@ def test_clean_fixture_passes_its_family(stem: str, family: set) -> None:
     assert result.violations == []
 
 
+def test_merge_rule_covers_the_batch_hook() -> None:
+    """``on_batch`` is the hook the engine calls per chunk: an observer that
+    accumulates only there is flagged like its ``on_outcome`` twin."""
+    result = run_paths(
+        [FIXTURES / "observer_bad.py"],
+        fixture_config(),
+        select=["observer-merge-required"],
+    )
+    flagged = sorted(v.message.split("`")[1] for v in result.violations)
+    assert flagged == ["BatchLeakyObserver", "LeakyObserver"]
+
+
 def test_typing_gate_fires_only_in_strict_packages() -> None:
     config = fixture_config(strict_typing_packages=("typing_bad", "typing_clean"))
     bad = run_paths(

@@ -1,0 +1,52 @@
+"""Lifting request lists into columnar chunks."""
+
+from __future__ import annotations
+
+from repro.core.hints import EMPTY_HINT_SET, HintSet, make_hint_set
+from repro.simulation.request import read_request, write_request
+from repro.trace.columnar import ColumnarChunk
+
+
+class TestFromRequests:
+    def test_equal_identity_hint_sets_share_the_first_objects_id(self):
+        first = make_hint_set("a", object_id="x")
+        twin = make_hint_set("a", object_id="x")
+        other = make_hint_set("b", object_id="x")
+        assert first is not twin and first.identity() == twin.identity()
+        chunk = ColumnarChunk.from_requests(
+            [
+                read_request(1, first, "a"),
+                write_request(2, twin, "a"),
+                read_request(3, other, "b"),
+                read_request(4, twin, "a"),
+            ]
+        )
+        assert chunk.hint_id.tolist() == [1, 1, 2, 1]
+        assert chunk.hint_sets[1] is first
+        assert chunk.hint_sets[2] is other
+
+    def test_columns_and_tables(self):
+        empty_twin = HintSet("", (), ())
+        hinted = make_hint_set("b", t="y")
+        requests = [
+            read_request(7, EMPTY_HINT_SET, "b"),
+            write_request(8, hinted, "a"),
+            read_request(9, empty_twin, "b"),
+            write_request(7, hinted, "c"),
+        ]
+        chunk = ColumnarChunk.from_requests(requests, start_seq=40)
+        assert chunk.page.tolist() == [7, 8, 9, 7]
+        assert chunk.write.tolist() == [False, True, False, True]
+        assert chunk.hint_id.tolist() == [0, 1, 0, 1]
+        assert chunk.hint_sets == (EMPTY_HINT_SET, hinted)
+        assert chunk.client_idx.tolist() == [0, 1, 0, 2]
+        assert chunk.clients == ("b", "a", "c")
+        assert chunk.seq.tolist() == [40, 41, 42, 43]
+        chunk._requests = None  # rebuild from the columns
+        assert chunk.requests() == requests
+
+    def test_empty_list(self):
+        chunk = ColumnarChunk.from_requests([], start_seq=5)
+        assert len(chunk) == 0
+        assert chunk.hint_sets == (EMPTY_HINT_SET,)
+        assert chunk.clients == ()

@@ -17,10 +17,12 @@ from itertools import islice
 import pytest
 
 from repro.workloads.arrivals import (
+    _UNIFORM_BLOCK,
     ARRIVAL_KINDS,
     BurstyArrivals,
     DiurnalArrivals,
     PoissonArrivals,
+    _unit_uniforms,
     build_arrivals,
     unit_uniform,
 )
@@ -51,6 +53,17 @@ class TestUnitUniform:
     def test_mean_is_half(self):
         values = [unit_uniform(seed=1, index=i) for i in range(20_000)]
         assert sum(values) / len(values) == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("stream", [0, 1, 3])
+    @pytest.mark.parametrize("seed", [0, 17, 2**63 - 1, 2**64 - 5])
+    def test_vectorised_blocks_equal_the_scalar_draws(self, seed, stream):
+        """The uint64 block pipeline every arrival clock reads is the scalar
+        :func:`unit_uniform` per index, bit for bit, across block edges and
+        for seeds whose 64-bit arithmetic wraps."""
+        n = 2 * _UNIFORM_BLOCK + 7
+        assert list(islice(_unit_uniforms(seed, stream), n)) == [
+            unit_uniform(seed, index, stream) for index in range(n)
+        ]
 
 
 @pytest.mark.parametrize("process", ALL_PROCESSES, ids=PROCESS_IDS)

@@ -114,14 +114,14 @@ class ObserverParamMutationRule(ProjectRule):
 
 
 class ObserverMergeRequiredRule(ProjectRule):
-    """An observer that accumulates state in ``on_outcome``/``on_chunk``/
+    """An observer that accumulates state in ``on_outcome``/``on_batch``/
     ``on_chunk_end`` must define ``merge`` (itself or via a concrete repo
     base), or ``jobs=N`` replays silently drop its segments."""
 
     rule_id = "observer-merge-required"
     summary = "stateful observers implement merge() for segmented replays"
 
-    _EVENT_METHODS = ("on_outcome", "on_chunk", "on_chunk_end")
+    _EVENT_METHODS = ("on_outcome", "on_batch", "on_chunk_end")
 
     def check_project(
         self, project: Project, config: LintConfig

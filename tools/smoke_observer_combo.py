@@ -7,14 +7,9 @@ runs are bit-identical: stats, per-client, per-shard partitions, latency,
 per-shard latency, and every rolling window.  This is the one-command proof
 that observer merging across replay segments changes nothing but wall-clock.
 
-``--columnar`` pins every replay to the columnar dispatch path
-(``columnar=True``) so the same observer combination is proven on batch
-dispatch; without it the sweeps run the object path.
-
 Usage::
 
     PYTHONPATH=src python tools/smoke_observer_combo.py --requests 8000 --jobs 2
-    PYTHONPATH=src python tools/smoke_observer_combo.py --columnar
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
 
 
-def run_sweep(requests, jobs: int, rolling_window: int, columnar: bool | None):
+def run_sweep(requests, jobs: int, rolling_window: int):
     cells = [
         SweepCell(
             x=float(shards),
@@ -53,7 +48,6 @@ def run_sweep(requests, jobs: int, rolling_window: int, columnar: bool | None):
         jobs=jobs,
         cost_model=CostModel(device="hdd", page_span=2_000),
         rolling_window=rolling_window,
-        columnar=columnar,
     )
     return runner.run(cells, parameter="shards")
 
@@ -92,25 +86,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--rolling-window", type=int, default=1_000)
-    parser.add_argument(
-        "--columnar", action="store_true",
-        help="pin both sweeps to the columnar (batch dispatch) replay path",
-    )
     args = parser.parse_args(argv)
-    columnar = True if args.columnar else None
 
     settings = ExperimentSettings(target_requests=args.requests, seed=args.seed)
     requests = generate_trace(args.trace, settings).requests()
     print(
         f"trace={args.trace} requests={len(requests)} "
-        f"observers=per-shard+cost(hdd)+rolling({args.rolling_window}) "
-        f"path={'columnar' if args.columnar else 'object'}"
+        f"observers=per-shard+cost(hdd)+rolling({args.rolling_window})"
     )
 
-    serial = fingerprint(run_sweep(requests, 1, args.rolling_window, columnar))
-    parallel = fingerprint(
-        run_sweep(requests, args.jobs, args.rolling_window, columnar)
-    )
+    serial = fingerprint(run_sweep(requests, 1, args.rolling_window))
+    parallel = fingerprint(run_sweep(requests, args.jobs, args.rolling_window))
 
     if serial != parallel:
         for label, points in serial.items():
