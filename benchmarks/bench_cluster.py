@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         "--shards", default="1,2,4,8",
         help="comma-separated shard counts (1 = unified baseline check)",
     )
-    parser.add_argument("--router", default="hash", help="hash, range or client")
+    parser.add_argument("--router", default="hash", help="hash or client")
     parser.add_argument(
         "--repeat", type=int, default=3,
         help="time each configuration as the best of N repeats (default: 3)",
@@ -62,9 +62,6 @@ def main(argv=None) -> int:
 
     settings = ExperimentSettings(target_requests=args.requests, seed=args.seed)
     requests = generate_trace(args.trace, settings).requests()
-    page_span = generate_trace(args.trace, settings).metadata.get(
-        "database_pages"
-    ) or (max(request.page for request in requests) + 1)
     print(
         f"trace={args.trace} requests={len(requests)} policy={args.policy} "
         f"capacity={args.capacity} router={args.router}"
@@ -95,7 +92,6 @@ def main(argv=None) -> int:
                 policy=args.policy,
                 shards=shards,
                 router=args.router,
-                page_span=page_span,
             )
         )
         throughput = len(requests) / best

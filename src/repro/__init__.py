@@ -4,8 +4,8 @@ The package is organised as follows:
 
 * :mod:`repro.core` — the paper's contribution: the generic hint framework,
   on-line hint analysis, and the CLIC replacement policy.
-* :mod:`repro.cache` — the baseline and comparison replacement policies
-  (LRU, ARC, OPT, TQ, MQ, 2Q, CAR, ...), all behind one interface.
+* :mod:`repro.cache` — the paper's baseline replacement policies (LRU,
+  ARC, TQ and the offline OPT), all behind one interface.
 * :mod:`repro.simulation` — the trace-driven storage-server cache simulator
   and parameter-sweep drivers.
 * :mod:`repro.trace` — hint schemas, trace containers, serialization, noise
@@ -21,16 +21,10 @@ from repro.cache import (
     ARCPolicy,
     CachePolicy,
     CacheStats,
-    CARPolicy,
-    ClockPolicy,
-    FIFOPolicy,
-    LFUPolicy,
     LRUPolicy,
-    MQPolicy,
     OPTPolicy,
     PAPER_POLICIES,
     TQPolicy,
-    TwoQPolicy,
     available_policies,
     create_policy,
     register_policy,
@@ -71,13 +65,7 @@ __all__ = [
     "CachePolicy",
     "CacheStats",
     "LRUPolicy",
-    "FIFOPolicy",
-    "ClockPolicy",
-    "LFUPolicy",
     "ARCPolicy",
-    "TwoQPolicy",
-    "CARPolicy",
-    "MQPolicy",
     "OPTPolicy",
     "TQPolicy",
     "PAPER_POLICIES",

@@ -1,13 +1,8 @@
-"""Cache replacement policies: the CLIC baselines and extra comparison points."""
+"""Cache replacement policies: the CLIC paper's baselines (LRU, ARC, TQ, OPT)."""
 
 from repro.cache.arc import ARCPolicy
 from repro.cache.base import CachePolicy, CacheStats
-from repro.cache.car import CARPolicy
-from repro.cache.clock import ClockPolicy
-from repro.cache.fifo import FIFOPolicy
-from repro.cache.lfu import LFUPolicy
 from repro.cache.lru import LRUPolicy
-from repro.cache.mq import MQPolicy
 from repro.cache.opt import OPTPolicy
 from repro.cache.registry import (
     PAPER_POLICIES,
@@ -16,19 +11,12 @@ from repro.cache.registry import (
     register_policy,
 )
 from repro.cache.tq import TQPolicy
-from repro.cache.twoq import TwoQPolicy
 
 __all__ = [
     "CachePolicy",
     "CacheStats",
     "LRUPolicy",
-    "FIFOPolicy",
-    "ClockPolicy",
-    "LFUPolicy",
     "ARCPolicy",
-    "TwoQPolicy",
-    "CARPolicy",
-    "MQPolicy",
     "OPTPolicy",
     "TQPolicy",
     "PAPER_POLICIES",

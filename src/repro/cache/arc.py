@@ -41,7 +41,6 @@ class ARCPolicy(CachePolicy):
     """Adaptive Replacement Cache."""
 
     name = "ARC"
-    hint_aware = False
 
     def __init__(self, capacity: int):
         super().__init__(capacity)

@@ -224,7 +224,7 @@ class AccessOutcomeBatch:
 def _admit_batch(
     hit_flags: bytearray, evict_pos: list[int], evicted: list[int]
 ) -> AccessOutcomeBatch:
-    """Assemble a batch for always-admit kernels (LRU/FIFO/CLOCK shape).
+    """Assemble a batch for always-admit kernels (the LRU and ARC shape).
 
     ``hit_flags`` holds 0/1 per request; every miss admits, nothing is
     bypassed, and request ``evict_pos[k]`` evicted page ``evicted[k]`` (at
@@ -383,9 +383,6 @@ class CachePolicy(abc.ABC):
 
     #: Short name used by the policy registry and in experiment output.
     name: str = "base"
-
-    #: Whether the policy reads hints from requests.  Purely informational.
-    hint_aware: bool = False
 
     #: Whether the policy requires the full future request stream up front
     #: (:meth:`prepare`) before simulation.  Only OPT sets this.

@@ -32,7 +32,6 @@ class LRUPolicy(CachePolicy):
     """Classic LRU over all requests (reads and writes)."""
 
     name = "LRU"
-    hint_aware = False
 
     def __init__(self, capacity: int):
         super().__init__(capacity)

@@ -137,7 +137,6 @@ class OPTPolicy(CachePolicy):
     """Belady's MIN with future knowledge of read references."""
 
     name = "OPT"
-    hint_aware = False
     offline = True
     shares_read_index = True
 

@@ -12,15 +12,9 @@ from typing import Any, Callable, Iterable
 
 from repro.cache.arc import ARCPolicy
 from repro.cache.base import CachePolicy
-from repro.cache.car import CARPolicy
-from repro.cache.clock import ClockPolicy
-from repro.cache.fifo import FIFOPolicy
-from repro.cache.lfu import LFUPolicy
 from repro.cache.lru import LRUPolicy
-from repro.cache.mq import MQPolicy
 from repro.cache.opt import OPTPolicy
 from repro.cache.tq import TQPolicy
-from repro.cache.twoq import TwoQPolicy
 
 __all__ = [
     "PolicyFactory",
@@ -83,13 +77,7 @@ def _register_builtins() -> None:
 
     builtin: dict[str, PolicyFactory] = {
         "LRU": LRUPolicy,
-        "FIFO": FIFOPolicy,
-        "CLOCK": ClockPolicy,
-        "LFU": LFUPolicy,
         "ARC": ARCPolicy,
-        "2Q": TwoQPolicy,
-        "CAR": CARPolicy,
-        "MQ": MQPolicy,
         "OPT": OPTPolicy,
         "TQ": TQPolicy,
         "CLIC": CLICPolicy,

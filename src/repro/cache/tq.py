@@ -67,7 +67,6 @@ class TQPolicy(CachePolicy):
     """Two-queue, write-hint-aware replacement."""
 
     name = "TQ"
-    hint_aware = True
 
     def __init__(
         self,

@@ -63,7 +63,6 @@ class CLICPolicy(CachePolicy):
     """CLient-Informed Caching replacement policy."""
 
     name = "CLIC"
-    hint_aware = True
 
     def __init__(self, capacity: int, config: CLICConfig | None = None):
         super().__init__(capacity)

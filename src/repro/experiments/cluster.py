@@ -49,7 +49,6 @@ def sweep_shard_counts(
     policies: Sequence[str],
     router: str,
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    page_span: int | None = None,
 ) -> SweepResult:
     """Shard count x policy grid over one request stream.
 
@@ -67,8 +66,6 @@ def sweep_shard_counts(
                 "shards": shards,
                 "router": router,
             }
-            if page_span is not None:
-                kwargs["page_span"] = page_span
             if name.upper() == "CLIC":
                 kwargs["policy_kwargs"] = clic_kwargs(settings)
             specs.append(

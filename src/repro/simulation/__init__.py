@@ -3,7 +3,6 @@
 from repro.simulation.cluster import (
     ClientAffinityRouter,
     HashRouter,
-    PageRangeRouter,
     ShardedCache,
     ShardRouter,
     make_router,
@@ -78,7 +77,6 @@ __all__ = [
     "ShardedCache",
     "ShardRouter",
     "HashRouter",
-    "PageRangeRouter",
     "ClientAffinityRouter",
     "make_router",
     "compare_policies",

@@ -10,11 +10,10 @@ module models that fleet as a single composite policy:
   instances, so a cluster composes transparently with the existing engine
   (:class:`~repro.simulation.engine.MultiPolicySimulator`), the sweep
   drivers, and ``jobs=`` parallelism — a cluster is just another policy.
-* Routers (:class:`HashRouter`, :class:`PageRangeRouter`,
-  :class:`ClientAffinityRouter`) decide which shard owns a request.  All
-  routing is a pure function of the request, so replay is deterministic:
-  the same stream produces the same per-shard sub-streams in every process
-  and at every ``jobs=`` count.
+* Routers (:class:`HashRouter`, :class:`ClientAffinityRouter`) decide
+  which shard owns a request.  All routing is a pure function of the
+  request, so replay is deterministic: the same stream produces the same
+  per-shard sub-streams in every process and at every ``jobs=`` count.
 
 Determinism guarantees:
 
@@ -52,7 +51,6 @@ if TYPE_CHECKING:  # imported for type annotations only
 __all__ = [
     "ShardRouter",
     "HashRouter",
-    "PageRangeRouter",
     "ClientAffinityRouter",
     "ROUTER_NAMES",
     "make_router",
@@ -151,47 +149,6 @@ class HashRouter(ShardRouter):
         return (pages % _np.uint64(self.shards)).astype(_np.int64)
 
 
-class PageRangeRouter(ShardRouter):
-    """Contiguous page-range routing: shard i owns pages [i*span/S, (i+1)*span/S).
-
-    ``span`` is the total page-id space (pages 0..span-1); ids outside it
-    clamp to the edge shards so a mis-estimated span degrades to imbalance
-    instead of an error.  Range routing preserves spatial locality per shard
-    — and concentrates skewed workloads, which is exactly the imbalance the
-    cluster experiment measures.
-    """
-
-    name = "range"
-    page_keyed = True
-
-    def __init__(self, shards: int, span: int):
-        super().__init__(shards)
-        if span < 1:
-            raise ValueError(f"span must be >= 1, got {span}")
-        self.span = span
-
-    def route(self, request: IORequest) -> int:
-        shard = request.page * self.shards // self.span
-        if shard < 0:
-            return 0
-        if shard >= self.shards:
-            return self.shards - 1
-        return shard
-
-    def route_batch(self, chunk: "ColumnarChunk") -> Any:
-        page = chunk.page
-        if len(page) and int(page.max()) > (2**63 - 1) // self.shards:
-            # page * shards would overflow an int64 lane; the scalar loop
-            # carries arbitrary-precision Python ints.
-            return ShardRouter.route_batch(self, chunk)
-        # numpy's int64 floor division rounds toward -inf exactly like
-        # Python's //, so clamping matches the scalar branches.
-        return _np.clip(page * self.shards // self.span, 0, self.shards - 1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PageRangeRouter(shards={self.shards}, span={self.span})"
-
-
 class ClientAffinityRouter(ShardRouter):
     """Route every request of a client to one shard.
 
@@ -239,16 +196,14 @@ class ClientAffinityRouter(ShardRouter):
 
 
 #: Router names accepted by :func:`make_router` (and the cluster experiment).
-ROUTER_NAMES: tuple[str, ...] = ("hash", "range", "client")
+ROUTER_NAMES: tuple[str, ...] = ("hash", "client")
 
 
-def make_router(
-    router: str | ShardRouter, shards: int, page_span: int | None = None
-) -> ShardRouter:
-    """Build a router from a name (``"hash"``, ``"range"``, ``"client"``).
+def make_router(router: str | ShardRouter, shards: int) -> ShardRouter:
+    """Build a router from a name (``"hash"``, ``"client"``).
 
     A ready-made :class:`ShardRouter` instance passes through unchanged
-    (its shard count must match).  ``page_span`` is required by ``"range"``.
+    (its shard count must match).
     """
     if isinstance(router, ShardRouter):
         if router.shards != shards:
@@ -260,10 +215,6 @@ def make_router(
         return HashRouter(shards)
     if router == "client":
         return ClientAffinityRouter(shards)
-    if router == "range":
-        if page_span is None:
-            raise ValueError("PageRangeRouter needs page_span (total page-id space)")
-        return PageRangeRouter(shards, span=page_span)
     raise ValueError(f"unknown router {router!r}; available: {ROUTER_NAMES}")
 
 
@@ -285,13 +236,11 @@ class ShardedCache(CachePolicy):
     unified cache of the same total size.
 
     Offline support: a cluster of OPT shards is itself offline, and every
-    shard reads one next-read column in global sequence numbers.  With a
-    page-keyed router (hash, range) that is the stream-wide index, shared
-    with a unified OPT; otherwise the cluster builds per-shard indexes
-    (see :meth:`prepare`).
+    shard reads one next-read column in global sequence numbers.  With the
+    page-keyed hash router that is the stream-wide index, shared with a
+    unified OPT; otherwise the cluster builds per-shard indexes (see
+    :meth:`prepare`).
     """
-
-    hint_aware = False  # refined per instance from the wrapped policy
 
     def __init__(
         self,
@@ -300,21 +249,18 @@ class ShardedCache(CachePolicy):
         shards: int = 1,
         router: str | ShardRouter = "hash",
         policy_kwargs: Mapping[str, object] | None = None,
-        page_span: int | None = None,
     ):
         from repro.cache.registry import create_policy
 
         super().__init__(capacity)
         shards = _validate_shards(shards)
-        self._router = make_router(router, shards, page_span=page_span)
+        self._router = make_router(router, shards)
         kwargs = dict(policy_kwargs or {})
         self._shards: list[CachePolicy] = [
             create_policy(policy, capacity=size, **kwargs)
             for size in partition_capacity(capacity, shards)
         ]
-        inner = self._shards[0]
-        self.name = f"{inner.name}x{shards}[{self._router.name}]"
-        self.hint_aware = inner.hint_aware
+        self.name = f"{self._shards[0].name}x{shards}[{self._router.name}]"
 
     # ------------------------------------------------------------------ API
     @property
@@ -350,13 +296,10 @@ class ShardedCache(CachePolicy):
         Each shard receives its requests as a gathered sub-chunk in original
         order, carrying the original (global) sequence numbers — exactly the
         sub-stream the scalar loop would feed it — and the per-shard batches
-        are scattered back into request order.  When any shard policy lacks
-        a batch fast path the whole cluster falls back to the scalar-loop
-        default (per-shard gathering would only add overhead).
+        are scattered back into request order.  A shard policy without a
+        fused kernel runs the base ``batch_access``, the scalar loop over its
+        sub-chunk, so the split is exact for any policy.
         """
-        base = CachePolicy.batch_access
-        if any(type(shard).batch_access is base for shard in self._shards):
-            return base(self, chunk)
         shard_ids = self._router.route_batch(chunk)
         n = len(chunk)
         hit = _np.zeros(n, _np.bool_)

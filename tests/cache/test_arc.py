@@ -59,6 +59,15 @@ class TestARCBasics:
         lru_result = CacheSimulator(LRUPolicy(64)).run(requests)
         assert arc_result.read_hit_ratio >= lru_result.read_hit_ratio
 
+    def test_reasonable_hit_ratio_on_skewed_workload(self):
+        """80% of reads go to 30 hot pages: a 40-page ARC keeps them."""
+        rng = random.Random(9)
+        requests = [
+            rd(rng.randrange(30) if rng.random() < 0.8 else 30 + rng.randrange(1000))
+            for _ in range(20_000)
+        ]
+        assert CacheSimulator(ARCPolicy(40)).run(requests).read_hit_ratio > 0.7
+
     def test_reset(self):
         arc = ARCPolicy(4)
         for seq in range(10):

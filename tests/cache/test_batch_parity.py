@@ -5,10 +5,10 @@ The batch kernel contract (:meth:`repro.cache.base.CachePolicy
 the scalar ``access()`` loop over the same requests — and must leave the
 policy in the identical state.  This suite derives its policy list from the
 registry (:func:`repro.cache.registry.available_policies`), so every
-registered policy — those with fused batch kernels (LRU, FIFO, CLOCK, ARC,
-CAR, CLIC, TQ, OPT, the sharded cluster) and those running the default
-materialising fallback — is held to the contract over random request
-streams and random chunk splits.
+registered policy — each has a fused batch kernel (LRU, ARC, CLIC, TQ, OPT
+and the sharded cluster) — is held to the contract over random request
+streams and random chunk splits.  The default materialising fallback that
+a policy without a kernel runs is pinned below and by the engine oracle.
 lintkit's ``batch-kernel-parity`` rule enforces that any policy overriding
 ``batch_access`` stays covered here.
 
@@ -25,8 +25,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import registry
+from repro.cache.arc import ARCPolicy
 from repro.cache.base import AccessOutcomeBatch, CachePolicy
+from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
+from repro.cache.tq import TQPolicy
 from repro.core.config import CLICConfig
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
 from repro.trace.columnar import ColumnarChunk
@@ -34,6 +38,7 @@ from repro.trace.columnar import ColumnarChunk
 from repro.core.hints import EMPTY_HINT_SET
 from repro.simulation.request import IORequest
 
+from tests.conftest import kernel_less
 from tests.strategies import hint_sets, io_requests, request_streams
 
 pytestmark = pytest.mark.property
@@ -44,16 +49,26 @@ _POLICY_KWARGS = {
     "SHARDED": {"policy": "LRU", "shards": 3, "router": "hash"},
 }
 
-#: Sharded variants: the cluster's gather/scatter batch path (all shards
-#: batch-capable), its whole-cluster fallback (LFU shards), each router,
-#: and OPT shards reading the stream-wide index (hash) or the cluster's
-#: per-shard index (client: the streams' two clients share page ids).
+#: Sharded variants: the cluster's gather/scatter batch path for every
+#: (policy, router) pair the cluster experiment runs, and OPT shards reading
+#: the stream-wide index (hash) or the cluster's per-shard index (client:
+#: the streams' two clients share page ids).
+_CLIC_SHARD_KWARGS = {"config": CLICConfig(window_size=20, charge_metadata=False)}
 _SHARDED_VARIANTS = [
     ("SHARDED[LRU,hash]", {"policy": "LRU", "shards": 3, "router": "hash"}),
-    ("SHARDED[CLOCK,range]", {"policy": "CLOCK", "shards": 2, "router": "range", "page_span": 41}),
-    ("SHARDED[FIFO,client]", {"policy": "FIFO", "shards": 2, "router": "client"}),
+    ("SHARDED[LRU,client]", {"policy": "LRU", "shards": 2, "router": "client"}),
+    ("SHARDED[TQ,hash]", {"policy": "TQ", "shards": 3, "router": "hash"}),
+    ("SHARDED[TQ,client]", {"policy": "TQ", "shards": 2, "router": "client"}),
     ("SHARDED[ARC,hash]", {"policy": "ARC", "shards": 2, "router": "hash"}),
-    ("SHARDED[LFU,hash]", {"policy": "LFU", "shards": 2, "router": "hash"}),
+    ("SHARDED[ARC,client]", {"policy": "ARC", "shards": 2, "router": "client"}),
+    (
+        "SHARDED[CLIC,hash]",
+        {"policy": "CLIC", "shards": 2, "router": "hash", "policy_kwargs": _CLIC_SHARD_KWARGS},
+    ),
+    (
+        "SHARDED[CLIC,client]",
+        {"policy": "CLIC", "shards": 2, "router": "client", "policy_kwargs": _CLIC_SHARD_KWARGS},
+    ),
     ("SHARDED[OPT,hash]", {"policy": "OPT", "shards": 3, "router": "hash"}),
     ("SHARDED[OPT,client]", {"policy": "OPT", "shards": 2, "router": "client"}),
 ]
@@ -149,6 +164,41 @@ def test_batch_access_matches_scalar(name, kwargs, stream, sizes):
     _assert_batch_matches_scalar(name, kwargs, stream, sizes)
 
 
+#: Clusters whose shard policy has no kernel (registered for the test by
+#: :func:`kernel_less_shards`).
+_KERNEL_LESS_SHARDED = [
+    ("SHARDED[kernel-less LRU,hash]", {"policy": "KERNEL-LESS-LRU", "shards": 3, "router": "hash"}),
+    ("SHARDED[kernel-less TQ,client]", {"policy": "KERNEL-LESS-TQ", "shards": 2, "router": "client"}),
+]
+
+
+@pytest.fixture(scope="module")
+def kernel_less_shards():
+    """Register LRU and TQ without their kernels, so a cluster can build
+    them by name; the registry is restored when the module finishes."""
+    with pytest.MonkeyPatch.context() as patch:
+        for policy_class in (LRUPolicy, TQPolicy):
+            name = f"KERNEL-LESS-{policy_class.name}"
+            patch.setitem(registry._REGISTRY, name, kernel_less(policy_class))
+        yield
+
+
+@pytest.mark.parametrize(
+    "kwargs", [v[1] for v in _KERNEL_LESS_SHARDED], ids=[v[0] for v in _KERNEL_LESS_SHARDED]
+)
+@given(stream=STREAMS, sizes=CHUNK_SIZES)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_kernel_less_shards_match_scalar(kernel_less_shards, kwargs, stream, sizes):
+    """The cluster batches per shard for any shard policy: one without a
+    kernel runs the base ``batch_access`` on its gathered sub-chunk, which
+    is the scalar loop over exactly the sub-stream ``access()`` would see."""
+    _assert_batch_matches_scalar("SHARDED", kwargs, stream, sizes)
+
+
 @pytest.mark.parametrize("kwargs", [v[1] for v in _TQ_VARIANTS], ids=[v[0] for v in _TQ_VARIANTS])
 @given(stream=TQ_STREAMS, sizes=CHUNK_SIZES)
 @settings(
@@ -242,12 +292,8 @@ def test_default_batch_access_materialises_chunk_once(monkeypatch):
 
     monkeypatch.setattr(columnar_mod, "IORequest", counting_request)
 
-    for name in ("LFU", "MQ", "2Q"):
-        policy = create_policy(name, capacity=CAPACITY)
-        # These policies must actually run the fallback for the test to mean
-        # anything; if one grows a fused kernel, swap it out here.
-        assert type(policy).batch_access is CachePolicy.batch_access
-        batch = policy.batch_access(chunk)
+    for kernel_class in (LRUPolicy, ARCPolicy, TQPolicy):
+        batch = kernel_less(kernel_class)(CAPACITY).batch_access(chunk)
         assert len(batch) == len(chunk)
 
     assert constructed == len(chunk)
@@ -268,7 +314,7 @@ def test_columnar_sweep_jobs_invariant():
             x=capacity,
             specs=(
                 PolicySpec(label="LRU", name="LRU", capacity=capacity),
-                PolicySpec(label="CLOCK", name="CLOCK", capacity=capacity),
+                PolicySpec(label="TQ", name="TQ", capacity=capacity),
                 PolicySpec(
                     label="SHARDED[LRU]",
                     name="SHARDED",

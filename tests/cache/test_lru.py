@@ -1,0 +1,59 @@
+"""Tests for the LRU baseline policy."""
+
+from __future__ import annotations
+
+from repro.cache.lru import LRUPolicy
+
+from tests.conftest import rd, wr
+
+
+class TestLRU:
+    def test_hit_and_miss(self):
+        lru = LRUPolicy(2)
+        assert not lru.access(rd(1), 0).hit
+        assert lru.access(rd(1), 1).hit
+
+    def test_evicts_least_recently_used(self):
+        lru = LRUPolicy(2)
+        lru.access(rd(1), 0)
+        lru.access(rd(2), 1)
+        lru.access(rd(1), 2)      # page 1 is now more recent than page 2
+        lru.access(rd(3), 3)      # evicts page 2
+        assert lru.contains(1) and lru.contains(3)
+        assert not lru.contains(2)
+
+    def test_writes_count_as_uses(self):
+        lru = LRUPolicy(2)
+        lru.access(rd(1), 0)
+        lru.access(rd(2), 1)
+        lru.access(wr(1), 2)
+        lru.access(rd(3), 3)
+        assert lru.contains(1)
+        assert not lru.contains(2)
+
+    def test_capacity_never_exceeded(self):
+        lru = LRUPolicy(3)
+        for seq in range(100):
+            lru.access(rd(seq % 10), seq)
+            assert len(lru) <= 3
+
+    def test_eviction_and_admission_outcomes(self):
+        lru = LRUPolicy(1)
+        first = lru.access(rd(1), 0)
+        second = lru.access(rd(2), 1)
+        assert first.admitted and not first.evicted
+        assert second.admitted and second.evicted == (1,)
+
+    def test_sequential_scan_yields_no_hits(self):
+        lru = LRUPolicy(10)
+        outcomes = [lru.access(rd(seq), seq) for seq in range(100)]
+        assert not any(outcome.hit for outcome in outcomes)
+
+    def test_reset(self):
+        lru = LRUPolicy(2)
+        lru.access(rd(1), 0)
+        lru.access(rd(2), 1)
+        lru.reset()
+        assert len(lru) == 0
+        assert not lru.contains(1)
+        assert not lru.access(rd(1), 2).hit

@@ -47,6 +47,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_policy("LRU", LRUPolicy)
 
+    def test_builtin_policies_have_batch_kernels(self):
+        """Every built-in policy overrides the scalar-lifting default
+        ``batch_access``: the replay runs each through its fused kernel."""
+        for name in (*PAPER_POLICIES, "SHARDED"):
+            policy_class = type(create_policy(name, capacity=8))
+            assert policy_class.batch_access is not CachePolicy.batch_access, name
+
     def test_clic_created_with_default_config(self):
         policy = create_policy("CLIC", capacity=100)
         assert policy.name == "CLIC"

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.base import CacheStats
+from repro.cache import registry
+from repro.cache.base import CachePolicy, CacheStats
+from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.hints import make_hint_set
 from repro.simulation.cluster import (
     ClientAffinityRouter,
     HashRouter,
-    PageRangeRouter,
     ShardedCache,
     make_router,
 )
@@ -24,7 +25,7 @@ from repro.simulation.multiclient import interleave_round_robin, partition_capac
 from repro.simulation.request import IORequest, RequestKind
 from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
-from repro.trace.columnar import ColumnarSource
+from repro.trace.columnar import ColumnarChunk, ColumnarSource
 
 
 def _trace(rng: random.Random, clients=("alpha",), n=3000, pages=800):
@@ -59,14 +60,6 @@ class TestRouters:
         shards = {router.route(_request(page)) for page in range(0, 4000, 4)}
         assert shards == {0, 1, 2, 3}
 
-    def test_range_router_is_contiguous_and_clamps(self):
-        router = PageRangeRouter(4, span=400)
-        boundaries = [router.route(_request(page)) for page in range(400)]
-        assert boundaries == sorted(boundaries)          # contiguous ranges
-        assert set(boundaries) == {0, 1, 2, 3}
-        assert router.route(_request(10_000)) == 3       # clamps high
-        assert router.route(_request(-5)) == 0           # clamps low
-
     def test_client_router_assigns_by_first_appearance(self):
         router = ClientAffinityRouter(3)
         assert router.route(_request(1, "a")) == 0
@@ -78,15 +71,43 @@ class TestRouters:
     def test_make_router_names_and_errors(self):
         assert isinstance(make_router("hash", 2), HashRouter)
         assert isinstance(make_router("client", 2), ClientAffinityRouter)
-        assert isinstance(make_router("range", 2, page_span=100), PageRangeRouter)
-        with pytest.raises(ValueError, match="page_span"):
-            make_router("range", 2)
         with pytest.raises(ValueError, match="unknown router"):
             make_router("mystery", 2)
         ready = HashRouter(3)
         assert make_router(ready, 3) is ready
         with pytest.raises(ValueError, match="shards"):
             make_router(ready, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pages=st.lists(
+            st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=200
+        ),
+        shards=st.integers(min_value=1, max_value=9),
+    )
+    def test_hash_route_batch_matches_route(self, pages, shards):
+        """The vector fmix64 pipeline wraps exactly like the scalar one."""
+        router = HashRouter(shards)
+        requests = [_request(page) for page in pages]
+        chunk = ColumnarChunk.from_requests(requests, start_seq=0)
+        assert router.route_batch(chunk).tolist() == [
+            router.route(request) for request in requests
+        ]
+
+    def test_client_route_batch_matches_route_across_chunks(self, rng):
+        """First-appearance assignments carry over from one chunk to the next
+        exactly as they do request by request."""
+        requests = _trace(rng, clients=("a", "b", "c", "d", "e"), n=700)
+        scalar = ClientAffinityRouter(3)
+        expected = [scalar.route(request) for request in requests]
+        batched = ClientAffinityRouter(3)
+        routed: list[int] = []
+        for start in range(0, len(requests), 97):
+            chunk = ColumnarChunk.from_requests(
+                requests[start : start + 97], start_seq=start
+            )
+            routed.extend(batched.route_batch(chunk).tolist())
+        assert routed == expected
 
     def test_shard_count_validation(self):
         with pytest.raises(ValueError):
@@ -164,6 +185,28 @@ class TestShardedCacheBasics:
         rebuilt = pickle.loads(pickle.dumps(spec)).build()
         assert isinstance(rebuilt, ShardedCache)
         assert rebuilt.shard_count == 3
+
+    def test_kernel_less_shards_get_one_sub_chunk_each(self, rng, monkeypatch):
+        """A shard policy without a kernel is batched per shard like any
+        other: one gathered sub-chunk per shard, run through the base
+        ``batch_access``, with the scalar replay's outcomes."""
+        sub_chunks: list[int] = []
+
+        class CountingLRU(LRUPolicy):
+            def batch_access(self, chunk):
+                sub_chunks.append(len(chunk))
+                return CachePolicy.batch_access(self, chunk)
+
+        monkeypatch.setitem(registry._REGISTRY, "COUNTING-LRU", CountingLRU)
+        requests = _trace(rng, n=1500, pages=300)
+        cluster = ShardedCache(capacity=60, policy="COUNTING-LRU", shards=3)
+        batch = cluster.batch_access(ColumnarChunk.from_requests(requests, start_seq=0))
+        assert len(sub_chunks) == 3
+        assert sum(sub_chunks) == len(requests)
+        scalar = ShardedCache(capacity=60, policy="LRU", shards=3)
+        assert batch.outcomes() == [
+            scalar.access(request, seq) for seq, request in enumerate(requests)
+        ]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

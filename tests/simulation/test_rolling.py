@@ -138,7 +138,7 @@ class TestRunnerJobsEquivalence:
         stream = small_stream(2_000)
         specs = [
             PolicySpec(label=name, name=name, capacity=24)
-            for name in ("LRU", "ARC", "TQ", "2Q")
+            for name in ("LRU", "ARC", "TQ", "CLIC")
         ]
         cells = [SweepCell(x=float(i), specs=(s,)) for i, s in enumerate(specs)]
 

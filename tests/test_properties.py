@@ -7,17 +7,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.arc import ARCPolicy
-from repro.cache.car import CARPolicy
 from repro.cache.lru import LRUPolicy
-from repro.cache.mq import MQPolicy
 from repro.cache.opt import OPTPolicy
 from repro.cache.tq import TQPolicy
-from repro.cache.twoq import TwoQPolicy
 from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
 from repro.core.outqueue import OutQueue
 from repro.core.spacesaving import SpaceSaving
 from repro.core.statistics import HintTable
+from repro.simulation.cluster import ShardedCache
 from repro.simulation.simulator import CacheSimulator
 from repro.trace.io import read_trace, write_trace
 from repro.trace.records import Trace
@@ -30,7 +28,7 @@ pytestmark = pytest.mark.property
 # sizes its properties want.
 request_streams = request_streams_strategy()
 
-ONLINE_POLICIES = [LRUPolicy, ARCPolicy, TwoQPolicy, CARPolicy, MQPolicy, TQPolicy]
+ONLINE_POLICIES = [LRUPolicy, ARCPolicy, TQPolicy]
 
 
 # ----------------------------------------------------------------------------- policies
@@ -66,6 +64,16 @@ class TestPolicyProperties:
         opt = CacheSimulator(OPTPolicy(capacity)).run(stream).read_hit_ratio
         online = CacheSimulator(policy_class(capacity)).run(stream).read_hit_ratio
         assert opt >= online - 1e-9
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stream=request_streams, capacity=capacities)
+    @pytest.mark.parametrize("router", ["hash", "client"])
+    def test_opt_read_hit_ratio_upper_bounds_sharded_clusters(self, router, stream, capacity):
+        """Splitting the capacity across shards never beats unified OPT."""
+        opt = CacheSimulator(OPTPolicy(capacity)).run(stream).read_hit_ratio
+        cluster = ShardedCache(capacity, policy="ARC", shards=min(3, capacity), router=router)
+        sharded = CacheSimulator(cluster).run(stream).read_hit_ratio
+        assert opt >= sharded - 1e-9
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=request_streams, capacity=capacities)

@@ -23,15 +23,23 @@ to:
 
 SHARDED-wrapped variants and cost-model-priced runs are included: pricing
 must never change replay outcomes, and a cluster is held to the same laws as
-the policy it wraps.
+the policy it wraps.  Every registered policy is also replayed without its
+fused kernel: the base ``batch_access`` — the scalar lift that a policy
+added through :func:`~repro.cache.registry.register_policy` runs until it
+grows a kernel — must obey the same laws.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.base import CachePolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.config import CLICConfig
 from repro.simulation.costmodel import CostModel
@@ -46,6 +54,7 @@ from repro.simulation.request import RequestKind, read_request, write_request
 from repro.simulation.simulator import CacheSimulator
 from repro.workloads.arrivals import PoissonArrivals
 
+from tests.conftest import kernel_less
 from tests.strategies import request_streams
 
 #: Constructor kwargs giving each registry policy a test-sized configuration.
@@ -54,7 +63,9 @@ _POLICY_KWARGS = {
     "SHARDED": {"policy": "LRU", "shards": 3, "router": "hash"},
 }
 
-#: Sharded variants: the cluster must obey the same laws as what it wraps.
+#: Sharded variants: the cluster must obey the same laws as what it wraps,
+#: under both routers, including an offline (OPT) cluster reading the
+#: stream-wide index (hash) or its own per-shard index (client).
 _SHARDED_VARIANTS = [
     ("SHARDED[LRU]", {"policy": "LRU", "shards": 3, "router": "hash"}),
     ("SHARDED[ARC]", {"policy": "ARC", "shards": 2, "router": "client"}),
@@ -69,31 +80,53 @@ _SHARDED_VARIANTS = [
             },
         },
     ),
+    ("SHARDED[TQ,client]", {"policy": "TQ", "shards": 2, "router": "client"}),
+    ("SHARDED[OPT,hash]", {"policy": "OPT", "shards": 3, "router": "hash"}),
+    ("SHARDED[OPT,client]", {"policy": "OPT", "shards": 2, "router": "client"}),
 ]
-
-
-def _registry_cases() -> list[tuple[str, str, dict]]:
-    """(test id, registry name, kwargs) for every registered policy."""
-    cases = [
-        (name, name, _POLICY_KWARGS.get(name, {})) for name in available_policies()
-    ]
-    cases.extend(
-        (label, "SHARDED", kwargs) for label, kwargs in _SHARDED_VARIANTS
-    )
-    return cases
-
-
-CASES = _registry_cases()
-CASE_IDS = [case[0] for case in CASES]
 
 #: Capacity must exceed the shard count (each shard needs >= 1 page).
 CAPACITY = 12
 
+
+@dataclass(frozen=True)
+class Case:
+    """One policy configuration held to the laws."""
+
+    label: str
+    factory: Callable[..., CachePolicy]
+    kwargs: dict[str, Any] = field(default_factory=dict)
+
+    def build(self) -> CachePolicy:
+        return self.factory(capacity=CAPACITY, **self.kwargs)
+
+    @property
+    def client_routed(self) -> bool:
+        return self.kwargs.get("router") == "client"
+
+
+def _registry_cases() -> list[Case]:
+    """Every registered policy, its sharded variants, and every registered
+    policy again without its kernel."""
+    cases = [
+        Case(name, partial(create_policy, name), _POLICY_KWARGS.get(name, {}))
+        for name in available_policies()
+    ]
+    cases.extend(
+        Case(label, partial(create_policy, "SHARDED"), kwargs)
+        for label, kwargs in _SHARDED_VARIANTS
+    )
+    for name in available_policies():
+        kwargs = _POLICY_KWARGS.get(name, {})
+        policy_class = type(create_policy(name, capacity=CAPACITY, **kwargs))
+        cases.append(Case(f"{name}[kernel-less]", kernel_less(policy_class), kwargs))
+    return cases
+
+
+CASES = _registry_cases()
+CASE_IDS = [case.label for case in CASES]
+
 STREAMS = request_streams(min_size=1, max_size=120)
-
-
-def _build(name: str, kwargs: dict):
-    return create_policy(name, capacity=CAPACITY, **kwargs)
 
 
 def _disjoint_pages(stream):
@@ -117,19 +150,19 @@ def _disjoint_pages(stream):
     return remapped
 
 
-def _run(name: str, kwargs: dict, stream, cost_model=None):
-    return CacheSimulator(_build(name, kwargs), cost_model=cost_model).run(stream)
+def _run(case: Case, stream, cost_model=None):
+    return CacheSimulator(case.build(), cost_model=cost_model).run(stream)
 
 
 @pytest.mark.property
 class TestRegistryInvariants:
-    @pytest.mark.parametrize("label,name,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS)
-    def test_capacity_never_exceeded(self, label, name, kwargs, stream):
-        if kwargs.get("router") == "client":
+    def test_capacity_never_exceeded(self, case, stream):
+        if case.client_routed:
             stream = _disjoint_pages(stream)
-        policy = _build(name, kwargs)
+        policy = case.build()
         if policy.offline:
             policy.prepare(stream, 0)
         for seq, request in enumerate(stream):
@@ -138,11 +171,11 @@ class TestRegistryInvariants:
             cached = list(policy.cached_pages())
             assert len(cached) == len(set(cached)) == len(policy)
 
-    @pytest.mark.parametrize("label,name,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS)
-    def test_counters_conserve_requests(self, label, name, kwargs, stream):
-        result = _run(name, kwargs, stream)
+    def test_counters_conserve_requests(self, case, stream):
+        result = _run(case, stream)
         stats = result.stats
         reads = sum(1 for r in stream if r.kind is RequestKind.READ)
         writes = len(stream) - reads
@@ -160,12 +193,12 @@ class TestRegistryInvariants:
             assert sum(s.requests for s in result.per_shard) == len(stream)
             assert sum(s.read_hits for s in result.per_shard) == stats.read_hits
 
-    @pytest.mark.parametrize("label,name,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS)
-    def test_same_stream_replay_is_identical(self, label, name, kwargs, stream):
-        first = _run(name, kwargs, stream)
-        second = _run(name, kwargs, stream)
+    def test_same_stream_replay_is_identical(self, case, stream):
+        first = _run(case, stream)
+        second = _run(case, stream)
         assert first.stats.as_dict() == second.stats.as_dict()
         assert {c: s.as_dict() for c, s in first.per_client.items()} == {
             c: s.as_dict() for c, s in second.per_client.items()
@@ -174,19 +207,19 @@ class TestRegistryInvariants:
             s.as_dict() for s in second.per_shard
         ]
 
-    @pytest.mark.parametrize("label,name,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS)
-    def test_outcome_events_conserve_cached_pages(self, label, name, kwargs, stream):
+    def test_outcome_events_conserve_cached_pages(self, case, stream):
         """admissions - evictions == pages cached, from the event stream alone.
 
         The seed accounting drifted here for policies with hit-path drops and
         bypass-pushback (OPT) because counters were maintained ad hoc inside
         each policy; outcomes-as-events make the law checkable uniformly.
         """
-        if kwargs.get("router") == "client":
+        if case.client_routed:
             stream = _disjoint_pages(stream)
-        policy = _build(name, kwargs)
+        policy = case.build()
         if policy.offline:
             policy.prepare(stream, 0)
         admissions = evictions = bypasses = 0
@@ -200,20 +233,20 @@ class TestRegistryInvariants:
             if outcome.admitted:
                 assert policy.contains(request.page)
         # The replay's stats observer must agree with the raw event stream.
-        result = _run(name, kwargs, stream)
+        result = _run(case, stream)
         assert result.stats.admissions == admissions
         assert result.stats.evictions == evictions
         assert result.stats.bypasses == bypasses
         assert result.stats.admissions - result.stats.evictions == len(policy)
 
-    @pytest.mark.parametrize("label,name,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS)
-    def test_snapshot_restore_replays_identical_tail(self, label, name, kwargs, stream):
-        if kwargs.get("router") == "client":
+    def test_snapshot_restore_replays_identical_tail(self, case, stream):
+        if case.client_routed:
             stream = _disjoint_pages(stream)
         cut = len(stream) // 2
-        policy = _build(name, kwargs)
+        policy = case.build()
         if policy.offline:
             policy.prepare(stream, 0)
         for seq, request in enumerate(stream[:cut]):
@@ -230,17 +263,17 @@ class TestRegistryInvariants:
         third = [policy.access(r, cut + i) for i, r in enumerate(stream[cut:])]
         assert first == third
 
-    @pytest.mark.parametrize("label,name,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS)
-    def test_single_policy_simulator_equals_engine(self, label, name, kwargs, stream):
+    def test_single_policy_simulator_equals_engine(self, case, stream):
         """CacheSimulator is a one-policy engine run — results are identical."""
         model = CostModel(device="hdd", page_span=64)
         single = CacheSimulator(
-            _build(name, kwargs), cost_model=model, rolling_window=32
+            case.build(), cost_model=model, rolling_window=32
         ).run(stream)
         engine = MultiPolicySimulator(
-            [_build(name, kwargs)], cost_model=model, rolling_window=32
+            [case.build()], cost_model=model, rolling_window=32
         ).run(stream)[0]
         assert single.stats == engine.stats
         assert single.per_client == engine.per_client
@@ -251,32 +284,32 @@ class TestRegistryInvariants:
             s.as_dict() for s in engine.shard_latency
         ]
 
-    @pytest.mark.parametrize("label,name,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS, device=st.sampled_from(["ssd", "hdd"]))
-    def test_cost_model_never_changes_outcomes(self, label, name, kwargs, stream, device):
+    def test_cost_model_never_changes_outcomes(self, case, stream, device):
         """Pricing is a second accounting pass: replay outcomes are identical."""
-        unpriced = _run(name, kwargs, stream)
+        unpriced = _run(case, stream)
         priced = _run(
-            name, kwargs, stream, cost_model=CostModel(device=device, page_span=64)
+            case, stream, cost_model=CostModel(device=device, page_span=64)
         )
         assert priced.stats.as_dict() == unpriced.stats.as_dict()
         assert priced.latency is not None
         assert priced.latency.request_count == len(stream)
 
-    @pytest.mark.parametrize("label,name,kwargs", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS)
-    def test_queueing_observer_never_changes_outcomes(self, label, name, kwargs, stream):
+    def test_queueing_observer_never_changes_outcomes(self, case, stream):
         """Queueing is pure accounting: stats and latency are bit-identical
         with a :class:`QueueingObserver` attached vs detached."""
         model = CostModel(device="hdd", page_span=64)
         queueing = QueueingModel(
             arrivals=PoissonArrivals(rate_rps=8_000.0, seed=3), device="hdd"
         )
-        detached = _run(name, kwargs, stream, cost_model=model)
+        detached = _run(case, stream, cost_model=model)
         attached = CacheSimulator(
-            _build(name, kwargs), cost_model=model, queueing_model=queueing
+            case.build(), cost_model=model, queueing_model=queueing
         ).run(stream)
         assert detached.queueing is None
         assert attached.stats.as_dict() == detached.stats.as_dict()

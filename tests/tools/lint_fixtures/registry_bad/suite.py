@@ -1,7 +1,7 @@
 """Registry-bad fixture: the invariant suite hardcodes its policy list
 instead of deriving it from the registry."""
 
-POLICIES = ["LRU", "FIFO"]
+POLICIES = ["LRU", "ARC"]
 
 
 def test_all_policies() -> None:
