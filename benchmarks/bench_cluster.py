@@ -25,18 +25,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+
+from bench_common import best_of
 
 from repro.cache.registry import create_policy
 from repro.experiments.common import ExperimentSettings, generate_trace
 from repro.simulation.cluster import ShardedCache
 from repro.simulation.simulator import CacheSimulator
-
-
-def replay(policy, requests):
-    started = time.perf_counter()
-    result = CacheSimulator(policy).run(requests)
-    return result, time.perf_counter() - started
 
 
 def main(argv=None) -> int:
@@ -67,16 +62,11 @@ def main(argv=None) -> int:
         f"capacity={args.capacity} router={args.router}"
     )
 
-    def timed(build):
-        best, result = None, None
-        for _ in range(max(1, args.repeat)):
-            policy = build()
-            result, elapsed = replay(policy, requests)
-            best = elapsed if best is None else min(best, elapsed)
-        return result, best
-
-    unified_result, unified_best = timed(
-        lambda: create_policy(args.policy, capacity=args.capacity)
+    unified_best, unified_result = best_of(
+        lambda: CacheSimulator(
+            create_policy(args.policy, capacity=args.capacity)
+        ).run(requests),
+        args.repeat,
     )
     baseline_throughput = len(requests) / unified_best
     print(f"\n{'configuration':<16} {'req/s':>12} {'relative':>9} "
@@ -86,13 +76,16 @@ def main(argv=None) -> int:
 
     ok = True
     for shards in shard_counts:
-        result, best = timed(
-            lambda shards=shards: ShardedCache(
-                capacity=args.capacity,
-                policy=args.policy,
-                shards=shards,
-                router=args.router,
-            )
+        best, result = best_of(
+            lambda shards=shards: CacheSimulator(
+                ShardedCache(
+                    capacity=args.capacity,
+                    policy=args.policy,
+                    shards=shards,
+                    router=args.router,
+                )
+            ).run(requests),
+            args.repeat,
         )
         throughput = len(requests) / best
         print(

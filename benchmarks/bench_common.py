@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 from repro.experiments.common import ExperimentSettings
 
 __all__ = [
     "BENCH_SETTINGS",
+    "best_of",
     "effective_jobs",
     "emit_bench_json",
     "print_sweep",
@@ -41,6 +43,17 @@ _DEFAULT_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 BENCH_SETTINGS = ExperimentSettings(
     target_requests=_DEFAULT_REQUESTS, seed=_DEFAULT_SEED, jobs=_DEFAULT_JOBS
 )
+
+
+def best_of(fn, repeat):
+    """Best-of-*repeat* seconds and the last result of ``fn()``."""
+    best, result = None, None
+    for _ in range(max(1, repeat)):
+        started = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - started
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
 
 
 def usable_cpus() -> int:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from collections import deque
+
+from bench_common import best_of
 
 from repro.cache.registry import create_policy
 from repro.experiments.common import ExperimentSettings, generate_trace
@@ -35,17 +36,13 @@ from repro.simulation.engine import MultiPolicySimulator
 OVERHEAD_GATE = 1.35
 
 
-def reference_replay(policy, requests) -> float:
+def reference_replay(policy, requests) -> None:
     """The pre-cost-model fast path, inlined: one deque-driven map pass."""
-    started = time.perf_counter()
     deque(map(policy.access, requests, range(len(requests))), maxlen=0)
-    return time.perf_counter() - started
 
 
 def engine_replay(policy, requests, cost_model=None):
-    started = time.perf_counter()
-    result = MultiPolicySimulator([policy], cost_model=cost_model).run(requests)[0]
-    return result, time.perf_counter() - started
+    return MultiPolicySimulator([policy], cost_model=cost_model).run(requests)[0]
 
 
 def main(argv=None) -> int:
@@ -75,21 +72,16 @@ def main(argv=None) -> int:
     def build():
         return create_policy(args.policy, capacity=args.capacity)
 
-    repeats = max(1, args.repeat)
-    reference_best = min(reference_replay(build(), requests) for _ in range(repeats))
-
-    def timed(cost_model):
-        best, result = None, None
-        for _ in range(repeats):
-            result, elapsed = engine_replay(build(), requests, cost_model)
-            best = elapsed if best is None else min(best, elapsed)
-        return result, best
-
+    reference_best, _ = best_of(lambda: reference_replay(build(), requests), args.repeat)
     ssd_model = CostModel("ssd")
     hdd_model = CostModel("hdd", page_span=page_span)
-    off_result, off_best = timed(None)
-    ssd_result, ssd_best = timed(ssd_model)
-    hdd_result, hdd_best = timed(hdd_model)
+    off_best, off_result = best_of(lambda: engine_replay(build(), requests), args.repeat)
+    ssd_best, ssd_result = best_of(
+        lambda: engine_replay(build(), requests, ssd_model), args.repeat
+    )
+    hdd_best, hdd_result = best_of(
+        lambda: engine_replay(build(), requests, hdd_model), args.repeat
+    )
 
     baseline = len(requests) / reference_best
     print(f"\n{'configuration':<22} {'req/s':>12} {'relative':>9}")

@@ -83,10 +83,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
-from bench_common import effective_jobs, emit_bench_json, usable_cpus
+from bench_common import best_of, effective_jobs, emit_bench_json, usable_cpus
 
 from repro.cache.base import CacheStats
 from repro.cache.opt import OPTPolicy
@@ -240,17 +239,6 @@ def object_replay_sweep(spec, cache_sizes, policies):
     return curves
 
 
-def _time(fn, repeat):
-    """Best-of-*repeat* seconds and the last result of ``fn()``."""
-    best, result = None, None
-    for _ in range(max(1, repeat)):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
 def _engine_curves(spec, cache_sizes, policies, jobs):
     """One engine sweep of the grid, as ``{name: [(x, CacheStats), ...]}``."""
     sweep = ParallelSweepRunner(requests=spec, jobs=jobs).run(
@@ -278,7 +266,7 @@ def columnar_three_way(spec, cache_sizes, policies, jobs, repeat):
     }
     timings, curves = {}, {}
     for label, run in paths.items():
-        timings[label], curves[label] = _time(run, repeat)
+        timings[label], curves[label] = best_of(run, repeat)
     return timings, curves
 
 
@@ -289,10 +277,10 @@ def columnar_serial_pair(spec, cache_sizes, policies, repeat):
     grid (see module docstring).
     """
     return {
-        "core object serial": _time(
+        "core object serial": best_of(
             lambda: object_replay_sweep(spec, cache_sizes, policies), repeat
         )[0],
-        "core columnar serial": _time(
+        "core columnar serial": best_of(
             lambda: _engine_curves(spec, cache_sizes, policies, 1), repeat
         )[0],
     }
@@ -360,16 +348,16 @@ def main(argv=None) -> int:
     )
 
     timings = {}
-    timings["seed serial"], seed_curves = _time(
+    timings["seed serial"], seed_curves = best_of(
         lambda: seed_serial_sweep(requests, sizes, policies), args.repeat
     )
-    timings["pipeline serial"], pipeline_curves = _time(
+    timings["pipeline serial"], pipeline_curves = best_of(
         lambda: pipeline_serial_sweep(requests, sizes, policies), args.repeat
     )
-    timings["engine serial"], engine_curves = _time(
+    timings["engine serial"], engine_curves = best_of(
         lambda: engine_sweep(requests, sizes, policies, jobs=1), args.repeat
     )
-    timings[f"engine jobs={jobs}"], parallel_curves = _time(
+    timings[f"engine jobs={jobs}"], parallel_curves = best_of(
         lambda: engine_sweep(requests, sizes, policies, jobs=jobs), args.repeat
     )
 

@@ -18,15 +18,23 @@ paper describes: a hash map of cached pages, one recency-ordered list of
 pages per hint set, and a (lazily validated) heap over hint sets keyed by
 priority.  Priorities only change at window boundaries, at which point the
 heap is rebuilt.
+
+Every structure is indexed by a per-policy *hint id*: each (projected)
+hint-set key is interned once to a dense int.  Cached-page metadata and
+outqueue entries are plain ``(seq, hint_id)`` pairs, the recency lists and
+a ``Pr`` table are lists indexed by id, and heap entries are
+``(Pr, head_seq, hint_id)``.  Ids never leave this module: the priority
+manager and its trackers stay keyed by hint-key tuples, which the policy
+maps back to through its key list.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+import numpy as np
 
 from repro.cache.base import (
     HIT,
@@ -40,23 +48,14 @@ from repro.cache.base import (
 from repro.core.config import CLICConfig
 from repro.core.grouping import project_hint_key
 from repro.core.hints import HintSet
-from repro.core.outqueue import OutQueue, OutQueueEntry
+from repro.core.outqueue import OutQueue
 from repro.core.priority import PriorityManager
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = ["CLICPolicy"]
-
-
-@dataclass(slots=True)
-class _PageMeta:
-    """Per-cached-page metadata: seq(p) and H(p) from the most recent request."""
-
-    seq: int
-    hint_key: tuple
 
 
 class CLICPolicy(CachePolicy):
@@ -76,14 +75,21 @@ class CLICPolicy(CachePolicy):
             top_k=self._config.top_k,
         )
         self._outqueue = OutQueue(self._config.outqueue_capacity(capacity))
-        self._cached: dict[int, _PageMeta] = {}
-        # Per-hint-set recency lists: insertion order equals seq order because
+        # Interned hint-set keys: hint id -> key and key -> hint id.
+        self._keys: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        # page -> (seq(p), hint id of H(p)).
+        self._cached: dict[int, tuple[int, int]] = {}
+        # Per-hint-id recency lists: insertion order equals seq order because
         # sequence numbers are monotonically increasing and every re-request
         # moves the page to the tail.
-        self._lists: dict[tuple, OrderedDict[int, None]] = {}
-        # Lazily validated heap of (priority, head_seq, tiebreak, hint_key).
-        self._heap: list[tuple[float, int, int, tuple]] = []
-        self._tiebreak = itertools.count()
+        self._lists: list[OrderedDict[int, None]] = []
+        # Pr(H) per hint id, copied from the priority manager's mapping; it
+        # is current while that mapping is still the object _pr_source.
+        self._pr: list[float] = []
+        self._pr_source: Mapping[tuple, float] = self._priorities.mapping
+        # Lazily validated heap of (priority, head_seq, hint_id).
+        self._heap: list[tuple[float, int, int]] = []
 
     # ------------------------------------------------------------ properties
     @property
@@ -112,134 +118,136 @@ class CLICPolicy(CachePolicy):
         """The statistics key for a hint set (projected if grouping is enabled)."""
         return project_hint_key(hints, self._config.hint_projection)
 
-    # ------------------------------------------------------------ list upkeep
-    def _list_for(self, hint_key: tuple) -> OrderedDict[int, None]:
-        lst = self._lists.get(hint_key)
-        if lst is None:
-            lst = OrderedDict()
-            self._lists[hint_key] = lst
-        return lst
+    # ------------------------------------------------------------- hint ids
+    def _hint_id(self, hint_key: tuple) -> int:
+        """The interned id of *hint_key*, assigning the next one if it is new."""
+        hint_id = self._ids.get(hint_key)
+        if hint_id is None:
+            hint_id = self._ids[hint_key] = len(self._keys)
+            self._keys.append(hint_key)
+            self._lists.append(OrderedDict())
+            self._pr.append(self._priorities.priority(hint_key))
+        return hint_id
 
-    def _push_heap_entry(self, hint_key: tuple) -> None:
-        lst = self._lists.get(hint_key)
-        if not lst:
-            return
-        head_page = next(iter(lst))
-        head_seq = self._cached[head_page].seq
-        heapq.heappush(
-            self._heap,
-            (self._priorities.priority(hint_key), head_seq, next(self._tiebreak), hint_key),
-        )
+    def _sync_priorities(self) -> list[float]:
+        """The ``Pr`` table, re-read whenever the manager's priorities changed.
 
+        The manager replaces its mapping object on every change — a window
+        closing here, or an outside ``force_window_boundary()`` with no
+        :meth:`_rebuild_heap` after it — so an identity check finds both.
+        """
+        mapping = self._priorities.mapping
+        if mapping is not self._pr_source:
+            self._pr_source = mapping
+            get = mapping.get
+            self._pr = [get(key, 0.0) for key in self._keys]
+        return self._pr
+
+    # ------------------------------------------------------------ heap upkeep
     def _rebuild_heap(self) -> None:
         """Rebuild the hint-set priority heap (called at window boundaries)."""
-        self._heap = []
-        self._tiebreak = itertools.count()
-        for hint_key, lst in self._lists.items():
-            if lst:
-                self._push_heap_entry(hint_key)
+        pr = self._sync_priorities()
+        cached = self._cached
+        self._heap = [
+            (pr[hint_id], cached[next(iter(lst))][0], hint_id)
+            for hint_id, lst in enumerate(self._lists)
+            if lst
+        ]
+        heapq.heapify(self._heap)
 
-    def _peek_victim(self) -> tuple[float, int, tuple] | None:
-        """Return ``(priority m, seq(v), hint_key)`` of the eviction candidate.
+    def _peek_victim(self) -> tuple[float, int, int] | None:
+        """Return ``(priority m, seq(v), hint_id)`` of the eviction candidate.
 
-        Pops stale heap entries (empty lists, outdated head sequence numbers)
-        and re-pushes corrected ones until the top entry is valid.
+        Pops stale heap entries (empty lists, outdated head sequence numbers
+        or priorities) and replaces them by corrected ones until the top
+        entry is valid.
         """
-        while self._heap:
-            priority, head_seq, _tb, hint_key = self._heap[0]
-            lst = self._lists.get(hint_key)
+        pr = self._sync_priorities()
+        heap = self._heap
+        lists = self._lists
+        cached = self._cached
+        while heap:
+            top = heap[0]
+            hint_id = top[2]
+            lst = lists[hint_id]
             if not lst:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
-            head_page = next(iter(lst))
-            current_seq = self._cached[head_page].seq
-            current_priority = self._priorities.priority(hint_key)
-            if head_seq != current_seq or priority != current_priority:
-                heapq.heappop(self._heap)
-                self._push_heap_entry(hint_key)
+            current = (pr[hint_id], cached[next(iter(lst))][0], hint_id)
+            if current != top:
+                heapq.heapreplace(heap, current)
                 continue
-            return priority, head_seq, hint_key
+            return top
         return None
 
     # -------------------------------------------------------------- mutation
-    def _admit(self, page: int, seq: int, hint_key: tuple) -> None:
-        lst = self._list_for(hint_key)
-        was_empty = not lst
-        self._cached[page] = _PageMeta(seq=seq, hint_key=hint_key)
+    def _admit(self, page: int, seq: int, hint_id: int) -> None:
+        lst = self._lists[hint_id]
+        if not lst:
+            heapq.heappush(self._heap, (self._pr[hint_id], seq, hint_id))
+        self._cached[page] = (seq, hint_id)
         lst[page] = None
-        if was_empty:
-            self._push_heap_entry(hint_key)
         self._outqueue.remove(page)
 
-    def _refresh_cached(self, page: int, seq: int, hint_key: tuple) -> None:
+    def _refresh_cached(self, page: int, seq: int, hint_id: int) -> None:
         """Update seq(p)/H(p) of a cached page, moving it between hint-set lists."""
-        meta = self._cached[page]
-        old_key = meta.hint_key
-        meta.seq = seq
-        if old_key == hint_key:
-            self._lists[old_key].move_to_end(page)
+        old_id = self._cached[page][1]
+        self._cached[page] = (seq, hint_id)
+        if old_id == hint_id:
+            self._lists[hint_id].move_to_end(page)
             return
-        old_list = self._lists[old_key]
-        del old_list[page]
-        meta.hint_key = hint_key
-        new_list = self._list_for(hint_key)
-        was_empty = not new_list
-        new_list[page] = None
-        if was_empty:
-            self._push_heap_entry(hint_key)
+        del self._lists[old_id][page]
+        lst = self._lists[hint_id]
+        if not lst:
+            heapq.heappush(self._heap, (self._pr[hint_id], seq, hint_id))
+        lst[page] = None
 
-    def _evict(self, hint_key: tuple) -> int:
-        """Evict the oldest page of *hint_key*'s list into the outqueue."""
-        lst = self._lists[hint_key]
-        victim, _ = lst.popitem(last=False)
-        meta = self._cached.pop(victim)
-        self._outqueue.put(victim, meta.seq, meta.hint_key)
+    def _evict(self, hint_id: int) -> int:
+        """Evict the oldest page of *hint_id*'s list into the outqueue."""
+        victim, _ = self._lists[hint_id].popitem(last=False)
+        seq, victim_id = self._cached.pop(victim)
+        self._outqueue.put(victim, seq, victim_id)
         return victim
 
     # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
         page = request.page
-        hint_key = self._hint_key(request.hints)
-        hit = page in self._cached
+        hint_id = self._hint_id(self._hint_key(request.hints))
+        pr = self._sync_priorities()
+        meta = self._cached.get(page)
+        hit = meta is not None
 
         # --- Hint analysis (Section 3.1): detect read re-references using the
         # metadata remembered for cached pages and for outqueue pages.
-        if hit:
-            prev_meta = self._cached[page]
-            prev_seq, prev_key = prev_meta.seq, prev_meta.hint_key
-        else:
-            oq_entry = self._outqueue.get(page)
-            if oq_entry is not None:
-                prev_seq, prev_key = oq_entry.seq, oq_entry.hint_key
-            else:
-                prev_seq, prev_key = None, None
-        if prev_seq is not None and request.is_read and seq > prev_seq:
-            self._priorities.record_read_rereference(prev_key, seq - prev_seq)
+        prev = meta if hit else self._outqueue.get(page)
+        if prev is not None and request.is_read and seq > prev[0]:
+            prev_seq, prev_id = prev
+            self._priorities.record_read_rereference(self._keys[prev_id], seq - prev_seq)
 
         # --- Cache management (Figure 4), using the priorities learned from
         # *previous* windows.
         if hit:
-            self._refresh_cached(page, seq, hint_key)
+            self._refresh_cached(page, seq, hint_id)
             outcome = HIT
         elif len(self._cached) < self._effective_capacity:
-            self._admit(page, seq, hint_key)
+            self._admit(page, seq, hint_id)
             outcome = MISS_ADMIT
         else:
             victim = self._peek_victim()
-            if victim is not None and self._priorities.priority(hint_key) > victim[0]:
+            if victim is not None and pr[hint_id] > victim[0]:
                 evicted_page = self._evict(victim[2])
-                self._admit(page, seq, hint_key)
+                self._admit(page, seq, hint_id)
                 outcome = AccessOutcome(False, admitted=True, evicted=(evicted_page,))
             else:
                 # Do not cache p; remember its most recent request so that a
                 # quick read re-reference can still be detected.
-                self._outqueue.put(page, seq, hint_key)
+                self._outqueue.put(page, seq, hint_id)
                 outcome = MISS_BYPASS
 
         # --- Window accounting (Section 3.2).  The request itself is counted
         # in the window that is now in progress; when it closes, priorities
         # change and the hint-set heap must be rebuilt.
-        window_closed = self._priorities.record_request(hint_key)
+        window_closed = self._priorities.record_request(self._keys[hint_id])
         if window_closed:
             self._rebuild_heap()
 
@@ -248,15 +256,16 @@ class CLICPolicy(CachePolicy):
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
         # Fused batch kernel.  The cache-management half of CLIC is
         # inherently sequential (each request sees the heap/outqueue state
-        # the previous one left), so the loop below performs the exact
-        # mutation-helper calls of access() in the same order — bit-identical
+        # the previous one left), so the loop below performs the mutations
+        # of access() in the same order, with _admit, _refresh_cached,
+        # _evict, _peek_victim and OutQueue.put/remove inlined — bit-identical
         # by construction, pinned by tests/cache/test_batch_parity.py.  What
         # the kernel batches away:
         #
         # * request/outcome object materialisation (columns are consumed as
         #   plain lists, outcomes assembled as flag arrays);
-        # * hint-key projection — once per hint-dictionary entry instead of
-        #   once per request;
+        # * hint-key projection and interning — once per hint-table entry
+        #   instead of once per request;
         # * tracker updates — priorities only change at window boundaries,
         #   so within a window segment the tracker is invisible to cache
         #   management; its updates are deferred and applied per segment as
@@ -267,25 +276,31 @@ class CLICPolicy(CachePolicy):
         priorities = self._priorities
         tracker = priorities.tracker
         projection = self._config.hint_projection
-        key_of_id = [
-            project_hint_key(hints, projection) for hints in chunk.hint_sets
-        ]
+        intern = self._hint_id
+        # Chunk hint-table index -> hint id, interned in table order.
+        id_of = [intern(project_hint_key(hints, projection)) for hints in chunk.hint_sets]
+        hint_ids = np.array(id_of, np.int64)[chunk.hint_id].tolist()
         pages = chunk.page.tolist()
         writes = chunk.write.tolist()
-        hint_ids = chunk.hint_id.tolist()
         seqs = chunk.seq_list()
 
+        keys = self._keys
+        lists = self._lists
         cached = self._cached
         cached_get = cached.get
-        outqueue = self._outqueue
-        oq_entries = outqueue.entries
-        oq_capacity = outqueue.capacity
+        cached_pop = cached.pop
+        oq_entries = self._outqueue.entries
         oq_get = oq_entries.get
+        oq_pop = oq_entries.pop
+        oq_popitem = oq_entries.popitem
+        oq_capacity = self._outqueue.capacity
         effective_capacity = self._effective_capacity
-        refresh = self._refresh_cached
-        admit = self._admit
-        peek_victim = self._peek_victim
-        evict_list = self._evict
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
+        accepts = tracker.accepts_rereference
+        record_reref = priorities.record_read_rereference
+        record_request = priorities.record_request
 
         n = len(chunk)
         hit_flags = bytearray(n)
@@ -299,20 +314,15 @@ class CLICPolicy(CachePolicy):
             # One segment per window: the boundary falls between requests
             # exactly where the scalar loop would close the window.
             stop = min(n, start + priorities.window_room())
-            segment_keys = {key_of_id[h] for h in set(hint_ids[start:stop])}
-            defer = tracker.can_defer(segment_keys)
-            # Per-key request counts; the pop-and-reinsert update keeps the
+            defer = tracker.can_defer({keys[h] for h in set(hint_ids[start:stop])})
+            # Per-id request counts; the pop-and-reinsert update keeps the
             # dict in last-occurrence order, which record_segment requires.
-            counts: dict[tuple, int] = {}
-            rerefs: list[tuple[tuple, int]] = []
-            accepts = tracker.accepts_rereference
-            record_reref = priorities.record_read_rereference
-            record_request = priorities.record_request
+            counts: dict[int, int] = {}
+            rerefs: list[tuple[int, int]] = []
             # Priorities are frozen until the window closes (= the segment
-            # boundary), so Pr(H) lookups bind the manager's live mapping;
-            # the mapping object is replaced at the boundary, hence the
-            # per-segment rebind.
-            priority_get = priorities.mapping.get
+            # boundary); _rebuild_heap replaces the table and the heap there.
+            pr = self._sync_priorities()
+            heap = self._heap
             window_closed = False
             for i, page, seq, hint_id, write in zip(
                 range(start, stop),
@@ -321,75 +331,102 @@ class CLICPolicy(CachePolicy):
                 hint_ids[start:stop],
                 writes[start:stop],
             ):
-                hint_key = key_of_id[hint_id]
+                meta = cached_get(page)
 
                 # Hint analysis (Section 3.1), as in access().  In deferred
                 # mode the credit is gated now — tracked at segment start or
                 # requested earlier in this segment — and recorded at the
                 # segment boundary; membership only grows in a no-recycle
                 # segment, so the late apply is exact.
-                meta = cached_get(page)
-                if meta is not None:
-                    prev_seq, prev_key = meta.seq, meta.hint_key
-                else:
-                    oq_entry = oq_get(page)
-                    if oq_entry is not None:
-                        prev_seq, prev_key = oq_entry.seq, oq_entry.hint_key
-                    else:
-                        prev_seq = prev_key = None
-                if prev_seq is not None and not write and seq > prev_seq:
-                    if defer:
-                        if accepts(prev_key) or prev_key in counts:
-                            rerefs.append((prev_key, seq - prev_seq))
-                    else:
-                        record_reref(prev_key, seq - prev_seq)
+                if not write:
+                    prev = meta if meta is not None else oq_get(page)
+                    if prev is not None and seq > prev[0]:
+                        prev_seq, prev_id = prev
+                        if not defer:
+                            record_reref(keys[prev_id], seq - prev_seq)
+                        elif prev_id in counts or accepts(keys[prev_id]):
+                            rerefs.append((prev_id, seq - prev_seq))
 
-                # Cache management (Figure 4): the same helper calls in the
-                # same order as access().
+                # Cache management (Figure 4): access()'s mutations in
+                # access()'s order.
                 if meta is not None:
-                    refresh(page, seq, hint_key)
-                    hit_flags[i] = 1
-                elif len(cached) < effective_capacity:
-                    admit(page, seq, hint_key)
-                    admit_flags[i] = 1
-                else:
-                    pr = priority_get(hint_key, 0.0)
-                    if pr == 0.0:
-                        # Pr(H) == 0 can never beat the victim's priority m
-                        # (priorities are nonnegative, Equation 2), so the
-                        # outcome is a bypass without consulting the heap.
-                        # Deferring _peek_victim's lazy cleanup is invisible:
-                        # the victim it eventually returns is determined by
-                        # the minimum (priority, head seq) over *valid*
-                        # entries, which the skipped cleanup does not change.
-                        bypass = True
+                    cached[page] = (seq, hint_id)
+                    old_id = meta[1]
+                    if old_id == hint_id:
+                        lists[hint_id].move_to_end(page)
                     else:
-                        victim = peek_victim()
-                        bypass = victim is None or pr <= victim[0]
-                    if bypass:
-                        # Inline OutQueue.put — the hot call on mostly-miss
-                        # streams; must mirror its refresh/overflow semantics.
+                        del lists[old_id][page]
+                        lst = lists[hint_id]
+                        if not lst:
+                            heappush(heap, (pr[hint_id], seq, hint_id))
+                        lst[page] = None
+                    hit_flags[i] = 1
+                else:
+                    admit = len(cached) < effective_capacity
+                    priority = pr[hint_id]
+                    # Pr(H) == 0 can never beat the victim's priority m
+                    # (priorities are nonnegative, Equation 2), so the outcome
+                    # is a bypass without consulting the heap.  Deferring the
+                    # heap's lazy cleanup is invisible: the victim it
+                    # eventually returns is determined by the minimum
+                    # (priority, head seq) over *valid* entries, which the
+                    # skipped cleanup does not change.
+                    if not admit and priority:
+                        while heap:
+                            top = heap[0]
+                            victim_id = top[2]
+                            victim_list = lists[victim_id]
+                            if not victim_list:
+                                heappop(heap)
+                                continue
+                            victim = next(iter(victim_list))
+                            current = (pr[victim_id], cached[victim][0], victim_id)
+                            if current != top:
+                                heapreplace(heap, current)
+                                continue
+                            if priority > top[0]:
+                                # Evict v into the outqueue: its metadata pair
+                                # becomes the outqueue entry as it is.
+                                del victim_list[victim]
+                                victim_meta = cached_pop(victim)
+                                if oq_capacity:
+                                    if victim in oq_entries:
+                                        del oq_entries[victim]
+                                    elif len(oq_entries) >= oq_capacity:
+                                        oq_popitem(False)
+                                    oq_entries[victim] = victim_meta
+                                evicted.append(victim)
+                                evict_pos.append(i)
+                                admit = True
+                            break
+                    if admit:
+                        cached[page] = (seq, hint_id)
+                        lst = lists[hint_id]
+                        if not lst:
+                            heappush(heap, (pr[hint_id], seq, hint_id))
+                        lst[page] = None
+                        oq_pop(page, None)
+                        admit_flags[i] = 1
+                    else:
+                        # Do not cache p; remember it in the outqueue.
                         if oq_capacity:
                             if page in oq_entries:
                                 del oq_entries[page]
                             elif len(oq_entries) >= oq_capacity:
-                                oq_entries.popitem(last=False)
-                            oq_entries[page] = OutQueueEntry(seq, hint_key)
+                                oq_popitem(False)
+                            oq_entries[page] = (seq, hint_id)
                         bypass_flags[i] = 1
-                    else:
-                        evicted.append(evict_list(victim[2]))
-                        evict_pos.append(i)
-                        admit(page, seq, hint_key)
-                        admit_flags[i] = 1
 
                 # Window accounting (Section 3.2).
                 if defer:
-                    counts[hint_key] = counts.pop(hint_key, 0) + 1
+                    counts[hint_id] = counts.pop(hint_id, 0) + 1
                 else:
-                    window_closed = record_request(hint_key)
+                    window_closed = record_request(keys[hint_id])
             if defer:
                 window_closed = priorities.record_segment(
-                    list(counts.items()), rerefs, stop - start
+                    [(keys[h], count) for h, count in counts.items()],
+                    [(keys[h], distance) for h, distance in rerefs],
+                    stop - start,
                 )
             if window_closed:
                 self._rebuild_heap()
@@ -416,6 +453,9 @@ class CLICPolicy(CachePolicy):
         self._priorities.reset()
         self._outqueue.clear()
         self._cached.clear()
+        self._keys.clear()
+        self._ids.clear()
         self._lists.clear()
+        self._pr = []
+        self._pr_source = self._priorities.mapping
         self._heap.clear()
-        self._tiebreak = itertools.count()

@@ -13,7 +13,7 @@ priority.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, NamedTuple
+from typing import Hashable, Iterator, NamedTuple
 
 __all__ = ["OutQueueEntry", "OutQueue"]
 
@@ -21,13 +21,15 @@ __all__ = ["OutQueueEntry", "OutQueue"]
 class OutQueueEntry(NamedTuple):
     """Most-recent-request metadata remembered for one uncached page.
 
-    A named tuple rather than a dataclass: entries are constructed once per
-    bypassed request on the batch fast path, and tuple construction is
-    several times cheaper than a frozen dataclass ``__init__``.
+    The queue stores each entry as a plain ``(seq, hint_key)`` pair, which
+    costs no Python-level constructor call on a hot path; :meth:`OutQueue.get`
+    and :meth:`OutQueue.remove` hand it out under these field names.
+    ``hint_key`` is the caller's tag for the request's hint set (CLIC stores
+    its interned hint id).
     """
 
     seq: int
-    hint_key: tuple
+    hint_key: Hashable
 
 
 class OutQueue:
@@ -37,7 +39,7 @@ class OutQueue:
         if capacity < 0:
             raise ValueError(f"outqueue capacity must be >= 0, got {capacity}")
         self._capacity = capacity
-        self._entries: OrderedDict[int, OutQueueEntry] = OrderedDict()
+        self._entries: OrderedDict[int, tuple[int, Hashable]] = OrderedDict()
 
     @property
     def capacity(self) -> int:
@@ -51,20 +53,23 @@ class OutQueue:
 
     def get(self, page: int) -> OutQueueEntry | None:
         """Return the remembered entry for *page*, or ``None``."""
-        return self._entries.get(page)
+        entry = self._entries.get(page)
+        return None if entry is None else OutQueueEntry._make(entry)
 
     @property
-    def entries(self) -> OrderedDict[int, OutQueueEntry]:
-        """The live page -> entry map, least-recently inserted first.
+    def entries(self) -> OrderedDict[int, tuple[int, Hashable]]:
+        """The live page -> ``(seq, hint_key)`` map, least-recently inserted
+        first.
 
         Exposed for batch kernels that inline :meth:`get`/:meth:`put` in a
         hot loop.  Mutations must preserve :meth:`put` semantics (refresh
-        moves to the tail; overflow pops the head) — the scalar and batch
-        paths share this state and must stay bit-identical.
+        moves to the tail; overflow pops the head) and store plain pairs —
+        the scalar and batch paths share this state and must stay
+        bit-identical.
         """
         return self._entries
 
-    def put(self, page: int, seq: int, hint_key: tuple) -> int | None:
+    def put(self, page: int, seq: int, hint_key: Hashable) -> int | None:
         """Insert or refresh the entry for *page*.
 
         Refreshing an existing page moves it to the most-recently-inserted
@@ -77,12 +82,13 @@ class OutQueue:
             del self._entries[page]
         elif len(self._entries) >= self._capacity:
             evicted, _ = self._entries.popitem(last=False)
-        self._entries[page] = OutQueueEntry(seq=seq, hint_key=hint_key)
+        self._entries[page] = (seq, hint_key)
         return evicted
 
     def remove(self, page: int) -> OutQueueEntry | None:
         """Remove and return the entry for *page* (``None`` if absent)."""
-        return self._entries.pop(page, None)
+        entry = self._entries.pop(page, None)
+        return None if entry is None else OutQueueEntry._make(entry)
 
     def pages(self) -> Iterator[int]:
         """Iterate over remembered pages, least-recently inserted first."""

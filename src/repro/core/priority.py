@@ -80,9 +80,10 @@ class PriorityManager:
         """The live priority map (hint-set key -> Pr(H)).
 
         Exposed for batch kernels that look priorities up in a hot loop:
-        the mapping is frozen between window boundaries, but the *object*
-        is replaced when a window closes, so bindings must not outlive a
-        segment.  Treat as read-only; missing keys mean priority 0.0.
+        the mapping is frozen between window boundaries, and the *object*
+        is replaced whenever the priorities change (a window closes, or
+        :meth:`reset`), so a caller that copies it can tell a stale copy by
+        identity.  Treat as read-only; missing keys mean priority 0.0.
         """
         return self._priorities
 
@@ -177,6 +178,6 @@ class PriorityManager:
     def reset(self) -> None:
         """Forget all statistics and priorities."""
         self._tracker.clear()
-        self._priorities.clear()
+        self._priorities = {}
         self._requests_in_window = 0
         self._windows_completed = 0

@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
-from repro.core.hints import make_hint_set
+from repro.core.hints import HintSet, make_hint_set
 from repro.simulation.simulator import CacheSimulator
+from repro.trace.columnar import ColumnarChunk
 
 from tests.conftest import hint, rd, wr
 
@@ -22,11 +23,18 @@ HOT = hint(object_id="hot")
 COLD = hint(object_id="cold")
 
 
-def teach_priorities(policy: CLICPolicy, hot_pages=range(100, 105), filler_pages=range(200, 300)):
+def teach_priorities(
+    policy: CLICPolicy,
+    hot_pages=range(100, 105),
+    filler_pages=range(200, 300),
+    rebuild_heap=True,
+):
     """Run one training window so HOT gets a high priority and COLD gets zero.
 
     HOT pages are read twice in quick succession (read re-references); COLD
-    pages are read once each (no re-reference).
+    pages are read once each (no re-reference).  ``rebuild_heap=False``
+    leaves the victim heap as the training left it, as an outside caller of
+    ``force_window_boundary()`` would.
     """
     seq = 0
     requests = []
@@ -40,8 +48,14 @@ def teach_priorities(policy: CLICPolicy, hot_pages=range(100, 105), filler_pages
         seq += 1
     # Close the training window explicitly so priorities take effect.
     policy.priority_manager.force_window_boundary()
-    policy._rebuild_heap()
+    if rebuild_heap:
+        policy._rebuild_heap()
     return seq
+
+
+def recency_list(policy: CLICPolicy, hints: HintSet):
+    """The recency list of *hints*' hint set, looked up through its hint id."""
+    return policy._lists[policy._ids[hints.key()]]
 
 
 class TestFigure4Policy:
@@ -58,8 +72,9 @@ class TestFigure4Policy:
         policy.access(rd(1, COLD), 0)
         assert policy.access(rd(1, HOT), 1).hit
         # Most recent request determines the page's hint set.
-        assert policy._cached[1].hint_key == HOT.key()
-        assert policy._cached[1].seq == 1
+        seq, hint_id = policy._cached[1]
+        assert policy._keys[hint_id] == HOT.key()
+        assert seq == 1
 
     def test_equal_priority_request_is_not_cached_when_full(self):
         # With all priorities zero (no window completed), Pr(H) > m never
@@ -80,7 +95,7 @@ class TestFigure4Policy:
         entry = policy.outqueue.get(3)
         assert entry is not None
         assert entry.seq == 2
-        assert entry.hint_key == COLD.key()
+        assert policy._keys[entry.hint_key] == COLD.key()
 
     def test_higher_priority_request_evicts_lowest_priority_oldest_page(self):
         # teach_priorities touches exactly 105 distinct pages, filling the cache.
@@ -89,7 +104,7 @@ class TestFigure4Policy:
         assert policy.hint_priority(HOT) > policy.hint_priority(COLD) == 0.0
         # Cache is full of HOT+COLD pages. A new HOT request must evict the
         # oldest COLD page (the lowest-priority, minimum-sequence page).
-        oldest_cold = next(iter(policy._lists[COLD.key()]))
+        oldest_cold = next(iter(recency_list(policy, COLD)))
         assert not policy.contains(999)
         policy.access(rd(999, HOT), seq)
         assert policy.contains(999)
@@ -110,21 +125,39 @@ class TestFigure4Policy:
         assert not policy.contains(500)
         assert len(policy) == 10
 
+    @pytest.mark.parametrize("path", ["access", "batch_access"])
+    def test_outside_window_boundary_decides_the_next_miss(self, path):
+        # Priorities changed by force_window_boundary() with no
+        # _rebuild_heap() after it must decide the very next request, on the
+        # scalar path and in the batch kernel alike.
+        policy = CLICPolicy(capacity=105, config=small_config(window_size=1_000_000))
+        seq = teach_priorities(policy, rebuild_heap=False)
+        request = rd(999, HOT)
+        if path == "access":
+            outcome = policy.access(request, seq)
+        else:
+            chunk = ColumnarChunk.from_requests([request], start_seq=seq)
+            (outcome,) = policy.batch_access(chunk).outcomes()
+        # Page 200 is the oldest COLD page.
+        assert outcome.evicted == (200,)
+        assert policy.contains(999)
+        assert not policy.contains(200)
+
     def test_evicted_page_lands_in_outqueue(self):
         policy = CLICPolicy(capacity=105, config=small_config(window_size=1_000_000))
         seq = teach_priorities(policy)
-        oldest_cold = next(iter(policy._lists[COLD.key()]))
+        oldest_cold = next(iter(recency_list(policy, COLD)))
         policy.access(rd(999, HOT), seq)
         entry = policy.outqueue.get(oldest_cold)
         assert entry is not None
-        assert entry.hint_key == COLD.key()
+        assert policy._keys[entry.hint_key] == COLD.key()
 
     def test_rerequest_moves_page_between_hint_set_lists(self):
         policy = CLICPolicy(capacity=4, config=small_config())
         policy.access(rd(1, COLD), 0)
         policy.access(rd(1, HOT), 1)
-        assert 1 in policy._lists[HOT.key()]
-        assert 1 not in policy._lists[COLD.key()]
+        assert 1 in recency_list(policy, HOT)
+        assert 1 not in recency_list(policy, COLD)
 
     def test_capacity_invariant_never_violated(self):
         policy = CLICPolicy(capacity=8, config=small_config(window_size=5))
@@ -244,14 +277,31 @@ class TestVictimSelectionProperty:
 
     @staticmethod
     def naive_victim(policy: CLICPolicy):
-        """O(n) reference: (min priority, then oldest seq) over cached pages."""
+        """O(n) reference: (min priority, then oldest seq) over cached pages.
+
+        Priorities are read from the priority manager by hint-set key, not
+        from the policy's per-id table.
+        """
         best = None
-        for page, meta in policy._cached.items():
-            priority = policy.priority_manager.priority(meta.hint_key)
-            candidate = (priority, meta.seq, meta.hint_key)
+        for page, (seq, hint_id) in policy._cached.items():
+            priority = policy.priority_manager.priority(policy._keys[hint_id])
+            candidate = (priority, seq, hint_id)
             if best is None or candidate[:2] < best[:2]:
                 best = candidate
         return best
+
+    @classmethod
+    def assert_victim_matches_naive_scan(cls, policy: CLICPolicy) -> None:
+        victim = policy._peek_victim()
+        expected = cls.naive_victim(policy)
+        if expected is None:
+            assert victim is None
+        else:
+            assert victim is not None
+            # (priority, seq) identify the victim page uniquely:
+            # sequence numbers are distinct across cached pages.
+            assert (victim[0], victim[1]) == (expected[0], expected[1])
+            assert victim[2] == expected[2]
 
     def test_peek_victim_matches_naive_scan(self):
         from hypothesis import HealthCheck, given, settings
@@ -269,15 +319,47 @@ class TestVictimSelectionProperty:
             for seq, (page, hint_index, is_read) in enumerate(stream):
                 request = (rd if is_read else wr)(page, hints[hint_index])
                 policy.access(request, seq)
-                victim = policy._peek_victim()
-                expected = self.naive_victim(policy)
-                if expected is None:
-                    assert victim is None
-                else:
-                    assert victim is not None
-                    # (priority, seq) identify the victim page uniquely:
-                    # sequence numbers are distinct across cached pages.
-                    assert (victim[0], victim[1]) == (expected[0], expected[1])
-                    assert victim[2] == expected[2]
+                self.assert_victim_matches_naive_scan(policy)
+
+        run()
+
+    def test_batch_kernel_peek_victim_matches_naive_scan(self):
+        """The same streams through ``batch_access`` in random chunk splits.
+
+        The kernel carries its own copy of the heap upkeep and lazy cleanup,
+        so the heap it leaves after every chunk must still yield the
+        reference victim.
+        """
+        from hypothesis import HealthCheck, given, settings
+        from hypothesis import strategies as st
+
+        from tests.strategies import page_hint_event_streams
+
+        hints = [hint(object_id=name) for name in ("a", "b", "c")]
+
+        @settings(
+            max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+        )
+        @given(
+            stream=page_hint_event_streams(max_page=11, hint_count=3),
+            sizes=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=20),
+        )
+        def run(stream, sizes):
+            policy = CLICPolicy(capacity=4, config=small_config(window_size=7))
+            requests = [
+                (rd if is_read else wr)(page, hints[hint_index])
+                for page, hint_index, is_read in stream
+            ]
+            offset = 0
+            index = 0
+            while offset < len(requests):
+                take = sizes[index % len(sizes)]
+                chunk = ColumnarChunk.from_requests(
+                    requests[offset : offset + take], start_seq=offset
+                )
+                policy.batch_access(chunk)
+                self.assert_victim_matches_naive_scan(policy)
+                offset += take
+                index += 1
 
         run()
