@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--device",
         choices=sorted(DEVICE_PROFILES),
         default=None,
-        help="device profile priced by the latency experiment "
+        help="device profile priced by the latency experiment and by the "
+        "load experiment's cost and queueing models "
         "(default: ssd; HDD misses are seek-distance-aware)",
     )
     parser.add_argument(

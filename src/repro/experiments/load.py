@@ -118,9 +118,9 @@ def run_load_experiment(
             for shards in shard_variants
             for policy in policies
         )
-        # One cell per offered load: every policy and shard configuration
-        # shares that load's replay pass (and arrival clock), while
-        # distinct loads are distinct (stream, queueing) groups.
+        # One cell per offered load over one spec tuple: the runner folds
+        # the cells into one replay pass that runs each spec once, and each
+        # load gets its own arrival clock and queueing observers on it.
         cells = [
             SweepCell(
                 x=fraction, specs=specs, queueing=base_model.scaled(fraction)

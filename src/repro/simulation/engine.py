@@ -16,7 +16,8 @@ the two building blocks that every sweep now runs through:
   into a :class:`~repro.simulation.metrics.SweepResult` in deterministic
   cell order.  With the default ``jobs=1`` everything runs in-process and
   the output is identical to the serial path, bit for bit; cells that share
-  a request stream are then folded into a single shared replay pass.
+  a request stream are then folded into a single shared replay pass, in
+  which a policy spec listed by several cells replays once.
 
 Policies are described by :class:`PolicySpec` (a registry name plus
 constructor arguments, or an arbitrary zero-argument factory) so that cells
@@ -47,10 +48,19 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+)
 
 import numpy as _np
 
@@ -69,9 +79,12 @@ from repro.simulation.observers import (
     StatsObserver,
     shard_observer_for,
 )
-from repro.simulation.queueing import QueueingModel
+from repro.simulation.queueing import QueueingModel, QueueingObserver
 from repro.simulation.request import IORequest
 from repro.trace.columnar import ColumnarChunk, columnar_chunks
+
+if TYPE_CHECKING:  # imported for type annotations only
+    from repro.simulation.queueing import _ArrivalTape
 
 __all__ = [
     "MultiPolicySimulator",
@@ -161,6 +174,31 @@ def _split_at_windows(
             offset += take
 
 
+class _QueueingTap:
+    """One queueing model's observers in one replay pass.
+
+    The engine calls it as an observer factory, once per policy in policy
+    order: each policy gets its own :class:`QueueingObserver`, and all of
+    them share one arrival tape.  The policies replay identical chunks in
+    order, so each chunk's arrival timestamps are drawn once per model and
+    reused by every policy.  A folded sweep pass holds one tap per
+    distinct queueing model.
+    """
+
+    def __init__(self, model: QueueingModel):
+        self._model = model
+        self._tape: _ArrivalTape | None = None
+        #: The observers built so far, in policy order.
+        self.observers: list[QueueingObserver] = []
+
+    def __call__(self, policy: CachePolicy, start_seq: int) -> QueueingObserver:
+        if self._tape is None:
+            self._tape = self._model.tape(start_seq)
+        observer = self._model.observer_for(policy, start_seq, tape=self._tape)
+        self.observers.append(observer)
+        return observer
+
+
 class MultiPolicySimulator:
     """Drives N independent cache policies with a single pass over a stream.
 
@@ -178,8 +216,8 @@ class MultiPolicySimulator:
     a :class:`RollingObserver` when ``rolling_window`` opts into windowed
     time series.  ``observer_factories`` attaches arbitrary extra observers:
     each factory is called ``factory(policy, start_seq)`` once per policy
-    per run, and the caller keeps its own references to the instances it
-    built (the engine only drives them).
+    per run, in policy order, and the caller keeps its own references to
+    the instances it built (the engine only drives them).
     """
 
     def __init__(
@@ -253,13 +291,13 @@ class MultiPolicySimulator:
         shard_obs: list = []
         cost_obs: list = []
         rolling_obs: list = []
-        queueing_obs: list = []
-        queueing_model = self._queueing_model
-        # All policies replay identical chunks in sequence, so their
-        # queueing observers share one arrival tape: each chunk's arrival
-        # timestamps are drawn once and reused N times.
-        queueing_tape = (
-            queueing_model.tape(start_seq) if queueing_model is not None else None
+        queueing = (
+            _QueueingTap(self._queueing_model)
+            if self._queueing_model is not None
+            else None
+        )
+        factories = self._observer_factories + (
+            (queueing,) if queueing is not None else ()
         )
         pipelines: list[list[ReplayObserver]] = []
         for policy in policies:
@@ -279,17 +317,10 @@ class MultiPolicySimulator:
             rolling_obs.append(roll)
             if roll is not None:
                 pipeline.append(roll)
-            queueing = (
-                queueing_model.observer_for(policy, start_seq, tape=queueing_tape)
-                if queueing_model is not None
-                else None
-            )
-            queueing_obs.append(queueing)
-            if queueing is not None:
-                pipeline.append(queueing)
-            for factory in self._observer_factories:
+            for factory in factories:
                 pipeline.append(factory(policy, start_seq))
             pipelines.append(pipeline)
+        queueing_obs: list = queueing.observers if queueing is not None else [None] * n
 
         # Observers declaring a boundary interval get chunks aligned to it:
         # splitting at the gcd of all intervals guarantees no chunk crosses a
@@ -475,8 +506,12 @@ class SweepCell:
     ``queueing`` overrides the runner's queueing model for this cell (used
     by the ``load`` experiment, whose cells sweep offered load over one
     stream); ``None`` means the runner's model (which may itself be
-    ``None`` — queueing off).  Cells replay their stream whole inside one
-    worker, so queueing stats are bit-identical at any ``jobs=`` count.
+    ``None`` — queueing off).  Cells fold by stream alone: the cells of one
+    stream share a replay pass whatever their models, each distinct spec
+    replays once, and each distinct queueing model gets its own arrival
+    tape and one queueing observer per policy.  Cells replay their stream
+    whole inside one worker, so queueing stats are bit-identical at any
+    ``jobs=`` count.
     """
 
     x: float
@@ -523,18 +558,24 @@ def _run_cells(
 ) -> list[list[SimulationResult]]:
     """Run *cells*, folding same-stream cells into one shared replay pass.
 
-    Cells are grouped by (request-stream identity, queueing model) — stream
-    equality for hashable lazy sources: all their policies are independent,
-    so one :class:`MultiPolicySimulator` pass per distinct group covers
-    every cell of that group.  Cells with different queueing models (e.g.
-    different offered loads over one stream) need separate passes because
-    the queueing observer is per-run state.  Used both by the serial path
-    (with all cells) and inside each worker process (with that worker's
-    batch of cells).
+    Cells are grouped by request stream alone (stream equality for
+    hashable lazy sources), and one :class:`MultiPolicySimulator` pass per
+    group covers every cell of it.  Within a group each distinct policy
+    spec (specs that compare ``==`` are the same) is built and replayed
+    once, however many cells list it: no policy decision reads the
+    queueing model, so a spec's stats, per-client, per-shard, latency and
+    rolling accounting is the same in every cell.  Each distinct queueing
+    model of the group (a cell's ``queueing``, else *queueing_model*)
+    gets its own arrival tape and one :class:`QueueingObserver` per
+    policy.  Every (cell, spec) slot gets its own result: the spec's
+    replay plus the queueing stats of that cell's model.  A spec filling
+    one slot hands over the engine's accounting as it is; further slots
+    get deep copies, so no two results share mutable stats.  Used both by
+    the serial path (with all cells) and inside each worker process (with
+    that worker's batch of cells).
     """
     groups: dict[object, list[int]] = {}
     streams: dict[object, RequestSource] = {}
-    queueings: dict[object, QueueingModel | None] = {}
     for index, cell in enumerate(cells):
         stream = cell.requests if cell.requests is not None else default_requests
         if stream is None:
@@ -542,24 +583,37 @@ def _run_cells(
                 "sweep cell has no request stream (set ParallelSweepRunner("
                 "requests=...) or SweepCell(requests=...))"
             )
-        queueing = cell.queueing if cell.queueing is not None else queueing_model
-        key = (_stream_group_key(stream), queueing)
+        key = _stream_group_key(stream)
         groups.setdefault(key, []).append(index)
         streams[key] = stream
-        queueings[key] = queueing
 
-    outcomes: list[list[SimulationResult]] = [[] for _ in cells]
+    placed: dict[tuple[int, int], SimulationResult] = {}
     for group_key, cell_indices in groups.items():
+        specs: list[PolicySpec] = []
+        # Per distinct spec: the (cell index, position in cell, queueing
+        # model) of every slot it fills.
+        slots: list[list[tuple[int, int, QueueingModel | None]]] = []
+        taps: dict[QueueingModel, _QueueingTap] = {}
+        for index in cell_indices:
+            cell = cells[index]
+            model = cell.queueing if cell.queueing is not None else queueing_model
+            if model is not None and model not in taps:
+                taps[model] = _QueueingTap(model)
+            for position, spec in enumerate(cell.specs):
+                try:
+                    spec_index = specs.index(spec)
+                except ValueError:
+                    spec_index = len(specs)
+                    specs.append(spec)
+                    slots.append([])
+                slots[spec_index].append((index, position, model))
         try:
-            policies = [
-                spec.build() for index in cell_indices for spec in cells[index].specs
-            ]
             results = MultiPolicySimulator(
-                policies,
+                [spec.build() for spec in specs],
                 track_per_client=track_per_client,
                 cost_model=cost_model,
                 rolling_window=rolling_window,
-                queueing_model=queueings[group_key],
+                observer_factories=tuple(taps.values()),
             ).run(streams[group_key])
         except Exception as error:
             # Name the failing pass (PEP 678 notes, Python 3.11+); a worker's
@@ -574,12 +628,19 @@ def _run_cells(
                     )
                 )
             raise
-        offset = 0
-        for index in cell_indices:
-            width = len(cells[index].specs)
-            outcomes[index] = results[offset : offset + width]
-            offset += width
-    return outcomes
+        for spec_index, result in enumerate(results):
+            for count, (index, position, model) in enumerate(slots[spec_index]):
+                queueing = (
+                    taps[model].observers[spec_index].finalize()
+                    if model is not None
+                    else None
+                )
+                slot = replace(result, queueing=queueing)
+                placed[index, position] = slot if count == 0 else deepcopy(slot)
+    return [
+        [placed[index, position] for position in range(len(cell.specs))]
+        for index, cell in enumerate(cells)
+    ]
 
 
 def _ensure_streams(streams: Iterable[RequestSource | None]) -> None:
@@ -707,8 +768,9 @@ class ParallelSweepRunner:
         )
         # Split the grid into one contiguous batch per worker: neighbouring
         # cells usually share a request stream, so each batch still folds
-        # into shared replay passes inside its worker — jobs>1 keeps both
-        # the amortisation and the parallelism.
+        # into one shared replay pass per stream inside its worker.  A spec
+        # listed by cells of several batches replays once per worker, not
+        # once per sweep: jobs>1 trades that amortisation for parallelism.
         chunk = -(-len(cells) // jobs)  # ceil division
         batches = [cells[start : start + chunk] for start in range(0, len(cells), chunk)]
         # Pickle here rather than in the pool's feeder thread, so a pickling

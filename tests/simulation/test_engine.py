@@ -5,20 +5,24 @@ from __future__ import annotations
 import random
 import sys
 import warnings
+from functools import partial
 
 import pytest
 
 from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.config import CLICConfig
+from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import (
     MultiPolicySimulator,
     ParallelSweepRunner,
     PolicySpec,
     SweepCell,
 )
+from repro.simulation.queueing import QueueingModel
 from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
+from repro.workloads.arrivals import BurstyArrivals, PoissonArrivals
 
 from repro.core.hints import make_hint_set
 from repro.simulation.request import IORequest, RequestKind
@@ -41,6 +45,15 @@ _KERNEL_BUGS_BUILT: list[int] = []
 def _build_kernel_bug() -> _KernelBug:
     _KERNEL_BUGS_BUILT.append(1)
     return _KernelBug(30)
+
+
+#: Names of the policies built by _build_counted in this process.
+_COUNTED_BUILDS: list[str] = []
+
+
+def _build_counted(name: str, capacity: int):
+    _COUNTED_BUILDS.append(name)
+    return create_policy(name, capacity=capacity)
 
 
 def _mixed_trace(rng: random.Random, clients=("alpha",), n=4000):
@@ -266,6 +279,176 @@ class TestParallelSweepRunner:
         )
         assert len(sweep.series["CLIC"]) == 2
         assert sweep.series["CLIC"][0].result.stats == sweep.series["CLIC"][1].result.stats
+
+
+#: Offered loads of the folded-sweep cells, as fractions of a base model.
+_FOLD_LOADS = (0.5, 1.2, 2.0)
+
+#: The folded-sweep cases, one per queue path: (base queueing model, cost
+#: model, runner-level default load or None).
+_FOLD_CASES = [
+    pytest.param(
+        QueueingModel(arrivals=PoissonArrivals(rate_rps=20_000.0, seed=5)),
+        CostModel(),
+        None,
+        id="ssd-vector",
+    ),
+    pytest.param(
+        QueueingModel(
+            arrivals=PoissonArrivals(rate_rps=250.0, seed=5),
+            device="hdd",
+            page_span=1_300,
+        ),
+        CostModel(device="hdd", page_span=1_300),
+        None,
+        id="hdd-seek",
+    ),
+    pytest.param(
+        QueueingModel(
+            arrivals=PoissonArrivals(rate_rps=40_000.0, seed=5), servers_per_shard=2
+        ),
+        CostModel(),
+        None,
+        id="multi-server",
+    ),
+    pytest.param(
+        QueueingModel(arrivals=BurstyArrivals.with_mean(20_000.0, seed=5)),
+        CostModel(),
+        1.2,
+        id="bursty-default",
+    ),
+]
+
+
+def _fold_specs() -> tuple[PolicySpec, ...]:
+    """Every registered unsharded policy plus two hash-routed clusters."""
+    config = CLICConfig(window_size=300, charge_metadata=False)
+    specs = [
+        PolicySpec(
+            label=name,
+            name=name,
+            capacity=80,
+            kwargs={"config": config} if name == "CLIC" else {},
+        )
+        for name in available_policies()
+        if name != "SHARDED"
+    ]
+    specs.append(
+        PolicySpec(
+            label="SHARDED[LRU,hash]x4",
+            name="SHARDED",
+            capacity=80,
+            kwargs={"policy": "LRU", "shards": 4, "router": "hash"},
+        )
+    )
+    specs.append(
+        PolicySpec(
+            label="SHARDED[CLIC,hash]x2",
+            name="SHARDED",
+            capacity=80,
+            kwargs={
+                "policy": "CLIC",
+                "shards": 2,
+                "router": "hash",
+                "policy_kwargs": {"config": config},
+            },
+        )
+    )
+    return tuple(specs)
+
+
+def _result_view(result) -> dict:
+    """Every accounting field of a result, as comparable plain values."""
+    return {
+        "stats": result.stats.as_dict(),
+        "per_client": {
+            client: stats.as_dict() for client, stats in result.per_client.items()
+        },
+        "per_shard": [stats.as_dict() for stats in result.per_shard],
+        "latency": result.latency.as_dict() if result.latency else None,
+        "shard_latency": [latency.as_dict() for latency in result.shard_latency],
+        "queueing": result.queueing.as_dict() if result.queueing else None,
+        # The raw dataclass also compares the histograms and integer totals.
+        "queueing_fields": result.queueing,
+        "rolling": result.rolling,
+    }
+
+
+class TestFoldedSweeps:
+    """A sweep replays each distinct spec once per stream and gives every
+    (cell, spec) slot the result of replaying that cell alone."""
+
+    @pytest.mark.parametrize("base, cost_model, default_load", _FOLD_CASES)
+    def test_folded_cells_equal_cells_replayed_alone(
+        self, rng, base, cost_model, default_load
+    ):
+        requests = _mixed_trace(rng, clients=("alpha", "beta"), n=1_500)
+        specs = _fold_specs()
+        default = base.scaled(default_load) if default_load is not None else None
+        cells = [
+            SweepCell(x=load, specs=specs, queueing=base.scaled(load))
+            for load in _FOLD_LOADS
+        ]
+        # Queueing off, or the runner's default (which the other cells
+        # override, and whose model the 1.2 cell shares in the bursty case).
+        cells.append(SweepCell(x=0.0, specs=specs))
+
+        def runner() -> ParallelSweepRunner:
+            return ParallelSweepRunner(
+                requests,
+                jobs=1,
+                cost_model=cost_model,
+                rolling_window=500,
+                queueing=default,
+            )
+
+        folded = runner().run(cells, parameter="offered_load")
+        for cell in cells:
+            alone = runner().run([cell], parameter="offered_load")
+            for spec in specs:
+                [point] = [p for p in folded.series[spec.label] if p.x == cell.x]
+                [expected] = alone.series[spec.label]
+                assert _result_view(point.result) == _result_view(expected.result), (
+                    spec.label,
+                    cell.x,
+                )
+        for spec in specs:
+            by_load = {point.x: point.result for point in folded.series[spec.label]}
+            # The loads really differ, and the fourth cell follows the runner.
+            assert by_load[0.5].queueing != by_load[2.0].queueing
+            if default is None:
+                assert by_load[0.0].queueing is None
+            else:
+                assert by_load[0.0].queueing == by_load[1.2].queueing
+
+    def test_each_spec_builds_once_and_every_slot_owns_its_result(self, rng):
+        requests = _mixed_trace(rng, clients=("alpha", "beta"), n=600)
+        specs = (
+            PolicySpec(label="LRU", factory=partial(_build_counted, "LRU", 40)),
+            PolicySpec(label="ARC", factory=partial(_build_counted, "ARC", 40)),
+        )
+        base = QueueingModel(arrivals=PoissonArrivals(rate_rps=20_000.0, seed=3))
+        cells = [
+            SweepCell(x=load, specs=specs, queueing=base.scaled(load))
+            for load in (0.5, 1.2, 2.0)
+        ]
+        _COUNTED_BUILDS.clear()
+        sweep = ParallelSweepRunner(requests, jobs=1, cost_model=CostModel()).run(
+            cells, parameter="offered_load"
+        )
+        assert sorted(_COUNTED_BUILDS) == ["ARC", "LRU"]
+        for spec in specs:
+            results = [point.result for point in sweep.series[spec.label]]
+            assert len(results) == 3
+            for name in ("stats", "per_client", "latency", "queueing"):
+                values = [getattr(result, name) for result in results]
+                assert len({id(value) for value in values}) == 3, (spec.label, name)
+            clients = [stats for result in results for stats in result.per_client.values()]
+            assert len({id(stats) for stats in clients}) == len(clients) == 6
+            assert len({id(result) for result in results}) == 3
+            # One replay, three loads: equal accounting, distinct queueing.
+            assert results[0].stats == results[1].stats == results[2].stats
+            assert results[0].queueing != results[2].queueing
 
 
 class TestPolicySpec:
