@@ -124,7 +124,8 @@ def main(argv=None) -> int:
         results = engine.run(requests)
         return results, time.perf_counter() - started
 
-    # --- Timing: paired rounds; the gate metric is the median paired ratio.
+    # --- Timing: paired rounds; the gate metric is the minimum paired ratio
+    # (the median is reported beside it).
     plain_best = queued_best = None
     plain_results = queued_results = None
     ratios = []

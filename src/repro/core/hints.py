@@ -14,8 +14,8 @@ making the client identifier part of every :class:`HintSet`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 
 __all__ = [
     "HintType",
@@ -84,7 +84,10 @@ class HintSchema:
             raise ValueError(f"duplicate hint type names in schema: {names}")
         self._client_id = client_id
         self._hint_types = tuple(hint_types)
+        self._names = tuple(names)
         self._index = {ht.name: i for i, ht in enumerate(self._hint_types)}
+        # One shared HintSet per distinct value tuple (see make_hint_set).
+        self._interned: dict[tuple, HintSet] = {}
 
     @property
     def client_id(self) -> str:
@@ -96,7 +99,7 @@ class HintSchema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(ht.name for ht in self._hint_types)
+        return self._names
 
     def __len__(self) -> int:
         return len(self._hint_types)
@@ -135,15 +138,20 @@ class HintSchema:
         ``values`` may be a mapping from hint-type name to value, or a
         sequence of values in schema order.  With ``validate=True`` each value
         is checked against its (closed) domain.
+
+        Equal values give the same (immutable) instance: a generated trace
+        repeats a few hundred distinct hint sets over every request, so the
+        schema builds each one once.
         """
+        names = self._names
         if isinstance(values, Mapping):
-            missing = [n for n in self.names if n not in values]
-            if missing:
-                raise ValueError(f"missing hint values for {missing}")
-            extra = [n for n in values if n not in self._index]
-            if extra:
+            if values.keys() != self._index.keys():
+                missing = [n for n in names if n not in values]
+                if missing:
+                    raise ValueError(f"missing hint values for {missing}")
+                extra = [n for n in values if n not in self._index]
                 raise ValueError(f"unknown hint types {extra}")
-            ordered = tuple(values[n] for n in self.names)
+            ordered = tuple([values[n] for n in names])
         else:
             ordered = tuple(values)
             if len(ordered) != len(self._hint_types):
@@ -153,7 +161,11 @@ class HintSchema:
         if validate:
             for ht, value in zip(self._hint_types, ordered):
                 ht.validate(value)
-        return HintSet(client_id=self._client_id, names=self.names, values=ordered)
+        hint_set = self._interned.get(ordered)
+        if hint_set is None:
+            hint_set = HintSet(client_id=self._client_id, names=names, values=ordered)
+            self._interned[ordered] = hint_set
+        return hint_set
 
     def describe(self) -> list[dict]:
         """Figure 2-style description: name, domain cardinality, description."""

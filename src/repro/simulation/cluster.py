@@ -306,7 +306,7 @@ class ShardedCache(CachePolicy):
         admitted = _np.zeros(n, _np.bool_)
         bypassed = _np.zeros(n, _np.bool_)
         counts = _np.zeros(n, _np.int64)
-        evicting: list[tuple[Any, AccessOutcomeBatch]] = []
+        evicting: list[tuple[Any, Any, AccessOutcomeBatch]] = []
         for s, shard in enumerate(self._shards):
             idx = _np.flatnonzero(shard_ids == s)
             if not idx.size:
@@ -315,23 +315,19 @@ class ShardedCache(CachePolicy):
             hit[idx] = batch.hit
             admitted[idx] = batch.admitted
             bypassed[idx] = batch.bypassed
-            counts[idx] = _np.diff(batch.evicted_offsets)
+            sub_counts = _np.diff(batch.evicted_offsets)
+            counts[idx] = sub_counts
             if batch.eviction_count:
-                evicting.append((idx, batch))
+                evicting.append((idx, sub_counts, batch))
         offsets = _np.zeros(n + 1, _np.int64)
         _np.cumsum(counts, out=offsets[1:])
         pages = _np.zeros(int(offsets[-1]), _np.int64)
-        for idx, batch in evicting:
-            sub_offsets = batch.evicted_offsets
-            sub_counts = _np.diff(sub_offsets)
-            for local in _np.flatnonzero(sub_counts).tolist():
-                request_i = int(idx[local])
-                start = int(offsets[request_i])
-                sub_start = int(sub_offsets[local])
-                span = int(sub_counts[local])
-                pages[start : start + span] = batch.evicted_pages[
-                    sub_start : sub_start + span
-                ]
+        for idx, sub_counts, batch in evicting:
+            # CSR scatter: the shard's evicted page j, of its local request
+            # r, lands at offsets[idx[r]] + (j - evicted_offsets[r]).
+            shift = offsets[idx] - batch.evicted_offsets[:-1]
+            dest = _np.repeat(shift, sub_counts) + _np.arange(batch.eviction_count)
+            pages[dest] = batch.evicted_pages
         return AccessOutcomeBatch(hit, admitted, bypassed, pages, offsets)
 
     def contains(self, page: int) -> bool:

@@ -83,19 +83,22 @@ class DBMSClient(abc.ABC):
         )
 
     # --------------------------------------------------------------- running
-    def process(self, op: LogicalOp) -> list[IORequest]:
-        """Run one logical operation through the buffer pool(s)."""
+    def pool_io(self, op: LogicalOp) -> list[PoolIO]:
+        """Run one logical operation through the buffer pool(s); return the
+        I/O it caused, before any request or hint set is built for it."""
         if isinstance(op, PageAccess):
             pool = self._pool_for(op.obj.pool_id)
-            ios = pool.access(
+            return pool.access(
                 op.obj, op.page_index, write=op.write, txn=op.txn, is_new_page=op.is_new_page
             )
-        elif isinstance(op, ScanAccess):
+        if isinstance(op, ScanAccess):
             pool = self._pool_for(op.obj.pool_id)
-            ios = pool.scan(op.obj, op.start_index, op.length, txn=op.txn)
-        else:
-            raise TypeError(f"unsupported logical operation: {op!r}")
-        return [self._to_request(io) for io in ios]
+            return pool.scan(op.obj, op.start_index, op.length, txn=op.txn)
+        raise TypeError(f"unsupported logical operation: {op!r}")
+
+    def process(self, op: LogicalOp) -> list[IORequest]:
+        """Run one logical operation through the buffer pool(s)."""
+        return [self._to_request(io) for io in self.pool_io(op)]
 
     def iter_requests(
         self, operations: Iterable[LogicalOp], target_requests: int | None = None

@@ -10,6 +10,7 @@ TPC-C tables grow during a run, as the paper notes under Figure 5).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 __all__ = ["ObjectType", "DatabaseObject", "SyntheticDatabase"]
@@ -46,11 +47,26 @@ class DatabaseObject:
     file_id: int
     buffer_priority: int = 1
     #: Page extents as (start_page, count) pairs, in allocation order.
+    #: Append through :meth:`add_extent`, which keeps the index below.
     extents: list[tuple[int, int]] = field(default_factory=list)
+    #: Logical index of each extent's first page (prefix sums of the counts).
+    _firsts: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _page_count: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        extents, self.extents = self.extents, []
+        for start, count in extents:
+            self.add_extent(start, count)
+
+    def add_extent(self, start: int, count: int) -> None:
+        """Append the extent of *count* pages starting at page *start*."""
+        self.extents.append((start, count))
+        self._firsts.append(self._page_count)
+        self._page_count += count
 
     @property
     def page_count(self) -> int:
-        return sum(count for _, count in self.extents)
+        return self._page_count
 
     @property
     def object_type_name(self) -> str:
@@ -60,12 +76,12 @@ class DatabaseObject:
         """Absolute page id of the object's *index*-th page (0-based)."""
         if index < 0:
             raise IndexError(f"negative page index {index}")
-        remaining = index
-        for start, count in self.extents:
-            if remaining < count:
-                return start + remaining
-            remaining -= count
-        raise IndexError(f"{self.name}: page index {index} out of range ({self.page_count} pages)")
+        if index >= self._page_count:
+            raise IndexError(
+                f"{self.name}: page index {index} out of range ({self._page_count} pages)"
+            )
+        i = bisect_right(self._firsts, index) - 1
+        return self.extents[i][0] + index - self._firsts[i]
 
     def pages(self) -> list[int]:
         """All absolute page ids of the object, in logical order."""
@@ -123,7 +139,7 @@ class SyntheticDatabase:
         if file_id is None:
             self._next_file_id += 1
         if pages:
-            obj.extents.append((self._next_page, pages))
+            obj.add_extent(self._next_page, pages)
             self._next_page += pages
         self._objects[name] = obj
         return obj
@@ -134,7 +150,7 @@ class SyntheticDatabase:
             raise ValueError("pages must be positive")
         if obj.name not in self._objects:
             raise KeyError(f"object {obj.name!r} does not belong to this database")
-        obj.extents.append((self._next_page, pages))
+        obj.add_extent(self._next_page, pages)
         self._next_page += pages
 
     # ------------------------------------------------------------ inspection

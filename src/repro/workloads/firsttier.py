@@ -62,11 +62,10 @@ class PoolIO:
 
 
 class _Frame:
-    __slots__ = ("obj", "dirty", "scan_only")
+    __slots__ = ("obj", "scan_only")
 
-    def __init__(self, obj: DatabaseObject, dirty: bool, scan_only: bool):
+    def __init__(self, obj: DatabaseObject, scan_only: bool):
         self.obj = obj
-        self.dirty = dirty
         self.scan_only = scan_only
 
 
@@ -131,6 +130,10 @@ class FirstTierBufferPool:
         self._scan_threshold = scan_threshold_fraction
         # LRU order: cold (least recently used) first.
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
+        # The dirty pages and their objects, in the same cold-to-hot order as
+        # ``_frames``: the one record of which pages are dirty, so the
+        # cleaner and the checkpoint take its ends instead of scanning frames.
+        self._dirty: OrderedDict[int, DatabaseObject] = OrderedDict()
         self._accesses = 0
         self.logical_hits = 0
         self.logical_misses = 0
@@ -152,7 +155,7 @@ class FirstTierBufferPool:
         return self.logical_hits / total if total else 0.0
 
     def dirty_pages(self) -> int:
-        return sum(1 for frame in self._frames.values() if frame.dirty)
+        return len(self._dirty)
 
     # ------------------------------------------------------- background work
     def _maybe_background_io(self, ios: list[PoolIO], txn: int) -> None:
@@ -164,47 +167,37 @@ class FirstTierBufferPool:
 
     def _run_cleaner(self, ios: list[PoolIO], txn: int) -> None:
         """Asynchronously flush cold dirty pages (replacement writes)."""
-        flushed = 0
-        for page, frame in self._frames.items():          # cold end first
-            if flushed >= self._cleaner_batch:
-                break
-            if frame.dirty:
-                frame.dirty = False
-                ios.append(
-                    PoolIO(page=page, io_class=IOClass.REPLACEMENT_WRITE, obj=frame.obj, txn=txn)
-                )
-                flushed += 1
+        dirty = self._dirty
+        for _ in range(min(self._cleaner_batch, len(dirty))):
+            page, obj = dirty.popitem(last=False)          # cold end first
+            ios.append(PoolIO(page=page, io_class=IOClass.REPLACEMENT_WRITE, obj=obj, txn=txn))
 
     def _run_checkpoint(self, ios: list[PoolIO], txn: int) -> None:
         """Persist hot dirty pages for recoverability (recovery writes)."""
-        flushed = 0
-        # Walk from the hot end: checkpoints target pages that stay cached.
-        for page in reversed(list(self._frames.keys())):
-            if flushed >= self._checkpoint_batch:
-                break
-            frame = self._frames[page]
-            if frame.dirty:
-                frame.dirty = False
-                ios.append(
-                    PoolIO(page=page, io_class=IOClass.RECOVERY_WRITE, obj=frame.obj, txn=txn)
-                )
-                flushed += 1
+        dirty = self._dirty
+        # Take from the hot end: checkpoints target pages that stay cached.
+        for _ in range(min(self._checkpoint_batch, len(dirty))):
+            page, obj = dirty.popitem()
+            ios.append(PoolIO(page=page, io_class=IOClass.RECOVERY_WRITE, obj=obj, txn=txn))
 
     # --------------------------------------------------------------- access
     def _evict_one(self, ios: list[PoolIO], txn: int) -> None:
         """Evict the coldest page; flush it synchronously if still dirty."""
         page, frame = self._frames.popitem(last=False)
-        if frame.dirty:
+        if self._dirty.pop(page, None) is not None:
             ios.append(
                 PoolIO(page=page, io_class=IOClass.SYNCHRONOUS_WRITE, obj=frame.obj, txn=txn)
             )
 
     def _insert(self, page: int, obj: DatabaseObject, dirty: bool, scan_only: bool) -> None:
-        frame = _Frame(obj=obj, dirty=dirty, scan_only=scan_only)
-        self._frames[page] = frame
+        self._frames[page] = _Frame(obj=obj, scan_only=scan_only)
+        if dirty:
+            self._dirty[page] = obj
         if scan_only and self._scan_resistant and len(self._frames) > 1:
             # Place scanned pages at the cold end so they are evicted first.
             self._frames.move_to_end(page, last=False)
+            if dirty:
+                self._dirty.move_to_end(page, last=False)
 
     def access(
         self,
@@ -223,9 +216,12 @@ class FirstTierBufferPool:
         frame = self._frames.get(page)
         if frame is not None:
             self.logical_hits += 1
-            frame.dirty = frame.dirty or write
             frame.scan_only = False
             self._frames.move_to_end(page)
+            if page in self._dirty:
+                self._dirty.move_to_end(page)
+            elif write:
+                self._dirty[page] = frame.obj
             return ios
 
         self.logical_misses += 1
@@ -262,11 +258,11 @@ class FirstTierBufferPool:
             frame = self._frames.get(page)
             if frame is not None:
                 self.logical_hits += 1
-                if large_object and frame.scan_only:
-                    # Scanned-only pages stay at the cold end even when re-scanned.
-                    self._frames.move_to_end(page, last=False)
-                else:
-                    self._frames.move_to_end(page)
+                # Scanned-only pages stay at the cold end even when re-scanned.
+                hot = not (large_object and frame.scan_only)
+                self._frames.move_to_end(page, last=hot)
+                if page in self._dirty:
+                    self._dirty.move_to_end(page, last=hot)
                 continue
             self.logical_misses += 1
             if len(self._frames) >= self._capacity:
@@ -277,11 +273,9 @@ class FirstTierBufferPool:
 
     def flush_all(self, txn: int = 0) -> list[PoolIO]:
         """Flush every dirty page (used at end-of-trace / shutdown checkpoints)."""
-        ios: list[PoolIO] = []
-        for page, frame in self._frames.items():
-            if frame.dirty:
-                frame.dirty = False
-                ios.append(
-                    PoolIO(page=page, io_class=IOClass.RECOVERY_WRITE, obj=frame.obj, txn=txn)
-                )
+        ios = [
+            PoolIO(page=page, io_class=IOClass.RECOVERY_WRITE, obj=obj, txn=txn)
+            for page, obj in self._dirty.items()
+        ]
+        self._dirty.clear()
         return ios

@@ -184,8 +184,10 @@ def _warm_up(client, workload, config: StandardTraceConfig) -> dict:
         return {}
     transactions = 0
     while workload.database.total_pages < target and transactions < _MAX_WARMUP_TRANSACTIONS:
+        # Only the buffer pools' state carries over into the trace, so the
+        # discarded I/O is never turned into requests.
         for op in workload.next_transaction():
-            client.process(op)
+            client.pool_io(op)
         transactions += 1
     reached = workload.database.total_pages
     if reached < target:

@@ -102,6 +102,25 @@ class TestHintSchema:
         with pytest.raises(ValueError):
             schema.make_hint_set([9, 0, "read"], validate=True)
 
+    def test_equal_values_share_one_interned_hint_set(self):
+        schema = db2_like_schema()
+        from_mapping = schema.make_hint_set(
+            {"request_type": "read", "pool_id": 1, "object_id": 3}
+        )
+        from_sequence = schema.make_hint_set((1, 3, "read"))
+        assert from_sequence is from_mapping
+        assert schema.make_hint_set([1, 3, "read"], validate=True) is from_mapping
+        assert from_mapping == HintSet("db2-1", schema.names, (1, 3, "read"))
+        assert schema.make_hint_set([1, 4, "read"]) is not from_mapping
+
+    def test_schemas_of_different_clients_never_share_an_instance(self):
+        types = list(db2_like_schema().hint_types)
+        a = HintSchema("client-a", types).make_hint_set([0, 0, "read"])
+        b = HintSchema("client-b", types).make_hint_set([0, 0, "read"])
+        assert a is not b
+        assert a != b
+        assert (a.client_id, b.client_id) == ("client-a", "client-b")
+
     def test_describe_matches_figure2_shape(self):
         rows = db2_like_schema().describe()
         assert [row["hint_type"] for row in rows] == ["pool_id", "object_id", "request_type"]

@@ -32,9 +32,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Small enough that the whole registry replays in seconds, large enough
 #: that every experiment produces non-degenerate rows.  ``target_requests``
 #: and ``seed`` deliberately match the experiment end-to-end tests' TINY
-#: settings, so one pytest session generates each standard trace once (the
-#: DB2_C540 warm-up alone costs ~a minute) and every consumer shares it via
-#: the session trace cache.  Changing anything here invalidates every
+#: settings, so one pytest session generates each standard trace once
+#: (DB2_C540, the slowest, takes ~5 s) and every consumer shares it via the
+#: session trace cache.  Changing anything here invalidates every
 #: fixture — regenerate and review the diff.
 GOLDEN_SETTINGS = ExperimentSettings(
     target_requests=4_000,

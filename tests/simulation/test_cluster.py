@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import registry
-from repro.cache.base import CachePolicy, CacheStats
+from repro.cache.base import AccessOutcome, CachePolicy, CacheStats
 from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.hints import make_hint_set
@@ -207,6 +207,34 @@ class TestShardedCacheBasics:
         assert batch.outcomes() == [
             scalar.access(request, seq) for seq, request in enumerate(requests)
         ]
+
+    def test_multi_page_evictions_scatter_to_their_request(self, rng, monkeypatch):
+        """A shard policy that evicts two pages on one access: the cluster
+        batch puts both, in order, in that request's slot, as the scalar
+        replay reports them."""
+
+        class PairEvictingLRU(LRUPolicy):
+            def access(self, request, seq):
+                pages = self._pages
+                if request.page in pages or len(pages) < self.capacity:
+                    return super().access(request, seq)
+                victims = tuple(pages.popitem(last=False)[0] for _ in range(min(2, len(pages))))
+                pages[request.page] = None
+                return AccessOutcome(False, admitted=True, evicted=victims)
+
+            batch_access = CachePolicy.batch_access
+
+        monkeypatch.setitem(registry._REGISTRY, "PAIR-EVICTING-LRU", PairEvictingLRU)
+        requests = _trace(rng, n=1500, pages=300)
+        batched = ShardedCache(capacity=60, policy="PAIR-EVICTING-LRU", shards=3)
+        scalar = ShardedCache(capacity=60, policy="PAIR-EVICTING-LRU", shards=3)
+        outcomes = []
+        for start in range(0, len(requests), 400):
+            chunk = ColumnarChunk.from_requests(requests[start : start + 400], start_seq=start)
+            outcomes.extend(batched.batch_access(chunk).outcomes())
+        expected = [scalar.access(request, seq) for seq, request in enumerate(requests)]
+        assert any(len(outcome.evicted) == 2 for outcome in expected)
+        assert outcomes == expected
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

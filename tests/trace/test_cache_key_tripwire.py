@@ -12,7 +12,7 @@ beside it.
 The traces are the ones the golden fixtures replay: every standard trace,
 and the phased plan, at ``GOLDEN_SETTINGS``.  In a full session they come
 from the session trace cache the goldens fill; run alone, this module
-generates them (about two minutes).
+generates them (about 6 s on a 2-vCPU box).
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.access import AppendCursor, HotSpotSampler, PageAccess
 from repro.workloads.dbmodel import DatabaseObject, ObjectType, SyntheticDatabase
@@ -63,6 +65,39 @@ class TestSyntheticDatabase:
             a.page(2)
         with pytest.raises(IndexError):
             a.page(-1)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 6)), min_size=1, max_size=40
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_lookup_matches_a_walk_of_the_extents(self, steps):
+        """``page_count`` and ``page(i)`` read an index that only the extent
+        append keeps; after any mix of creations and growth they equal a sum
+        and a linear walk of ``extents``."""
+        db = SyntheticDatabase()
+        objects = []
+        for target, pages in steps:
+            if target >= len(objects):
+                objects.append(db.add_object(f"O{len(objects)}", pages=pages))
+            elif pages:
+                db.grow(objects[target], pages)
+        for obj in objects:
+            walked = [start + k for start, count in obj.extents for k in range(count)]
+            assert obj.page_count == sum(count for _, count in obj.extents)
+            assert [obj.page(i) for i in range(obj.page_count)] == walked
+            for index in (-1, obj.page_count):
+                with pytest.raises(IndexError):
+                    obj.page(index)
+
+    def test_direct_construction_indexes_its_extents(self):
+        obj = DatabaseObject(
+            "A", object_id=0, object_type_id=ObjectType.TABLE, pool_id=0, file_id=0,
+            extents=[(10, 2), (40, 0), (20, 3)],
+        )
+        assert obj.page_count == 5
+        assert [obj.page(i) for i in range(5)] == [10, 11, 20, 21, 22] == obj.pages()
 
     def test_pool_queries(self):
         db = SyntheticDatabase()
