@@ -145,7 +145,7 @@ def seed_serial_sweep(requests, cache_sizes, policies):
         for capacity in cache_sizes:
             policy = create_policy(name, capacity=capacity)
             if policy.offline:
-                policy.prepare(requests, 0)
+                policy.prepare(requests)
             stats = CacheStats()
             record = stats.record_outcome
             access = policy.access
@@ -202,7 +202,7 @@ def object_replay_sweep(spec, cache_sizes, policies):
     ]
     offline = [policy for _, _, policy in cells if policy.offline]
     if offline:
-        index = OPTPolicy.build_read_index(spec, 0)
+        index = OPTPolicy.build_read_index(spec)
         for policy in offline:
             policy.adopt_read_index(index)
     stats = [CacheStats() for _ in cells]

@@ -338,18 +338,6 @@ class CacheStats:
         if outcome.evicted:
             self.evictions += len(outcome.evicted)
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Return a new :class:`CacheStats` aggregating *self* and *other*."""
-        return CacheStats(
-            read_requests=self.read_requests + other.read_requests,
-            read_hits=self.read_hits + other.read_hits,
-            write_requests=self.write_requests + other.write_requests,
-            write_hits=self.write_hits + other.write_hits,
-            evictions=self.evictions + other.evictions,
-            admissions=self.admissions + other.admissions,
-            bypasses=self.bypasses + other.bypasses,
-        )
-
     def as_dict(self) -> dict:
         return {
             "read_requests": self.read_requests,
@@ -412,17 +400,15 @@ class CachePolicy(abc.ABC):
         """Cache capacity in pages."""
         return self._capacity
 
-    def prepare(self, requests: Any, start_seq: int = 0) -> None:
+    def prepare(self, requests: Any) -> None:
         """Give offline policies (OPT) the full request stream in advance.
 
         Online policies ignore this.  The simulator calls it once before the
         first :meth:`access` when the policy declares ``offline = True``.
         *requests* is any request source the engine replays: a request
         sequence or a lazy source (``iter_requests()``, and possibly
-        ``iter_columnar()``).  ``start_seq`` is the sequence number the
-        simulator will assign to the first request; offline policies must
-        index future positions in the same numbering that :meth:`access`
-        will see.
+        ``iter_columnar()``).  The replay numbers the stream's requests
+        from 0, so position *i* of the stream is sequence number *i*.
         """
 
     @abc.abstractmethod

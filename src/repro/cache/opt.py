@@ -73,20 +73,19 @@ class ReadIndex(NamedTuple):
     """The future-read index of one request stream, as one int64 column.
 
     ``next_read[i]`` is the sequence number of the first read of request
-    *i*'s page strictly after request *i* (:data:`NEVER` if there is none);
-    ``start`` is the sequence number of request 0.  Lookups go by sequence
-    number, so a gathered sub-chunk (one shard's requests, carrying
-    non-contiguous global seqs) indexes the column directly.  The index
-    depends only on the stream, never on the cache capacity, so one index
-    serves every OPT instance replaying that stream.
+    *i*'s page strictly after request *i* (:data:`NEVER` if there is none).
+    Request *i* is sequence number *i*, and lookups go by sequence number,
+    so a gathered sub-chunk (one shard's requests, carrying non-contiguous
+    global seqs) indexes the column directly.  The index depends only on
+    the stream, never on the cache capacity, so one index serves every OPT
+    instance replaying that stream.
     """
 
-    start: int
     next_read: Any
 
     @classmethod
-    def build(cls, requests: Any, start: int = 0, router: Any = None) -> "ReadIndex":
-        """Index a request stream, numbering its requests from *start*.
+    def build(cls, requests: Any, router: Any = None) -> "ReadIndex":
+        """Index a request stream, numbering its requests from 0.
 
         Columnar sources (anything with ``iter_columnar()``) are indexed
         from their page/write columns without building a request object;
@@ -119,18 +118,18 @@ class ReadIndex(NamedTuple):
             writes.append(_np.array(write_list, _np.bool_))
             shards.append(_np.array(shard_list, _np.int64))
         if not pages:
-            return cls(start, _np.zeros(0, _np.int64))
+            return cls(_np.zeros(0, _np.int64))
         page = _np.concatenate(pages)
         write = _np.concatenate(writes)
-        pos = _np.arange(start, start + len(page), dtype=_np.int64)
+        pos = _np.arange(len(page), dtype=_np.int64)
         if router is None:
-            return cls(start, _next_reads(page, write, pos))
+            return cls(_next_reads(page, write, pos))
         shard = _np.concatenate(shards)
         column = _np.empty(len(page), _np.int64)
         for s in _np.unique(shard).tolist():
             idx = _np.flatnonzero(shard == s)
             column[idx] = _next_reads(page[idx], write[idx], pos[idx])
-        return cls(start, column)
+        return cls(column)
 
 
 class OPTPolicy(CachePolicy):
@@ -152,21 +151,21 @@ class OPTPolicy(CachePolicy):
 
     # --------------------------------------------------------------- set-up
     @staticmethod
-    def build_read_index(requests: Any, start_seq: int = 0) -> ReadIndex:
+    def build_read_index(requests: Any) -> ReadIndex:
         """Build the next-read index of a request stream.
 
         *requests* is any request source: a columnar source is indexed from
         its page/write columns, anything else request by request.  Positions
-        are numbered from ``start_seq``, matching the sequence numbers the
-        simulator assigns during replay.  The index depends only on the
+        are numbered from 0, matching the sequence numbers the simulator
+        assigns during replay.  The index depends only on the
         stream (not on the cache capacity), so one index can be shared by
         many :class:`OPTPolicy` instances via :meth:`adopt_read_index`.
         """
-        return ReadIndex.build(requests, start_seq)
+        return ReadIndex.build(requests)
 
-    def prepare(self, requests: Any, start_seq: int = 0) -> None:
+    def prepare(self, requests: Any) -> None:
         """Index the future reads of the stream this policy will replay."""
-        self.adopt_read_index(self.build_read_index(requests, start_seq))
+        self.adopt_read_index(self.build_read_index(requests))
 
     def adopt_read_index(self, index: ReadIndex) -> None:
         """Adopt a pre-built future-read index (treated as read-only).
@@ -183,11 +182,7 @@ class OPTPolicy(CachePolicy):
 
     # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        index = self._prepared_index()
-        pos = seq - index.start
-        if pos < 0:
-            raise IndexError(f"seq {seq} precedes the indexed stream (start {index.start})")
-        next_read = index.next_read.item(pos)
+        next_read = self._prepared_index().next_read.item(seq)
         page = request.page
         cached = self._cached
         if page in cached:
@@ -228,13 +223,7 @@ class OPTPolicy(CachePolicy):
         # over the page column and the chunk's slice of the next-read
         # column (gathered by seq, so per-shard sub-chunks work unchanged).
         # Heap pushes share access()'s compaction rule.
-        index = self._prepared_index()
-        pos = chunk.seq - index.start
-        if len(pos) and pos[0] < 0:
-            raise IndexError(
-                f"seq {chunk.seq_base} precedes the indexed stream (start {index.start})"
-            )
-        next_reads = index.next_read[pos].tolist()
+        next_reads = self._prepared_index().next_read[chunk.seq].tolist()
         pages = chunk.page.tolist()
 
         cached = self._cached

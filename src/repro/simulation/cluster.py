@@ -128,6 +128,21 @@ def _mix_page(page: int) -> int:
     return page ^ (page >> 33)
 
 
+def _mix_pages(page: Any) -> Any:
+    """:func:`_mix_page` over a page column, as a new ``uint64`` column.
+
+    The wrapping uint64 pipeline is exact — identical to the scalar mix —
+    so vector and scalar routing always agree.
+    """
+    pages = page.astype(_np.uint64)
+    pages ^= pages >> _np.uint64(33)
+    pages *= _np.uint64(0xFF51AFD7ED558CCD)
+    pages ^= pages >> _np.uint64(33)
+    pages *= _np.uint64(0xC4CEB9FE1A85EC53)
+    pages ^= pages >> _np.uint64(33)
+    return pages
+
+
 class HashRouter(ShardRouter):
     """Uniform page-hash routing: shard = mix(page) mod S."""
 
@@ -138,15 +153,7 @@ class HashRouter(ShardRouter):
         return _mix_page(request.page) % self.shards
 
     def route_batch(self, chunk: "ColumnarChunk") -> Any:
-        # The wrapping uint64 pipeline is exact — identical to the scalar
-        # _mix_page — so vector and scalar routing always agree.
-        pages = chunk.page.astype(_np.uint64)
-        pages ^= pages >> _np.uint64(33)
-        pages *= _np.uint64(0xFF51AFD7ED558CCD)
-        pages ^= pages >> _np.uint64(33)
-        pages *= _np.uint64(0xC4CEB9FE1A85EC53)
-        pages ^= pages >> _np.uint64(33)
-        return (pages % _np.uint64(self.shards)).astype(_np.int64)
+        return (_mix_pages(chunk.page) % _np.uint64(self.shards)).astype(_np.int64)
 
 
 class ClientAffinityRouter(ShardRouter):
@@ -216,6 +223,21 @@ def make_router(router: str | ShardRouter, shards: int) -> ShardRouter:
     if router == "client":
         return ClientAffinityRouter(shards)
     raise ValueError(f"unknown router {router!r}; available: {ROUTER_NAMES}")
+
+
+def is_cluster(policy: object) -> bool:
+    """Whether *policy* exposes the sharded-cluster surface: a ``router``
+    that can ``route`` and a ``shard_count`` of at least 1.
+
+    Duck-typed, so any policy exposing it (not only :class:`ShardedCache`)
+    gets per-shard accounting, per-shard seek heads and per-shard queues.
+    """
+    router = getattr(policy, "router", None)
+    return (
+        router is not None
+        and hasattr(router, "route")
+        and getattr(policy, "shard_count", 0) >= 1
+    )
 
 
 class ShardedCache(CachePolicy):
@@ -361,7 +383,7 @@ class ShardedCache(CachePolicy):
         self._router = copy.deepcopy(state["router"])
 
     # ------------------------------------------------------- offline support
-    def prepare(self, requests: Any, start_seq: int = 0) -> None:
+    def prepare(self, requests: Any) -> None:
         """Index the stream for the offline shards (global sequence numbering).
 
         All shards share **one** next-read column, built in a single pass.
@@ -372,11 +394,11 @@ class ShardedCache(CachePolicy):
         then routes the stream itself and indexes each shard's sub-stream.
         """
         if self._router.page_keyed:
-            index = self.build_read_index(requests, start_seq)
+            index = self.build_read_index(requests)
         else:
             # Route a copy, so the live router keeps the state the replay
             # starts from.
-            index = ReadIndex.build(requests, start_seq, copy.deepcopy(self._router))
+            index = ReadIndex.build(requests, copy.deepcopy(self._router))
         self.adopt_read_index(index)
 
     #: The global future-read index builder.  Deliberately the *same

@@ -27,8 +27,8 @@ The pricing rules (per request):
 
 Read latencies additionally feed a fixed-bucket geometric histogram, from
 which :class:`LatencyStats` reports p50/p99 without storing per-request
-samples; histograms merge by bucket-wise addition, so per-shard and
-per-worker results compose deterministically.
+samples; histograms merge by bucket-wise addition, so per-shard results
+compose deterministically.
 
 Everything here is pure arithmetic over the request stream — no clocks, no
 randomness — so cost-model results are bit-identical across processes and
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.cache.base import CacheStats
+from repro.simulation.cluster import is_cluster
 from repro.simulation.request import RequestKind
 
 if TYPE_CHECKING:  # imported for type annotations only
@@ -93,8 +94,8 @@ class LatencyStats:
     ``read_histogram`` holds per-bucket read-latency counts over the shared
     geometric bucketisation (:data:`HISTOGRAM_BUCKET_BOUNDS_US`); the
     percentile accessors resolve quantiles against it.  All fields are plain
-    sums/counts, so :meth:`merge` composes shard- or worker-level stats into
-    exactly the stats a single pass would have produced.
+    sums/counts, so :meth:`merge` adds per-shard stats into the fleet's
+    stats exactly.
     """
 
     read_count: int = 0
@@ -387,25 +388,18 @@ class CostModel:
 
         A sharded cluster on a seek device is a fleet of independently
         positioned devices; pricing its stream through one accumulator
-        would walk a single head across all shards.  Policies exposing a
-        ``router`` and ``shard_count`` (:class:`~repro.simulation.cluster
-        .ShardedCache`) therefore get one sub-accumulator (head) per shard,
-        with requests routed exactly as the cluster routes them.  Position-
-        independent devices keep the plain accumulator — per-shard pricing
-        is then derived analytically from the per-shard counts, which is
-        exact.
+        would walk a single head across all shards.  Clusters
+        (:func:`~repro.simulation.cluster.is_cluster`) therefore get one
+        sub-accumulator (head) per shard, with requests routed exactly as
+        the cluster routes them.  Position-independent devices keep the
+        plain accumulator — per-shard pricing is then derived analytically
+        from the per-shard counts, which is exact.
         """
-        router = getattr(policy, "router", None)
-        if (
-            self.profile.position_dependent
-            and router is not None
-            and hasattr(router, "route")
-            and getattr(policy, "shard_count", 0) >= 1
-        ):
+        if self.profile.position_dependent and is_cluster(policy):
             # Also for shards=1: the single sub-accumulator prices exactly
             # like the wrapped policy, preserving the cluster layer's
             # shards=1 bit-identity on every reporting surface.
-            return ShardedCostAccumulator(self, router, policy.shard_count)
+            return ShardedCostAccumulator(self, policy.router, policy.shard_count)
         return CostAccumulator(self)
 
     # ------------------------------------------------------------- derivation

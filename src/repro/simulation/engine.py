@@ -134,24 +134,25 @@ def _iter_request_chunks(source: RequestSource, chunk_size: int) -> Iterator[lis
 
 
 def _iter_columnar_chunks(
-    source: RequestSource, chunk_size: int, start_seq: int
+    source: RequestSource, chunk_size: int
 ) -> Iterator[ColumnarChunk]:
-    """Yield *source* as columnar chunks.
+    """Yield *source* as columnar chunks numbered from sequence number 0.
 
     Sources exposing ``iter_columnar()`` (:class:`StreamedTrace`,
     :class:`~repro.trace.cache.TraceSpec`,
     :class:`~repro.trace.columnar.ColumnarSource`) decode straight into
-    arrays; anything else is cut into request lists and each list is lifted
-    with :meth:`ColumnarChunk.from_requests`.
+    arrays and number their chunks themselves; anything else is cut into
+    request lists and each list is lifted with
+    :meth:`ColumnarChunk.from_requests`.
     """
     if hasattr(source, "iter_columnar"):
         yield from source.iter_columnar()
         return
-    yield from columnar_chunks(_iter_request_chunks(source, chunk_size), start_seq)
+    yield from columnar_chunks(_iter_request_chunks(source, chunk_size))
 
 
 def _split_at_windows(
-    chunks: Iterator[ColumnarChunk], window: int, start_seq: int
+    chunks: Iterator[ColumnarChunk], window: int
 ) -> Iterator[ColumnarChunk]:
     """Re-chunk a stream so no chunk crosses a window boundary.
 
@@ -160,7 +161,7 @@ def _split_at_windows(
     replay loop sees every ``seq % window == 0`` crossing between chunks,
     where rolling snapshots are taken.  Slices are array views.
     """
-    seq = start_seq
+    seq = 0
     for chunk in chunks:
         offset, length = 0, len(chunk)
         while offset < length:
@@ -191,10 +192,10 @@ class _QueueingTap:
         #: The observers built so far, in policy order.
         self.observers: list[QueueingObserver] = []
 
-    def __call__(self, policy: CachePolicy, start_seq: int) -> QueueingObserver:
+    def __call__(self, policy: CachePolicy) -> QueueingObserver:
         if self._tape is None:
-            self._tape = self._model.tape(start_seq)
-        observer = self._model.observer_for(policy, start_seq, tape=self._tape)
+            self._tape = self._model.tape()
+        observer = self._model.observer_for(policy, tape=self._tape)
         self.observers.append(observer)
         return observer
 
@@ -215,24 +216,20 @@ class MultiPolicySimulator:
     cluster; a :class:`CostObserver` when ``cost_model`` prices the replay;
     a :class:`RollingObserver` when ``rolling_window`` opts into windowed
     time series.  ``observer_factories`` attaches arbitrary extra observers:
-    each factory is called ``factory(policy, start_seq)`` once per policy
-    per run, in policy order, and the caller keeps its own references to
-    the instances it built (the engine only drives them).
+    each factory is called ``factory(policy)`` once per policy per run, in
+    policy order, and the caller keeps its own references to the instances
+    it built (the engine only drives them).
     """
 
     def __init__(
         self,
         policies: Sequence[CachePolicy],
-        track_per_client: bool = True,
         cost_model: CostModel | None = None,
         rolling_window: int | None = None,
         queueing_model: QueueingModel | None = None,
-        observer_factories: Sequence[
-            Callable[[CachePolicy, int], ReplayObserver]
-        ] = (),
+        observer_factories: Sequence[Callable[[CachePolicy], ReplayObserver]] = (),
     ):
         self._policies = list(policies)
-        self._track_per_client = track_per_client
         self._cost_model = cost_model
         self._rolling_window = validate_rolling_window(rolling_window)
         #: Optional open-loop queueing accounting
@@ -251,11 +248,7 @@ class MultiPolicySimulator:
     #: instead of being evicted N-1 times per request by the other policies.
     CHUNK_SIZE = 4096
 
-    def run(
-        self,
-        requests: Iterable[IORequest],
-        start_seq: int = 0,
-    ) -> list[SimulationResult]:
+    def run(self, requests: Iterable[IORequest]) -> list[SimulationResult]:
         """Replay *requests* once through every policy.
 
         The policies never interact, so the engine is free to reorder work
@@ -269,18 +262,18 @@ class MultiPolicySimulator:
         protocol, see the module docstring).  A lazy source is replayed with
         bounded memory — at most one chunk of requests is alive at a time —
         and produces results bit-identical to replaying the materialized
-        list.
+        list.  The stream's requests are sequence numbers 0, 1, 2, ...: every
+        source numbers its chunks that way.
         """
         policies = self._policies
         if not policies:
             return []
         source = _as_request_source(requests)
         if any(policy.offline for policy in policies):
-            self._prepare_offline(source, start_seq)
+            self._prepare_offline(source)
 
         n = len(policies)
         batch_accessors = [policy.batch_access for policy in policies]
-        track = self._track_per_client
         cost_model = self._cost_model
         rolling = self._rolling_window
 
@@ -313,12 +306,12 @@ class MultiPolicySimulator:
             cost_obs.append(cost)
             if cost is not None:
                 pipeline.append(cost)
-            roll = RollingObserver(rolling, start_seq) if rolling else None
+            roll = RollingObserver(rolling) if rolling else None
             rolling_obs.append(roll)
             if roll is not None:
                 pipeline.append(roll)
             for factory in factories:
-                pipeline.append(factory(policy, start_seq))
+                pipeline.append(factory(policy))
             pipelines.append(pipeline)
         queueing_obs: list = queueing.observers if queueing is not None else [None] * n
 
@@ -337,29 +330,24 @@ class MultiPolicySimulator:
         # so they are counted once per chunk and shared by all N per-client
         # results; each policy's hits are masked popcounts of its hit column.
         per_client: dict[str, list] = {}
-        seq_base = start_seq
+        seq_end = 0
         started = time.perf_counter()  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
-        chunks = _iter_columnar_chunks(source, self.CHUNK_SIZE, start_seq)
+        chunks = _iter_columnar_chunks(source, self.CHUNK_SIZE)
         if boundary:
-            chunks = _split_at_windows(chunks, boundary, start_seq)
+            chunks = _split_at_windows(chunks, boundary)
         for chunk in chunks:
-            if chunk.seq_base != seq_base:
-                # Sources number chunks from their own origin (0 for a
-                # decoded trace); the engine's numbering wins.
-                chunk = chunk.rebase(seq_base)
             client_rows: list[tuple[list, object, object]] = []
-            if track:
-                write = chunk.write
-                for client_id, mask in chunk.present_clients():
-                    row = per_client.get(client_id)
-                    if row is None:
-                        row = [0, 0, [0] * n, [0] * n]
-                        per_client[client_id] = row
-                    read_mask = mask & ~write
-                    write_mask = mask & write
-                    row[0] += int(_np.count_nonzero(read_mask))
-                    row[1] += int(_np.count_nonzero(write_mask))
-                    client_rows.append((row, read_mask, write_mask))
+            write = chunk.write
+            for client_id, mask in chunk.present_clients():
+                row = per_client.get(client_id)
+                if row is None:
+                    row = [0, 0, [0] * n, [0] * n]
+                    per_client[client_id] = row
+                read_mask = mask & ~write
+                write_mask = mask & write
+                row[0] += int(_np.count_nonzero(read_mask))
+                row[1] += int(_np.count_nonzero(write_mask))
+                client_rows.append((row, read_mask, write_mask))
             for j in range(n):
                 batch = batch_accessors[j](chunk)
                 hit = batch.hit
@@ -368,10 +356,10 @@ class MultiPolicySimulator:
                     row[3][j] += int(_np.count_nonzero(hit & write_mask))
                 for observer in pipelines[j]:
                     observer.on_batch(chunk, batch)
-            seq_base += len(chunk)
+            seq_end += len(chunk)
             for pipeline in pipelines:
                 for observer in pipeline:
-                    observer.on_chunk_end(seq_base)
+                    observer.on_chunk_end(seq_end)
         elapsed = time.perf_counter() - started  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
         return self._assemble_results(
             per_client, elapsed, stats_obs, shard_obs, cost_obs, rolling_obs, queueing_obs
@@ -433,7 +421,7 @@ class MultiPolicySimulator:
             )
         return results
 
-    def _prepare_offline(self, source: RequestSource, start_seq: int) -> None:
+    def _prepare_offline(self, source: RequestSource) -> None:
         """Prepare offline policies, sharing one future index per index builder.
 
         Policies that can adopt the stream-wide index
@@ -459,11 +447,11 @@ class MultiPolicySimulator:
                 builder = cls.build_read_index
                 index = shared_indexes.get(builder)
                 if index is None:
-                    index = builder(source, start_seq)
+                    index = builder(source)
                     shared_indexes[builder] = index
                 policy.adopt_read_index(index)
             else:
-                policy.prepare(source, start_seq)
+                policy.prepare(source)
 
 
 @dataclass(frozen=True)
@@ -551,7 +539,6 @@ def _stream_group_key(stream: RequestSource) -> object:
 def _run_cells(
     cells: Sequence[SweepCell],
     default_requests: RequestSource | None,
-    track_per_client: bool,
     cost_model: CostModel | None = None,
     rolling_window: int | None = None,
     queueing_model: QueueingModel | None = None,
@@ -610,7 +597,6 @@ def _run_cells(
         try:
             results = MultiPolicySimulator(
                 [spec.build() for spec in specs],
-                track_per_client=track_per_client,
                 cost_model=cost_model,
                 rolling_window=rolling_window,
                 observer_factories=tuple(taps.values()),
@@ -692,14 +678,12 @@ class ParallelSweepRunner:
         self,
         requests: RequestSource | None = None,
         jobs: int | None = 1,
-        track_per_client: bool = True,
         cost_model: CostModel | None = None,
         rolling_window: int | None = None,
         queueing: QueueingModel | None = None,
     ):
         self._requests = requests
         self._jobs = 1 if jobs is None else int(jobs)
-        self._track_per_client = track_per_client
         #: Optional service-time pricing applied to every cell's replay
         #: (:mod:`repro.simulation.costmodel`).  Cost models are plain
         #: picklable objects, so they ship to worker processes with the
@@ -751,7 +735,6 @@ class ParallelSweepRunner:
         return _run_cells(
             cells,
             self._requests,
-            self._track_per_client,
             self._cost_model,
             self._rolling_window,
             self._queueing,
@@ -782,7 +765,6 @@ class ParallelSweepRunner:
                 pickle.dumps(
                     (
                         batch,
-                        self._track_per_client,
                         self._cost_model,
                         self._rolling_window,
                         self._queueing,

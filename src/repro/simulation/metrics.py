@@ -34,10 +34,9 @@ def validate_rolling_window(rolling_window: int | None) -> int | None:
 class RollingWindow:
     """Hit/miss/eviction deltas over one window of the request sequence.
 
-    Windows are aligned to absolute sequence numbers: window *i* covers
-    sequence numbers ``[i*W, (i+1)*W)``.  A window at the start or end of a
-    replayed segment may be partial (``requests < W``); :meth:`RollingMetrics
-    .merge` re-joins such halves when adjacent segments are combined.
+    Windows are aligned to sequence numbers: window *i* covers sequence
+    numbers ``[i*W, (i+1)*W)``.  The last window of a replay may be partial
+    (``requests < W``).
     """
 
     start: int
@@ -54,23 +53,6 @@ class RollingWindow:
         if self.read_requests == 0:
             return 0.0
         return self.read_hits / self.read_requests
-
-    def combine(self, other: "RollingWindow") -> "RollingWindow":
-        """Join two halves of the same window (other must directly follow)."""
-        if other.start != self.start + self.requests:
-            raise ValueError(
-                f"cannot combine windows: {other.start} does not continue "
-                f"[{self.start}, {self.start + self.requests})"
-            )
-        return RollingWindow(
-            start=self.start,
-            requests=self.requests + other.requests,
-            read_requests=self.read_requests + other.read_requests,
-            read_hits=self.read_hits + other.read_hits,
-            write_requests=self.write_requests + other.write_requests,
-            write_hits=self.write_hits + other.write_hits,
-            evictions=self.evictions + other.evictions,
-        )
 
     def as_dict(self) -> dict:
         return {
@@ -92,10 +74,9 @@ class RollingMetrics:
     The opt-in rolling view of a run (``rolling_window=`` on the engine,
     the single-policy simulator and the sweep runner): one
     :class:`RollingWindow` per ``window``-sized slice of the sequence-number
-    space, in order.  Because windows are functions of absolute sequence
-    numbers only, the series is bit-identical at any chunking and any
-    ``jobs=`` count; :meth:`merge` combines the series of adjacent replay
-    segments (the mergeability contract used by chunked replays).
+    space, in order.  Because windows are functions of sequence numbers
+    only, the series is bit-identical at any chunking and any ``jobs=``
+    count.
     """
 
     window: int
@@ -116,36 +97,6 @@ class RollingMetrics:
     def eviction_series(self) -> list[int]:
         """Evictions per window, in window order."""
         return [entry.evictions for entry in self.windows]
-
-    # ----------------------------------------------------------------- merge
-    def merge(self, other: "RollingMetrics") -> "RollingMetrics":
-        """Concatenate the series of two adjacent replay segments.
-
-        If *other*'s first window continues the same global window as
-        *self*'s last (a window split across a segment boundary), the halves
-        are combined into one window; otherwise the series are concatenated
-        as-is.  Merging is associative over consecutive segments, so a
-        chunked replay may fold its partial series in any grouping and
-        arrive at the same final series.
-        """
-        if other.window != self.window:
-            raise ValueError(
-                f"cannot merge rolling metrics with different windows "
-                f"({self.window} vs {other.window})"
-            )
-        if not self.windows:
-            return other
-        if not other.windows:
-            return self
-        last, first = self.windows[-1], other.windows[0]
-        if (
-            first.start == last.start + last.requests
-            and first.start // self.window == last.start // self.window
-        ):
-            joined = self.windows[:-1] + (last.combine(first),) + other.windows[1:]
-        else:
-            joined = self.windows + other.windows
-        return RollingMetrics(window=self.window, windows=joined)
 
     def as_rows(self) -> list[dict]:
         """One row per window (for CSV output or tabular printing)."""

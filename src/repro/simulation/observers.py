@@ -19,18 +19,17 @@ The observer contract (:class:`ReplayObserver`):
   at sequence number ``seq_end`` (exclusive).  Observers declaring a
   :attr:`~ReplayObserver.boundary_interval` are guaranteed a call at every
   multiple of it (the loop re-chunks the stream so no chunk crosses one).
-* :meth:`~ReplayObserver.merge` — absorb the observer of the *directly
-  following* replay segment, so segmented replays (``jobs=N`` work splits,
-  service-mode restarts) compose into one run's accounting.
 * :meth:`~ReplayObserver.finalize` — the accounting product.  Non-
   destructive: safe to call more than once.
 
-Writing an observer: subclass :class:`ReplayObserver`, implement
-``on_outcome`` (override ``on_batch`` only if profiling says so), ``merge``
-and ``finalize``, then attach instances via the simulators'
-``observer_factories`` hook.  Observers must not call back into the policy's
-``access`` and must not mutate requests or outcomes — many observers share
-one outcome stream.
+Every observer accounts one whole replay, numbered from sequence number 0:
+the engine never splits a stream across observers, so there is nothing to
+merge.  Writing an observer: subclass :class:`ReplayObserver`, implement
+``on_outcome`` (override ``on_batch`` only if profiling says so) and
+``finalize``, then attach instances via the simulators'
+``observer_factories`` hook (``factory(policy)``).  Observers must not
+call back into the policy's ``access`` and must not mutate requests or
+outcomes — many observers share one outcome stream.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as _np
 
 from repro.cache.base import AccessOutcome, CacheStats
+from repro.simulation.cluster import is_cluster
 
 if TYPE_CHECKING:  # imported for type annotations only
     from repro.cache.base import AccessOutcomeBatch
@@ -86,10 +86,6 @@ class ReplayObserver(abc.ABC):
 
     def on_chunk_end(self, seq_end: int) -> None:
         """The replay crossed a chunk boundary; ``seq_end`` is exclusive."""
-
-    @abc.abstractmethod
-    def merge(self, other: "ReplayObserver") -> None:
-        """Absorb *other*, the observer of the directly following segment."""
 
     @abc.abstractmethod
     def finalize(self) -> object:
@@ -155,15 +151,6 @@ class StatsObserver(ReplayObserver):
         self.admissions += int(_np.count_nonzero(batch.admitted))
         self.bypasses += int(_np.count_nonzero(batch.bypassed))
 
-    def merge(self, other: "StatsObserver") -> None:
-        self.read_requests += other.read_requests
-        self.read_hits += other.read_hits
-        self.write_requests += other.write_requests
-        self.write_hits += other.write_hits
-        self.evictions += other.evictions
-        self.admissions += other.admissions
-        self.bypasses += other.bypasses
-
     def finalize(self) -> CacheStats:
         return CacheStats(
             read_requests=self.read_requests,
@@ -221,11 +208,6 @@ class ShardStatsObserver(ReplayObserver):
             stats.bypasses += int(_np.count_nonzero(bypassed & mask))
             stats.evictions += int(eviction_counts[mask].sum())
 
-    def merge(self, other: "ShardStatsObserver") -> None:
-        self._shards = [
-            mine.merge(theirs) for mine, theirs in zip(self._shards, other._shards)
-        ]
-
     def finalize(self) -> tuple[CacheStats, ...]:
         from dataclasses import replace
 
@@ -235,18 +217,11 @@ class ShardStatsObserver(ReplayObserver):
 def shard_observer_for(policy: object) -> ShardStatsObserver | None:
     """A :class:`ShardStatsObserver` for sharded clusters, else ``None``.
 
-    Duck-types the cluster surface (``router`` + ``shard_count``), matching
-    :meth:`CostModel.accumulator_for`, so any policy exposing it gets the
-    per-shard breakdown on its results.
+    Any policy exposing the cluster surface
+    (:func:`~repro.simulation.cluster.is_cluster`) gets the per-shard
+    breakdown on its results.
     """
-    router = getattr(policy, "router", None)
-    if (
-        router is not None
-        and hasattr(router, "route")
-        and getattr(policy, "shard_count", 0) >= 1
-    ):
-        return ShardStatsObserver(policy)
-    return None
+    return ShardStatsObserver(policy) if is_cluster(policy) else None
 
 
 class CostObserver(ReplayObserver):
@@ -255,17 +230,13 @@ class CostObserver(ReplayObserver):
     The accumulator (:class:`~repro.simulation.costmodel.CostAccumulator` or
     its sharded variant) stays the pricing kernel; this observer feeds it
     the ``(request, hit)`` series in stream order, which preserves the
-    seek-aware head walk bit for bit.  Segment merging folds the finalized
-    :class:`LatencyStats` — exact for position-independent devices; on seek
-    devices each segment's first access is priced at the nominal seek (the
-    same convention as any fresh run).
+    seek-aware head walk bit for bit.
     """
 
-    __slots__ = ("_accumulator", "_merged")
+    __slots__ = ("_accumulator",)
 
     def __init__(self, accumulator: "CostAccumulator"):
         self._accumulator = accumulator
-        self._merged: list[CostObserver] = []
 
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
         self._accumulator.charge(request, outcome.hit)
@@ -288,48 +259,33 @@ class CostObserver(ReplayObserver):
         for request, hit in zip(chunk.requests(), batch.hit.tolist()):
             charge(request, hit)
 
-    def merge(self, other: "CostObserver") -> None:
-        self._merged.append(other)
-
     def finalize(self) -> "LatencyStats":
-        latency = self._accumulator.finalize()
-        for observer in self._merged:
-            latency = latency.merge(observer._accumulator.finalize())
-        return latency
+        return self._accumulator.finalize()
 
     def shard_latencies(self) -> tuple["LatencyStats", ...]:
         """Per-shard latency breakdown (after :meth:`finalize`); empty for
         single-device accumulators."""
-        own = self._accumulator.shard_latencies()
-        if not own or not self._merged:
-            return own
-        merged = list(own)
-        for observer in self._merged:
-            for index, shard in enumerate(observer._accumulator.shard_latencies()):
-                merged[index] = merged[index].merge(shard)
-        return tuple(merged)
+        return self._accumulator.shard_latencies()
 
 
 class RollingObserver(ReplayObserver):
     """Windowed time series (:class:`RollingMetrics`) from outcome counts.
 
-    Windows are aligned to absolute sequence numbers (window *i* covers
-    ``[i*W, (i+1)*W)``); the first and last windows of a segment may be
-    partial, and :meth:`merge` rejoins halves split across segments — the
-    same mergeability contract :class:`RollingMetrics` pins.  Declares
+    Windows are aligned to sequence numbers (window *i* covers
+    ``[i*W, (i+1)*W)``); only the last window may be partial.  Declares
     ``boundary_interval = window`` so the replay loop aligns its chunks and
     every boundary crossing reaches :meth:`on_chunk_end`.
     """
 
     __slots__ = ("_window", "_start", "_seq", "_counts", "_windows")
 
-    def __init__(self, window: int, start_seq: int = 0):
+    def __init__(self, window: int):
         from repro.simulation.metrics import validate_rolling_window
 
         self._window = validate_rolling_window(window)
         self.boundary_interval = self._window
-        self._start = start_seq
-        self._seq = start_seq
+        self._start = 0
+        self._seq = 0
         # [read_requests, read_hits, write_requests, write_hits, evictions]
         self._counts = [0, 0, 0, 0, 0]
         self._windows: list = []
@@ -404,13 +360,6 @@ class RollingObserver(ReplayObserver):
     def on_chunk_end(self, seq_end: int) -> None:
         if seq_end % self._window == 0 and seq_end > self._start:
             self._close(seq_end)
-
-    def merge(self, other: "RollingObserver") -> None:
-        combined = self.finalize().merge(other.finalize())
-        self._windows = list(combined.windows)
-        self._counts = [0, 0, 0, 0, 0]
-        self._start = other._seq
-        self._seq = other._seq
 
     def finalize(self) -> "RollingMetrics":
         from repro.simulation.metrics import RollingMetrics

@@ -4,20 +4,20 @@ The cost model (:mod:`repro.simulation.costmodel`) prices each request in
 isolation — a *closed-loop* view with no contention.  This module adds the
 *open-loop* view: requests arrive on their own clock (an
 :class:`~repro.workloads.arrivals.ArrivalProcess`), each storage shard is
-an FCFS queue in front of ``servers_per_shard`` servers, and a request's
-latency is its **sojourn time** — the queueing delay it spends waiting for
-a free server plus the service time the cost model already charges.  As
-offered load approaches a shard's service capacity, delays blow up: the
-saturation knee the ``load`` experiment sweeps.
+an FCFS queue in front of one server, and a request's latency is its
+**sojourn time** — the queueing delay it spends waiting for the server
+plus the service time the cost model already charges.  As offered load
+approaches a shard's service capacity, delays blow up: the saturation
+knee the ``load`` experiment sweeps.
 
 The simulation is event-driven but needs no event loop: with FCFS service
 and arrival-ordered admission, each arrival is resolved by the Lindley
-recursion ``start = max(arrival, earliest_free_server)``.  All event
-arithmetic runs on an **integer nanosecond** clock: integer addition and
-``max`` are exact and associative, so totals never depend on chunk
-boundaries, worker counts, or whether the vectorised fast path below is
-taken — results are bit-identical across processes and ``jobs=`` counts
-by construction, not by accumulation-order discipline.
+recursion ``start = max(arrival, server_free)``.  All event arithmetic
+runs on an **integer nanosecond** clock: integer addition and ``max`` are
+exact and associative, so totals never depend on chunk boundaries, worker
+counts, or whether the vectorised fast path below is taken — results are
+bit-identical across processes and ``jobs=`` counts by construction, not
+by accumulation-order discipline.
 
 Two accounting identities replace per-event integral bookkeeping: the
 fully drained number-in-system integral equals ``sum(sojourn_i)``
@@ -25,13 +25,13 @@ exactly, and the integral cut at the last arrival ``T`` (the ``L``
 numerator of Little's law) is ``sum(sojourn_i) - sum(max(0, d_i - T))``
 over departure times ``d_i`` — so the hot loop only records departures.
 
-Single-server position-independent replays (the whole default ``load``
-sweep) run the Lindley recursion vectorised over the banked columns: with
-service prefix sums ``S_i`` the recursion unrolls to
+Position-independent replays (the whole default ``load`` sweep) run the
+Lindley recursion vectorised over the banked columns: with service prefix
+sums ``S_i`` the recursion unrolls to
 ``depart_i = S_i + max(busy_0, max_{j<=i}(t_j - S_{j-1}))`` — a cumsum
-plus a running maximum, exact in ``int64``.  Seek devices and multi-server
-shards run the scalar per-event queues, which produce the same integers bit
-for bit on the configurations both can serve.
+plus a running maximum, exact in ``int64``.  Seek devices run the scalar
+per-event queues, which produce the same integers bit for bit on the
+configurations both can serve.
 
 It is packaged as a :class:`ReplayObserver` (:class:`QueueingObserver`):
 the replay loop feeds it the outcome stream, it prices each outcome with
@@ -43,21 +43,15 @@ Sharded clusters are re-routed with the cluster's own router, matching
 :class:`~repro.simulation.observers.ShardStatsObserver`.  Observers of
 one replay run share an :class:`arrival tape <_ArrivalTape>`: the engine
 feeds every policy identical chunks in order, so the chunk's arrival
-timestamps are drawn once and reused by all policies.
-
-Segment merging (``merge``) follows the :class:`~repro.simulation
-.observers.CostObserver` convention: the arrival clock continues exactly
-(arrival times are absolute functions of the sequence number), but each
-segment's queues start idle — the same "fresh run" approximation the cost
-observer uses for its seek head.  Whole-stream replays (every sweep cell
-runs inside one worker) never merge, so the ``load`` experiment is exact.
+timestamps are drawn once and reused by all policies.  Every replay is
+a whole stream numbered from 0 (every sweep cell runs inside one worker),
+so the arrival clock and the queues both start at the stream's start.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from heapq import heapreplace
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as _np
@@ -70,7 +64,7 @@ from repro.simulation.costmodel import (
     DeviceProfile,
     make_device_profile,
 )
-from repro.simulation.cluster import HashRouter
+from repro.simulation.cluster import HashRouter, _mix_pages, is_cluster
 from repro.simulation.observers import ReplayObserver
 from repro.simulation.request import RequestKind, read_request, write_request
 from repro.trace.columnar import ColumnarChunk
@@ -131,7 +125,7 @@ class QueueingStats:
 
     Times are integer nanoseconds on the arrival clock (0 = stream start);
     every reporting accessor converts to microseconds.  ``servers`` is the
-    fleet total (shards x servers per shard).  The two histograms share
+    fleet total: one server per shard.  The two histograms share
     the cost model's bucketisation
     (:data:`~repro.simulation.costmodel.HISTOGRAM_BUCKET_BOUNDS_US`),
     whose leading exact-zero bucket keeps "no queueing" reporting as 0.0.
@@ -248,51 +242,6 @@ class QueueingStats:
             return 0.0
         return self.area_at_last_arrival_ns / self.last_arrival_ns
 
-    # ------------------------------------------------------------ composition
-    def merge(self, other: "QueueingStats") -> "QueueingStats":
-        """Aggregate two segments (or shards) into one stats object.
-
-        Counts, sums, histograms and areas add (exactly — everything is an
-        integer); the window is the union.  Segment merges inherit the
-        idle-at-segment-start convention of the producing observers (see
-        the module docstring).
-        """
-        if self.servers != other.servers:
-            raise ValueError(
-                f"cannot merge QueueingStats with different server counts "
-                f"({self.servers} vs {other.servers})"
-            )
-        if len(self.delay_histogram) != len(other.delay_histogram):
-            raise ValueError(
-                "cannot merge QueueingStats with different histogram sizes "
-                f"({len(self.delay_histogram)} vs {len(other.delay_histogram)})"
-            )
-        if self.request_count == 0:
-            first_arrival = other.first_arrival_ns
-        elif other.request_count == 0:
-            first_arrival = self.first_arrival_ns
-        else:
-            first_arrival = min(self.first_arrival_ns, other.first_arrival_ns)
-        return QueueingStats(
-            request_count=self.request_count + other.request_count,
-            servers=self.servers,
-            total_delay_ns=self.total_delay_ns + other.total_delay_ns,
-            total_sojourn_ns=self.total_sojourn_ns + other.total_sojourn_ns,
-            total_service_ns=self.total_service_ns + other.total_service_ns,
-            first_arrival_ns=first_arrival,
-            last_arrival_ns=max(self.last_arrival_ns, other.last_arrival_ns),
-            last_departure_ns=max(self.last_departure_ns, other.last_departure_ns),
-            area_at_last_arrival_ns=(
-                self.area_at_last_arrival_ns + other.area_at_last_arrival_ns
-            ),
-            delay_histogram=[
-                a + b for a, b in zip(self.delay_histogram, other.delay_histogram)
-            ],
-            sojourn_histogram=[
-                a + b for a, b in zip(self.sojourn_histogram, other.sojourn_histogram)
-            ],
-        )
-
     def report_columns(self) -> dict:
         """The queueing columns every row-level surface emits, next to the
         cost model's service-time columns."""
@@ -324,24 +273,19 @@ class QueueingModel:
     :class:`CostModel` instance — those are mutable), so sweep cells can
     hash and ship it to worker processes exactly like a
     :class:`~repro.trace.cache.TraceSpec`.  Each shard of a sharded
-    cluster gets ``servers_per_shard`` servers and its own device (and,
-    for seek devices, its own head); an unsharded policy is one shard.
+    cluster gets one server and its own device (and, for seek devices, its
+    own head); an unsharded policy is one shard.
     """
 
     arrivals: ArrivalProcess
     device: str | DeviceProfile = "ssd"
     write_policy: str = "write-through"
     page_span: int | None = None
-    servers_per_shard: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.arrivals, ArrivalProcess):
             raise TypeError(
                 f"arrivals must be an ArrivalProcess, got {type(self.arrivals).__name__}"
-            )
-        if self.servers_per_shard < 1:
-            raise ValueError(
-                f"servers_per_shard must be >= 1, got {self.servers_per_shard}"
             )
         if self.write_policy not in WRITE_POLICIES:
             raise ValueError(
@@ -361,25 +305,14 @@ class QueueingModel:
         """The same model with the offered load dialed by *factor*."""
         return replace(self, arrivals=self.arrivals.scaled(factor))
 
-    def tape(self, start_seq: int = 0) -> "_ArrivalTape":
+    def tape(self) -> "_ArrivalTape":
         """An arrival tape all observers of one replay run should share."""
-        return _ArrivalTape(self.arrivals, start_seq)
+        return _ArrivalTape(self.arrivals)
 
     def observer_for(
-        self,
-        policy: "CachePolicy",
-        start_seq: int = 0,
-        tape: "_ArrivalTape | None" = None,
+        self, policy: "CachePolicy", tape: "_ArrivalTape | None" = None
     ) -> "QueueingObserver":
-        return QueueingObserver(self, policy, start_seq, tape=tape)
-
-
-def _mix_column(pages: Any) -> Any:
-    """Murmur-mix a ``uint64`` page column (exactly the scalar ``_mix_page``
-    pipeline of :class:`~repro.simulation.cluster.HashRouter`, wrapping)."""
-    pages = (pages ^ (pages >> _np.uint64(33))) * _np.uint64(0xFF51AFD7ED558CCD)
-    pages = (pages ^ (pages >> _np.uint64(33))) * _np.uint64(0xC4CEB9FE1A85EC53)
-    return pages ^ (pages >> _np.uint64(33))
+        return QueueingObserver(self, policy, tape=tape)
 
 
 class _ArrivalTape:
@@ -403,9 +336,9 @@ class _ArrivalTape:
         "_mixed_pages",
     )
 
-    def __init__(self, arrivals: ArrivalProcess, start_seq: int = 0):
-        self._times = arrivals.times(start_seq)
-        self._next_seq = start_seq
+    def __init__(self, arrivals: ArrivalProcess):
+        self._times = arrivals.times()
+        self._next_seq = 0
         self._chunk_seq = -1
         self._arrivals_ns: Any = None
         self._reads: Any = None
@@ -444,7 +377,7 @@ class _ArrivalTape:
         wrapping uint64 pipeline is exact — identical to the scalar
         ``_mix_page``."""
         if self._mixed_pages is None:
-            self._mixed_pages = _mix_column(chunk.page.astype(_np.uint64))
+            self._mixed_pages = _mix_pages(chunk.page)
         return self._mixed_pages
 
 
@@ -452,7 +385,6 @@ class _SingleServerQueue:
     """One FCFS shard with a single server: scalar Lindley recursion."""
 
     __slots__ = ("busy_ns",)
-    servers = 1
 
     def __init__(self):
         self.busy_ns = 0
@@ -469,45 +401,21 @@ class _SingleServerQueue:
         return self.busy_ns
 
 
-class _MultiServerQueue:
-    """One FCFS shard with ``c`` servers: min-heap of busy-until times.
-
-    Arrivals are assigned to the earliest-free server in arrival order
-    (G/G/c FCFS).  Always the scalar path: multi-server recursions do
-    not unroll into prefix scans.
-    """
-
-    __slots__ = ("servers", "busy")
-
-    def __init__(self, servers: int):
-        self.servers = servers
-        self.busy = [0] * servers
-
-    def admit(self, t_ns: int, service_ns: int) -> int:
-        earliest = self.busy[0]
-        start = earliest if earliest > t_ns else t_ns
-        heapreplace(self.busy, start + service_ns)
-        return start - t_ns
-
-    def last_departure_ns(self) -> int:
-        return max(self.busy)
-
-
 class QueueingObserver(ReplayObserver):
     """Feeds the outcome stream through per-shard FCFS queues.
 
     Per outcome, in stream order: read the arrival timestamp from the
     (possibly shared) arrival tape, price the service time, resolve the
-    Lindley recursion against the routed shard's servers, and record
+    Lindley recursion against the routed shard's server, and record
     queueing delay + sojourn into the shared-bucket histograms.  Never
     mutates requests, outcomes or the policy.
 
     Position-independent devices price by outcome class, so their service
     times come from three probed constants; seek devices (HDD) price each
     event through this observer's own per-shard cost accumulators.
-    Single-server constant-price replays bank columns for the vectorised
-    Lindley pass; everything else runs the scalar queues per event.  Both
-    produce identical integers.
+    Constant-price replays bank columns for the vectorised Lindley pass;
+    seek devices run the scalar queues per event.  Both produce identical
+    integers.
     """
 
     __slots__ = (
@@ -533,7 +441,6 @@ class QueueingObserver(ReplayObserver):
         "_last_ns",
         "_delay_hist",
         "_sojourn_hist",
-        "_merged",
         "_finalized",
     )
 
@@ -541,26 +448,19 @@ class QueueingObserver(ReplayObserver):
         self,
         model: QueueingModel,
         policy: "CachePolicy",
-        start_seq: int = 0,
         tape: "_ArrivalTape | None" = None,
     ):
         self._model = model
         cost_model = model.cost_model()
-        router = getattr(policy, "router", None)
-        if (
-            router is not None
-            and hasattr(router, "route")
-            and getattr(policy, "shard_count", 0) >= 1
-        ):
+        if is_cluster(policy):
             self._shard_count = policy.shard_count
-            self._route = router.route
-            self._router = router
+            self._router = policy.router
+            self._route = self._router.route
         else:
             self._shard_count = 1
             self._route = None
             self._router = None
         shard_count = self._shard_count
-        servers = model.servers_per_shard
         if cost_model.profile.position_dependent:
             # Seek devices: one accumulator (head) per shard, priced per event.
             self._service_ns = None
@@ -575,23 +475,20 @@ class QueueingObserver(ReplayObserver):
                 _to_ns(probe.price(_PROBE_WRITE, False)),
             )
             self._pricers = []
-        self._vector = servers == 1 and self._service_ns is not None
+        self._vector = self._service_ns is not None
         if self._vector:
             self._queues = []
             self._delay_hist = None
             self._sojourn_hist = None
         else:
-            if servers == 1:
-                self._queues = [_SingleServerQueue() for _ in range(shard_count)]
-            else:
-                self._queues = [_MultiServerQueue(servers) for _ in range(shard_count)]
+            self._queues = [_SingleServerQueue() for _ in range(shard_count)]
             self._delay_hist = _fresh_histogram()
             self._sojourn_hist = _fresh_histogram()
         self._arrival_chunks: list = []
         self._read_chunks: list = []
         self._hit_chunks: list = []
         self._shard_chunks: list = []
-        self._tape = tape if tape is not None else _ArrivalTape(model.arrivals, start_seq)
+        self._tape = tape if tape is not None else _ArrivalTape(model.arrivals)
         self._departs: list = []
         self._count = 0
         self._total_delay_ns = 0
@@ -599,7 +496,6 @@ class QueueingObserver(ReplayObserver):
         self._total_service_ns = 0
         self._first_ns: int | None = None
         self._last_ns = 0
-        self._merged: list[QueueingObserver] = []
         self._finalized: QueueingStats | None = None
 
     def on_outcome(self, request: "IORequest", seq: int, outcome: "AccessOutcome") -> None:
@@ -643,7 +539,7 @@ class QueueingObserver(ReplayObserver):
         arrivals_ns: Sequence[int],
     ) -> None:
         """One chunk through the scalar queues, event by event (seek
-        devices, multi-server shards).  Same integers as the vector pass."""
+        devices).  Same integers as the vector pass."""
         consts = self._service_ns
         if consts is not None:
             hit_ns, miss_ns, write_ns = consts
@@ -683,17 +579,12 @@ class QueueingObserver(ReplayObserver):
         self._total_sojourn_ns += total_sojourn
         self._total_service_ns += total_service
 
-    # ------------------------------------------------------------ composition
-    def merge(self, other: "QueueingObserver") -> None:
-        if other._model != self._model:
-            raise ValueError("cannot merge QueueingObservers of different models")
-        self._merged.append(other)
-
+    # ---------------------------------------------------------- finalization
     def _replay_vector(self) -> tuple[Any, Any, Any, Any, int]:
         """The banked chunks through the int64 Lindley recursion, whole.
 
         Returns ``(delay, sojourn, depart, service, last_departure_ns)``
-        arrays over the full segment (sharded segments return them grouped
+        arrays over the whole replay (sharded replays return them grouped
         by shard — the per-event order is irrelevant to every consumer:
         totals, histograms and the departure overhang are all
         order-independent sums).
@@ -739,9 +630,9 @@ class QueueingObserver(ReplayObserver):
             last_departure,
         )
 
-    def _finalize_own(self) -> QueueingStats:
-        """Fold this segment into stats via the two accounting identities
-        (cached so finalize stays repeatable)."""
+    def finalize(self) -> QueueingStats:
+        """Fold the replay into stats via the two accounting identities
+        (cached, so finalize stays repeatable)."""
         if self._finalized is not None:
             return self._finalized
         delay_hist = self._delay_hist
@@ -785,7 +676,7 @@ class QueueingObserver(ReplayObserver):
                 sojourn_hist = _fresh_histogram()
         self._finalized = QueueingStats(
             request_count=self._count,
-            servers=self._shard_count * self._model.servers_per_shard,
+            servers=self._shard_count,
             total_delay_ns=self._total_delay_ns,
             total_sojourn_ns=self._total_sojourn_ns,
             total_service_ns=self._total_service_ns,
@@ -797,9 +688,3 @@ class QueueingObserver(ReplayObserver):
             sojourn_histogram=[int(count) for count in sojourn_hist],
         )
         return self._finalized
-
-    def finalize(self) -> QueueingStats:
-        stats = self._finalize_own()
-        for observer in self._merged:
-            stats = stats.merge(observer._finalize_own())
-        return stats

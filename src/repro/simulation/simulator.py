@@ -48,25 +48,21 @@ class CacheSimulator:
 
     ``observer_factories`` attaches custom observers
     (:class:`~repro.simulation.observers.ReplayObserver`): each factory is
-    called ``factory(policy, start_seq)`` once per run; keep your own
-    reference to the instance it returns to read it after the run.
+    called ``factory(policy)`` once per run; keep your own reference to the
+    instance it returns to read it after the run.
     """
 
     def __init__(
         self,
         policy: CachePolicy,
-        track_per_client: bool = True,
         cost_model: CostModel | None = None,
         rolling_window: int | None = None,
         queueing_model: QueueingModel | None = None,
-        observer_factories: Sequence[
-            Callable[[CachePolicy, int], ReplayObserver]
-        ] = (),
+        observer_factories: Sequence[Callable[[CachePolicy], ReplayObserver]] = (),
     ):
         self._policy = policy
         self._engine = MultiPolicySimulator(
             [policy],
-            track_per_client=track_per_client,
             cost_model=cost_model,
             rolling_window=rolling_window,
             queueing_model=queueing_model,
@@ -77,23 +73,17 @@ class CacheSimulator:
     def policy(self) -> CachePolicy:
         return self._policy
 
-    def run(
-        self,
-        requests: Iterable[IORequest],
-        start_seq: int = 0,
-    ) -> SimulationResult:
+    def run(self, requests: Iterable[IORequest]) -> SimulationResult:
         """Replay *requests* through the policy and return the result.
 
-        ``start_seq`` sets the sequence number of the first request; requests
-        are numbered consecutively from there.
+        Requests are numbered consecutively from sequence number 0.
         """
-        return self._engine.run(requests, start_seq)[0]
+        return self._engine.run(requests)[0]
 
 
 def simulate(
     policy: CachePolicy,
     requests: Iterable[IORequest],
-    track_per_client: bool = True,
     cost_model: CostModel | None = None,
     rolling_window: int | None = None,
     queueing_model: QueueingModel | None = None,
@@ -101,7 +91,6 @@ def simulate(
     """Convenience wrapper: ``CacheSimulator(policy).run(requests)``."""
     return CacheSimulator(
         policy,
-        track_per_client=track_per_client,
         cost_model=cost_model,
         rolling_window=rolling_window,
         queueing_model=queueing_model,

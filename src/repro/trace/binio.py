@@ -294,52 +294,14 @@ class StreamedTrace:
         return self.iter_requests()
 
     def iter_chunks(self) -> Iterator[list[IORequest]]:
-        """Yield the trace as successive lists of requests (one per block)."""
-        with self.path.open("rb") as handle:
-            self._check_header(handle)
-            hint_sets: dict[int, HintSet] = {}
-            count = 0
-            while True:
-                offset = handle.tell()
-                tag_byte = handle.read(1)
-                if not tag_byte:
-                    raise TraceFormatError(
-                        f"{self.path.name}: unexpected end of file at byte {offset} "
-                        "(missing END record — truncated trace?)"
-                    )
-                tag = tag_byte[0]
-                if tag == _TAG_META:
-                    length = _read_varint(handle, offset)
-                    _read_exact(handle, length, offset)
-                elif tag == _TAG_HINTSET:
-                    hint_id = _read_varint(handle, offset)
-                    length = _read_varint(handle, offset)
-                    payload = _read_exact(handle, length, offset)
-                    if hint_id != len(hint_sets):
-                        raise TraceFormatError(
-                            f"byte {offset}: hint set ids must be dense and "
-                            f"ascending (got {hint_id}, expected {len(hint_sets)})"
-                        )
-                    hint_sets[hint_id] = _decode_hint_set(payload, offset)
-                elif tag == _TAG_BLOCK:
-                    expected = _read_varint(handle, offset)
-                    length = _read_varint(handle, offset)
-                    body = _read_exact(handle, length, offset)
-                    chunk = _decode_block(body, expected, hint_sets, offset)
-                    count += len(chunk)
-                    yield chunk
-                elif tag == _TAG_END:
-                    declared = _read_varint(handle, offset)
-                    if declared != count:
-                        raise TraceFormatError(
-                            f"byte {offset}: END declares {declared} requests "
-                            f"but {count} were decoded"
-                        )
-                    return
-                else:
-                    raise TraceFormatError(
-                        f"byte {offset}: unknown record tag 0x{tag:02x}"
-                    )
+        """Yield the trace as successive lists of requests (one per block).
+
+        The requests of each :meth:`iter_columnar` chunk: one record walker
+        decodes both views, so they hold the same requests and raise the
+        same :class:`TraceFormatError` on a malformed trace.
+        """
+        for chunk in self.iter_columnar():
+            yield chunk.requests()
 
     def iter_columnar(self) -> Iterator[ColumnarChunk]:
         """Yield the trace as :class:`ColumnarChunk` batches (one per BLOCK).
@@ -348,9 +310,9 @@ class StreamedTrace:
         straight into numpy arrays without materialising ``IORequest``
         objects; blocks carrying explicit client ids — and structurally
         suspect blocks — fall back to the scalar decoder and are lifted via
-        :meth:`ColumnarChunk.from_requests`, so malformed traces raise the
-        exact same :class:`TraceFormatError` as :meth:`iter_chunks` and
-        well-formed ones decode to identical requests either way.
+        :meth:`ColumnarChunk.from_requests`, which raises the canonical
+        :class:`TraceFormatError` for a malformed block; well-formed blocks
+        decode to identical requests either way.
         """
         with self.path.open("rb") as handle:
             self._check_header(handle)
@@ -404,9 +366,14 @@ class StreamedTrace:
                     columns = _decode_block_columnar(body, expected, offset)
                     if columns is None:
                         # Scalar fallback: explicit client ids (or a garbled
-                        # block, which raises here exactly like iter_chunks).
+                        # block, which raises here).
                         requests = _decode_block(body, expected, hint_sets, offset)
-                        chunk = ColumnarChunk.from_requests(requests, count)
+                        try:
+                            chunk = ColumnarChunk.from_requests(requests, count)
+                        except OverflowError as exc:
+                            raise TraceFormatError(
+                                f"byte {offset}: page id beyond the int64 page column"
+                            ) from exc
                     else:
                         page, hint_ref, write = columns
                         if len(hint_ref) and int(hint_ref.max()) >= len(hint_table):

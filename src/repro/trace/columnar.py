@@ -243,24 +243,6 @@ class ColumnarChunk:
             chunk._requests = [requests[i] for i in indices.tolist()]
         return chunk
 
-    def rebase(self, start_seq: int) -> "ColumnarChunk":
-        """Copy with contiguous sequence numbers starting at *start_seq*.
-
-        Requests carry no sequence number, so the memoised list (if any)
-        stays valid and is shared.
-        """
-        chunk = ColumnarChunk(
-            self.page,
-            self.write,
-            self.hint_id,
-            self.client_idx,
-            np.arange(start_seq, start_seq + len(self), dtype=np.int64),
-            self.hint_sets,
-            self.clients,
-        )
-        chunk._requests = self._requests
-        return chunk
-
     # ------------------------------------------------------------- accounting
     def present_clients(self) -> list[tuple[str, Array]]:
         """Clients appearing in this chunk, in first-appearance order.
@@ -280,10 +262,10 @@ class ColumnarChunk:
 
 def columnar_chunks(
     chunks: Iterator[list[IORequest]] | Sequence[list[IORequest]],
-    start_seq: int = 0,
 ) -> Iterator[ColumnarChunk]:
-    """Lift an object-chunk stream into a columnar-chunk stream."""
-    seq = start_seq
+    """Lift an object-chunk stream into a columnar-chunk stream, numbered
+    from 0."""
+    seq = 0
     for chunk in chunks:
         yield ColumnarChunk.from_requests(chunk, seq)
         seq += len(chunk)

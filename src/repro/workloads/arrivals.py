@@ -27,9 +27,6 @@ hidden RNG state.  Consequences the rest of the stack relies on:
 
 * the same process object always yields the same timestamps (bit for bit,
   any process, any ``jobs=`` count);
-* :meth:`ArrivalProcess.times` can start at any ``start_seq`` and yields
-  exactly the tail of the full sequence — segmented replays resume the
-  arrival clock where the previous segment left off;
 * :meth:`ArrivalProcess.scaled` re-rates a process without re-seeding:
   the underlying uniforms are shared, so for Poisson the interarrival
   times scale *pointwise* and queueing delays are monotone in offered
@@ -138,13 +135,8 @@ class ArrivalProcess:
         *factor* — the offered-load dial of the ``load`` experiment."""
         raise NotImplementedError
 
-    def times(self, start_seq: int = 0) -> Iterator[float]:
-        """Yield absolute arrival times (us) for ``start_seq, start_seq+1, ...``
-
-        The tail contract: ``times(k)`` yields exactly what ``times(0)``
-        yields after discarding its first *k* values (bit for bit), so a
-        replay segment starting mid-stream resumes the same clock.
-        """
+    def times(self) -> Iterator[float]:
+        """Yield absolute arrival times (us) for sequence numbers 0, 1, 2, ..."""
         raise NotImplementedError
 
     def _check_rate(self, rate_rps: float, name: str = "rate_rps") -> None:
@@ -176,16 +168,13 @@ class PoissonArrivals(ArrivalProcess):
     def scaled(self, factor: float) -> "PoissonArrivals":
         return replace(self, rate_rps=self.rate_rps * factor)
 
-    def times(self, start_seq: int = 0) -> Iterator[float]:
+    def times(self) -> Iterator[float]:
         scale_us = 1e6 / self.rate_rps
         log = math.log
         t = 0.0
-        index = 0
         for u in _unit_uniforms(self.seed):
             t += -log(u) * scale_us
-            if index >= start_seq:
-                yield t
-            index += 1
+            yield t
 
 
 @dataclass(frozen=True)
@@ -266,13 +255,12 @@ class BurstyArrivals(ArrivalProcess):
             burst_rps=self.burst_rps * factor,
         )
 
-    def times(self, start_seq: int = 0) -> Iterator[float]:
+    def times(self) -> Iterator[float]:
         seed = self.seed
         log = math.log
         gap_scale_us = 1e6 / self.base_rps
         burst_scale_us = 1e6 / self.burst_rps
         t = 0.0
-        index = 0
         phase_index = 0
         remaining = 0
         in_burst = True  # toggled to gap before the first request
@@ -287,9 +275,7 @@ class BurstyArrivals(ArrivalProcess):
                 scale_us = burst_scale_us if in_burst else gap_scale_us
             t += -log(u) * scale_us
             remaining -= 1
-            if index >= start_seq:
-                yield t
-            index += 1
+            yield t
 
 
 @dataclass(frozen=True)
@@ -327,7 +313,7 @@ class DiurnalArrivals(ArrivalProcess):
     def scaled(self, factor: float) -> "DiurnalArrivals":
         return replace(self, mean_rps=self.mean_rps * factor)
 
-    def times(self, start_seq: int = 0) -> Iterator[float]:
+    def times(self) -> Iterator[float]:
         seed = self.seed
         log = math.log
         sin = math.sin
@@ -335,13 +321,10 @@ class DiurnalArrivals(ArrivalProcess):
         amplitude = self.amplitude
         omega = 2.0 * math.pi / (self.period_s * 1e6)
         t = 0.0
-        index = 0
         for u in _unit_uniforms(seed):
             rate = base_rate_per_us * (1.0 + amplitude * sin(omega * t))
             t += -log(u) / rate
-            if index >= start_seq:
-                yield t
-            index += 1
+            yield t
 
 
 #: The arrival shapes selectable by name (the ``--arrival`` CLI flag).

@@ -101,16 +101,6 @@ class TestCacheStats:
         stats.record(wr(9), hit=False)
         assert stats.requests == 4
 
-    def test_merge_sums_all_counters(self):
-        a = CacheStats(read_requests=2, read_hits=1, evictions=3)
-        b = CacheStats(read_requests=4, read_hits=2, write_requests=1, admissions=5)
-        merged = a.merge(b)
-        assert merged.read_requests == 6
-        assert merged.read_hits == 3
-        assert merged.write_requests == 1
-        assert merged.evictions == 3
-        assert merged.admissions == 5
-
     def test_as_dict_round_trips_counters(self):
         stats = CacheStats(read_requests=10, read_hits=4)
         d = stats.as_dict()

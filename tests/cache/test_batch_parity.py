@@ -230,8 +230,8 @@ def _assert_batch_matches_scalar(
     scalar = _build(name, kwargs)
     batched = _build(name, kwargs)
     if scalar.offline:
-        scalar.prepare(stream, 0)
-        batched.prepare(stream, 0)
+        scalar.prepare(stream)
+        batched.prepare(stream)
 
     scalar_outcomes = [
         scalar.access(request, seq) for seq, request in enumerate(stream)

@@ -69,25 +69,6 @@ class TestOPT:
             opt.access(request, seq)
             assert len(opt) <= 16
 
-    def test_start_seq_does_not_change_decisions(self):
-        """Regression: OPT indexed future reads from 0 regardless of start_seq.
-
-        The simulator numbers requests from ``start_seq``, so before the fix
-        every ``_next_read`` lookup at ``start_seq=1000`` missed and OPT
-        bypassed the entire stream.
-        """
-        rng = random.Random(99)
-        requests = []
-        for _ in range(3000):
-            if rng.random() < 0.7:
-                requests.append(rd(rng.randrange(50)))
-            else:
-                requests.append(rd(50 + rng.randrange(500)))
-        at_zero = CacheSimulator(OPTPolicy(40)).run(requests, start_seq=0)
-        at_1000 = CacheSimulator(OPTPolicy(40)).run(requests, start_seq=1000)
-        assert at_zero.stats.read_hits > 0
-        assert at_1000.stats == at_zero.stats
-
     def test_shared_read_index_adoption(self):
         requests = [rd(p) for p in (1, 2, 3, 1, 2, 3)]
         index = OPTPolicy.build_read_index(requests)
@@ -133,9 +114,8 @@ class TestOPT:
 
     def test_index_holds_the_next_read_of_each_position(self):
         requests = [rd(1), wr(2), rd(2), wr(1), rd(3), rd(1), wr(2)]
-        index = OPTPolicy.build_read_index(requests, start_seq=10)
-        assert index.start == 10
-        assert index.next_read.tolist() == [15, 12, NEVER, 15, NEVER, NEVER, NEVER]
+        index = OPTPolicy.build_read_index(requests)
+        assert index.next_read.tolist() == [5, 2, NEVER, 5, NEVER, NEVER, NEVER]
 
     def test_reset_keeps_future_index(self):
         requests = [rd(1), rd(2), rd(1)]

@@ -115,24 +115,6 @@ class TestMultiPolicySimulator:
             assert result.stats == expected.stats
             assert result.per_client == expected.per_client
 
-    def test_start_seq_matches_single_policy_simulator(self, rng):
-        requests = _mixed_trace(rng, n=1500)
-        expected = CacheSimulator(create_policy("OPT", capacity=50)).run(
-            requests, start_seq=777
-        )
-        (result,) = MultiPolicySimulator([create_policy("OPT", capacity=50)]).run(
-            requests, start_seq=777
-        )
-        assert result.stats == expected.stats
-
-    def test_track_per_client_disabled(self, rng):
-        requests = _mixed_trace(rng, clients=("alpha", "beta"), n=1000)
-        results = MultiPolicySimulator(
-            [create_policy("LRU", capacity=50)], track_per_client=False
-        ).run(requests)
-        assert results[0].per_client == {}
-        assert results[0].stats.requests == 1000
-
     def test_empty_policy_list(self, rng):
         assert MultiPolicySimulator([]).run(_mixed_trace(rng, n=10)) == []
 
@@ -302,14 +284,6 @@ _FOLD_CASES = [
         CostModel(device="hdd", page_span=1_300),
         None,
         id="hdd-seek",
-    ),
-    pytest.param(
-        QueueingModel(
-            arrivals=PoissonArrivals(rate_rps=40_000.0, seed=5), servers_per_shard=2
-        ),
-        CostModel(),
-        None,
-        id="multi-server",
     ),
     pytest.param(
         QueueingModel(arrivals=BurstyArrivals.with_mean(20_000.0, seed=5)),

@@ -7,7 +7,8 @@ the definition those shortcuts must reproduce: one ``access()`` per request
 in stream order, each observer folding that outcome through its scalar
 ``on_outcome``, per-client stats counted request by request.  Every field
 of every result must match — stats, per-client, per-shard, latency,
-per-shard latency, rolling windows and queueing.
+per-shard latency, rolling windows and queueing — at every engine chunk
+size: no observer's result may depend on where chunks end.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ from repro.trace.cache import TraceSpec
 from repro.workloads.arrivals import PoissonArrivals
 
 CAPACITY = 150
-#: Not a multiple of the engine's 4,096-request chunks.
-START_SEQ = 1_234
 #: Does not divide 4,096, so window and chunk boundaries fall out of step.
 ROLLING_WINDOW = 1_000
+#: Engine chunk sizes for sources the engine cuts itself (lists and
+#: generators): the default, and a prime that ends chunks inside rolling
+#: windows, CLIC priority windows and OPT's heap compactions.
+CHUNK_SIZES = (MultiPolicySimulator.CHUNK_SIZE, 97)
 
 #: Registry kwargs for the policies that need them.
 _POLICY_KWARGS = {"SHARDED": {"policy": "LRU", "shards": 3, "router": "hash"}}
@@ -71,9 +74,7 @@ _QUEUEING = {
         device="hdd",
         page_span=2_000,
     ),
-    "ssd-2-servers": QueueingModel(
-        arrivals=PoissonArrivals(rate_rps=30_000.0, seed=7), servers_per_shard=2
-    ),
+    "ssd": QueueingModel(arrivals=PoissonArrivals(rate_rps=30_000.0, seed=7)),
 }
 
 
@@ -111,6 +112,15 @@ STREAM = _two_client_stream()
 SPEC = TraceSpec("DB2_C60", seed=17, target_requests=6_000)
 
 
+#: (source kind, engine chunk size) pairs.  A trace spec decodes in its own
+#: 4,096-request blocks, so the engine's chunk size does not reach it.
+_SOURCES = [
+    pytest.param(kind, chunk_size, id=f"{kind}-{chunk_size}")
+    for kind in ("list", "generator")
+    for chunk_size in CHUNK_SIZES
+] + [pytest.param("trace-spec", MultiPolicySimulator.CHUNK_SIZE, id="trace-spec")]
+
+
 def _inputs(kind: str):
     """``(engine input, request list the oracle replays)``."""
     if kind == "list":
@@ -120,22 +130,26 @@ def _inputs(kind: str):
     return SPEC, list(SPEC.iter_requests())
 
 
-def scalar_replay(policy, requests, start_seq, cost_model=None, rolling_window=None,
+def _engine(policies, chunk_size: int, **options) -> MultiPolicySimulator:
+    engine = MultiPolicySimulator(policies, **options)
+    engine.CHUNK_SIZE = chunk_size
+    return engine
+
+
+def scalar_replay(policy, requests, cost_model=None, rolling_window=None,
                   queueing_model=None) -> dict:
     """The reference replay: ``access()`` then every observer's
     ``on_outcome``, one request at a time."""
     if policy.offline:
-        policy.prepare(requests, start_seq)
+        policy.prepare(requests)
     stats = StatsObserver()
     shard = shard_observer_for(policy)
     cost = CostObserver(cost_model.accumulator_for(policy)) if cost_model else None
-    roll = RollingObserver(rolling_window, start_seq) if rolling_window else None
-    queueing = (
-        queueing_model.observer_for(policy, start_seq) if queueing_model else None
-    )
+    roll = RollingObserver(rolling_window) if rolling_window else None
+    queueing = queueing_model.observer_for(policy) if queueing_model else None
     observers = [obs for obs in (stats, shard, cost, roll, queueing) if obs is not None]
     per_client: dict[str, CacheStats] = {}
-    for seq, request in enumerate(requests, start_seq):
+    for seq, request in enumerate(requests):
         outcome = policy.access(request, seq)
         for observer in observers:
             observer.on_outcome(request, seq, outcome)
@@ -170,17 +184,15 @@ def engine_fields(result) -> dict:
     }
 
 
-@pytest.mark.parametrize("kind", ["list", "generator", "trace-spec"])
-def test_every_registered_policy_matches_the_scalar_replay(kind):
+@pytest.mark.parametrize("kind,chunk_size", _SOURCES)
+def test_every_registered_policy_matches_the_scalar_replay(kind, chunk_size):
     source, requests = _inputs(kind)
     names = [*available_policies(), _ScalarLRU.name]
     assert "OPT" in names
 
-    results = MultiPolicySimulator([_build(name) for name in names]).run(
-        source, start_seq=START_SEQ
-    )
+    results = _engine([_build(name) for name in names], chunk_size).run(source)
     for name, result in zip(names, results):
-        expected = scalar_replay(_build(name), requests, START_SEQ)
+        expected = scalar_replay(_build(name), requests)
         assert engine_fields(result) == expected, name
     if kind != "trace-spec":
         assert [client for client, _ in results[0].per_client.items()] == [
@@ -190,8 +202,8 @@ def test_every_registered_policy_matches_the_scalar_replay(kind):
 
 
 @pytest.mark.parametrize("queueing", sorted(_QUEUEING))
-@pytest.mark.parametrize("kind", ["list", "generator", "trace-spec"])
-def test_clusters_with_every_observer_match_the_scalar_replay(kind, queueing):
+@pytest.mark.parametrize("kind,chunk_size", _SOURCES)
+def test_clusters_with_every_observer_match_the_scalar_replay(kind, chunk_size, queueing):
     source, requests = _inputs(kind)
     options = dict(
         cost_model=CostModel(device="hdd", page_span=2_000),
@@ -202,10 +214,10 @@ def test_clusters_with_every_observer_match_the_scalar_replay(kind, queueing):
     def build(kwargs):
         return create_policy("SHARDED", capacity=CAPACITY, **kwargs)
 
-    results = MultiPolicySimulator(
-        [build(kwargs) for _, kwargs in _OBSERVED_CLUSTERS], **options
-    ).run(source, start_seq=START_SEQ)
+    results = _engine(
+        [build(kwargs) for _, kwargs in _OBSERVED_CLUSTERS], chunk_size, **options
+    ).run(source)
     for (label, kwargs), result in zip(_OBSERVED_CLUSTERS, results):
-        expected = scalar_replay(build(kwargs), requests, START_SEQ, **options)
+        expected = scalar_replay(build(kwargs), requests, **options)
         assert expected["shard_latency"] and expected["queueing"].request_count
         assert engine_fields(result) == expected, label

@@ -33,14 +33,12 @@ def _trace(n=2000, pages=120, seed=3):
     ]
 
 
-def _drive(observer: ReplayObserver, policy, stream, start_seq=0, chunk=256):
+def _drive(observer: ReplayObserver, policy, stream, chunk=256):
     """Feed *observer* the outcome stream of *policy*, chunk-batched."""
     for base in range(0, len(stream), chunk):
-        part = ColumnarChunk.from_requests(
-            stream[base : base + chunk], start_seq + base
-        )
+        part = ColumnarChunk.from_requests(stream[base : base + chunk], base)
         observer.on_batch(part, policy.batch_access(part))
-        observer.on_chunk_end(start_seq + base + len(part))
+        observer.on_chunk_end(base + len(part))
 
 
 class TestStatsObserver:
@@ -61,23 +59,11 @@ class TestStatsObserver:
             b.on_outcome(request, seq, pb.access(request, seq))
         assert a.finalize() == b.finalize()
 
-    def test_merge_sums_segments(self):
-        stream = _trace()
-        cut = len(stream) // 3
-        policy = LRUPolicy(40)
-        first, second = StatsObserver(), StatsObserver()
-        _drive(first, policy, stream[:cut])
-        _drive(second, policy, stream[cut:], start_seq=cut)
-        first.merge(second)
-        whole = StatsObserver()
-        _drive(whole, LRUPolicy(40), stream)
-        assert first.finalize() == whole.finalize()
-
 
 class TestRollingObserver:
     def test_matches_engine_rolling(self):
         stream = _trace()
-        observer = RollingObserver(window=128, start_seq=0)
+        observer = RollingObserver(window=128)
         _drive(observer, LRUPolicy(40), stream, chunk=128)
         expected = simulate(LRUPolicy(40), stream, rolling_window=128).rolling
         assert observer.finalize() == expected
@@ -87,26 +73,14 @@ class TestRollingObserver:
         # windows at every boundary crossing.
         stream = _trace(n=700)
         policy = LRUPolicy(40)
-        observer = RollingObserver(window=100, start_seq=0)
+        observer = RollingObserver(window=100)
         for seq, request in enumerate(stream):
             observer.on_outcome(request, seq, policy.access(request, seq))
         expected = simulate(LRUPolicy(40), stream, rolling_window=100).rolling
         assert observer.finalize() == expected
 
-    def test_merge_rejoins_split_segments(self):
-        stream = _trace()
-        cut = 777  # deliberately not a window multiple
-        policy = LRUPolicy(40)
-        first = RollingObserver(window=128, start_seq=0)
-        _drive(first, policy, stream[:cut], chunk=128)
-        second = RollingObserver(window=128, start_seq=cut)
-        _drive(second, policy, stream[cut:], start_seq=cut, chunk=128)
-        first.merge(second)
-        whole = simulate(LRUPolicy(40), stream, rolling_window=128).rolling
-        assert first.finalize() == whole
-
     def test_finalize_is_non_destructive(self):
-        observer = RollingObserver(window=64, start_seq=0)
+        observer = RollingObserver(window=64)
         _drive(observer, LRUPolicy(20), _trace(n=200), chunk=64)
         assert observer.finalize() == observer.finalize()
 
@@ -125,20 +99,6 @@ class TestShardStatsObserver:
     def test_plain_policies_get_no_shard_observer(self):
         assert shard_observer_for(LRUPolicy(10)) is None
 
-    def test_merge_is_element_wise(self):
-        stream = _trace()
-        cut = len(stream) // 2
-        cluster = ShardedCache(capacity=36, policy="LRU", shards=3)
-        first = shard_observer_for(cluster)
-        second = shard_observer_for(cluster)
-        _drive(first, cluster, stream[:cut])
-        _drive(second, cluster, stream[cut:], start_seq=cut)
-        first.merge(second)
-        whole = CacheSimulator(
-            ShardedCache(capacity=36, policy="LRU", shards=3)
-        ).run(stream)
-        assert first.finalize() == whole.per_shard
-
 
 class TestCostObserver:
     def test_matches_engine_pricing(self):
@@ -149,19 +109,6 @@ class TestCostObserver:
         _drive(observer, policy, stream)
         expected = simulate(LRUPolicy(40), stream, cost_model=model).latency
         assert observer.finalize().as_dict() == expected.as_dict()
-
-    def test_merge_is_exact_for_position_independent_devices(self):
-        stream = _trace()
-        cut = len(stream) // 2
-        model = CostModel("ssd")
-        policy = LRUPolicy(40)
-        first = CostObserver(model.accumulator_for(policy))
-        _drive(first, policy, stream[:cut])
-        second = CostObserver(model.accumulator_for(policy))
-        _drive(second, policy, stream[cut:], start_seq=cut)
-        first.merge(second)
-        whole = simulate(LRUPolicy(40), stream, cost_model=model).latency
-        assert first.finalize().as_dict() == whole.as_dict()
 
 
 class _EvictionLog(ReplayObserver):
@@ -174,9 +121,6 @@ class _EvictionLog(ReplayObserver):
         for page in outcome.evicted:
             self.events.append((seq, page))
 
-    def merge(self, other):
-        self.events.extend(other.events)
-
     def finalize(self):
         return list(self.events)
 
@@ -186,7 +130,7 @@ class TestObserverFactories:
         stream = _trace()
         logs: list[_EvictionLog] = []
 
-        def factory(policy, start_seq):
+        def factory(policy):
             log = _EvictionLog()
             logs.append(log)
             return log
@@ -199,16 +143,15 @@ class TestObserverFactories:
 
     def test_engine_builds_one_observer_per_policy(self):
         stream = _trace(n=500)
-        built: list[tuple[object, int]] = []
+        built: list[object] = []
 
-        def factory(policy, start_seq):
-            built.append((policy, start_seq))
+        def factory(policy):
+            built.append(policy)
             return _EvictionLog()
 
         policies = [LRUPolicy(20), LRUPolicy(40)]
-        MultiPolicySimulator(policies, observer_factories=[factory]).run(stream, start_seq=7)
-        assert [policy for policy, _ in built] == policies
-        assert all(start == 7 for _, start in built)
+        MultiPolicySimulator(policies, observer_factories=[factory]).run(stream)
+        assert built == policies
 
 
 class TestBoundaryAlignment:
@@ -228,16 +171,13 @@ class TestBoundaryAlignment:
                 if seq_end % 60 == 0:
                     crossings.append(seq_end)
 
-            def merge(self, other):
-                pass
-
             def finalize(self):
                 return None
 
         result = CacheSimulator(
             LRUPolicy(40),
             rolling_window=100,
-            observer_factories=[lambda policy, start: _Boundaries()],
+            observer_factories=[lambda policy: _Boundaries()],
         ).run(stream)
         assert crossings == list(range(60, 1001, 60))
         assert [w.start for w in result.rolling.windows] == list(range(0, 1000, 100))

@@ -11,7 +11,7 @@ Two kinds of pinning:
   against independent in-test reference implementations: the Lindley
   recursion per shard (which is also what makes per-shard FCFS order
   checkable), work conservation (the drained ``N(t)`` integral equals the
-  sojourn sum identically), and segment-merge/composition contracts.
+  sojourn sum identically), and composition with sharded clusters.
 
 Closed-form tolerances are calibrated, not guessed: the M/D/1 finite-run
 bias at ``n = 40k`` requests is about -3% at ``rho = 0.3`` and ``-4%`` at
@@ -70,24 +70,24 @@ class _NoPolicy:
 
 
 class _ScalarQueueingObserver(QueueingObserver):
-    """Runs single-server constant-price shards through the scalar per-event
-    queues, which production reserves for seek devices and multi-server
-    shards: the reference the vector Lindley pass must match."""
+    """Runs constant-price shards through the scalar per-event queues, which
+    production reserves for seek devices: the reference the vector Lindley
+    pass must match."""
 
-    def __init__(self, model: QueueingModel, policy, start_seq: int = 0):
-        super().__init__(model, policy, start_seq)
-        assert self._vector and model.servers_per_shard == 1
+    def __init__(self, model: QueueingModel, policy):
+        super().__init__(model, policy)
+        assert self._vector
         self._vector = False
         self._queues = [_SingleServerQueue() for _ in range(self._shard_count)]
         self._delay_hist = _fresh_histogram()
         self._sojourn_hist = _fresh_histogram()
 
 
-def _drive(model: QueueingModel, requests, outcomes, start_seq: int = 0):
+def _drive(model: QueueingModel, requests, outcomes):
     """Feed synthetic (request, outcome) pairs through a fresh observer."""
-    observer = QueueingObserver(model, _NoPolicy(), start_seq)
+    observer = QueueingObserver(model, _NoPolicy())
     observer.on_batch(
-        ColumnarChunk.from_requests(requests, start_seq),
+        ColumnarChunk.from_requests(requests),
         AccessOutcomeBatch.from_outcomes(outcomes),
     )
     return observer
@@ -172,20 +172,6 @@ class TestClosedForms:
                 assert stats.utilization >= previous.utilization - 1e-12
             previous = stats
 
-    def test_more_servers_never_increase_delay(self):
-        """G/G/c FCFS: doubling the servers (at the same arrivals and
-        services) can only reduce waiting."""
-        n = 4_000
-        requests = _all_miss_reads(n)
-        rate = 1.4 / (_READ_MISS_US * 1e-6)  # overloads c=1, fine for c=2
-        single = _drive(_poisson_model(rate), requests, [MISS_ADMIT] * n).finalize()
-        double = _drive(
-            _poisson_model(rate, servers_per_shard=2), requests, [MISS_ADMIT] * n
-        ).finalize()
-        assert single.servers == 1 and double.servers == 2
-        assert double.total_delay_us < single.total_delay_us
-        assert double.utilization < single.utilization
-
 
 #: Arrival rates spanning light load to past single-server saturation.
 _RATES = st.sampled_from([500.0, 4_000.0, 9_000.0, 15_000.0])
@@ -233,7 +219,7 @@ class TestStructuralLaws:
         outcomes = [cluster.access(request, seq) for seq, request in enumerate(stream)]
         model = _poisson_model(rate, seed=seed)
         replay = create_policy("SHARDED", capacity=9, policy="LRU", shards=3)
-        observer = QueueingObserver(model, replay, 0)
+        observer = QueueingObserver(model, replay)
         for seq, (request, outcome) in enumerate(zip(stream, outcomes)):
             replay.access(request, seq)
             observer.on_outcome(request, seq, outcome)
@@ -263,34 +249,26 @@ class TestStructuralLaws:
             )
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        stream=request_streams(max_size=200),
-        rate=_RATES,
-        servers=st.sampled_from([1, 2, 3]),
-    )
-    def test_work_conservation_area_matches_event_sweep(self, stream, rate, servers):
+    @given(stream=request_streams(max_size=200), rate=_RATES)
+    def test_work_conservation_area_matches_event_sweep(self, stream, rate):
         """Little's-law numerator cross-check: the production
         ``area_at_last_arrival_ns`` (computed from the sojourn-sum identity
         minus the departure overhang) equals an *independent* event-sweep
         integral of ``N(t)`` — step through +1/-1 marks of a reference
-        G/G/c Lindley recursion and integrate the step function up to the
-        last arrival.  Exact, for any stream, load and server count."""
+        Lindley recursion and integrate the step function up to the last
+        arrival.  Exact, for any stream and load."""
         policy = create_policy("LRU", capacity=8)
         outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
-        model = _poisson_model(rate, servers_per_shard=servers)
+        model = _poisson_model(rate)
         stats = _drive(model, stream, outcomes).finalize()
 
-        import heapq
-
-        busy = [0] * servers
+        busy = 0
         pairs: list[tuple[int, int]] = []  # (arrival_ns, departure_ns)
         for t_us, request, outcome in zip(model.arrivals.times(), stream, outcomes):
             t = _quantize_ns(t_us)
             service = _reference_price_ns(request, outcome.hit)
-            earliest = busy[0]
-            start = earliest if earliest > t else t
-            heapq.heapreplace(busy, start + service)
-            pairs.append((t, start + service))
+            busy = (busy if busy > t else t) + service
+            pairs.append((t, busy))
         if pairs:
             last_arrival = pairs[-1][0]
             marks = sorted(
@@ -341,58 +319,19 @@ class TestStructuralLaws:
                 )
             return observer.finalize()
 
-        vector = QueueingObserver(model, policy, 0)
+        vector = QueueingObserver(model, policy)
         assert vector._vector
         fast = run(vector)
-        slow = run(_ScalarQueueingObserver(model, policy, 0))
+        slow = run(_ScalarQueueingObserver(model, policy))
         assert fast == slow
 
 
-class TestSegmentsAndComposition:
-    def test_merge_continues_the_arrival_clock(self):
-        """Segment B's arrivals are absolute functions of the sequence
-        number: splitting a stream at any point and merging reproduces the
-        whole run's arrival window and totals exactly for light load (no
-        queue carryover), and exactly the counts/clock regardless."""
-        n, cut = 600, 251
-        requests = _all_miss_reads(n)
-        outcomes = [MISS_ADMIT] * n
-        model = _poisson_model(2_000.0)
-
-        whole = _drive(model, requests, outcomes).finalize()
-        head = _drive(model, requests[:cut], outcomes[:cut])
-        tail = _drive(model, requests[cut:], outcomes[cut:], start_seq=cut)
-        head.merge(tail)
-        merged = head.finalize()
-
-        assert merged.request_count == whole.request_count
-        assert merged.first_arrival_us == whole.first_arrival_us
-        assert merged.last_arrival_us == whole.last_arrival_us
-        assert merged.total_service_us == pytest.approx(whole.total_service_us)
-        # Idle-at-segment-start can only shed queueing carried across the cut.
-        assert merged.total_delay_us <= whole.total_delay_us + 1e-9
-
+class TestComposition:
     def test_finalize_is_repeatable(self):
         observer = _drive(_poisson_model(8_000.0), _all_miss_reads(50), [MISS_ADMIT] * 50)
         first = observer.finalize()
         second = observer.finalize()
         assert first.as_dict() == second.as_dict()
-
-    def test_merge_rejects_mismatched_models(self):
-        a = _drive(_poisson_model(1_000.0), _all_miss_reads(5), [MISS_ADMIT] * 5)
-        b = _drive(_poisson_model(2_000.0), _all_miss_reads(5), [MISS_ADMIT] * 5)
-        with pytest.raises(ValueError, match="different models"):
-            a.merge(b)
-
-    def test_stats_merge_rejects_mismatched_servers(self):
-        with pytest.raises(ValueError, match="server counts"):
-            QueueingStats(servers=1).merge(QueueingStats(servers=2))
-
-    def test_stats_merge_rejects_mismatched_histograms(self):
-        other = QueueingStats()
-        other.delay_histogram = other.delay_histogram + [0]
-        with pytest.raises(ValueError, match="histogram sizes"):
-            QueueingStats().merge(other)
 
     def test_sharded_single_shard_equals_plain_policy(self):
         """A 1-shard cluster is the unified cache: identical queueing."""
@@ -412,15 +351,13 @@ class TestModelAndPlumbing:
         arrivals = PoissonArrivals(1_000.0)
         with pytest.raises(TypeError, match="ArrivalProcess"):
             QueueingModel(arrivals=1_000.0)
-        with pytest.raises(ValueError, match="servers_per_shard"):
-            QueueingModel(arrivals=arrivals, servers_per_shard=0)
         with pytest.raises(ValueError, match="write policy"):
             QueueingModel(arrivals=arrivals, write_policy="write-around")
         with pytest.raises(ValueError, match="unknown device"):
             QueueingModel(arrivals=arrivals, device="floppy")
 
     def test_model_hashable_and_picklable(self):
-        model = _poisson_model(3_000.0, device="nvme", servers_per_shard=2)
+        model = _poisson_model(3_000.0, device="nvme")
         assert hash(model) == hash(pickle.loads(pickle.dumps(model)))
         assert pickle.loads(pickle.dumps(model)) == model
         assert model.scaled(2.0) != model

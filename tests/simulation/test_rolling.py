@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cache.arc import ARCPolicy
 from repro.cache.lru import LRUPolicy
@@ -18,7 +16,6 @@ from repro.simulation.metrics import RollingMetrics, RollingWindow
 from repro.simulation.simulator import CacheSimulator
 
 from tests.conftest import rd, wr
-from tests.strategies import request_streams
 
 
 def small_stream(n: int = 1_000):
@@ -26,62 +23,12 @@ def small_stream(n: int = 1_000):
 
 
 class TestRollingWindow:
-    def test_ratio_and_combine(self):
-        first = RollingWindow(0, 6, 4, 2, 2, 1, 3)
-        second = RollingWindow(6, 4, 2, 2, 2, 0, 1)
-        joined = first.combine(second)
-        assert joined == RollingWindow(0, 10, 6, 4, 4, 1, 4)
-        assert joined.read_hit_ratio == 4 / 6
+    def test_read_hit_ratio(self):
+        assert RollingWindow(0, 10, 6, 4, 4, 1, 4).read_hit_ratio == 4 / 6
         assert RollingWindow(0, 0, 0, 0, 0, 0, 0).read_hit_ratio == 0.0
 
-    def test_combine_requires_adjacency(self):
-        with pytest.raises(ValueError, match="does not continue"):
-            RollingWindow(0, 6, 4, 2, 2, 1, 0).combine(
-                RollingWindow(9, 1, 1, 0, 0, 0, 0)
-            )
 
-
-class TestRollingMetricsMerge:
-    def test_merge_rejoins_a_split_window(self):
-        window = RollingMetrics(
-            window=10, windows=(RollingWindow(0, 7, 7, 3, 0, 0, 1),)
-        )
-        rest = RollingMetrics(
-            window=10,
-            windows=(
-                RollingWindow(7, 3, 3, 1, 0, 0, 0),
-                RollingWindow(10, 5, 5, 2, 0, 0, 0),
-            ),
-        )
-        merged = window.merge(rest)
-        assert merged.starts() == [0, 10]
-        assert merged.windows[0].requests == 10
-        assert merged.windows[0].read_hits == 4
-
-    def test_merge_concatenates_aligned_segments(self):
-        a = RollingMetrics(window=10, windows=(RollingWindow(0, 10, 10, 1, 0, 0, 0),))
-        b = RollingMetrics(window=10, windows=(RollingWindow(10, 4, 4, 0, 0, 0, 0),))
-        assert a.merge(b).starts() == [0, 10]
-        assert a.merge(RollingMetrics(window=10)) == a
-        assert RollingMetrics(window=10).merge(a) == a
-
-    def test_merge_rejects_mismatched_windows(self):
-        with pytest.raises(ValueError, match="different windows"):
-            RollingMetrics(window=10).merge(RollingMetrics(window=20))
-
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(stream=request_streams(min_size=20, max_size=200), split=st.data())
-    def test_split_replay_merges_to_the_whole(self, stream, split):
-        """Segment the replay anywhere: merged series == one-shot series."""
-        cut = split.draw(st.integers(min_value=1, max_value=len(stream) - 1))
-        whole = CacheSimulator(LRUPolicy(8), rolling_window=16).run(stream)
-        policy = LRUPolicy(8)
-        first = CacheSimulator(policy, rolling_window=16).run(stream[:cut])
-        second = CacheSimulator(policy, rolling_window=16).run(
-            stream[cut:], start_seq=cut
-        )
-        assert first.rolling.merge(second.rolling) == whole.rolling
-
+class TestRollingMetrics:
     def test_as_rows_carries_global_window_indices(self):
         metrics = RollingMetrics(
             window=10,

@@ -35,21 +35,6 @@ class TestCacheSimulator:
         CacheSimulator(Recorder(4)).run([rd(1), rd(2), rd(3)])
         assert seen == [0, 1, 2]
 
-    def test_start_seq_offsets_numbering(self):
-        seen = []
-
-        class Recorder(LRUPolicy):
-            # Replay calls batch_access: the base scalar lift routes every
-            # request through the access() override below.
-            batch_access = CachePolicy.batch_access
-
-            def access(self, request, seq):
-                seen.append(seq)
-                return super().access(request, seq)
-
-        CacheSimulator(Recorder(4)).run([rd(1), rd(2)], start_seq=100)
-        assert seen == [100, 101]
-
     def test_offline_policy_gets_prepared(self):
         requests = [rd(1), rd(2), rd(1)]
         result = CacheSimulator(OPTPolicy(1)).run(requests)
@@ -63,10 +48,6 @@ class TestCacheSimulator:
         assert result.client_read_hit_ratio("client-a") == pytest.approx(0.5)
         assert result.client_read_hit_ratio("client-b") == 0.0
         assert result.client_read_hit_ratio("unknown") == 0.0
-
-    def test_per_client_tracking_can_be_disabled(self):
-        result = CacheSimulator(LRUPolicy(2), track_per_client=False).run([rd(1)])
-        assert result.per_client == {}
 
     def test_result_reports_policy_and_capacity(self):
         result = simulate(LRUPolicy(7), [rd(1), wr(2)])

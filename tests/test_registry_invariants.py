@@ -164,7 +164,7 @@ class TestRegistryInvariants:
             stream = _disjoint_pages(stream)
         policy = case.build()
         if policy.offline:
-            policy.prepare(stream, 0)
+            policy.prepare(stream)
         for seq, request in enumerate(stream):
             policy.access(request, seq)
             assert len(policy) <= policy.capacity
@@ -221,7 +221,7 @@ class TestRegistryInvariants:
             stream = _disjoint_pages(stream)
         policy = case.build()
         if policy.offline:
-            policy.prepare(stream, 0)
+            policy.prepare(stream)
         admissions = evictions = bypasses = 0
         for seq, request in enumerate(stream):
             outcome = policy.access(request, seq)
@@ -248,7 +248,7 @@ class TestRegistryInvariants:
         cut = len(stream) // 2
         policy = case.build()
         if policy.offline:
-            policy.prepare(stream, 0)
+            policy.prepare(stream)
         for seq, request in enumerate(stream[:cut]):
             policy.access(request, seq)
         state = policy.snapshot()

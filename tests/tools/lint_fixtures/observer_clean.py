@@ -1,5 +1,5 @@
-"""Known-clean fixture: a stateful observer that only writes its own state
-and implements merge() for segmented replays."""
+"""Known-clean fixture: a stateful observer that only writes its own
+state."""
 
 
 class ReplayObserver:
@@ -13,9 +13,6 @@ class CountingObserver(ReplayObserver):
     def on_outcome(self, request, seq, outcome):
         if outcome.hit:
             self._hits += 1
-
-    def merge(self, other):
-        self._hits += other._hits
 
     def finalize(self):
         return self._hits

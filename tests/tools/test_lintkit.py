@@ -38,7 +38,7 @@ FAMILIES = [
             "kernel-request-mutation",
         },
     ),
-    ("observer", {"observer-param-mutation", "observer-merge-required"}),
+    ("observer", {"observer-param-mutation"}),
     ("intclock", {"int-clock-float"}),
 ]
 
@@ -93,18 +93,6 @@ def test_clean_fixture_passes_its_family(stem: str, family: set) -> None:
         [FIXTURES / f"{stem}_clean.py"], fixture_config(), select=sorted(family)
     )
     assert result.violations == []
-
-
-def test_merge_rule_covers_the_batch_hook() -> None:
-    """``on_batch`` is the hook the engine calls per chunk: an observer that
-    accumulates only there is flagged like its ``on_outcome`` twin."""
-    result = run_paths(
-        [FIXTURES / "observer_bad.py"],
-        fixture_config(),
-        select=["observer-merge-required"],
-    )
-    flagged = sorted(v.message.split("`")[1] for v in result.violations)
-    assert flagged == ["BatchLeakyObserver", "LeakyObserver"]
 
 
 def test_typing_gate_fires_only_in_strict_packages() -> None:

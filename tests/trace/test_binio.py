@@ -331,3 +331,165 @@ class TestColumnarDecodeEdgeCases:
             list(streamed.iter_columnar())
         assert str(columnar_err.value) == str(scalar_err.value)
         assert "garbled block record" in str(scalar_err.value)
+
+
+# ------------------------------------------------------ one record walker
+
+
+def _agreeing_chunks(path) -> list[list[IORequest]]:
+    """Both decoded views of *path*; asserts they hold the same requests."""
+    streamed = StreamedTrace(path)
+    chunks = list(streamed.iter_chunks())
+    assert chunks == [chunk.requests() for chunk in streamed.iter_columnar()]
+    return chunks
+
+
+def _varint_at(data: bytes, pos: int) -> tuple[int, int]:
+    """Decode the varint at *pos*; returns ``(value, position after it)``."""
+    value = shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        shift += 7
+
+
+def _record_offsets(data: bytes) -> list[tuple[int, int]]:
+    """``(tag, offset)`` of every record between the header and END."""
+    records = []
+    pos = 7  # magic + version byte
+    while True:
+        tag = data[pos]
+        records.append((tag, pos))
+        if tag == 0x04:
+            return records
+        if tag == 0x02:
+            _, body = _varint_at(data, pos + 1)
+            length, body = _varint_at(data, body)
+        elif tag == 0x03:
+            _, body = _varint_at(data, pos + 1)
+            length, body = _varint_at(data, body)
+        else:
+            length, body = _varint_at(data, pos + 1)
+        pos = body + length
+
+
+def _mixed_requests() -> list[IORequest]:
+    """Two full blocks of plain records, then a block mixing plain records
+    with records whose client id differs from their hint set's."""
+    hot = hint("db2", object_id=1)
+    cold = hint("db2", object_id=2, request_type="replacement_write")
+    plain = [
+        rd(page, hot) if page % 3 else wr(page, cold)
+        for page in range(2 * BLOCK_REQUESTS)
+    ]
+    tail = [
+        IORequest(page, RequestKind.READ, hot, "mysql" if page % 2 else "db2")
+        for page in range(300)
+    ]
+    return plain + tail
+
+
+class TestDecodersAgree:
+    """``iter_chunks`` is the request view of ``iter_columnar``'s chunks:
+    the same requests, block for block, and the same TraceFormatError on
+    every kind of corruption (a record that runs off its block is
+    ``TestColumnarDecodeEdgeCases``' truncated record)."""
+
+    def _write(self, tmp_path, requests):
+        path = tmp_path / "t.ctb"
+        with BinaryTraceWriter(path, name="t") as writer:
+            writer.write_all(requests)
+        return path
+
+    def test_plain_blocks(self, tmp_path):
+        requests = _mixed_requests()[: 2 * BLOCK_REQUESTS]
+        chunks = _agreeing_chunks(self._write(tmp_path, requests))
+        assert [len(chunk) for chunk in chunks] == [BLOCK_REQUESTS, BLOCK_REQUESTS]
+        assert [r for chunk in chunks for r in chunk] == requests
+
+    def test_explicit_client_ids(self, tmp_path):
+        hints = hint("db2", object_id=7)
+        requests = [
+            IORequest(page, RequestKind.WRITE, hints, f"tenant-{page % 3}")
+            for page in range(500)
+        ]
+        chunks = _agreeing_chunks(self._write(tmp_path, requests))
+        assert [r for chunk in chunks for r in chunk] == requests
+
+    def test_mixed_blocks(self, tmp_path):
+        requests = _mixed_requests()
+        chunks = _agreeing_chunks(self._write(tmp_path, requests))
+        assert [len(chunk) for chunk in chunks] == [BLOCK_REQUESTS, BLOCK_REQUESTS, 300]
+        assert [r for chunk in chunks for r in chunk] == requests
+
+    def test_pages_beyond_the_vector_lane(self, tmp_path):
+        # Pages of 2**56 and more need 9-byte varints: the block takes the
+        # scalar fallback.  Chunk columns are int64, so 2**63 - 1 is the
+        # largest page either view decodes.
+        requests = [rd(2**56), wr(2**56 + 1), rd(2**63 - 1), rd(3)]
+        chunks = _agreeing_chunks(self._write(tmp_path, requests))
+        assert chunks == [requests]
+
+    def test_page_beyond_the_page_column(self, tmp_path):
+        # The format's varints carry any page, a chunk's int64 column does
+        # not: such a block fails loudly instead of overflowing numpy.
+        path = self._write(tmp_path, [rd(1), rd(2**63)])
+        self._both_raise(path, "page id beyond the int64 page column")
+
+    def _both_raise(self, path, match: str) -> None:
+        streamed = StreamedTrace(path)
+        with pytest.raises(TraceFormatError, match=match) as scalar_err:
+            list(streamed.iter_chunks())
+        with pytest.raises(TraceFormatError) as columnar_err:
+            list(streamed.iter_columnar())
+        assert str(columnar_err.value) == str(scalar_err.value)
+
+    def test_truncated_body(self, tmp_path):
+        path = _write_sample(tmp_path)
+        streamed = StreamedTrace(path)
+        data = path.read_bytes()
+        (block,) = [offset for tag, offset in _record_offsets(data) if tag == 0x03]
+        path.write_bytes(data[: block + 6])  # cut inside the block body
+        with pytest.raises(TraceFormatError, match="unexpected end of file") as a:
+            list(streamed.iter_chunks())
+        with pytest.raises(TraceFormatError) as b:
+            list(streamed.iter_columnar())
+        assert str(a.value) == str(b.value)
+
+    def test_undefined_hint_id(self, tmp_path):
+        path = _write_sample(tmp_path)
+        data = bytearray(path.read_bytes())
+        (block,) = [offset for tag, offset in _record_offsets(data) if tag == 0x03]
+        # tag, count, length, then the first record: flags, page 1, hint 1.
+        assert data[block + 4 : block + 6] == b"\x01\x01"
+        data[block + 5] = 0x7F
+        path.write_bytes(bytes(data))
+        self._both_raise(path, "undefined hint set id 126")
+
+    def test_end_count_mismatch(self, tmp_path):
+        path = _write_sample(tmp_path)
+        data = bytearray(path.read_bytes())
+        end_offset = struct.unpack("<Q", data[-16:-8])[0]
+        data[end_offset + 1] = 0x07  # the sample has 6 requests
+        path.write_bytes(bytes(data))
+        self._both_raise(path, "END declares 7 requests but 6 were decoded")
+
+    def test_unknown_tag(self, tmp_path):
+        path = _write_sample(tmp_path)
+        data = bytearray(path.read_bytes())
+        (block,) = [offset for tag, offset in _record_offsets(data) if tag == 0x03]
+        data[block] = 0x09
+        path.write_bytes(bytes(data))
+        self._both_raise(path, "unknown record tag 0x09")
+
+    def test_hint_ids_not_dense(self, tmp_path):
+        path = _write_sample(tmp_path)
+        data = bytearray(path.read_bytes())
+        hint_sets = [offset for tag, offset in _record_offsets(data) if tag == 0x02]
+        assert data[hint_sets[1] + 1] == 0x01
+        data[hint_sets[1] + 1] = 0x02  # the second hint set claims id 2
+        path.write_bytes(bytes(data))
+        self._both_raise(path, "must be dense and ascending")

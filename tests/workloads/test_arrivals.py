@@ -1,11 +1,9 @@
 """Contracts of the deterministic arrival processes.
 
-The load experiment (and the queueing observer's segment-resume path)
-lean on three promises: arrival times are *pure functions* of
-``(seed, sequence index)`` (no hidden RNG state), ``times(k)`` is exactly
-the tail of ``times(0)`` bit for bit, and ``scaled()`` rescales the rate
-while keeping the underlying uniforms (which is what makes queueing
-delays pathwise monotone in offered load).
+The load experiment leans on two promises: arrival times are *pure
+functions* of ``(seed, sequence index)`` (no hidden RNG state), and
+``scaled()`` rescales the rate while keeping the underlying uniforms (which
+is what makes queueing delays pathwise monotone in offered load).
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ ALL_PROCESSES = [
 PROCESS_IDS = [type(process).__name__ for process in ALL_PROCESSES]
 
 
-def _take(process, n: int, start_seq: int = 0) -> list[float]:
-    return list(islice(process.times(start_seq), n))
+def _take(process, n: int) -> list[float]:
+    return list(islice(process.times(), n))
 
 
 class TestUnitUniform:
@@ -74,13 +72,6 @@ class TestCommonContracts:
         assert first == second
         assert all(b > a for a, b in zip(first, first[1:]))
         assert first[0] > 0.0
-
-    def test_tail_contract_bit_exact(self, process):
-        """times(k) is times(0) with the first k arrivals dropped — bit for
-        bit, which is what makes segment replays resume exactly."""
-        whole = _take(process, 200)
-        for start in (1, 37, 150):
-            assert _take(process, 200 - start, start_seq=start) == whole[start:]
 
     def test_scaled_rescales_the_mean_rate(self, process):
         assert process.scaled(2.0).mean_rate_rps == pytest.approx(

@@ -11,8 +11,7 @@ enforces the machine-checkable part of those laws on every file, at CI time:
 * **kernel-contract** — registered cache policies implement
   ``access() -> AccessOutcome``, keep their snapshot field lists coherent,
   and perform no I/O or request mutation;
-* **observer-purity** — replay observers mutate only their own state and
-  stay mergeable;
+* **observer-purity** — replay observers mutate only their own state;
 * **int-clock-safety** — nothing float-valued feeds an integer-nanosecond
   (``*_ns``) clock accumulator;
 * **registry-completeness** — experiments have golden fixtures, the

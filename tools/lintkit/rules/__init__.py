@@ -17,10 +17,7 @@ from tools.lintkit.rules.nondeterminism import (
     UnseededRandomRule,
     WallClockRule,
 )
-from tools.lintkit.rules.observer_purity import (
-    ObserverMergeRequiredRule,
-    ObserverParamMutationRule,
-)
+from tools.lintkit.rules.observer_purity import ObserverParamMutationRule
 from tools.lintkit.rules.registry_complete import (
     RegistryGoldenFixtureRule,
     RegistryInvariantSuiteRule,
@@ -47,7 +44,6 @@ ALL_RULES: tuple[Rule, ...] = (
     BatchKernelParityRule(),
     # family 3: observer-purity
     ObserverParamMutationRule(),
-    ObserverMergeRequiredRule(),
     # family 4: int-clock-safety
     IntClockFloatRule(),
     # family 5: registry-completeness

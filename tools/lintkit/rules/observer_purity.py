@@ -4,8 +4,7 @@ Replay observers (``ReplayObserver`` implementations) share one outcome
 stream: many observers see the same request/outcome objects, and the cluster
 or policy they were constructed around keeps serving the replay loop.  An
 observer may *read* anything it was handed but may only ever *write* its own
-state — and if it accumulates per-chunk state, it must implement ``merge``
-so segmented replays (``jobs=N``) rejoin into one run's accounting.
+state.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from tools.lintkit.core import (
     dotted_name,
 )
 
-__all__ = ["ObserverMergeRequiredRule", "ObserverParamMutationRule"]
+__all__ = ["ObserverParamMutationRule"]
 
 _OBSERVER_BASE = "ReplayObserver"
 
@@ -79,8 +78,6 @@ class ObserverParamMutationRule(ProjectRule):
         fn: ast.FunctionDef,
         params: set[str],
     ) -> Iterator[Violation]:
-        # ``merge(other)`` absorbing a same-type observer may not write to it
-        # either: the segment observer is reused by the engine's fold.
         for node in ast.walk(fn):
             targets: list[ast.expr] = []
             if isinstance(node, ast.Assign):
@@ -113,75 +110,6 @@ class ObserverParamMutationRule(ProjectRule):
                         )
 
 
-class ObserverMergeRequiredRule(ProjectRule):
-    """An observer that accumulates state in ``on_outcome``/``on_batch``/
-    ``on_chunk_end`` must define ``merge`` (itself or via a concrete repo
-    base), or ``jobs=N`` replays silently drop its segments."""
-
-    rule_id = "observer-merge-required"
-    summary = "stateful observers implement merge() for segmented replays"
-
-    _EVENT_METHODS = ("on_outcome", "on_batch", "on_chunk_end")
-
-    def check_project(
-        self, project: Project, config: LintConfig
-    ) -> Iterator[Violation]:
-        for ctx, cls in observer_classes(project):
-            if not self._accumulates(cls):
-                continue
-            lineage = project.class_lineage(ctx, cls)
-            # An inherited abstract merge does not count; a concrete one does.
-            for _, ancestor in lineage:
-                merge = _methods(ancestor).get("merge")
-                if merge is not None and not _is_abstract_method(merge):
-                    break
-            else:
-                yield ctx.violation(
-                    cls,
-                    self.rule_id,
-                    f"observer `{cls.name}` accumulates per-chunk state but "
-                    "implements no merge(); jobs=N replays would drop its "
-                    "segments",
-                )
-
-    def _accumulates(self, cls: ast.ClassDef) -> bool:
-        _MUTATORS = {
-            "append",
-            "extend",
-            "add",
-            "update",
-            "setdefault",
-            "insert",
-            "pop",
-            "popleft",
-            "appendleft",
-        }
-        for name, fn in _methods(cls).items():
-            if name not in self._EVENT_METHODS:
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        if _root_name(target) == "self" and not isinstance(
-                            target, ast.Name
-                        ):
-                            return True
-                elif isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Attribute
-                ):
-                    if (
-                        node.func.attr in _MUTATORS
-                        and _root_name(node.func.value) == "self"
-                    ):
-                        return True
-        return False
-
-
 def _root_name(node: ast.AST) -> str | None:
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
@@ -189,9 +117,3 @@ def _root_name(node: ast.AST) -> str | None:
         return node.id
     return None
 
-
-def _is_abstract_method(fn: ast.FunctionDef) -> bool:
-    return any(
-        (dotted_name(deco) or "").endswith("abstractmethod")
-        for deco in fn.decorator_list
-    )

@@ -5,7 +5,8 @@ stats (SHARDED cluster policies), a seek-aware cost model (hdd), and rolling
 window metrics — serially and across worker processes, and demands the two
 runs are bit-identical: stats, per-client, per-shard partitions, latency,
 per-shard latency, and every rolling window.  This is the one-command proof
-that observer merging across replay segments changes nothing but wall-clock.
+that replaying whole cells in worker processes changes nothing but
+wall-clock.
 
 Usage::
 
