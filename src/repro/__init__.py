@@ -8,8 +8,8 @@ The package is organised as follows:
   ARC, TQ and the offline OPT), all behind one interface.
 * :mod:`repro.simulation` — the trace-driven storage-server cache simulator
   and parameter-sweep drivers.
-* :mod:`repro.trace` — hint schemas, trace containers, serialization, noise
-  injection and trace statistics.
+* :mod:`repro.trace` — hint schemas, trace containers, serialization and
+  noise injection.
 * :mod:`repro.workloads` — synthetic first-tier DBMS clients (TPC-C-like and
   TPC-H-like workloads over a simulated buffer pool) that generate hinted
   I/O traces, standing in for the paper's instrumented DB2/MySQL systems.

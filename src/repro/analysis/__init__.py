@@ -1,14 +1,12 @@
 """Off-line hint analysis and experiment report formatting."""
 
 from repro.analysis.hint_analysis import HintSetAnalysis, analyze_hint_sets, figure3_rows
-from repro.analysis.reporting import percentage, rows_to_csv, rows_to_table, series_to_rows
+from repro.analysis.reporting import rows_to_csv, rows_to_table
 
 __all__ = [
     "HintSetAnalysis",
     "analyze_hint_sets",
     "figure3_rows",
-    "percentage",
     "rows_to_csv",
     "rows_to_table",
-    "series_to_rows",
 ]

@@ -14,12 +14,7 @@ from typing import Mapping, Sequence
 
 from repro.simulation.metrics import format_table
 
-__all__ = ["rows_to_table", "rows_to_csv", "percentage", "series_to_rows"]
-
-
-def percentage(value: float) -> str:
-    """Format a ratio the way the paper's axes do (e.g. ``0.416 -> '41.6%'``)."""
-    return f"{value * 100:.1f}%"
+__all__ = ["rows_to_table", "rows_to_csv"]
 
 
 def _union_columns(rows: Sequence[Mapping]) -> list[str]:
@@ -83,12 +78,3 @@ def rows_to_csv(rows: Sequence[Mapping], path: str | Path, columns: Sequence[str
         for row in rows:
             writer.writerow({column: row.get(column, "") for column in columns})
     return path
-
-
-def series_to_rows(series: Mapping[str, Sequence[tuple[float, float]]], x_name: str) -> list[dict]:
-    """Flatten ``{label: [(x, y), ...]}`` curves into row dicts for tabulation."""
-    rows = []
-    for label, points in series.items():
-        for x, y in points:
-            rows.append({"series": label, x_name: x, "read_hit_ratio": y})
-    return rows

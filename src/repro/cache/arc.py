@@ -231,9 +231,3 @@ class ARCPolicy(CachePolicy):
     def target_t1_size(self) -> float:
         """Current value of the adaptation parameter ``p`` (for tests/inspection)."""
         return self._p
-
-    def reset(self) -> None:
-        super().reset()
-        self._p = 0.0
-        for lst in (self._t1, self._t2, self._b1, self._b2):
-            lst.clear()

@@ -18,9 +18,8 @@ container those observers produce.
 from __future__ import annotations
 
 import abc
-import copy
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from typing import TYPE_CHECKING
 
@@ -364,9 +363,9 @@ class CachePolicy(abc.ABC):
     * the evicted pages reported in outcomes are exactly the pages that left
       the cache, so ``admissions - evictions == len(policy)`` holds at all
       times (one admission per residency);
-    * kernel state is fully captured by :meth:`snapshot` / :meth:`restore`:
-      restoring a snapshot and replaying the same tail produces identical
-      outcomes.
+    * a policy is built for one replay and then dropped, and every piece of
+      its mutable state lives in the instance: two instances share at most
+      read-only structures (OPT's future-read index).
     """
 
     #: Short name used by the policy registry and in experiment output.
@@ -381,15 +380,6 @@ class CachePolicy(abc.ABC):
     #: engine then builds that index once per pass and shares it; offline
     #: policies that cannot share it are prepared with :meth:`prepare`.
     shares_read_index: bool = False
-
-    #: Instance attributes excluded from :meth:`snapshot`: anything that is
-    #: not kernel state.
-    _SNAPSHOT_EXCLUDE: frozenset[str] = frozenset()
-
-    #: Names of attributes shared by reference across snapshots instead of
-    #: being deep-copied: immutable-by-contract structures that may be
-    #: shared between policy instances (OPT's future-read index).
-    _SNAPSHOT_SHARED: tuple[str, ...] = ()
 
     def __init__(self, capacity: int):
         self._capacity = validate_capacity(capacity)
@@ -462,45 +452,6 @@ class CachePolicy(abc.ABC):
         check invariants.
         """
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop all cached pages (capacity is kept)."""
-
-    # ---------------------------------------------------------- snapshotting
-    def snapshot(self) -> Mapping[str, object]:
-        """Capture the kernel state as an opaque, reusable snapshot.
-
-        The default implementation deep-copies every instance attribute
-        except :attr:`_SNAPSHOT_EXCLUDE`; attributes named in
-        :attr:`_SNAPSHOT_SHARED` are carried by reference (read-only shared
-        structures such as OPT's future-read index).  Snapshots are
-        insulated from further mutation of the policy and may be restored
-        any number of times (service-mode checkpointing, crash recovery).
-        """
-        memo: dict[int, object] = {}
-        for name in self._SNAPSHOT_SHARED:
-            value = self.__dict__.get(name)
-            if value is not None:
-                memo[id(value)] = value
-        state = {
-            name: value
-            for name, value in self.__dict__.items()
-            if name not in self._SNAPSHOT_EXCLUDE
-        }
-        return copy.deepcopy(state, memo)
-
-    def restore(self, state: Mapping[str, object]) -> None:
-        """Restore kernel state captured by :meth:`snapshot`.
-
-        The snapshot itself stays pristine (it is deep-copied back in), so
-        one snapshot can seed many restores deterministically.
-        """
-        memo: dict[int, object] = {}
-        for name in self._SNAPSHOT_SHARED:
-            value = state.get(name)
-            if value is not None:
-                memo[id(value)] = value
-        self.__dict__.update(copy.deepcopy(dict(state), memo))
 
     # -------------------------------------------------------------- helpers
     def _check_invariant(self) -> None:

@@ -83,7 +83,3 @@ class LRUPolicy(CachePolicy):
 
     def cached_pages(self) -> Iterable[int]:
         return iter(self._pages)
-
-    def reset(self) -> None:
-        super().reset()
-        self._pages.clear()

@@ -139,10 +139,6 @@ class OPTPolicy(CachePolicy):
     offline = True
     shares_read_index = True
 
-    #: The future-read index is read-only and may be shared across many OPT
-    #: instances (and sharded clusters); snapshots carry it by reference.
-    _SNAPSHOT_SHARED = ("_index",)
-
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._index: ReadIndex | None = None
@@ -326,9 +322,3 @@ class OPTPolicy(CachePolicy):
 
     def cached_pages(self) -> Iterable[int]:
         return iter(self._cached)
-
-    def reset(self) -> None:
-        super().reset()
-        self._cached.clear()
-        self._heap.clear()
-        # The future-read index survives reset so the same trace can be re-run.

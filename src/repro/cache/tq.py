@@ -252,8 +252,3 @@ class TQPolicy(CachePolicy):
     def cached_pages(self) -> Iterable[int]:
         yield from self._low
         yield from self._high
-
-    def reset(self) -> None:
-        super().reset()
-        self._high.clear()
-        self._low.clear()

@@ -2,11 +2,6 @@
 
 from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
-from repro.core.grouping import (
-    project_hint_key,
-    project_hint_set,
-    select_informative_hint_types,
-)
 from repro.core.hints import EMPTY_HINT_SET, HintSchema, HintSet, HintType, make_hint_set
 from repro.core.outqueue import OutQueue, OutQueueEntry
 from repro.core.priority import PriorityManager
@@ -16,9 +11,6 @@ from repro.core.statistics import HintSetStats, HintStatsTracker, HintTable, com
 __all__ = [
     "CLICPolicy",
     "CLICConfig",
-    "project_hint_key",
-    "project_hint_set",
-    "select_informative_hint_types",
     "EMPTY_HINT_SET",
     "HintSchema",
     "HintSet",

@@ -19,13 +19,12 @@ pages per hint set, and a (lazily validated) heap over hint sets keyed by
 priority.  Priorities only change at window boundaries, at which point the
 heap is rebuilt.
 
-Every structure is indexed by a per-policy *hint id*: each (projected)
-hint-set key is interned once to a dense int.  Cached-page metadata and
-outqueue entries are plain ``(seq, hint_id)`` pairs, the recency lists and
-a ``Pr`` table are lists indexed by id, and heap entries are
-``(Pr, head_seq, hint_id)``.  Ids never leave this module: the priority
-manager and its trackers stay keyed by hint-key tuples, which the policy
-maps back to through its key list.
+Every structure is indexed by a per-policy *hint id*: each hint-set key is
+interned once to a dense int.  Cached-page metadata and outqueue entries are
+plain ``(seq, hint_id)`` pairs, the recency lists and a ``Pr`` table are
+lists indexed by id, and heap entries are ``(Pr, head_seq, hint_id)``.  Ids
+never leave this module: the priority manager and its trackers stay keyed by
+hint-key tuples, which the policy maps back to through its key list.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from repro.cache.base import (
     _mixed_batch,
 )
 from repro.core.config import CLICConfig
-from repro.core.grouping import project_hint_key
 from repro.core.hints import HintSet
 from repro.core.outqueue import OutQueue
 from repro.core.priority import PriorityManager
@@ -112,11 +110,7 @@ class CLICPolicy(CachePolicy):
 
     def hint_priority(self, hints: HintSet) -> float:
         """Current ``Pr(H)`` for a hint set (zero if unknown)."""
-        return self._priorities.priority(self._hint_key(hints))
-
-    def _hint_key(self, hints: HintSet) -> tuple:
-        """The statistics key for a hint set (projected if grouping is enabled)."""
-        return project_hint_key(hints, self._config.hint_projection)
+        return self._priorities.priority(hints.key())
 
     # ------------------------------------------------------------- hint ids
     def _hint_id(self, hint_key: tuple) -> int:
@@ -212,7 +206,7 @@ class CLICPolicy(CachePolicy):
     # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
         page = request.page
-        hint_id = self._hint_id(self._hint_key(request.hints))
+        hint_id = self._hint_id(request.hints.key())
         pr = self._sync_priorities()
         meta = self._cached.get(page)
         hit = meta is not None
@@ -264,8 +258,8 @@ class CLICPolicy(CachePolicy):
         #
         # * request/outcome object materialisation (columns are consumed as
         #   plain lists, outcomes assembled as flag arrays);
-        # * hint-key projection and interning — once per hint-table entry
-        #   instead of once per request;
+        # * hint-key interning — once per hint-table entry instead of once
+        #   per request;
         # * tracker updates — priorities only change at window boundaries,
         #   so within a window segment the tracker is invisible to cache
         #   management; its updates are deferred and applied per segment as
@@ -275,10 +269,9 @@ class CLICPolicy(CachePolicy):
         #   per-request updates inside the same loop, preserving tie-breaks.
         priorities = self._priorities
         tracker = priorities.tracker
-        projection = self._config.hint_projection
         intern = self._hint_id
         # Chunk hint-table index -> hint id, interned in table order.
-        id_of = [intern(project_hint_key(hints, projection)) for hints in chunk.hint_sets]
+        id_of = [intern(hints.key()) for hints in chunk.hint_sets]
         hint_ids = np.array(id_of, np.int64)[chunk.hint_id].tolist()
         pages = chunk.page.tolist()
         writes = chunk.write.tolist()
@@ -447,15 +440,3 @@ class CLICPolicy(CachePolicy):
     def current_priorities(self) -> dict[tuple, float]:
         """Current Pr(H) assignment (hint-set key -> priority)."""
         return dict(self._priorities.priorities())
-
-    def reset(self) -> None:
-        super().reset()
-        self._priorities.reset()
-        self._outqueue.clear()
-        self._cached.clear()
-        self._keys.clear()
-        self._ids.clear()
-        self._lists.clear()
-        self._pr = []
-        self._pr_source = self._priorities.mapping
-        self._heap.clear()

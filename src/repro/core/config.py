@@ -34,11 +34,6 @@ class CLICConfig:
     outqueue_factor: float = 5.0
     top_k: int | None = None
     charge_metadata: bool = True
-    #: Optional hint-set grouping (the paper's Section 8 future-work idea):
-    #: when set, statistics and priorities are tracked per *projection* of the
-    #: hint set onto these hint-type names instead of per full hint set.  See
-    #: :mod:`repro.core.grouping`.
-    hint_projection: tuple[str, ...] | None = None
     #: Bytes of metadata CLIC keeps per tracked page (sequence number + hint
     #: set reference, stored as two 4-byte integers in the paper's costing).
     metadata_bytes_per_page: int = 8
@@ -58,10 +53,6 @@ class CLICConfig:
             raise ValueError("metadata_bytes_per_page must be >= 0")
         if self.page_size_bytes <= 0:
             raise ValueError("page_size_bytes must be positive")
-        if self.hint_projection is not None:
-            if not self.hint_projection:
-                raise ValueError("hint_projection must be None or a non-empty tuple of names")
-            object.__setattr__(self, "hint_projection", tuple(self.hint_projection))
 
     def outqueue_capacity(self, cache_capacity: int) -> int:
         """Number of outqueue entries for a cache of ``cache_capacity`` pages."""

@@ -260,23 +260,6 @@ class HintSet:
             values=self.values + extra_values,
         )
 
-    def project(self, keep_names: Sequence[str]) -> "HintSet":
-        """Return a hint set restricted to the given hint types (in order).
-
-        Used by the hint-grouping extension, which coarsens hint sets by
-        dropping hint types that carry little information.
-        """
-        keep = tuple(keep_names)
-        missing = [n for n in keep if n not in self.names]
-        if missing:
-            raise ValueError(f"hint types not present: {missing}")
-        mapping = self.as_dict()
-        return HintSet(
-            client_id=self.client_id,
-            names=keep,
-            values=tuple(mapping[n] for n in keep),
-        )
-
     def __str__(self) -> str:
         pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self.names, self.values))
         return f"<{self.client_id}: {pairs}>"

@@ -94,8 +94,5 @@ class OutQueue:
         """Iterate over remembered pages, least-recently inserted first."""
         return iter(self._entries)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OutQueue(capacity={self._capacity}, size={len(self._entries)})"

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.statistics import (
-    HintSetStats,
-    HintStatsTracker,
-    HintTable,
-    compute_priority,
-)
+from repro.core.statistics import HintStatsTracker, HintTable
 from repro.core.spacesaving import SpaceSavingTracker
 
 __all__ = ["PriorityManager"]
@@ -81,9 +76,9 @@ class PriorityManager:
 
         Exposed for batch kernels that look priorities up in a hot loop:
         the mapping is frozen between window boundaries, and the *object*
-        is replaced whenever the priorities change (a window closes, or
-        :meth:`reset`), so a caller that copies it can tell a stale copy by
-        identity.  Treat as read-only; missing keys mean priority 0.0.
+        is replaced whenever the priorities change (a window closes), so a
+        caller that copies it can tell a stale copy by identity.  Treat as
+        read-only; missing keys mean priority 0.0.
         """
         return self._priorities
 
@@ -174,10 +169,3 @@ class PriorityManager:
     def force_window_boundary(self) -> None:
         """Close the current window immediately (useful for tests/analysis)."""
         self._finish_window()
-
-    def reset(self) -> None:
-        """Forget all statistics and priorities."""
-        self._tracker.clear()
-        self._priorities = {}
-        self._requests_in_window = 0
-        self._windows_completed = 0

@@ -38,8 +38,6 @@ from repro.simulation.queueing import QueueingModel, QueueingObserver, QueueingS
 from repro.simulation.request import IORequest, RequestKind, read_request, write_request
 from repro.simulation.simulator import CacheSimulator, simulate
 from repro.simulation.sweep import (
-    compare_policies,
-    run_policy,
     sweep_cache_sizes,
     sweep_policy_parameter,
     sweep_top_k,
@@ -79,8 +77,6 @@ __all__ = [
     "HashRouter",
     "ClientAffinityRouter",
     "make_router",
-    "compare_policies",
-    "run_policy",
     "sweep_cache_sizes",
     "sweep_policy_parameter",
     "sweep_top_k",

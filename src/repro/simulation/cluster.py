@@ -103,13 +103,6 @@ class ShardRouter(abc.ABC):
             len(chunk),
         )
 
-    def reset(self) -> None:
-        """Drop any per-stream routing state (for stateless routers: no-op).
-
-        :meth:`ShardedCache.reset` calls this so a reset cluster routes
-        exactly like a freshly built one.
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(shards={self.shards})"
 
@@ -197,9 +190,6 @@ class ClientAffinityRouter(ShardRouter):
                 assignments[client_id] = shard
             out[i] = shard
         return out
-
-    def reset(self) -> None:
-        self._assignments.clear()
 
 
 #: Router names accepted by :func:`make_router` (and the cluster experiment).
@@ -361,26 +351,6 @@ class ShardedCache(CachePolicy):
     def cached_pages(self) -> Iterator[int]:
         for shard in self._shards:
             yield from shard.cached_pages()
-
-    def reset(self) -> None:
-        super().reset()
-        for shard in self._shards:
-            shard.reset()
-        self._router.reset()
-
-    # --------------------------------------------------------- snapshotting
-    def snapshot(self) -> Mapping[str, object]:
-        """Delegate to the shards (each applies its own snapshot policy,
-        e.g. OPT shards carry the shared future-read index by reference)."""
-        return {
-            "shards": tuple(shard.snapshot() for shard in self._shards),
-            "router": copy.deepcopy(self._router),
-        }
-
-    def restore(self, state: Mapping[str, object]) -> None:
-        for shard, shard_state in zip(self._shards, state["shards"]):
-            shard.restore(shard_state)
-        self._router = copy.deepcopy(state["router"])
 
     # ------------------------------------------------------- offline support
     def prepare(self, requests: Any) -> None:

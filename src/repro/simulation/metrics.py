@@ -94,10 +94,6 @@ class RollingMetrics:
         """The windowed read-hit-ratio time series, in window order."""
         return [entry.read_hit_ratio for entry in self.windows]
 
-    def eviction_series(self) -> list[int]:
-        """Evictions per window, in window order."""
-        return [entry.evictions for entry in self.windows]
-
     def as_rows(self) -> list[dict]:
         """One row per window (for CSV output or tabular printing)."""
         return [

@@ -175,10 +175,6 @@ class QueueingStats:
         return self.last_departure_ns / 1000.0
 
     @property
-    def area_at_last_arrival_us(self) -> float:
-        return self.area_at_last_arrival_ns / 1000.0
-
-    @property
     def mean_queue_delay_us(self) -> float:
         if self.request_count == 0:
             return 0.0

@@ -23,40 +23,18 @@ from repro.cache.base import CachePolicy
 from repro.core.config import CLICConfig
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import (
-    MultiPolicySimulator,
     ParallelSweepRunner,
     PolicySpec,
     RequestSource,
     SweepCell,
 )
-from repro.simulation.metrics import SimulationResult, SweepResult
-from repro.simulation.request import IORequest
-from repro.simulation.simulator import CacheSimulator
+from repro.simulation.metrics import SweepResult
 
 __all__ = [
-    "run_policy",
-    "compare_policies",
     "sweep_cache_sizes",
     "sweep_top_k",
     "sweep_policy_parameter",
 ]
-
-
-def run_policy(
-    policy_name: str,
-    requests: Sequence[IORequest],
-    capacity: int,
-    policy_kwargs: Mapping[str, object] | None = None,
-    cost_model: CostModel | None = None,
-) -> SimulationResult:
-    """Instantiate *policy_name* with *capacity* and replay *requests* through it."""
-    policy = PolicySpec(
-        label=policy_name,
-        name=policy_name,
-        capacity=capacity,
-        kwargs=dict(policy_kwargs or {}),
-    ).build()
-    return CacheSimulator(policy, cost_model=cost_model).run(requests)
 
 
 def _policy_specs(
@@ -73,21 +51,6 @@ def _policy_specs(
         )
         for name in policies
     )
-
-
-def compare_policies(
-    requests: Sequence[IORequest],
-    capacity: int,
-    policies: Iterable[str],
-    policy_kwargs: Mapping[str, Mapping[str, object]] | None = None,
-    cost_model: CostModel | None = None,
-) -> dict[str, SimulationResult]:
-    """Run each policy over the same request stream, sharing one trace pass."""
-    policies = list(policies)
-    specs = _policy_specs(policies, capacity, policy_kwargs or {})
-    built = [spec.build() for spec in specs]
-    results = MultiPolicySimulator(built, cost_model=cost_model).run(requests)
-    return dict(zip(policies, results))
 
 
 def sweep_cache_sizes(

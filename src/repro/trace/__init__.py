@@ -1,10 +1,8 @@
-"""Hint schemas, trace containers, serialization and trace statistics."""
+"""Hint schemas, trace containers, serialization, the trace cache and noise injection."""
 
 from repro.trace.binio import (
     BinaryTraceWriter,
     StreamedTrace,
-    open_trace_binary,
-    read_trace_binary,
     write_trace_binary,
 )
 from repro.trace.cache import (
@@ -14,7 +12,7 @@ from repro.trace.cache import (
     set_default_trace_cache,
 )
 from repro.trace.io import TraceFormatError, read_trace, write_trace
-from repro.trace.noise import ZipfSampler, inject_noise_hints, inject_noise_into_trace
+from repro.trace.noise import ZipfSampler, inject_noise_hints
 from repro.trace.records import Trace, TraceSummary
 from repro.trace.schema import (
     DB2_HINT_NAMES,
@@ -22,12 +20,6 @@ from repro.trace.schema import (
     RequestType,
     db2_schema,
     mysql_schema,
-)
-from repro.trace.stats import (
-    ReuseProfile,
-    hint_set_frequencies,
-    request_type_mix,
-    reuse_distance_profile,
 )
 
 __all__ = [
@@ -38,8 +30,6 @@ __all__ = [
     "write_trace",
     "BinaryTraceWriter",
     "StreamedTrace",
-    "open_trace_binary",
-    "read_trace_binary",
     "write_trace_binary",
     "TraceCache",
     "TraceSpec",
@@ -47,14 +37,9 @@ __all__ = [
     "set_default_trace_cache",
     "ZipfSampler",
     "inject_noise_hints",
-    "inject_noise_into_trace",
     "RequestType",
     "DB2_HINT_NAMES",
     "MYSQL_HINT_NAMES",
     "db2_schema",
     "mysql_schema",
-    "ReuseProfile",
-    "hint_set_frequencies",
-    "request_type_mix",
-    "reuse_distance_profile",
 ]

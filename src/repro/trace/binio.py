@@ -50,8 +50,6 @@ __all__ = [
     "BinaryTraceWriter",
     "StreamedTrace",
     "write_trace_binary",
-    "read_trace_binary",
-    "open_trace_binary",
     "FORMAT_VERSION",
 ]
 
@@ -652,13 +650,3 @@ def _decode_block_columnar(
         return None
     write = (flags & _FLAG_WRITE) != 0
     return page, hint_ref, write
-
-
-def open_trace_binary(path: str | Path) -> StreamedTrace:
-    """Open a binary trace for streaming replay (see :class:`StreamedTrace`)."""
-    return StreamedTrace(path)
-
-
-def read_trace_binary(path: str | Path) -> Trace:
-    """Read a binary trace fully into memory as a :class:`Trace`."""
-    return StreamedTrace(path).load()

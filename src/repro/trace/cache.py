@@ -338,6 +338,10 @@ class _InMemoryStream:
     def __len__(self) -> int:
         return len(self._trace)
 
+    @property
+    def request_count(self) -> int:
+        return len(self._trace)
+
     def iter_requests(self) -> Iterator[IORequest]:
         return iter(self._trace.requests())
 

@@ -194,10 +194,6 @@ class ColumnarChunk:
             ]
         return self._requests
 
-    def to_requests(self) -> list[IORequest]:
-        """Alias of :meth:`requests` (the columnar-side converter)."""
-        return self.requests()
-
     def seq_list(self) -> list[int]:
         """The seq column as a Python list (memoised).
 

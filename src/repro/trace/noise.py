@@ -15,9 +15,8 @@ import random
 from typing import Sequence
 
 from repro.simulation.request import IORequest
-from repro.trace.records import Trace
 
-__all__ = ["ZipfSampler", "inject_noise_hints", "inject_noise_into_trace"]
+__all__ = ["ZipfSampler", "inject_noise_hints"]
 
 
 class ZipfSampler:
@@ -90,19 +89,3 @@ def inject_noise_hints(
             )
         )
     return noisy
-
-
-def inject_noise_into_trace(
-    trace: Trace,
-    num_types: int,
-    domain_size: int = 10,
-    skew: float = 1.0,
-    seed: int = 0,
-) -> Trace:
-    """Trace-level wrapper around :func:`inject_noise_hints`."""
-    requests = inject_noise_hints(
-        trace.requests(), num_types=num_types, domain_size=domain_size, skew=skew, seed=seed
-    )
-    metadata = dict(trace.metadata)
-    metadata.update({"noise_types": num_types, "noise_domain": domain_size, "noise_skew": skew})
-    return Trace(name=f"{trace.name}+T{num_types}", requests_list=requests, metadata=metadata)

@@ -212,7 +212,3 @@ class TPCHWorkload:
         """Yield the operations of *queries* consecutive queries."""
         for _ in range(queries):
             yield from self.next_query()
-
-    @property
-    def queries_generated(self) -> int:
-        return self._query_counter

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.hint_analysis import analyze_hint_sets, figure3_rows
-from repro.analysis.reporting import percentage, rows_to_csv, rows_to_table, series_to_rows
+from repro.analysis.reporting import rows_to_csv, rows_to_table
 
 from tests.conftest import hint, rd, wr
 
@@ -83,9 +83,6 @@ class TestFigure3Rows:
 
 
 class TestReporting:
-    def test_percentage(self):
-        assert percentage(0.4163) == "41.6%"
-
     def test_rows_to_table_contains_headers_and_values(self):
         table = rows_to_table([{"a": 1, "b": 0.5}, {"a": 2, "b": 0.25}])
         assert "a" in table and "b" in table
@@ -101,7 +98,3 @@ class TestReporting:
         with path.open() as handle:
             rows = list(csv.DictReader(handle))
         assert rows == [{"a": "1", "b": "x"}]
-
-    def test_series_to_rows(self):
-        rows = series_to_rows({"LRU": [(10, 0.5)]}, x_name="cache")
-        assert rows == [{"series": "LRU", "cache": 10, "read_hit_ratio": 0.5}]

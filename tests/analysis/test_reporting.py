@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 
-from repro.analysis.reporting import percentage, rows_to_csv, rows_to_table, series_to_rows
+from repro.analysis.reporting import rows_to_csv, rows_to_table
 
 
 HETEROGENEOUS_ROWS = [
@@ -69,12 +69,3 @@ class TestRowsToCsv:
         path = rows_to_csv(HETEROGENEOUS_ROWS, tmp_path / "narrow.csv", columns=["policy"])
         parsed = self.read_back(path)
         assert parsed == [["policy"], ["LRU"], ["LRU x4"]]
-
-
-class TestHelpers:
-    def test_percentage(self):
-        assert percentage(0.416) == "41.6%"
-
-    def test_series_to_rows(self):
-        rows = series_to_rows({"LRU": [(1.0, 0.5)]}, x_name="cache_size")
-        assert rows == [{"series": "LRU", "cache_size": 1.0, "read_hit_ratio": 0.5}]

@@ -68,14 +68,6 @@ class TestARCBasics:
         ]
         assert CacheSimulator(ARCPolicy(40)).run(requests).read_hit_ratio > 0.7
 
-    def test_reset(self):
-        arc = ARCPolicy(4)
-        for seq in range(10):
-            arc.access(rd(seq % 6), seq)
-        arc.reset()
-        assert len(arc) == 0
-        assert arc.target_t1_size == 0.0
-
     def test_total_directory_bounded(self):
         # |T1|+|T2|+|B1|+|B2| <= 2c for ARC.
         arc = ARCPolicy(16)

@@ -14,7 +14,6 @@ from repro.cache.base import (
     validate_capacity,
 )
 from repro.cache.lru import LRUPolicy
-from repro.simulation.simulator import simulate
 
 from tests.conftest import rd, wr
 
@@ -121,9 +120,3 @@ class TestCachePolicyBase:
     def test_abstract_base_cannot_be_instantiated(self):
         with pytest.raises(TypeError):
             CachePolicy(4)  # type: ignore[abstract]
-
-    def test_reset_clears_state(self):
-        policy = LRUPolicy(2)
-        simulate(policy, [rd(1)])
-        policy.reset()
-        assert len(policy) == 0

@@ -77,21 +77,15 @@ _SHARDED_VARIANTS = [
 #: small enough that counter recycling forces the kernel's ordered-replay
 #: fallback (top_k=4; the small hint domain easily exceeds 4 keys), a
 #: degenerate k=1 tracker (recycling on nearly every segment), a short
-#: decayed window so heap rebuilds land mid-chunk, a hint projection onto
-#: ``kind`` (hint sets that differ only in ``obj`` share one hint id), and
-#: a zero-capacity outqueue (evictions and bypasses remember nothing).
+#: decayed window so heap rebuilds land mid-chunk, the default metadata
+#: charge every experiment runs (the usable cache is smaller than the
+#: outqueue's sizing capacity), and a zero-capacity outqueue (evictions and
+#: bypasses remember nothing).
 _CLIC_VARIANTS = [
     ("CLIC[topk4]", {"config": CLICConfig(window_size=20, top_k=4, charge_metadata=False)}),
     ("CLIC[topk1]", {"config": CLICConfig(window_size=13, top_k=1, charge_metadata=False)}),
     ("CLIC[decay]", {"config": CLICConfig(window_size=7, decay=0.5, charge_metadata=False)}),
-    (
-        "CLIC[projection]",
-        {
-            "config": CLICConfig(
-                window_size=20, hint_projection=("kind",), charge_metadata=False
-            )
-        },
-    ),
+    ("CLIC[charged]", {"config": CLICConfig(window_size=20)}),
     (
         "CLIC[no-outqueue]",
         {"config": CLICConfig(window_size=20, outqueue_factor=0.0, charge_metadata=False)},

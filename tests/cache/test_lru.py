@@ -48,12 +48,3 @@ class TestLRU:
         lru = LRUPolicy(10)
         outcomes = [lru.access(rd(seq), seq) for seq in range(100)]
         assert not any(outcome.hit for outcome in outcomes)
-
-    def test_reset(self):
-        lru = LRUPolicy(2)
-        lru.access(rd(1), 0)
-        lru.access(rd(2), 1)
-        lru.reset()
-        assert len(lru) == 0
-        assert not lru.contains(1)
-        assert not lru.access(rd(1), 2).hit

@@ -116,15 +116,3 @@ class TestOPT:
         requests = [rd(1), wr(2), rd(2), wr(1), rd(3), rd(1), wr(2)]
         index = OPTPolicy.build_read_index(requests)
         assert index.next_read.tolist() == [5, 2, NEVER, 5, NEVER, NEVER, NEVER]
-
-    def test_reset_keeps_future_index(self):
-        requests = [rd(1), rd(2), rd(1)]
-        opt = OPTPolicy(2)
-        opt.prepare(requests)
-        for seq, request in enumerate(requests):
-            opt.access(request, seq)
-        opt.reset()
-        assert len(opt) == 0
-        # The same trace can be replayed without calling prepare() again.
-        outcomes = [opt.access(request, seq) for seq, request in enumerate(requests)]
-        assert sum(outcome.hit for outcome in outcomes) == 1

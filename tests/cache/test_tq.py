@@ -117,10 +117,3 @@ class TestEndToEnd:
         tq = CacheSimulator(TQPolicy(capacity)).run(requests).read_hit_ratio
         lru = CacheSimulator(LRUPolicy(capacity)).run(requests).read_hit_ratio
         assert tq > lru
-
-    def test_reset(self):
-        tq = TQPolicy(4)
-        tq.access(wr(1, REPLACEMENT), 0)
-        tq.reset()
-        assert len(tq) == 0
-        assert not tq.contains(1)

@@ -248,15 +248,6 @@ class TestEndToEndBehaviour:
         lru_result = CacheSimulator(lru).run(skewed_trace)
         assert clic_result.read_hit_ratio > lru_result.read_hit_ratio
 
-    def test_reset_restores_pristine_state(self):
-        policy = CLICPolicy(capacity=4, config=small_config())
-        for seq in range(20):
-            policy.access(rd(seq % 6, HOT), seq)
-        policy.reset()
-        assert len(policy) == 0
-        assert policy.current_priorities() == {}
-        assert len(policy.outqueue) == 0
-
     def test_rejects_invalid_capacity(self):
         with pytest.raises(ValueError):
             CLICPolicy(capacity=0)

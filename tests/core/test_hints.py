@@ -182,15 +182,6 @@ class TestHintSet:
         with pytest.raises(ValueError):
             hs.extended(["a", "b"], [1])
 
-    def test_project_keeps_requested_types(self):
-        hs = make_hint_set("c", x=1, y=2, z=3)
-        assert hs.project(["z", "x"]).as_dict() == {"z": 3, "x": 1}
-
-    def test_project_missing_type_rejected(self):
-        hs = make_hint_set("c", x=1)
-        with pytest.raises(ValueError):
-            hs.project(["y"])
-
     def test_empty_hint_set(self):
         assert len(EMPTY_HINT_SET) == 0
         assert EMPTY_HINT_SET.key() == ("", ())

@@ -71,10 +71,3 @@ class TestOutQueue:
         oq.put(6, 2, ())
         oq.put(7, 3, ())
         assert list(oq.pages()) == [5, 6, 7]
-
-    def test_clear(self):
-        oq = OutQueue(3)
-        oq.put(1, 1, ())
-        oq.clear()
-        assert len(oq) == 0
-        assert oq.get(1) is None

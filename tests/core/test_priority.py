@@ -105,14 +105,6 @@ class TestPriorityManager:
         pm.force_window_boundary()
         assert pm.priority(KEY_A) > 0.0
 
-    def test_reset(self):
-        pm = PriorityManager(window_size=1)
-        pm.record_read_rereference(KEY_A, distance=1)
-        pm.record_request(KEY_A)
-        pm.reset()
-        assert pm.priority(KEY_A) == 0.0
-        assert pm.windows_completed == 0
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             PriorityManager(window_size=0)

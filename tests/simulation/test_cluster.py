@@ -150,26 +150,6 @@ class TestShardedCacheBasics:
         assert result.stats == total
         assert total.requests == 2500
 
-    def test_reset_clears_every_shard(self, rng):
-        cluster = ShardedCache(capacity=20, policy="LRU", shards=2)
-        CacheSimulator(cluster).run(_trace(rng, n=500))
-        assert len(cluster) > 0
-        cluster.reset()
-        assert len(cluster) == 0
-        assert all(len(shard) == 0 for shard in cluster.shards)
-
-    def test_reset_also_clears_router_state(self, rng):
-        """A reset cluster must route exactly like a freshly built one."""
-        cluster = ShardedCache(capacity=20, policy="LRU", shards=2, router="client")
-        CacheSimulator(cluster).run([_request(1, "b"), _request(2, "c")])
-        cluster.reset()
-        stream = _trace(rng, clients=("a", "b"), n=600)
-        reset_result = CacheSimulator(cluster).run(stream)
-        fresh = ShardedCache(capacity=20, policy="LRU", shards=2, router="client")
-        fresh_result = CacheSimulator(fresh).run(stream)
-        assert reset_result.per_shard == fresh_result.per_shard
-        assert reset_result.stats == fresh_result.stats
-
     def test_contains_checks_all_shards(self, rng):
         cluster = ShardedCache(capacity=50, policy="LRU", shards=4)
         requests = _trace(rng, n=1000, pages=100)

@@ -113,7 +113,7 @@ def _streamed(path: Path, requests: list[IORequest], block: int) -> binio.Stream
     with mock.patch.object(binio, "BLOCK_REQUESTS", block):
         with binio.BinaryTraceWriter(path) as writer:
             writer.write_all(requests)
-    return binio.open_trace_binary(path)
+    return binio.StreamedTrace(path)
 
 
 def _client_inputs():

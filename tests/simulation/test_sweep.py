@@ -12,8 +12,6 @@ from repro.core.hints import make_hint_set
 from repro.simulation.metrics import SweepResult, format_table
 from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import (
-    compare_policies,
-    run_policy,
     sweep_cache_sizes,
     sweep_policy_parameter,
     sweep_top_k,
@@ -33,27 +31,6 @@ def tiny_trace(rng):
         else:
             requests.append(rd(50 + rng.randrange(1000), cold))
     return requests
-
-
-class TestRunAndCompare:
-    def test_run_policy_by_name(self, tiny_trace):
-        result = run_policy("LRU", tiny_trace, capacity=100)
-        assert result.policy_name == "LRU"
-        assert 0.0 <= result.read_hit_ratio <= 1.0
-
-    def test_compare_policies_runs_each_once(self, tiny_trace):
-        results = compare_policies(tiny_trace, capacity=100, policies=["LRU", "ARC", "OPT"])
-        assert set(results) == {"LRU", "ARC", "OPT"}
-        assert results["OPT"].read_hit_ratio >= results["LRU"].read_hit_ratio
-
-    def test_policy_kwargs_forwarded(self, tiny_trace):
-        results = compare_policies(
-            tiny_trace,
-            capacity=50,
-            policies=["CLIC"],
-            policy_kwargs={"CLIC": {"config": CLICConfig(window_size=500, charge_metadata=False)}},
-        )
-        assert results["CLIC"].capacity == 50
 
 
 class TestSweeps:
@@ -91,14 +68,13 @@ class TestSweeps:
         assert curve[0][0] == 50
 
     def test_top_k_sweep_preserves_every_base_config_field(self, rng):
-        """Regression: rebuilding the config must not drop ``hint_projection``.
+        """Regression: rebuilding the config must not drop a base field.
 
         The seed implementation copied the base config field by field and
-        silently lost ``hint_projection``; the sweep now rebuilds it with
-        ``dataclasses.replace``.  The trace is crafted so that projecting the
-        hint sets onto ``object_id`` measurably changes CLIC's behaviour with
-        a small ``top_k`` (the noise hint type would otherwise thrash the
-        bounded tracker), so this test fails if the projection is dropped.
+        silently lost one; the sweep now rebuilds it with
+        ``dataclasses.replace``.  The base config turns the metadata charge
+        off, which measurably changes CLIC's behaviour on this trace, so this
+        test fails if the sweep falls back to the default charge.
         """
         requests = []
         for _ in range(4000):
@@ -108,18 +84,16 @@ class TestSweeps:
             else:
                 requests.append(rd(50 + rng.randrange(1000), make_hint_set("db2", object_id="cold", noise=noise)))
 
-        base = CLICConfig(
-            window_size=500, charge_metadata=False, hint_projection=("object_id",)
-        )
+        base = CLICConfig(window_size=500, charge_metadata=False)
         expected = CacheSimulator(
             CLICPolicy(capacity=100, config=dataclasses.replace(base, top_k=2))
         ).run(requests)
-        # Sanity: the trace discriminates — dropping the projection changes
-        # the outcome, so an equality check below is a meaningful regression.
+        # Sanity: the trace discriminates — dropping the field changes the
+        # outcome, so an equality check below is a meaningful regression.
         dropped = CacheSimulator(
             CLICPolicy(
                 capacity=100,
-                config=dataclasses.replace(base, top_k=2, hint_projection=None),
+                config=dataclasses.replace(base, top_k=2, charge_metadata=True),
             )
         ).run(requests)
         assert dropped.stats != expected.stats

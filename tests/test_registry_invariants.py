@@ -16,17 +16,21 @@ to:
   single source of truth: summing its admission/eviction events reproduces
   the policy's cached-page count (``admissions - evictions == len(policy)``)
   and the stats the replay reports;
-* **snapshot/restore** — ``snapshot()`` followed by ``restore()`` replays
-  the identical outcome tail (service-mode/crash-recovery contract);
+* **isolation** — two fresh instances replaying one stream in lockstep
+  agree after every request, so a policy keeps no state outside its
+  instance;
 * **one replay loop** — :class:`CacheSimulator` is definitionally a
   one-policy :class:`MultiPolicySimulator` run.
 
 SHARDED-wrapped variants and cost-model-priced runs are included: pricing
 must never change replay outcomes, and a cluster is held to the same laws as
-the policy it wraps.  Every registered policy is also replayed without its
-fused kernel: the base ``batch_access`` — the scalar lift that a policy
-added through :func:`~repro.cache.registry.register_policy` runs until it
-grows a kernel — must obey the same laws.
+the policy it wraps.  So are the CLIC configurations the experiments run
+beyond the exact hint table: the Space-Saving tracker (Figures 9-10), the
+decay ablation and the outqueue ablation.  Every registered policy is also
+replayed without its fused kernel: the base ``batch_access`` — the scalar
+lift that a policy added through
+:func:`~repro.cache.registry.register_policy` runs until it grows a kernel —
+must obey the same laws.
 """
 
 from __future__ import annotations
@@ -85,6 +89,13 @@ _SHARDED_VARIANTS = [
     ("SHARDED[OPT,client]", {"policy": "OPT", "shards": 2, "router": "client"}),
 ]
 
+#: CLIC configurations the experiments run besides the exact hint table.
+_CLIC_VARIANTS = [
+    ("CLIC[topk4]", {"top_k": 4}),
+    ("CLIC[decay]", {"decay": 0.5}),
+    ("CLIC[no-outqueue]", {"outqueue_factor": 0.0}),
+]
+
 #: Capacity must exceed the shard count (each shard needs >= 1 page).
 CAPACITY = 12
 
@@ -106,12 +117,20 @@ class Case:
 
 
 def _registry_cases() -> list[Case]:
-    """Every registered policy, its sharded variants, and every registered
-    policy again without its kernel."""
+    """Every registered policy, the CLIC and sharded variants, and every
+    registered policy again without its kernel."""
     cases = [
         Case(name, partial(create_policy, name), _POLICY_KWARGS.get(name, {}))
         for name in available_policies()
     ]
+    cases.extend(
+        Case(
+            label,
+            partial(create_policy, "CLIC"),
+            {"config": CLICConfig(window_size=20, charge_metadata=False, **overrides)},
+        )
+        for label, overrides in _CLIC_VARIANTS
+    )
     cases.extend(
         Case(label, partial(create_policy, "SHARDED"), kwargs)
         for label, kwargs in _SHARDED_VARIANTS
@@ -242,26 +261,23 @@ class TestRegistryInvariants:
     @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=STREAMS)
-    def test_snapshot_restore_replays_identical_tail(self, case, stream):
+    def test_instances_share_no_state(self, case, stream):
+        """Two fresh instances fed one stream in lockstep agree after every
+        request: a policy keeps no state outside its instance.
+
+        The determinism law replays its two instances one after the other,
+        so it misses state that is shared between instances but cleared in
+        ``__init__``; interleaving the replays request by request exposes it.
+        """
         if case.client_routed:
             stream = _disjoint_pages(stream)
-        cut = len(stream) // 2
-        policy = case.build()
-        if policy.offline:
-            policy.prepare(stream)
-        for seq, request in enumerate(stream[:cut]):
-            policy.access(request, seq)
-        state = policy.snapshot()
-        pages_at_snapshot = sorted(policy.cached_pages())
-        first = [policy.access(r, cut + i) for i, r in enumerate(stream[cut:])]
-        policy.restore(state)
-        assert sorted(policy.cached_pages()) == pages_at_snapshot
-        second = [policy.access(r, cut + i) for i, r in enumerate(stream[cut:])]
-        assert first == second
-        # A snapshot is reusable: restoring twice replays the same tail again.
-        policy.restore(state)
-        third = [policy.access(r, cut + i) for i, r in enumerate(stream[cut:])]
-        assert first == third
+        first, second = case.build(), case.build()
+        if first.offline:
+            first.prepare(stream)
+            second.prepare(stream)
+        for seq, request in enumerate(stream):
+            assert first.access(request, seq) == second.access(request, seq)
+            assert sorted(first.cached_pages()) == sorted(second.cached_pages())
 
     @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])

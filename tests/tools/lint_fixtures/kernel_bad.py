@@ -10,9 +10,6 @@ class CachePolicy:
 
 
 class BadPolicy(CachePolicy):
-    # kernel-snapshot-fields: `_ghost` is never assigned anywhere.
-    _SNAPSHOT_EXCLUDE = frozenset({"_ghost"})
-
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
 

@@ -10,14 +10,8 @@ class CachePolicy:
 
 
 class GoodPolicy(CachePolicy):
-    # Both named attributes are assigned in __init__.
-    _SNAPSHOT_EXCLUDE = frozenset({"_scratch"})
-    _SNAPSHOT_SHARED = ("_shared_index",)
-
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._scratch = None
-        self._shared_index = None
 
     def access(self, request, seq) -> AccessOutcome:
         return AccessOutcome()

@@ -33,7 +33,6 @@ FAMILIES = [
         "kernel",
         {
             "kernel-access-outcome",
-            "kernel-snapshot-fields",
             "kernel-no-io",
             "kernel-request-mutation",
         },

@@ -14,8 +14,6 @@ from repro.trace.binio import (
     BLOCK_REQUESTS,
     BinaryTraceWriter,
     StreamedTrace,
-    open_trace_binary,
-    read_trace_binary,
     write_trace_binary,
 )
 from repro.trace.io import TraceFormatError, read_trace, write_trace
@@ -52,7 +50,7 @@ class TestRoundTrips:
     def test_binary_round_trip(self, trace, tmp_path_factory):
         path = tmp_path_factory.mktemp("bin") / "t.ctb"
         write_trace_binary(trace, path)
-        assert_traces_equal(read_trace_binary(path), trace)
+        assert_traces_equal(StreamedTrace(path).load(), trace)
 
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow], deadline=None)
     @given(trace=traces)
@@ -62,7 +60,7 @@ class TestRoundTrips:
         write_trace(trace, tmp / "t.trace")
         from_text = read_trace(tmp / "t.trace")
         write_trace_binary(from_text, tmp / "t.ctb")
-        from_binary = read_trace_binary(tmp / "t.ctb")
+        from_binary = StreamedTrace(tmp / "t.ctb").load()
         # The text format derives client ids from hint sets, so compare the
         # text-loaded trace (not the original) against its binary round trip.
         assert_traces_equal(from_binary, from_text)
@@ -73,7 +71,7 @@ class TestRoundTrips:
         trace = Trace(name="big", requests_list=requests)
         path = tmp_path / "big.ctb"
         write_trace_binary(trace, path)
-        assert read_trace_binary(path).requests() == requests
+        assert StreamedTrace(path).load().requests() == requests
 
     def test_explicit_client_id_preserved(self, tmp_path):
         h = make_hint_set("db2", object_id=1)
@@ -83,7 +81,7 @@ class TestRoundTrips:
         )
         path = tmp_path / "x.ctb"
         write_trace_binary(trace, path)
-        loaded = read_trace_binary(path)
+        loaded = StreamedTrace(path).load()
         assert loaded[0].client_id == "other"
         assert loaded[0].hints.client_id == "db2"
 
@@ -91,7 +89,7 @@ class TestRoundTrips:
         trace = sample_trace()
         path = tmp_path / "t.ctb"
         write_trace_binary(trace, path)
-        loaded = read_trace_binary(path)
+        loaded = StreamedTrace(path).load()
         # All requests with the same hint set share one decoded instance, so
         # the memoised HintSet.key() is shared across the replay.
         assert loaded[0].hints is loaded[1].hints
@@ -105,7 +103,7 @@ class TestStreaming:
         trace = sample_trace()
         path = tmp_path / "t.ctb"
         write_trace_binary(trace, path)
-        streamed = open_trace_binary(path)
+        streamed = StreamedTrace(path)
         assert list(streamed.iter_requests()) == trace.requests()
         assert len(streamed) == len(trace)
         assert streamed.name == "sample"
@@ -134,7 +132,7 @@ class TestStreaming:
             for i in range(10):
                 writer.write(rd(i, h))
             writer.update_metadata({"emitted": writer.request_count})
-        loaded = read_trace_binary(path)
+        loaded = StreamedTrace(path).load()
         assert len(loaded) == 10
         assert loaded.metadata == {"kind": "synthetic", "emitted": 10}
 

@@ -133,6 +133,29 @@ class TestTraceCache:
         # The streaming surface still works, backed by memory.
         assert len(list(cache.open(SPEC).iter_requests())) == 800
 
+    @pytest.mark.parametrize(
+        "spec",
+        [SPEC, TraceSpec("DB2_C60", seed=5, target_requests=600)],
+        ids=["MY_H65", "DB2_C60"],
+    )
+    def test_open_surface_is_the_same_with_the_cache_off(self, spec, tmp_path):
+        """``TraceSpec.open()`` answers the same questions, with the same
+        values, whether it streams the cached file or, with the cache off,
+        the in-memory trace."""
+        opened = []
+        for cache in (TraceCache(root=tmp_path), TraceCache(root=tmp_path, enabled=False)):
+            set_default_trace_cache(cache)
+            try:
+                opened.append(spec.open())
+            finally:
+                set_default_trace_cache(None)
+        cached, in_memory = opened
+        assert in_memory.request_count == cached.request_count
+        assert len(in_memory) == len(cached) == cached.request_count
+        assert in_memory.name == cached.name
+        assert in_memory.metadata == cached.metadata
+        assert list(in_memory.iter_requests()) == list(cached.iter_requests())
+
     def test_disabled_spec_ensure_is_noop(self, tmp_path):
         cache = TraceCache(root=tmp_path, enabled=False)
         set_default_trace_cache(cache)

@@ -1,4 +1,4 @@
-"""Tests for noise-hint injection (Section 6.3) and trace statistics."""
+"""Tests for noise-hint injection (Section 6.3)."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ from collections import Counter
 
 import pytest
 
-from repro.trace.noise import ZipfSampler, inject_noise_hints, inject_noise_into_trace
-from repro.trace.records import Trace
-from repro.trace.stats import (
-    hint_set_frequencies,
-    request_type_mix,
-    reuse_distance_profile,
-)
+from repro.trace.noise import ZipfSampler, inject_noise_hints
 
 from tests.conftest import hint, rd, wr
 
@@ -85,8 +79,8 @@ class TestNoiseInjection:
         # Section 6.3: injection splits each original hint set into up to D**T variants.
         requests = [rd(i % 5, hint("db2", a=1)) for i in range(2000)]
         noisy = inject_noise_hints(requests, num_types=2, domain_size=10, seed=1)
-        original = len(hint_set_frequencies(requests))
-        diluted = len(hint_set_frequencies(noisy))
+        original = len({r.hints.key() for r in requests})
+        diluted = len({r.hints.key() for r in noisy})
         assert original == 1
         assert diluted > 10
         assert diluted <= 100
@@ -100,47 +94,3 @@ class TestNoiseInjection:
     def test_negative_types_rejected(self):
         with pytest.raises(ValueError):
             inject_noise_hints([], num_types=-1)
-
-    def test_trace_wrapper_updates_name_and_metadata(self):
-        trace = Trace(name="base", requests_list=[rd(1, hint("db2", a=1))])
-        noisy = inject_noise_into_trace(trace, num_types=2, seed=3)
-        assert noisy.name == "base+T2"
-        assert noisy.metadata["noise_types"] == 2
-        assert len(noisy) == 1
-
-
-class TestTraceStats:
-    def test_hint_set_frequencies(self):
-        a = hint("db2", t="a")
-        b = hint("db2", t="b")
-        counts = hint_set_frequencies([rd(1, a), rd(2, a), rd(3, b)])
-        assert counts[a.key()] == 2
-        assert counts[b.key()] == 1
-
-    def test_request_type_mix(self):
-        reads = hint("db2", request_type="read")
-        writes = hint("db2", request_type="replacement_write")
-        mix = request_type_mix([rd(1, reads), wr(2, writes), wr(3, writes)])
-        assert mix["read"] == 1
-        assert mix["replacement_write"] == 2
-
-    def test_request_type_mix_handles_missing_hint(self):
-        mix = request_type_mix([rd(1)])
-        assert mix["<none>"] == 1
-
-    def test_reuse_profile_counts_read_rereferences(self):
-        requests = [rd(1), rd(2), rd(1), wr(2), rd(2)]
-        profile = reuse_distance_profile(requests)
-        # Read re-refs: page 1 at distance 2 and page 2 (read after its write)
-        # at distance 1; the write itself is not a read re-reference.
-        assert profile.read_rereferences == 2
-        assert profile.unique_pages == 2
-        assert profile.requests == 5
-        assert profile.rereference_fraction == pytest.approx(2 / 5)
-        assert profile.mean_reuse_distance == pytest.approx(1.5)
-
-    def test_reuse_profile_empty(self):
-        profile = reuse_distance_profile([])
-        assert profile.requests == 0
-        assert profile.rereference_fraction == 0.0
-        assert profile.mean_reuse_distance == 0.0

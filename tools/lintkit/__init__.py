@@ -9,8 +9,7 @@ enforces the machine-checkable part of those laws on every file, at CI time:
 * **no-nondeterminism** — no wall-clock reads, no unseeded randomness, no
   set/frozenset iteration flowing into ordering-sensitive sinks;
 * **kernel-contract** — registered cache policies implement
-  ``access() -> AccessOutcome``, keep their snapshot field lists coherent,
-  and perform no I/O or request mutation;
+  ``access() -> AccessOutcome`` and perform no I/O or request mutation;
 * **observer-purity** — replay observers mutate only their own state;
 * **int-clock-safety** — nothing float-valued feeds an integer-nanosecond
   (``*_ns``) clock accumulator;

@@ -9,7 +9,6 @@ from tools.lintkit.rules.kernel_contract import (
     KernelAccessOutcomeRule,
     KernelNoIORule,
     KernelRequestMutationRule,
-    KernelSnapshotFieldsRule,
 )
 from tools.lintkit.rules.nondeterminism import (
     EntropySourceRule,
@@ -38,7 +37,6 @@ ALL_RULES: tuple[Rule, ...] = (
     SetIterationRule(),
     # family 2: kernel-contract
     KernelAccessOutcomeRule(),
-    KernelSnapshotFieldsRule(),
     KernelNoIORule(),
     KernelRequestMutationRule(),
     BatchKernelParityRule(),

@@ -2,11 +2,10 @@
 
 Policies are pure kernels (see ``docs/architecture.md``, "policy kernel
 contract"): ``access(request, seq)`` returns an ``AccessOutcome`` and
-mutates nothing but replacement state; snapshot/restore field lists describe
-real attributes; kernels never touch files, sockets or the request they were
-handed.  These rules apply to every class in the analysis set that
-subclasses ``CachePolicy`` — and the registry is cross-checked so a policy
-cannot dodge them by not being analyzed.
+mutates nothing but replacement state; kernels never touch files, sockets
+or the request they were handed.  These rules apply to every class in the
+analysis set that subclasses ``CachePolicy`` — and the registry is
+cross-checked so a policy cannot dodge them by not being analyzed.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "KernelAccessOutcomeRule",
     "KernelNoIORule",
     "KernelRequestMutationRule",
-    "KernelSnapshotFieldsRule",
     "policy_classes",
 ]
 
@@ -122,96 +120,6 @@ class KernelAccessOutcomeRule(ProjectRule):
                             f"`{cls.name}.access` returns None; every access "
                             "must produce an AccessOutcome event",
                         )
-
-
-class KernelSnapshotFieldsRule(ProjectRule):
-    """``_SNAPSHOT_EXCLUDE`` / ``_SNAPSHOT_SHARED`` name instance attributes;
-    a stale name silently changes what snapshot()/restore() capture."""
-
-    rule_id = "kernel-snapshot-fields"
-    summary = "_SNAPSHOT_EXCLUDE/_SNAPSHOT_SHARED entries name real attributes"
-
-    _LISTS = ("_SNAPSHOT_EXCLUDE", "_SNAPSHOT_SHARED")
-
-    def check_project(
-        self, project: Project, config: LintConfig
-    ) -> Iterator[Violation]:
-        for ctx, cls in policy_classes(project) + self._base_classes(project):
-            assigned = _assigned_attrs_in_lineage(project, ctx, cls)
-            for list_name, node, names in self._declared_lists(cls):
-                for name in names:
-                    if name not in assigned:
-                        yield ctx.violation(
-                            node,
-                            self.rule_id,
-                            f"`{cls.name}.{list_name}` names `{name}`, but no "
-                            "method in the class lineage ever assigns "
-                            f"`self.{name}`",
-                        )
-
-    def _base_classes(self, project: Project) -> list:
-        # The base class declares the default lists; hold it to the rule too.
-        return [
-            (ctx, cls)
-            for (module, name), (ctx, cls) in sorted(project.classes.items())
-            if name == _POLICY_BASE
-        ]
-
-    def _declared_lists(self, cls: ast.ClassDef):
-        for item in cls.body:
-            targets: list[ast.expr] = []
-            value: ast.AST | None = None
-            if isinstance(item, ast.Assign):
-                targets, value = item.targets, item.value
-            elif isinstance(item, ast.AnnAssign) and item.value is not None:
-                targets, value = [item.target], item.value
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id in self._LISTS:
-                    yield target.id, item, _string_elements(value)
-
-
-def _string_elements(value: ast.AST | None) -> list[str]:
-    """String literals inside frozenset({...}) / set / tuple / list displays."""
-    if value is None:
-        return []
-    if isinstance(value, ast.Call) and dotted_name(value.func) in ("frozenset", "set", "tuple"):
-        return _string_elements(value.args[0]) if value.args else []
-    if isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-        return [
-            el.value
-            for el in value.elts
-            if isinstance(el, ast.Constant) and isinstance(el.value, str)
-        ]
-    return []
-
-
-def _assigned_attrs_in_lineage(
-    project: Project, ctx: FileContext, cls: ast.ClassDef
-) -> set[str]:
-    assigned: set[str] = set()
-    for _, ancestor in project.class_lineage(ctx, cls):
-        for node in ast.walk(ancestor):
-            if isinstance(node, ast.Assign):
-                for t in node.targets:
-                    assigned.update(_self_attr(t))
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                assigned.update(_self_attr(node.target))
-    return assigned
-
-
-def _self_attr(target: ast.expr) -> list[str]:
-    if (
-        isinstance(target, ast.Attribute)
-        and isinstance(target.value, ast.Name)
-        and target.value.id == "self"
-    ):
-        return [target.attr]
-    if isinstance(target, ast.Tuple):
-        out: list[str] = []
-        for el in target.elts:
-            out.extend(_self_attr(el))
-        return out
-    return []
 
 
 class KernelNoIORule(ProjectRule):
