@@ -250,7 +250,7 @@ def _mixed_batch(
     evict_pos: list[int],
     evicted: list[int],
 ) -> AccessOutcomeBatch:
-    """Assemble a batch for kernels that may bypass (the CLIC shape).
+    """Assemble a batch for kernels that may bypass (the TQ and OPT shape).
 
     Explicit 0/1 flags per request for hit/admitted/bypassed, plus at most
     one eviction per access (``evict_pos[k]`` evicted ``evicted[k]``).

@@ -3,7 +3,6 @@
 from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
 from repro.core.hints import EMPTY_HINT_SET, HintSchema, HintSet, HintType, make_hint_set
-from repro.core.outqueue import OutQueue, OutQueueEntry
 from repro.core.priority import PriorityManager
 from repro.core.spacesaving import SpaceSaving, SpaceSavingTracker, TrackedItem
 from repro.core.statistics import HintSetStats, HintStatsTracker, HintTable, compute_priority
@@ -16,8 +15,6 @@ __all__ = [
     "HintSet",
     "HintType",
     "make_hint_set",
-    "OutQueue",
-    "OutQueueEntry",
     "PriorityManager",
     "SpaceSaving",
     "SpaceSavingTracker",

@@ -13,25 +13,25 @@ works as follows for a request ``(p, H)`` with sequence number ``s``:
   ``Pr(H) > m``, evict ``v`` (remembering it in the outqueue) and admit
   ``p``; otherwise do not cache ``p`` and remember it in the outqueue.
 
-The implementation mirrors the constant-expected-time data structures the
-paper describes: a hash map of cached pages, one recency-ordered list of
-pages per hint set, and a (lazily validated) heap over hint sets keyed by
-priority.  Priorities only change at window boundaries, at which point the
-heap is rebuilt.
+The per-request loop runs in C (``_clic_kernel.c``, built and loaded by
+:mod:`repro.core.kernel`), over the constant-expected-time structures the
+paper describes: a page map, one recency list per hint set, the ``Pr``
+table, a lazily validated heap over hint sets and the outqueue.  Each
+policy instance owns one kernel handle, freed when the instance is.
 
-Every structure is indexed by a per-policy *hint id*: each hint-set key is
-interned once to a dense int.  Cached-page metadata and outqueue entries are
-plain ``(seq, hint_id)`` pairs, the recency lists and a ``Pr`` table are
-lists indexed by id, and heap entries are ``(Pr, head_seq, hint_id)``.  Ids
-never leave this module: the priority manager and its trackers stay keyed by
-hint-key tuples, which the policy maps back to through its key list.
+Python keeps the work that runs once per chunk or per *segment* — the
+requests of a chunk that fall into one priority window, during which
+priorities are frozen: interning hint-set keys to the dense hint ids the
+kernel indexes by, cutting chunks at window ends, feeding the segment's
+request counts and re-reference credits to the priority manager's tracker,
+and, when a window closes, pushing the new ``Pr`` table into the kernel.
+``access()`` is the one-request case of the same call.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Mapping
+import weakref
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -42,11 +42,10 @@ from repro.cache.base import (
     AccessOutcome,
     AccessOutcomeBatch,
     CachePolicy,
-    _mixed_batch,
 )
+from repro.core import kernel
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
-from repro.core.outqueue import OutQueue
 from repro.core.priority import PriorityManager
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
@@ -54,6 +53,25 @@ if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = ["CLICPolicy"]
+
+
+def _address(array: Any) -> int:
+    """The data pointer of a C-contiguous numpy array."""
+    return int(array.__array_interface__["data"][0])
+
+
+def _columns(
+    page: int, write: int, hint: int, seq: int, ids: int, flags: int, evictions: int, n: int
+) -> Any:
+    """The kernel's ``Columns`` struct for *n* requests, from the addresses
+    of the four input columns, the hint-id table, the hit/admitted/bypassed
+    flag rows (*n* bytes apart) and the eviction columns (*n* + 1 offsets,
+    then the evicted pages)."""
+    return np.array(
+        [page, write, hint, seq, ids, flags, flags + n, flags + 2 * n,
+         evictions, evictions + 8 * (n + 1)],
+        np.int64,
+    )
 
 
 class CLICPolicy(CachePolicy):
@@ -72,22 +90,36 @@ class CLICPolicy(CachePolicy):
             decay=self._config.decay,
             top_k=self._config.top_k,
         )
-        self._outqueue = OutQueue(self._config.outqueue_capacity(capacity))
         # Interned hint-set keys: hint id -> key and key -> hint id.
         self._keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
-        # page -> (seq(p), hint id of H(p)).
-        self._cached: dict[int, tuple[int, int]] = {}
-        # Per-hint-id recency lists: insertion order equals seq order because
-        # sequence numbers are monotonically increasing and every re-request
-        # moves the page to the tail.
-        self._lists: list[OrderedDict[int, None]] = []
-        # Pr(H) per hint id, copied from the priority manager's mapping; it
-        # is current while that mapping is still the object _pr_source.
-        self._pr: list[float] = []
-        self._pr_source: Mapping[tuple, float] = self._priorities.mapping
-        # Lazily validated heap of (priority, head_seq, hint_id).
-        self._heap: list[tuple[float, int, int]] = []
+        # The hint table of the last chunk and its hint ids (the chunks of
+        # one stream share their table).
+        self._table: tuple[HintSet, ...] | None = None
+        self._table_ids = np.zeros(1, np.int64)
+        # Segment tallies written by the kernel: 2 + 7 int64 per hint id.
+        self._tally = np.zeros(2 + 7 * 64, np.int64)
+        self._tally_address = _address(self._tally)
+        # access()'s one-request columns: page, hint index 0, seq, hint id,
+        # the eviction offsets and the evicted page; then the write, hit,
+        # admitted and bypassed flags.
+        self._one = np.zeros(7, np.int64)
+        self._one_flags = np.zeros(4, np.uint8)
+        one, flags = _address(self._one), _address(self._one_flags)
+        self._one_columns = _columns(one, flags, one + 8, one + 16, one + 24, flags + 1, one + 32, 1)
+        self._one_address = _address(self._one_columns)
+        self._lib = kernel.load()
+        handle = self._lib.clic_new(
+            self._effective_capacity, self._config.outqueue_capacity(capacity)
+        )
+        if not handle:
+            raise MemoryError(f"cannot allocate CLIC state for capacity {capacity}")
+        self._handle: int = handle
+        weakref.finalize(self, self._lib.clic_free, handle)
+
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        # A copy would share (and later free twice) the kernel's state.
+        raise TypeError(f"{type(self).__name__} holds C state; it cannot be copied or pickled")
 
     # ------------------------------------------------------------ properties
     @property
@@ -104,338 +136,166 @@ class CLICPolicy(CachePolicy):
         """The windowed priority estimator (exposed for analysis and tests)."""
         return self._priorities
 
-    @property
-    def outqueue(self) -> OutQueue:
-        return self._outqueue
-
     def hint_priority(self, hints: HintSet) -> float:
         """Current ``Pr(H)`` for a hint set (zero if unknown)."""
         return self._priorities.priority(hints.key())
 
     # ------------------------------------------------------------- hint ids
     def _hint_id(self, hint_key: tuple) -> int:
-        """The interned id of *hint_key*, assigning the next one if it is new."""
+        """The interned id of *hint_key*, assigning the next one if it is new.
+
+        A new key has never been requested here, so its ``Pr`` is zero,
+        which is what the kernel gives a new id.
+        """
         hint_id = self._ids.get(hint_key)
         if hint_id is None:
             hint_id = self._ids[hint_key] = len(self._keys)
             self._keys.append(hint_key)
-            self._lists.append(OrderedDict())
-            self._pr.append(self._priorities.priority(hint_key))
         return hint_id
-
-    def _sync_priorities(self) -> list[float]:
-        """The ``Pr`` table, re-read whenever the manager's priorities changed.
-
-        The manager replaces its mapping object on every change — a window
-        closing here, or an outside ``force_window_boundary()`` with no
-        :meth:`_rebuild_heap` after it — so an identity check finds both.
-        """
-        mapping = self._priorities.mapping
-        if mapping is not self._pr_source:
-            self._pr_source = mapping
-            get = mapping.get
-            self._pr = [get(key, 0.0) for key in self._keys]
-        return self._pr
-
-    # ------------------------------------------------------------ heap upkeep
-    def _rebuild_heap(self) -> None:
-        """Rebuild the hint-set priority heap (called at window boundaries)."""
-        pr = self._sync_priorities()
-        cached = self._cached
-        self._heap = [
-            (pr[hint_id], cached[next(iter(lst))][0], hint_id)
-            for hint_id, lst in enumerate(self._lists)
-            if lst
-        ]
-        heapq.heapify(self._heap)
-
-    def _peek_victim(self) -> tuple[float, int, int] | None:
-        """Return ``(priority m, seq(v), hint_id)`` of the eviction candidate.
-
-        Pops stale heap entries (empty lists, outdated head sequence numbers
-        or priorities) and replaces them by corrected ones until the top
-        entry is valid.
-        """
-        pr = self._sync_priorities()
-        heap = self._heap
-        lists = self._lists
-        cached = self._cached
-        while heap:
-            top = heap[0]
-            hint_id = top[2]
-            lst = lists[hint_id]
-            if not lst:
-                heapq.heappop(heap)
-                continue
-            current = (pr[hint_id], cached[next(iter(lst))][0], hint_id)
-            if current != top:
-                heapq.heapreplace(heap, current)
-                continue
-            return top
-        return None
-
-    # -------------------------------------------------------------- mutation
-    def _admit(self, page: int, seq: int, hint_id: int) -> None:
-        lst = self._lists[hint_id]
-        if not lst:
-            heapq.heappush(self._heap, (self._pr[hint_id], seq, hint_id))
-        self._cached[page] = (seq, hint_id)
-        lst[page] = None
-        self._outqueue.remove(page)
-
-    def _refresh_cached(self, page: int, seq: int, hint_id: int) -> None:
-        """Update seq(p)/H(p) of a cached page, moving it between hint-set lists."""
-        old_id = self._cached[page][1]
-        self._cached[page] = (seq, hint_id)
-        if old_id == hint_id:
-            self._lists[hint_id].move_to_end(page)
-            return
-        del self._lists[old_id][page]
-        lst = self._lists[hint_id]
-        if not lst:
-            heapq.heappush(self._heap, (self._pr[hint_id], seq, hint_id))
-        lst[page] = None
-
-    def _evict(self, hint_id: int) -> int:
-        """Evict the oldest page of *hint_id*'s list into the outqueue."""
-        victim, _ = self._lists[hint_id].popitem(last=False)
-        seq, victim_id = self._cached.pop(victim)
-        self._outqueue.put(victim, seq, victim_id)
-        return victim
 
     # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        page = request.page
-        hint_id = self._hint_id(request.hints.key())
-        pr = self._sync_priorities()
-        meta = self._cached.get(page)
-        hit = meta is not None
-
-        # --- Hint analysis (Section 3.1): detect read re-references using the
-        # metadata remembered for cached pages and for outqueue pages.
-        prev = meta if hit else self._outqueue.get(page)
-        if prev is not None and request.is_read and seq > prev[0]:
-            prev_seq, prev_id = prev
-            self._priorities.record_read_rereference(self._keys[prev_id], seq - prev_seq)
-
-        # --- Cache management (Figure 4), using the priorities learned from
-        # *previous* windows.
+        key = request.hints.key()
+        one = self._one
+        one[0] = request.page
+        one[2] = seq
+        one[3] = self._hint_id(key)
+        self._one_flags[0] = request.is_write
+        self._run(1, self._one_address, lambda start, stop: (key,))
+        _, hit, admitted, _ = self._one_flags.tolist()
         if hit:
-            self._refresh_cached(page, seq, hint_id)
-            outcome = HIT
-        elif len(self._cached) < self._effective_capacity:
-            self._admit(page, seq, hint_id)
-            outcome = MISS_ADMIT
-        else:
-            victim = self._peek_victim()
-            if victim is not None and pr[hint_id] > victim[0]:
-                evicted_page = self._evict(victim[2])
-                self._admit(page, seq, hint_id)
-                outcome = AccessOutcome(False, admitted=True, evicted=(evicted_page,))
-            else:
-                # Do not cache p; remember its most recent request so that a
-                # quick read re-reference can still be detected.
-                self._outqueue.put(page, seq, hint_id)
-                outcome = MISS_BYPASS
-
-        # --- Window accounting (Section 3.2).  The request itself is counted
-        # in the window that is now in progress; when it closes, priorities
-        # change and the hint-set heap must be rebuilt.
-        window_closed = self._priorities.record_request(self._keys[hint_id])
-        if window_closed:
-            self._rebuild_heap()
-
-        return outcome
+            return HIT
+        if not admitted:
+            return MISS_BYPASS
+        if one[5]:
+            return AccessOutcome(False, admitted=True, evicted=(int(one[6]),))
+        return MISS_ADMIT
 
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        # Fused batch kernel.  The cache-management half of CLIC is
-        # inherently sequential (each request sees the heap/outqueue state
-        # the previous one left), so the loop below performs the mutations
-        # of access() in the same order, with _admit, _refresh_cached,
-        # _evict, _peek_victim and OutQueue.put/remove inlined — bit-identical
-        # by construction, pinned by tests/cache/test_batch_parity.py.  What
-        # the kernel batches away:
-        #
-        # * request/outcome object materialisation (columns are consumed as
-        #   plain lists, outcomes assembled as flag arrays);
-        # * hint-key interning — once per hint-table entry instead of once
-        #   per request;
-        # * tracker updates — priorities only change at window boundaries,
-        #   so within a window segment the tracker is invisible to cache
-        #   management; its updates are deferred and applied per segment as
-        #   per-key counts (PriorityManager.record_segment) whenever the
-        #   tracker can absorb them exactly.  A Space-Saving tracker whose
-        #   counters would recycle mid-segment falls back to ordered
-        #   per-request updates inside the same loop, preserving tie-breaks.
+        table = chunk.hint_sets
+        if table is not self._table:
+            intern = self._hint_id
+            self._table_ids = np.array([intern(hints.key()) for hints in table], np.int64)
+            self._table = table
+        ids = self._table_ids
+        keys = self._keys
+        pages = np.ascontiguousarray(chunk.page, np.int64)
+        writes = np.ascontiguousarray(chunk.write, np.bool_)
+        hints = np.ascontiguousarray(chunk.hint_id, np.int64)
+        seqs = np.ascontiguousarray(chunk.seq, np.int64)
+        n = len(pages)
+        # The kernel trusts these: every column has n entries, and every
+        # hint index has an entry in the chunk's hint table.
+        if not len(writes) == len(hints) == len(seqs) == n:
+            raise ValueError(f"chunk columns differ in length from its {n} pages")
+        if n and (hints.min() < 0 or hints.max() >= len(ids)):
+            raise IndexError(f"hint index outside the chunk's {len(ids)}-entry hint table")
+        flags = np.empty((3, n), np.bool_)
+        evictions = np.empty(2 * n + 1, np.int64)
+        evictions[0] = 0
+        columns = _columns(
+            _address(pages), _address(writes), _address(hints), _address(seqs),
+            _address(ids), _address(flags), _address(evictions), n,
+        )
+
+        def segment_keys(start: int, stop: int) -> Iterator[tuple]:
+            # Lazy: a tracker that can always defer never asks.
+            for hint_id in np.unique(ids[hints[start:stop]]).tolist():
+                yield keys[hint_id]
+
+        self._run(n, _address(columns), segment_keys)
+        evicted = evictions[n + 1 : n + 1 + int(evictions[n])]
+        return AccessOutcomeBatch(flags[0], flags[1], flags[2], evicted, evictions[: n + 1])
+
+    def _run(
+        self, n: int, columns: int, segment_keys: Callable[[int, int], Iterable[tuple]]
+    ) -> None:
+        """Replay the *n* requests of the kernel's ``Columns`` at address
+        *columns*, one window segment per kernel call."""
         priorities = self._priorities
         tracker = priorities.tracker
-        intern = self._hint_id
-        # Chunk hint-table index -> hint id, interned in table order.
-        id_of = [intern(hints.key()) for hints in chunk.hint_sets]
-        hint_ids = np.array(id_of, np.int64)[chunk.hint_id].tolist()
-        pages = chunk.page.tolist()
-        writes = chunk.write.tolist()
-        seqs = chunk.seq_list()
-
-        keys = self._keys
-        lists = self._lists
-        cached = self._cached
-        cached_get = cached.get
-        cached_pop = cached.pop
-        oq_entries = self._outqueue.entries
-        oq_get = oq_entries.get
-        oq_pop = oq_entries.pop
-        oq_popitem = oq_entries.popitem
-        oq_capacity = self._outqueue.capacity
-        effective_capacity = self._effective_capacity
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        accepts = tracker.accepts_rereference
-        record_reref = priorities.record_read_rereference
-        record_request = priorities.record_request
-
-        n = len(chunk)
-        hit_flags = bytearray(n)
-        admit_flags = bytearray(n)
-        bypass_flags = bytearray(n)
-        evict_pos: list[int] = []
-        evicted: list[int] = []
-
+        replay = self._lib.clic_replay
         start = 0
         while start < n:
             # One segment per window: the boundary falls between requests
-            # exactly where the scalar loop would close the window.
+            # exactly where a request-by-request replay closes the window.
             stop = min(n, start + priorities.window_room())
-            defer = tracker.can_defer({keys[h] for h in set(hint_ids[start:stop])})
-            # Per-id request counts; the pop-and-reinsert update keeps the
-            # dict in last-occurrence order, which record_segment requires.
-            counts: dict[int, int] = {}
-            rerefs: list[tuple[int, int]] = []
-            # Priorities are frozen until the window closes (= the segment
-            # boundary); _rebuild_heap replaces the table and the heap there.
-            pr = self._sync_priorities()
-            heap = self._heap
-            window_closed = False
-            for i, page, seq, hint_id, write in zip(
-                range(start, stop),
-                pages[start:stop],
-                seqs[start:stop],
-                hint_ids[start:stop],
-                writes[start:stop],
-            ):
-                meta = cached_get(page)
-
-                # Hint analysis (Section 3.1), as in access().  In deferred
-                # mode the credit is gated now — tracked at segment start or
-                # requested earlier in this segment — and recorded at the
-                # segment boundary; membership only grows in a no-recycle
-                # segment, so the late apply is exact.
-                if not write:
-                    prev = meta if meta is not None else oq_get(page)
-                    if prev is not None and seq > prev[0]:
-                        prev_seq, prev_id = prev
-                        if not defer:
-                            record_reref(keys[prev_id], seq - prev_seq)
-                        elif prev_id in counts or accepts(keys[prev_id]):
-                            rerefs.append((prev_id, seq - prev_seq))
-
-                # Cache management (Figure 4): access()'s mutations in
-                # access()'s order.
-                if meta is not None:
-                    cached[page] = (seq, hint_id)
-                    old_id = meta[1]
-                    if old_id == hint_id:
-                        lists[hint_id].move_to_end(page)
-                    else:
-                        del lists[old_id][page]
-                        lst = lists[hint_id]
-                        if not lst:
-                            heappush(heap, (pr[hint_id], seq, hint_id))
-                        lst[page] = None
-                    hit_flags[i] = 1
-                else:
-                    admit = len(cached) < effective_capacity
-                    priority = pr[hint_id]
-                    # Pr(H) == 0 can never beat the victim's priority m
-                    # (priorities are nonnegative, Equation 2), so the outcome
-                    # is a bypass without consulting the heap.  Deferring the
-                    # heap's lazy cleanup is invisible: the victim it
-                    # eventually returns is determined by the minimum
-                    # (priority, head seq) over *valid* entries, which the
-                    # skipped cleanup does not change.
-                    if not admit and priority:
-                        while heap:
-                            top = heap[0]
-                            victim_id = top[2]
-                            victim_list = lists[victim_id]
-                            if not victim_list:
-                                heappop(heap)
-                                continue
-                            victim = next(iter(victim_list))
-                            current = (pr[victim_id], cached[victim][0], victim_id)
-                            if current != top:
-                                heapreplace(heap, current)
-                                continue
-                            if priority > top[0]:
-                                # Evict v into the outqueue: its metadata pair
-                                # becomes the outqueue entry as it is.
-                                del victim_list[victim]
-                                victim_meta = cached_pop(victim)
-                                if oq_capacity:
-                                    if victim in oq_entries:
-                                        del oq_entries[victim]
-                                    elif len(oq_entries) >= oq_capacity:
-                                        oq_popitem(False)
-                                    oq_entries[victim] = victim_meta
-                                evicted.append(victim)
-                                evict_pos.append(i)
-                                admit = True
-                            break
-                    if admit:
-                        cached[page] = (seq, hint_id)
-                        lst = lists[hint_id]
-                        if not lst:
-                            heappush(heap, (pr[hint_id], seq, hint_id))
-                        lst[page] = None
-                        oq_pop(page, None)
-                        admit_flags[i] = 1
-                    else:
-                        # Do not cache p; remember it in the outqueue.
-                        if oq_capacity:
-                            if page in oq_entries:
-                                del oq_entries[page]
-                            elif len(oq_entries) >= oq_capacity:
-                                oq_popitem(False)
-                            oq_entries[page] = (seq, hint_id)
-                        bypass_flags[i] = 1
-
-                # Window accounting (Section 3.2).
-                if defer:
-                    counts[hint_id] = counts.pop(hint_id, 0) + 1
-                else:
-                    window_closed = record_request(keys[hint_id])
-            if defer:
-                window_closed = priorities.record_segment(
-                    [(keys[h], count) for h, count in counts.items()],
-                    [(keys[h], distance) for h, distance in rerefs],
-                    stop - start,
-                )
+            n_keys = len(self._keys)
+            if tracker.can_defer(segment_keys(start, stop)):
+                if len(self._tally) < 2 + 7 * n_keys:
+                    self._tally = np.zeros(2 + 14 * n_keys, np.int64)
+                    self._tally_address = _address(self._tally)
+                if replay(self._handle, start, stop, n_keys, columns, self._tally_address, None):
+                    raise MemoryError("CLIC kernel: out of memory")
+                window_closed = self._record_tallies(stop - start)
+            else:
+                # A Space-Saving counter may be recycled: the tracker must
+                # see the segment request by request, in stream order.
+                log = np.empty(3 * (stop - start), np.int64)
+                if replay(self._handle, start, stop, n_keys, columns, None, _address(log)):
+                    raise MemoryError("CLIC kernel: out of memory")
+                window_closed = self._record_log(log)
             if window_closed:
-                self._rebuild_heap()
+                get = priorities.mapping.get
+                pr = np.array([get(key, 0.0) for key in self._keys], np.float64)
+                if self._lib.clic_set_priorities(self._handle, _address(pr), len(pr)):
+                    raise MemoryError("CLIC kernel: out of memory")
             start = stop
 
-        return _mixed_batch(hit_flags, admit_flags, bypass_flags, evict_pos, evicted)
+    def _record_tallies(self, requests: int) -> bool:
+        """Apply a deferred segment's per-hint tallies to the tracker.
+
+        Counts come in last-occurrence order.  Credits come as per-hint
+        totals, split by whether the credited hint id was requested earlier
+        in the segment; the rest count only if the tracker accepted that id
+        at the segment start, which is its state now.
+        """
+        tally = self._tally
+        n_counts, n_credits = tally[:2].tolist()
+        values = tally[2 : 2 + 2 * n_counts + 5 * n_credits].tolist()
+        keys = self._keys
+        counts = [
+            (keys[hint_id], count)
+            for hint_id, count in zip(values[0 : 2 * n_counts : 2], values[1 : 2 * n_counts : 2])
+        ]
+        accepts = self._priorities.tracker.accepts_rereference
+        credits = values[2 * n_counts :]
+        rereferences = []
+        for hint_id, early, early_distance, late, late_distance in zip(
+            credits[0::5], credits[1::5], credits[2::5], credits[3::5], credits[4::5]
+        ):
+            key = keys[hint_id]
+            if early and accepts(key):
+                late += early
+                late_distance += early_distance
+            if late:
+                rereferences.append((key, late, late_distance))
+        return self._priorities.record_segment(counts, rereferences, requests)
+
+    def _record_log(self, log: Any) -> bool:
+        """Apply a segment's per-request log to the tracker, in stream order."""
+        keys = self._keys
+        record_rereference = self._priorities.record_read_rereference
+        record_request = self._priorities.record_request
+        window_closed = False
+        records = log.tolist()
+        for hint_id, credited, distance in zip(records[0::3], records[1::3], records[2::3]):
+            if credited >= 0:
+                record_rereference(keys[credited], distance)
+            window_closed = record_request(keys[hint_id])
+        return window_closed
 
     # ------------------------------------------------------------ inspection
     def contains(self, page: int) -> bool:
-        return page in self._cached
+        return bool(self._lib.clic_contains(self._handle, page))
 
     def __len__(self) -> int:
-        return len(self._cached)
+        return int(self._lib.clic_len(self._handle))
 
     def cached_pages(self) -> Iterable[int]:
-        return iter(self._cached)
+        pages = np.empty(len(self), np.int64)
+        self._lib.clic_pages(self._handle, _address(pages))
+        return iter(pages.tolist())
 
     def current_priorities(self) -> dict[tuple, float]:
         """Current Pr(H) assignment (hint-set key -> priority)."""

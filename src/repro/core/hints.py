@@ -211,9 +211,6 @@ class HintSet:
     def __contains__(self, name: str) -> bool:
         return name in self.names
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.names, self.values))
-
     def key(self) -> tuple:
         """Compact hashable key: ``(client_id, values)``.
 

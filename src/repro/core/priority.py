@@ -74,10 +74,8 @@ class PriorityManager:
     def mapping(self) -> Mapping[tuple, float]:
         """The live priority map (hint-set key -> Pr(H)).
 
-        Exposed for batch kernels that look priorities up in a hot loop:
-        the mapping is frozen between window boundaries, and the *object*
-        is replaced whenever the priorities change (a window closes), so a
-        caller that copies it can tell a stale copy by identity.  Treat as
+        Exposed for the policy, which copies it into its ``Pr`` table when
+        a window closes; it is frozen between window boundaries.  Treat as
         read-only; missing keys mean priority 0.0.
         """
         return self._priorities
@@ -115,7 +113,7 @@ class PriorityManager:
     def record_segment(
         self,
         counts: Sequence[tuple[tuple, int]],
-        rereferences: Sequence[tuple[tuple, int]],
+        rereferences: Sequence[tuple[tuple, int, int]],
         requests: int,
     ) -> bool:
         """Apply one deferred batch segment; returns whether it closed the window.
@@ -123,13 +121,16 @@ class PriorityManager:
         *counts* holds ``(hint_key, n)`` pairs in **last-occurrence order**
         (the order the keys were last requested within the segment) — that is
         what keeps a Space-Saving tracker's tie-break order identical to the
-        sequential replay.  *rereferences* holds ``(hint_key, distance)``
-        credits in stream order, pre-filtered by the caller with
-        segment-start :meth:`HintStatsTracker.accepts_rereference` semantics;
-        applying them after the counts is exact because tracked-set
-        membership only grows within a no-recycle segment.  The segment must
-        not span a window boundary (``requests <= window_room()``), so the
-        boundary falls on exactly the same request as in scalar replay.
+        sequential replay.  *rereferences* holds ``(hint_key, credits,
+        distance_total)`` per-key totals, in the order of each key's first
+        credit in the segment, pre-filtered by the caller with segment-start
+        :meth:`HintStatsTracker.accepts_rereference` semantics; applying them
+        after the counts is exact because tracked-set membership only grows
+        within a no-recycle segment, and totals equal the stream-order sums
+        because credits and distances are integers far below ``2**53``.  The
+        segment must not span a window boundary (``requests <=
+        window_room()``), so the boundary falls on exactly the same request
+        as in scalar replay.
         """
         if requests > self.window_room():
             raise ValueError(
@@ -139,8 +140,8 @@ class PriorityManager:
         tracker = self._tracker
         for hint_key, count in counts:
             tracker.record_request_count(hint_key, count)
-        for hint_key, distance in rereferences:
-            tracker.record_read_rereference(hint_key, distance)
+        for hint_key, credits, distance_total in rereferences:
+            tracker.record_read_rereferences(hint_key, credits, distance_total)
         self._requests_in_window += requests
         if self._requests_in_window >= self._window_size:
             self._finish_window()
@@ -165,7 +166,3 @@ class PriorityManager:
         self._tracker.clear()
         self._requests_in_window = 0
         self._windows_completed += 1
-
-    def force_window_boundary(self) -> None:
-        """Close the current window immediately (useful for tests/analysis)."""
-        self._finish_window()

@@ -241,12 +241,7 @@ class SpaceSavingTracker(HintStatsTracker):
     def record_read_rereference(self, hint_key: tuple, distance: int) -> None:
         if distance <= 0:
             raise ValueError(f"re-reference distance must be positive, got {distance}")
-        # Only counted while the hint set is tracked (paper Section 5).
-        if hint_key not in self._summary:
-            return
-        stats = self._side.setdefault(hint_key, HintSetStats())
-        stats.read_rereferences += 1
-        stats.distance_total += distance
+        self.record_read_rereferences(hint_key, 1, distance)
 
     # ------------------------------------------------------------- batch path
     def accepts_rereference(self, hint_key: tuple) -> bool:
@@ -273,6 +268,17 @@ class SpaceSavingTracker(HintStatsTracker):
         self._summary.offer_repeat(hint_key, count)
         if hint_key not in self._side:
             self._side[hint_key] = HintSetStats()
+
+    def record_read_rereferences(
+        self, hint_key: tuple, credits: int, distance_total: int
+    ) -> None:
+        """*credits* re-references at once; like each of them, counted only
+        while the hint set is tracked (paper Section 5)."""
+        if hint_key not in self._summary:
+            return
+        stats = self._side.setdefault(hint_key, HintSetStats())
+        stats.read_rereferences += credits
+        stats.distance_total += distance_total
 
     def snapshot(self) -> Mapping[tuple, HintSetStats]:
         result: dict[tuple, HintSetStats] = {}

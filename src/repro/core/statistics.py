@@ -138,6 +138,17 @@ class HintStatsTracker(abc.ABC):
         for _ in range(count):
             self.record_request(hint_key)
 
+    def record_read_rereferences(
+        self, hint_key: tuple, credits: int, distance_total: int
+    ) -> None:
+        """Count *credits* read re-references of *hint_key* at once, their
+        distances summing to *distance_total*.
+
+        Only called when :meth:`can_defer` approved the segment, so a
+        tracker that can defer must implement it.
+        """
+        raise NotImplementedError(f"{type(self).__name__} cannot take credit totals")
+
 
 class HintTable(HintStatsTracker):
     """Exact per-hint-set statistics, one entry per observed hint set."""
@@ -155,17 +166,7 @@ class HintTable(HintStatsTracker):
     def record_read_rereference(self, hint_key: tuple, distance: int) -> None:
         if distance <= 0:
             raise ValueError(f"re-reference distance must be positive, got {distance}")
-        stats = self._stats.get(hint_key)
-        if stats is None:
-            # The original request predates the current statistics window (the
-            # table was cleared since).  Count the re-reference anyway so that
-            # hint sets whose pages linger in the cache across windows still
-            # receive credit; the paper's description leaves this corner to
-            # the implementation.
-            stats = HintSetStats()
-            self._stats[hint_key] = stats
-        stats.read_rereferences += 1
-        stats.distance_total += distance
+        self.record_read_rereferences(hint_key, 1, distance)
 
     # The exact table has no eviction, so every batch shortcut is exact:
     # request counts are plain integer adds and re-reference credits are
@@ -179,6 +180,21 @@ class HintTable(HintStatsTracker):
             stats = HintSetStats()
             self._stats[hint_key] = stats
         stats.requests += count
+
+    def record_read_rereferences(
+        self, hint_key: tuple, credits: int, distance_total: int
+    ) -> None:
+        stats = self._stats.get(hint_key)
+        if stats is None:
+            # The original request predates the current statistics window (the
+            # table was cleared since).  Count the re-reference anyway so that
+            # hint sets whose pages linger in the cache across windows still
+            # receive credit; the paper's description leaves this corner to
+            # the implementation.
+            stats = HintSetStats()
+            self._stats[hint_key] = stats
+        stats.read_rereferences += credits
+        stats.distance_total += distance_total
 
     def snapshot(self) -> Mapping[tuple, HintSetStats]:
         return dict(self._stats)

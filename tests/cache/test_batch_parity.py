@@ -12,6 +12,11 @@ a policy without a kernel runs is pinned below and by the engine oracle.
 lintkit's ``batch-kernel-parity`` rule enforces that any policy overriding
 ``batch_access`` stays covered here.
 
+CLIC's batch kernel is C code, and its own ``access()`` is the one-request
+case of the same call; so wherever a case builds CLIC, alone or as cluster
+shards, the scalar side replays the pure-Python reference in
+``tests/clic_reference.py`` instead.
+
 The engine-level half of the contract — the replay produces the same
 results at any job count — is pinned by the sweep test at the bottom; that
 the engine's full result equals a scalar replay is pinned by
@@ -38,6 +43,7 @@ from repro.trace.columnar import ColumnarChunk
 from repro.core.hints import EMPTY_HINT_SET
 from repro.simulation.request import IORequest
 
+from tests.clic_reference import reference_case, registered
 from tests.conftest import kernel_less
 from tests.strategies import hint_sets, io_requests, request_streams
 
@@ -148,6 +154,13 @@ def _build(name: str, kwargs: dict) -> CachePolicy:
     return create_policy(name, capacity=CAPACITY, **kwargs)
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _reference_clic():
+    """Register the CLIC reference for the scalar sides of this module."""
+    with registered():
+        yield
+
+
 def _split(stream, sizes):
     """Cut *stream* into chunks of the drawn sizes (cycling as needed)."""
     chunks = []
@@ -221,7 +234,7 @@ def test_tq_batch_access_matches_scalar_on_write_hints(kwargs, stream, sizes):
 def _assert_batch_matches_scalar(
     name: str, kwargs: dict, stream: list[IORequest], sizes: list[int]
 ) -> None:
-    scalar = _build(name, kwargs)
+    scalar = _build(*reference_case(name, kwargs))
     batched = _build(name, kwargs)
     if scalar.offline:
         scalar.prepare(stream)

@@ -78,7 +78,7 @@ class TestHintSchema:
     def test_make_hint_set_from_sequence(self):
         schema = db2_like_schema()
         hs = schema.make_hint_set([0, 2, "read"])
-        assert hs.as_dict() == {"pool_id": 0, "object_id": 2, "request_type": "read"}
+        assert dict(zip(hs.names, hs.values)) == {"pool_id": 0, "object_id": 2, "request_type": "read"}
 
     def test_make_hint_set_missing_value(self):
         schema = db2_like_schema()
@@ -169,7 +169,7 @@ class TestHintSet:
     def test_extended_adds_hint_types(self):
         hs = make_hint_set("c", x=1)
         ext = hs.extended(["noise_0", "noise_1"], [7, 8])
-        assert ext.as_dict() == {"x": 1, "noise_0": 7, "noise_1": 8}
+        assert dict(zip(ext.names, ext.values)) == {"x": 1, "noise_0": 7, "noise_1": 8}
         assert ext.client_id == "c"
 
     def test_extended_rejects_clashes(self):

@@ -1,10 +1,10 @@
-"""Tests for the bounded outqueue (paper Section 3.1)."""
+"""Tests for the reference outqueue (paper Section 3.1) in ``tests/clic_reference.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.outqueue import OutQueue
+from tests.clic_reference import OutQueue
 
 
 class TestOutQueue:

@@ -98,13 +98,6 @@ class TestPriorityManager:
         pm = PriorityManager(window_size=10, top_k=2)
         assert isinstance(pm.tracker, SpaceSavingTracker)
 
-    def test_force_window_boundary(self):
-        pm = PriorityManager(window_size=1000)
-        pm.record_read_rereference(KEY_A, distance=1)
-        pm.record_request(KEY_A)
-        pm.force_window_boundary()
-        assert pm.priority(KEY_A) > 0.0
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             PriorityManager(window_size=0)

@@ -8,7 +8,9 @@ in stream order, each observer folding that outcome through its scalar
 ``on_outcome``, per-client stats counted request by request.  Every field
 of every result must match — stats, per-client, per-shard, latency,
 per-shard latency, rolling windows and queueing — at every engine chunk
-size: no observer's result may depend on where chunks end.
+size: no observer's result may depend on where chunks end.  CLIC's
+``access()`` is the one-request case of its C kernel, so the oracle replays
+the pure-Python reference in ``tests/clic_reference.py`` for CLIC instead.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from repro.simulation.queueing import QueueingModel
 from repro.simulation.request import IORequest, RequestKind
 from repro.trace.cache import TraceSpec
 from repro.workloads.arrivals import PoissonArrivals
+
+from tests.clic_reference import CLICPolicy as ReferenceCLIC
 
 CAPACITY = 150
 #: Does not divide 4,096, so window and chunk boundaries fall out of step.
@@ -59,6 +63,13 @@ def _build(name: str) -> CachePolicy:
     if name == _ScalarLRU.name:
         return _ScalarLRU(CAPACITY)
     return create_policy(name, capacity=CAPACITY, **_POLICY_KWARGS.get(name, {}))
+
+
+def _oracle_build(name: str) -> CachePolicy:
+    """The policy the oracle replays for *name*: the reference for CLIC."""
+    if name == "CLIC":
+        return ReferenceCLIC(CAPACITY)
+    return _build(name)
 
 
 #: (label, SHARDED kwargs) replayed with every observer attached.
@@ -192,7 +203,7 @@ def test_every_registered_policy_matches_the_scalar_replay(kind, chunk_size):
 
     results = _engine([_build(name) for name in names], chunk_size).run(source)
     for name, result in zip(names, results):
-        expected = scalar_replay(_build(name), requests)
+        expected = scalar_replay(_oracle_build(name), requests)
         assert engine_fields(result) == expected, name
     if kind != "trace-spec":
         assert [client for client, _ in results[0].per_client.items()] == [

@@ -30,7 +30,10 @@ decay ablation and the outqueue ablation.  Every registered policy is also
 replayed without its fused kernel: the base ``batch_access`` — the scalar
 lift that a policy added through
 :func:`~repro.cache.registry.register_policy` runs until it grows a kernel —
-must obey the same laws.
+must obey the same laws.  CLIC's ``access()`` is the one-request case of
+its C kernel, so its kernel-less case replays the pure-Python reference in
+``tests/clic_reference.py`` (the base ``batch_access`` over the kernel's
+``access()`` would just be the kernel again).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from hypothesis import strategies as st
 
 from repro.cache.base import CachePolicy
 from repro.cache.registry import available_policies, create_policy
+from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import (
@@ -58,6 +62,7 @@ from repro.simulation.request import RequestKind, read_request, write_request
 from repro.simulation.simulator import CacheSimulator
 from repro.workloads.arrivals import PoissonArrivals
 
+from tests.clic_reference import CLICPolicy as ReferenceCLIC
 from tests.conftest import kernel_less
 from tests.strategies import request_streams
 
@@ -69,20 +74,18 @@ _POLICY_KWARGS = {
 
 #: Sharded variants: the cluster must obey the same laws as what it wraps,
 #: under both routers, including an offline (OPT) cluster reading the
-#: stream-wide index (hash) or its own per-shard index (client).
+#: stream-wide index (hash) or its own per-shard index (client).  The
+#: registry's own SHARDED case is the LRU cluster under the hash router.
+_CLIC_SHARD_KWARGS = {"config": CLICConfig(window_size=20, charge_metadata=False)}
 _SHARDED_VARIANTS = [
-    ("SHARDED[LRU]", {"policy": "LRU", "shards": 3, "router": "hash"}),
     ("SHARDED[ARC]", {"policy": "ARC", "shards": 2, "router": "client"}),
     (
         "SHARDED[CLIC]",
-        {
-            "policy": "CLIC",
-            "shards": 2,
-            "router": "hash",
-            "policy_kwargs": {
-                "config": CLICConfig(window_size=20, charge_metadata=False)
-            },
-        },
+        {"policy": "CLIC", "shards": 2, "router": "hash", "policy_kwargs": _CLIC_SHARD_KWARGS},
+    ),
+    (
+        "SHARDED[CLIC,client]",
+        {"policy": "CLIC", "shards": 2, "router": "client", "policy_kwargs": _CLIC_SHARD_KWARGS},
     ),
     ("SHARDED[TQ,client]", {"policy": "TQ", "shards": 2, "router": "client"}),
     ("SHARDED[OPT,hash]", {"policy": "OPT", "shards": 3, "router": "hash"}),
@@ -138,6 +141,8 @@ def _registry_cases() -> list[Case]:
     for name in available_policies():
         kwargs = _POLICY_KWARGS.get(name, {})
         policy_class = type(create_policy(name, capacity=CAPACITY, **kwargs))
+        if policy_class is CLICPolicy:
+            policy_class = ReferenceCLIC
         cases.append(Case(f"{name}[kernel-less]", kernel_less(policy_class), kwargs))
     return cases
 
