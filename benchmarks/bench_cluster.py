@@ -16,7 +16,7 @@ Run it standalone::
     PYTHONPATH=src python benchmarks/bench_cluster.py --requests 20000
 
 In-process sharding is not expected to be faster than the unified cache —
-each shard is the same pure-Python policy plus routing overhead; the point
+each shard is the same compiled policy plus routing overhead; the point
 is to quantify that overhead (it should stay small) while the per-shard
 results model what a fleet of cache servers would do.
 """

@@ -7,8 +7,9 @@ for each.  Two gates make this a CI smoke test:
 
 * **overhead gate** — with the cost model *off* the engine must stay within
   noise of a hand-rolled baseline replay loop (the pre-cost-model fast
-  path, inlined here), proving the opt-in accounting pass costs nothing
-  when not requested;
+  path, inlined here: one ``access()`` per request, which is the policy's C
+  kernel called through ctypes), proving the opt-in accounting pass costs
+  nothing when not requested;
 * **correctness gate** — for a position-independent device the per-request
   accumulator must price the run *exactly* like the analytic derivation
   from the final hit/miss counts (``CostModel.latency_from_stats``).

@@ -54,14 +54,11 @@ the engine does), engine serial and engine ``jobs=N`` — with three gates:
   fast path over ``access()``, never a fork;
 * **columnar speedup (full grid)** — engine serial must replay the paper
   grid at >= ``--columnar-gate`` (default 2.0x) the object-replay
-  throughput.  The hint-aware/adaptive kernels ARC and TQ are
-  intrinsically sequential state machines (every request reads state the
-  previous one wrote), so their Python batch loops win only ~1.5-2.5x over
-  scalar replay and bound the full-grid aggregate far below the infra-only
-  number; the gate is set accordingly (measured value in ``BENCH_9.json``).
-  CLIC's loop is C code, and its object-replay column times the one-request
-  C ``access()``, whose per-call overhead the batch path amortises over a
-  chunk;
+  throughput.  Every paper policy's loop is C code: the object-replay
+  baseline times the one-request C ``access()`` per request, whose
+  per-call ctypes overhead the batch path amortises over a chunk.  The
+  gate is the one set when the kernels were Python (measured value in
+  ``BENCH_9.json``);
 * **columnar core speedup** — LRU, the one always-admit kernel, where
   batching eliminates nearly all per-request engine overhead, must replay
   at >= ``--columnar-core-gate`` (default 3.5x, raised from the 3.0x the
@@ -105,10 +102,8 @@ COLUMNAR_POLICIES = PAPER_POLICIES
 #: The original BENCH_9.json gated LRU/FIFO/CLOCK here at 3.0x; the core
 #: keeps its own metric so the number stays comparable across PRs.
 COLUMNAR_CORE_POLICIES = ("LRU",)
-#: Full-grid columnar-speedup gate.  The hint-aware/adaptive Python kernels
-#: (ARC, TQ) are sequential state machines whose batch loops win ~1.5-2.5x
-#: over scalar replay; they dominate the grid's columnar time and cap the
-#: aggregate far below the core's number (measured value in BENCH_9.json).
+#: Full-grid columnar-speedup gate, kept from when ARC and TQ were Python
+#: loops that capped the aggregate (measured value in BENCH_9.json).
 COLUMNAR_SPEEDUP_GATE = 2.0
 #: Core gate, raised from the original 3.0 (LRU measured 4.7-8.2x on a
 #: 2-vCPU box).

@@ -6,8 +6,8 @@ plain — the closed-loop priced replay every other experiment runs — and
 once with the open-loop :class:`~repro.simulation.queueing.QueueingObserver`
 attached at a fixed offered load.  The observer rides the same outcome
 stream as the stats/cost observers, shares one arrival tape across the
-grid and does its event-clock arithmetic in integer nanoseconds on the
-vectorised Lindley path, so attaching it must stay cheap.  Three gates
+grid and runs its integer-nanosecond Lindley pass in one call of the C
+kernel library at finalize, so attaching it must stay cheap.  Three gates
 make this a CI smoke test:
 
 * attaching the observer must not perturb the replay: the plain and
@@ -24,8 +24,9 @@ make this a CI smoke test:
   inflates every round and cannot hide from the minimum.  The median
   ratio and best-of-round times are reported and recorded alongside.
 
-The run also writes ``BENCH_7.json`` (repo root by default, ``--json`` to
-move or ``--json ''`` to skip) recording the measured timings.
+``--json PATH`` also writes the measured timings (the committed
+``BENCH_7.json``).  Without it nothing is written: a smoke run never
+rewrites a tracked record.
 
 Run it standalone::
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 from bench_common import emit_bench_json
 
@@ -79,8 +79,8 @@ def main(argv=None) -> int:
         help="gate: queued time / plain time must stay below this (default: 1.10)",
     )
     parser.add_argument(
-        "--json", default=str(Path(__file__).resolve().parent.parent / "BENCH_7.json"),
-        help="where to write the timing record (empty string to skip)",
+        "--json", default="",
+        help="write the timing record to this path (default: write nothing)",
     )
     args = parser.parse_args(argv)
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())

@@ -220,68 +220,6 @@ class AccessOutcomeBatch:
         return self._outcomes
 
 
-def _admit_batch(
-    hit_flags: bytearray, evict_pos: list[int], evicted: list[int]
-) -> AccessOutcomeBatch:
-    """Assemble a batch for always-admit kernels (the LRU and ARC shape).
-
-    ``hit_flags`` holds 0/1 per request; every miss admits, nothing is
-    bypassed, and request ``evict_pos[k]`` evicted page ``evicted[k]`` (at
-    most one eviction per access).
-    """
-    n = len(hit_flags)
-    hit = _np.frombuffer(bytes(hit_flags), dtype=_np.bool_)
-    bypassed = _np.zeros(n, _np.bool_)
-    offsets = _np.zeros(n + 1, _np.int64)
-    if evicted:
-        counts = _np.zeros(n, _np.int64)
-        counts[evict_pos] = 1
-        _np.cumsum(counts, out=offsets[1:])
-        pages = _np.array(evicted, _np.int64)
-    else:
-        pages = _np.zeros(0, _np.int64)
-    return AccessOutcomeBatch(hit, ~hit, bypassed, pages, offsets)
-
-
-def _mixed_batch(
-    hit_flags: bytearray,
-    admit_flags: bytearray,
-    bypass_flags: bytearray,
-    evict_pos: list[int],
-    evicted: list[int],
-) -> AccessOutcomeBatch:
-    """Assemble a batch for kernels that may bypass (the TQ and OPT shape).
-
-    Explicit 0/1 flags per request for hit/admitted/bypassed, plus at most
-    one eviction per access (``evict_pos[k]`` evicted ``evicted[k]``).
-    """
-    n = len(hit_flags)
-    hit = _np.frombuffer(bytes(hit_flags), dtype=_np.bool_)
-    admitted = _np.frombuffer(bytes(admit_flags), dtype=_np.bool_)
-    bypassed = _np.frombuffer(bytes(bypass_flags), dtype=_np.bool_)
-    offsets = _np.zeros(n + 1, _np.int64)
-    if evicted:
-        counts = _np.zeros(n, _np.int64)
-        counts[evict_pos] = 1
-        _np.cumsum(counts, out=offsets[1:])
-        pages = _np.array(evicted, _np.int64)
-    else:
-        pages = _np.zeros(0, _np.int64)
-    return AccessOutcomeBatch(hit, admitted, bypassed, pages, offsets)
-
-
-def _all_hit_batch(n: int) -> AccessOutcomeBatch:
-    """Assemble the batch for a chunk where every request hit (no state
-    change other than recency/reference updates)."""
-    return AccessOutcomeBatch(
-        _np.ones(n, _np.bool_),
-        _np.zeros(n, _np.bool_),
-        _np.zeros(n, _np.bool_),
-        _np.zeros(0, _np.int64),
-        _np.zeros(n + 1, _np.int64),
-    )
-
-
 @dataclass
 class CacheStats:
     """Hit/miss accounting for one simulation run of a single policy.

@@ -14,27 +14,21 @@ metric and can only raise the upper bound.
 
 OPT is an off-line policy: the simulator must call :meth:`prepare` with the
 complete request stream before feeding requests.  The future knowledge is a
-:class:`ReadIndex` — one next-read column over the stream — which the scalar
-:meth:`~OPTPolicy.access` and the fused :meth:`~OPTPolicy.batch_access`
-both read.
+:class:`ReadIndex` — one next-read column over the stream.  The
+per-request loop runs in C (``repro/core/_opt_kernel.c``): the cached pages
+with their next reads and a lazily validated max-heap of (next read, page)
+entries.  Python keeps the index and hands each kernel call its requests'
+next reads, gathered by sequence number.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as _np
 
-from repro.cache.base import (
-    HIT,
-    MISS_ADMIT,
-    MISS_BYPASS,
-    AccessOutcome,
-    AccessOutcomeBatch,
-    CachePolicy,
-    _mixed_batch,
-)
+from repro.cache.base import AccessOutcome, AccessOutcomeBatch
+from repro.core.kernel import KernelPolicy, address
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.simulation.request import IORequest
@@ -132,18 +126,18 @@ class ReadIndex(NamedTuple):
         return cls(column)
 
 
-class OPTPolicy(CachePolicy):
+class OPTPolicy(KernelPolicy):
     """Belady's MIN with future knowledge of read references."""
 
     name = "OPT"
+    kernel = "opt"
     offline = True
     shares_read_index = True
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._index: ReadIndex | None = None
-        self._cached: dict[int, int] = {}        # page -> next read seq
-        self._heap: list[tuple[int, int]] = []   # (-next_read, page), lazy deletion
+        self._open(capacity)
 
     # --------------------------------------------------------------- set-up
     @staticmethod
@@ -178,147 +172,17 @@ class OPTPolicy(CachePolicy):
 
     # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        next_read = self._prepared_index().next_read.item(seq)
-        page = request.page
-        cached = self._cached
-        if page in cached:
-            if next_read == NEVER:
-                # The page will never be read again: free the slot
-                # immediately.  This *hit-path drop* counts as an eviction —
-                # the page leaves the cache — so ``evictions`` can exceed
-                # the number of capacity-pressure replacements, and
-                # ``admissions - evictions == len(cache)`` still holds.
-                del cached[page]
-                return AccessOutcome(True, evicted=(page,))
-            cached[page] = next_read
-            self._push(page, next_read)
-            return HIT
-
-        if next_read == NEVER:
-            # Never read again: pointless to cache (bypass).
-            return MISS_BYPASS
-
-        if len(cached) >= self.capacity:
-            victim = self._pop_farthest()
-            if victim is None or cached[victim] <= next_read:
-                # Every cached page is read sooner than the new page: bypass.
-                if victim is not None:
-                    self._push(victim, cached[victim])
-                return MISS_BYPASS
-            del cached[victim]
-            cached[page] = next_read
-            self._push(page, next_read)
-            return AccessOutcome(False, admitted=True, evicted=(victim,))
-
-        cached[page] = next_read
-        self._push(page, next_read)
-        return MISS_ADMIT
+        # A page never read again is dropped on its hit or bypassed on its
+        # miss; otherwise a full cache evicts the page read farthest in the
+        # future, unless the requested page is read even later (bypass).
+        self._one[4] = self._prepared_index().next_read.item(seq)
+        self._one[0] = request.page
+        return self._replay_one()
 
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        # Fused batch kernel: the decisions of access(), request for request,
-        # over the page column and the chunk's slice of the next-read
-        # column (gathered by seq, so per-shard sub-chunks work unchanged).
-        # Heap pushes share access()'s compaction rule.
-        next_reads = self._prepared_index().next_read[chunk.seq].tolist()
-        pages = chunk.page.tolist()
-
-        cached = self._cached
-        heap = self._heap
-        heappush = heapq.heappush
-        pop_farthest = self._pop_farthest
-        compact = self._compact
-        capacity = self.capacity
-        limit = 2 * capacity
-        never = NEVER
-
-        n = len(pages)
-        hit_flags = bytearray(n)
-        admit_flags = bytearray(n)
-        bypass_flags = bytearray(n)
-        evict_pos: list[int] = []
-        evicted: list[int] = []
-
-        for i, page, next_read in zip(range(n), pages, next_reads):
-            if page in cached:
-                hit_flags[i] = 1
-                if next_read == never:
-                    del cached[page]
-                    evict_pos.append(i)
-                    evicted.append(page)
-                    continue
-            elif next_read == never:
-                bypass_flags[i] = 1
-                continue
-            elif len(cached) >= capacity:
-                victim = pop_farthest()
-                if victim is None or cached[victim] <= next_read:
-                    # Bypass, putting the victim's entry back as access()
-                    # does (a pop then a push cannot grow the heap).
-                    bypass_flags[i] = 1
-                    if victim is not None:
-                        heappush(heap, (-cached[victim], victim))
-                    continue
-                del cached[victim]
-                evict_pos.append(i)
-                evicted.append(victim)
-                admit_flags[i] = 1
-            else:
-                admit_flags[i] = 1
-            cached[page] = next_read
-            heappush(heap, (-next_read, page))
-            if len(heap) > limit:
-                compact()
-
-        return _mixed_batch(hit_flags, admit_flags, bypass_flags, evict_pos, evicted)
-
-    # ----------------------------------------------------------------- heap
-    def _push(self, page: int, next_read: int) -> None:
-        """Push *page*'s current heap entry, compacting an oversized heap."""
-        heap = self._heap
-        heapq.heappush(heap, (-next_read, page))
-        if len(heap) > 2 * self.capacity:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap from the live entries only (in place).
-
-        Hits push a fresh entry without removing the old one, and stale
-        entries otherwise leave only when they surface in
-        :meth:`_pop_farthest`, so the heap would grow with the stream.
-        Cached pages have distinct next reads, so the keys
-        ``(-next_read, page)`` of live entries are unique and the pop order
-        — hence every victim — is unchanged by dropping the rest.
-        """
-        heap = self._heap
-        heap[:] = [(-next_read, page) for page, next_read in self._cached.items()]
-        heapq.heapify(heap)
-
-    def _pop_farthest(self) -> int | None:
-        """Pop and return the cached page with the farthest next read.
-
-        The page's (current, non-stale) heap entry is removed along the way,
-        so a caller that decides *not* to evict the returned page must push
-        the entry back (see the bypass branch in :meth:`access`); the page
-        itself stays in ``_cached`` either way.  Stale entries skipped
-        during the scan are discarded for good.  Returns ``None`` when no
-        cached page has a live heap entry.
-        """
-        while self._heap:
-            neg_time, page = self._heap[0]
-            current = self._cached.get(page)
-            if current is None or current != -neg_time:
-                heapq.heappop(self._heap)  # stale entry
-                continue
-            heapq.heappop(self._heap)
-            return page
-        return None
-
-    # ------------------------------------------------------------ inspection
-    def contains(self, page: int) -> bool:
-        return page in self._cached
-
-    def __len__(self) -> int:
-        return len(self._cached)
-
-    def cached_pages(self) -> Iterable[int]:
-        return iter(self._cached)
+        # Gathered by seq, so per-shard sub-chunks read their own entries.
+        next_reads = _np.ascontiguousarray(self._prepared_index().next_read[chunk.seq], _np.int64)
+        pages = _np.ascontiguousarray(chunk.page, _np.int64)
+        if len(next_reads) != len(pages):
+            raise ValueError(f"chunk columns differ in length from its {len(pages)} pages")
+        return self._replay_chunk(pages, next_read=address(next_reads))

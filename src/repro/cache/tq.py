@@ -26,27 +26,25 @@ of the cache size).  Because TQ's response is hard-coded, it must be
 configured with the name of the hint type that carries the write hint and the
 hint values that denote each write class; defaults match the DB2/MySQL
 schemas in :mod:`repro.trace.schema`.
+
+The per-request loop runs in C (``repro/core/_tq_kernel.c``): one page table
+and the two queues, with each high-queue page's enqueue seq.  A request's
+class depends only on its hint set, so Python classifies each entry of a
+chunk's hint table once and the kernel reads the class through the chunk's
+hint-index column.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterable
-
-import numpy as _np
-
-from repro.cache.base import (
-    HIT,
-    MISS_ADMIT,
-    MISS_BYPASS,
-    AccessOutcome,
-    AccessOutcomeBatch,
-    CachePolicy,
-    _mixed_batch,
-)
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.cache.base import AccessOutcome, AccessOutcomeBatch
+from repro.core.kernel import KernelPolicy, address
+
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
+    from repro.core.hints import HintSet
     from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
 
@@ -59,14 +57,15 @@ DEFAULT_REPLACEMENT_VALUES = frozenset({"replacement_write", "synchronous_write"
 #: Hint values denoting recovery-class writes (poor caching candidates).
 DEFAULT_RECOVERY_VALUES = frozenset({"recovery_write"})
 
-# Request classes as the batch kernel's int codes (reads are always OTHER).
+# Write classes as the kernel's codes (reads are always OTHER).
 _OTHER, _REPLACEMENT, _RECOVERY = 0, 1, 2
 
 
-class TQPolicy(CachePolicy):
+class TQPolicy(KernelPolicy):
     """Two-queue, write-hint-aware replacement."""
 
     name = "TQ"
+    kernel = "tq"
 
     def __init__(
         self,
@@ -85,170 +84,50 @@ class TQPolicy(CachePolicy):
         #: Requests a replacement-written page may wait for its read-back
         #: before losing its protected status.
         self._lifetime = write_queue_lifetime if write_queue_lifetime is not None else 4 * capacity
-        # Both queues are ordered LRU -> MRU; the high queue remembers when
-        # each page was enqueued so stale entries can be demoted.
-        self._high: OrderedDict[int, int] = OrderedDict()   # page -> enqueue seq
-        self._low: OrderedDict[int, None] = OrderedDict()   # everything else
+        # The hint table of the last chunk and its entries' write classes
+        # (the chunks of one stream share their table).
+        self._table: tuple[HintSet, ...] | None = None
+        self._table_classes = np.zeros(0, np.int64)
+        self._open(capacity, self._lifetime, not cache_recovery_writes)
 
-    # ----------------------------------------------------------- internals
-    def _classify(self, request: IORequest) -> str:
-        """Classify a request as 'replacement', 'recovery' or 'other'."""
-        if request.is_write:
-            value = request.hints.get(self._hint_name)
-            if value in self._replacement_values:
-                return "replacement"
-            if value in self._recovery_values:
-                return "recovery"
-        return "other"
+    def _write_class(self, hints: HintSet) -> int:
+        """The class of a write carrying *hints*."""
+        value = hints.get(self._hint_name)
+        if value in self._replacement_values:
+            return _REPLACEMENT
+        if value in self._recovery_values:
+            return _RECOVERY
+        return _OTHER
 
-    def _remove(self, page: int) -> None:
-        if page in self._high:
-            del self._high[page]
-        elif page in self._low:
-            del self._low[page]
-
-    def _enqueue(self, page: int, klass: str, seq: int) -> None:
-        if klass == "replacement":
-            self._high[page] = seq
-        else:
-            self._low[page] = None
-
-    def _demote_stale(self, seq: int) -> None:
-        """Move replacement-written pages that were never read back to the low queue."""
-        while self._high:
-            page, enqueued = next(iter(self._high.items()))
-            if seq - enqueued <= self._lifetime:
-                break
-            del self._high[page]
-            self._low[page] = None
-            # Demoted pages become the low queue's coldest entries.
-            self._low.move_to_end(page, last=False)
-
-    def _evict_one(self) -> int:
-        if self._low:
-            victim, _ = self._low.popitem(last=False)
-        else:
-            victim, _ = self._high.popitem(last=False)
-        return victim
-
-    # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        page = request.page
-        hit = page in self._high or page in self._low
-        klass = self._classify(request)
-        self._demote_stale(seq)
-
-        if hit:
-            # Re-queue according to the class of the *most recent* request.
-            self._remove(page)
-            self._enqueue(page, klass, seq)
-            return HIT
-
-        if klass == "recovery" and not self._cache_recovery_writes:
-            # Hard-coded response: recovery writes are not worth caching.
-            return MISS_BYPASS
-
-        if len(self) >= self.capacity:
-            victim = self._evict_one()
-            self._enqueue(page, klass, seq)
-            return AccessOutcome(False, admitted=True, evicted=(victim,))
-        self._enqueue(page, klass, seq)
-        return MISS_ADMIT
+        one = self._one
+        one[0] = request.page
+        one[2] = seq
+        self._one_flags[0] = request.is_write
+        if request.is_write:
+            one[3] = self._write_class(request.hints)
+        return self._replay_one()
 
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        # Fused batch kernel.  A request's class depends only on (is-write,
-        # hint set), so it is computed once per hint-dictionary entry and
-        # gathered per request; the two-queue state machine then runs over
-        # the page/class/seq columns, performing access()'s OrderedDict
-        # operations in the same order.  Stale demotion is seq arithmetic:
-        # ``deadline`` is a lower bound on (oldest high-queue enqueue seq +
-        # lifetime) — the oldest entry only ever gets younger — so the
-        # demotion scan runs only once a request's seq passes it.
-        name = self._hint_name
-        replacement = self._replacement_values
-        recovery = self._recovery_values
-        class_of_hint = [
-            _REPLACEMENT
-            if value in replacement
-            else _RECOVERY
-            if value in recovery
-            else _OTHER
-            for value in (hints.get(name) for hints in chunk.hint_sets)
-        ]
-        classes = _np.where(
-            chunk.write, _np.array(class_of_hint, _np.int64)[chunk.hint_id], _OTHER
-        ).tolist()
-        pages = chunk.page.tolist()
-        seqs = chunk.seq_list()
-
-        high = self._high
-        low = self._low
-        lifetime = self._lifetime
-        capacity = self.capacity
-        bypass_recovery = not self._cache_recovery_writes
-        replacement_class = _REPLACEMENT
-        recovery_class = _RECOVERY
-        size = len(high) + len(low)
-        deadline = next(iter(high.values())) + lifetime if high else -1
-
+        table = chunk.hint_sets
+        if table is not self._table:
+            self._table_classes = np.array(
+                [self._write_class(hints) for hints in table], np.int64
+            )
+            self._table = table
+        classes = self._table_classes
+        pages = np.ascontiguousarray(chunk.page, np.int64)
+        writes = np.ascontiguousarray(chunk.write, np.bool_)
+        hints = np.ascontiguousarray(chunk.hint_id, np.int64)
+        seqs = np.ascontiguousarray(chunk.seq, np.int64)
         n = len(pages)
-        hit_flags = bytearray(n)
-        admit_flags = bytearray(n)
-        bypass_flags = bytearray(n)
-        evict_pos: list[int] = []
-        evicted: list[int] = []
-
-        for i, page, klass, seq in zip(range(n), pages, classes, seqs):
-            if seq > deadline and high:
-                # _demote_stale(seq), then re-derive the exact deadline.
-                while high:
-                    oldest, enqueued = next(iter(high.items()))
-                    if seq - enqueued <= lifetime:
-                        break
-                    del high[oldest]
-                    low[oldest] = None
-                    low.move_to_end(oldest, last=False)
-                deadline = next(iter(high.values())) + lifetime if high else -1
-
-            if page in high:
-                del high[page]
-                hit_flags[i] = 1
-            elif page in low:
-                del low[page]
-                hit_flags[i] = 1
-            elif klass == recovery_class and bypass_recovery:
-                bypass_flags[i] = 1
-                continue
-            else:
-                if size >= capacity:
-                    # _evict_one()
-                    if low:
-                        victim, _ = low.popitem(last=False)
-                    else:
-                        victim, _ = high.popitem(last=False)
-                    evict_pos.append(i)
-                    evicted.append(victim)
-                else:
-                    size += 1
-                admit_flags[i] = 1
-
-            # _enqueue(page, klass, seq)
-            if klass == replacement_class:
-                if not high:
-                    deadline = seq + lifetime
-                high[page] = seq
-            else:
-                low[page] = None
-
-        return _mixed_batch(hit_flags, admit_flags, bypass_flags, evict_pos, evicted)
-
-    # ------------------------------------------------------------ inspection
-    def contains(self, page: int) -> bool:
-        return page in self._high or page in self._low
-
-    def __len__(self) -> int:
-        return len(self._high) + len(self._low)
-
-    def cached_pages(self) -> Iterable[int]:
-        yield from self._low
-        yield from self._high
+        # The kernel trusts these: every column has n entries, and every
+        # hint index has an entry in the chunk's hint table.
+        if not len(writes) == len(hints) == len(seqs) == n:
+            raise ValueError(f"chunk columns differ in length from its {n} pages")
+        if n and (hints.min() < 0 or hints.max() >= len(classes)):
+            raise IndexError(f"hint index outside the chunk's {len(classes)}-entry hint table")
+        return self._replay_chunk(
+            pages, write=address(writes), hint=address(hints), seq=address(seqs),
+            ids=address(classes),
+        )

@@ -11,8 +11,8 @@
  *   - the outqueue: (seq, hint id) of recently requested uncached pages,
  *     evicted oldest-insertion first.
  *
- * repro/core/clic.py builds this file into a shared library and calls it
- * through ctypes.  Python owns everything that runs once per window segment:
+ * repro/core/kernel.py builds this file with the other kernels into one
+ * shared library, and repro/core/clic.py calls it through ctypes.  Python owns everything that runs once per window segment:
  * hint-key interning, cutting chunks at window ends, the hint statistics
  * tracker and the Pr table itself.  clic_replay() runs one segment, so
  * priorities are frozen for the whole call.
@@ -24,36 +24,13 @@
  * (Pr, head seq) over the non-empty lists, whatever the heap's internal
  * order.  That is what lets heap_push() compact the heap at any time.
  */
-#include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
-#define NONE (-1)
+#include "_kernel.h"
 
-/* A cached page (in its hint id's recency list) or an outqueue entry (in
- * the outqueue's insertion-order list). */
-typedef struct {
-    int64_t page;
-    int64_t seq;
-    int32_t hint;
-    int32_t prev;
-    int32_t next;
-} Node;
-
-/* Open-addressing slot: page -> node index, NONE when empty. */
-typedef struct {
-    int64_t page;
-    int32_t node;
-} Slot;
-
-/* Linear probing with backward-shift deletion (no tombstones).  A page's
- * home slot comes from its low 32 bits, which is all that page ids in
- * traces use; pages that differ only above bit 31 share a home slot. */
-typedef struct {
-    Slot *slots;
-    uint32_t mask;
-    int shift;
-} Table;
+/* Cached pages are Nodes in their hint id's recency list, and outqueue
+ * entries are Nodes in the outqueue's insertion-order list; either way the
+ * node holds (seq, hint id as its tag). */
 
 typedef struct {
     double pr;
@@ -62,8 +39,7 @@ typedef struct {
 } Entry;
 
 typedef struct {
-    int32_t head; /* oldest cached page of this hint id, NONE if empty */
-    int32_t tail;
+    List list; /* cached pages of this hint id, oldest first */
     double pr;
     /* Segment tallies, reset when a deferred segment reports them. */
     int64_t count; /* requests in the segment */
@@ -82,10 +58,8 @@ typedef struct {
     Table cache_table;
 
     int64_t oq_capacity;
-    int64_t oq_size;
     Node *oq;
-    int32_t oq_head; /* oldest insertion */
-    int32_t oq_tail;
+    List oq_list; /* oldest insertion first */
     int32_t oq_free;
     Table oq_table;
 
@@ -106,103 +80,6 @@ typedef struct {
     int64_t key;
     int64_t hint;
 } Pair;
-
-/* A chunk's columns, one entry per request: inputs page, write (0/1), hint
- * (an index into ids, which maps it to a hint id) and seq; outputs hit,
- * admitted and bypassed (0/1), and the CSR eviction columns -- offsets[i + 1]
- * counts the evictions of requests [0, i], and the evicted pages follow each
- * other in evicted (at most one per request). */
-typedef struct {
-    const int64_t *page;
-    const uint8_t *write;
-    const int64_t *hint;
-    const int64_t *seq;
-    const int64_t *ids;
-    uint8_t *hit;
-    uint8_t *admitted;
-    uint8_t *bypassed;
-    int64_t *offsets;
-    int64_t *evicted;
-} Columns;
-
-/* ------------------------------------------------------------ page tables */
-
-static int table_init(Table *t, int64_t entries)
-{
-    int bits = 4;
-    size_t size, i;
-    while (((int64_t)1 << bits) < 2 * entries) {
-        bits++;
-    }
-    if (bits > 31) {
-        return -1;
-    }
-    size = (size_t)1 << bits;
-    t->slots = malloc(size * sizeof(Slot));
-    if (t->slots == NULL) {
-        return -1;
-    }
-    for (i = 0; i < size; i++) {
-        t->slots[i].node = NONE;
-    }
-    t->mask = (uint32_t)(size - 1);
-    t->shift = 32 - bits;
-    return 0;
-}
-
-static uint32_t home_slot(const Table *t, int64_t page)
-{
-    return ((uint32_t)(uint64_t)page * 0x9E3779B1u) >> t->shift;
-}
-
-static int32_t table_find(const Table *t, int64_t page)
-{
-    uint32_t i = home_slot(t, page);
-    for (;;) {
-        const Slot *slot = &t->slots[i];
-        if (slot->node == NONE || slot->page == page) {
-            return slot->node;
-        }
-        i = (i + 1) & t->mask;
-    }
-}
-
-/* Insert a page that is not in the table. */
-static void table_insert(Table *t, int64_t page, int32_t node)
-{
-    uint32_t i = home_slot(t, page);
-    while (t->slots[i].node != NONE) {
-        i = (i + 1) & t->mask;
-    }
-    t->slots[i].page = page;
-    t->slots[i].node = node;
-}
-
-/* Remove a page that is in the table, shifting its probe run back. */
-static void table_remove(Table *t, int64_t page)
-{
-    uint32_t hole = home_slot(t, page);
-    uint32_t j;
-    while (t->slots[hole].page != page || t->slots[hole].node == NONE) {
-        hole = (hole + 1) & t->mask;
-    }
-    j = hole;
-    for (;;) {
-        uint32_t home;
-        j = (j + 1) & t->mask;
-        if (t->slots[j].node == NONE) {
-            break;
-        }
-        home = home_slot(t, t->slots[j].page);
-        /* The entry at j probed from its home past the hole unless its
-         * home lies cyclically in (hole, j]; then it must fill the hole. */
-        if (((j - home) & t->mask) >= ((j - hole) & t->mask)) {
-            t->slots[hole] = t->slots[j];
-            hole = j;
-        }
-    }
-    t->slots[hole].node = NONE;
-}
 
 /* ------------------------------------------------------------------ heap */
 
@@ -243,9 +120,9 @@ static void heap_rebuild(Clic *c)
     int64_t h, i, n = 0;
     for (h = 0; h < c->hints; h++) {
         const Hint *hint = &c->hint[h];
-        if (hint->head != NONE) {
+        if (hint->list.head != NONE) {
             c->heap[n].pr = hint->pr;
-            c->heap[n].seq = c->cache[hint->head].seq;
+            c->heap[n].seq = c->cache[hint->list.head].seq;
             c->heap[n].hint = (int32_t)h;
             n++;
         }
@@ -289,12 +166,12 @@ static int32_t peek_victim(Clic *c)
         Entry *top = &c->heap[0];
         const Hint *hint = &c->hint[top->hint];
         int64_t seq;
-        if (hint->head == NONE) {
+        if (hint->list.head == NONE) {
             c->heap[0] = c->heap[--c->heap_size];
             sift_down(c->heap, c->heap_size, 0);
             continue;
         }
-        seq = c->cache[hint->head].seq;
+        seq = c->cache[hint->list.head].seq;
         if (top->pr != hint->pr || top->seq != seq) {
             top->pr = hint->pr;
             top->seq = seq;
@@ -306,67 +183,7 @@ static int32_t peek_victim(Clic *c)
     return NONE;
 }
 
-/* ----------------------------------------------------------------- lists */
-
-static void list_append(Clic *c, int32_t h, int32_t n)
-{
-    Hint *hint = &c->hint[h];
-    Node *node = &c->cache[n];
-    node->prev = hint->tail;
-    node->next = NONE;
-    if (hint->tail == NONE) {
-        hint->head = n;
-    } else {
-        c->cache[hint->tail].next = n;
-    }
-    hint->tail = n;
-}
-
-static void list_unlink(Clic *c, int32_t h, int32_t n)
-{
-    Hint *hint = &c->hint[h];
-    const Node *node = &c->cache[n];
-    if (node->prev == NONE) {
-        hint->head = node->next;
-    } else {
-        c->cache[node->prev].next = node->next;
-    }
-    if (node->next == NONE) {
-        hint->tail = node->prev;
-    } else {
-        c->cache[node->next].prev = node->prev;
-    }
-}
-
 /* -------------------------------------------------------------- outqueue */
-
-static void oq_unlink(Clic *c, int32_t n)
-{
-    const Node *node = &c->oq[n];
-    if (node->prev == NONE) {
-        c->oq_head = node->next;
-    } else {
-        c->oq[node->prev].next = node->next;
-    }
-    if (node->next == NONE) {
-        c->oq_tail = node->prev;
-    } else {
-        c->oq[node->next].prev = node->prev;
-    }
-}
-
-static void oq_append(Clic *c, int32_t n)
-{
-    Node *node = &c->oq[n];
-    node->prev = c->oq_tail;
-    node->next = NONE;
-    if (c->oq_tail == NONE) {
-        c->oq_head = n;
-    } else {
-        c->oq[c->oq_tail].next = n;
-    }
-    c->oq_tail = n;
-}
 
 /* Insert or refresh *page*'s entry; a refresh moves it to the newest end,
  * and a full outqueue forgets its oldest entry first.  *n* is the page's
@@ -377,23 +194,21 @@ static void oq_put(Clic *c, int32_t n, int64_t page, int64_t seq, int32_t h)
         return;
     }
     if (n != NONE) {
-        oq_unlink(c, n);
+        list_unlink(c->oq, &c->oq_list, n);
     } else {
-        if (c->oq_size >= c->oq_capacity) {
-            n = c->oq_head;
-            oq_unlink(c, n);
+        if (c->oq_list.size >= c->oq_capacity) {
+            n = c->oq_list.head;
+            list_unlink(c->oq, &c->oq_list, n);
             table_remove(&c->oq_table, c->oq[n].page);
         } else {
-            n = c->oq_free;
-            c->oq_free = c->oq[n].next;
-            c->oq_size++;
+            n = node_take(c->oq, &c->oq_free);
         }
         c->oq[n].page = page;
         table_insert(&c->oq_table, page, n);
     }
     c->oq[n].seq = seq;
-    c->oq[n].hint = h;
-    oq_append(c, n);
+    c->oq[n].tag = h;
+    list_append(c->oq, &c->oq_list, n);
 }
 
 static void oq_remove(Clic *c, int64_t page)
@@ -406,27 +221,12 @@ static void oq_remove(Clic *c, int64_t page)
     if (n == NONE) {
         return;
     }
-    oq_unlink(c, n);
+    list_unlink(c->oq, &c->oq_list, n);
     table_remove(&c->oq_table, page);
-    c->oq[n].next = c->oq_free;
-    c->oq_free = n;
-    c->oq_size--;
+    node_give(c->oq, &c->oq_free, n);
 }
 
 /* ------------------------------------------------------------- lifecycle */
-
-static Node *free_chain(int64_t n)
-{
-    Node *nodes = malloc((size_t)(n > 0 ? n : 1) * sizeof(Node));
-    int64_t i;
-    if (nodes == NULL) {
-        return NULL;
-    }
-    for (i = 0; i < n; i++) {
-        nodes[i].next = i + 1 < n ? (int32_t)(i + 1) : NONE;
-    }
-    return nodes;
-}
 
 void clic_free(Clic *c)
 {
@@ -459,7 +259,7 @@ Clic *clic_new(int64_t capacity, int64_t oq_capacity)
     }
     c->capacity = capacity;
     c->oq_capacity = oq_capacity;
-    c->oq_head = c->oq_tail = NONE;
+    list_init(&c->oq_list);
     c->cache = free_chain(capacity);
     c->oq = free_chain(oq_capacity);
     if (c->cache == NULL || c->oq == NULL || table_init(&c->cache_table, capacity)
@@ -513,7 +313,7 @@ static int reserve_hints(Clic *c, int64_t hints)
     }
     for (h = c->hint_room; h < room; h++) {
         memset(&c->hint[h], 0, sizeof(Hint));
-        c->hint[h].head = c->hint[h].tail = NONE;
+        list_init(&c->hint[h].list);
     }
     c->hint_room = room;
     c->heap_room = 2 * room;
@@ -552,7 +352,7 @@ void clic_pages(const Clic *c, int64_t *out)
     int64_t h, k = 0;
     for (h = 0; h < c->hints; h++) {
         int32_t n;
-        for (n = c->hint[h].head; n != NONE; n = c->cache[n].next) {
+        for (n = c->hint[h].list.head; n != NONE; n = c->cache[n].next) {
             out[k++] = c->cache[n].page;
         }
     }
@@ -660,7 +460,7 @@ int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
                 }
             }
             if (prev != NULL && s > prev->seq) {
-                credit = prev->hint;
+                credit = prev->tag;
                 distance = s - prev->seq;
             }
         }
@@ -684,14 +484,14 @@ int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
         hit[i] = admitted[i] = bypassed[i] = 0;
         if (node != NONE) {
             Node *cached = &c->cache[node];
-            const int32_t old = cached->hint;
-            list_unlink(c, old, node);
+            const int32_t old = cached->tag;
+            list_unlink(c->cache, &c->hint[old].list, node);
             cached->seq = s;
-            cached->hint = h;
-            if (old != h && c->hint[h].head == NONE) {
+            cached->tag = h;
+            if (old != h && c->hint[h].list.head == NONE) {
                 heap_push(c, h, s);
             }
-            list_append(c, h, node);
+            list_append(c->cache, &c->hint[h].list, node);
             hit[i] = 1;
         } else {
             int admit = c->cached < c->capacity;
@@ -704,31 +504,29 @@ int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
                     /* Evict the victim; its metadata becomes its outqueue
                      * entry (a cached page has none yet), and its node holds
                      * the admitted page. */
-                    const int32_t victim = c->hint[victim_hint].head;
+                    const int32_t victim = c->hint[victim_hint].list.head;
                     const Node *v = &c->cache[victim];
-                    list_unlink(c, victim_hint, victim);
+                    list_unlink(c->cache, &c->hint[victim_hint].list, victim);
                     table_remove(&c->cache_table, v->page);
-                    oq_put(c, NONE, v->page, v->seq, v->hint);
+                    oq_put(c, NONE, v->page, v->seq, v->tag);
                     evicted[evictions++] = v->page;
                     c->cached--;
-                    c->cache[victim].next = c->cache_free;
-                    c->cache_free = victim;
+                    node_give(c->cache, &c->cache_free, victim);
                     admit = 1;
                 }
             }
             if (admit) {
-                const int32_t n = c->cache_free;
+                const int32_t n = node_take(c->cache, &c->cache_free);
                 Node *fresh = &c->cache[n];
-                c->cache_free = fresh->next;
                 c->cached++;
                 fresh->page = p;
                 fresh->seq = s;
-                fresh->hint = h;
+                fresh->tag = h;
                 table_insert(&c->cache_table, p, n);
-                if (c->hint[h].head == NONE) {
+                if (c->hint[h].list.head == NONE) {
                     heap_push(c, h, s);
                 }
-                list_append(c, h, n);
+                list_append(c->cache, &c->hint[h].list, n);
                 oq_remove(c, p);
                 admitted[i] = 1;
             } else {

@@ -30,22 +30,14 @@ and, when a window closes, pushing the new ``Pr`` table into the kernel.
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.cache.base import (
-    HIT,
-    MISS_ADMIT,
-    MISS_BYPASS,
-    AccessOutcome,
-    AccessOutcomeBatch,
-    CachePolicy,
-)
-from repro.core import kernel
+from repro.cache.base import AccessOutcome, AccessOutcomeBatch
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
+from repro.core.kernel import KernelPolicy, address, columns
 from repro.core.priority import PriorityManager
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
@@ -55,29 +47,11 @@ if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
 __all__ = ["CLICPolicy"]
 
 
-def _address(array: Any) -> int:
-    """The data pointer of a C-contiguous numpy array."""
-    return int(array.__array_interface__["data"][0])
-
-
-def _columns(
-    page: int, write: int, hint: int, seq: int, ids: int, flags: int, evictions: int, n: int
-) -> Any:
-    """The kernel's ``Columns`` struct for *n* requests, from the addresses
-    of the four input columns, the hint-id table, the hit/admitted/bypassed
-    flag rows (*n* bytes apart) and the eviction columns (*n* + 1 offsets,
-    then the evicted pages)."""
-    return np.array(
-        [page, write, hint, seq, ids, flags, flags + n, flags + 2 * n,
-         evictions, evictions + 8 * (n + 1)],
-        np.int64,
-    )
-
-
-class CLICPolicy(CachePolicy):
+class CLICPolicy(KernelPolicy):
     """CLient-Informed Caching replacement policy."""
 
     name = "CLIC"
+    kernel = "clic"
 
     def __init__(self, capacity: int, config: CLICConfig | None = None):
         super().__init__(capacity)
@@ -99,27 +73,8 @@ class CLICPolicy(CachePolicy):
         self._table_ids = np.zeros(1, np.int64)
         # Segment tallies written by the kernel: 2 + 7 int64 per hint id.
         self._tally = np.zeros(2 + 7 * 64, np.int64)
-        self._tally_address = _address(self._tally)
-        # access()'s one-request columns: page, hint index 0, seq, hint id,
-        # the eviction offsets and the evicted page; then the write, hit,
-        # admitted and bypassed flags.
-        self._one = np.zeros(7, np.int64)
-        self._one_flags = np.zeros(4, np.uint8)
-        one, flags = _address(self._one), _address(self._one_flags)
-        self._one_columns = _columns(one, flags, one + 8, one + 16, one + 24, flags + 1, one + 32, 1)
-        self._one_address = _address(self._one_columns)
-        self._lib = kernel.load()
-        handle = self._lib.clic_new(
-            self._effective_capacity, self._config.outqueue_capacity(capacity)
-        )
-        if not handle:
-            raise MemoryError(f"cannot allocate CLIC state for capacity {capacity}")
-        self._handle: int = handle
-        weakref.finalize(self, self._lib.clic_free, handle)
-
-    def __reduce_ex__(self, protocol: Any) -> Any:
-        # A copy would share (and later free twice) the kernel's state.
-        raise TypeError(f"{type(self).__name__} holds C state; it cannot be copied or pickled")
+        self._tally_address = address(self._tally)
+        self._open(self._effective_capacity, self._config.outqueue_capacity(capacity))
 
     # ------------------------------------------------------------ properties
     @property
@@ -162,14 +117,7 @@ class CLICPolicy(CachePolicy):
         one[3] = self._hint_id(key)
         self._one_flags[0] = request.is_write
         self._run(1, self._one_address, lambda start, stop: (key,))
-        _, hit, admitted, _ = self._one_flags.tolist()
-        if hit:
-            return HIT
-        if not admitted:
-            return MISS_BYPASS
-        if one[5]:
-            return AccessOutcome(False, admitted=True, evicted=(int(one[6]),))
-        return MISS_ADMIT
+        return self._one_outcome()
 
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
         table = chunk.hint_sets
@@ -193,9 +141,9 @@ class CLICPolicy(CachePolicy):
         flags = np.empty((3, n), np.bool_)
         evictions = np.empty(2 * n + 1, np.int64)
         evictions[0] = 0
-        columns = _columns(
-            _address(pages), _address(writes), _address(hints), _address(seqs),
-            _address(ids), _address(flags), _address(evictions), n,
+        struct = columns(
+            n, address(flags), address(evictions), address(pages), address(writes),
+            address(hints), address(seqs), address(ids),
         )
 
         def segment_keys(start: int, stop: int) -> Iterator[tuple]:
@@ -203,15 +151,15 @@ class CLICPolicy(CachePolicy):
             for hint_id in np.unique(ids[hints[start:stop]]).tolist():
                 yield keys[hint_id]
 
-        self._run(n, _address(columns), segment_keys)
+        self._run(n, address(struct), segment_keys)
         evicted = evictions[n + 1 : n + 1 + int(evictions[n])]
         return AccessOutcomeBatch(flags[0], flags[1], flags[2], evicted, evictions[: n + 1])
 
     def _run(
-        self, n: int, columns: int, segment_keys: Callable[[int, int], Iterable[tuple]]
+        self, n: int, struct: int, segment_keys: Callable[[int, int], Iterable[tuple]]
     ) -> None:
         """Replay the *n* requests of the kernel's ``Columns`` at address
-        *columns*, one window segment per kernel call."""
+        *struct*, one window segment per kernel call."""
         priorities = self._priorities
         tracker = priorities.tracker
         replay = self._lib.clic_replay
@@ -224,21 +172,21 @@ class CLICPolicy(CachePolicy):
             if tracker.can_defer(segment_keys(start, stop)):
                 if len(self._tally) < 2 + 7 * n_keys:
                     self._tally = np.zeros(2 + 14 * n_keys, np.int64)
-                    self._tally_address = _address(self._tally)
-                if replay(self._handle, start, stop, n_keys, columns, self._tally_address, None):
+                    self._tally_address = address(self._tally)
+                if replay(self._handle, start, stop, n_keys, struct, self._tally_address, None):
                     raise MemoryError("CLIC kernel: out of memory")
                 window_closed = self._record_tallies(stop - start)
             else:
                 # A Space-Saving counter may be recycled: the tracker must
                 # see the segment request by request, in stream order.
                 log = np.empty(3 * (stop - start), np.int64)
-                if replay(self._handle, start, stop, n_keys, columns, None, _address(log)):
+                if replay(self._handle, start, stop, n_keys, struct, None, address(log)):
                     raise MemoryError("CLIC kernel: out of memory")
                 window_closed = self._record_log(log)
             if window_closed:
                 get = priorities.mapping.get
                 pr = np.array([get(key, 0.0) for key in self._keys], np.float64)
-                if self._lib.clic_set_priorities(self._handle, _address(pr), len(pr)):
+                if self._lib.clic_set_priorities(self._handle, address(pr), len(pr)):
                     raise MemoryError("CLIC kernel: out of memory")
             start = stop
 
@@ -286,17 +234,6 @@ class CLICPolicy(CachePolicy):
         return window_closed
 
     # ------------------------------------------------------------ inspection
-    def contains(self, page: int) -> bool:
-        return bool(self._lib.clic_contains(self._handle, page))
-
-    def __len__(self) -> int:
-        return int(self._lib.clic_len(self._handle))
-
-    def cached_pages(self) -> Iterable[int]:
-        pages = np.empty(len(self), np.int64)
-        self._lib.clic_pages(self._handle, _address(pages))
-        return iter(pages.tolist())
-
     def current_priorities(self) -> dict[tuple, float]:
         """Current Pr(H) assignment (hint-set key -> priority)."""
         return dict(self._priorities.priorities())

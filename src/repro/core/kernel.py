@@ -1,59 +1,102 @@
-"""Build and load CLIC's C kernel (``_clic_kernel.c``) through ctypes.
+"""Build and load the C library of policy kernels through ctypes.
 
-The first :func:`load` in a process compiles the kernel with the system C
-compiler into ``~/.cache/repro-clic/kernels/``, under a file name keyed by
-the source's sha256 and the interpreter's cache tag, and later calls (and
-later processes) reuse that file.  The library lands through a temporary
-file and an atomic rename, as :meth:`repro.trace.cache.TraceCache.ensure`
-writes traces, so processes that build at once never load a half-written
-file.  A missing or failing compiler raises :class:`RuntimeError` naming
-the command and its output; there is no fallback.
+The library holds the per-request loops of every cache policy (CLIC, LRU,
+ARC, TQ and OPT: ``_<name>_kernel.c``) and the queueing simulation's two hot
+loops (``_queueing_kernel.c``), all built from the sources beside this
+module and the header they share (``_kernel.h``).  The first :func:`load`
+in a process compiles them with the system C compiler into one library in
+``~/.cache/repro-clic/kernels/``, under a file name keyed by the sha256 of
+every source and header and the interpreter's cache tag, and later calls
+(and later processes) reuse that file.  The library lands through a
+temporary file and an atomic rename, as
+:meth:`repro.trace.cache.TraceCache.ensure` writes traces, so processes that
+build at once never load a half-written file.  A missing or failing compiler
+raises :class:`RuntimeError` naming the command and its output; there is no
+fallback.
+
+:class:`KernelPolicy` is the Python side every compiled policy shares: the
+instance's kernel handle, freed with the instance, the inspection accessors,
+and one kernel call per chunk (``access()`` is the one-request case).
 """
 
 from __future__ import annotations
 
+import abc
 import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
+from typing import TYPE_CHECKING, Any, Iterable
 
-__all__ = ["COMPILE", "KERNEL_DIR", "SOURCE", "build", "load"]
+import numpy as np
 
-#: The kernel's C source, shipped as package data.
-SOURCE = Path(__file__).with_name("_clic_kernel.c")
-#: Where built kernels are cached.
+from repro.cache.base import (
+    HIT,
+    MISS_ADMIT,
+    MISS_BYPASS,
+    AccessOutcome,
+    AccessOutcomeBatch,
+    CachePolicy,
+)
+
+if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
+    from repro.trace.columnar import ColumnarChunk
+
+__all__ = [
+    "COMPILE",
+    "HEADERS",
+    "KERNEL_DIR",
+    "KernelPolicy",
+    "SOURCES",
+    "address",
+    "build",
+    "columns",
+    "load",
+]
+
+_HERE = Path(__file__).parent
+#: The library's C sources, shipped as package data.
+SOURCES = tuple(
+    _HERE / f"_{name}_kernel.c" for name in ("clic", "lru", "arc", "tq", "opt", "queueing")
+)
+#: The header the sources share.
+HEADERS = (_HERE / "_kernel.h",)
+#: Where built libraries are cached.
 KERNEL_DIR = Path.home() / ".cache" / "repro-clic" / "kernels"
-#: The compiler command; the output and source paths are appended.
-COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+#: The compiler command; the output path, the sources and ``-lm`` are
+#: appended.  No multiply-add is fused, so float code rounds as Python's.
+COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _library: ctypes.CDLL | None = None
 
 
 def build(directory: Path) -> Path:
     """The kernel library in *directory*, compiled there first if missing."""
-    source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    path = directory / f"clic-{digest}-{sys.implementation.cache_tag}.so"
+    digest = hashlib.sha256()
+    for path in (*SOURCES, *HEADERS):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    path = directory / f"kernels-{digest.hexdigest()[:16]}-{sys.implementation.cache_tag}.so"
     if path.exists():
         return path
     directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=".clic-", suffix=".so.tmp", dir=directory)
+    fd, tmp_name = tempfile.mkstemp(prefix=".kernels-", suffix=".so.tmp", dir=directory)
     os.close(fd)
-    command = [*COMPILE, "-o", tmp_name, str(SOURCE)]
+    command = [*COMPILE, "-o", tmp_name, *map(str, SOURCES), "-lm"]
     try:
         try:
             result = subprocess.run(command, capture_output=True, text=True)
         except OSError as exc:
             raise RuntimeError(
-                f"cannot build the CLIC kernel: `{' '.join(command)}` failed to "
-                f"start ({exc}); CLIC needs a C compiler"
+                f"cannot build the policy kernels: `{' '.join(command)}` failed to "
+                f"start ({exc}); every cache policy needs a C compiler"
             ) from exc
         if result.returncode != 0:
             raise RuntimeError(
-                f"cannot build the CLIC kernel: `{' '.join(command)}` exited with "
+                f"cannot build the policy kernels: `{' '.join(command)}` exited with "
                 f"status {result.returncode}:\n{result.stderr}"
             )
         os.replace(tmp_name, path)
@@ -68,17 +111,166 @@ def load() -> ctypes.CDLL:
     if _library is None:
         library = ctypes.CDLL(str(build(KERNEL_DIR)))
         handle, i64, status = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
-        for name, restype, argtypes in (
+        signatures: list[tuple[str, Any, list[Any]]] = [
             ("clic_new", handle, [i64, i64]),
-            ("clic_free", None, [handle]),
             ("clic_set_priorities", status, [handle, handle, i64]),
-            ("clic_len", i64, [handle]),
-            ("clic_contains", status, [handle, i64]),
-            ("clic_pages", None, [handle, handle]),
             ("clic_replay", status, [handle, i64, i64, i64, handle, handle, handle]),
-        ):
+            ("lru_new", handle, [i64]),
+            ("arc_new", handle, [i64]),
+            ("arc_p", ctypes.c_double, [handle]),
+            ("tq_new", handle, [i64, i64, status]),
+            ("opt_new", handle, [i64]),
+            (
+                "queue_replay",
+                status,
+                [i64, handle, handle, handle, handle, i64, handle, handle, i64, i64,
+                 handle, handle, handle],
+            ),
+            (
+                "poisson_times",
+                None,
+                [ctypes.c_uint64, ctypes.c_double, i64, i64, handle, handle],
+            ),
+        ]
+        for kernel in ("clic", "lru", "arc", "tq", "opt"):
+            signatures += [
+                (f"{kernel}_free", None, [handle]),
+                (f"{kernel}_len", i64, [handle]),
+                (f"{kernel}_contains", status, [handle, i64]),
+                (f"{kernel}_pages", None, [handle, handle]),
+            ]
+            if kernel != "clic":
+                signatures.append((f"{kernel}_replay", None, [handle, i64, handle]))
+        for name, restype, argtypes in signatures:
             function = getattr(library, name)
             function.restype = restype
             function.argtypes = argtypes
         _library = library
     return _library
+
+
+def address(array: Any) -> int:
+    """The data pointer of a C-contiguous numpy array."""
+    return int(array.__array_interface__["data"][0])
+
+
+def columns(
+    n: int,
+    flags: int,
+    evictions: int,
+    page: int,
+    write: int = 0,
+    hint: int = 0,
+    seq: int = 0,
+    ids: int = 0,
+    next_read: int = 0,
+) -> Any:
+    """The kernels' ``Columns`` struct for *n* requests, from the addresses
+    of the hit/admitted/bypassed flag rows (*n* bytes apart), the eviction
+    columns (*n* + 1 offsets, then the evicted pages) and the input columns
+    a kernel reads (0 for the others)."""
+    return np.array(
+        [page, write, hint, seq, ids, next_read, flags, flags + n, flags + 2 * n,
+         evictions, evictions + 8 * (n + 1)],
+        np.int64,
+    )
+
+
+class KernelPolicy(CachePolicy):
+    """A policy whose per-request loop is one of the library's C kernels.
+
+    The library runs kernel ``k`` through ``k_new``, ``k_free``, ``k_len``,
+    ``k_contains``, ``k_pages`` and (except CLIC, which replays window
+    segments) ``k_replay``.  Each instance owns one handle, freed when the
+    instance is, so an instance cannot be copied or pickled.
+
+    ``access()`` is the one-request case of the chunk call: it writes the
+    request into the instance's one-request columns (:attr:`_one`, laid out
+    as page, hint index 0, seq, hint id or class, next read, the two
+    eviction offsets and the evicted page; :attr:`_one_flags` as write,
+    hit, admitted, bypassed) and decodes the outcome.
+    """
+
+    #: The kernel's name in the library.
+    kernel: str
+
+    def _open(self, *args: int) -> None:
+        """Create this instance's kernel state with ``<kernel>_new(*args)``."""
+        self._lib = library = load()
+        handle = getattr(library, f"{self.kernel}_new")(*args)
+        if not handle:
+            raise MemoryError(
+                f"cannot allocate {self.name} state for capacity {self.capacity}"
+            )
+        self._handle: int = handle
+        weakref.finalize(self, getattr(library, f"{self.kernel}_free"), handle)
+        self._kernel_replay = getattr(library, f"{self.kernel}_replay")
+        self._kernel_len = getattr(library, f"{self.kernel}_len")
+        self._kernel_contains = getattr(library, f"{self.kernel}_contains")
+        self._kernel_pages = getattr(library, f"{self.kernel}_pages")
+        self._one = np.zeros(8, np.int64)
+        self._one_flags = np.zeros(4, np.uint8)
+        one, flags = address(self._one), address(self._one_flags)
+        self._one_columns = columns(
+            1, flags + 1, one + 40, one, flags, one + 8, one + 16, one + 24, one + 32
+        )
+        self._one_address = address(self._one_columns)
+        # The one-request replay's arguments, converted once.
+        self._one_args = (
+            ctypes.c_void_p(handle), ctypes.c_int64(1), ctypes.c_void_p(self._one_address)
+        )
+
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        # A copy would share (and later free twice) the kernel's state.
+        raise TypeError(f"{type(self).__name__} holds C state; it cannot be copied or pickled")
+
+    # ---------------------------------------------------------------- replay
+    @abc.abstractmethod
+    def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
+        """One kernel call over the chunk (see :meth:`_replay_chunk`)."""
+
+    def _replay_chunk(
+        self, pages: Any, write: int = 0, hint: int = 0, seq: int = 0, ids: int = 0,
+        next_read: int = 0,
+    ) -> AccessOutcomeBatch:
+        """Replay a chunk's *pages* (an int64 column) and the addresses of
+        the other columns the kernel reads, in one ``<kernel>_replay`` call."""
+        n = len(pages)
+        flags = np.empty((3, n), np.bool_)
+        evictions = np.empty(2 * n + 1, np.int64)
+        struct = columns(
+            n, address(flags), address(evictions), address(pages), write, hint, seq, ids,
+            next_read,
+        )
+        self._kernel_replay(self._handle, n, address(struct))
+        evicted = evictions[n + 1 : n + 1 + int(evictions[n])]
+        return AccessOutcomeBatch(flags[0], flags[1], flags[2], evicted, evictions[: n + 1])
+
+    def _replay_one(self) -> AccessOutcome:
+        """Replay the request in the one-request columns."""
+        self._kernel_replay(*self._one_args)
+        return self._one_outcome()
+
+    def _one_outcome(self) -> AccessOutcome:
+        """The outcome the one-request columns hold."""
+        _, hit, admitted, bypassed = self._one_flags.tolist()
+        if self._one.item(6):
+            return AccessOutcome(
+                bool(hit), admitted=bool(admitted), bypassed=bool(bypassed),
+                evicted=(self._one.item(7),),
+            )
+        if hit:
+            return HIT
+        return MISS_ADMIT if admitted else MISS_BYPASS
+
+    # ------------------------------------------------------------ inspection
+    def contains(self, page: int) -> bool:
+        return bool(self._kernel_contains(self._handle, page))
+
+    def __len__(self) -> int:
+        return int(self._kernel_len(self._handle))
+
+    def cached_pages(self) -> Iterable[int]:
+        pages = np.empty(len(self), np.int64)
+        self._kernel_pages(self._handle, address(pages))
+        return iter(pages.tolist())

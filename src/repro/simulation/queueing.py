@@ -15,7 +15,7 @@ and arrival-ordered admission, each arrival is resolved by the Lindley
 recursion ``start = max(arrival, server_free)``.  All event arithmetic
 runs on an **integer nanosecond** clock: integer addition and ``max`` are
 exact and associative, so totals never depend on chunk boundaries, worker
-counts, or whether the vectorised fast path below is taken — results are
+counts, or whether the compiled pass below is taken — results are
 bit-identical across processes and ``jobs=`` counts by construction, not
 by accumulation-order discipline.
 
@@ -25,13 +25,12 @@ exactly, and the integral cut at the last arrival ``T`` (the ``L``
 numerator of Little's law) is ``sum(sojourn_i) - sum(max(0, d_i - T))``
 over departure times ``d_i`` — so the hot loop only records departures.
 
-Position-independent replays (the whole default ``load`` sweep) run the
-Lindley recursion vectorised over the banked columns: with service prefix
-sums ``S_i`` the recursion unrolls to
-``depart_i = S_i + max(busy_0, max_{j<=i}(t_j - S_{j-1}))`` — a cumsum
-plus a running maximum, exact in ``int64``.  Seek devices run the scalar
-per-event queues, which produce the same integers bit for bit on the
-configurations both can serve.
+Position-independent replays (the whole default ``load`` sweep) bank their
+columns and run the Lindley recursion of every shard in one pass of the C
+kernel library (``queue_replay`` in ``repro/core/_queueing_kernel.c``) at
+finalize, exact in ``int64``.  Seek devices run the scalar per-event
+queues, which produce the same integers bit for bit on the configurations
+both can serve.
 
 It is packaged as a :class:`ReplayObserver` (:class:`QueueingObserver`):
 the replay loop feeds it the outcome stream, it prices each outcome with
@@ -57,6 +56,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as _np
 
 from repro.cache.base import AccessOutcomeBatch
+from repro.core import kernel
 from repro.simulation.costmodel import (
     HISTOGRAM_BUCKET_BOUNDS_US,
     WRITE_POLICIES,
@@ -83,7 +83,8 @@ __all__ = [
 _LAST_BUCKET = len(HISTOGRAM_BUCKET_BOUNDS_US) - 1
 #: The shared bucket bounds on the integer nanosecond clock.  Strictly
 #: increasing (the bounds grow 1.3x from 500ns), so bucketisation by
-#: ``bisect_left`` over integers matches the microsecond convention.
+#: ``bisect_left`` over integers (the count of bounds below a value)
+#: matches the microsecond convention.
 _BOUNDS_NS: tuple[int, ...] = tuple(
     int(bound * 1000.0 + 0.5) for bound in HISTOGRAM_BUCKET_BOUNDS_US
 )
@@ -324,7 +325,7 @@ class _ArrivalTape:
     """
 
     __slots__ = (
-        "_times",
+        "_clock",
         "_next_seq",
         "_chunk_seq",
         "_arrivals_ns",
@@ -333,7 +334,7 @@ class _ArrivalTape:
     )
 
     def __init__(self, arrivals: ArrivalProcess):
-        self._times = arrivals.times()
+        self._clock = arrivals.clock()
         self._next_seq = 0
         self._chunk_seq = -1
         self._arrivals_ns: Any = None
@@ -354,7 +355,7 @@ class _ArrivalTape:
             )
         # Elementwise multiply/add then truncate: per value exactly
         # ``int(t * 1000.0 + 0.5)``, the scalar conversion of ``_to_ns``.
-        times_us = _np.fromiter(self._times, _np.float64, n)
+        times_us = self._clock(n)
         arrivals_ns = (times_us * 1000.0 + 0.5).astype(_np.int64)
         reads = ~chunk.write
         self._arrivals_ns = arrivals_ns
@@ -409,9 +410,9 @@ class QueueingObserver(ReplayObserver):
     Position-independent devices price by outcome class, so their service
     times come from three probed constants; seek devices (HDD) price each
     event through this observer's own per-shard cost accumulators.
-    Constant-price replays bank columns for the vectorised Lindley pass;
-    seek devices run the scalar queues per event.  Both produce identical
-    integers.
+    Constant-price replays bank columns for the kernel library's Lindley
+    pass at finalize; seek devices run the scalar queues per event.  Both
+    produce identical integers.
     """
 
     __slots__ = (
@@ -576,55 +577,44 @@ class QueueingObserver(ReplayObserver):
         self._total_service_ns += total_service
 
     # ---------------------------------------------------------- finalization
-    def _replay_vector(self) -> tuple[Any, Any, Any, Any, int]:
-        """The banked chunks through the int64 Lindley recursion, whole.
+    def _replay_vector(self) -> tuple[int, int, list[int], list[int]]:
+        """The banked chunks through every shard's Lindley recursion, whole,
+        in one kernel call.
 
-        Returns ``(delay, sojourn, depart, service, last_departure_ns)``
-        arrays over the whole replay (sharded replays return them grouped
-        by shard — the per-event order is irrelevant to every consumer:
-        totals, histograms and the departure overhang are all
-        order-independent sums).
+        Sets the three totals and returns ``(overhang past the last
+        arrival, last departure, delay histogram, sojourn histogram)``.
         """
         np = _np
-        hit_ns, miss_ns, write_ns = self._service_ns
         arrivals = np.concatenate(self._arrival_chunks)
-        reads = np.concatenate(self._read_chunks)
-        hits = np.concatenate(self._hit_chunks)
-        service = np.where(reads, np.where(hits, hit_ns, miss_ns), write_ns)
-        if self._route is None:
-            prefix = np.cumsum(service)
-            running = np.maximum.accumulate(arrivals - prefix + service)
-            depart = prefix + np.maximum(running, 0)
-            delay = depart - service - arrivals
-            sojourn = depart - arrivals
-            return delay, sojourn, depart, service, int(depart[-1])
-        shard_ids = np.concatenate(self._shard_chunks)
-        if type(self._router) is HashRouter:
-            # mix(page) % shards, on the mixed pages banked from the shared
-            # tape; uint64 modulo matches the scalar route() bit for bit.
-            shard_ids = (shard_ids % np.uint64(self._shard_count)).astype(np.int64)
-        delays, sojourns, departs = [], [], []
-        last_departure = 0
-        for shard in range(self._shard_count):
-            mask = shard_ids == shard
-            if not mask.any():
-                continue
-            t_shard = arrivals[mask]
-            s_shard = service[mask]
-            prefix = np.cumsum(s_shard)
-            running = np.maximum.accumulate(t_shard - prefix + s_shard)
-            d_shard = prefix + np.maximum(running, 0)
-            last_departure = max(last_departure, int(d_shard[-1]))
-            delays.append(d_shard - s_shard - t_shard)
-            sojourns.append(d_shard - t_shard)
-            departs.append(d_shard)
-        return (
-            np.concatenate(delays),
-            np.concatenate(sojourns),
-            np.concatenate(departs),
-            service,
-            last_departure,
-        )
+        # The kernel reads one byte per flag.
+        reads = np.concatenate(self._read_chunks).astype(np.bool_, copy=False)
+        hits = np.concatenate(self._hit_chunks).astype(np.bool_, copy=False)
+        # Each request's shard is its key modulo the shard count: the hash
+        # router's mixed pages (``route()`` is ``mix(page) % shards``),
+        # banked from the shared tape, or the router's own shard ids.
+        keys = None
+        if self._route is not None:
+            keys = np.concatenate(self._shard_chunks).astype(np.uint64, copy=False)
+        n = len(arrivals)
+        if len(reads) != n or len(hits) != n or (keys is not None and len(keys) != n):
+            raise ValueError(f"banked columns differ in length from the {n} arrivals")
+        service = np.array(self._service_ns, np.int64)
+        totals = np.zeros(5, np.int64)
+        delay_hist = np.zeros(len(_BOUNDS_NS), np.int64)
+        sojourn_hist = np.zeros(len(_BOUNDS_NS), np.int64)
+        address = kernel.address
+        if kernel.load().queue_replay(
+            n, address(arrivals), address(reads), address(hits),
+            None if keys is None else address(keys), self._shard_count,
+            address(service), address(_BOUNDS_NS_ARRAY), len(_BOUNDS_NS), self._last_ns,
+            address(totals), address(delay_hist), address(sojourn_hist),
+        ):
+            raise MemoryError("queueing kernel: out of memory")
+        total_delay, total_sojourn, total_service, overhang, last_departure = totals.tolist()
+        self._total_delay_ns = total_delay
+        self._total_sojourn_ns = total_sojourn
+        self._total_service_ns = total_service
+        return overhang, last_departure, delay_hist.tolist(), sojourn_hist.tolist()
 
     def finalize(self) -> QueueingStats:
         """Fold the replay into stats via the two accounting identities
@@ -639,23 +629,7 @@ class QueueingObserver(ReplayObserver):
             # the total-sojourn identity.
             last_arrival = self._last_ns
             if self._vector:
-                np = _np
-                delay, sojourn, departs, service, last_departure = (
-                    self._replay_vector()
-                )
-                self._total_delay_ns = int(delay.sum())
-                self._total_sojourn_ns = int(sojourn.sum())
-                self._total_service_ns = int(service.sum())
-                overhang = int((departs[departs > last_arrival] - last_arrival).sum())
-                bounds = _BOUNDS_NS_ARRAY
-                indexes = np.minimum(
-                    np.searchsorted(bounds, delay, side="left"), _LAST_BUCKET
-                )
-                delay_hist = np.bincount(indexes, minlength=len(_BOUNDS_NS))
-                indexes = np.minimum(
-                    np.searchsorted(bounds, sojourn, side="left"), _LAST_BUCKET
-                )
-                sojourn_hist = np.bincount(indexes, minlength=len(_BOUNDS_NS))
+                overhang, last_departure, delay_hist, sojourn_hist = self._replay_vector()
             else:
                 overhang = sum(
                     depart - last_arrival

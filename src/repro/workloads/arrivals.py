@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as _np
+
+from repro.core import kernel
 
 __all__ = [
     "ArrivalProcess",
@@ -139,6 +141,12 @@ class ArrivalProcess:
         """Yield absolute arrival times (us) for sequence numbers 0, 1, 2, ..."""
         raise NotImplementedError
 
+    def clock(self) -> Callable[[int], Any]:
+        """A draw of the next *n* arrival times (us), as a float64 array:
+        successive calls cover sequence numbers 0, 1, 2, ... in turn."""
+        times = self.times()
+        return lambda n: _np.fromiter(times, _np.float64, n)
+
     def _check_rate(self, rate_rps: float, name: str = "rate_rps") -> None:
         if not rate_rps > 0.0 or not math.isfinite(rate_rps):
             raise ValueError(f"{name} must be positive and finite, got {rate_rps}")
@@ -168,13 +176,40 @@ class PoissonArrivals(ArrivalProcess):
     def scaled(self, factor: float) -> "PoissonArrivals":
         return replace(self, rate_rps=self.rate_rps * factor)
 
+    def clock(self) -> Callable[[int], Any]:
+        # Drawn a block at a time in C: with the uniform u_i of (seed, i),
+        # t += -log(u_i) * (1e6 / rate) in index order, with the log
+        # CPython's math.log calls, so the times are the same bit for bit.
+        return _PoissonClock(self.seed & _MASK64, 1e6 / self.rate_rps)
+
     def times(self) -> Iterator[float]:
-        scale_us = 1e6 / self.rate_rps
-        log = math.log
-        t = 0.0
-        for u in _unit_uniforms(self.seed):
-            t += -log(u) * scale_us
-            yield t
+        draw = self.clock()
+        while True:
+            yield from draw(_UNIFORM_BLOCK).tolist()
+
+
+class _PoissonClock:
+    """Successive blocks of Poisson arrival times, from the kernel
+    library's ``poisson_times``."""
+
+    __slots__ = ("_draw", "_base", "_scale_us", "_next", "_time")
+
+    def __init__(self, base: int, scale_us: float):
+        self._draw = kernel.load().poisson_times
+        self._base = base
+        self._scale_us = scale_us
+        self._next = 0
+        # The running sum: the time of the last drawn arrival.
+        self._time = _np.zeros(1, _np.float64)
+
+    def __call__(self, n: int) -> Any:
+        out = _np.empty(n, _np.float64)
+        self._draw(
+            self._base, self._scale_us, self._next, n, kernel.address(self._time),
+            kernel.address(out),
+        )
+        self._next += n
+        return out
 
 
 @dataclass(frozen=True)

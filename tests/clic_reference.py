@@ -5,7 +5,9 @@ kernel, one request at a time, unchanged in behaviour.  The parity suite
 (``tests/cache/test_batch_parity.py``), the engine oracle
 (``tests/simulation/test_engine_oracle.py``) and the invariant suite's
 kernel-less case (``tests/test_registry_invariants.py``) replay it beside
-the kernel and require identical outcomes and cached pages.
+the kernel and require identical outcomes and cached pages;
+``tests/policy_reference.py`` registers it with the other policies'
+references.
 
 CLIC assigns every hint set ``H`` a caching priority ``Pr(H)`` learned
 on-line from the read re-reference behaviour of requests that carried ``H``
@@ -45,14 +47,10 @@ priority.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 from collections import OrderedDict
-from typing import Any, Hashable, Iterable, Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
-import pytest
-
-from repro.cache import registry
 from repro.cache.base import (
     HIT,
     MISS_ADMIT,
@@ -69,14 +67,7 @@ __all__ = [
     "CLICPolicy",
     "OutQueue",
     "OutQueueEntry",
-    "REGISTRY_NAME",
-    "reference_case",
-    "registered",
 ]
-
-#: The name :func:`registered` puts the reference under, so that clusters can
-#: build reference shards by name.
-REGISTRY_NAME = "CLIC-REFERENCE"
 
 
 class OutQueueEntry(NamedTuple):
@@ -337,22 +328,3 @@ class CLICPolicy(CachePolicy):
     def current_priorities(self) -> dict[tuple, float]:
         """Current Pr(H) assignment (hint-set key -> priority)."""
         return dict(self._priorities.priorities())
-
-
-@contextlib.contextmanager
-def registered() -> Iterator[None]:
-    """Register the reference as :data:`REGISTRY_NAME` while active."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(registry._REGISTRY, REGISTRY_NAME, CLICPolicy)
-        yield
-
-
-def reference_case(name: str, kwargs: dict[str, Any]) -> tuple[str, dict[str, Any]]:
-    """The registry case that replays the reference wherever *name* and
-    *kwargs* build the CLIC kernel: CLIC itself and clusters of CLIC shards
-    (which need :func:`registered`)."""
-    if name == "CLIC":
-        return REGISTRY_NAME, kwargs
-    if name == "SHARDED" and kwargs.get("policy") == "CLIC":
-        return name, {**kwargs, "policy": REGISTRY_NAME}
-    return name, kwargs

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.cache import registry
 from repro.cache.base import AccessOutcome, CachePolicy, CacheStats
-from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.hints import make_hint_set
 from repro.simulation.cluster import (
@@ -26,6 +25,8 @@ from repro.simulation.request import IORequest, RequestKind
 from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
 from repro.trace.columnar import ColumnarChunk, ColumnarSource
+
+from tests.policy_reference import LRUPolicy as ReferenceLRU
 
 
 def _trace(rng: random.Random, clients=("alpha",), n=3000, pages=800):
@@ -178,7 +179,7 @@ class TestShardedCacheBasics:
         ``batch_access``, with the scalar replay's outcomes."""
         sub_chunks: list[int] = []
 
-        class CountingLRU(LRUPolicy):
+        class CountingLRU(ReferenceLRU):
             def batch_access(self, chunk):
                 sub_chunks.append(len(chunk))
                 return CachePolicy.batch_access(self, chunk)
@@ -199,7 +200,7 @@ class TestShardedCacheBasics:
         batch puts both, in order, in that request's slot, as the scalar
         replay reports them."""
 
-        class PairEvictingLRU(LRUPolicy):
+        class PairEvictingLRU(ReferenceLRU):
             def access(self, request, seq):
                 pages = self._pages
                 if request.page in pages or len(pages) < self.capacity:

@@ -9,7 +9,6 @@ from functools import partial
 
 import pytest
 
-from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.config import CLICConfig
 from repro.simulation.costmodel import CostModel
@@ -27,8 +26,10 @@ from repro.workloads.arrivals import BurstyArrivals, PoissonArrivals
 from repro.core.hints import make_hint_set
 from repro.simulation.request import IORequest, RequestKind
 
+from tests.policy_reference import LRUPolicy as ReferenceLRU
 
-class _KernelBug(LRUPolicy):
+
+class _KernelBug(ReferenceLRU):
     """A policy whose kernel raises on its first request."""
 
     def access(self, request, seq):

@@ -8,9 +8,11 @@ in stream order, each observer folding that outcome through its scalar
 ``on_outcome``, per-client stats counted request by request.  Every field
 of every result must match — stats, per-client, per-shard, latency,
 per-shard latency, rolling windows and queueing — at every engine chunk
-size: no observer's result may depend on where chunks end.  CLIC's
-``access()`` is the one-request case of its C kernel, so the oracle replays
-the pure-Python reference in ``tests/clic_reference.py`` for CLIC instead.
+size: no observer's result may depend on where chunks end.  Every paper
+policy's ``access()`` is the one-request case of its C kernel, so the oracle
+replays the pure-Python references (``tests/policy_reference.py``) instead,
+alone and as cluster shards, and every kernel must evict on these streams,
+so each eviction path is under the oracle.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import random
 import pytest
 
 from repro.cache.base import CachePolicy, CacheStats
-from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
+from repro.core.config import CLICConfig
 from repro.core.hints import make_hint_set
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import MultiPolicySimulator
@@ -36,7 +38,8 @@ from repro.simulation.request import IORequest, RequestKind
 from repro.trace.cache import TraceSpec
 from repro.workloads.arrivals import PoissonArrivals
 
-from tests.clic_reference import CLICPolicy as ReferenceCLIC
+from tests import policy_reference
+from tests.policy_reference import REFERENCES, reference_case
 
 CAPACITY = 150
 #: Does not divide 4,096, so window and chunk boundaries fall out of step.
@@ -46,17 +49,21 @@ ROLLING_WINDOW = 1_000
 #: windows, CLIC priority windows and OPT's heap compactions.
 CHUNK_SIZES = (MultiPolicySimulator.CHUNK_SIZE, 97)
 
-#: Registry kwargs for the policies that need them.
-_POLICY_KWARGS = {"SHARDED": {"policy": "LRU", "shards": 3, "router": "hash"}}
+#: Registry kwargs for the policies that need them.  CLIC's priority
+#: windows close inside the streams, so its priorities rise above zero and
+#: it evicts.
+_POLICY_KWARGS = {
+    "CLIC": {"config": CLICConfig(window_size=1_000)},
+    "SHARDED": {"policy": "LRU", "shards": 3, "router": "hash"},
+}
 
 
-class _ScalarLRU(LRUPolicy):
-    """LRU without its fused kernel.  Replayed beside the registry so the
+class _ScalarLRU(policy_reference.LRUPolicy):
+    """LRU without a batch kernel.  Replayed beside the registry so the
     base ``batch_access`` — the scalar lift every policy without a kernel
     runs — stays under the oracle."""
 
     name = "ScalarLRU"
-    batch_access = CachePolicy.batch_access
 
 
 def _build(name: str) -> CachePolicy:
@@ -66,10 +73,19 @@ def _build(name: str) -> CachePolicy:
 
 
 def _oracle_build(name: str) -> CachePolicy:
-    """The policy the oracle replays for *name*: the reference for CLIC."""
-    if name == "CLIC":
-        return ReferenceCLIC(CAPACITY)
-    return _build(name)
+    """The policy the oracle replays for *name*: the reference of a
+    compiled policy, alone or as cluster shards."""
+    if name == _ScalarLRU.name:
+        return _build(name)
+    reference, kwargs = reference_case(name, _POLICY_KWARGS.get(name, {}))
+    return create_policy(reference, capacity=CAPACITY, **kwargs)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _references():
+    """Register the references for the oracle's clusters."""
+    with policy_reference.registered():
+        yield
 
 
 #: (label, SHARDED kwargs) replayed with every observer attached.
@@ -203,8 +219,13 @@ def test_every_registered_policy_matches_the_scalar_replay(kind, chunk_size):
 
     results = _engine([_build(name) for name in names], chunk_size).run(source)
     for name, result in zip(names, results):
-        expected = scalar_replay(_oracle_build(name), requests)
+        oracle = _oracle_build(name)
+        expected = scalar_replay(oracle, requests)
         assert engine_fields(result) == expected, name
+        if name in REFERENCES:
+            assert expected["stats"].evictions > 0, name
+        if name == "CLIC":
+            assert oracle.priority_manager.windows_completed >= 1
     if kind != "trace-spec":
         assert [client for client, _ in results[0].per_client.items()] == [
             "alpha",
@@ -222,13 +243,14 @@ def test_clusters_with_every_observer_match_the_scalar_replay(kind, chunk_size, 
         queueing_model=_QUEUEING[queueing],
     )
 
-    def build(kwargs):
-        return create_policy("SHARDED", capacity=CAPACITY, **kwargs)
+    def build(name, kwargs):
+        return create_policy(name, capacity=CAPACITY, **kwargs)
 
     results = _engine(
-        [build(kwargs) for _, kwargs in _OBSERVED_CLUSTERS], chunk_size, **options
+        [build("SHARDED", kwargs) for _, kwargs in _OBSERVED_CLUSTERS], chunk_size, **options
     ).run(source)
     for (label, kwargs), result in zip(_OBSERVED_CLUSTERS, results):
-        expected = scalar_replay(build(kwargs), requests, **options)
+        reference = build(*reference_case("SHARDED", kwargs))
+        expected = scalar_replay(reference, requests, **options)
         assert expected["shard_latency"] and expected["queueing"].request_count
         assert engine_fields(result) == expected, label

@@ -291,23 +291,25 @@ class TestStructuralLaws:
         assert sum(stats.delay_histogram) == stats.request_count
         assert sum(stats.sojourn_histogram) == stats.request_count
 
-    @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
-    def test_vector_and_scalar_paths_produce_identical_integers(self, sharded):
-        """The vector Lindley pass and the scalar per-event queues are the
+    @pytest.mark.parametrize("router", [None, "hash", "client"], ids=["plain", "hash", "client"])
+    def test_vector_and_scalar_paths_produce_identical_integers(self, router):
+        """The kernel's Lindley pass and the scalar per-event queues are the
         same simulation: every field of the finalized stats — totals,
-        histograms, areas — is bit-identical, fed chunk by chunk."""
+        histograms, areas — is bit-identical, fed chunk by chunk, unsharded
+        and under both routers (each shard keeps its own server clock)."""
         from repro.simulation.request import write_request
 
+        clients = ("a", "b", "c")
         stream = [
-            read_request(page=(seq * 7) % 101)
+            read_request(page=(seq * 7) % 101 + 1_000 * (seq % 3), client_id=clients[seq % 3])
             if seq % 4
-            else write_request(page=seq % 13)
+            else write_request(page=seq % 13, client_id=clients[seq % 3])
             for seq in range(3_000)
         ]
-        if sharded:
-            policy = create_policy("SHARDED", capacity=60, policy="LRU", shards=4)
-        else:
+        if router is None:
             policy = create_policy("LRU", capacity=60)
+        else:
+            policy = create_policy("SHARDED", capacity=60, policy="LRU", shards=4, router=router)
         outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
         model = _poisson_model(11_000.0)
 
@@ -324,7 +326,7 @@ class TestStructuralLaws:
         fast = run(vector)
         slow = run(_ScalarQueueingObserver(model, policy))
         assert fast == slow
-
+        assert fast.total_delay_ns > 0
 
 class TestComposition:
     def test_finalize_is_repeatable(self):

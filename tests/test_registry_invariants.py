@@ -30,10 +30,11 @@ decay ablation and the outqueue ablation.  Every registered policy is also
 replayed without its fused kernel: the base ``batch_access`` — the scalar
 lift that a policy added through
 :func:`~repro.cache.registry.register_policy` runs until it grows a kernel —
-must obey the same laws.  CLIC's ``access()`` is the one-request case of
-its C kernel, so its kernel-less case replays the pure-Python reference in
-``tests/clic_reference.py`` (the base ``batch_access`` over the kernel's
-``access()`` would just be the kernel again).
+must obey the same laws.  Every paper policy's ``access()`` is the
+one-request case of its C kernel, so their kernel-less cases replay the
+pure-Python references in ``tests/policy_reference.py`` (the base
+``batch_access`` over a kernel's ``access()`` would just be the kernel
+again).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from hypothesis import strategies as st
 
 from repro.cache.base import CachePolicy
 from repro.cache.registry import available_policies, create_policy
-from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import (
@@ -62,7 +62,7 @@ from repro.simulation.request import RequestKind, read_request, write_request
 from repro.simulation.simulator import CacheSimulator
 from repro.workloads.arrivals import PoissonArrivals
 
-from tests.clic_reference import CLICPolicy as ReferenceCLIC
+from tests.policy_reference import REFERENCES
 from tests.conftest import kernel_less
 from tests.strategies import request_streams
 
@@ -140,9 +140,7 @@ def _registry_cases() -> list[Case]:
     )
     for name in available_policies():
         kwargs = _POLICY_KWARGS.get(name, {})
-        policy_class = type(create_policy(name, capacity=CAPACITY, **kwargs))
-        if policy_class is CLICPolicy:
-            policy_class = ReferenceCLIC
+        policy_class = REFERENCES.get(name) or type(create_policy(name, capacity=CAPACITY, **kwargs))
         cases.append(Case(f"{name}[kernel-less]", kernel_less(policy_class), kwargs))
     return cases
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from itertools import islice
+from itertools import cycle, islice
 
 import pytest
 
@@ -62,6 +62,29 @@ class TestUnitUniform:
         assert list(islice(_unit_uniforms(seed, stream), n)) == [
             unit_uniform(seed, index, stream) for index in range(n)
         ]
+
+
+class TestPoissonBlocks:
+    @pytest.mark.parametrize("rate", [900.0, 47_000.0])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 5])
+    def test_block_draws_equal_the_scalar_running_sum(self, seed, rate):
+        """Poisson arrival times are drawn in C blocks with libm's log; they
+        equal the per-index :func:`unit_uniform` and :func:`math.log`
+        running sum bit for bit, in blocks of any size."""
+        n = 200_000
+        scale_us = 1e6 / rate
+        t = 0.0
+        expected = []
+        for index in range(n):
+            t += -math.log(unit_uniform(seed, index)) * scale_us
+            expected.append(t)
+        draw = PoissonArrivals(rate, seed=seed).clock()
+        drawn: list[float] = []
+        sizes = cycle([1, 4_096, 333, 7])
+        while len(drawn) < n:
+            drawn.extend(draw(min(next(sizes), n - len(drawn))).tolist())
+        assert drawn == expected
+        assert _take(PoissonArrivals(rate, seed=seed), n) == expected
 
 
 @pytest.mark.parametrize("process", ALL_PROCESSES, ids=PROCESS_IDS)
