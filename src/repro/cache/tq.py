@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.cache.base import AccessOutcome, AccessOutcomeBatch
 from repro.core.kernel import KernelPolicy, address
 
@@ -84,10 +82,6 @@ class TQPolicy(KernelPolicy):
         #: Requests a replacement-written page may wait for its read-back
         #: before losing its protected status.
         self._lifetime = write_queue_lifetime if write_queue_lifetime is not None else 4 * capacity
-        # The hint table of the last chunk and its entries' write classes
-        # (the chunks of one stream share their table).
-        self._table: tuple[HintSet, ...] | None = None
-        self._table_classes = np.zeros(0, np.int64)
         self._open(capacity, self._lifetime, not cache_recovery_writes)
 
     def _write_class(self, hints: HintSet) -> int:
@@ -109,24 +103,7 @@ class TQPolicy(KernelPolicy):
         return self._replay_one()
 
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        table = chunk.hint_sets
-        if table is not self._table:
-            self._table_classes = np.array(
-                [self._write_class(hints) for hints in table], np.int64
-            )
-            self._table = table
-        classes = self._table_classes
-        pages = np.ascontiguousarray(chunk.page, np.int64)
-        writes = np.ascontiguousarray(chunk.write, np.bool_)
-        hints = np.ascontiguousarray(chunk.hint_id, np.int64)
-        seqs = np.ascontiguousarray(chunk.seq, np.int64)
-        n = len(pages)
-        # The kernel trusts these: every column has n entries, and every
-        # hint index has an entry in the chunk's hint table.
-        if not len(writes) == len(hints) == len(seqs) == n:
-            raise ValueError(f"chunk columns differ in length from its {n} pages")
-        if n and (hints.min() < 0 or hints.max() >= len(classes)):
-            raise IndexError(f"hint index outside the chunk's {len(classes)}-entry hint table")
+        pages, writes, hints, seqs, classes = self._hinted_columns(chunk, self._write_class)
         return self._replay_chunk(
             pages, write=address(writes), hint=address(hints), seq=address(seqs),
             ids=address(classes),

@@ -79,11 +79,12 @@ static int64_t bucket(const Buckets *b, int64_t v)
  * Run n requests through shards FCFS single-server queues: request i
  * arrives at arrival[i] (ns, nondecreasing) on shard key[i] % shards (0
  * when key is NULL) and needs service[0] >= 0 ns for a read hit, service[1]
- * for a read miss and service[2] for a write (read and hit are 0 or 1).  A value's histogram bucket is the count
- * of the n_bounds (1 to MAX_BOUNDS, ascending) bounds below it, capped at
- * the last bucket.  Writes totals = {delay, sojourn, service, overhang past
- * last_arrival, last departure} and adds to both histograms.  Returns 0, or
- * -1 when out of memory or given a bound count outside that range.
+ * for a read miss and service[2] for a write (read and hit are 0 or 1).  A
+ * value's histogram bucket is the count of the n_bounds (1 to MAX_BOUNDS,
+ * ascending) bounds below it, capped at the last bucket.  Writes totals =
+ * {delay, sojourn, service, overhang past last_arrival, last departure} and
+ * adds to both histograms.  Returns 0, or -1 when out of memory or given a
+ * bound count outside that range.
  */
 int queue_replay(int64_t n, const int64_t *arrival, const uint8_t *read, const uint8_t *hit,
                  const uint64_t *key, int64_t shards, const int64_t *service,
@@ -94,8 +95,6 @@ int queue_replay(int64_t n, const int64_t *arrival, const uint8_t *read, const u
     int64_t *busy;
     int64_t total_delay = 0, total_sojourn = 0, total_service = 0, overhang = 0;
     int64_t last_departure = 0;
-    /* A power-of-two shard count takes the key's low bits, as % would. */
-    const uint64_t mask = (shards & (shards - 1)) == 0 ? (uint64_t)shards - 1 : 0;
     int64_t i;
     if (n_bounds < 1 || n_bounds > MAX_BOUNDS || shards < 1) {
         return -1;
@@ -109,8 +108,7 @@ int queue_replay(int64_t n, const int64_t *arrival, const uint8_t *read, const u
         const int64_t t = arrival[i];
         /* read hit 0, read miss 1, write 2 */
         const int64_t s = service[2 - read[i] - (read[i] & hit[i])];
-        int64_t *server =
-            &busy[key == NULL ? 0 : mask ? key[i] & mask : key[i] % (uint64_t)shards];
+        int64_t *server = &busy[key == NULL ? 0 : key[i] % (uint64_t)shards];
         const int64_t start = *server > t ? *server : t;
         const int64_t delay = start - t;
         const int64_t depart = start + s;

@@ -37,7 +37,7 @@ import numpy as np
 from repro.cache.base import AccessOutcome, AccessOutcomeBatch
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
-from repro.core.kernel import KernelPolicy, address, columns
+from repro.core.kernel import KernelPolicy, address
 from repro.core.priority import PriorityManager
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
@@ -67,10 +67,6 @@ class CLICPolicy(KernelPolicy):
         # Interned hint-set keys: hint id -> key and key -> hint id.
         self._keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
-        # The hint table of the last chunk and its hint ids (the chunks of
-        # one stream share their table).
-        self._table: tuple[HintSet, ...] | None = None
-        self._table_ids = np.zeros(1, np.int64)
         # Segment tallies written by the kernel: 2 + 7 int64 per hint id.
         self._tally = np.zeros(2 + 7 * 64, np.int64)
         self._tally_address = address(self._tally)
@@ -96,12 +92,13 @@ class CLICPolicy(KernelPolicy):
         return self._priorities.priority(hints.key())
 
     # ------------------------------------------------------------- hint ids
-    def _hint_id(self, hint_key: tuple) -> int:
-        """The interned id of *hint_key*, assigning the next one if it is new.
+    def _hint_id(self, hints: HintSet) -> int:
+        """The interned id of *hints*' key, assigning the next one if it is new.
 
         A new key has never been requested here, so its ``Pr`` is zero,
         which is what the kernel gives a new id.
         """
+        hint_key = hints.key()
         hint_id = self._ids.get(hint_key)
         if hint_id is None:
             hint_id = self._ids[hint_key] = len(self._keys)
@@ -110,50 +107,28 @@ class CLICPolicy(KernelPolicy):
 
     # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        key = request.hints.key()
         one = self._one
         one[0] = request.page
         one[2] = seq
-        one[3] = self._hint_id(key)
+        one[3] = hint_id = self._hint_id(request.hints)
         self._one_flags[0] = request.is_write
+        key = self._keys[hint_id]
         self._run(1, self._one_address, lambda start, stop: (key,))
         return self._one_outcome()
 
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        table = chunk.hint_sets
-        if table is not self._table:
-            intern = self._hint_id
-            self._table_ids = np.array([intern(hints.key()) for hints in table], np.int64)
-            self._table = table
-        ids = self._table_ids
+        pages, writes, hints, seqs, ids = self._hinted_columns(chunk, self._hint_id)
         keys = self._keys
-        pages = np.ascontiguousarray(chunk.page, np.int64)
-        writes = np.ascontiguousarray(chunk.write, np.bool_)
-        hints = np.ascontiguousarray(chunk.hint_id, np.int64)
-        seqs = np.ascontiguousarray(chunk.seq, np.int64)
-        n = len(pages)
-        # The kernel trusts these: every column has n entries, and every
-        # hint index has an entry in the chunk's hint table.
-        if not len(writes) == len(hints) == len(seqs) == n:
-            raise ValueError(f"chunk columns differ in length from its {n} pages")
-        if n and (hints.min() < 0 or hints.max() >= len(ids)):
-            raise IndexError(f"hint index outside the chunk's {len(ids)}-entry hint table")
-        flags = np.empty((3, n), np.bool_)
-        evictions = np.empty(2 * n + 1, np.int64)
-        evictions[0] = 0
-        struct = columns(
-            n, address(flags), address(evictions), address(pages), address(writes),
-            address(hints), address(seqs), address(ids),
-        )
 
         def segment_keys(start: int, stop: int) -> Iterator[tuple]:
             # Lazy: a tracker that can always defer never asks.
             for hint_id in np.unique(ids[hints[start:stop]]).tolist():
                 yield keys[hint_id]
 
-        self._run(n, address(struct), segment_keys)
-        evicted = evictions[n + 1 : n + 1 + int(evictions[n])]
-        return AccessOutcomeBatch(flags[0], flags[1], flags[2], evicted, evictions[: n + 1])
+        return self._replay_chunk(
+            pages, write=address(writes), hint=address(hints), seq=address(seqs),
+            ids=address(ids), run=lambda n, struct: self._run(n, struct, segment_keys),
+        )
 
     def _run(
         self, n: int, struct: int, segment_keys: Callable[[int, int], Iterable[tuple]]

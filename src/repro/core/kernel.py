@@ -6,9 +6,9 @@ loops (``_queueing_kernel.c``), all built from the sources beside this
 module and the header they share (``_kernel.h``).  The first :func:`load`
 in a process compiles them with the system C compiler into one library in
 ``~/.cache/repro-clic/kernels/``, under a file name keyed by the sha256 of
-every source and header and the interpreter's cache tag, and later calls
-(and later processes) reuse that file.  The library lands through a
-temporary file and an atomic rename, as
+the compiler command and of every source and header, and by the
+interpreter's cache tag, and later calls (and later processes) reuse that
+file.  The library lands through a temporary file and an atomic rename, as
 :meth:`repro.trace.cache.TraceCache.ensure` writes traces, so processes that
 build at once never load a half-written file.  A missing or failing compiler
 raises :class:`RuntimeError` naming the command and its output; there is no
@@ -30,7 +30,7 @@ import sys
 import tempfile
 import weakref
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from repro.cache.base import (
 )
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
+    from repro.core.hints import HintSet
+    from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
@@ -67,16 +69,20 @@ SOURCES = tuple(
 HEADERS = (_HERE / "_kernel.h",)
 #: Where built libraries are cached.
 KERNEL_DIR = Path.home() / ".cache" / "repro-clic" / "kernels"
-#: The compiler command; the output path, the sources and ``-lm`` are
-#: appended.  No multiply-add is fused, so float code rounds as Python's.
+#: The compiler command; the output path, the sources and :data:`_LINK`
+#: are appended.  No multiply-add is fused, so float code rounds as Python's.
 COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
+#: The libraries linked after the sources.
+_LINK = ("-lm",)
 
 _library: ctypes.CDLL | None = None
 
 
 def build(directory: Path) -> Path:
     """The kernel library in *directory*, compiled there first if missing."""
-    digest = hashlib.sha256()
+    # The flags shape results (-ffp-contract=off keeps float code rounding
+    # as Python's), so they key the file name with the sources.
+    digest = hashlib.sha256("\0".join((*COMPILE, *_LINK)).encode() + b"\0")
     for path in (*SOURCES, *HEADERS):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     path = directory / f"kernels-{digest.hexdigest()[:16]}-{sys.implementation.cache_tag}.so"
@@ -85,7 +91,7 @@ def build(directory: Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(prefix=".kernels-", suffix=".so.tmp", dir=directory)
     os.close(fd)
-    command = [*COMPILE, "-o", tmp_name, *map(str, SOURCES), "-lm"]
+    command = [*COMPILE, "-o", tmp_name, *map(str, SOURCES), *_LINK]
     try:
         try:
             result = subprocess.run(command, capture_output=True, text=True)
@@ -176,19 +182,23 @@ def columns(
     )
 
 
-class KernelPolicy(CachePolicy):
+class KernelPolicy(CachePolicy, abc.ABC):
     """A policy whose per-request loop is one of the library's C kernels.
 
-    The library runs kernel ``k`` through ``k_new``, ``k_free``, ``k_len``,
-    ``k_contains``, ``k_pages`` and (except CLIC, which replays window
-    segments) ``k_replay``.  Each instance owns one handle, freed when the
-    instance is, so an instance cannot be copied or pickled.
+    A subclass names its kernel (:attr:`kernel`) and opens it with
+    :meth:`_open`.  The library runs kernel ``k`` through ``k_new``,
+    ``k_free``, ``k_len``, ``k_contains``, ``k_pages`` and (except CLIC,
+    which replays window segments) ``k_replay``.  Each instance owns one
+    handle, freed when the instance is, so an instance cannot be copied or
+    pickled.
 
-    ``access()`` is the one-request case of the chunk call: it writes the
-    request into the instance's one-request columns (:attr:`_one`, laid out
-    as page, hint index 0, seq, hint id or class, next read, the two
-    eviction offsets and the evicted page; :attr:`_one_flags` as write,
-    hit, admitted, bypassed) and decodes the outcome.
+    :meth:`batch_access` is one kernel call per chunk, and ``access()`` its
+    one-request case: it writes the request into the instance's one-request
+    columns (:attr:`_one`, laid out as page, hint index 0, seq, hint id or
+    class, next read, the two eviction offsets and the evicted page;
+    :attr:`_one_flags` as write, hit, admitted, bypassed) and decodes the
+    outcome.  Both hand over only the page column; a kernel that reads more
+    overrides them.
     """
 
     #: The kernel's name in the library.
@@ -219,30 +229,67 @@ class KernelPolicy(CachePolicy):
         self._one_args = (
             ctypes.c_void_p(handle), ctypes.c_int64(1), ctypes.c_void_p(self._one_address)
         )
+        # The hint table of the last hinted chunk and its column (the
+        # chunks of one stream share their table).
+        self._table: tuple[HintSet, ...] | None = None
+        self._table_column = np.zeros(0, np.int64)
 
     def __reduce_ex__(self, protocol: Any) -> Any:
         # A copy would share (and later free twice) the kernel's state.
         raise TypeError(f"{type(self).__name__} holds C state; it cannot be copied or pickled")
 
     # ---------------------------------------------------------------- replay
-    @abc.abstractmethod
+    def access(self, request: "IORequest", seq: int) -> AccessOutcome:
+        self._one[0] = request.page
+        return self._replay_one()
+
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        """One kernel call over the chunk (see :meth:`_replay_chunk`)."""
+        return self._replay_chunk(np.ascontiguousarray(chunk.page, np.int64))
+
+    def _hinted_columns(
+        self, chunk: "ColumnarChunk", entry: Callable[[HintSet], int]
+    ) -> tuple[Any, Any, Any, Any, Any]:
+        """The chunk's page, write, hint-index and seq columns, checked for
+        the kernel, and the int64 column of *entry* over the chunk's hint
+        table, which the kernel reads through the hint indexes.  The column
+        is computed once per table."""
+        table = chunk.hint_sets
+        if table is not self._table:
+            self._table_column = np.array([entry(hints) for hints in table], np.int64)
+            self._table = table
+        column = self._table_column
+        pages = np.ascontiguousarray(chunk.page, np.int64)
+        writes = np.ascontiguousarray(chunk.write, np.bool_)
+        hints = np.ascontiguousarray(chunk.hint_id, np.int64)
+        seqs = np.ascontiguousarray(chunk.seq, np.int64)
+        n = len(pages)
+        # The kernel trusts these: every column has n entries, and every
+        # hint index has an entry in the chunk's hint table.
+        if not len(writes) == len(hints) == len(seqs) == n:
+            raise ValueError(f"chunk columns differ in length from its {n} pages")
+        if n and (hints.min() < 0 or hints.max() >= len(column)):
+            raise IndexError(f"hint index outside the chunk's {len(column)}-entry hint table")
+        return pages, writes, hints, seqs, column
 
     def _replay_chunk(
         self, pages: Any, write: int = 0, hint: int = 0, seq: int = 0, ids: int = 0,
-        next_read: int = 0,
+        next_read: int = 0, run: Callable[[int, int], None] | None = None,
     ) -> AccessOutcomeBatch:
         """Replay a chunk's *pages* (an int64 column) and the addresses of
-        the other columns the kernel reads, in one ``<kernel>_replay`` call."""
+        the other columns the kernel reads: in one ``<kernel>_replay`` call,
+        or, if given, by calling *run* with n and the ``Columns`` address."""
         n = len(pages)
         flags = np.empty((3, n), np.bool_)
         evictions = np.empty(2 * n + 1, np.int64)
+        evictions[0] = 0
         struct = columns(
             n, address(flags), address(evictions), address(pages), write, hint, seq, ids,
             next_read,
         )
-        self._kernel_replay(self._handle, n, address(struct))
+        if run is None:
+            self._kernel_replay(self._handle, n, address(struct))
+        else:
+            run(n, address(struct))
         evicted = evictions[n + 1 : n + 1 + int(evictions[n])]
         return AccessOutcomeBatch(flags[0], flags[1], flags[2], evicted, evictions[: n + 1])
 

@@ -67,12 +67,26 @@ def test_concurrent_builds_into_one_directory_replay_equal_outcomes(tmp_path):
     assert [path.name for path in directory.iterdir()] == [kernel.build(directory).name]
 
 
+def _no_compiler(*args, **kwargs):
+    raise AssertionError(f"the compiler ran: {args}")
+
+
 def test_a_second_build_reuses_the_file(tmp_path, monkeypatch):
     path = kernel.build(tmp_path)
     stamp = path.stat().st_mtime_ns
-    monkeypatch.setattr(kernel, "COMPILE", (str(tmp_path / "no-such-compiler"),))
+    monkeypatch.setattr(kernel.subprocess, "run", _no_compiler)
     assert kernel.build(tmp_path) == path
     assert path.stat().st_mtime_ns == stamp
+
+
+def test_other_compiler_flags_build_another_file(tmp_path, monkeypatch):
+    # The flags shape results (-ffp-contract=off), so a library built
+    # with other flags is never reused.
+    path = kernel.build(tmp_path)
+    monkeypatch.setattr(kernel, "COMPILE", kernel.COMPILE[:-1])
+    other = kernel.build(tmp_path)
+    assert other != path
+    assert sorted(tmp_path.iterdir()) == sorted([path, other])
 
 
 def test_a_failing_compiler_raises_with_its_command_and_output(tmp_path, monkeypatch):
