@@ -1,9 +1,10 @@
 """Build and load the C library of policy kernels through ctypes.
 
 The library holds the per-request loops of every cache policy (CLIC, LRU,
-ARC, TQ and OPT: ``_<name>_kernel.c``) and the queueing simulation's two hot
-loops (``_queueing_kernel.c``), all built from the sources beside this
-module and the header they share (``_kernel.h``).  The first :func:`load`
+ARC, TQ and OPT: ``_<name>_kernel.c``), the queueing simulation's two hot
+loops (``_queueing_kernel.c``) and the binary trace format's BLOCK decoder
+(``_trace_kernel.c``), all built from the sources beside this module and the
+header the policies share (``_kernel.h``).  The first :func:`load`
 in a process compiles them with the system C compiler into one library in
 ``~/.cache/repro-clic/kernels/``, under a file name keyed by the sha256 of
 the compiler command and of every source and header, and by the
@@ -63,7 +64,8 @@ __all__ = [
 _HERE = Path(__file__).parent
 #: The library's C sources, shipped as package data.
 SOURCES = tuple(
-    _HERE / f"_{name}_kernel.c" for name in ("clic", "lru", "arc", "tq", "opt", "queueing")
+    _HERE / f"_{name}_kernel.c"
+    for name in ("clic", "lru", "arc", "tq", "opt", "queueing", "trace")
 )
 #: The header the sources share.
 HEADERS = (_HERE / "_kernel.h",)
@@ -98,7 +100,8 @@ def build(directory: Path) -> Path:
         except OSError as exc:
             raise RuntimeError(
                 f"cannot build the policy kernels: `{' '.join(command)}` failed to "
-                f"start ({exc}); every cache policy needs a C compiler"
+                f"start ({exc}); every cache policy needs a C compiler, and so does "
+                "reading a binary trace"
             ) from exc
         if result.returncode != 0:
             raise RuntimeError(
@@ -136,6 +139,11 @@ def load() -> ctypes.CDLL:
                 "poisson_times",
                 None,
                 [ctypes.c_uint64, ctypes.c_double, i64, i64, handle, handle],
+            ),
+            (
+                "trace_block",
+                status,
+                [ctypes.c_char_p, i64, i64, i64, *[handle] * 7],
             ),
         ]
         for kernel in ("clic", "lru", "arc", "tq", "opt"):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io as _io
 import json
+import os
 import struct
 from pathlib import Path
 from types import TracebackType
@@ -37,7 +38,8 @@ from typing import Any, BinaryIO, Iterable, Iterator
 import numpy as _np
 
 from repro.core.hints import EMPTY_HINT_SET, HintSet
-from repro.simulation.request import IORequest, RequestKind
+from repro.core.kernel import address, load
+from repro.simulation.request import IORequest
 from repro.trace.columnar import ColumnarChunk
 from repro.trace.io import (
     TraceFormatError,
@@ -71,6 +73,21 @@ BLOCK_REQUESTS = 4096
 _FLAG_WRITE = 0x01          # request is a write (reads have the bit clear)
 _FLAG_CLIENT_ID = 0x02      # an explicit client id string follows the record
 
+# trace_block's statuses (src/repro/core/_trace_kernel.c).
+_BLOCK_RAN_OFF = 1
+_BLOCK_UNDEFINED_HINT = 2
+_BLOCK_COUNT = 3
+_BLOCK_PAGE_OVERFLOW = 4
+
+_INT64_MAX = 2**63 - 1
+
+#: Hint sets by HINTSET payload, shared by every pass in the process: the
+#: passes over one trace (an interleaving's pre-scan, a shared and a
+#: private replay) meet the same few hundred payloads.  Bounded: a full
+#: table starts afresh.
+_HINT_SETS: dict[bytes, HintSet] = {}
+_HINT_SETS_MAX = 4096
+
 
 def _encode_varint(value: int) -> bytes:
     """Unsigned LEB128."""
@@ -93,13 +110,21 @@ def _encode_hint_set(hints: HintSet) -> bytes:
 
 
 def _decode_hint_set(payload: bytes, offset: int) -> HintSet:
-    try:
-        text = payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(
-            f"byte {offset}: malformed hint set definition: {payload[:80]!r}"
-        ) from exc
-    return _decode_hint_set_json(text, f"byte {offset}")
+    """The hint set of the HINTSET record at byte *offset*, parsed once per
+    process (:data:`_HINT_SETS`)."""
+    hints = _HINT_SETS.get(payload)
+    if hints is None:
+        try:
+            text = payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(
+                f"byte {offset}: malformed hint set definition: {payload[:80]!r}"
+            ) from exc
+        hints = _decode_hint_set_json(text, f"byte {offset}")
+        if len(_HINT_SETS) >= _HINT_SETS_MAX:
+            _HINT_SETS.clear()
+        _HINT_SETS[payload] = hints
+    return hints
 
 
 class BinaryTraceWriter:
@@ -304,26 +329,14 @@ class StreamedTrace:
     def iter_columnar(self) -> Iterator[ColumnarChunk]:
         """Yield the trace as :class:`ColumnarChunk` batches (one per BLOCK).
 
-        The common block layout (no explicit client-id records) decodes
-        straight into numpy arrays without materialising ``IORequest``
-        objects; blocks carrying explicit client ids — and structurally
-        suspect blocks — fall back to the scalar decoder and are lifted via
-        :meth:`ColumnarChunk.from_requests`, which raises the canonical
-        :class:`TraceFormatError` for a malformed block; well-formed blocks
-        decode to identical requests either way.
+        Each block decodes in one C walk (:func:`_decode_block`) straight
+        into numpy columns, without materialising ``IORequest`` objects.
+        Every chunk of a pass carries the pass's hint-set and client tables.
         """
         with self.path.open("rb") as handle:
             self._check_header(handle)
-            hint_sets: dict[int, HintSet] = {}
-            # Lookup tables shared by every chunk of this pass.  Position 0
-            # of the hint table is the empty hint set, so the on-wire
-            # hint_ref is usable as a table index directly.
-            hint_table: tuple[HintSet, ...] = (EMPTY_HINT_SET,)
-            clients: list[str] = [""]
-            client_index: dict[str, int] = {"": 0}
-            hint_client: list[int] = [0]
-            hint_client_arr: Any = None
-            client_table: tuple[str, ...] = ("",)
+            size = os.fstat(handle.fileno()).st_size
+            tables = _PassTables()
             count = 0
             while True:
                 offset = handle.tell()
@@ -336,61 +349,23 @@ class StreamedTrace:
                 tag = tag_byte[0]
                 if tag == _TAG_META:
                     length = _read_varint(handle, offset)
-                    _read_exact(handle, length, offset)
+                    _read_exact(handle, length, offset, size)
                 elif tag == _TAG_HINTSET:
                     hint_id = _read_varint(handle, offset)
                     length = _read_varint(handle, offset)
-                    payload = _read_exact(handle, length, offset)
-                    if hint_id != len(hint_sets):
+                    payload = _read_exact(handle, length, offset, size)
+                    defined = len(tables.hint_sets) - 1  # ref 0 is the empty set
+                    if hint_id != defined:
                         raise TraceFormatError(
                             f"byte {offset}: hint set ids must be dense and "
-                            f"ascending (got {hint_id}, expected {len(hint_sets)})"
+                            f"ascending (got {hint_id}, expected {defined})"
                         )
-                    hints = _decode_hint_set(payload, offset)
-                    hint_sets[hint_id] = hints
-                    hint_table = hint_table + (hints,)
-                    cidx = client_index.get(hints.client_id)
-                    if cidx is None:
-                        cidx = len(clients)
-                        client_index[hints.client_id] = cidx
-                        clients.append(hints.client_id)
-                        client_table = tuple(clients)
-                    hint_client.append(cidx)
-                    hint_client_arr = None
+                    tables.add(_decode_hint_set(payload, offset))
                 elif tag == _TAG_BLOCK:
                     expected = _read_varint(handle, offset)
                     length = _read_varint(handle, offset)
-                    body = _read_exact(handle, length, offset)
-                    columns = _decode_block_columnar(body, expected, offset)
-                    if columns is None:
-                        # Scalar fallback: explicit client ids (or a garbled
-                        # block, which raises here).
-                        requests = _decode_block(body, expected, hint_sets, offset)
-                        try:
-                            chunk = ColumnarChunk.from_requests(requests, count)
-                        except OverflowError as exc:
-                            raise TraceFormatError(
-                                f"byte {offset}: page id beyond the int64 page column"
-                            ) from exc
-                    else:
-                        page, hint_ref, write = columns
-                        if len(hint_ref) and int(hint_ref.max()) >= len(hint_table):
-                            bad = int(hint_ref[hint_ref >= len(hint_table)][0])
-                            raise TraceFormatError(
-                                f"byte {offset}: block references undefined "
-                                f"hint set id {bad - 1}"
-                            )
-                        if hint_client_arr is None:
-                            hint_client_arr = _np.array(hint_client, _np.int64)
-                        chunk = ColumnarChunk(
-                            page,
-                            write,
-                            hint_ref,
-                            hint_client_arr[hint_ref],
-                            _np.arange(count, count + expected, dtype=_np.int64),
-                            hint_table,
-                            client_table,
-                        )
+                    body = _read_exact(handle, length, offset, size)
+                    chunk = _decode_block(body, expected, offset, count, tables)
                     count += len(chunk)
                     yield chunk
                 elif tag == _TAG_END:
@@ -446,14 +421,16 @@ class StreamedTrace:
                     f"{self.path.name}: END offset {end_offset} out of range"
                 )
             handle.seek(end_offset)
-            tag = _read_exact(handle, 1, end_offset)[0]
+            tag = _read_exact(handle, 1, end_offset, size)[0]
             if tag != _TAG_END:
                 raise TraceFormatError(
                     f"byte {end_offset}: footer does not point at an END record"
                 )
             self._request_count = _read_varint(handle, end_offset)
             length = _read_varint(handle, end_offset)
-            final_meta = _decode_meta(_read_exact(handle, length, end_offset), end_offset)
+            final_meta = _decode_meta(
+                _read_exact(handle, length, end_offset, size), end_offset
+            )
 
             # Initial META records sit between the header and the first
             # hint-set/block record; read them for the name + generation
@@ -466,7 +443,9 @@ class StreamedTrace:
                 if not peek or peek[0] != _TAG_META:
                     break
                 length = _read_varint(handle, offset)
-                metadata.update(_decode_meta(_read_exact(handle, length, offset), offset))
+                metadata.update(
+                    _decode_meta(_read_exact(handle, length, offset, size), offset)
+                )
             metadata.update(final_meta)
             # The name lives in self.name only, so self.metadata matches the
             # metadata dict of the equivalent materialized Trace exactly.
@@ -484,8 +463,13 @@ def _decode_meta(payload: bytes, offset: int) -> dict:
     return data
 
 
-def _read_exact(handle: BinaryIO, length: int, offset: int) -> bytes:
-    data = handle.read(length)
+def _read_exact(handle: BinaryIO, length: int, offset: int, size: int) -> bytes:
+    """*length* bytes of the record at byte *offset* of a *size*-byte file.
+
+    A length past the end of the file raises without asking for it, so a
+    corrupt length varint cannot allocate more than the file holds.
+    """
+    data = handle.read(min(length, size - offset))
     if len(data) != length:
         raise TraceFormatError(
             f"byte {offset}: unexpected end of file (wanted {length} bytes, "
@@ -512,141 +496,133 @@ def _read_varint(handle: BinaryIO, offset: int) -> int:
             raise TraceFormatError(f"byte {offset}: varint longer than 9 bytes")
 
 
+class _PassTables:
+    """The lookup tables every chunk of one pass over a file shares.
+
+    ``hint_sets[ref]`` is the hint set of on-wire hint ref *ref* (0 is the
+    empty hint set), and client index 0 is ``""``.  Both grow as the pass
+    meets HINTSET records and explicit client ids.  The tuples a chunk
+    carries are built when a block needs the grown tables, so the blocks
+    between two changes share one tuple.
+    """
+
+    def __init__(self) -> None:
+        self.hint_sets: list[HintSet] = [EMPTY_HINT_SET]
+        self._hint_client: list[int] = [0]  # each hint set's client index
+        self._clients: dict[str, int] = {"": 0}
+        self._hint_table: tuple[HintSet, ...] | None = None
+        self._client_table: tuple[str, ...] | None = None
+        self._hint_client_column: Any = None
+        self._hint_client_address = 0
+
+    def add(self, hints: HintSet) -> None:
+        """Define the next hint ref."""
+        self.hint_sets.append(hints)
+        self._hint_client.append(self.client(hints.client_id))
+        self._hint_table = self._hint_client_column = None
+
+    def client(self, client_id: str) -> int:
+        """The client index of *client_id*, assigning the next one if it is new."""
+        index = self._clients.get(client_id)
+        if index is None:
+            index = self._clients[client_id] = len(self._clients)
+            self._client_table = None
+        return index
+
+    def hint_clients(self) -> int:
+        """The address of the int64 column of each hint ref's client index."""
+        if self._hint_client_column is None:
+            self._hint_client_column = _np.array(self._hint_client, _np.int64)
+            self._hint_client_address = address(self._hint_client_column)
+        return self._hint_client_address
+
+    def chunk(self, page: Any, write: Any, hint: Any, client: Any, seq: int) -> ColumnarChunk:
+        """A chunk over the current tables, numbered from *seq*."""
+        if self._hint_table is None:
+            self._hint_table = tuple(self.hint_sets)
+        if self._client_table is None:
+            self._client_table = tuple(self._clients)
+        n = len(page)
+        return ColumnarChunk(
+            page,
+            write,
+            hint,
+            client,
+            _np.arange(seq, seq + n, dtype=_np.int64),
+            self._hint_table,
+            self._client_table,
+        )
+
+
 def _decode_block(
-    body: bytes, expected: int, hint_sets: dict[int, HintSet], offset: int
-) -> list[IORequest]:
-    """Decode one BLOCK payload into a list of requests."""
-    requests: list[IORequest] = []
-    append = requests.append
-    read_kind = RequestKind.READ
-    write_kind = RequestKind.WRITE
-    pos = 0
-    end = len(body)
-    try:
-        while pos < end:
-            flags = body[pos]
-            pos += 1
-            # Inline varint decode: the two-field common case stays tight.
-            page = 0
-            shift = 0
-            while True:
-                byte = body[pos]
-                pos += 1
-                page |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-            hint_ref = 0
-            shift = 0
-            while True:
-                byte = body[pos]
-                pos += 1
-                hint_ref |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-            if hint_ref == 0:
-                hints = EMPTY_HINT_SET
-            else:
-                hints = hint_sets[hint_ref - 1]
-            if flags & _FLAG_CLIENT_ID:
-                length = 0
-                shift = 0
-                while True:
-                    byte = body[pos]
-                    pos += 1
-                    length |= (byte & 0x7F) << shift
-                    if not byte & 0x80:
-                        break
-                    shift += 7
-                if pos + length > end:
-                    raise IndexError(pos)
-                client_id = body[pos : pos + length].decode("utf-8")
-                pos += length
-            else:
-                client_id = hints.client_id
-            append(
-                IORequest(
-                    page=page,
-                    kind=write_kind if flags & _FLAG_WRITE else read_kind,
-                    hints=hints,
-                    client_id=client_id,
-                )
-            )
-    except KeyError as exc:
-        raise TraceFormatError(
-            f"byte {offset}: block references undefined hint set id {exc.args[0]}"
-        ) from exc
-    except IndexError as exc:
+    body: bytes, expected: int, offset: int, seq: int, tables: _PassTables
+) -> ColumnarChunk:
+    """Decode the BLOCK record at byte *offset*, whose *body* declares
+    *expected* requests, into a chunk over the pass's *tables* numbered from
+    *seq*.
+
+    One ``trace_block`` call walks the body, writes its columns and checks
+    it; a failing status and the position it stopped at map onto the
+    :class:`TraceFormatError` message.  The rare explicit client ids are
+    decoded here, from the byte spans a second walk reports.
+    """
+    trace_block = load().trace_block
+    size = len(body)
+    capacity = size // 3  # a record is at least three bytes
+    # The page, hint-ref and client-index columns, then the result.
+    out = _np.empty(3 * capacity + 3, _np.int64)
+    write = _np.empty(capacity, _np.bool_)
+    at = address(out)
+    # A count past int64 cannot match the body's records; clamped, it
+    # still does not.
+    args = (
+        body, size, min(expected, _INT64_MAX), len(tables.hint_sets),
+        tables.hint_clients(), at, at + 8 * capacity, at + 16 * capacity, address(write),
+    )
+    status = trace_block(*args, None, at + 24 * capacity)
+    n, position, explicit = out[3 * capacity :].tolist()
+    client = out[2 * capacity : 2 * capacity + n]
+    if explicit:
+        spans = _np.empty(3 * explicit, _np.int64)
+        trace_block(*args, address(spans), at + 24 * capacity)
+        records = spans.tolist()
+        # In record order, so a client id that is not UTF-8 fails before
+        # anything the walk stopped at later.
+        for record, start, stop in zip(records[0::3], records[1::3], records[2::3]):
+            raw = body[start:stop]
+            try:
+                client_id = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceFormatError(
+                    f"byte {offset}: malformed client id: {raw[:80]!r}"
+                ) from exc
+            client[record] = tables.client(client_id)
+    if status == _BLOCK_RAN_OFF:
         raise TraceFormatError(
             f"byte {offset}: garbled block record (ran off the end of the block)"
-        ) from exc
-    if pos != end or len(requests) != expected:
-        raise TraceFormatError(
-            f"byte {offset}: block declared {expected} requests in {end} bytes "
-            f"but decoded {len(requests)} using {pos}"
         )
-    return requests
+    if status == _BLOCK_UNDEFINED_HINT:
+        raise TraceFormatError(
+            f"byte {offset}: block references undefined hint set id "
+            f"{_varint_at(body, position) - 1}"
+        )
+    if status == _BLOCK_COUNT:
+        raise TraceFormatError(
+            f"byte {offset}: block declared {expected} requests in {size} bytes "
+            f"but decoded {n} using {position}"
+        )
+    if status == _BLOCK_PAGE_OVERFLOW:
+        raise TraceFormatError(f"byte {offset}: page id beyond the int64 page column")
+    return tables.chunk(out[:n], write[:n], out[capacity : capacity + n], client, seq)
 
 
-def _decode_varint_column(arr: Any, starts: Any, ends: Any) -> Any:
-    """Decode one varint per ``[start, end]`` span of *arr* into int64.
-
-    Returns None when any varint exceeds 8 bytes (56 bits of payload): the
-    value might not fit an int64 lane, so the caller must use the scalar
-    decoder, which carries arbitrary-precision Python ints.
-    """
-    lengths = ends - starts + 1
-    max_len = int(lengths.max())
-    if max_len > 8:
-        return None
-    values = (arr[starts] & 0x7F).astype(_np.int64)
-    for position in range(1, max_len):
-        mask = lengths > position
-        values[mask] |= (
-            arr[starts[mask] + position].astype(_np.int64) & 0x7F
-        ) << (7 * position)
-    return values
-
-
-def _decode_block_columnar(
-    body: bytes, expected: int, offset: int
-) -> tuple[Any, Any, Any] | None:
-    """Vectorised BLOCK decode into ``(page, hint_ref, write)`` columns.
-
-    Exploits the record grammar: the flags byte and every varint terminator
-    byte have bit 7 clear, while varint continuation bytes have it set.  A
-    record without :data:`_FLAG_CLIENT_ID` is therefore exactly three
-    "units" — flags, page, hint_ref — whose last bytes are the block's
-    clear-bit positions, three per record, with each record's first unit
-    (the flags byte, a unit of length one) starting right after the
-    previous record.  Any block violating that shape — explicit client-id
-    records, truncated records, oversized varints — returns None and is
-    handled by the scalar decoder (which raises the canonical
-    :class:`TraceFormatError` for genuinely garbled input).
-    """
-    if expected == 0 or not body:
-        return None
-    arr = _np.frombuffer(body, dtype=_np.uint8)
-    ends = _np.flatnonzero(arr < 0x80)
-    if ends.size != 3 * expected:
-        return None
-    flags_pos = ends[0::3]
-    page_end = ends[1::3]
-    hint_end = ends[2::3]
-    starts = _np.empty_like(flags_pos)
-    starts[0] = 0
-    starts[1:] = hint_end[:-1] + 1
-    if int(hint_end[-1]) != arr.size - 1 or not _np.array_equal(flags_pos, starts):
-        return None
-    flags = arr[flags_pos]
-    if bool((flags & _FLAG_CLIENT_ID).any()):
-        return None
-    page = _decode_varint_column(arr, flags_pos + 1, page_end)
-    if page is None:
-        return None
-    hint_ref = _decode_varint_column(arr, page_end + 1, hint_end)
-    if hint_ref is None:
-        return None
-    write = (flags & _FLAG_WRITE) != 0
-    return page, hint_ref, write
+def _varint_at(body: bytes, pos: int) -> int:
+    """The varint at *pos* of *body*, which holds all of it, at any width."""
+    value = shift = 0
+    while True:
+        byte = body[pos]
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value
+        pos += 1
+        shift += 7

@@ -2,25 +2,34 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.hints import make_hint_set
+from repro.core.hints import EMPTY_HINT_SET, make_hint_set
 from repro.simulation.request import IORequest, RequestKind
+from repro.trace import binio
 from repro.trace.binio import (
     BLOCK_REQUESTS,
     BinaryTraceWriter,
     StreamedTrace,
+    _encode_varint,
     write_trace_binary,
 )
 from repro.trace.io import TraceFormatError, read_trace, write_trace
 from repro.trace.records import Trace
 
+from tests import trace_reference
 from tests.conftest import hint, rd, wr
 from tests.strategies import traces as traces_strategy
+from tests.trace_reference import reference_decoder
 
 
 def sample_trace() -> Trace:
@@ -236,110 +245,129 @@ def _finish_file(body: bytearray, count: int) -> bytes:
     return bytes(body)
 
 
+def _chunks(path) -> list[list[IORequest]]:
+    """The requests of each chunk ``StreamedTrace`` decodes from *path*."""
+    return [chunk.requests() for chunk in StreamedTrace(path).iter_columnar()]
+
+
+def _agreeing_chunks(path) -> list[list[IORequest]]:
+    """The decoded chunks of *path*; asserts that the reference decoder,
+    driven by the same record walk, decodes the same requests, block for
+    block."""
+    chunks = _chunks(path)
+    with reference_decoder():
+        assert _chunks(path) == chunks
+    return chunks
+
+
+def _both_raise(path, match: str) -> None:
+    """*path* fails with the same TraceFormatError message, matching
+    *match*, under the C decoder and under the reference."""
+    with pytest.raises(TraceFormatError, match=match) as ours:
+        list(StreamedTrace(path).iter_columnar())
+    with reference_decoder(), pytest.raises(TraceFormatError) as reference:
+        list(StreamedTrace(path).iter_columnar())
+    assert str(ours.value) == str(reference.value)
+
+
 class TestColumnarDecodeEdgeCases:
-    """iter_columnar must agree with iter_chunks on the decoder's corners:
-    empty blocks, single-request blocks, oversized varints, and garbled
-    blocks (same TraceFormatError, same message)."""
+    """The C decoder agrees with the reference (``tests/trace_reference.py``)
+    on the decoder's corners: empty blocks, single-request blocks, 9-byte
+    varints, and garbled blocks (same TraceFormatError, same message)."""
 
     def test_empty_block_decodes_identically(self, tmp_path):
-        # An empty BLOCK (count 0, length 0) is valid; the vectorised decoder
-        # declines it (nothing to vectorise) and the fallback must produce
-        # the same empty chunk the scalar path does.
+        # An empty BLOCK (count 0, length 0) is valid: one empty chunk.
         path = tmp_path / "empty.ctb"
         body = bytearray(b"CLICBT" + bytes([1]))
         body += bytes([0x03, 0x00, 0x00])
         path.write_bytes(_finish_file(body, count=0))
 
         streamed = StreamedTrace(path)
-        scalar_chunks = list(streamed.iter_chunks())
-        columnar_chunks = list(streamed.iter_columnar())
-        assert scalar_chunks == [[]]
-        assert len(columnar_chunks) == 1
-        assert len(columnar_chunks[0]) == 0
-        assert columnar_chunks[0].requests() == []
+        assert list(streamed.iter_chunks()) == [[]]
+        (chunk,) = streamed.iter_columnar()
+        assert len(chunk) == 0
+        assert _agreeing_chunks(path) == [[]]
 
     def test_single_request_block_decodes_columnar(self, tmp_path):
         path = tmp_path / "one.ctb"
+        hints = hint("db2", object_id=9)
         with BinaryTraceWriter(path, name="one") as writer:
-            writer.write(rd(5, hint("db2", object_id=9)))
-        streamed = StreamedTrace(path)
-        (chunk,) = streamed.iter_columnar()
-        # The vectorised decoder handled it (a fallback chunk arrives with
-        # its request list pre-memoised by from_requests).
+            writer.write(rd(5, hints))
+        (chunk,) = StreamedTrace(path).iter_columnar()
+        # Decoded into columns over the pass's tables, not lifted from
+        # requests.
         assert chunk._requests is None
-        (scalar_chunk,) = streamed.iter_chunks()
-        assert chunk.requests() == scalar_chunk
+        assert chunk.hint_sets == (EMPTY_HINT_SET, hints)
         assert chunk.seq_list() == [0]
+        assert _agreeing_chunks(path) == [[rd(5, hints)]]
 
-    def test_oversized_varint_falls_back_to_scalar(self, tmp_path):
-        # page = 2**60 needs a 9-byte varint: its value still fits an int64,
-        # but the vectorised decoder's 8-byte (56-bit payload) lane limit
-        # cannot prove that, so the block must take the scalar fallback and
-        # decode to identical requests.
-        from repro.trace.binio import _decode_block, _decode_block_columnar, _encode_varint
-
+    def test_nine_byte_page_varint_decodes_as_the_reference(self, tmp_path):
+        # page = 2**60 needs a 9-byte varint; its value fits the int64 page
+        # column.
         big = 2**60
         record = bytes([0]) + _encode_varint(big) + _encode_varint(0)
         assert len(_encode_varint(big)) == 9
-        assert _decode_block_columnar(record, 1, 0) is None
-        (request,) = _decode_block(record, 1, {}, 0)
+        (request,) = trace_reference._decode_block(record, 1, {}, 0)
         assert request.page == big
 
         path = tmp_path / "big.ctb"
         with BinaryTraceWriter(path, name="big") as writer:
             writer.write(rd(big))
             writer.write(rd(1))
-        streamed = StreamedTrace(path)
-        (chunk,) = streamed.iter_columnar()
-        assert chunk._requests is not None  # fallback path was taken
-        (scalar_chunk,) = streamed.iter_chunks()
-        assert chunk.requests() == scalar_chunk
+        (chunk,) = StreamedTrace(path).iter_columnar()
         assert chunk.page.tolist() == [big, 1]
+        assert _agreeing_chunks(path) == [[rd(big), rd(1)]]
 
     def test_garbled_block_raises_identically_on_both_paths(self, tmp_path):
-        # A BLOCK declaring one request with an empty body is garbled; the
-        # columnar path must surface the exact scalar TraceFormatError.
+        # A BLOCK declaring one request with an empty body is garbled.
         path = tmp_path / "garbled.ctb"
         body = bytearray(b"CLICBT" + bytes([1]))
         body += bytes([0x03, 0x01, 0x00])
         path.write_bytes(_finish_file(body, count=1))
-
-        streamed = StreamedTrace(path)
-        with pytest.raises(TraceFormatError) as scalar_err:
-            list(streamed.iter_chunks())
-        with pytest.raises(TraceFormatError) as columnar_err:
-            list(streamed.iter_columnar())
-        assert str(columnar_err.value) == str(scalar_err.value)
-        assert "declared 1 requests" in str(scalar_err.value)
+        _both_raise(path, "declared 1 requests in 0 bytes but decoded 0 using 0")
 
     def test_truncated_record_raises_identically_on_both_paths(self, tmp_path):
-        # A record cut off inside its page varint: the clear-bit structure
-        # check rejects it columnar-side, and the scalar decoder runs off
-        # the end — both must raise the same error.
+        # A record cut off inside its page varint runs off the block.
         path = tmp_path / "cut.ctb"
         body = bytearray(b"CLICBT" + bytes([1]))
         payload = bytes([0x00, 0x80])  # flags + dangling continuation byte
         body += bytes([0x03, 0x01, len(payload)]) + payload
         path.write_bytes(_finish_file(body, count=1))
+        _both_raise(path, "garbled block record")
 
-        streamed = StreamedTrace(path)
-        with pytest.raises(TraceFormatError) as scalar_err:
-            list(streamed.iter_chunks())
-        with pytest.raises(TraceFormatError) as columnar_err:
-            list(streamed.iter_columnar())
-        assert str(columnar_err.value) == str(scalar_err.value)
-        assert "garbled block record" in str(scalar_err.value)
+    def test_client_id_that_is_not_utf8_raises(self, tmp_path):
+        # An explicit client id of two bytes that are not UTF-8.
+        path = tmp_path / "latin1.ctb"
+        body = bytearray(b"CLICBT" + bytes([1]))
+        record = bytes([0x02, 0x05, 0x00, 0x02]) + b"\xff\xfe"
+        body += bytes([0x03, 0x01, len(record)]) + record
+        path.write_bytes(_finish_file(body, count=1))
+        _both_raise(path, r"byte 7: malformed client id: b'\\xff\\xfe'")
+        with pytest.raises(TraceFormatError, match="malformed client id"):
+            StreamedTrace(path).load()
+
+    @pytest.mark.parametrize("tag", ["META", "HINTSET", "BLOCK", "END"])
+    def test_length_past_the_end_of_the_file_raises(self, tmp_path, tag):
+        # A length varint of 2**40: asking the file for that many bytes
+        # would fail to allocate them.
+        huge = _encode_varint(2**40)
+        body = bytearray(b"CLICBT" + bytes([1]))
+        if tag == "META":
+            body += bytes([0x01]) + huge
+        elif tag == "HINTSET":
+            body += bytes([0x02, 0x00]) + huge
+        elif tag == "BLOCK":
+            body += bytes([0x03, 0x01]) + huge
+        end_offset = len(body)
+        body += bytes([0x04, 0x00]) + (huge if tag == "END" else bytes([2]) + b"{}")
+        body += struct.pack("<Q8s", end_offset, b"CLICEND\x00")
+        path = tmp_path / "huge.ctb"
+        path.write_bytes(bytes(body))
+        with pytest.raises(TraceFormatError, match=f"wanted {2**40} bytes, got "):
+            list(StreamedTrace(path).iter_columnar())
 
 
 # ------------------------------------------------------ one record walker
-
-
-def _agreeing_chunks(path) -> list[list[IORequest]]:
-    """Both decoded views of *path*; asserts they hold the same requests."""
-    streamed = StreamedTrace(path)
-    chunks = list(streamed.iter_chunks())
-    assert chunks == [chunk.requests() for chunk in streamed.iter_columnar()]
-    return chunks
 
 
 def _varint_at(data: bytes, pos: int) -> tuple[int, int]:
@@ -391,10 +419,10 @@ def _mixed_requests() -> list[IORequest]:
 
 
 class TestDecodersAgree:
-    """``iter_chunks`` is the request view of ``iter_columnar``'s chunks:
-    the same requests, block for block, and the same TraceFormatError on
-    every kind of corruption (a record that runs off its block is
-    ``TestColumnarDecodeEdgeCases``' truncated record)."""
+    """The C decoder and the reference decoder, driven by the same record
+    walk, decode the same requests, block for block, and raise the same
+    TraceFormatError on every kind of corruption (a record that runs off
+    its block is ``TestColumnarDecodeEdgeCases``' truncated record)."""
 
     def _write(self, tmp_path, requests):
         path = tmp_path / "t.ctb"
@@ -414,8 +442,14 @@ class TestDecodersAgree:
             IORequest(page, RequestKind.WRITE, hints, f"tenant-{page % 3}")
             for page in range(500)
         ]
-        chunks = _agreeing_chunks(self._write(tmp_path, requests))
+        path = self._write(tmp_path, requests)
+        chunks = _agreeing_chunks(path)
         assert [r for chunk in chunks for r in chunk] == requests
+        # The chunk carries the pass's tables: the hint set's client, then
+        # the explicit ids in first-seen order.
+        (chunk,) = StreamedTrace(path).iter_columnar()
+        assert chunk.clients == ("", "db2", "tenant-0", "tenant-1", "tenant-2")
+        assert chunk.hint_sets == (EMPTY_HINT_SET, hints)
 
     def test_mixed_blocks(self, tmp_path):
         requests = _mixed_requests()
@@ -424,9 +458,8 @@ class TestDecodersAgree:
         assert [r for chunk in chunks for r in chunk] == requests
 
     def test_pages_beyond_the_vector_lane(self, tmp_path):
-        # Pages of 2**56 and more need 9-byte varints: the block takes the
-        # scalar fallback.  Chunk columns are int64, so 2**63 - 1 is the
-        # largest page either view decodes.
+        # Pages of 2**56 and more need 9-byte varints.  Chunk columns are
+        # int64, so 2**63 - 1 is the largest page either decoder accepts.
         requests = [rd(2**56), wr(2**56 + 1), rd(2**63 - 1), rd(3)]
         chunks = _agreeing_chunks(self._write(tmp_path, requests))
         assert chunks == [requests]
@@ -435,15 +468,7 @@ class TestDecodersAgree:
         # The format's varints carry any page, a chunk's int64 column does
         # not: such a block fails loudly instead of overflowing numpy.
         path = self._write(tmp_path, [rd(1), rd(2**63)])
-        self._both_raise(path, "page id beyond the int64 page column")
-
-    def _both_raise(self, path, match: str) -> None:
-        streamed = StreamedTrace(path)
-        with pytest.raises(TraceFormatError, match=match) as scalar_err:
-            list(streamed.iter_chunks())
-        with pytest.raises(TraceFormatError) as columnar_err:
-            list(streamed.iter_columnar())
-        assert str(columnar_err.value) == str(scalar_err.value)
+        _both_raise(path, "page id beyond the int64 page column")
 
     def test_truncated_body(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -453,7 +478,7 @@ class TestDecodersAgree:
         path.write_bytes(data[: block + 6])  # cut inside the block body
         with pytest.raises(TraceFormatError, match="unexpected end of file") as a:
             list(streamed.iter_chunks())
-        with pytest.raises(TraceFormatError) as b:
+        with reference_decoder(), pytest.raises(TraceFormatError) as b:
             list(streamed.iter_columnar())
         assert str(a.value) == str(b.value)
 
@@ -465,7 +490,7 @@ class TestDecodersAgree:
         assert data[block + 4 : block + 6] == b"\x01\x01"
         data[block + 5] = 0x7F
         path.write_bytes(bytes(data))
-        self._both_raise(path, "undefined hint set id 126")
+        _both_raise(path, "undefined hint set id 126")
 
     def test_end_count_mismatch(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -473,7 +498,7 @@ class TestDecodersAgree:
         end_offset = struct.unpack("<Q", data[-16:-8])[0]
         data[end_offset + 1] = 0x07  # the sample has 6 requests
         path.write_bytes(bytes(data))
-        self._both_raise(path, "END declares 7 requests but 6 were decoded")
+        _both_raise(path, "END declares 7 requests but 6 were decoded")
 
     def test_unknown_tag(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -481,7 +506,7 @@ class TestDecodersAgree:
         (block,) = [offset for tag, offset in _record_offsets(data) if tag == 0x03]
         data[block] = 0x09
         path.write_bytes(bytes(data))
-        self._both_raise(path, "unknown record tag 0x09")
+        _both_raise(path, "unknown record tag 0x09")
 
     def test_hint_ids_not_dense(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -490,4 +515,115 @@ class TestDecodersAgree:
         assert data[hint_sets[1] + 1] == 0x01
         data[hint_sets[1] + 1] = 0x02  # the second hint set claims id 2
         path.write_bytes(bytes(data))
-        self._both_raise(path, "must be dense and ascending")
+        _both_raise(path, "must be dense and ascending")
+
+
+# --------------------------------------------------------- differential fuzz
+
+
+def _fuzz_file(requests: list[IORequest]) -> bytes:
+    """*requests* as a binary trace of several small blocks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ctb"
+        with mock.patch.object(binio, "BLOCK_REQUESTS", 16):
+            with BinaryTraceWriter(path, name="fuzz") as writer:
+                writer.write_all(requests)
+        return path.read_bytes()
+
+
+def _fuzz_files() -> dict[str, bytes]:
+    hot = hint("db2", object_id=1)
+    cold = hint("db2", object_id=2, request_type="replacement_write")
+    return {
+        "plain": _fuzz_file(
+            [rd(page, hot) if page % 3 else wr(page * 131, cold) for page in range(40)]
+        ),
+        "client-ids": _fuzz_file(
+            [
+                IORequest(page, RequestKind.READ, hot, f"tenant-{page % 3}")
+                if page % 2
+                else wr(page, cold)
+                for page in range(40)
+            ]
+        ),
+        "wide-pages": _fuzz_file(
+            [
+                rd(2**56 + page, hot) if page % 2 else wr(2**63 - 1 - page, cold)
+                for page in range(40)
+            ]
+        ),
+    }
+
+
+# Byte values that sit on the format's edges: small hint refs and counts
+# (each file defines two hint sets, so 3 is the first undefined ref), and
+# varint continuation and terminator extremes.
+_EDGE_BYTES = [0x00, 0x01, 0x02, 0x03, 0x04, 0x7F, 0x80, 0x81, 0xFF]
+
+
+def _fuzz_targets(data: bytes) -> tuple[list[int], list[int], list[int]]:
+    """The positions a mutation may hit: the first four bytes of each
+    record the walk reads after the META records (the tag and the id,
+    count and length varints), BLOCK records first; the hint ref of each
+    block record; and every byte of the block bodies."""
+    records = _record_offsets(data)
+    order = sorted((tag != 0x03, offset) for tag, offset in records if tag != 0x01)
+    headers = [offset + k for _, offset in order for k in range(4)]
+    hint_refs: list[int] = []
+    bodies: list[int] = []
+    for tag, offset in records:
+        if tag == 0x03:
+            _, pos = _varint_at(data, offset + 1)
+            length, pos = _varint_at(data, pos)
+            bodies += range(pos, pos + length)
+            end = pos + length
+            while pos < end:
+                flags = data[pos]
+                _, pos = _varint_at(data, pos + 1)  # the page
+                hint_refs.append(pos)
+                _, pos = _varint_at(data, pos)
+                if flags & 0x02:  # an explicit client id
+                    length, pos = _varint_at(data, pos)
+                    pos += length
+    return [h for h in headers if h < len(data) - 16], hint_refs, bodies
+
+
+@functools.cache
+def _fuzz_inputs() -> dict[str, tuple[bytes, tuple[list[int], list[int], list[int]]]]:
+    """Each fuzz file and its mutation targets, built on first use."""
+    return {name: (data, _fuzz_targets(data)) for name, data in _fuzz_files().items()}
+
+
+@st.composite
+def _mutated_files(draw) -> bytes:
+    """A valid fuzz file with one to three of its bytes replaced."""
+    inputs = _fuzz_inputs()
+    valid, positions = inputs[draw(st.sampled_from(sorted(inputs)))]
+    data = bytearray(valid)
+    targets = st.one_of(*map(st.sampled_from, positions))
+    for _ in range(draw(st.integers(1, 3))):
+        position = draw(targets)
+        data[position] = draw(st.one_of(st.sampled_from(_EDGE_BYTES), st.integers(0, 255)))
+    return bytes(data)
+
+
+def _decoded(path) -> list[IORequest] | str:
+    """Every request ``StreamedTrace`` decodes from *path*, or the message of
+    the TraceFormatError it raises."""
+    try:
+        return [r for chunk in StreamedTrace(path).iter_chunks() for r in chunk]
+    except TraceFormatError as exc:
+        return f"TraceFormatError: {exc}"
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(data=_mutated_files())
+def test_mutated_files_decode_as_the_reference(data, tmp_path_factory):
+    """Differential fuzz: a file with random bytes replaced decodes to the
+    same requests, or fails with the same message, under the C decoder and
+    under the reference, both driven by the same record walk."""
+    path = tmp_path_factory.mktemp("fuzz") / "t.ctb"
+    path.write_bytes(data)
+    ours = _decoded(path)
+    with reference_decoder():
+        assert _decoded(path) == ours
