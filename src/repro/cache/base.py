@@ -131,13 +131,26 @@ class AccessOutcomeBatch:
     ``n + 1``) delimits request *i*'s evictions as
     ``evicted_pages[evicted_offsets[i]:evicted_offsets[i + 1]]``.
 
+    ``shard`` is the int64 column of the shard each request was routed to,
+    set by a sharded cluster
+    (:class:`~repro.simulation.cluster.ShardedCache`) so its observers never
+    route a chunk again; ``None`` for every other policy.
+
     :meth:`outcomes` reconstructs the exact per-request outcome objects
     (memoised), so scalar consumers see the same event stream either way;
     :meth:`from_outcomes` lifts a scalar outcome list into a batch (the
     default :meth:`CachePolicy.batch_access` fallback uses it).
     """
 
-    __slots__ = ("hit", "admitted", "bypassed", "evicted_pages", "evicted_offsets", "_outcomes")
+    __slots__ = (
+        "hit",
+        "admitted",
+        "bypassed",
+        "evicted_pages",
+        "evicted_offsets",
+        "shard",
+        "_outcomes",
+    )
 
     def __init__(
         self,
@@ -146,12 +159,14 @@ class AccessOutcomeBatch:
         bypassed: Any,
         evicted_pages: Any,
         evicted_offsets: Any,
+        shard: Any = None,
     ):
         self.hit = hit
         self.admitted = admitted
         self.bypassed = bypassed
         self.evicted_pages = evicted_pages
         self.evicted_offsets = evicted_offsets
+        self.shard = shard
         self._outcomes: list[AccessOutcome] | None = None
 
     def __len__(self) -> int:

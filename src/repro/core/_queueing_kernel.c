@@ -1,11 +1,11 @@
 /*
  * The open-loop queueing simulation's two hot loops.
  *
- * queue_replay() is QueueingObserver's finalize pass for constant-price
- * devices: the Lindley recursion of every shard's FCFS server over the
- * replay's banked columns, on the integer nanosecond clock, folded into
- * exact int64 totals, the delay and sojourn histograms and the departure
- * overhang past the last arrival.
+ * queue_replay() is QueueingObserver's finalize pass, on every device: the
+ * Lindley recursion of every shard's FCFS server over the replay's banked
+ * columns, on the integer nanosecond clock, folded into exact int64 totals,
+ * the delay and sojourn histograms and the departure overhang past the last
+ * arrival.
  *
  * poisson_times() draws a block of PoissonArrivals' timestamps: the
  * counter-based splitmix64 uniforms of repro.workloads.arrivals, turned into
@@ -77,19 +77,22 @@ static int64_t bucket(const Buckets *b, int64_t v)
 
 /*
  * Run n requests through shards FCFS single-server queues: request i
- * arrives at arrival[i] (ns, nondecreasing) on shard key[i] % shards (0
- * when key is NULL) and needs service[0] >= 0 ns for a read hit, service[1]
- * for a read miss and service[2] for a write (read and hit are 0 or 1).  A
- * value's histogram bucket is the count of the n_bounds (1 to MAX_BOUNDS,
- * ascending) bounds below it, capped at the last bucket.  Writes totals =
- * {delay, sojourn, service, overhang past last_arrival, last departure} and
- * adds to both histograms.  Returns 0, or -1 when out of memory or given a
- * bound count outside that range.
+ * arrives at arrival[i] (ns, nondecreasing) on server shard[i] (server 0
+ * when shard is NULL) and needs service[i] ns; when service is NULL, it
+ * needs classes[0] >= 0 ns for a read hit, classes[1] for a read miss and
+ * classes[2] for a write (write and hit are 0 or 1).  A value's histogram
+ * bucket is the count of the n_bounds (1 to MAX_BOUNDS, ascending) bounds
+ * below it, capped at the last bucket.  Writes totals = {delay, sojourn,
+ * service, overhang past last_arrival, last departure} and adds to both
+ * histograms.  Returns 0; -1 when out of memory; -2 when given a bound
+ * count outside that range, fewer than one server or a shard id outside
+ * [0, shards), and then the totals are unset and the histograms partial.
  */
-int queue_replay(int64_t n, const int64_t *arrival, const uint8_t *read, const uint8_t *hit,
-                 const uint64_t *key, int64_t shards, const int64_t *service,
-                 const int64_t *bounds, int64_t n_bounds, int64_t last_arrival,
-                 int64_t *totals, int64_t *delay_histogram, int64_t *sojourn_histogram)
+int queue_replay(int64_t n, const int64_t *arrival, const uint8_t *write, const uint8_t *hit,
+                 const int64_t *shard, int64_t shards, const int64_t *service,
+                 const int64_t *classes, const int64_t *bounds, int64_t n_bounds,
+                 int64_t last_arrival, int64_t *totals, int64_t *delay_histogram,
+                 int64_t *sojourn_histogram)
 {
     Buckets buckets;
     int64_t *busy;
@@ -97,7 +100,7 @@ int queue_replay(int64_t n, const int64_t *arrival, const uint8_t *read, const u
     int64_t last_departure = 0;
     int64_t i;
     if (n_bounds < 1 || n_bounds > MAX_BOUNDS || shards < 1) {
-        return -1;
+        return -2;
     }
     busy = calloc((size_t)shards, sizeof(int64_t));
     if (busy == NULL) {
@@ -106,12 +109,19 @@ int queue_replay(int64_t n, const int64_t *arrival, const uint8_t *read, const u
     buckets_init(&buckets, bounds, n_bounds);
     for (i = 0; i < n; i++) {
         const int64_t t = arrival[i];
-        /* read hit 0, read miss 1, write 2 */
-        const int64_t s = service[2 - read[i] - (read[i] & hit[i])];
-        int64_t *server = &busy[key == NULL ? 0 : key[i] % (uint64_t)shards];
-        const int64_t start = *server > t ? *server : t;
-        const int64_t delay = start - t;
-        const int64_t depart = start + s;
+        const int64_t id = shard == NULL ? 0 : shard[i];
+        /* classes: read hit 0, read miss 1, write 2 */
+        const int64_t s = service != NULL ? service[i] : classes[write[i] ? 2 : 1 - hit[i]];
+        int64_t *server;
+        int64_t start, delay, depart;
+        if (id < 0 || id >= shards) {
+            free(busy);
+            return -2;
+        }
+        server = &busy[id];
+        start = *server > t ? *server : t;
+        delay = start - t;
+        depart = start + s;
         *server = depart;
         total_delay += delay;
         total_sojourn += delay + s;

@@ -132,8 +132,8 @@ def load() -> ctypes.CDLL:
             (
                 "queue_replay",
                 status,
-                [i64, handle, handle, handle, handle, i64, handle, handle, i64, i64,
-                 handle, handle, handle],
+                [i64, handle, handle, handle, handle, i64, handle, handle, handle, i64,
+                 i64, handle, handle, handle],
             ),
             (
                 "poisson_times",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, TypeGuard
 
 import numpy as _np
 
@@ -215,19 +215,22 @@ def make_router(router: str | ShardRouter, shards: int) -> ShardRouter:
     raise ValueError(f"unknown router {router!r}; available: {ROUTER_NAMES}")
 
 
-def is_cluster(policy: object) -> bool:
-    """Whether *policy* exposes the sharded-cluster surface: a ``router``
-    that can ``route`` and a ``shard_count`` of at least 1.
+def is_cluster(policy: object) -> TypeGuard["ShardedCache"]:
+    """Whether *policy* is a :class:`ShardedCache`: the policies that get
+    per-shard accounting, per-shard seek heads and per-shard queues, and
+    whose batches carry the ``shard`` column those observers read."""
+    return isinstance(policy, ShardedCache)
 
-    Duck-typed, so any policy exposing it (not only :class:`ShardedCache`)
-    gets per-shard accounting, per-shard seek heads and per-shard queues.
-    """
-    router = getattr(policy, "router", None)
-    return (
-        router is not None
-        and hasattr(router, "route")
-        and getattr(policy, "shard_count", 0) >= 1
-    )
+
+def routed_shards(batch: AccessOutcomeBatch) -> Any:
+    """The shard ids a cluster's *batch* was routed with: its ``shard``
+    column, which :meth:`ShardedCache.batch_access` sets."""
+    if batch.shard is None:
+        raise ValueError(
+            "a sharded cluster's outcome batch carries no shard column; feed "
+            "the observers the batches ShardedCache.batch_access returns"
+        )
+    return batch.shard
 
 
 class ShardedCache(CachePolicy):
@@ -239,8 +242,7 @@ class ShardedCache(CachePolicy):
     unchanged, so one outcome stream describes the whole cluster; the
     per-shard breakdown surfaced as ``per_shard`` on results is rebuilt by
     the replay loop's shard observer (:class:`~repro.simulation.observers
-    .ShardStatsObserver`), which routes each outcome with the cluster's own
-    router.
+    .ShardStatsObserver`) from the shard ids each batch carries.
 
     The total ``capacity`` is split across shards with
     :func:`~repro.simulation.multiclient.partition_capacity` (any remainder
@@ -310,7 +312,9 @@ class ShardedCache(CachePolicy):
         sub-stream the scalar loop would feed it — and the per-shard batches
         are scattered back into request order.  A shard policy without a
         fused kernel runs the base ``batch_access``, the scalar loop over its
-        sub-chunk, so the split is exact for any policy.
+        sub-chunk, so the split is exact for any policy.  The batch carries
+        the shard ids as its ``shard`` column, which the cluster's observers
+        read instead of routing the chunk again.
         """
         shard_ids = self._router.route_batch(chunk)
         n = len(chunk)
@@ -340,7 +344,7 @@ class ShardedCache(CachePolicy):
             shift = offsets[idx] - batch.evicted_offsets[:-1]
             dest = _np.repeat(shift, sub_counts) + _np.arange(batch.eviction_count)
             pages[dest] = batch.evicted_pages
-        return AccessOutcomeBatch(hit, admitted, bypassed, pages, offsets)
+        return AccessOutcomeBatch(hit, admitted, bypassed, pages, offsets, shard=shard_ids)
 
     def contains(self, page: int) -> bool:
         return any(shard.contains(page) for shard in self._shards)

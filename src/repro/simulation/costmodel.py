@@ -230,8 +230,7 @@ class DeviceProfile:
     position-independent (SSD/NVMe).  ``seek_span`` is the page-id span the
     stroke covers: a seek over ``d`` pages costs
     ``seek_us * sqrt(min(d, seek_span) / seek_span)``.  Custom devices are
-    plain instances of this class (or :func:`make_device_profile` with
-    overrides on a stock profile).
+    plain instances of this class.
     """
 
     name: str
@@ -316,27 +315,16 @@ DEVICE_PROFILES: dict[str, DeviceProfile] = {
 }
 
 
-def make_device_profile(device: str | DeviceProfile, **overrides: object) -> DeviceProfile:
-    """Resolve a device name (or pass through a profile), applying overrides.
-
-    ``make_device_profile("ssd", read_base_us=60.0)`` is the configurable
-    "custom profile" path: any :class:`DeviceProfile` field can be replaced
-    on a stock profile (the result keeps the overridden values and renames
-    to ``"custom"`` unless a ``name`` override is given).
-    """
+def make_device_profile(device: str | DeviceProfile) -> DeviceProfile:
+    """Resolve a device name, or pass a :class:`DeviceProfile` through."""
     if isinstance(device, DeviceProfile):
-        profile = device
-    else:
-        try:
-            profile = DEVICE_PROFILES[device]
-        except KeyError:
-            raise ValueError(
-                f"unknown device {device!r}; available: {sorted(DEVICE_PROFILES)}"
-            ) from None
-    if overrides:
-        overrides.setdefault("name", "custom")
-        profile = replace(profile, **overrides)
-    return profile
+        return device
+    try:
+        return DEVICE_PROFILES[device]
+    except KeyError:
+        raise ValueError(
+            f"unknown device {device!r}; available: {sorted(DEVICE_PROFILES)}"
+        ) from None
 
 
 # ------------------------------------------------------------------ the model

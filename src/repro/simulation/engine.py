@@ -51,7 +51,6 @@ from concurrent.futures.process import BrokenProcessPool
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from math import gcd
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -151,39 +150,15 @@ def _iter_columnar_chunks(
     yield from columnar_chunks(_iter_request_chunks(source, chunk_size))
 
 
-def _split_at_windows(
-    chunks: Iterator[ColumnarChunk], window: int
-) -> Iterator[ColumnarChunk]:
-    """Re-chunk a stream so no chunk crosses a window boundary.
-
-    Replay results never depend on chunk boundaries, so splitting is free of
-    observable effect on hit/miss outcomes; it only guarantees that the
-    replay loop sees every ``seq % window == 0`` crossing between chunks,
-    where rolling snapshots are taken.  Slices are array views.
-    """
-    seq = 0
-    for chunk in chunks:
-        offset, length = 0, len(chunk)
-        while offset < length:
-            room = window - (seq % window)
-            take = min(room, length - offset)
-            if offset == 0 and take == length:
-                yield chunk
-            else:
-                yield chunk.slice(offset, offset + take)
-            seq += take
-            offset += take
-
-
 class _QueueingTap:
     """One queueing model's observers in one replay pass.
 
     The engine calls it as an observer factory, once per policy in policy
     order: each policy gets its own :class:`QueueingObserver`, and all of
-    them share one arrival tape.  The policies replay identical chunks in
-    order, so each chunk's arrival timestamps are drawn once per model and
-    reused by every policy.  A folded sweep pass holds one tap per
-    distinct queueing model.
+    them share one arrival tape.  The policies replay the same stream, so
+    its arrival column is drawn once per model, when the first observer
+    finalizes, and read by the rest.  A folded sweep pass holds one tap
+    per distinct queueing model.
     """
 
     def __init__(self, model: QueueingModel):
@@ -315,27 +290,13 @@ class MultiPolicySimulator:
             pipelines.append(pipeline)
         queueing_obs: list = queueing.observers if queueing is not None else [None] * n
 
-        # Observers declaring a boundary interval get chunks aligned to it:
-        # splitting at the gcd of all intervals guarantees no chunk crosses a
-        # multiple of any individual interval.
-        boundary = 0
-        for pipeline in pipelines:
-            for observer in pipeline:
-                interval = observer.boundary_interval
-                if interval:
-                    boundary = gcd(boundary, interval)
-
         # client_id -> [read_requests, write_requests, read hits per policy,
         # write hits per policy].  The request counts are policy-independent,
         # so they are counted once per chunk and shared by all N per-client
         # results; each policy's hits are masked popcounts of its hit column.
         per_client: dict[str, list] = {}
-        seq_end = 0
         started = time.perf_counter()  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
-        chunks = _iter_columnar_chunks(source, self.CHUNK_SIZE)
-        if boundary:
-            chunks = _split_at_windows(chunks, boundary)
-        for chunk in chunks:
+        for chunk in _iter_columnar_chunks(source, self.CHUNK_SIZE):
             client_rows: list[tuple[list, object, object]] = []
             write = chunk.write
             for client_id, mask in chunk.present_clients():
@@ -356,10 +317,6 @@ class MultiPolicySimulator:
                     row[3][j] += int(_np.count_nonzero(hit & write_mask))
                 for observer in pipelines[j]:
                     observer.on_batch(chunk, batch)
-            seq_end += len(chunk)
-            for pipeline in pipelines:
-                for observer in pipeline:
-                    observer.on_chunk_end(seq_end)
         elapsed = time.perf_counter() - started  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
         return self._assemble_results(
             per_client, elapsed, stats_obs, shard_obs, cost_obs, rolling_obs, queueing_obs

@@ -14,11 +14,9 @@ The observer contract (:class:`ReplayObserver`):
 * :meth:`~ReplayObserver.on_batch` — fold one columnar chunk and its
   batched outcomes; the only hook the replay loop calls per chunk.  The
   default loops over :meth:`~ReplayObserver.on_outcome`; the built-in
-  observers override it with column arithmetic.
-* :meth:`~ReplayObserver.on_chunk_end` — the loop crossed a chunk boundary
-  at sequence number ``seq_end`` (exclusive).  Observers declaring a
-  :attr:`~ReplayObserver.boundary_interval` are guaranteed a call at every
-  multiple of it (the loop re-chunks the stream so no chunk crosses one).
+  observers override it with column arithmetic.  Chunks end wherever the
+  source's blocks end, so an observer that accounts fixed windows of the
+  stream splits a chunk that straddles one itself.
 * :meth:`~ReplayObserver.finalize` — the accounting product.  Non-
   destructive: safe to call more than once.
 
@@ -35,12 +33,12 @@ outcomes — many observers share one outcome stream.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as _np
 
 from repro.cache.base import AccessOutcome, CacheStats
-from repro.simulation.cluster import is_cluster
+from repro.simulation.cluster import is_cluster, routed_shards
 
 if TYPE_CHECKING:  # imported for type annotations only
     from repro.cache.base import AccessOutcomeBatch
@@ -63,11 +61,6 @@ __all__ = [
 class ReplayObserver(abc.ABC):
     """Protocol for accounting fed from the replay loop's outcome stream."""
 
-    #: When not ``None``, the replay loop re-chunks the stream so a chunk
-    #: never crosses a multiple of this sequence-number interval, and
-    #: :meth:`on_chunk_end` therefore fires at every such multiple.
-    boundary_interval: int | None = None
-
     @abc.abstractmethod
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
         """Fold one replayed request's outcome event."""
@@ -83,9 +76,6 @@ class ReplayObserver(abc.ABC):
             chunk.requests(), chunk.seq_list(), batch.outcomes()
         ):
             on_outcome(request, seq, outcome)
-
-    def on_chunk_end(self, seq_end: int) -> None:
-        """The replay crossed a chunk boundary; ``seq_end`` is exclusive."""
 
     @abc.abstractmethod
     def finalize(self) -> object:
@@ -166,47 +156,58 @@ class StatsObserver(ReplayObserver):
 class ShardStatsObserver(ReplayObserver):
     """Per-shard :class:`CacheStats` for sharded clusters.
 
-    Routes every outcome with the cluster's own router — after the access,
-    exactly like the sharded cost accumulator, so stateful routers have
-    already made their assignment and re-routing is a pure lookup.  The
-    cluster facade returns the routed shard's outcome unchanged, so
+    A batch carries the shard each request was routed to (its ``shard``
+    column, set by :meth:`~repro.simulation.cluster.ShardedCache
+    .batch_access`); the scalar :meth:`on_outcome` reference routes the
+    request with the cluster's own router, after the access, so a stateful
+    router has already made its assignment and routing is a pure lookup.
+    The cluster facade returns the routed shard's outcome unchanged, so
     attributing the whole event to that shard reconstructs what the shard's
     own accounting used to report.
     """
 
-    __slots__ = ("_route", "_router", "_shards")
+    __slots__ = ("_route", "_shards")
 
     def __init__(self, cluster: "ShardedCache"):
-        self._router = cluster.router
-        self._route = self._router.route
+        self._route = cluster.router.route
         self._shards = [CacheStats() for _ in range(cluster.shard_count)]
 
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
         self._shards[self._route(request)].record_outcome(request, outcome)
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        # Re-route the whole chunk with the router's column kernel (post-access, so stateful routers resolve to pure lookups),
-        # then fold per-shard masked popcounts.
-        shard_ids = self._router.route_batch(chunk)
+        # One shard-indexed count per counter, over the ids the cluster
+        # routed the chunk with.
+        ids = routed_shards(batch)
+        shards = len(self._shards)
         write = chunk.write
         hit = batch.hit
-        admitted = batch.admitted
-        bypassed = batch.bypassed
-        eviction_counts = _np.diff(batch.evicted_offsets)
-        for s, stats in enumerate(self._shards):
-            mask = shard_ids == s
-            total = int(_np.count_nonzero(mask))
-            if not total:
-                continue
-            wr = int(_np.count_nonzero(mask & write))
-            wh = int(_np.count_nonzero(hit & mask & write))
+
+        def count(mask: Any) -> list[int]:
+            return _np.bincount(ids[mask], minlength=shards).tolist()
+
+        totals = _np.bincount(ids, minlength=shards).tolist()
+        columns = zip(
+            totals,
+            count(write),
+            count(hit),
+            count(hit & write),
+            count(batch.admitted),
+            count(batch.bypassed),
+            _np.bincount(
+                ids, weights=_np.diff(batch.evicted_offsets), minlength=shards
+            ).astype(_np.int64).tolist(),
+        )
+        for stats, (total, wr, hits, wh, admitted, bypassed, evictions) in zip(
+            self._shards, columns
+        ):
             stats.read_requests += total - wr
-            stats.read_hits += int(_np.count_nonzero(hit & mask)) - wh
+            stats.read_hits += hits - wh
             stats.write_requests += wr
             stats.write_hits += wh
-            stats.admissions += int(_np.count_nonzero(admitted & mask))
-            stats.bypasses += int(_np.count_nonzero(bypassed & mask))
-            stats.evictions += int(eviction_counts[mask].sum())
+            stats.admissions += admitted
+            stats.bypasses += bypassed
+            stats.evictions += evictions
 
     def finalize(self) -> tuple[CacheStats, ...]:
         from dataclasses import replace
@@ -215,12 +216,8 @@ class ShardStatsObserver(ReplayObserver):
 
 
 def shard_observer_for(policy: object) -> ShardStatsObserver | None:
-    """A :class:`ShardStatsObserver` for sharded clusters, else ``None``.
-
-    Any policy exposing the cluster surface
-    (:func:`~repro.simulation.cluster.is_cluster`) gets the per-shard
-    breakdown on its results.
-    """
+    """A :class:`ShardStatsObserver` for sharded clusters
+    (:func:`~repro.simulation.cluster.is_cluster`), else ``None``."""
     return ShardStatsObserver(policy) if is_cluster(policy) else None
 
 
@@ -272,9 +269,8 @@ class RollingObserver(ReplayObserver):
     """Windowed time series (:class:`RollingMetrics`) from outcome counts.
 
     Windows are aligned to sequence numbers (window *i* covers
-    ``[i*W, (i+1)*W)``); only the last window may be partial.  Declares
-    ``boundary_interval = window`` so the replay loop aligns its chunks and
-    every boundary crossing reaches :meth:`on_chunk_end`.
+    ``[i*W, (i+1)*W)``); only the last window may be partial.  A window
+    closes when the first request past it arrives, or at finalize.
     """
 
     __slots__ = ("_window", "_start", "_seq", "_counts", "_windows")
@@ -283,7 +279,6 @@ class RollingObserver(ReplayObserver):
         from repro.simulation.metrics import validate_rolling_window
 
         self._window = validate_rolling_window(window)
-        self.boundary_interval = self._window
         self._start = 0
         self._seq = 0
         # [read_requests, read_hits, write_requests, write_hits, evictions]
@@ -326,10 +321,9 @@ class RollingObserver(ReplayObserver):
         self._seq = seq + 1
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        # The replay loop aligns chunks to ``boundary_interval``, so the
-        # outer loop normally runs once; chunks from a direct caller may
-        # straddle boundaries and are split here.  Each segment is folded by
-        # column popcounts instead of a per-request loop.
+        # A chunk that straddles window boundaries is split here; each
+        # segment is folded by column popcounts instead of a per-request
+        # loop.
         window = self._window
         length = len(chunk)
         write = chunk.write
@@ -356,10 +350,6 @@ class RollingObserver(ReplayObserver):
             counts[4] += int(offsets[end] - offsets[offset])
             offset = end
             self._seq = seq + take
-
-    def on_chunk_end(self, seq_end: int) -> None:
-        if seq_end % self._window == 0 and seq_end > self._start:
-            self._close(seq_end)
 
     def finalize(self) -> "RollingMetrics":
         from repro.simulation.metrics import RollingMetrics

@@ -14,10 +14,9 @@ The simulation is event-driven but needs no event loop: with FCFS service
 and arrival-ordered admission, each arrival is resolved by the Lindley
 recursion ``start = max(arrival, server_free)``.  All event arithmetic
 runs on an **integer nanosecond** clock: integer addition and ``max`` are
-exact and associative, so totals never depend on chunk boundaries, worker
-counts, or whether the compiled pass below is taken — results are
-bit-identical across processes and ``jobs=`` counts by construction, not
-by accumulation-order discipline.
+exact and associative, so totals never depend on chunk boundaries or
+worker counts — results are bit-identical across processes and ``jobs=``
+counts by construction, not by accumulation-order discipline.
 
 Two accounting identities replace per-event integral bookkeeping: the
 fully drained number-in-system integral equals ``sum(sojourn_i)``
@@ -25,12 +24,13 @@ exactly, and the integral cut at the last arrival ``T`` (the ``L``
 numerator of Little's law) is ``sum(sojourn_i) - sum(max(0, d_i - T))``
 over departure times ``d_i`` — so the hot loop only records departures.
 
-Position-independent replays (the whole default ``load`` sweep) bank their
-columns and run the Lindley recursion of every shard in one pass of the C
-kernel library (``queue_replay`` in ``repro/core/_queueing_kernel.c``) at
-finalize, exact in ``int64``.  Seek devices run the scalar per-event
-queues, which produce the same integers bit for bit on the configurations
-both can serve.
+The recursion has one implementation: the C kernel library's
+``queue_replay`` (``repro/core/_queueing_kernel.c``), which runs every
+shard's queue in one pass at finalize, exact in ``int64``, on every device.
+Per chunk the observer banks only columns the replay already made: the
+batch's hit column, the chunk's write column, the shard ids a cluster
+routed the chunk with (the batch's ``shard`` column) and, on seek devices,
+the service times its per-shard cost accumulators price in stream order.
 
 It is packaged as a :class:`ReplayObserver` (:class:`QueueingObserver`):
 the replay loop feeds it the outcome stream, it prices each outcome with
@@ -38,20 +38,18 @@ its **own** cost accumulators (one per shard, so seek devices keep one
 head per shard exactly like :class:`~repro.simulation.costmodel
 .ShardedCostAccumulator`) and never touches the policy or the requests —
 attaching it cannot change hit/miss stats or service-time accounting.
-Sharded clusters are re-routed with the cluster's own router, matching
-:class:`~repro.simulation.observers.ShardStatsObserver`.  Observers of
-one replay run share an :class:`arrival tape <_ArrivalTape>`: the engine
-feeds every policy identical chunks in order, so the chunk's arrival
-timestamps are drawn once and reused by all policies.  Every replay is
-a whole stream numbered from 0 (every sweep cell runs inside one worker),
-so the arrival clock and the queues both start at the stream's start.
+Every arrival process is a function of the request index, so the arrival
+column is drawn once, at finalize, from an :class:`arrival tape
+<_ArrivalTape>` that all observers of one model in one replay pass share.
+Every replay is a whole stream numbered from 0 (every sweep cell runs
+inside one worker), so the arrival clock and the queues both start at the
+stream's start.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as _np
 
@@ -64,9 +62,9 @@ from repro.simulation.costmodel import (
     DeviceProfile,
     make_device_profile,
 )
-from repro.simulation.cluster import HashRouter, _mix_pages, is_cluster
+from repro.simulation.cluster import is_cluster, routed_shards
 from repro.simulation.observers import ReplayObserver
-from repro.simulation.request import RequestKind, read_request, write_request
+from repro.simulation.request import read_request, write_request
 from repro.trace.columnar import ColumnarChunk
 from repro.workloads.arrivals import ArrivalProcess
 
@@ -82,13 +80,11 @@ __all__ = [
 
 _LAST_BUCKET = len(HISTOGRAM_BUCKET_BOUNDS_US) - 1
 #: The shared bucket bounds on the integer nanosecond clock.  Strictly
-#: increasing (the bounds grow 1.3x from 500ns), so bucketisation by
-#: ``bisect_left`` over integers (the count of bounds below a value)
-#: matches the microsecond convention.
-_BOUNDS_NS: tuple[int, ...] = tuple(
-    int(bound * 1000.0 + 0.5) for bound in HISTOGRAM_BUCKET_BOUNDS_US
+#: increasing (the bounds grow 1.3x from 500ns), so the kernel's bucket —
+#: the count of bounds below a value — matches the microsecond convention.
+_BOUNDS_NS = _np.array(
+    [int(bound * 1000.0 + 0.5) for bound in HISTOGRAM_BUCKET_BOUNDS_US], _np.int64
 )
-_BOUNDS_NS_ARRAY = _np.array(_BOUNDS_NS, dtype=_np.int64)
 
 #: Throwaway requests used to probe a device's constant price classes.
 _PROBE_READ = read_request(page=0)
@@ -312,132 +308,61 @@ class QueueingModel:
         return QueueingObserver(self, policy, tape=tape)
 
 
-class _ArrivalTape:
-    """Per-run cache of each chunk's arrival/request columns.
 
-    The replay engine feeds every policy the same chunks in sequence, so
-    all :class:`QueueingObserver` instances of one run share one arrival
-    clock: the first observer to see a chunk materialises its columns —
-    arrival timestamps on the integer nanosecond clock, plus which
-    requests are reads — and the rest reuse them.  Sequence-indexed
-    arrival processes make the sharing exact; observers created without
-    an explicit tape get a private one and behave identically.
+class _ArrivalTape:
+    """The stream's arrival column on the integer nanosecond clock, memoised.
+
+    Every arrival process is a function of the request index, so one
+    column serves every :class:`QueueingObserver` of a model in one replay
+    pass: the engine hands them one tape, the first to finalize draws the
+    column, and the rest read it.  An observer created without a tape gets
+    a private one and behaves identically.
     """
 
-    __slots__ = (
-        "_clock",
-        "_next_seq",
-        "_chunk_seq",
-        "_arrivals_ns",
-        "_reads",
-        "_mixed_pages",
-    )
+    __slots__ = ("_clock", "_arrivals_ns")
 
     def __init__(self, arrivals: ArrivalProcess):
         self._clock = arrivals.clock()
-        self._next_seq = 0
-        self._chunk_seq = -1
-        self._arrivals_ns: Any = None
-        self._reads: Any = None
-        self._mixed_pages = None
+        self._arrivals_ns: Any = _np.zeros(0, _np.int64)
 
-    def columns(self, chunk: "ColumnarChunk") -> tuple[Any, Any]:
-        """The chunk's arrival timestamps (``int64`` ns, from the shared
-        clock) and read flags (the negated write column)."""
-        n = len(chunk)
-        seq_base = chunk.seq_base
-        if seq_base == self._chunk_seq and len(self._arrivals_ns) == n:
-            return self._arrivals_ns, self._reads
-        if seq_base != self._next_seq:
-            raise ValueError(
-                "observers sharing an arrival tape must consume identical "
-                f"chunks in order (expected seq {self._next_seq}, got {seq_base})"
-            )
-        # Elementwise multiply/add then truncate: per value exactly
-        # ``int(t * 1000.0 + 0.5)``, the scalar conversion of ``_to_ns``.
-        times_us = self._clock(n)
-        arrivals_ns = (times_us * 1000.0 + 0.5).astype(_np.int64)
-        reads = ~chunk.write
-        self._arrivals_ns = arrivals_ns
-        self._reads = reads
-        self._mixed_pages = None
-        self._chunk_seq = seq_base
-        self._next_seq = seq_base + n
-        return arrivals_ns, reads
-
-    def mixed_pages(self, chunk: "ColumnarChunk") -> Any:
-        """The murmur-mixed page ids of the current chunk (``uint64``).
-
-        :class:`~repro.simulation.cluster.HashRouter` routes via
-        ``mix(page) % shards``; the mix is shard-count-independent, so one
-        shared column serves every hash-routed cluster in the run.  The
-        wrapping uint64 pipeline is exact — identical to the scalar
-        ``_mix_page``."""
-        if self._mixed_pages is None:
-            self._mixed_pages = _mix_pages(chunk.page)
-        return self._mixed_pages
-
-
-class _SingleServerQueue:
-    """One FCFS shard with a single server: scalar Lindley recursion."""
-
-    __slots__ = ("busy_ns",)
-
-    def __init__(self):
-        self.busy_ns = 0
-
-    def admit(self, t_ns: int, service_ns: int) -> int:
-        """Admit an arrival at *t_ns* needing *service_ns*; return its
-        queueing delay (ns)."""
-        busy = self.busy_ns
-        start = busy if busy > t_ns else t_ns
-        self.busy_ns = start + service_ns
-        return start - t_ns
-
-    def last_departure_ns(self) -> int:
-        return self.busy_ns
+    def arrivals_ns(self, n: int) -> Any:
+        """The arrival times (``int64`` ns) of requests ``0 .. n-1``, drawing
+        whatever is missing from where the clock's previous draw stopped."""
+        missing = n - len(self._arrivals_ns)
+        if missing > 0:
+            # Elementwise multiply/add then truncate: per value exactly
+            # ``int(t * 1000.0 + 0.5)``, the scalar conversion of ``_to_ns``.
+            drawn = (self._clock(missing) * 1000.0 + 0.5).astype(_np.int64)
+            self._arrivals_ns = _np.concatenate((self._arrivals_ns, drawn))
+        return self._arrivals_ns[:n]
 
 
 class QueueingObserver(ReplayObserver):
     """Feeds the outcome stream through per-shard FCFS queues.
 
-    Per outcome, in stream order: read the arrival timestamp from the
-    (possibly shared) arrival tape, price the service time, resolve the
-    Lindley recursion against the routed shard's server, and record
-    queueing delay + sojourn into the shared-bucket histograms.  Never
-    mutates requests, outcomes or the policy.
+    Per chunk it banks what the kernel pass reads: the write and hit
+    columns, a cluster's shard ids and, on seek devices, each request's
+    service time.  At finalize it reads the stream's arrival column from
+    the (possibly shared) arrival tape and runs every shard's Lindley
+    recursion, the totals and both histograms in one ``queue_replay``
+    call.  Never mutates requests, outcomes or the policy.
 
     Position-independent devices price by outcome class, so their service
-    times come from three probed constants; seek devices (HDD) price each
-    event through this observer's own per-shard cost accumulators.
-    Constant-price replays bank columns for the kernel library's Lindley
-    pass at finalize; seek devices run the scalar queues per event.  Both
-    produce identical integers.
+    times are three probed constants the kernel picks per request.  Seek
+    devices (HDD) price each request in stream order through this
+    observer's own per-shard cost accumulators.
     """
 
     __slots__ = (
-        "_model",
         "_route",
-        "_router",
         "_shard_count",
         "_tape",
-        "_queues",
         "_pricers",
-        "_service_ns",
-        "_vector",
-        "_arrival_chunks",
-        "_read_chunks",
+        "_classes_ns",
+        "_write_chunks",
         "_hit_chunks",
         "_shard_chunks",
-        "_departs",
-        "_count",
-        "_total_delay_ns",
-        "_total_sojourn_ns",
-        "_total_service_ns",
-        "_first_ns",
-        "_last_ns",
-        "_delay_hist",
-        "_sojourn_hist",
+        "_service_chunks",
         "_finalized",
     )
 
@@ -447,214 +372,129 @@ class QueueingObserver(ReplayObserver):
         policy: "CachePolicy",
         tape: "_ArrivalTape | None" = None,
     ):
-        self._model = model
         cost_model = model.cost_model()
+        self._route: Callable[[IORequest], int] | None = None
+        self._shard_count = 1
         if is_cluster(policy):
             self._shard_count = policy.shard_count
-            self._router = policy.router
-            self._route = self._router.route
-        else:
-            self._shard_count = 1
-            self._route = None
-            self._router = None
-        shard_count = self._shard_count
+            self._route = policy.router.route
+        self._classes_ns: Any = None
         if cost_model.profile.position_dependent:
-            # Seek devices: one accumulator (head) per shard, priced per event.
-            self._service_ns = None
-            self._pricers = [cost_model.accumulator() for _ in range(shard_count)]
+            # Seek devices: one accumulator (head) per shard, priced per request.
+            self._pricers = [cost_model.accumulator() for _ in range(self._shard_count)]
         else:
             # Three price classes; probing price() keeps the constants
-            # byte-for-byte what per-event pricing would produce.
+            # byte-for-byte what per-request pricing would produce.
             probe = cost_model.accumulator()
-            self._service_ns = (
-                _to_ns(probe.price(_PROBE_READ, True)),
-                _to_ns(probe.price(_PROBE_READ, False)),
-                _to_ns(probe.price(_PROBE_WRITE, False)),
+            self._classes_ns = _np.array(
+                [
+                    _to_ns(probe.price(_PROBE_READ, True)),
+                    _to_ns(probe.price(_PROBE_READ, False)),
+                    _to_ns(probe.price(_PROBE_WRITE, False)),
+                ],
+                _np.int64,
             )
             self._pricers = []
-        self._vector = self._service_ns is not None
-        if self._vector:
-            self._queues = []
-            self._delay_hist = None
-            self._sojourn_hist = None
-        else:
-            self._queues = [_SingleServerQueue() for _ in range(shard_count)]
-            self._delay_hist = _fresh_histogram()
-            self._sojourn_hist = _fresh_histogram()
-        self._arrival_chunks: list = []
-        self._read_chunks: list = []
+        self._tape = tape if tape is not None else _ArrivalTape(model.arrivals)
+        self._write_chunks: list = []
         self._hit_chunks: list = []
         self._shard_chunks: list = []
-        self._tape = tape if tape is not None else _ArrivalTape(model.arrivals)
-        self._departs: list = []
-        self._count = 0
-        self._total_delay_ns = 0
-        self._total_sojourn_ns = 0
-        self._total_service_ns = 0
-        self._first_ns: int | None = None
-        self._last_ns = 0
+        self._service_chunks: list = []
         self._finalized: QueueingStats | None = None
 
     def on_outcome(self, request: "IORequest", seq: int, outcome: "AccessOutcome") -> None:
-        self.on_batch(
-            ColumnarChunk.from_requests((request,), seq),
-            AccessOutcomeBatch.from_outcomes((outcome,)),
-        )
+        batch = AccessOutcomeBatch.from_outcomes((outcome,))
+        if self._route is not None:
+            batch.shard = _np.array([self._route(request)], _np.int64)
+        self.on_batch(ColumnarChunk.from_requests((request,), seq), batch)
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
         if not len(chunk):
             return
-        arrivals_ns, reads = self._tape.columns(chunk)
-        if self._first_ns is None:
-            self._first_ns = int(arrivals_ns[0])
-        if self._vector:
-            # Bank the columns for the finalize-time Lindley pass: the
-            # integer recursion is chunk-boundary-free, so nothing per chunk
-            # depends on queue state, and one pass over the concatenated
-            # series replaces dozens of small-array numpy calls.  The
-            # arrival/read/mixed-page columns are the tape's shared arrays.
-            self._arrival_chunks.append(arrivals_ns)
-            self._read_chunks.append(reads)
-            self._hit_chunks.append(batch.hit)
-            if self._route is not None:
-                if type(self._router) is HashRouter:
-                    self._shard_chunks.append(self._tape.mixed_pages(chunk))
-                else:
-                    self._shard_chunks.append(self._router.route_batch(chunk))
-        else:
-            self._chunk_scalar(
-                chunk.requests(), batch.hit.tolist(), arrivals_ns.tolist()
-            )
-        self._count += len(chunk)
-        self._last_ns = int(arrivals_ns[-1])
-
-    # ------------------------------------------------------------ chunk paths
-    def _chunk_scalar(
-        self,
-        requests: Sequence["IORequest"],
-        hits: Sequence[bool],
-        arrivals_ns: Sequence[int],
-    ) -> None:
-        """One chunk through the scalar queues, event by event (seek
-        devices).  Same integers as the vector pass."""
-        consts = self._service_ns
-        if consts is not None:
-            hit_ns, miss_ns, write_ns = consts
-        route = self._route
-        queues = self._queues
-        pricers = self._pricers
-        read = RequestKind.READ
-        bounds = _BOUNDS_NS
-        last_bucket = _LAST_BUCKET
-        bisect = bisect_left
-        delay_hist = self._delay_hist
-        sojourn_hist = self._sojourn_hist
-        departs_append = self._departs.append
-        total_delay = 0
-        total_sojourn = 0
-        total_service = 0
-        for t_ns, request, hit in zip(arrivals_ns, requests, hits):
-            shard = route(request) if route is not None else 0
-            if consts is not None:
-                if request.kind is read:
-                    service = hit_ns if hit else miss_ns
-                else:
-                    service = write_ns
-            else:
-                service = int(pricers[shard].price(request, hit) * 1000.0 + 0.5)
-            delay = queues[shard].admit(t_ns, service)
-            sojourn = delay + service
-            departs_append(t_ns + sojourn)
-            total_delay += delay
-            total_sojourn += sojourn
-            total_service += service
-            index = bisect(bounds, delay)
-            delay_hist[index if index < last_bucket else last_bucket] += 1
-            index = bisect(bounds, sojourn)
-            sojourn_hist[index if index < last_bucket else last_bucket] += 1
-        self._total_delay_ns += total_delay
-        self._total_sojourn_ns += total_sojourn
-        self._total_service_ns += total_service
-
-    # ---------------------------------------------------------- finalization
-    def _replay_vector(self) -> tuple[int, int, list[int], list[int]]:
-        """The banked chunks through every shard's Lindley recursion, whole,
-        in one kernel call.
-
-        Sets the three totals and returns ``(overhang past the last
-        arrival, last departure, delay histogram, sojourn histogram)``.
-        """
-        np = _np
-        arrivals = np.concatenate(self._arrival_chunks)
-        # The kernel reads one byte per flag.
-        reads = np.concatenate(self._read_chunks).astype(np.bool_, copy=False)
-        hits = np.concatenate(self._hit_chunks).astype(np.bool_, copy=False)
-        # Each request's shard is its key modulo the shard count: the hash
-        # router's mixed pages (``route()`` is ``mix(page) % shards``),
-        # banked from the shared tape, or the router's own shard ids.
-        keys = None
+        self._write_chunks.append(chunk.write)
+        self._hit_chunks.append(batch.hit)
+        ids: Any = None
         if self._route is not None:
-            keys = np.concatenate(self._shard_chunks).astype(np.uint64, copy=False)
-        n = len(arrivals)
-        if len(reads) != n or len(hits) != n or (keys is not None and len(keys) != n):
-            raise ValueError(f"banked columns differ in length from the {n} arrivals")
-        service = np.array(self._service_ns, np.int64)
+            ids = routed_shards(batch)
+            self._shard_chunks.append(ids)
+        pricers = self._pricers
+        if pricers:
+            # Each shard's head walks that shard's requests in stream order.
+            shards = ids.tolist() if ids is not None else [0] * len(chunk)
+            self._service_chunks.append(
+                _np.array(
+                    [
+                        int(pricers[shard].price(request, hit) * 1000.0 + 0.5)
+                        for shard, request, hit in zip(
+                            shards, chunk.requests(), batch.hit.tolist()
+                        )
+                    ],
+                    _np.int64,
+                )
+            )
+
+    def finalize(self) -> QueueingStats:
+        """Run the banked stream through every shard's queue and fold it
+        into stats via the two accounting identities (cached, so finalize
+        stays repeatable)."""
+        if self._finalized is not None:
+            return self._finalized
+        if not self._hit_chunks:
+            self._finalized = QueueingStats(servers=self._shard_count)
+            return self._finalized
+        np = _np
+        # The kernel reads one byte per flag.
+        writes = np.concatenate(self._write_chunks).astype(np.bool_, copy=False)
+        hits = np.concatenate(self._hit_chunks).astype(np.bool_, copy=False)
+        n = len(hits)
+        arrivals = self._tape.arrivals_ns(n)
+        last_arrival = int(arrivals[-1])
+        shards: Any = None
+        service: Any = None
+        if self._route is not None:
+            shards = np.concatenate(self._shard_chunks).astype(np.int64, copy=False)
+        if self._pricers:
+            service = np.concatenate(self._service_chunks)
+        # The kernel reads n values of every column it is given.
+        if len(writes) != n or any(
+            column is not None and len(column) != n for column in (shards, service)
+        ):
+            raise ValueError(f"banked columns differ in length from the {n} outcomes")
         totals = np.zeros(5, np.int64)
         delay_hist = np.zeros(len(_BOUNDS_NS), np.int64)
         sojourn_hist = np.zeros(len(_BOUNDS_NS), np.int64)
         address = kernel.address
-        if kernel.load().queue_replay(
-            n, address(arrivals), address(reads), address(hits),
-            None if keys is None else address(keys), self._shard_count,
-            address(service), address(_BOUNDS_NS_ARRAY), len(_BOUNDS_NS), self._last_ns,
-            address(totals), address(delay_hist), address(sojourn_hist),
-        ):
-            raise MemoryError("queueing kernel: out of memory")
-        total_delay, total_sojourn, total_service, overhang, last_departure = totals.tolist()
-        self._total_delay_ns = total_delay
-        self._total_sojourn_ns = total_sojourn
-        self._total_service_ns = total_service
-        return overhang, last_departure, delay_hist.tolist(), sojourn_hist.tolist()
 
-    def finalize(self) -> QueueingStats:
-        """Fold the replay into stats via the two accounting identities
-        (cached, so finalize stays repeatable)."""
-        if self._finalized is not None:
-            return self._finalized
-        delay_hist = self._delay_hist
-        sojourn_hist = self._sojourn_hist
-        if self._count:
+        def optional(column: Any) -> int | None:
+            return None if column is None else address(column)
+
+        status = kernel.load().queue_replay(
+            n, address(arrivals), address(writes), address(hits), optional(shards),
+            self._shard_count, optional(service), optional(self._classes_ns),
+            address(_BOUNDS_NS), len(_BOUNDS_NS), last_arrival,
+            address(totals), address(delay_hist), address(sojourn_hist),
+        )
+        if status == -1:
+            raise MemoryError("queueing kernel: out of memory")
+        if status:
+            raise ValueError(
+                f"queueing kernel: a shard id outside [0, {self._shard_count})"
+            )
+        total_delay, total_sojourn, total_service, overhang, last_departure = totals.tolist()
+        self._finalized = QueueingStats(
+            request_count=n,
+            servers=self._shard_count,
+            total_delay_ns=total_delay,
+            total_sojourn_ns=total_sojourn,
+            total_service_ns=total_service,
+            first_arrival_ns=int(arrivals[0]),
+            last_arrival_ns=last_arrival,
+            last_departure_ns=last_departure,
             # Departures after the last arrival T contribute only [t_i, T]
             # to the N(t) integral cut at T: subtract their overhang from
             # the total-sojourn identity.
-            last_arrival = self._last_ns
-            if self._vector:
-                overhang, last_departure, delay_hist, sojourn_hist = self._replay_vector()
-            else:
-                overhang = sum(
-                    depart - last_arrival
-                    for depart in self._departs
-                    if depart > last_arrival
-                )
-                last_departure = max(queue.last_departure_ns() for queue in self._queues)
-            area_at_last_arrival = self._total_sojourn_ns - overhang
-        else:
-            area_at_last_arrival = 0
-            last_departure = 0
-            if delay_hist is None:
-                delay_hist = _fresh_histogram()
-                sojourn_hist = _fresh_histogram()
-        self._finalized = QueueingStats(
-            request_count=self._count,
-            servers=self._shard_count,
-            total_delay_ns=self._total_delay_ns,
-            total_sojourn_ns=self._total_sojourn_ns,
-            total_service_ns=self._total_service_ns,
-            first_arrival_ns=self._first_ns if self._first_ns is not None else 0,
-            last_arrival_ns=self._last_ns,
-            last_departure_ns=last_departure,
-            area_at_last_arrival_ns=area_at_last_arrival,
-            delay_histogram=[int(count) for count in delay_hist],
-            sojourn_histogram=[int(count) for count in sojourn_hist],
+            area_at_last_arrival_ns=total_sojourn - overhang,
+            delay_histogram=delay_hist.tolist(),
+            sojourn_histogram=sojourn_hist.tolist(),
         )
         return self._finalized

@@ -37,7 +37,6 @@ from repro.simulation.request import IORequest
 
 if TYPE_CHECKING:  # imported for type annotations only (lazy at runtime)
     from repro.trace.columnar import ColumnarChunk
-    from repro.workloads.arrivals import ArrivalProcess
     from repro.workloads.phased import PhasePlan, PhasedTraceStream
     from repro.workloads.standard import StandardTraceStream
 from repro.trace.binio import BinaryTraceWriter, StreamedTrace
@@ -74,17 +73,6 @@ class TraceSpec:
     tenant's trace name, seed and request share — is hashed into the cache
     key, and ``name``/``seed``/``target_requests`` become informational
     (they mirror the plan).  Build phased specs with :meth:`for_plan`.
-
-    ``arrivals`` overlays an open-loop arrival clock
-    (:mod:`repro.workloads.arrivals`) on the trace *without changing its
-    request order or content* — arrival timestamps are a pure function of
-    the sequence number, never stored in the trace file.  The overlay is
-    therefore **excluded from the cache key**: every arrival process (and
-    every offered-load rescale) replays the same cached binary trace.
-    Specs differing only in ``arrivals`` still compare (and hash) unequal,
-    so sweep machinery keyed on spec equality treats them as distinct
-    streams.  Build overlaid specs with :meth:`with_arrivals`; iterate
-    ``(arrival_us, request)`` pairs with :meth:`iter_timed`.
     """
 
     name: str
@@ -92,7 +80,6 @@ class TraceSpec:
     target_requests: int = 60_000
     client_id: str | None = None
     plan: "PhasePlan | None" = None
-    arrivals: "ArrivalProcess | None" = None
 
     @classmethod
     def for_plan(cls, plan: "PhasePlan") -> "TraceSpec":
@@ -104,29 +91,10 @@ class TraceSpec:
             plan=plan,
         )
 
-    def with_arrivals(self, arrivals: "ArrivalProcess | None") -> "TraceSpec":
-        """The same trace with an arrival-clock overlay (``None`` removes it)."""
-        from dataclasses import replace
-
-        return replace(self, arrivals=arrivals)
-
     # ----------------------------------------------------- request source API
     def iter_requests(self) -> Iterator[IORequest]:
         """Stream the trace's requests (generating into the cache on miss)."""
         return default_trace_cache().open(self).iter_requests()
-
-    def iter_timed(self) -> Iterator[tuple[float, IORequest]]:
-        """Stream ``(arrival_us, request)`` pairs under the arrival overlay.
-
-        Requires :attr:`arrivals`; the timestamps are exactly what a
-        :class:`~repro.simulation.queueing.QueueingObserver` driven by the
-        same process would see, stamped on the unchanged request stream.
-        """
-        if self.arrivals is None:
-            raise ValueError(
-                "TraceSpec has no arrival overlay; build one with with_arrivals()"
-            )
-        return zip(self.arrivals.times(), self.iter_requests())
 
     def iter_chunks(self) -> Iterator[list[IORequest]]:
         """Stream the trace's requests in decoded-block chunks."""
@@ -259,9 +227,6 @@ class TraceCache:
 
     # -------------------------------------------------------------- internals
     def _digest(self, spec: TraceSpec) -> str:
-        # Deliberately excludes ``spec.arrivals``: the arrival overlay never
-        # changes the generated request stream, so every overlay (and every
-        # offered-load rescale) shares one cached binary file.
         # Lazy import: repro.workloads.standard itself imports repro.trace.
         from repro.trace.binio import FORMAT_VERSION
         from repro.workloads.standard import STANDARD_TRACES

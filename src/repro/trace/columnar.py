@@ -206,23 +206,6 @@ class ColumnarChunk:
         return self._seq_list
 
     # ---------------------------------------------------------------- slicing
-    def slice(self, start: int, stop: int) -> "ColumnarChunk":
-        """Contiguous sub-chunk ``[start:stop)`` (array views, no copies)."""
-        chunk = ColumnarChunk(
-            self.page[start:stop],
-            self.write[start:stop],
-            self.hint_id[start:stop],
-            self.client_idx[start:stop],
-            self.seq[start:stop],
-            self.hint_sets,
-            self.clients,
-        )
-        if self._requests is not None:
-            chunk._requests = self._requests[start:stop]
-        if self._seq_list is not None:
-            chunk._seq_list = self._seq_list[start:stop]
-        return chunk
-
     def take(self, indices: Array) -> "ColumnarChunk":
         """Gathered sub-chunk (e.g. one shard's requests, original order)."""
         chunk = ColumnarChunk(

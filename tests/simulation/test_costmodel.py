@@ -55,13 +55,11 @@ class TestDeviceProfiles:
         assert 0.0 < near < far < full == beyond == profile.seek_us
         assert profile.seek_cost_us(0) == 0.0
 
-    def test_make_device_profile_overrides_build_custom(self):
-        custom = make_device_profile("ssd", read_base_us=40.0)
-        assert custom.name == "custom"
-        assert custom.read_base_us == 40.0
-        assert custom.read_transfer_us == DEVICE_PROFILES["ssd"].read_transfer_us
-        # A ready-made profile passes through untouched.
+    def test_make_device_profile_passes_a_profile_through(self):
+        custom = DeviceProfile(name="custom", cache_hit_us=1.0, read_base_us=40.0,
+                               read_transfer_us=1.0, write_us=1.0)
         assert make_device_profile(custom) is custom
+        assert make_device_profile("ssd") is DEVICE_PROFILES["ssd"]
 
     def test_unknown_device_rejected(self):
         with pytest.raises(ValueError, match="unknown device"):

@@ -2,7 +2,7 @@
 
 :class:`~repro.simulation.engine.MultiPolicySimulator` replays columnar
 chunks: batch kernels, column-native observers, per-client rows as masked
-popcounts, chunks split at rolling-window boundaries.  The oracle here is
+popcounts, chunks that end inside rolling windows.  The oracle here is
 the definition those shortcuts must reproduce: one ``access()`` per request
 in stream order, each observer folding that outcome through its scalar
 ``on_outcome``, per-client stats counted request by request.  Every field

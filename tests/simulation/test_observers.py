@@ -38,7 +38,6 @@ def _drive(observer: ReplayObserver, policy, stream, chunk=256):
     for base in range(0, len(stream), chunk):
         part = ColumnarChunk.from_requests(stream[base : base + chunk], base)
         observer.on_batch(part, policy.batch_access(part))
-        observer.on_chunk_end(base + len(part))
 
 
 class TestStatsObserver:
@@ -69,8 +68,8 @@ class TestRollingObserver:
         assert observer.finalize() == expected
 
     def test_unaligned_chunks_self_correct(self):
-        # Without engine alignment, per-request driving must still close
-        # windows at every boundary crossing.
+        # Per-request driving must still close windows at every boundary
+        # crossing.
         stream = _trace(n=700)
         policy = LRUPolicy(40)
         observer = RollingObserver(window=100)
@@ -95,6 +94,21 @@ class TestShardStatsObserver:
         assert isinstance(observer, ShardStatsObserver)
         _drive(observer, fresh, stream)
         assert observer.finalize() == result.per_shard
+
+    def test_batch_fold_matches_the_scalar_fold(self):
+        """The batch fold reads the shard ids off the cluster's batch; the
+        scalar ``on_outcome`` routes each request itself."""
+        stream = _trace()
+        batched = ShardedCache(capacity=36, policy="LRU", shards=3)
+        observer = shard_observer_for(batched)
+        _drive(observer, batched, stream)
+        scalar = ShardedCache(capacity=36, policy="LRU", shards=3)
+        reference = shard_observer_for(scalar)
+        for seq, request in enumerate(stream):
+            reference.on_outcome(request, seq, scalar.access(request, seq))
+        per_shard = observer.finalize()
+        assert per_shard == reference.finalize()
+        assert all(stats.write_hits and stats.evictions for stats in per_shard)
 
     def test_plain_policies_get_no_shard_observer(self):
         assert shard_observer_for(LRUPolicy(10)) is None
@@ -152,32 +166,3 @@ class TestObserverFactories:
         policies = [LRUPolicy(20), LRUPolicy(40)]
         MultiPolicySimulator(policies, observer_factories=[factory]).run(stream)
         assert built == policies
-
-
-class TestBoundaryAlignment:
-    def test_gcd_splitting_serves_multiple_intervals(self):
-        # A custom observer with a different boundary interval than rolling:
-        # both must see exact boundary crossings in one run.
-        stream = _trace(n=1000)
-        crossings: list[int] = []
-
-        class _Boundaries(ReplayObserver):
-            boundary_interval = 60
-
-            def on_outcome(self, request, seq, outcome):
-                pass
-
-            def on_chunk_end(self, seq_end):
-                if seq_end % 60 == 0:
-                    crossings.append(seq_end)
-
-            def finalize(self):
-                return None
-
-        result = CacheSimulator(
-            LRUPolicy(40),
-            rolling_window=100,
-            observer_factories=[lambda policy: _Boundaries()],
-        ).run(stream)
-        assert crossings == list(range(60, 1001, 60))
-        assert [w.start for w in result.rolling.windows] == list(range(0, 1000, 100))

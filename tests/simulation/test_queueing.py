@@ -21,25 +21,22 @@ stops at 0.6 with a 12% band).
 
 from __future__ import annotations
 
-import math
 import pickle
+from bisect import bisect_left
 from collections import defaultdict
+from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.base import HIT, MISS_ADMIT, AccessOutcomeBatch
 from repro.cache.registry import create_policy
-from repro.simulation.costmodel import HISTOGRAM_BUCKET_BOUNDS_US, CostModel
-from repro.simulation.queueing import (
-    QueueingModel,
-    QueueingObserver,
-    QueueingStats,
-    _fresh_histogram,
-    _SingleServerQueue,
-)
-from repro.simulation.request import RequestKind, read_request
+from repro.simulation.costmodel import HISTOGRAM_BUCKET_BOUNDS_US
+from repro.simulation.observers import shard_observer_for
+from repro.simulation.queueing import QueueingModel, QueueingObserver, QueueingStats
+from repro.simulation.request import RequestKind, read_request, write_request
 from repro.simulation.simulator import simulate
 from repro.trace.columnar import ColumnarChunk
 from repro.workloads.arrivals import PoissonArrivals
@@ -53,11 +50,12 @@ _READ_MISS_US = 90.0
 _WRITE_US = 90.0
 
 
-def _reference_price_ns(request, hit: bool) -> int:
-    """Service time on the production integer nanosecond clock."""
+def _reference_price_ns(request, hit: bool, write_policy: str = "write-through") -> int:
+    """Service time on the production integer nanosecond clock; a
+    write-back write is absorbed by the server cache at the hit cost."""
     if request.kind is RequestKind.READ:
         return 5_000 if hit else 90_000
-    return 90_000
+    return 90_000 if write_policy == "write-through" else 5_000
 
 
 def _quantize_ns(t_us: float) -> int:
@@ -69,18 +67,52 @@ class _NoPolicy:
     """Stand-in policy for driving a QueueingObserver directly (no router)."""
 
 
-class _ScalarQueueingObserver(QueueingObserver):
-    """Runs constant-price shards through the scalar per-event queues, which
-    production reserves for seek devices: the reference the vector Lindley
-    pass must match."""
-
-    def __init__(self, model: QueueingModel, policy):
-        super().__init__(model, policy)
-        assert self._vector
-        self._vector = False
-        self._queues = [_SingleServerQueue() for _ in range(self._shard_count)]
-        self._delay_hist = _fresh_histogram()
-        self._sojourn_hist = _fresh_histogram()
+def _reference_stats(model: QueueingModel, stream, hits, shards, servers) -> QueueingStats:
+    """Every field of the stats, from the naive per-shard Lindley loop run
+    event by event: SSD service times from the documented constants (the
+    read miss and the write-through write cost the same, so write-back
+    tells the write class apart), seek devices priced by a fresh cost
+    accumulator (head) per shard, histogram
+    buckets by ``bisect_left`` over the bounds, and the ``N(t)`` area cut at
+    the last arrival by subtracting each departure's overhang past it."""
+    bounds = [_quantize_ns(bound) for bound in HISTOGRAM_BUCKET_BOUNDS_US]
+    last_bucket = len(bounds) - 1
+    delay_histogram = [0] * len(bounds)
+    sojourn_histogram = [0] * len(bounds)
+    pricers = [model.cost_model().accumulator() for _ in range(servers)]
+    busy = [0] * servers
+    arrivals = [_quantize_ns(t) for t in islice(model.arrivals.times(), len(stream))]
+    departures = []
+    total_delay = total_sojourn = total_service = 0
+    for t, request, hit, shard in zip(arrivals, stream, hits, shards):
+        if model.device == "ssd":
+            service = _reference_price_ns(request, hit, model.write_policy)
+        else:
+            service = _quantize_ns(pricers[shard].price(request, hit))
+        start = busy[shard] if busy[shard] > t else t
+        busy[shard] = start + service
+        departures.append(busy[shard])
+        delay = start - t
+        total_delay += delay
+        total_sojourn += delay + service
+        total_service += service
+        delay_histogram[min(bisect_left(bounds, delay), last_bucket)] += 1
+        sojourn_histogram[min(bisect_left(bounds, delay + service), last_bucket)] += 1
+    last_arrival = arrivals[-1]
+    return QueueingStats(
+        request_count=len(stream),
+        servers=servers,
+        total_delay_ns=total_delay,
+        total_sojourn_ns=total_sojourn,
+        total_service_ns=total_service,
+        first_arrival_ns=arrivals[0],
+        last_arrival_ns=last_arrival,
+        last_departure_ns=max(busy),
+        area_at_last_arrival_ns=total_sojourn
+        - sum(depart - last_arrival for depart in departures if depart > last_arrival),
+        delay_histogram=delay_histogram,
+        sojourn_histogram=sojourn_histogram,
+    )
 
 
 def _drive(model: QueueingModel, requests, outcomes):
@@ -292,13 +324,14 @@ class TestStructuralLaws:
         assert sum(stats.sojourn_histogram) == stats.request_count
 
     @pytest.mark.parametrize("router", [None, "hash", "client"], ids=["plain", "hash", "client"])
-    def test_vector_and_scalar_paths_produce_identical_integers(self, router):
-        """The kernel's Lindley pass and the scalar per-event queues are the
-        same simulation: every field of the finalized stats — totals,
-        histograms, areas — is bit-identical, fed chunk by chunk, unsharded
-        and under both routers (each shard keeps its own server clock)."""
-        from repro.simulation.request import write_request
-
+    @pytest.mark.parametrize("device", ["ssd", "ssd-write-back", "hdd"])
+    def test_kernel_pass_matches_the_per_event_reference(self, device, router):
+        """The kernel's one Lindley pass at finalize is the per-event
+        simulation: every field of the finalized stats — totals, arrivals,
+        histograms, the cut area, the last departure — equals the naive
+        reference, fed chunk by chunk at uneven boundaries, on
+        constant-price and seek devices, unsharded and under both routers
+        (each shard keeps its own server clock and, on HDD, its own head)."""
         clients = ("a", "b", "c")
         stream = [
             read_request(page=(seq * 7) % 101 + 1_000 * (seq % 3), client_id=clients[seq % 3])
@@ -310,23 +343,29 @@ class TestStructuralLaws:
             policy = create_policy("LRU", capacity=60)
         else:
             policy = create_policy("SHARDED", capacity=60, policy="LRU", shards=4, router=router)
-        outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
-        model = _poisson_model(11_000.0)
+        if device == "hdd":
+            model = _poisson_model(400.0, device="hdd", page_span=3_000)
+        elif device == "ssd-write-back":
+            model = _poisson_model(11_000.0, write_policy="write-back")
+        else:
+            model = _poisson_model(11_000.0)
+        observer = QueueingObserver(model, policy)
+        hits: list[bool] = []
+        for base in range(0, len(stream), 700):  # uneven chunk boundaries
+            chunk = ColumnarChunk.from_requests(stream[base : base + 700], base)
+            batch = policy.batch_access(chunk)
+            observer.on_batch(chunk, batch)
+            hits.extend(batch.hit.tolist())
+        stats = observer.finalize()
 
-        def run(observer: QueueingObserver) -> QueueingStats:
-            for base in range(0, len(stream), 700):  # uneven chunk boundaries
-                observer.on_batch(
-                    ColumnarChunk.from_requests(stream[base : base + 700], base),
-                    AccessOutcomeBatch.from_outcomes(outcomes[base : base + 700]),
-                )
-            return observer.finalize()
+        # Routing after the replay is a pure lookup, even for the stateful
+        # client router.
+        shards = [policy.router.route(r) for r in stream] if router else [0] * len(stream)
+        servers = 4 if router else 1
+        assert stats == _reference_stats(model, stream, hits, shards, servers)
+        assert stats.total_delay_ns > 0
+        assert 0 < sum(hits) < len(stream)
 
-        vector = QueueingObserver(model, policy)
-        assert vector._vector
-        fast = run(vector)
-        slow = run(_ScalarQueueingObserver(model, policy))
-        assert fast == slow
-        assert fast.total_delay_ns > 0
 
 class TestComposition:
     def test_finalize_is_repeatable(self):
@@ -399,3 +438,36 @@ class TestModelAndPlumbing:
         assert hits.total_service_us == pytest.approx(n * _READ_HIT_US)
         assert misses.total_service_us == pytest.approx(n * _READ_MISS_US)
         assert hits.total_delay_us <= misses.total_delay_us
+
+    def test_cluster_batch_without_shard_column_raises(self):
+        """A cluster's observers read the shard ids off the batch and never
+        route a chunk again, so a batch without them is an error."""
+        stream = _all_miss_reads(10)
+        chunk = ColumnarChunk.from_requests(stream)
+        batch = AccessOutcomeBatch.from_outcomes([MISS_ADMIT] * 10)
+        cluster = create_policy("SHARDED", capacity=9, policy="LRU", shards=3)
+        with pytest.raises(ValueError, match="no shard column"):
+            QueueingObserver(_poisson_model(1_000.0), cluster).on_batch(chunk, batch)
+        with pytest.raises(ValueError, match="no shard column"):
+            shard_observer_for(cluster).on_batch(chunk, batch)
+
+    @pytest.mark.parametrize(
+        "shard,message",
+        [
+            ([0, 2, 3, 1], r"shard id outside \[0, 3\)"),
+            ([0, 2, -1, 1], r"shard id outside \[0, 3\)"),
+            ([0, 2, 1], "differ in length"),
+        ],
+        ids=["past-the-last", "negative", "short"],
+    )
+    def test_malformed_shard_column_raises(self, shard, message):
+        """The kernel indexes its servers with the shard ids, so an id out
+        of range, or a column shorter than the chunk, is an error."""
+        stream = _all_miss_reads(4)
+        batch = AccessOutcomeBatch.from_outcomes([MISS_ADMIT] * 4)
+        batch.shard = np.array(shard, np.int64)
+        cluster = create_policy("SHARDED", capacity=9, policy="LRU", shards=3)
+        observer = QueueingObserver(_poisson_model(1_000.0), cluster)
+        observer.on_batch(ColumnarChunk.from_requests(stream), batch)
+        with pytest.raises(ValueError, match=message):
+            observer.finalize()

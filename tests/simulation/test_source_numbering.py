@@ -4,8 +4,8 @@ A replay is one whole stream: the engine hands its chunks to the policies
 and observers as the source numbered them, with no renumbering pass.  OPT's
 next-read index, the rolling windows and the arrival clock all read those
 sequence numbers, so each kind of source must number its chunks 0, 1, 2,
-... exactly — also when a rolling window makes the engine split chunks at
-window boundaries.
+... exactly — also with a rolling window attached, whose observer splits
+the chunks that straddle its window boundaries itself.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.workloads.phased import build_phase_plan
 
 #: Longer than one 4,096-request chunk, and not a multiple of it.
 N = 5_000
-#: Does not divide 4,096, so the engine splits chunks inside blocks.
+#: Does not divide 4,096, so chunks end inside rolling windows.
 ROLLING_WINDOW = 700
 
 
@@ -141,8 +141,11 @@ def test_engine_chunks_are_numbered_from_zero(kind, rolling_window, request, tmp
         expected_base += len(seq)
     assert expected_base == n
     if rolling_window is not None:
-        # Split chunks never cross a window boundary.
-        assert all(
-            seq[0] // rolling_window == seq[-1] // rolling_window for seq in log.chunks
+        # The rolling observer splits the chunks that straddle a window
+        # boundary, so every window starts at a multiple of the window.
+        assert any(
+            seq[0] // rolling_window != seq[-1] // rolling_window for seq in log.chunks
         )
-        assert len(result.rolling.windows) == -(-n // rolling_window)
+        assert [window.start for window in result.rolling.windows] == list(
+            range(0, n, rolling_window)
+        )

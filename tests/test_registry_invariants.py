@@ -34,7 +34,9 @@ must obey the same laws.  Every paper policy's ``access()`` is the
 one-request case of its C kernel, so their kernel-less cases replay the
 pure-Python references in ``tests/policy_reference.py`` (the base
 ``batch_access`` over a kernel's ``access()`` would just be the kernel
-again).
+again).  A cluster's ``batch_access`` is its routing, not a kernel — its
+batches carry the shard ids its observers read — so the kernel-less
+cluster is one of kernel-less shards.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from repro.simulation.request import RequestKind, read_request, write_request
 from repro.simulation.simulator import CacheSimulator
 from repro.workloads.arrivals import PoissonArrivals
 
-from tests.policy_reference import REFERENCES
+from tests.policy_reference import REFERENCES, reference_case, registered
 from tests.conftest import kernel_less
 from tests.strategies import request_streams
 
@@ -140,9 +142,22 @@ def _registry_cases() -> list[Case]:
     )
     for name in available_policies():
         kwargs = _POLICY_KWARGS.get(name, {})
-        policy_class = REFERENCES.get(name) or type(create_policy(name, capacity=CAPACITY, **kwargs))
-        cases.append(Case(f"{name}[kernel-less]", kernel_less(policy_class), kwargs))
+        if name == "SHARDED":
+            factory: Callable[..., CachePolicy] = _kernel_less_cluster
+        else:
+            factory = kernel_less(
+                REFERENCES.get(name) or type(create_policy(name, capacity=CAPACITY, **kwargs))
+            )
+        cases.append(Case(f"{name}[kernel-less]", factory, kwargs))
     return cases
+
+
+def _kernel_less_cluster(capacity: int, **kwargs: Any) -> CachePolicy:
+    """A cluster whose shards are the pure-Python references, which run the
+    base ``batch_access`` on every sub-chunk the cluster routes them."""
+    name, reference_kwargs = reference_case("SHARDED", kwargs)
+    with registered():
+        return create_policy(name, capacity=capacity, **reference_kwargs)
 
 
 CASES = _registry_cases()

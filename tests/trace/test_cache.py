@@ -56,42 +56,6 @@ class TestTraceCache:
         assert len(blob) < 200
         assert pickle.loads(blob) == SPEC
 
-    def test_arrivals_overlay_reuses_the_cached_binary(self, tmp_path):
-        """The arrival overlay is deliberately *excluded* from the cache
-        key — it stamps timestamps onto the replayed stream without
-        changing the requests — but *included* in equality, so sweep
-        grouping treats timed and untimed replays as distinct streams."""
-        from repro.workloads.arrivals import PoissonArrivals
-
-        cache = TraceCache(root=tmp_path)
-        timed = SPEC.with_arrivals(PoissonArrivals(5_000.0, seed=3))
-        assert cache.path_for(timed) == cache.path_for(SPEC)
-        assert timed != SPEC
-        assert timed.with_arrivals(None) == SPEC
-        assert hash(timed) != hash(SPEC)
-        assert pickle.loads(pickle.dumps(timed)) == timed
-
-    def test_iter_timed_pairs_arrivals_with_requests(self, tmp_path):
-        from repro.workloads.arrivals import PoissonArrivals
-
-        set_default_trace_cache(TraceCache(root=tmp_path))
-        try:
-            arrivals = PoissonArrivals(5_000.0, seed=3)
-            timed = SPEC.with_arrivals(arrivals)
-            pairs = list(timed.iter_timed())
-            assert [request for _, request in pairs] == list(SPEC.iter_requests())
-            times = [t for t, _ in pairs]
-            assert times == sorted(times)
-            import itertools
-
-            assert times == list(itertools.islice(arrivals.times(), len(pairs)))
-        finally:
-            set_default_trace_cache(None)
-
-    def test_iter_timed_requires_an_overlay(self):
-        with pytest.raises(ValueError, match="no arrival overlay"):
-            SPEC.iter_timed()
-
     def test_spec_streams_through_default_cache(self, tmp_path):
         cache = TraceCache(root=tmp_path)
         set_default_trace_cache(cache)

@@ -1,12 +1,12 @@
-"""CI smoke: SHARDED x cost-model x rolling observers, jobs=1 vs jobs=N.
+"""CI smoke: SHARDED x cost-model x rolling x queueing observers, jobs=1 vs jobs=N.
 
 Runs one sweep that attaches *every* built-in observer at once — per-shard
-stats (SHARDED cluster policies), a seek-aware cost model (hdd), and rolling
-window metrics — serially and across worker processes, and demands the two
-runs are bit-identical: stats, per-client, per-shard partitions, latency,
-per-shard latency, and every rolling window.  This is the one-command proof
-that replaying whole cells in worker processes changes nothing but
-wall-clock.
+stats (SHARDED cluster policies), a seek-aware cost model (hdd), rolling
+window metrics and a seek-device (hdd) queueing model — serially and across
+worker processes, and demands the two runs are bit-identical: stats,
+per-client, per-shard partitions, latency, per-shard latency, every rolling
+window and the queueing stats.  This is the one-command proof that
+replaying whole cells in worker processes changes nothing but wall-clock.
 
 Usage::
 
@@ -21,6 +21,8 @@ import sys
 from repro.experiments.common import ExperimentSettings, generate_trace
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
+from repro.simulation.queueing import QueueingModel
+from repro.workloads.arrivals import PoissonArrivals
 
 
 def run_sweep(requests, jobs: int, rolling_window: int):
@@ -49,6 +51,11 @@ def run_sweep(requests, jobs: int, rolling_window: int):
         jobs=jobs,
         cost_model=CostModel(device="hdd", page_span=2_000),
         rolling_window=rolling_window,
+        # An hdd request takes ~10 ms here, so 150 rps saturates one shard
+        # and loads two to ~0.8 and four to ~0.4.
+        queueing=QueueingModel(
+            arrivals=PoissonArrivals(150.0, seed=7), device="hdd", page_span=2_000
+        ),
     )
     return runner.run(cells, parameter="shards")
 
@@ -75,6 +82,7 @@ def fingerprint(sweep) -> dict:
                      w.write_requests, w.write_hits, w.evictions)
                     for w in result.rolling.windows
                 ],
+                "queueing": result.queueing.as_dict(),
             })
         out[label] = points
     return out
@@ -93,7 +101,7 @@ def main(argv=None) -> int:
     requests = generate_trace(args.trace, settings).requests()
     print(
         f"trace={args.trace} requests={len(requests)} "
-        f"observers=per-shard+cost(hdd)+rolling({args.rolling_window})"
+        f"observers=per-shard+cost(hdd)+rolling({args.rolling_window})+queueing(hdd)"
     )
 
     serial = fingerprint(run_sweep(requests, 1, args.rolling_window))
@@ -111,7 +119,7 @@ def main(argv=None) -> int:
     shards = sum(len(p["per_shard"]) for pts in serial.values() for p in pts)
     print(f"PASS: jobs=1 == jobs={args.jobs} bit-identical across "
           f"{len(serial)} series ({windows} rolling windows, "
-          f"{shards} shard partitions, hdd-priced)")
+          f"{shards} shard partitions, hdd-priced and -queued)")
     return 0
 
 
