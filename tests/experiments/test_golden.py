@@ -1,7 +1,8 @@
 """Golden snapshot tests: every registered experiment's rows are pinned.
 
-Each experiment's tiny-N output (see ``goldens.GOLDEN_SETTINGS``) is checked
-in under ``tests/experiments/golden/``; these tests recompute the rows and
+Each experiment's tiny-N output (see ``goldens.GOLDEN_SETTINGS``), and each
+variant of ``goldens.GOLDEN_VARIANTS``, is checked in under
+``tests/experiments/golden/``; these tests recompute the rows and
 demand exact equality.  A failure means a change moved reported numbers —
 if that was intended, regenerate with::
 
@@ -16,12 +17,10 @@ import json
 
 import pytest
 
-from repro.experiments.registry import EXPERIMENTS
-
-from tests.experiments.goldens import compute_rows, fixture_path
+from tests.experiments.goldens import compute_rows, fixture_path, golden_ids
 
 
-@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("experiment_id", golden_ids())
 def test_experiment_rows_match_golden_fixture(experiment_id):
     path = fixture_path(experiment_id)
     assert path.exists(), (
@@ -38,8 +37,12 @@ def test_experiment_rows_match_golden_fixture(experiment_id):
 
 
 def test_every_fixture_belongs_to_a_registered_experiment():
-    """Stale fixtures (renamed/removed experiments) must not linger."""
-    from tests.experiments.goldens import GOLDEN_DIR
+    """Stale fixtures (renamed/removed experiments or variants) must not
+    linger."""
+    from repro.experiments.registry import EXPERIMENTS
+
+    from tests.experiments.goldens import GOLDEN_DIR, GOLDEN_VARIANTS
 
     fixture_ids = {path.stem for path in GOLDEN_DIR.glob("*.json")}
-    assert fixture_ids == set(EXPERIMENTS)
+    assert fixture_ids == set(golden_ids())
+    assert all(experiment in EXPERIMENTS for experiment, _ in GOLDEN_VARIANTS.values())

@@ -7,7 +7,9 @@ Usage (from the repository root)::
     PYTHONPATH=src python tools/regen_golden.py --check    # verify, no writes
 
 The fixtures pin the exact rows every registered experiment reports at the
-tiny golden settings (see ``tests/experiments/goldens.GOLDEN_SETTINGS``).
+tiny golden settings (see ``tests/experiments/goldens.GOLDEN_SETTINGS``),
+and those of each settings variant in ``goldens.GOLDEN_VARIANTS``
+(``latency-hdd`` and so on, named like the fixture files).
 Regenerating is the *intentional* way to move those numbers: run this, then
 review the JSON diff in version control like any other code change.
 
@@ -65,18 +67,22 @@ def _diff_summary(old_rows, new_rows) -> list[str]:
 
 
 def main(argv=None) -> int:
-    from repro.experiments.registry import EXPERIMENTS
-
-    from tests.experiments.goldens import GOLDEN_DIR, compute_rows, fixture_path
+    from tests.experiments.goldens import (
+        GOLDEN_DIR,
+        compute_rows,
+        fixture_path,
+        golden_ids,
+    )
 
     args = list(argv if argv is not None else sys.argv[1:])
     check = "--check" in args
     requested = [arg for arg in args if arg != "--check"]
-    unknown = [name for name in requested if name not in EXPERIMENTS]
+    known = golden_ids()
+    unknown = [name for name in requested if name not in known]
     if unknown:
-        print(f"unknown experiments: {unknown}; known: {sorted(EXPERIMENTS)}")
+        print(f"unknown experiments: {unknown}; known: {known}")
         return 2
-    targets = requested or sorted(EXPERIMENTS)
+    targets = requested or known
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     drifted: list[str] = []
