@@ -11,9 +11,13 @@ for each.  Two gates make this a CI smoke test:
   each chunk lifted from the request list inside the timed region as the
   engine lifts it), proving the opt-in accounting pass costs nothing when
   not requested;
-* **correctness gate** — for a position-independent device the per-request
-  accumulator must price the run *exactly* like the analytic derivation
-  from the final hit/miss counts (``CostModel.latency_from_stats``).
+* **correctness gate** — the HDD replay's seek walk must not depend on
+  where chunks end: its ``LatencyStats`` at the engine's 4,096-request
+  chunks must equal, field for field, those of the same replay cut into
+  97-request chunks.  A walk that reset its heads at a chunk boundary, or
+  summed a chunk's seeks in another order, fails it.  (A
+  position-independent device is priced from the final hit/miss counts,
+  ``CostModel.latency_from_stats``, so it has no walk to check.)
 
 Run it standalone::
 
@@ -37,6 +41,10 @@ from repro.trace.columnar import columnar_chunks
 #: factor (it additionally accounts each chunk's outcomes, per client too).
 OVERHEAD_GATE = 1.35
 
+#: A prime chunk size for the correctness gate's second HDD replay, so its
+#: chunk boundaries fall out of step with the engine's.
+ODD_CHUNK = 97
+
 
 def reference_replay(policy, requests) -> None:
     """The pre-cost-model fast path, inlined: the engine's chunks of the
@@ -47,8 +55,11 @@ def reference_replay(policy, requests) -> None:
         policy.batch_access(chunk)
 
 
-def engine_replay(policy, requests, cost_model=None):
-    return MultiPolicySimulator([policy], cost_model=cost_model).run(requests)[0]
+def engine_replay(policy, requests, cost_model=None, chunk_size=None):
+    engine = MultiPolicySimulator([policy], cost_model=cost_model)
+    if chunk_size is not None:
+        engine.CHUNK_SIZE = chunk_size
+    return engine.run(requests)[0]
 
 
 def main(argv=None) -> int:
@@ -117,12 +128,13 @@ def main(argv=None) -> int:
     if off_result.latency is not None:
         print("FAIL: cost-model-off replay attached latency stats")
         ok = False
-    analytic = ssd_model.latency_from_stats(ssd_result.stats)
-    if ssd_result.latency.as_dict() != analytic.as_dict():
+    odd_chunks = engine_replay(build(), requests, hdd_model, chunk_size=ODD_CHUNK)
+    if hdd_result.latency != odd_chunks.latency:
         print(
-            "FAIL: ssd accumulator diverged from the analytic derivation\n"
-            f"  accumulator: {ssd_result.latency.as_dict()}\n"
-            f"  analytic:    {analytic.as_dict()}"
+            "FAIL: hdd pricing depends on where chunks end\n"
+            f"  {MultiPolicySimulator.CHUNK_SIZE}-request chunks: "
+            f"{hdd_result.latency.as_dict()}\n"
+            f"  {ODD_CHUNK}-request chunks: {odd_chunks.latency.as_dict()}"
         )
         ok = False
     if ssd_result.read_hit_ratio != off_result.read_hit_ratio:
@@ -131,8 +143,8 @@ def main(argv=None) -> int:
 
     if ok:
         print(
-            "\nPASS: cost-off within the overhead gate; ssd pricing matches "
-            "the analytic derivation"
+            "\nPASS: cost-off within the overhead gate; hdd pricing is the "
+            f"same at {MultiPolicySimulator.CHUNK_SIZE}- and {ODD_CHUNK}-request chunks"
         )
     return 0 if ok else 1
 

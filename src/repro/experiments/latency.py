@@ -85,7 +85,7 @@ def run_latency_experiment(
         config = STANDARD_TRACES.get(name)
         page_span = config.database_pages if config is not None else None
 
-        def run_priced_sweep(model):
+        def run_sweep(model):
             cells = [
                 SweepCell(
                     x=float(shards),
@@ -99,22 +99,20 @@ def run_latency_experiment(
             runner = ParallelSweepRunner(source, jobs=settings.jobs, cost_model=model)
             return runner.run(cells, parameter="shards")
 
-        # Hit/miss outcomes are device-independent, and for
-        # position-independent devices the per-request accounting provably
-        # equals the analytic derivation from the final counts — so all
-        # such devices share ONE replay and the rest are re-priced from its
-        # stats.  Only seek-aware devices (HDD) need their own per-request
-        # pricing pass.
-        shared_sweep = None
+        # Hit/miss outcomes are device-independent, and a
+        # position-independent device is priced from the final counts — so
+        # all such devices price ONE unpriced replay.  Only seek devices
+        # (HDD) walk their heads in a replay of their own.
+        unpriced_sweep = None
         for device in devices:
             model = settings.cost_model(device=device, page_span=page_span)
-            reprice = None
-            if model.profile.position_dependent:
-                sweep = run_priced_sweep(model)
-            elif shared_sweep is None:
-                shared_sweep = sweep = run_priced_sweep(model)
+            walks_seeks = model.profile.position_dependent
+            if walks_seeks:
+                sweep = run_sweep(model)
             else:
-                sweep, reprice = shared_sweep, model
+                if unpriced_sweep is None:
+                    unpriced_sweep = run_sweep(None)
+                sweep = unpriced_sweep
             for shards in shard_variants:
                 for policy in policies:
                     label = policy if shards == 1 else f"{policy} x{shards}"
@@ -123,11 +121,11 @@ def run_latency_experiment(
                         for point in sweep.series[label]
                         if point.x == float(shards)
                     )
-                    if reprice is not None:
+                    if not walks_seeks:
                         result = dataclasses.replace(
                             result,
-                            latency=reprice.latency_from_stats(result.stats),
-                            shard_latency=reprice.shard_latencies(result.per_shard),
+                            latency=model.latency_from_stats(result.stats),
+                            shard_latency=model.shard_latencies(result.per_shard),
                         )
                     # Sharded rows price the fleet as independent devices
                     # (one seek head per shard), the same per-request

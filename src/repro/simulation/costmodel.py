@@ -17,13 +17,17 @@ The pricing rules (per request):
   transfer, plus — for seek devices (``seek_us > 0``) — a seek whose cost
   grows with the square root of the head travel distance (the classic
   seek-curve shape).  Seek pricing makes HDD misses *request-dependent*:
-  the accumulator tracks the head position left by the previous device
-  access;
+  each device's head stays where its previous device access left it;
 * **write** — under ``write-through`` the device write is on the critical
   path (``write_us``, plus the seek on seek devices, which also moves the
   head); under ``write-back`` the write is absorbed by the server cache at
   ``cache_hit_us`` and destaging happens off the critical path (not
   modeled).
+
+A position-independent device (SSD, NVMe) has one cost per pricing class,
+so a run is priced from its hit/miss counts
+(:meth:`CostModel.latency_from_stats`); on a seek device :class:`SeekWalk`
+walks the heads (one per shard) over each chunk's columns.
 
 Read latencies additionally feed a fixed-bucket geometric histogram, from
 which :class:`LatencyStats` reports p50/p99 without storing per-request
@@ -40,15 +44,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Any, Iterable, Sequence
+
+import numpy as _np
 
 from repro.cache.base import CacheStats
-from repro.simulation.cluster import is_cluster
-from repro.simulation.request import RequestKind
-
-if TYPE_CHECKING:  # imported for type annotations only
-    from repro.simulation.cluster import ShardRouter
-    from repro.simulation.request import IORequest
 
 __all__ = [
     "DeviceProfile",
@@ -57,6 +57,7 @@ __all__ = [
     "WRITE_POLICIES",
     "LatencyStats",
     "CostModel",
+    "SeekWalk",
 ]
 
 #: Write-handling variants accepted by :class:`CostModel`.
@@ -80,11 +81,42 @@ HISTOGRAM_BUCKET_BOUNDS_US: tuple[float, ...] = (0.0,) + tuple(
     0.5 * 1.3**index for index in range(64)
 )
 _LAST_BUCKET = len(HISTOGRAM_BUCKET_BOUNDS_US) - 1
+_BOUNDS_US = _np.array(HISTOGRAM_BUCKET_BOUNDS_US)
 
 
 def _bucket_index(latency_us: float) -> int:
     """Index of the first bucket whose upper bound is >= *latency_us*."""
     return min(bisect_left(HISTOGRAM_BUCKET_BOUNDS_US, latency_us), _LAST_BUCKET)
+
+
+def empty_histogram() -> list[int]:
+    """A zero count per bucket of :data:`HISTOGRAM_BUCKET_BOUNDS_US`."""
+    return [0] * len(HISTOGRAM_BUCKET_BOUNDS_US)
+
+
+def histogram_percentile(histogram: Sequence[int], count: int, quantile: float) -> float:
+    """Upper bound of the bucket the *quantile* of the *count* samples in
+    *histogram* falls in (0.0 when empty): exact whenever a pricing class
+    maps to a single bucket."""
+    if not 0.0 <= quantile <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {quantile}")
+    if count == 0:
+        return 0.0
+    rank = quantile * count
+    cumulative = 0
+    for index, bucket in enumerate(histogram):
+        cumulative += bucket
+        if cumulative >= rank and bucket:
+            return HISTOGRAM_BUCKET_BOUNDS_US[index]
+    return HISTOGRAM_BUCKET_BOUNDS_US[_LAST_BUCKET]
+
+
+def running_sum(total: float, amounts: Any) -> float:
+    """*total* plus each of *amounts* in order, rounded after every add as a
+    scalar loop rounds it (``cumsum`` is sequential; ``np.sum`` is pairwise)."""
+    if not len(amounts):
+        return total
+    return float(_np.cumsum(_np.concatenate(([total], amounts)))[-1])
 
 
 @dataclass
@@ -102,9 +134,7 @@ class LatencyStats:
     total_read_us: float = 0.0
     write_count: int = 0
     total_write_us: float = 0.0
-    read_histogram: list[int] = field(
-        default_factory=lambda: [0] * len(HISTOGRAM_BUCKET_BOUNDS_US)
-    )
+    read_histogram: list[int] = field(default_factory=empty_histogram)
 
     # ------------------------------------------------------------- accessors
     @property
@@ -138,23 +168,9 @@ class LatencyStats:
         return self.request_count / busy
 
     def read_percentile(self, quantile: float) -> float:
-        """Read-latency quantile (e.g. ``0.99``) from the fixed-bucket histogram.
-
-        Returns the upper bound of the bucket the quantile falls in — an
-        upper estimate that is exact whenever a pricing class maps to a
-        single bucket.  0.0 if no reads were recorded.
-        """
-        if not 0.0 <= quantile <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {quantile}")
-        if self.read_count == 0:
-            return 0.0
-        rank = quantile * self.read_count
-        cumulative = 0
-        for index, count in enumerate(self.read_histogram):
-            cumulative += count
-            if cumulative >= rank and count:
-                return HISTOGRAM_BUCKET_BOUNDS_US[index]
-        return HISTOGRAM_BUCKET_BOUNDS_US[_LAST_BUCKET]
+        """Read-latency quantile (e.g. ``0.99``) from the fixed-bucket
+        histogram (see :func:`histogram_percentile`)."""
+        return histogram_percentile(self.read_histogram, self.read_count, quantile)
 
     @property
     def p50_read_us(self) -> float:
@@ -195,6 +211,17 @@ class LatencyStats:
         self.read_count += count
         self.total_read_us += latency_us * count
         self.read_histogram[_bucket_index(latency_us)] += count
+
+    def record_reads(self, latencies_us: Any) -> None:
+        """Record one read per value of *latencies_us*, in order: the same
+        sums and buckets as one :meth:`record_read` call per value."""
+        if not len(latencies_us):
+            return
+        self.read_count += len(latencies_us)
+        self.total_read_us = running_sum(self.total_read_us, latencies_us)
+        buckets = _np.minimum(_np.searchsorted(_BOUNDS_US, latencies_us), _LAST_BUCKET)
+        counts = _np.bincount(buckets, minlength=len(_BOUNDS_US)).tolist()
+        self.read_histogram = [a + b for a, b in zip(self.read_histogram, counts)]
 
     def record_write(self, latency_us: float, count: int = 1) -> None:
         """Record *count* writes that each took *latency_us*."""
@@ -349,6 +376,8 @@ class CostModel:
             )
         profile = make_device_profile(device)
         if page_span is not None:
+            if page_span < 1:
+                raise ValueError(f"page_span must be >= 1, got {page_span}")
             profile = replace(profile, seek_span=page_span)
         self.profile = profile
         self.write_policy = write_policy
@@ -364,44 +393,21 @@ class CostModel:
         return self.profile.write_us
 
     @property
-    def _writes_touch_device(self) -> bool:
+    def writes_touch_device(self) -> bool:
+        """Whether a write reaches the device (and moves a seek head)."""
         return self.write_policy == "write-through"
-
-    def accumulator(self) -> "CostAccumulator":
-        """A fresh per-policy accumulator for one replay pass."""
-        return CostAccumulator(self)
-
-    def accumulator_for(self, policy: object) -> "CostAccumulator | ShardedCostAccumulator":
-        """The right accumulator for *policy*: per-shard heads for clusters.
-
-        A sharded cluster on a seek device is a fleet of independently
-        positioned devices; pricing its stream through one accumulator
-        would walk a single head across all shards.  Clusters
-        (:func:`~repro.simulation.cluster.is_cluster`) therefore get one
-        sub-accumulator (head) per shard, with requests routed exactly as
-        the cluster routes them.  Position-independent devices keep the
-        plain accumulator — per-shard pricing is then derived analytically
-        from the per-shard counts, which is exact.
-        """
-        if self.profile.position_dependent and is_cluster(policy):
-            # Also for shards=1: the single sub-accumulator prices exactly
-            # like the wrapped policy, preserving the cluster layer's
-            # shards=1 bit-identity on every reporting surface.
-            return ShardedCostAccumulator(self, policy.router, policy.shard_count)
-        return CostAccumulator(self)
 
     # ------------------------------------------------------------- derivation
     def latency_from_stats(self, stats: CacheStats) -> LatencyStats:
         """Analytically price a finished run from its hit/miss counts.
 
-        For position-independent devices this is *exactly* what the
-        per-request accumulator produces (every pricing class has one
-        cost), which is what makes re-pricing a finished replay against
-        another such device free.  For seek devices it prices every device
-        access at the expected random seek
+        For position-independent devices this *is* the pricing (every
+        pricing class has one cost), which is what makes re-pricing a
+        finished replay against another such device free.  For seek devices
+        it prices every device access at the expected random seek
         (:attr:`DeviceProfile.nominal_read_miss_us`) — a position-free
-        approximation; per-request accounting (with per-shard heads for
-        clusters, see :meth:`accumulator_for`) is the exact path.
+        approximation; the head walk (:class:`SeekWalk`, one head per shard
+        of a cluster) is the exact path.
         """
         profile = self.profile
         latency = LatencyStats()
@@ -412,7 +418,7 @@ class CostModel:
             latency.record_read(profile.nominal_read_miss_us, read_misses)
         if stats.write_requests:
             write_us = self.write_cost_us
-            if self._writes_touch_device:
+            if self.writes_touch_device:
                 write_us += profile.nominal_seek_us
             latency.record_write(write_us, stats.write_requests)
         return latency
@@ -424,173 +430,67 @@ class CostModel:
         return tuple(self.latency_from_stats(stats) for stats in per_shard)
 
 
-class CostAccumulator:
-    """Per-policy, per-run service-time accounting (one replay pass).
+class SeekWalk:
+    """A seek device's head walk over one stream: one head per shard.
 
-    The engine calls :meth:`charge` once per (request, hit) outcome, in
-    stream order; :meth:`finalize` folds the constant-cost pricing classes
-    into the histogram and returns the run's :class:`LatencyStats`.  Only
-    seek devices pay per-request arithmetic beyond class counting — the
-    head-position walk that makes HDD misses distance-dependent.
+    :meth:`seeks` prices, chunk by chunk in stream order, the seek of every
+    request that reaches the device (a read miss; under ``write-through``
+    every write too).  A shard's first device access costs
+    :attr:`DeviceProfile.nominal_seek_us`; every later one
+    :meth:`DeviceProfile.seek_cost_us` of its distance from the page the
+    shard's head last reached, in whichever chunk.  Each consumer walks
+    its own heads.
     """
 
-    __slots__ = (
-        "_model",
-        "_read_kind",
-        "_hit_us",
-        "_miss_const_us",
-        "_write_const_us",
-        "_profile",
-        "_writes_seek",
-        "_position",
-        "_read_hits",
-        "_read_misses",
-        "_writes",
-        "_latency",
-    )
+    __slots__ = ("_model", "_heads")
 
-    def __init__(self, model: CostModel):
+    def __init__(self, model: CostModel, shards: int = 1):
+        if not model.profile.position_dependent:
+            raise ValueError(f"device {model.profile.name!r} has no seek head to walk")
         self._model = model
-        self._read_kind = RequestKind.READ
+        #: Each shard's head page; ``None`` until the shard's first access.
+        self._heads: list[int | None] = [None] * shards
+
+    def seeks(self, page: Any, write: Any, hit: Any, shards: Any = None) -> Any:
+        """The seek time (us) of each request of one chunk, 0.0 for those
+        that stay off the device.  *shards* holds each request's shard id
+        (``None``: every request is on shard 0)."""
+        profile = self._model.profile
+        moves = ~(write | hit)
+        if self._model.writes_touch_device:
+            moves |= write
+        seek = _np.zeros(len(page))
+        for shard, head in enumerate(self._heads):
+            at = _np.flatnonzero(moves if shards is None else moves & (shards == shard))
+            if not len(at):
+                continue
+            pages = page[at]
+            previous = _np.empty_like(pages)
+            previous[0] = pages[0] if head is None else head
+            previous[1:] = pages[:-1]
+            # The larger minus the smaller, read unsigned: exact for any
+            # int64 pages, as the scalar ``abs(page - head)`` is.
+            distance = (
+                _np.maximum(pages, previous) - _np.minimum(pages, previous)
+            ).view(_np.uint64)
+            span = profile.seek_span
+            walked = profile.seek_us * _np.sqrt(_np.minimum(distance, span) / span)
+            if head is None:
+                walked[0] = profile.nominal_seek_us
+            seek[at] = walked
+            self._heads[shard] = int(pages[-1])
+        return seek
+
+    def service_us(self, page: Any, write: Any, hit: Any, shards: Any = None) -> Any:
+        """Each request's service time (us) under the pricing rules: the
+        hit cost, a miss's read cost plus its seek, or the write cost plus
+        the write's seek.  Advances the heads like :meth:`seeks`."""
+        model = self._model
         profile = model.profile
-        self._profile = profile
-        self._hit_us = profile.cache_hit_us
-        # Position-independent devices price every miss identically, so the
-        # hot path only counts classes; None switches on the per-request
-        # seek-aware path.
-        self._miss_const_us = (
-            None if profile.position_dependent else profile.nominal_read_miss_us
+        seek = self.seeks(page, write, hit, shards)
+        miss_us = profile.read_base_us + profile.read_transfer_us
+        return _np.where(
+            write,
+            model.write_cost_us + seek,
+            _np.where(hit, profile.cache_hit_us, miss_us + seek),
         )
-        self._writes_seek = profile.position_dependent and model._writes_touch_device
-        self._write_const_us = model.write_cost_us
-        self._position: int | None = None
-        self._read_hits = 0
-        self._read_misses = 0
-        self._writes = 0
-        self._latency = LatencyStats()
-
-    def _seek_to(self, page: int) -> float:
-        """Seek cost of moving the head to *page* (and leave it there).
-
-        The first device access of a run has no known head position and is
-        charged the expected random seek.
-        """
-        if self._position is None:
-            seek_us = self._profile.nominal_seek_us
-        else:
-            seek_us = self._profile.seek_cost_us(abs(page - self._position))
-        self._position = page
-        return seek_us
-
-    def charge(self, request: "IORequest", hit: bool) -> None:
-        """Price one replayed request given its hit/miss outcome."""
-        if request.kind is self._read_kind:
-            if hit:
-                self._read_hits += 1
-            elif self._miss_const_us is not None:
-                self._read_misses += 1
-            else:
-                profile = self._profile
-                self._latency.record_read(
-                    profile.read_base_us
-                    + profile.read_transfer_us
-                    + self._seek_to(request.page)
-                )
-        else:
-            self._writes += 1
-            if self._writes_seek:
-                self._latency.total_write_us += self._seek_to(request.page)
-        return None
-
-    @property
-    def class_counting(self) -> bool:
-        """Whether pricing is purely by outcome class (position-independent
-        device): :meth:`charge` only bumps counters, so batch consumers may
-        fold whole-chunk counts via :meth:`charge_counts` instead.  False on
-        seek-aware devices, whose pricing depends on per-request order."""
-        return self._miss_const_us is not None
-
-    def charge_counts(self, read_hits: int, read_misses: int, writes: int) -> None:
-        """Batch equivalent of *n* :meth:`charge` calls on a class-counting
-        accumulator.  Only valid when :attr:`class_counting` is true."""
-        self._read_hits += read_hits
-        self._read_misses += read_misses
-        self._writes += writes
-
-    def price(self, request: "IORequest", hit: bool) -> float:
-        """The service time (us) :meth:`charge` would record for this event.
-
-        Same pricing rules, same seek-head walk (seek devices advance the
-        head exactly as :meth:`charge` does), but nothing is accumulated —
-        the caller owns the sample.  The queueing layer uses this to feed
-        per-request service times into its event clock; interleaving
-        ``price`` and ``charge`` calls on one accumulator would double-walk
-        the head, so each consumer owns its accumulator.
-        """
-        if request.kind is self._read_kind:
-            if hit:
-                return self._hit_us
-            if self._miss_const_us is not None:
-                return self._miss_const_us
-            profile = self._profile
-            return (
-                profile.read_base_us
-                + profile.read_transfer_us
-                + self._seek_to(request.page)
-            )
-        if self._writes_seek:
-            return self._write_const_us + self._seek_to(request.page)
-        return self._write_const_us
-
-    def finalize(self) -> LatencyStats:
-        """Fold the class counters into the histogram and return the stats."""
-        latency = self._latency
-        if self._read_hits:
-            latency.record_read(self._hit_us, self._read_hits)
-            self._read_hits = 0
-        if self._read_misses:
-            latency.record_read(self._miss_const_us, self._read_misses)
-            self._read_misses = 0
-        if self._writes:
-            latency.record_write(self._write_const_us, self._writes)
-            self._writes = 0
-        return latency
-
-    def shard_latencies(self) -> tuple[LatencyStats, ...]:
-        """Per-shard breakdown; empty for this single-device accumulator."""
-        return ()
-
-
-class ShardedCostAccumulator:
-    """Seek-aware accounting for a sharded cluster: one head per shard.
-
-    Each request is routed with the cluster's own router (a pure function
-    of the request — and :meth:`charge` runs after the facade's ``access``,
-    so stateful routers have already made their assignment) to a per-shard
-    :class:`CostAccumulator`, keeping every shard's seek head independent.
-    :meth:`finalize` returns the merged fleet view — which is therefore
-    *exactly* the sum of the per-shard breakdowns exposed by
-    :meth:`shard_latencies` — priced with the same per-request seek walk as
-    an unsharded policy, so unified-vs-cluster comparisons measure the
-    topology, not the pricing method.
-    """
-
-    __slots__ = ("_router", "_shards", "_finalized")
-
-    def __init__(self, model: CostModel, router: "ShardRouter", shard_count: int):
-        self._router = router
-        self._shards = [CostAccumulator(model) for _ in range(shard_count)]
-        self._finalized: tuple[LatencyStats, ...] | None = None
-
-    def charge(self, request: "IORequest", hit: bool) -> None:
-        self._shards[self._router.route(request)].charge(request, hit)
-
-    def finalize(self) -> LatencyStats:
-        self._finalized = tuple(shard.finalize() for shard in self._shards)
-        return LatencyStats.merge_all(self._finalized)
-
-    def shard_latencies(self) -> tuple[LatencyStats, ...]:
-        """Per-shard latency (exact, per-request); call after :meth:`finalize`."""
-        if self._finalized is None:
-            raise RuntimeError("finalize() must run before shard_latencies()")
-        return self._finalized

@@ -188,7 +188,9 @@ class MultiPolicySimulator:
     All accounting is observers (:mod:`repro.simulation.observers`) over the
     outcome stream the policies emit: a :class:`StatsObserver` per policy
     always; a :class:`ShardStatsObserver` when the policy is a sharded
-    cluster; a :class:`CostObserver` when ``cost_model`` prices the replay;
+    cluster; a :class:`CostObserver` when ``cost_model`` prices the replay
+    on a seek device (a position-independent device is priced from the
+    stats observers' counts when the results are assembled);
     a :class:`RollingObserver` when ``rolling_window`` opts into windowed
     time series.  ``observer_factories`` attaches arbitrary extra observers:
     each factory is called ``factory(policy)`` once per policy per run, in
@@ -250,6 +252,7 @@ class MultiPolicySimulator:
         n = len(policies)
         batch_accessors = [policy.batch_access for policy in policies]
         cost_model = self._cost_model
+        walks_seeks = cost_model is not None and cost_model.profile.position_dependent
         rolling = self._rolling_window
 
         # One observer pipeline per policy.  Stats are always reconstructed
@@ -277,7 +280,7 @@ class MultiPolicySimulator:
             shard_obs.append(shard)
             if shard is not None:
                 pipeline.append(shard)
-            cost = CostObserver(cost_model.accumulator_for(policy)) if cost_model else None
+            cost = CostObserver(cost_model, policy) if walks_seeks else None
             cost_obs.append(cost)
             if cost is not None:
                 pipeline.append(cost)
@@ -353,13 +356,12 @@ class MultiPolicySimulator:
             cost = cost_obs[j]
             if cost is not None:
                 latency = cost.finalize()
-                if per_shard:
-                    # Seek-aware cluster accumulators price each shard
-                    # exactly; otherwise derive analytically (exact for
-                    # position-independent devices).
-                    shard_latency = cost.shard_latencies() or (
-                        cost_model.shard_latencies(per_shard)
-                    )
+                shard_latency = cost.shard_latencies()
+            elif cost_model is not None:
+                # Every pricing class of a position-independent device has
+                # one cost: pricing the counts is the exact pricing.
+                latency = cost_model.latency_from_stats(stats)
+                shard_latency = cost_model.shard_latencies(per_shard)
             roll = rolling_obs[j]
             queueing = queueing_obs[j]
             results.append(

@@ -111,12 +111,13 @@ class SimulationResult:
     per shard, in shard order.  It stays empty for ordinary policies.
 
     ``latency`` is filled when the run was priced by a
-    :class:`~repro.simulation.costmodel.CostModel` (the replay's opt-in
-    second accounting pass): modeled read latency (mean / p50 / p99 over a
-    fixed-bucket histogram), write service time and modeled throughput for
-    this run's requests.  ``None`` for un-priced runs.  ``shard_latency``
-    is the per-shard analytic breakdown (each shard modeled as its own
-    device) when the run was priced *and* the policy is a sharded cluster.
+    :class:`~repro.simulation.costmodel.CostModel` (opt-in): modeled read
+    latency (mean / p50 / p99 over a fixed-bucket histogram), write service
+    time and modeled throughput for this run's requests.  ``None`` for
+    un-priced runs.  ``shard_latency`` is the per-shard breakdown (each
+    shard its own device: its own seek head, or its own hit/miss counts on
+    a position-independent device) when the run was priced *and* the
+    policy is a sharded cluster.
 
     ``rolling`` is filled when the replay opted into windowed time-series
     accounting (``rolling_window=``): the per-window hit-ratio/eviction

@@ -3,14 +3,18 @@
 Policies are pure kernels (:mod:`repro.cache.base`): ``access`` returns an
 :class:`~repro.cache.base.AccessOutcome` event and mutates nothing but
 replacement state.  Everything the simulation reports — hit/miss statistics,
-per-shard breakdowns, service-time pricing, rolling time series — is an
-observer over the outcome stream, attached by the single replay orchestrator
-(:class:`~repro.simulation.engine.MultiPolicySimulator`).
+per-shard breakdowns, a seek device's service-time pricing, rolling time
+series — is an observer over the outcome stream, attached by the single
+replay orchestrator (:class:`~repro.simulation.engine.MultiPolicySimulator`).
+A position-independent device needs no observer of its own: the engine
+prices it from the stats observers' hit/miss counts.
 
 The observer contract (:class:`ReplayObserver`):
 
 * :meth:`~ReplayObserver.on_outcome` — fold one ``(request, seq, outcome)``
-  event: the scalar reference every observer implements.
+  event: the counting observers' scalar reference.  The pricing observers
+  (:class:`CostObserver`, the queueing observer) fold it as a one-request
+  chunk through ``on_batch`` (:func:`lift_outcome`).
 * :meth:`~ReplayObserver.on_batch` — fold one columnar chunk and its
   batched outcomes; the only hook the replay loop calls per chunk.  The
   default loops over :meth:`~ReplayObserver.on_outcome`; the built-in
@@ -33,20 +37,20 @@ outcomes — many observers share one outcome stream.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as _np
 
-from repro.cache.base import AccessOutcome, CacheStats
+from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CacheStats
 from repro.simulation.cluster import is_cluster, routed_shards
+from repro.simulation.costmodel import CostModel, LatencyStats, SeekWalk, running_sum
+from repro.trace.columnar import ColumnarChunk
 
 if TYPE_CHECKING:  # imported for type annotations only
-    from repro.cache.base import AccessOutcomeBatch
     from repro.simulation.cluster import ShardedCache
-    from repro.simulation.costmodel import CostAccumulator, LatencyStats
     from repro.simulation.metrics import RollingMetrics
     from repro.simulation.request import IORequest
-    from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
     "ReplayObserver",
@@ -54,6 +58,7 @@ __all__ = [
     "ShardStatsObserver",
     "CostObserver",
     "RollingObserver",
+    "lift_outcome",
     "shard_observer_for",
 ]
 
@@ -80,6 +85,22 @@ class ReplayObserver(abc.ABC):
     @abc.abstractmethod
     def finalize(self) -> object:
         """Return the accounting product (non-destructive)."""
+
+
+def lift_outcome(
+    route: "Callable[[IORequest], int] | None",
+    request: IORequest,
+    seq: int,
+    outcome: AccessOutcome,
+) -> tuple[ColumnarChunk, AccessOutcomeBatch]:
+    """One replayed request as a one-request chunk and batch, so a
+    column-native observer's ``on_outcome`` is the one-request case of its
+    ``on_batch``.  *route* (a cluster's ``router.route``) sets the batch's
+    shard column; ``None`` for a plain policy."""
+    batch = AccessOutcomeBatch.from_outcomes((outcome,))
+    if route is not None:
+        batch.shard = _np.array([route(request)], _np.int64)
+    return ColumnarChunk.from_requests((request,), seq), batch
 
 
 class StatsObserver(ReplayObserver):
@@ -210,8 +231,6 @@ class ShardStatsObserver(ReplayObserver):
             stats.evictions += evictions
 
     def finalize(self) -> tuple[CacheStats, ...]:
-        from dataclasses import replace
-
         return tuple(replace(stats) for stats in self._shards)
 
 
@@ -222,47 +241,75 @@ def shard_observer_for(policy: object) -> ShardStatsObserver | None:
 
 
 class CostObserver(ReplayObserver):
-    """Service-time pricing as an observer, wrapping a cost accumulator.
-
-    The accumulator (:class:`~repro.simulation.costmodel.CostAccumulator` or
-    its sharded variant) stays the pricing kernel; this observer feeds it
-    the ``(request, hit)`` series in stream order, which preserves the
-    seek-aware head walk bit for bit.
+    """Service-time pricing of one policy's replay on a seek device (HDD);
+    position-independent devices are priced from the stats observers'
+    counts instead.  Per chunk it runs its own
+    :class:`~repro.simulation.costmodel.SeekWalk` (one head per shard, read
+    from the ids the cluster routed the chunk with) and sums each shard's
+    miss prices and write seeks in stream order; each shard's hits and
+    writes are counted and priced count x price at :meth:`finalize`.
     """
 
-    __slots__ = ("_accumulator",)
+    __slots__ = ("_model", "_walk", "_route", "_seeks", "_read_hits", "_writes")
 
-    def __init__(self, accumulator: "CostAccumulator"):
-        self._accumulator = accumulator
+    def __init__(self, model: CostModel, policy: object):
+        self._model = model
+        self._route: Callable[[IORequest], int] | None = None
+        shards = 1
+        if is_cluster(policy):
+            shards = policy.shard_count
+            self._route = policy.router.route
+        self._walk = SeekWalk(model, shards)
+        #: Per shard: the reads and write seeks priced by the walk so far.
+        self._seeks = [LatencyStats() for _ in range(shards)]
+        self._read_hits = [0] * shards
+        self._writes = [0] * shards
 
     def on_outcome(self, request: IORequest, seq: int, outcome: AccessOutcome) -> None:
-        self._accumulator.charge(request, outcome.hit)
+        self.on_batch(*lift_outcome(self._route, request, seq, outcome))
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        accumulator = self._accumulator
-        if getattr(accumulator, "class_counting", False):
-            # Position-independent pricing: fold whole-chunk class counts.
-            write = chunk.write
-            hit = batch.hit
-            writes = int(_np.count_nonzero(write))
-            read_hits = int(_np.count_nonzero(hit & ~write))
-            accumulator.charge_counts(
-                read_hits, len(chunk) - writes - read_hits, writes
-            )
-            return
-        # Seek-aware (or sharded seek-aware) accumulators need the exact
-        # per-request head walk, which reads only each request's hit flag.
-        charge = accumulator.charge
-        for request, hit in zip(chunk.requests(), batch.hit.tolist()):
-            charge(request, hit)
+        write = chunk.write
+        hit = batch.hit
+        ids = routed_shards(batch) if self._route is not None else None
+        seek = self._walk.seeks(chunk.page, write, hit, ids)
+        profile = self._model.profile
+        miss = ~(write | hit)
+        miss_us = profile.read_base_us + profile.read_transfer_us
+        writes_seek = self._model.writes_touch_device
+        for shard, stats in enumerate(self._seeks):
+            mine = True if ids is None else ids == shard
+            stats.record_reads(miss_us + seek[miss & mine])
+            if writes_seek:
+                stats.total_write_us = running_sum(
+                    stats.total_write_us, seek[write & mine]
+                )
+            self._read_hits[shard] += int(_np.count_nonzero(hit & ~write & mine))
+            self._writes[shard] += int(_np.count_nonzero(write & mine))
 
-    def finalize(self) -> "LatencyStats":
-        return self._accumulator.finalize()
+    def _priced_shards(self) -> list[LatencyStats]:
+        """Each shard's stats: its walked reads and write seeks, then its
+        hits and writes at their class prices."""
+        model = self._model
+        shards = []
+        for seeks, read_hits, writes in zip(self._seeks, self._read_hits, self._writes):
+            stats = replace(seeks, read_histogram=list(seeks.read_histogram))
+            if read_hits:
+                stats.record_read(model.profile.cache_hit_us, read_hits)
+            if writes:
+                stats.record_write(model.write_cost_us, writes)
+            shards.append(stats)
+        return shards
 
-    def shard_latencies(self) -> tuple["LatencyStats", ...]:
-        """Per-shard latency breakdown (after :meth:`finalize`); empty for
-        single-device accumulators."""
-        return self._accumulator.shard_latencies()
+    def finalize(self) -> LatencyStats:
+        """The fleet's stats: a cluster's merged shards, or a plain
+        policy's one device."""
+        shards = self._priced_shards()
+        return LatencyStats.merge_all(shards) if self._route is not None else shards[0]
+
+    def shard_latencies(self) -> tuple[LatencyStats, ...]:
+        """A cluster's per-shard stats; empty for a plain policy."""
+        return tuple(self._priced_shards()) if self._route is not None else ()
 
 
 class RollingObserver(ReplayObserver):

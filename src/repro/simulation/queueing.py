@@ -30,14 +30,15 @@ shard's queue in one pass at finalize, exact in ``int64``, on every device.
 Per chunk the observer banks only columns the replay already made: the
 batch's hit column, the chunk's write column, the shard ids a cluster
 routed the chunk with (the batch's ``shard`` column) and, on seek devices,
-the service times its per-shard cost accumulators price in stream order.
+the service times its own :class:`~repro.simulation.costmodel.SeekWalk`
+prices from those columns in stream order.
 
 It is packaged as a :class:`ReplayObserver` (:class:`QueueingObserver`):
 the replay loop feeds it the outcome stream, it prices each outcome with
-its **own** cost accumulators (one per shard, so seek devices keep one
-head per shard exactly like :class:`~repro.simulation.costmodel
-.ShardedCostAccumulator`) and never touches the policy or the requests —
-attaching it cannot change hit/miss stats or service-time accounting.
+the cost model's rules (on seek devices with its **own** heads, one per
+shard, exactly like the cost observer's) and never touches the policy or
+the requests — attaching it cannot change hit/miss stats or service-time
+accounting.
 Every arrival process is a function of the request index, so the arrival
 column is drawn once, at finalize, from an :class:`arrival tape
 <_ArrivalTape>` that all observers of one model in one replay pass share.
@@ -49,28 +50,27 @@ stream's start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as _np
 
-from repro.cache.base import AccessOutcomeBatch
 from repro.core import kernel
 from repro.simulation.costmodel import (
     HISTOGRAM_BUCKET_BOUNDS_US,
-    WRITE_POLICIES,
     CostModel,
     DeviceProfile,
-    make_device_profile,
+    SeekWalk,
+    empty_histogram,
+    histogram_percentile,
 )
 from repro.simulation.cluster import is_cluster, routed_shards
-from repro.simulation.observers import ReplayObserver
-from repro.simulation.request import read_request, write_request
-from repro.trace.columnar import ColumnarChunk
+from repro.simulation.observers import ReplayObserver, lift_outcome
 from repro.workloads.arrivals import ArrivalProcess
 
 if TYPE_CHECKING:  # imported for type annotations only
-    from repro.cache.base import AccessOutcome, CachePolicy
+    from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
     from repro.simulation.request import IORequest
+    from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
     "QueueingModel",
@@ -78,7 +78,6 @@ __all__ = [
     "QueueingStats",
 ]
 
-_LAST_BUCKET = len(HISTOGRAM_BUCKET_BOUNDS_US) - 1
 #: The shared bucket bounds on the integer nanosecond clock.  Strictly
 #: increasing (the bounds grow 1.3x from 500ns), so the kernel's bucket —
 #: the count of bounds below a value — matches the microsecond convention.
@@ -86,34 +85,10 @@ _BOUNDS_NS = _np.array(
     [int(bound * 1000.0 + 0.5) for bound in HISTOGRAM_BUCKET_BOUNDS_US], _np.int64
 )
 
-#: Throwaway requests used to probe a device's constant price classes.
-_PROBE_READ = read_request(page=0)
-_PROBE_WRITE = write_request(page=0)
-
 
 def _to_ns(latency_us: float) -> int:
     """A microsecond service/arrival time on the integer nanosecond clock."""
     return int(latency_us * 1000.0 + 0.5)
-
-
-def _histogram_percentile(histogram: Sequence[int], count: int, quantile: float) -> float:
-    """Bucket-bound quantile, same convention as ``LatencyStats``: the upper
-    bound of the bucket the quantile falls in; 0.0 with nothing recorded."""
-    if not 0.0 <= quantile <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {quantile}")
-    if count == 0:
-        return 0.0
-    rank = quantile * count
-    cumulative = 0
-    for index, bucket in enumerate(histogram):
-        cumulative += bucket
-        if cumulative >= rank and bucket:
-            return HISTOGRAM_BUCKET_BOUNDS_US[index]
-    return HISTOGRAM_BUCKET_BOUNDS_US[_LAST_BUCKET]
-
-
-def _fresh_histogram() -> list[int]:
-    return [0] * len(HISTOGRAM_BUCKET_BOUNDS_US)
 
 
 @dataclass
@@ -143,8 +118,8 @@ class QueueingStats:
     last_arrival_ns: int = 0
     last_departure_ns: int = 0
     area_at_last_arrival_ns: int = 0
-    delay_histogram: list[int] = field(default_factory=_fresh_histogram)
-    sojourn_histogram: list[int] = field(default_factory=_fresh_histogram)
+    delay_histogram: list[int] = field(default_factory=empty_histogram)
+    sojourn_histogram: list[int] = field(default_factory=empty_histogram)
 
     # ------------------------------------------------------------- accessors
     @property
@@ -190,10 +165,10 @@ class QueueingStats:
         return self.total_service_ns / self.request_count / 1000.0
 
     def delay_percentile(self, quantile: float) -> float:
-        return _histogram_percentile(self.delay_histogram, self.request_count, quantile)
+        return histogram_percentile(self.delay_histogram, self.request_count, quantile)
 
     def sojourn_percentile(self, quantile: float) -> float:
-        return _histogram_percentile(
+        return histogram_percentile(
             self.sojourn_histogram, self.request_count, quantile
         )
 
@@ -280,11 +255,7 @@ class QueueingModel:
             raise TypeError(
                 f"arrivals must be an ArrivalProcess, got {type(self.arrivals).__name__}"
             )
-        if self.write_policy not in WRITE_POLICIES:
-            raise ValueError(
-                f"unknown write policy {self.write_policy!r}; available: {WRITE_POLICIES}"
-            )
-        make_device_profile(self.device)  # validate the device name eagerly
+        self.cost_model()  # the device, write policy and page span, checked now
 
     def cost_model(self) -> CostModel:
         """A fresh service-time pricer with this model's parameters."""
@@ -348,16 +319,17 @@ class QueueingObserver(ReplayObserver):
     call.  Never mutates requests, outcomes or the policy.
 
     Position-independent devices price by outcome class, so their service
-    times are three probed constants the kernel picks per request.  Seek
-    devices (HDD) price each request in stream order through this
-    observer's own per-shard cost accumulators.
+    times are the model's three class prices (read hit, read miss, write),
+    which the kernel picks per request.  Seek devices (HDD) price each
+    request in stream order with this observer's own
+    :class:`~repro.simulation.costmodel.SeekWalk`, one head per shard.
     """
 
     __slots__ = (
         "_route",
         "_shard_count",
         "_tape",
-        "_pricers",
+        "_walk",
         "_classes_ns",
         "_write_chunks",
         "_hit_chunks",
@@ -373,28 +345,21 @@ class QueueingObserver(ReplayObserver):
         tape: "_ArrivalTape | None" = None,
     ):
         cost_model = model.cost_model()
+        profile = cost_model.profile
         self._route: Callable[[IORequest], int] | None = None
         self._shard_count = 1
         if is_cluster(policy):
             self._shard_count = policy.shard_count
             self._route = policy.router.route
+        self._walk: SeekWalk | None = None
         self._classes_ns: Any = None
-        if cost_model.profile.position_dependent:
-            # Seek devices: one accumulator (head) per shard, priced per request.
-            self._pricers = [cost_model.accumulator() for _ in range(self._shard_count)]
+        if profile.position_dependent:
+            self._walk = SeekWalk(cost_model, self._shard_count)
         else:
-            # Three price classes; probing price() keeps the constants
-            # byte-for-byte what per-request pricing would produce.
-            probe = cost_model.accumulator()
-            self._classes_ns = _np.array(
-                [
-                    _to_ns(probe.price(_PROBE_READ, True)),
-                    _to_ns(probe.price(_PROBE_READ, False)),
-                    _to_ns(probe.price(_PROBE_WRITE, False)),
-                ],
-                _np.int64,
+            prices = (
+                profile.cache_hit_us, profile.nominal_read_miss_us, cost_model.write_cost_us
             )
-            self._pricers = []
+            self._classes_ns = _np.array([_to_ns(price) for price in prices], _np.int64)
         self._tape = tape if tape is not None else _ArrivalTape(model.arrivals)
         self._write_chunks: list = []
         self._hit_chunks: list = []
@@ -403,10 +368,7 @@ class QueueingObserver(ReplayObserver):
         self._finalized: QueueingStats | None = None
 
     def on_outcome(self, request: "IORequest", seq: int, outcome: "AccessOutcome") -> None:
-        batch = AccessOutcomeBatch.from_outcomes((outcome,))
-        if self._route is not None:
-            batch.shard = _np.array([self._route(request)], _np.int64)
-        self.on_batch(ColumnarChunk.from_requests((request,), seq), batch)
+        self.on_batch(*lift_outcome(self._route, request, seq, outcome))
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
         if not len(chunk):
@@ -417,21 +379,10 @@ class QueueingObserver(ReplayObserver):
         if self._route is not None:
             ids = routed_shards(batch)
             self._shard_chunks.append(ids)
-        pricers = self._pricers
-        if pricers:
-            # Each shard's head walks that shard's requests in stream order.
-            shards = ids.tolist() if ids is not None else [0] * len(chunk)
-            self._service_chunks.append(
-                _np.array(
-                    [
-                        int(pricers[shard].price(request, hit) * 1000.0 + 0.5)
-                        for shard, request, hit in zip(
-                            shards, chunk.requests(), batch.hit.tolist()
-                        )
-                    ],
-                    _np.int64,
-                )
-            )
+        if self._walk is not None:
+            service = self._walk.service_us(chunk.page, chunk.write, batch.hit, ids)
+            # Elementwise, exactly ``_to_ns`` of each price.
+            self._service_chunks.append((service * 1000.0 + 0.5).astype(_np.int64))
 
     def finalize(self) -> QueueingStats:
         """Run the banked stream through every shard's queue and fold it
@@ -453,7 +404,7 @@ class QueueingObserver(ReplayObserver):
         service: Any = None
         if self._route is not None:
             shards = np.concatenate(self._shard_chunks).astype(np.int64, copy=False)
-        if self._pricers:
+        if self._walk is not None:
             service = np.concatenate(self._service_chunks)
         # The kernel reads n values of every column it is given.
         if len(writes) != n or any(

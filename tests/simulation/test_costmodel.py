@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.base import CacheStats
+from repro.cache.base import AccessOutcomeBatch, CacheStats
 from repro.cache.lru import LRUPolicy
 from repro.simulation.cluster import ShardedCache
 from repro.simulation.costmodel import (
@@ -15,12 +18,16 @@ from repro.simulation.costmodel import (
     CostModel,
     DeviceProfile,
     LatencyStats,
+    SeekWalk,
     make_device_profile,
 )
 from repro.simulation.engine import MultiPolicySimulator, ParallelSweepRunner, PolicySpec, SweepCell
+from repro.simulation.observers import CostObserver
 from repro.simulation.simulator import CacheSimulator, simulate
+from repro.trace.columnar import ColumnarChunk
 
 from tests.conftest import rd, wr
+from tests.cost_reference import CostAccumulator, ShardedCostAccumulator
 
 
 def small_trace(pages: int = 40, repeats: int = 6) -> list:
@@ -186,7 +193,7 @@ class TestAccumulator:
         # per-request accumulator must equal pricing the final counts.
         for device in ("ssd", "nvme"):
             model = CostModel(device)
-            accumulator = model.accumulator()
+            accumulator = CostAccumulator(model)
             policy = LRUPolicy(capacity=10)
             stats = CacheStats()
             for seq, request in enumerate(small_trace()):
@@ -207,7 +214,7 @@ class TestAccumulator:
             (read_request(page=(seq * 37) % 200), seq % 3 == 0)
             for seq in range(40)
         ] + [(write_request(page=seq * 11 % 200), False) for seq in range(10)]
-        pricer, recorder = model.accumulator(), model.accumulator()
+        pricer, recorder = CostAccumulator(model), CostAccumulator(model)
         priced_total = 0.0
         for request, hit in requests:
             priced_total += pricer.price(request, hit)
@@ -217,7 +224,7 @@ class TestAccumulator:
     def test_price_does_not_accumulate(self):
         from repro.simulation.request import read_request
 
-        accumulator = CostModel("ssd").accumulator()
+        accumulator = CostAccumulator(CostModel("ssd"))
         assert accumulator.price(read_request(page=3), hit=False) == pytest.approx(90.0)
         assert accumulator.price(read_request(page=3), hit=True) == pytest.approx(5.0)
         stats = accumulator.finalize()
@@ -232,7 +239,7 @@ class TestAccumulator:
         jumping = [rd(0 if index % 2 else 9_999) for index in range(200)]
 
         def total_read_us(requests):
-            accumulator = model.accumulator()
+            accumulator = CostAccumulator(model)
             policy = LRUPolicy(capacity=1)
             for seq, request in enumerate(requests):
                 accumulator.charge(request, policy.access(request, seq))
@@ -384,3 +391,180 @@ class TestEngineIntegration:
             for a, b in zip(serial.series[label], parallel.series[label]):
                 assert a.x == b.x
                 assert a.result.latency.as_dict() == b.result.latency.as_dict()
+
+
+#: Seek devices the walk is held to: the stock HDD under both write
+#: policies, and a custom profile whose timings are all fractional.
+_CUSTOM_SEEK = DeviceProfile(
+    name="custom-seek", cache_hit_us=0.3, read_base_us=101.7,
+    read_transfer_us=3.3, write_us=77.1, seek_us=913.37,
+)
+_SEEK_MODELS = [
+    CostModel("hdd", page_span=256),
+    CostModel("hdd", write_policy="write-back", page_span=256),
+    CostModel(_CUSTOM_SEEK, page_span=97),
+    CostModel(_CUSTOM_SEEK, write_policy="write-back", page_span=97),
+]
+#: Position-independent devices: priced from the counts.
+_FLAT_MODELS = [
+    CostModel("ssd"),
+    CostModel("nvme", write_policy="write-back"),
+    CostModel(
+        DeviceProfile(name="custom-flat", cache_hit_us=0.7, read_base_us=13.1,
+                      read_transfer_us=0.9, write_us=21.3)
+    ),
+]
+
+
+@st.composite
+def priced_streams(draw):
+    """``(requests, hits, shard ids, shard count, chunk bounds)``: pages
+    from a span far below, around or far above the seek span (repeats put
+    distance 0 in, wide spans the ``seek_span`` cap, and the full ``int64``
+    range distances no ``int64`` holds), random flags and chunk cuts."""
+    n = draw(st.integers(1, 120))
+    low, high = draw(
+        st.sampled_from([(0, 3), (0, 300), (0, 40_000), (-(2**63), 2**63 - 1)])
+    )
+    pages = draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+    writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    hits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    shards = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, shards - 1), min_size=n, max_size=n))
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=6)) if n > 1 else []
+    bounds = [0, *sorted(set(cuts)), n]
+    requests = [
+        (wr if write else rd)(page) for page, write in zip(pages, writes)
+    ]
+    return requests, hits, ids, shards, bounds
+
+
+def _chunks(requests, hits, ids, bounds):
+    """The stream as (chunk, batch) pairs cut at *bounds*; each batch
+    carries its shard ids the way a cluster's batch does."""
+    for start, end in zip(bounds, bounds[1:]):
+        n = end - start
+        batch = AccessOutcomeBatch(
+            hit=np.array(hits[start:end], np.bool_),
+            admitted=np.zeros(n, np.bool_),
+            bypassed=np.zeros(n, np.bool_),
+            evicted_pages=np.zeros(0, np.int64),
+            evicted_offsets=np.zeros(n + 1, np.int64),
+            shard=np.array(ids[start:end], np.int64),
+        )
+        yield ColumnarChunk.from_requests(requests[start:end], start), batch
+
+
+@pytest.mark.property
+class TestSeekWalkMatchesTheReference:
+    """The column walk against the scalar accumulators of
+    ``tests/cost_reference.py``, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=priced_streams(), model_index=st.integers(0, len(_SEEK_MODELS) - 1))
+    def test_service_column_equals_price(self, stream, model_index):
+        requests, hits, ids, shards, bounds = stream
+        model = _SEEK_MODELS[model_index]
+        walk = SeekWalk(model, shards)
+        service = []
+        for chunk, batch in _chunks(requests, hits, ids, bounds):
+            service += walk.service_us(chunk.page, chunk.write, batch.hit, batch.shard).tolist()
+        pricers = [CostAccumulator(model) for _ in range(shards)]
+        expected = [
+            pricers[shard].price(request, hit)
+            for request, hit, shard in zip(requests, hits, ids)
+        ]
+        assert service == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=priced_streams(), model_index=st.integers(0, len(_SEEK_MODELS) - 1))
+    def test_cost_observer_equals_charge_then_finalize(self, stream, model_index):
+        requests, hits, ids, shards, bounds = stream
+        model = _SEEK_MODELS[model_index]
+        clustered = shards > 1
+        policy = (
+            ShardedCache(capacity=4 * shards, policy="LRU", shards=shards)
+            if clustered
+            else LRUPolicy(capacity=4)
+        )
+        observer = CostObserver(model, policy)
+        for chunk, batch in _chunks(requests, hits, ids, bounds):
+            observer.on_batch(chunk, batch)
+        accumulators = [CostAccumulator(model) for _ in range(shards)]
+        for request, hit, shard in zip(requests, hits, ids):
+            accumulators[shard].charge(request, hit)
+        per_shard = tuple(accumulator.finalize() for accumulator in accumulators)
+        fleet = LatencyStats.merge_all(per_shard) if clustered else per_shard[0]
+        assert observer.finalize() == fleet
+        assert observer.shard_latencies() == (per_shard if clustered else ())
+        # finalize is repeatable.
+        assert observer.finalize() == fleet
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stream=priced_streams(),
+        model_index=st.integers(0, len(_FLAT_MODELS) - 1),
+        chunk_size=st.integers(1, 50),
+    )
+    def test_flat_devices_price_the_counts_like_the_accumulator(
+        self, stream, model_index, chunk_size
+    ):
+        stream_requests, _, _, shards, _ = stream
+        # A narrow page range, so the policy hits as well as misses.
+        requests = [
+            (wr if request.is_write else rd)(request.page % 64)
+            for request in stream_requests
+        ]
+        model = _FLAT_MODELS[model_index]
+
+        def build():
+            if shards == 1:
+                return LRUPolicy(capacity=6)
+            return ShardedCache(capacity=6 * shards, policy="LRU", shards=shards)
+
+        engine = MultiPolicySimulator([build()], cost_model=model)
+        engine.CHUNK_SIZE = chunk_size
+        result = engine.run(requests)[0]
+        policy = build()
+        fleet = CostAccumulator(model)
+        sharded = (
+            ShardedCostAccumulator(model, policy.router, shards) if shards > 1 else None
+        )
+        for seq, request in enumerate(requests):
+            hit = policy.access(request, seq).hit
+            fleet.charge(request, hit)
+            if sharded is not None:
+                sharded.charge(request, hit)
+        assert result.latency == fleet.finalize()
+        if sharded is None:
+            assert result.shard_latency == ()
+        else:
+            sharded.finalize()
+            assert result.shard_latency == sharded.shard_latencies()
+
+
+class TestSeekWalk:
+    def test_heads_carry_across_chunks(self):
+        """A walk fed one request per call prices like one fed the whole
+        stream: the head is where the previous chunk left it."""
+        model = CostModel("hdd", page_span=1_000)
+        pages = np.array([5, 900, 900, 10, 700], np.int64)
+        write = np.zeros(5, np.bool_)
+        hit = np.zeros(5, np.bool_)
+        whole = SeekWalk(model).seeks(pages, write, hit).tolist()
+        walk = SeekWalk(model)
+        pieces = [
+            walk.seeks(pages[i : i + 1], write[i : i + 1], hit[i : i + 1]).tolist()[0]
+            for i in range(5)
+        ]
+        assert pieces == whole
+        assert whole[0] == model.profile.nominal_seek_us
+        assert whole[2] == 0.0
+
+    def test_flat_devices_have_no_head_to_walk(self):
+        with pytest.raises(ValueError, match="seek head"):
+            SeekWalk(CostModel("ssd"))
+
+    def test_page_span_is_validated(self):
+        with pytest.raises(ValueError, match="page_span"):
+            CostModel("hdd", page_span=0)

@@ -28,7 +28,6 @@ from repro.core.hints import make_hint_set
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import MultiPolicySimulator
 from repro.simulation.observers import (
-    CostObserver,
     RollingObserver,
     StatsObserver,
     shard_observer_for,
@@ -39,6 +38,7 @@ from repro.trace.cache import TraceSpec
 from repro.workloads.arrivals import PoissonArrivals
 
 from tests import policy_reference
+from tests.cost_reference import accumulator_for
 from tests.policy_reference import REFERENCES, reference_case
 
 CAPACITY = 150
@@ -166,20 +166,23 @@ def _engine(policies, chunk_size: int, **options) -> MultiPolicySimulator:
 def scalar_replay(policy, requests, cost_model=None, rolling_window=None,
                   queueing_model=None) -> dict:
     """The reference replay: ``access()`` then every observer's
-    ``on_outcome``, one request at a time."""
+    ``on_outcome`` and the reference cost accumulator's ``charge``, one
+    request at a time."""
     if policy.offline:
         policy.prepare(requests)
     stats = StatsObserver()
     shard = shard_observer_for(policy)
-    cost = CostObserver(cost_model.accumulator_for(policy)) if cost_model else None
+    cost = accumulator_for(cost_model, policy) if cost_model else None
     roll = RollingObserver(rolling_window) if rolling_window else None
     queueing = queueing_model.observer_for(policy) if queueing_model else None
-    observers = [obs for obs in (stats, shard, cost, roll, queueing) if obs is not None]
+    observers = [obs for obs in (stats, shard, roll, queueing) if obs is not None]
     per_client: dict[str, CacheStats] = {}
     for seq, request in enumerate(requests):
         outcome = policy.access(request, seq)
         for observer in observers:
             observer.on_outcome(request, seq, outcome)
+        if cost is not None:
+            cost.charge(request, outcome.hit)
         per_client.setdefault(request.client_id, CacheStats()).record(
             request, outcome.hit
         )

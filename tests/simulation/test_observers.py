@@ -119,7 +119,7 @@ class TestCostObserver:
         stream = _trace()
         model = CostModel("hdd", page_span=200)
         policy = LRUPolicy(40)
-        observer = CostObserver(model.accumulator_for(policy))
+        observer = CostObserver(model, policy)
         _drive(observer, policy, stream)
         expected = simulate(LRUPolicy(40), stream, cost_model=model).latency
         assert observer.finalize().as_dict() == expected.as_dict()

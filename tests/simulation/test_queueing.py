@@ -41,6 +41,7 @@ from repro.simulation.simulator import simulate
 from repro.trace.columnar import ColumnarChunk
 from repro.workloads.arrivals import PoissonArrivals
 
+from tests.cost_reference import CostAccumulator
 from tests.strategies import request_streams
 
 #: SSD pricing classes under write-through (see DEVICE_PROFILES["ssd"]):
@@ -71,15 +72,15 @@ def _reference_stats(model: QueueingModel, stream, hits, shards, servers) -> Que
     """Every field of the stats, from the naive per-shard Lindley loop run
     event by event: SSD service times from the documented constants (the
     read miss and the write-through write cost the same, so write-back
-    tells the write class apart), seek devices priced by a fresh cost
-    accumulator (head) per shard, histogram
+    tells the write class apart), seek devices priced by a fresh reference
+    cost accumulator (head) per shard, histogram
     buckets by ``bisect_left`` over the bounds, and the ``N(t)`` area cut at
     the last arrival by subtracting each departure's overhang past it."""
     bounds = [_quantize_ns(bound) for bound in HISTOGRAM_BUCKET_BOUNDS_US]
     last_bucket = len(bounds) - 1
     delay_histogram = [0] * len(bounds)
     sojourn_histogram = [0] * len(bounds)
-    pricers = [model.cost_model().accumulator() for _ in range(servers)]
+    pricers = [CostAccumulator(model.cost_model()) for _ in range(servers)]
     busy = [0] * servers
     arrivals = [_quantize_ns(t) for t in islice(model.arrivals.times(), len(stream))]
     departures = []
@@ -403,6 +404,12 @@ class TestModelAndPlumbing:
         assert pickle.loads(pickle.dumps(model)) == model
         assert model.scaled(2.0) != model
         assert model.scaled(2.0).arrivals.mean_rate_rps == pytest.approx(6_000.0)
+
+    def test_model_rejects_an_empty_page_span_when_built(self):
+        """The page span is checked with the other cost-model parameters,
+        when the model is built, and the error names it."""
+        with pytest.raises(ValueError, match="page_span"):
+            _poisson_model(1_000.0, device="hdd", page_span=0)
 
     def test_model_cost_model_round_trip(self):
         model = _poisson_model(1_000.0, device="hdd", page_span=512)
