@@ -115,9 +115,8 @@ class SimulationResult:
     latency (mean / p50 / p99 over a fixed-bucket histogram), write service
     time and modeled throughput for this run's requests.  ``None`` for
     un-priced runs.  ``shard_latency`` is the per-shard breakdown (each
-    shard its own device: its own seek head, or its own hit/miss counts on
-    a position-independent device) when the run was priced *and* the
-    policy is a sharded cluster.
+    shard its own device, with its own seek head or its own counts) when
+    the run was priced *and* the policy is a sharded cluster.
 
     ``rolling`` is filled when the replay opted into windowed time-series
     accounting (``rolling_window=``): the per-window hit-ratio/eviction

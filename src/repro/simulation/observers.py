@@ -275,6 +275,7 @@ class CostObserver(ReplayObserver):
         seek = self._walk.seeks(chunk.page, write, hit, ids)
         profile = self._model.profile
         miss = ~(write | hit)
+        read_hit = hit & ~write
         miss_us = profile.read_base_us + profile.read_transfer_us
         writes_seek = self._model.writes_touch_device
         for shard, stats in enumerate(self._seeks):
@@ -284,7 +285,7 @@ class CostObserver(ReplayObserver):
                 stats.total_write_us = running_sum(
                     stats.total_write_us, seek[write & mine]
                 )
-            self._read_hits[shard] += int(_np.count_nonzero(hit & ~write & mine))
+            self._read_hits[shard] += int(_np.count_nonzero(read_hit & mine))
             self._writes[shard] += int(_np.count_nonzero(write & mine))
 
     def _priced_shards(self) -> list[LatencyStats]:
