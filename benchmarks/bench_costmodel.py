@@ -12,12 +12,17 @@ for each.  Two gates make this a CI smoke test:
   engine lifts it), proving the opt-in accounting pass costs nothing when
   not requested;
 * **correctness gate** — the HDD replay's seek walk must not depend on
-  where chunks end: its ``LatencyStats`` at the engine's 4,096-request
+  where chunks end.  Its ``LatencyStats`` at the engine's 4,096-request
   chunks must equal, field for field, those of the same replay cut into
-  97-request chunks.  A walk that reset its heads at a chunk boundary, or
-  summed a chunk's seeks in another order, fails it.  (A
-  position-independent device is priced from the final hit/miss counts,
-  ``CostModel.latency_from_stats``, so it has no walk to check.)
+  97-request chunks, and those of the trace's first 18 requests must equal
+  the same prefix's replayed one request per chunk, where every sum is a
+  scalar loop's.  A walk that reset its heads at a chunk boundary fails
+  the first check.  A walk that added each chunk's ``np.sum`` (pairwise)
+  to its total fails the second (with ``--requests 20000`` or 40,000, 18
+  is the shortest prefix that shows it), while at 4,096- and 97-request
+  chunks it happens to price the whole 20,000-request replay the same.
+  (A position-independent device is priced from the final hit/miss
+  counts, ``CostModel.latency_from_stats``, so it has no walk to check.)
 
 Run it standalone::
 
@@ -44,6 +49,10 @@ OVERHEAD_GATE = 1.35
 #: A prime chunk size for the correctness gate's second HDD replay, so its
 #: chunk boundaries fall out of step with the engine's.
 ODD_CHUNK = 97
+
+#: Requests of the trace's prefix that the correctness gate also replays
+#: one request per chunk (~0.1 ms per request on the HDD).
+PREFIX = 18
 
 
 def reference_replay(policy, requests) -> None:
@@ -137,6 +146,16 @@ def main(argv=None) -> int:
             f"  {ODD_CHUNK}-request chunks: {odd_chunks.latency.as_dict()}"
         )
         ok = False
+    prefix = requests[:PREFIX]
+    whole = engine_replay(build(), prefix, hdd_model).latency
+    one_by_one = engine_replay(build(), prefix, hdd_model, chunk_size=1).latency
+    if whole != one_by_one:
+        print(
+            f"FAIL: hdd pricing of the first {PREFIX} requests depends on where "
+            f"chunks end\n  one chunk: {whole.as_dict()}\n"
+            f"  1-request chunks: {one_by_one.as_dict()}"
+        )
+        ok = False
     if ssd_result.read_hit_ratio != off_result.read_hit_ratio:
         print("FAIL: pricing changed the replay's hit ratio")
         ok = False
@@ -144,7 +163,8 @@ def main(argv=None) -> int:
     if ok:
         print(
             "\nPASS: cost-off within the overhead gate; hdd pricing is the "
-            f"same at {MultiPolicySimulator.CHUNK_SIZE}- and {ODD_CHUNK}-request chunks"
+            f"same at {MultiPolicySimulator.CHUNK_SIZE}- and {ODD_CHUNK}-request chunks, "
+            f"and over the first {PREFIX} requests at 1-request chunks"
         )
     return 0 if ok else 1
 

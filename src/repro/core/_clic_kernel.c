@@ -1,28 +1,57 @@
 /*
- * CLIC's replacement state and its per-request loop (paper Figure 4).
+ * CLIC's replacement state, its per-request loop (paper Figure 4) and its
+ * priority learning (Sections 3.1, 3.2 and 5).
  *
  * One Clic handle holds the state of one CLICPolicy instance, and nothing
  * is shared between handles:
  *
  *   - the page map: cached page -> node holding (seq(p), hint id of H(p));
- *   - one recency list of cached pages per hint id, oldest first;
- *   - the Pr table, one priority per hint id, replaced at window closes;
+ *   - per hint id, a recency list of its cached pages, oldest first, and
+ *     its priority Pr(H);
  *   - a lazily validated min-heap of (Pr, head seq, hint id) entries;
  *   - the outqueue: (seq, hint id) of recently requested uncached pages,
- *     evicted oldest-insertion first.
+ *     evicted oldest-insertion first;
+ *   - per hint id, the current window's statistics: N(H), Nr(H) and the
+ *     sum of the re-reference distances, either for every hint id (the
+ *     exact hint table) or for the k hint ids that Space-Saving tracks
+ *     (Metwally, Agrawal and El Abbadi, ICDT 2005), whose counters sit in
+ *     a second lazily validated min-heap.
  *
  * repro/core/kernel.py builds this file with the other kernels into one
- * shared library, and repro/core/clic.py calls it through ctypes.  Python owns everything that runs once per window segment:
- * hint-key interning, cutting chunks at window ends, the hint statistics
- * tracker and the Pr table itself.  clic_replay() runs one segment, so
- * priorities are frozen for the whole call.
+ * shared library, and repro/core/clic.py calls it through ctypes.  Python
+ * interns hint-set keys to dense hint ids and reserves room for each new
+ * id (clic_reserve), so clic_replay() allocates nothing and replays a
+ * whole chunk.  Each request is, in this order:
  *
- * Victim choice.  Priorities change only at a window close, where
- * clic_set_priorities() rebuilds the heap, and a list's head seq only grows
- * while the list is non-empty.  So a stale heap entry's key never exceeds
- * its list's current key, and the first valid top is the minimum
- * (Pr, head seq) over the non-empty lists, whatever the heap's internal
- * order.  That is what lets heap_push() compact the heap at any time.
+ *   1. a read re-reference credit to the hint id of the page's previous
+ *      request, if that request is remembered (cached or in the outqueue).
+ *      Under Space-Saving it counts only while that id is tracked;
+ *   2. Figure 4's cache decision, with the priorities of past windows;
+ *   3. its count, and at W requests the window close: every hint id with
+ *      statistics gets Pr = r * (Nr/N) / (distance sum/Nr) + (1 - r) * Pr,
+ *      with r < 1 the others get (1 - r) * Pr, and with r == 1 they leave
+ *      the priority map; the statistics are cleared and the victim heap
+ *      rebuilt.
+ *
+ * That order, and every float operation, is the scalar reference's
+ * (tests/clic_reference.py), so priorities and outcomes match it bit for
+ * bit under the library's -ffp-contract=off.
+ *
+ * Victim choice.  Priorities change only at a window close, which rebuilds
+ * the heap, and a list's head seq only grows while the list is non-empty.
+ * So a stale heap entry's key never exceeds its list's current key, and the
+ * first valid top is the minimum (Pr, head seq) over the non-empty lists,
+ * whatever the heap's internal order.  That is what lets heap_push()
+ * compact the heap at any time.
+ *
+ * Space-Saving.  Every request of a tracked or newly tracked id pushes a
+ * (count, tiebreak, hint id) entry, with a tiebreak that grows with every
+ * push, and the minimum valid entry -- its id tracked with that count --
+ * names the counter to recycle.  As in the reference, the heap drops its
+ * stale entries when it grows past max(4k, 32) entries.  Tiebreaks are
+ * unique, so any binary heap over the same entries pops them in the same
+ * order.  The heap never holds more than the W pushes of one window, so
+ * its room, min(max(4k, 32) + 1, W), is allocated with the handle.
  */
 #include <string.h>
 
@@ -32,23 +61,31 @@
  * entries are Nodes in the outqueue's insertion-order list; either way the
  * node holds (seq, hint id as its tag). */
 
+/* A heap entry: the victim heap's (Pr, head seq, hint id), or a
+ * Space-Saving counter's (count, tiebreak, hint id), whose count is exact
+ * as a double. */
 typedef struct {
-    double pr;
+    double key;
     int64_t seq;
     int32_t hint;
 } Entry;
 
+/* What Figure 4's loop reads of a hint id, apart from its statistics. */
 typedef struct {
     List list; /* cached pages of this hint id, oldest first */
     double pr;
-    /* Segment tallies, reset when a deferred segment reports them. */
-    int64_t count; /* requests in the segment */
-    int64_t last;  /* position of the last of them */
-    /* Read re-reference credits to this hint id: [0] before its first
-     * request in the segment, [1] after it. */
-    int64_t credits[2];
-    int64_t distance[2];
 } Hint;
+
+/* A hint id's statistics in the current window. */
+typedef struct {
+    int64_t requests;     /* N(H), or the Space-Saving count */
+    int64_t error;        /* Space-Saving error; N(H) = requests - error */
+    int64_t rereferences; /* Nr(H) */
+    int64_t distance;     /* sum of the re-reference distances */
+    int64_t tiebreak;     /* of the newest Space-Saving heap entry */
+    int32_t slot;         /* index in tracked, NONE when untracked */
+    int32_t mapped;       /* whether the priority map holds this id */
+} Stats;
 
 typedef struct {
     int64_t capacity;
@@ -64,29 +101,34 @@ typedef struct {
     Table oq_table;
 
     Hint *hint;
-    int32_t *requested; /* hint ids requested in the segment, first first */
-    int32_t *credited;  /* hint ids credited in the segment, first first */
-    int64_t n_requested;
-    int64_t n_credited;
+    Stats *stats;
     int64_t hints;
     int64_t hint_room;
 
     Entry *heap;
     int64_t heap_size;
     int64_t heap_room;
+
+    int64_t window;    /* W */
+    double decay;      /* r */
+    int64_t in_window; /* requests of the current window so far */
+    int64_t windows;   /* closed windows */
+
+    int64_t top_k;      /* k, or 0 for the exact hint table */
+    int32_t *tracked;   /* the tracked hint ids */
+    int64_t n_tracked;
+    Entry *counters;    /* Space-Saving's heap */
+    int64_t counters_size;
+    int64_t compact_limit;
+    int64_t tiebreak;
 } Clic;
 
-typedef struct {
-    int64_t key;
-    int64_t hint;
-} Pair;
-
-/* ------------------------------------------------------------------ heap */
+/* ----------------------------------------------------------------- heaps */
 
 static int entry_less(const Entry *a, const Entry *b)
 {
-    if (a->pr != b->pr) {
-        return a->pr < b->pr;
+    if (a->key != b->key) {
+        return a->key < b->key;
     }
     if (a->seq != b->seq) {
         return a->seq < b->seq;
@@ -114,39 +156,9 @@ static void sift_down(Entry *heap, int64_t size, int64_t i)
     heap[i] = item;
 }
 
-/* One entry per non-empty list, keyed by its current (Pr, head seq). */
-static void heap_rebuild(Clic *c)
+static void sift_up(Entry *heap, int64_t i)
 {
-    int64_t h, i, n = 0;
-    for (h = 0; h < c->hints; h++) {
-        const Hint *hint = &c->hint[h];
-        if (hint->list.head != NONE) {
-            c->heap[n].pr = hint->pr;
-            c->heap[n].seq = c->cache[hint->list.head].seq;
-            c->heap[n].hint = (int32_t)h;
-            n++;
-        }
-    }
-    c->heap_size = n;
-    for (i = n / 2 - 1; i >= 0; i--) {
-        sift_down(c->heap, n, i);
-    }
-}
-
-/* heap_room is at least twice hint_room, so a compaction always frees
- * room for the push. */
-static void heap_push(Clic *c, int32_t h, int64_t seq)
-{
-    Entry *heap = c->heap;
-    Entry item;
-    int64_t i;
-    if (c->heap_size == c->heap_room) {
-        heap_rebuild(c);
-    }
-    item.pr = c->hint[h].pr;
-    item.seq = seq;
-    item.hint = h;
-    i = c->heap_size++;
+    Entry item = heap[i];
     while (i > 0) {
         int64_t parent = (i - 1) / 2;
         if (!entry_less(&item, &heap[parent])) {
@@ -158,6 +170,53 @@ static void heap_push(Clic *c, int32_t h, int64_t seq)
     heap[i] = item;
 }
 
+static void heapify(Entry *heap, int64_t size)
+{
+    int64_t i;
+    for (i = size / 2 - 1; i >= 0; i--) {
+        sift_down(heap, size, i);
+    }
+}
+
+/* Remove the heap's top. */
+static void heap_pop(Entry *heap, int64_t *size)
+{
+    heap[0] = heap[--*size];
+    sift_down(heap, *size, 0);
+}
+
+/* One entry per non-empty list, keyed by its current (Pr, head seq). */
+static void heap_rebuild(Clic *c)
+{
+    int64_t h, n = 0;
+    for (h = 0; h < c->hints; h++) {
+        const Hint *hint = &c->hint[h];
+        if (hint->list.head != NONE) {
+            c->heap[n].key = hint->pr;
+            c->heap[n].seq = c->cache[hint->list.head].seq;
+            c->heap[n].hint = (int32_t)h;
+            n++;
+        }
+    }
+    c->heap_size = n;
+    heapify(c->heap, n);
+}
+
+/* heap_room is at least twice hint_room, so a compaction always frees
+ * room for the push. */
+static void heap_push(Clic *c, int32_t h, int64_t seq)
+{
+    Entry *item;
+    if (c->heap_size == c->heap_room) {
+        heap_rebuild(c);
+    }
+    item = &c->heap[c->heap_size];
+    item->key = c->hint[h].pr;
+    item->seq = seq;
+    item->hint = h;
+    sift_up(c->heap, c->heap_size++);
+}
+
 /* The hint id whose oldest page is the eviction candidate, with the heap's
  * top holding its current key; NONE when nothing is cached. */
 static int32_t peek_victim(Clic *c)
@@ -167,13 +226,12 @@ static int32_t peek_victim(Clic *c)
         const Hint *hint = &c->hint[top->hint];
         int64_t seq;
         if (hint->list.head == NONE) {
-            c->heap[0] = c->heap[--c->heap_size];
-            sift_down(c->heap, c->heap_size, 0);
+            heap_pop(c->heap, &c->heap_size);
             continue;
         }
         seq = c->cache[hint->list.head].seq;
-        if (top->pr != hint->pr || top->seq != seq) {
-            top->pr = hint->pr;
+        if (top->key != hint->pr || top->seq != seq) {
+            top->key = hint->pr;
             top->seq = seq;
             sift_down(c->heap, c->heap_size, 0);
             continue;
@@ -226,6 +284,96 @@ static void oq_remove(Clic *c, int64_t page)
     node_give(c->oq, &c->oq_free, n);
 }
 
+/* ------------------------------------------------------------ statistics */
+
+/* Push hint id h's counter with the next tiebreak; past the limit, keep
+ * only the tracked ids' newest entries. */
+static void counter_push(Clic *c, int32_t h)
+{
+    Stats *s = &c->stats[h];
+    Entry *item = &c->counters[c->counters_size];
+    s->tiebreak = c->tiebreak++;
+    item->key = (double)s->requests;
+    item->seq = s->tiebreak;
+    item->hint = h;
+    sift_up(c->counters, c->counters_size++);
+    if (c->counters_size > c->compact_limit) {
+        int64_t i;
+        for (i = 0; i < c->n_tracked; i++) {
+            const Stats *t = &c->stats[c->tracked[i]];
+            c->counters[i].key = (double)t->requests;
+            c->counters[i].seq = t->tiebreak;
+            c->counters[i].hint = c->tracked[i];
+        }
+        c->counters_size = c->n_tracked;
+        heapify(c->counters, c->n_tracked);
+    }
+}
+
+/* Count a request of hint id h under Space-Saving: a tracked id's count
+ * grows; an untracked one takes a free counter, or else the counter of the
+ * first valid minimum, whose count becomes its error. */
+static void offer(Clic *c, int32_t h)
+{
+    Stats *s = &c->stats[h];
+    if (s->slot == NONE) {
+        int64_t slot = c->n_tracked;
+        s->error = 0;
+        if (slot < c->top_k) {
+            c->n_tracked++;
+        } else {
+            for (;;) {
+                const Entry top = c->counters[0];
+                Stats *victim = &c->stats[top.hint];
+                heap_pop(c->counters, &c->counters_size);
+                if (victim->slot != NONE && (double)victim->requests == top.key) {
+                    s->error = victim->requests;
+                    slot = victim->slot;
+                    victim->slot = NONE;
+                    break;
+                }
+            }
+        }
+        c->tracked[slot] = h;
+        s->slot = (int32_t)slot;
+        s->requests = s->error;
+        s->rereferences = s->distance = 0;
+    }
+    s->requests++;
+    counter_push(c, h);
+}
+
+/* Close the window: new priorities, cleared statistics, rebuilt heap. */
+static void close_window(Clic *c)
+{
+    const double r = c->decay;
+    int64_t h;
+    for (h = 0; h < c->hints; h++) {
+        Stats *s = &c->stats[h];
+        Hint *hint = &c->hint[h];
+        if (c->top_k ? s->slot != NONE : s->requests || s->rereferences) {
+            const int64_t n = s->requests - s->error;
+            double fresh = 0.0;
+            if (s->rereferences && n) {
+                fresh = ((double)s->rereferences / (double)n)
+                        / ((double)s->distance / (double)s->rereferences);
+            }
+            hint->pr = r * fresh + (1.0 - r) * hint->pr;
+            s->mapped = 1;
+        } else if (r < 1.0 && s->mapped) {
+            hint->pr = (1.0 - r) * hint->pr;
+        } else {
+            hint->pr = 0.0;
+            s->mapped = 0;
+        }
+        s->requests = s->error = s->rereferences = s->distance = 0;
+        s->slot = NONE;
+    }
+    c->n_tracked = c->counters_size = c->in_window = 0;
+    c->windows++;
+    heap_rebuild(c);
+}
+
 /* ------------------------------------------------------------- lifecycle */
 
 void clic_free(Clic *c)
@@ -238,19 +386,23 @@ void clic_free(Clic *c)
     free(c->oq);
     free(c->oq_table.slots);
     free(c->hint);
-    free(c->requested);
-    free(c->credited);
+    free(c->stats);
     free(c->heap);
+    free(c->tracked);
+    free(c->counters);
     free(c);
 }
 
-/* A handle for a cache of *capacity* usable pages and an outqueue of
- * *oq_capacity* entries; NULL when out of memory or too large. */
-Clic *clic_new(int64_t capacity, int64_t oq_capacity)
+/* A handle for a cache of *capacity* usable pages, an outqueue of
+ * *oq_capacity* entries, windows of *window* requests, decay *decay* and
+ * *top_k* tracked hint sets (0: all of them); NULL when out of memory or
+ * too large. */
+Clic *clic_new(int64_t capacity, int64_t oq_capacity, int64_t window, double decay,
+               int64_t top_k)
 {
     Clic *c;
     if (capacity < 1 || capacity >= ((int64_t)1 << 29) || oq_capacity < 0
-        || oq_capacity >= ((int64_t)1 << 29)) {
+        || oq_capacity >= ((int64_t)1 << 29) || window < 1 || top_k < 0) {
         return NULL;
     }
     c = calloc(1, sizeof(Clic));
@@ -259,6 +411,9 @@ Clic *clic_new(int64_t capacity, int64_t oq_capacity)
     }
     c->capacity = capacity;
     c->oq_capacity = oq_capacity;
+    c->window = window;
+    c->decay = decay;
+    c->top_k = top_k;
     list_init(&c->oq_list);
     c->cache = free_chain(capacity);
     c->oq = free_chain(oq_capacity);
@@ -269,70 +424,66 @@ Clic *clic_new(int64_t capacity, int64_t oq_capacity)
     }
     c->cache_free = 0;
     c->oq_free = oq_capacity ? 0 : NONE;
+    if (top_k) {
+        int64_t room;
+        /* A heap that never outgrows W never compacts. */
+        c->compact_limit = top_k > window / 4 ? window : top_k > 8 ? 4 * top_k : 32;
+        room = c->compact_limit < window ? c->compact_limit + 1 : window;
+        if ((uint64_t)room > SIZE_MAX / sizeof(Entry)
+            || (c->counters = malloc((size_t)room * sizeof(Entry))) == NULL) {
+            clic_free(c);
+            return NULL;
+        }
+    }
     return c;
 }
 
-/* Make room for hint ids [0, hints); new ids start with empty lists and
- * Pr 0.  Returns 0, or -1 when out of memory. */
-static int reserve_hints(Clic *c, int64_t hints)
+/* Make room for hint ids [0, hints); new ids start with empty lists, Pr 0
+ * and no statistics.  Returns 0, or -1 when out of memory. */
+int clic_reserve(Clic *c, int64_t hints)
 {
     int64_t room = c->hint_room ? c->hint_room : 64;
     int64_t h;
-    if (hints <= c->hint_room) {
-        if (hints > c->hints) {
-            c->hints = hints;
-        }
-        return 0;
-    }
-    while (room < hints) {
-        room *= 2;
-    }
-    {
-        Hint *hint = realloc(c->hint, (size_t)room * sizeof(Hint));
-        int32_t *requested, *credited;
+    if (hints > c->hint_room) {
+        Hint *hint;
+        Stats *stats;
+        int32_t *tracked;
         Entry *heap;
+        while (room < hints) {
+            room *= 2;
+        }
+        hint = realloc(c->hint, (size_t)room * sizeof(Hint));
         if (hint == NULL) {
             return -1;
         }
         c->hint = hint;
-        requested = realloc(c->requested, (size_t)room * sizeof(int32_t));
-        if (requested == NULL) {
+        stats = realloc(c->stats, (size_t)room * sizeof(Stats));
+        if (stats == NULL) {
             return -1;
         }
-        c->requested = requested;
-        credited = realloc(c->credited, (size_t)room * sizeof(int32_t));
-        if (credited == NULL) {
+        c->stats = stats;
+        tracked = realloc(c->tracked, (size_t)room * sizeof(int32_t));
+        if (tracked == NULL) {
             return -1;
         }
-        c->credited = credited;
+        c->tracked = tracked;
         heap = realloc(c->heap, (size_t)(2 * room) * sizeof(Entry));
         if (heap == NULL) {
             return -1;
         }
         c->heap = heap;
+        for (h = c->hint_room; h < room; h++) {
+            memset(&c->hint[h], 0, sizeof(Hint));
+            list_init(&c->hint[h].list);
+            memset(&c->stats[h], 0, sizeof(Stats));
+            c->stats[h].slot = NONE;
+        }
+        c->hint_room = room;
+        c->heap_room = 2 * room;
     }
-    for (h = c->hint_room; h < room; h++) {
-        memset(&c->hint[h], 0, sizeof(Hint));
-        list_init(&c->hint[h].list);
+    if (hints > c->hints) {
+        c->hints = hints;
     }
-    c->hint_room = room;
-    c->heap_room = 2 * room;
-    c->hints = hints;
-    return 0;
-}
-
-/* Install the Pr table for hint ids [0, n) and rebuild the victim heap
- * (a window closed).  Returns 0, or -1 when out of memory. */
-int clic_set_priorities(Clic *c, const double *pr, int64_t n)
-{
-    int64_t h;
-    if (reserve_hints(c, n)) {
-        return -1;
-    }
-    for (h = 0; h < n; h++) {
-        c->hint[h].pr = pr[h];
-    }
-    heap_rebuild(c);
     return 0;
 }
 
@@ -358,70 +509,30 @@ void clic_pages(const Clic *c, int64_t *out)
     }
 }
 
+int64_t clic_windows(const Clic *c)
+{
+    return c->windows;
+}
+
+/* Write the hint ids the priority map holds to *ids* and their Pr to *pr*
+ * (room for every reserved id); returns their number. */
+int64_t clic_priorities(const Clic *c, int64_t *ids, double *pr)
+{
+    int64_t h, n = 0;
+    for (h = 0; h < c->hints; h++) {
+        if (c->stats[h].mapped) {
+            ids[n] = h;
+            pr[n++] = c->hint[h].pr;
+        }
+    }
+    return n;
+}
+
 /* ---------------------------------------------------------------- replay */
 
-static int compare_pairs(const void *a, const void *b)
-{
-    int64_t x = ((const Pair *)a)->key;
-    int64_t y = ((const Pair *)b)->key;
-    return (x > y) - (x < y);
-}
-
-/* Report and reset a deferred segment's tallies into *tally*:
- *   tally[0] = R, tally[1] = C;
- *   R (hint id, requests) pairs, in last-occurrence order;
- *   C (hint id, credits before its first request, their distance sum,
- *      credits after it, their distance sum) records, in first-credit
- *      order. */
-static void report_tallies(Clic *c, int64_t *tally)
-{
-    Pair *pairs = (Pair *)(tally + 2);
-    int64_t *out = tally + 2 + 2 * c->n_requested;
-    int64_t k;
-    tally[0] = c->n_requested;
-    tally[1] = c->n_credited;
-    for (k = 0; k < c->n_requested; k++) {
-        pairs[k].key = c->hint[c->requested[k]].last;
-        pairs[k].hint = c->requested[k];
-    }
-    qsort(pairs, (size_t)c->n_requested, sizeof(Pair), compare_pairs);
-    for (k = 0; k < c->n_requested; k++) {
-        Hint *hint = &c->hint[pairs[k].hint];
-        pairs[k].key = pairs[k].hint;
-        pairs[k].hint = hint->count;
-        hint->count = 0;
-    }
-    for (k = 0; k < c->n_credited; k++) {
-        Hint *hint = &c->hint[c->credited[k]];
-        out[0] = c->credited[k];
-        out[1] = hint->credits[0];
-        out[2] = hint->distance[0];
-        out[3] = hint->credits[1];
-        out[4] = hint->distance[1];
-        out += 5;
-        hint->credits[0] = hint->credits[1] = 0;
-        hint->distance[0] = hint->distance[1] = 0;
-    }
-    c->n_requested = c->n_credited = 0;
-}
-
-/*
- * Replay requests [start, stop) of a chunk's columns, all inside one
- * priority window, with hint ids below *hints*.  columns->offsets[start]
- * must hold the eviction count so far.
- *
- * The tracker side goes to exactly one of:
- *   tally (log == NULL): per-hint tallies, see report_tallies(); credits are
- *     split by whether the credited hint id was requested earlier in the
- *     segment, so Python can gate the others with the tracker's state at
- *     the segment start;
- *   log: three int64 per request -- its hint id, the hint id its read
- *     re-reference credits (or -1) and the distance -- in stream order.
- *
- * Returns 0, or -1 when out of memory (before any request is replayed).
- */
-int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
-                const Columns *columns, int64_t *tally, int64_t *log)
+/* Replay the *n* requests of *columns* (reads page, write, hint, seq and
+ * ids, whose hint ids must be reserved). */
+void clic_replay(Clic *c, int64_t n, const Columns *columns)
 {
     const int64_t *page = columns->page;
     const uint8_t *write = columns->write;
@@ -433,19 +544,15 @@ int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
     uint8_t *bypassed = columns->bypassed;
     int64_t *offsets = columns->offsets;
     int64_t *evicted = columns->evicted;
-    int64_t evictions = offsets[start];
+    int64_t evictions = 0;
     int64_t i;
-    if (reserve_hints(c, hints)) {
-        return -1;
-    }
-    for (i = start; i < stop; i++) {
+    offsets[0] = 0;
+    for (i = 0; i < n; i++) {
         const int64_t p = page[i];
         const int64_t s = seq[i];
         const int32_t h = (int32_t)ids[hint[i]];
         const int32_t node = table_find(&c->cache_table, p);
         int32_t oq_node = NONE;
-        int32_t credit = NONE;
-        int64_t distance = 0;
 
         /* Hint analysis (Section 3.1): a read re-reference of a page whose
          * previous request is remembered, cached or in the outqueue. */
@@ -460,23 +567,12 @@ int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
                 }
             }
             if (prev != NULL && s > prev->seq) {
-                credit = prev->tag;
-                distance = s - prev->seq;
+                Stats *credited = &c->stats[prev->tag];
+                if (!c->top_k || credited->slot != NONE) {
+                    credited->rereferences++;
+                    credited->distance += s - prev->seq;
+                }
             }
-        }
-        if (log != NULL) {
-            int64_t *record = log + 3 * (i - start);
-            record[0] = h;
-            record[1] = credit;
-            record[2] = distance;
-        } else if (credit != NONE) {
-            Hint *credited = &c->hint[credit];
-            int after = credited->count > 0;
-            if (!credited->credits[0] && !credited->credits[1]) {
-                c->credited[c->n_credited++] = credit;
-            }
-            credited->credits[after]++;
-            credited->distance[after] += distance;
         }
 
         /* Cache management (Figure 4) with the priorities of previous
@@ -500,7 +596,7 @@ int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
              * nonnegative), so the heap is not consulted. */
             if (!admit && priority != 0.0) {
                 const int32_t victim_hint = peek_victim(c);
-                if (victim_hint != NONE && priority > c->heap[0].pr) {
+                if (victim_hint != NONE && priority > c->heap[0].key) {
                     /* Evict the victim; its metadata becomes its outqueue
                      * entry (a cached page has none yet), and its node holds
                      * the admitted page. */
@@ -516,17 +612,17 @@ int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
                 }
             }
             if (admit) {
-                const int32_t n = node_take(c->cache, &c->cache_free);
-                Node *fresh = &c->cache[n];
+                const int32_t fresh_node = node_take(c->cache, &c->cache_free);
+                Node *fresh = &c->cache[fresh_node];
                 c->cached++;
                 fresh->page = p;
                 fresh->seq = s;
                 fresh->tag = h;
-                table_insert(&c->cache_table, p, n);
+                table_insert(&c->cache_table, p, fresh_node);
                 if (c->hint[h].list.head == NONE) {
                     heap_push(c, h, s);
                 }
-                list_append(c->cache, &c->hint[h].list, n);
+                list_append(c->cache, &c->hint[h].list, fresh_node);
                 oq_remove(c, p);
                 admitted[i] = 1;
             } else {
@@ -541,16 +637,13 @@ int clic_replay(Clic *c, int64_t start, int64_t stop, int64_t hints,
         offsets[i + 1] = evictions;
 
         /* Window accounting (Section 3.2). */
-        if (log == NULL) {
-            Hint *requested = &c->hint[h];
-            if (requested->count++ == 0) {
-                c->requested[c->n_requested++] = h;
-            }
-            requested->last = i;
+        if (c->top_k) {
+            offer(c, h);
+        } else {
+            c->stats[h].requests++;
+        }
+        if (++c->in_window == c->window) {
+            close_window(c);
         }
     }
-    if (log == NULL) {
-        report_tallies(c, tally);
-    }
-    return 0;
 }

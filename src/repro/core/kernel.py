@@ -121,9 +121,10 @@ def load() -> ctypes.CDLL:
         library = ctypes.CDLL(str(build(KERNEL_DIR)))
         handle, i64, status = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
         signatures: list[tuple[str, Any, list[Any]]] = [
-            ("clic_new", handle, [i64, i64]),
-            ("clic_set_priorities", status, [handle, handle, i64]),
-            ("clic_replay", status, [handle, i64, i64, i64, handle, handle, handle]),
+            ("clic_new", handle, [i64, i64, i64, ctypes.c_double, i64]),
+            ("clic_reserve", status, [handle, i64]),
+            ("clic_windows", i64, [handle]),
+            ("clic_priorities", i64, [handle, handle, handle]),
             ("lru_new", handle, [i64]),
             ("arc_new", handle, [i64]),
             ("arc_p", ctypes.c_double, [handle]),
@@ -152,9 +153,8 @@ def load() -> ctypes.CDLL:
                 (f"{kernel}_len", i64, [handle]),
                 (f"{kernel}_contains", status, [handle, i64]),
                 (f"{kernel}_pages", None, [handle, handle]),
+                (f"{kernel}_replay", None, [handle, i64, handle]),
             ]
-            if kernel != "clic":
-                signatures.append((f"{kernel}_replay", None, [handle, i64, handle]))
         for name, restype, argtypes in signatures:
             function = getattr(library, name)
             function.restype = restype
@@ -195,10 +195,9 @@ class KernelPolicy(CachePolicy, abc.ABC):
 
     A subclass names its kernel (:attr:`kernel`) and opens it with
     :meth:`_open`.  The library runs kernel ``k`` through ``k_new``,
-    ``k_free``, ``k_len``, ``k_contains``, ``k_pages`` and (except CLIC,
-    which replays window segments) ``k_replay``.  Each instance owns one
-    handle, freed when the instance is, so an instance cannot be copied or
-    pickled.
+    ``k_free``, ``k_len``, ``k_contains``, ``k_pages`` and ``k_replay``.
+    Each instance owns one handle, freed when the instance is, so an
+    instance cannot be copied or pickled.
 
     :meth:`batch_access` is one kernel call per chunk, and ``access()`` its
     one-request case: it writes the request into the instance's one-request
@@ -212,7 +211,7 @@ class KernelPolicy(CachePolicy, abc.ABC):
     #: The kernel's name in the library.
     kernel: str
 
-    def _open(self, *args: int) -> None:
+    def _open(self, *args: float) -> None:
         """Create this instance's kernel state with ``<kernel>_new(*args)``."""
         self._lib = library = load()
         handle = getattr(library, f"{self.kernel}_new")(*args)
@@ -281,23 +280,18 @@ class KernelPolicy(CachePolicy, abc.ABC):
 
     def _replay_chunk(
         self, pages: Any, write: int = 0, hint: int = 0, seq: int = 0, ids: int = 0,
-        next_read: int = 0, run: Callable[[int, int], None] | None = None,
+        next_read: int = 0,
     ) -> AccessOutcomeBatch:
         """Replay a chunk's *pages* (an int64 column) and the addresses of
-        the other columns the kernel reads: in one ``<kernel>_replay`` call,
-        or, if given, by calling *run* with n and the ``Columns`` address."""
+        the other columns the kernel reads, in one ``<kernel>_replay`` call."""
         n = len(pages)
         flags = np.empty((3, n), np.bool_)
         evictions = np.empty(2 * n + 1, np.int64)
-        evictions[0] = 0
         struct = columns(
             n, address(flags), address(evictions), address(pages), write, hint, seq, ids,
             next_read,
         )
-        if run is None:
-            self._kernel_replay(self._handle, n, address(struct))
-        else:
-            run(n, address(struct))
+        self._kernel_replay(self._handle, n, address(struct))
         evicted = evictions[n + 1 : n + 1 + int(evictions[n])]
         return AccessOutcomeBatch(flags[0], flags[1], flags[2], evicted, evictions[: n + 1])
 

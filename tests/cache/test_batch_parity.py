@@ -77,11 +77,11 @@ _SHARDED_VARIANTS = [
     ("SHARDED[OPT,client]", {"policy": "OPT", "shards": 2, "router": "client"}),
 ]
 
-#: CLIC variants beyond the default HintTable case: a Space-Saving tracker
-#: small enough that counter recycling forces the kernel's ordered-replay
-#: fallback (top_k=4; the small hint domain easily exceeds 4 keys), a
-#: degenerate k=1 tracker (recycling on nearly every segment), a short
-#: decayed window so heap rebuilds land mid-chunk, the default metadata
+#: CLIC variants beyond the default exact hint table: a Space-Saving tracker
+#: small enough that its counters are recycled (top_k=4; the small hint
+#: domain easily exceeds 4 keys), a degenerate k=1 tracker (recycling on
+#: nearly every new hint set), a short decayed window so window closes and
+#: heap rebuilds land mid-chunk, the default metadata
 #: charge every experiment runs (the usable cache is smaller than the
 #: outqueue's sizing capacity), and a zero-capacity outqueue (evictions and
 #: bypasses remember nothing).

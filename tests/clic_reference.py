@@ -1,4 +1,5 @@
-"""The scalar CLIC policy and its outqueue: the reference the C kernel is held to.
+"""The scalar CLIC policy, its outqueue and its hint trackers: the reference
+the C kernel is held to.
 
 This is the pure-Python CLIC that ``repro.core.clic`` replaced with a C
 kernel, one request at a time, unchanged in behaviour.  The parity suite
@@ -6,12 +7,13 @@ kernel, one request at a time, unchanged in behaviour.  The parity suite
 (``tests/simulation/test_engine_oracle.py``) and the invariant suite's
 kernel-less case (``tests/test_registry_invariants.py``) replay it beside
 the kernel and require identical outcomes and cached pages;
-``tests/policy_reference.py`` registers it with the other policies'
-references.
+``tests/core/test_clic_kernel.py`` also requires identical learned
+priorities, bit for bit.  ``tests/policy_reference.py`` registers it with
+the other policies' references.
 
 CLIC assigns every hint set ``H`` a caching priority ``Pr(H)`` learned
 on-line from the read re-reference behaviour of requests that carried ``H``
-(:mod:`repro.core.priority`).  The replacement policy (paper Figure 4) then
+(:class:`PriorityManager`).  The replacement policy (paper Figure 4) then
 works as follows for a request ``(p, H)`` with sequence number ``s``:
 
 * if ``p`` is cached, refresh ``seq(p)`` and ``H(p)`` — the most recent
@@ -43,13 +45,22 @@ the outqueue.  When the outqueue is full, the least-recently inserted entry
 is evicted, which deliberately biases CLIC towards detecting *short*
 re-reference distances — exactly the re-references that lead to high caching
 priority.
+
+The hint trackers (Sections 3.1 and 5): :class:`HintTable` keeps exact
+``N(H)``, ``Nr(H)`` and distance sums for every hint set seen in the
+current window; :class:`SpaceSavingTracker` keeps them only for the ``k``
+hint sets the Space-Saving algorithm (:class:`SpaceSaving`, Metwally,
+Agrawal and El Abbadi, ICDT 2005) tracks.
 """
 
 from __future__ import annotations
 
+import abc
 import heapq
+import itertools
 from collections import OrderedDict
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.cache.base import (
     HIT,
@@ -60,14 +71,373 @@ from repro.cache.base import (
 )
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
-from repro.core.priority import PriorityManager
+from repro.core.statistics import HintSetStats, compute_priority
 from repro.simulation.request import IORequest
 
 __all__ = [
     "CLICPolicy",
+    "HintStatsTracker",
+    "HintTable",
     "OutQueue",
     "OutQueueEntry",
+    "PriorityManager",
+    "SpaceSaving",
+    "SpaceSavingTracker",
+    "TrackedItem",
 ]
+
+
+class HintStatsTracker(abc.ABC):
+    """Interface shared by the exact hint table and the top-k tracker."""
+
+    @abc.abstractmethod
+    def record_request(self, hint_key: tuple) -> None:
+        """Count one arriving request with hint set *hint_key* (N(H) += 1)."""
+
+    @abc.abstractmethod
+    def record_read_rereference(self, hint_key: tuple, distance: int) -> None:
+        """Count a read re-reference of a request that carried *hint_key*.
+
+        ``distance`` is the difference between the sequence numbers of the
+        re-referencing read and the original request.
+        """
+
+    @abc.abstractmethod
+    def snapshot(self) -> Mapping[tuple, HintSetStats]:
+        """Return the statistics of every currently tracked hint set."""
+
+    @abc.abstractmethod
+    def clear(self) -> None:
+        """Forget all statistics (called at window boundaries, Section 3.2)."""
+
+    @abc.abstractmethod
+    def __len__(self) -> int:
+        """Number of hint sets currently tracked."""
+
+    def priorities(self) -> dict[tuple, float]:
+        """Hint-set key -> Pr(H) for every tracked hint set."""
+        return {key: compute_priority(stats) for key, stats in self.snapshot().items()}
+
+
+class HintTable(HintStatsTracker):
+    """Exact per-hint-set statistics, one entry per observed hint set."""
+
+    def __init__(self) -> None:
+        self._stats: dict[tuple, HintSetStats] = {}
+
+    def record_request(self, hint_key: tuple) -> None:
+        stats = self._stats.get(hint_key)
+        if stats is None:
+            stats = self._stats[hint_key] = HintSetStats()
+        stats.requests += 1
+
+    def record_read_rereference(self, hint_key: tuple, distance: int) -> None:
+        if distance <= 0:
+            raise ValueError(f"re-reference distance must be positive, got {distance}")
+        stats = self._stats.get(hint_key)
+        if stats is None:
+            # The original request predates the current statistics window (the
+            # table was cleared since).  Count the re-reference anyway so that
+            # hint sets whose pages linger in the cache across windows still
+            # receive credit; the paper's description leaves this corner to
+            # the implementation.
+            stats = self._stats[hint_key] = HintSetStats()
+        stats.read_rereferences += 1
+        stats.distance_total += distance
+
+    def snapshot(self) -> Mapping[tuple, HintSetStats]:
+        return dict(self._stats)
+
+    def get(self, hint_key: tuple) -> HintSetStats | None:
+        return self._stats.get(hint_key)
+
+    def clear(self) -> None:
+        self._stats.clear()
+
+    def __len__(self) -> int:
+        return len(self._stats)
+
+
+@dataclass
+class TrackedItem:
+    """One Space-Saving counter."""
+
+    item: Hashable
+    count: int
+    error: int
+    #: Tie-break of the item's most recent heap entry.  Kept on the item so
+    #: that compacting the lazy heap preserves the exact pop order among
+    #: equal-count items.
+    tiebreak: int = 0
+
+    @property
+    def guaranteed_count(self) -> int:
+        """Lower bound on the item's true frequency (``count - error``)."""
+        return self.count - self.error
+
+
+class SpaceSaving:
+    """The Space-Saving algorithm over a stream of hashable items.
+
+    ``k`` counters.  An arriving item that is tracked has its count
+    incremented; else, with fewer than ``k`` items tracked, it is added with
+    count 1 and error 0; otherwise it *replaces* the tracked item with the
+    minimum count ``m`` and gets count ``m + 1`` and error ``m``.
+
+    The tracked items sit in a dict, beside a lazily validated min-heap of
+    ``(count, tiebreak, item)`` entries, one pushed per offer: an entry is
+    valid when its item is tracked with that count.
+    """
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self._k = k
+        self._items: dict[Hashable, TrackedItem] = {}
+        self._heap: list[tuple[int, int, Hashable]] = []
+        self._tiebreak = itertools.count()
+        self._processed = 0
+        # Every increment pushes a fresh heap entry and leaves the old one
+        # stale, so without compaction the heap grows with the stream length.
+        # Rebuilding from the k live entries once the heap passes this bound
+        # keeps memory O(k) at amortised O(1) extra cost per update.
+        self._compact_limit = max(4 * k, 32)
+
+    @property
+    def k(self) -> int:
+        return self._k
+
+    @property
+    def processed(self) -> int:
+        """Total number of stream items offered so far."""
+        return self._processed
+
+    def offer(self, item: Hashable) -> tuple[Hashable | None, bool]:
+        """Process one stream item.
+
+        Returns ``(replaced_item, is_tracked_now)`` where ``replaced_item`` is
+        the item whose slot was recycled (or ``None``), letting callers reset
+        any side statistics they keep for evicted items.
+        """
+        self._processed += 1
+        entry = self._items.get(item)
+        if entry is not None:
+            entry.count += 1
+            self._push(entry)
+            return None, True
+        if len(self._items) < self._k:
+            entry = TrackedItem(item=item, count=1, error=0)
+            self._items[item] = entry
+            self._push(entry)
+            return None, True
+        victim = self._pop_min()
+        min_count = self._items[victim].count
+        del self._items[victim]
+        entry = TrackedItem(item=item, count=min_count + 1, error=min_count)
+        self._items[item] = entry
+        self._push(entry)
+        return victim, True
+
+    def _push(self, entry: TrackedItem) -> None:
+        entry.tiebreak = next(self._tiebreak)
+        heapq.heappush(self._heap, (entry.count, entry.tiebreak, entry.item))
+        if len(self._heap) > self._compact_limit:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop stale heap entries, rebuilding from the live counters.
+
+        Each item's live entry is reconstructed from the (count, tiebreak)
+        stored on its :class:`TrackedItem`, so the pop order — including ties
+        — is exactly what lazy deletion would have produced.
+        """
+        self._heap = [
+            (entry.count, entry.tiebreak, item) for item, entry in self._items.items()
+        ]
+        heapq.heapify(self._heap)
+
+    @property
+    def heap_size(self) -> int:
+        """Current size of the lazy heap (bounded by a small multiple of k)."""
+        return len(self._heap)
+
+    def _pop_min(self) -> Hashable:
+        """Pop and return the currently tracked item with the minimum count."""
+        while self._heap:
+            count, _tiebreak, item = heapq.heappop(self._heap)
+            entry = self._items.get(item)
+            if entry is not None and entry.count == count:
+                return item
+        raise RuntimeError("Space-Saving heap exhausted")  # pragma: no cover
+
+    def __contains__(self, item: Hashable) -> bool:
+        return item in self._items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, item: Hashable) -> TrackedItem | None:
+        return self._items.get(item)
+
+    def tracked(self) -> Mapping[Hashable, TrackedItem]:
+        """All currently tracked items and their counters."""
+        return dict(self._items)
+
+    def top(self, n: int | None = None) -> list[TrackedItem]:
+        """Tracked items sorted by estimated frequency (descending)."""
+        entries = sorted(self._items.values(), key=lambda e: e.count, reverse=True)
+        return entries if n is None else entries[:n]
+
+    def clear(self) -> None:
+        self._items.clear()
+        self._heap.clear()
+        self._processed = 0
+
+
+class SpaceSavingTracker(HintStatsTracker):
+    """Hint-set statistics bounded to ``k`` hint sets (paper Section 5).
+
+    * ``N(H)``  — the Space-Saving count minus its error (``count - error``
+      is a guaranteed lower bound on the true frequency);
+    * ``Nr(H)`` — read re-references observed *while H is tracked*;
+    * ``D(H)``  — mean distance of exactly those re-references.
+
+    Both side statistics reset when ``H``'s counter is recycled.  Untracked
+    hint sets contribute nothing and have priority zero.
+    """
+
+    def __init__(self, k: int):
+        self._summary = SpaceSaving(k)
+        # Side statistics only for currently tracked hint sets.
+        self._side: dict[tuple, HintSetStats] = {}
+
+    @property
+    def k(self) -> int:
+        return self._summary.k
+
+    def record_request(self, hint_key: tuple) -> None:
+        replaced, _ = self._summary.offer(hint_key)
+        if replaced is not None:
+            # The replaced hint set's slot is recycled: drop its side stats.
+            self._side.pop(replaced, None)
+        if hint_key not in self._side:
+            self._side[hint_key] = HintSetStats()
+
+    def record_read_rereference(self, hint_key: tuple, distance: int) -> None:
+        if distance <= 0:
+            raise ValueError(f"re-reference distance must be positive, got {distance}")
+        if hint_key not in self._summary:
+            return
+        stats = self._side.setdefault(hint_key, HintSetStats())
+        stats.read_rereferences += 1
+        stats.distance_total += distance
+
+    def snapshot(self) -> Mapping[tuple, HintSetStats]:
+        result: dict[tuple, HintSetStats] = {}
+        for key, tracked in self._summary.tracked().items():
+            side = self._side.get(key, HintSetStats())
+            result[key] = HintSetStats(
+                requests=max(tracked.guaranteed_count, 0),
+                read_rereferences=side.read_rereferences,
+                distance_total=side.distance_total,
+            )
+        return result
+
+    def clear(self) -> None:
+        self._summary.clear()
+        self._side.clear()
+
+    def __len__(self) -> int:
+        return len(self._summary)
+
+
+class PriorityManager:
+    """Smoothed caching priorities ``Pr(H)`` across request windows
+    (Sections 3 and 3.2).
+
+    The request stream is divided into non-overlapping windows of ``W``
+    requests.  During window ``i`` the tracker collects statistics; at the
+    window boundary the per-window priorities ``p̂r(H)_i = fhit(H) / D(H)``
+    are blended into the running priorities (Equation 3)::
+
+        Pr(H)_i = r * p̂r(H)_i + (1 - r) * Pr(H)_{i-1}
+
+    Hint sets that have never been observed have priority zero.
+    """
+
+    def __init__(self, window_size: int, decay: float = 1.0, top_k: int | None = None):
+        if window_size < 1:
+            raise ValueError(f"window_size must be >= 1, got {window_size}")
+        if not 0.0 < decay <= 1.0:
+            raise ValueError(f"decay must be in (0, 1], got {decay}")
+        self._window_size = window_size
+        self._decay = decay
+        self._tracker: HintStatsTracker = (
+            HintTable() if top_k is None else SpaceSavingTracker(top_k)
+        )
+        self._priorities: dict[tuple, float] = {}
+        self._requests_in_window = 0
+        self._windows_completed = 0
+
+    @property
+    def window_size(self) -> int:
+        return self._window_size
+
+    @property
+    def tracker(self) -> HintStatsTracker:
+        return self._tracker
+
+    @property
+    def windows_completed(self) -> int:
+        return self._windows_completed
+
+    @property
+    def requests_in_window(self) -> int:
+        return self._requests_in_window
+
+    def priority(self, hint_key: tuple) -> float:
+        """Current caching priority ``Pr(H)``; zero for unknown hint sets."""
+        return self._priorities.get(hint_key, 0.0)
+
+    def priorities(self) -> Mapping[tuple, float]:
+        """A copy of the current priority assignment."""
+        return dict(self._priorities)
+
+    def record_request(self, hint_key: tuple) -> bool:
+        """Count one request towards the current window.
+
+        Returns ``True`` when the request closes the window (the caller should
+        then rebuild any priority-ordered structures, since priorities changed).
+        """
+        self._tracker.record_request(hint_key)
+        self._requests_in_window += 1
+        if self._requests_in_window >= self._window_size:
+            self._finish_window()
+            return True
+        return False
+
+    def record_read_rereference(self, hint_key: tuple, distance: int) -> None:
+        """Credit a read re-reference to the hint set of the original request."""
+        self._tracker.record_read_rereference(hint_key, distance)
+
+    def _finish_window(self) -> None:
+        window_priorities = self._tracker.priorities()
+        r = self._decay
+        updated: dict[tuple, float] = {}
+        # Hint sets observed this window: blend new estimate with the old value.
+        for key, fresh in window_priorities.items():
+            previous = self._priorities.get(key, 0.0)
+            updated[key] = r * fresh + (1.0 - r) * previous
+        # Hint sets not observed this window decay towards zero (their fresh
+        # estimate is zero); with r == 1 they are forgotten entirely.
+        if r < 1.0:
+            for key, previous in self._priorities.items():
+                if key not in updated:
+                    updated[key] = (1.0 - r) * previous
+        self._priorities = updated
+        self._tracker.clear()
+        self._requests_in_window = 0
+        self._windows_completed += 1
 
 
 class OutQueueEntry(NamedTuple):
@@ -185,6 +555,11 @@ class CLICPolicy(CachePolicy):
         return self._priorities
 
     @property
+    def windows_completed(self) -> int:
+        """How many priority windows have closed."""
+        return self._priorities.windows_completed
+
+    @property
     def outqueue(self) -> OutQueue:
         return self._outqueue
 
@@ -207,8 +582,8 @@ class CLICPolicy(CachePolicy):
     def _rebuild_heap(self) -> None:
         """Re-read the ``Pr`` table and rebuild the hint-set priority heap
         (called at window boundaries)."""
-        get = self._priorities.mapping.get
-        pr = self._pr = [get(key, 0.0) for key in self._keys]
+        priority = self._priorities.priority
+        pr = self._pr = [priority(key) for key in self._keys]
         cached = self._cached
         self._heap = [
             (pr[hint_id], cached[next(iter(lst))][0], hint_id)

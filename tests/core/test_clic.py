@@ -58,7 +58,7 @@ def teach_priorities(policy, hot_pages=range(100, 105), filler_pages=range(200, 
     for request in requests:
         policy.access(request, seq)
         seq += 1
-    assert policy.priority_manager.windows_completed == 1
+    assert policy.windows_completed == 1
     return seq
 
 
@@ -179,42 +179,49 @@ class TestFigure4Policy:
 
 
 class TestHintAnalysisIntegration:
+    # Each window below closes on its last request, so the learned
+    # priority Pr = (Nr/N) / D, computed with the same float operations,
+    # shows what the window credited.
+
     @both
     def test_read_rereference_detected_through_cache(self, policy_class):
-        policy = policy_class(capacity=4, config=small_config(window_size=100))
+        policy = policy_class(capacity=4, config=small_config(window_size=2))
         policy.access(rd(1, HOT), 0)
         policy.access(rd(1, HOT), 5)
-        stats = policy.priority_manager.tracker.snapshot()[HOT.key()]
-        assert stats.read_rereferences == 1
-        assert stats.mean_distance == pytest.approx(5.0)
+        # N = 2, Nr = 1, D = 5.
+        assert policy.current_priorities() == {HOT.key(): 0.5 / 5}
 
     @both
     def test_read_rereference_detected_through_outqueue(self, policy_class):
-        policy = policy_class(capacity=1, config=small_config(window_size=100))
+        policy = policy_class(capacity=1, config=small_config(window_size=3))
         policy.access(rd(1, COLD), 0)     # cached
         policy.access(rd(2, HOT), 1)      # not cached -> outqueue
         policy.access(rd(2, HOT), 3)      # re-read while only in the outqueue
-        stats = policy.priority_manager.tracker.snapshot()[HOT.key()]
-        assert stats.read_rereferences == 1
-        assert stats.mean_distance == pytest.approx(2.0)
+        assert not policy.contains(2)
+        # HOT: N = 2, Nr = 1, D = 2; COLD: no re-reference.
+        assert policy.current_priorities() == {
+            COLD.key(): 0.0,
+            HOT.key(): 0.5 / 2,
+        }
 
     @both
     def test_write_rereference_is_not_credited(self, policy_class):
-        policy = policy_class(capacity=4, config=small_config(window_size=100))
+        policy = policy_class(capacity=4, config=small_config(window_size=2))
         policy.access(rd(1, HOT), 0)
         policy.access(wr(1, HOT), 5)      # write re-reference: no benefit
-        stats = policy.priority_manager.tracker.snapshot()[HOT.key()]
-        assert stats.read_rereferences == 0
+        assert policy.current_priorities() == {HOT.key(): 0.0}
 
     @both
     def test_rereference_credited_to_previous_hint_set(self, policy_class):
         # The credit goes to the hint set attached to the *original* request.
-        policy = policy_class(capacity=4, config=small_config(window_size=100))
+        policy = policy_class(capacity=4, config=small_config(window_size=2))
         policy.access(rd(1, COLD), 0)
         policy.access(rd(1, HOT), 4)
-        snapshot = policy.priority_manager.tracker.snapshot()
-        assert snapshot[COLD.key()].read_rereferences == 1
-        assert snapshot.get(HOT.key()) is None or snapshot[HOT.key()].read_rereferences == 0
+        # COLD: N = 1, Nr = 1, D = 4; HOT: N = 1, no re-reference.
+        assert policy.current_priorities() == {
+            COLD.key(): 1 / 4,
+            HOT.key(): 0.0,
+        }
 
     @both
     def test_priorities_learned_favor_rereferenced_hint_set(self, policy_class):
@@ -230,16 +237,36 @@ class TestHintAnalysisIntegration:
             for page in (1, 2, 3):
                 policy.access(rd(page, HOT), seq)
                 seq += 1
-        assert policy.priority_manager.windows_completed >= 1
+        assert policy.windows_completed >= 1
         assert policy.hint_priority(HOT) > 0.0
 
     @both
+    def test_windows_completed_counts_closed_windows(self, policy_class):
+        policy = policy_class(capacity=4, config=small_config(window_size=5))
+        for seq in range(23):
+            policy.access(rd(seq % 6, HOT), seq)
+            assert policy.windows_completed == (seq + 1) // 5
+
+    @both
     def test_top_k_mode_limits_tracked_hint_sets(self, policy_class):
-        config = small_config(window_size=1_000, top_k=2)
+        objects = ["a", "b", "c", "d", "e", "f"]
+        config = small_config(window_size=len(objects), top_k=2)
         policy = policy_class(capacity=8, config=config)
+        for seq, obj in enumerate(objects):
+            policy.access(rd(seq, hint(object_id=obj)), seq)
+        # Each new hint set took the counter of the oldest minimum, so only
+        # the last two were tracked when the window closed.
+        assert policy.current_priorities() == {
+            hint(object_id="e").key(): 0.0,
+            hint(object_id="f").key(): 0.0,
+        }
+
+    def test_top_k_mode_tracker_holds_k_hint_sets(self):
+        config = small_config(window_size=1_000, top_k=2)
+        policy = ReferenceCLIC(capacity=8, config=config)
         for seq, obj in enumerate(["a", "b", "c", "d", "e", "f"]):
             policy.access(rd(seq, hint(object_id=obj)), seq)
-        assert len(policy.priority_manager.tracker) <= 2
+        assert len(policy.priority_manager.tracker) == 2
 
 
 class TestEndToEndBehaviour:

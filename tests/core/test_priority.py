@@ -1,10 +1,11 @@
-"""Tests for windowed priority estimation and exponential smoothing (Section 3.2)."""
+"""Tests for the reference's windowed priority estimation and exponential
+smoothing (Section 3.2, ``tests/clic_reference.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.priority import PriorityManager
+from tests.clic_reference import PriorityManager, SpaceSavingTracker
 
 
 KEY_A = ("db2", ("a",))
@@ -93,8 +94,6 @@ class TestPriorityManager:
         assert pm.priority(KEY_A) == 0.0
 
     def test_top_k_mode_uses_space_saving(self):
-        from repro.core.spacesaving import SpaceSavingTracker
-
         pm = PriorityManager(window_size=10, top_k=2)
         assert isinstance(pm.tracker, SpaceSavingTracker)
 

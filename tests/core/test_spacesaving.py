@@ -1,4 +1,5 @@
-"""Tests for the Space-Saving frequent-item algorithm and its CLIC extension."""
+"""Tests for the reference Space-Saving algorithm and its CLIC extension
+(``tests/clic_reference.py``), which the C kernel's tracker is held to."""
 
 from __future__ import annotations
 
@@ -6,10 +7,8 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.spacesaving import SpaceSaving, SpaceSavingTracker
+from tests.clic_reference import SpaceSaving, SpaceSavingTracker
 
 
 class TestSpaceSaving:
@@ -186,164 +185,3 @@ class TestSpaceSavingTracker:
         tracker.record_request(KEY_HOT)
         tracker.record_request(KEY_COLD)
         assert len(tracker) == 2
-
-
-class TestBatchScalarEquivalence:
-    """The batch fast path (offer_repeat / record_request_count) must be
-    behaviourally identical to ordered scalar replay — including the heap's
-    tie-break order, which decides *future* recycling victims.  This is the
-    contract the columnar CLIC kernel's deferred segments rely on."""
-
-    def test_offer_repeat_counts_like_sequential_offers(self):
-        ss = SpaceSaving(k=4)
-        ss.offer_repeat("a", 3)
-        ss.offer_repeat("b", 2)
-        ss.offer_repeat("a", 1)
-        assert ss.processed == 6
-        tracked = ss.tracked()
-        assert (tracked["a"].count, tracked["a"].error) == (4, 0)
-        assert (tracked["b"].count, tracked["b"].error) == (2, 0)
-
-    def test_offer_repeat_refuses_to_recycle(self):
-        ss = SpaceSaving(k=1)
-        ss.offer_repeat("a", 5)
-        with pytest.raises(ValueError, match="recycle"):
-            ss.offer_repeat("b", 1)
-        # The failed call must not have counted anything.
-        assert ss.processed == 5
-        assert set(ss.tracked()) == {"a"}
-
-    def test_offer_repeat_rejects_nonpositive_repeat(self):
-        ss = SpaceSaving(k=2)
-        with pytest.raises(ValueError):
-            ss.offer_repeat("a", 0)
-
-    def test_would_recycle(self):
-        ss = SpaceSaving(k=2)
-        ss.offer("a")
-        assert not ss.would_recycle(["a", "b"])       # one new slot free
-        assert ss.would_recycle(["b", "c"])           # two new, one slot
-        ss.offer("b")
-        assert not ss.would_recycle(["a", "a", "b"])  # all tracked
-        assert ss.would_recycle(["c"])                # full, one new
-
-    @staticmethod
-    def _counters(ss):
-        return {item: (e.count, e.error) for item, e in ss.tracked().items()}
-
-    @staticmethod
-    def _replay_chunked(ss, stream, sizes, victims):
-        """Replay *stream* through the batch protocol the CLIC kernel uses:
-        grouped offer_repeat in last-occurrence order when no counter can
-        recycle, ordered offer() calls otherwise."""
-        offset = 0
-        index = 0
-        while offset < len(stream):
-            chunk = stream[offset : offset + sizes[index % len(sizes)]]
-            offset += len(chunk)
-            index += 1
-            if ss.would_recycle(chunk):
-                for item in chunk:
-                    replaced, _ = ss.offer(item)
-                    if replaced is not None:
-                        victims.append(replaced)
-            else:
-                counts: dict = {}
-                for item in chunk:
-                    counts[item] = counts.pop(item, 0) + 1
-                for item, count in counts.items():
-                    ss.offer_repeat(item, count)
-
-    @given(
-        stream=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=300),
-        sizes=st.lists(st.integers(min_value=1, max_value=32), min_size=1, max_size=10),
-        k=st.integers(min_value=1, max_value=6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_batch_replay_preserves_victim_order(self, stream, sizes, k):
-        scalar = SpaceSaving(k=k)
-        batched = SpaceSaving(k=k)
-
-        scalar_victims: list = []
-        for item in stream:
-            replaced, _ = scalar.offer(item)
-            if replaced is not None:
-                scalar_victims.append(replaced)
-
-        batched_victims: list = []
-        self._replay_chunked(batched, stream, sizes, batched_victims)
-
-        # Identical counters, identical recycling history, identical stream
-        # position after the interleaved replay.
-        assert self._counters(batched) == self._counters(scalar)
-        assert batched_victims == scalar_victims
-        assert batched.processed == scalar.processed
-
-        # The regression proper: a recycling-heavy tail must pick the exact
-        # same victims, i.e. the lazy heap's tie-break order survived the
-        # batched replay (offer_repeat pushes one entry per key, sequential
-        # offers push one per occurrence — pop order must not notice).
-        for item in range(1000, 1000 + k + 3):
-            scalar_replaced, _ = scalar.offer(item)
-            batched_replaced, _ = batched.offer(item)
-            assert batched_replaced == scalar_replaced
-        assert self._counters(batched) == self._counters(scalar)
-
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=7),
-                st.booleans(),
-            ),
-            min_size=1,
-            max_size=200,
-        ),
-        sizes=st.lists(st.integers(min_value=1, max_value=16), min_size=1, max_size=6),
-        k=st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_tracker_batch_protocol_matches_scalar(self, events, sizes, k):
-        """SpaceSavingTracker's can_defer / record_request_count /
-        accepts_rereference agree with ordered record_* calls, side stats
-        included."""
-        keys = [("client", (i,)) for i in range(8)]
-        scalar = SpaceSavingTracker(k=k)
-        batched = SpaceSavingTracker(k=k)
-
-        offset = 0
-        index = 0
-        while offset < len(events):
-            chunk = events[offset : offset + sizes[index % len(sizes)]]
-            offset += len(chunk)
-            index += 1
-            for key_index, is_reref in chunk:
-                key = keys[key_index]
-                if is_reref:
-                    scalar.record_read_rereference(key, distance=3)
-                else:
-                    scalar.record_request(key)
-            chunk_keys = {keys[key_index] for key_index, _ in chunk}
-            if batched.can_defer(chunk_keys):
-                counts: dict = {}
-                rerefs: list = []
-                for key_index, is_reref in chunk:
-                    key = keys[key_index]
-                    if is_reref:
-                        if batched.accepts_rereference(key) or key in counts:
-                            rerefs.append(key)
-                    else:
-                        counts[key] = counts.pop(key, 0) + 1
-                for key, count in counts.items():
-                    batched.record_request_count(key, count)
-                for key in rerefs:
-                    batched.record_read_rereference(key, distance=3)
-            else:
-                for key_index, is_reref in chunk:
-                    key = keys[key_index]
-                    if is_reref:
-                        batched.record_read_rereference(key, distance=3)
-                    else:
-                        batched.record_request(key)
-
-        assert batched.snapshot() == scalar.snapshot()
-        assert batched.priorities() == scalar.priorities()

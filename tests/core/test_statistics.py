@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.statistics import HintSetStats, HintTable, compute_priority
+from repro.core.statistics import HintSetStats, compute_priority
+
+from tests.clic_reference import HintTable
 
 
 KEY_A = ("db2", ("stock", "replacement_write"))

@@ -12,14 +12,12 @@ from repro.cache.opt import OPTPolicy
 from repro.cache.tq import TQPolicy
 from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
-from repro.core.spacesaving import SpaceSaving
-from repro.core.statistics import HintTable
 from repro.simulation.cluster import ShardedCache
 from repro.simulation.simulator import CacheSimulator
 from repro.trace.io import read_trace, write_trace
 from repro.trace.records import Trace
 
-from tests.clic_reference import OutQueue
+from tests.clic_reference import HintTable, OutQueue, SpaceSaving
 from tests.strategies import capacities, request_streams as request_streams_strategy
 
 pytestmark = pytest.mark.property
