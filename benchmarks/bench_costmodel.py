@@ -40,7 +40,7 @@ from repro.cache.registry import create_policy
 from repro.experiments.common import ExperimentSettings, generate_trace
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import MultiPolicySimulator
-from repro.trace.columnar import columnar_chunks
+from repro.trace.columnar import ColumnarChunk
 
 #: The engine-off path may trail the hand-inlined loop by at most this
 #: factor (it additionally accounts each chunk's outcomes, per client too).
@@ -59,9 +59,8 @@ def reference_replay(policy, requests) -> None:
     """The pre-cost-model fast path, inlined: the engine's chunks of the
     request list, each lifted and replayed in one ``batch_access``."""
     size = MultiPolicySimulator.CHUNK_SIZE
-    chunks = (requests[start : start + size] for start in range(0, len(requests), size))
-    for chunk in columnar_chunks(chunks):
-        policy.batch_access(chunk)
+    for start in range(0, len(requests), size):
+        policy.batch_access(ColumnarChunk.from_requests(requests[start : start + size], start))
 
 
 def engine_replay(policy, requests, cost_model=None, chunk_size=None):

@@ -184,7 +184,7 @@ def _grid_cells(cache_sizes, policies):
 def object_replay_sweep(spec, cache_sizes, policies):
     """The object replay baseline: one scalar pass feeding every cell.
 
-    Per decoded block of the cached trace (``spec.iter_chunks()``) it does
+    Per decoded block of the cached trace (``spec.open().iter_chunks()``) it does
     what the engine's object loop did per chunk before the engine replayed
     only columnar chunks: ``list(map(policy.access, chunk, seqs))`` for
     every (policy, size) cell, then one counting pass over the outcomes.
@@ -203,7 +203,7 @@ def object_replay_sweep(spec, cache_sizes, policies):
             policy.adopt_read_index(index)
     stats = [CacheStats() for _ in cells]
     seq = 0
-    for chunk in spec.iter_chunks():
+    for chunk in spec.open().iter_chunks():
         seqs = range(seq, seq + len(chunk))
         for (_, _, policy), counted in zip(cells, stats):
             outcomes = list(map(policy.access, chunk, seqs))

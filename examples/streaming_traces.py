@@ -41,7 +41,7 @@ def main() -> None:
         f"({default_trace_cache().summary()})"
     )
 
-    # Streamed replay: the spec is a lazy request source; at most one block
+    # Streamed replay: the spec is a columnar stream; at most one block
     # of requests is decoded at a time.
     policies = [create_policy(name, capacity=3_600) for name in ("LRU", "TQ")]
     for result in MultiPolicySimulator(policies).run(spec):

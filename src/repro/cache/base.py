@@ -348,10 +348,10 @@ class CachePolicy(abc.ABC):
 
         Online policies ignore this.  The simulator calls it once before the
         first :meth:`access` when the policy declares ``offline = True``.
-        *requests* is any request source the engine replays: a request
-        sequence or a lazy source (``iter_requests()``, and possibly
-        ``iter_columnar()``).  The replay numbers the stream's requests
-        from 0, so position *i* of the stream is sequence number *i*.
+        The engine passes the columnar stream it replays
+        (``iter_columnar()``); called directly, *requests* may be any
+        request source.  The replay numbers the stream's requests from 0,
+        so position *i* of the stream is sequence number *i*.
         """
 
     @abc.abstractmethod

@@ -81,36 +81,25 @@ class ReadIndex(NamedTuple):
     def build(cls, requests: Any, router: Any = None) -> "ReadIndex":
         """Index a request stream, numbering its requests from 0.
 
-        Columnar sources (anything with ``iter_columnar()``) are indexed
-        from their page/write columns without building a request object;
-        any other request source or iterable is read request by request.
-        With a shard *router* (``route``/``route_batch``, routing from its
-        current state), a read only counts as the next read of requests on
-        its own shard: one column holding every shard's own index.
+        *requests* is any request source; it is indexed from its chunks'
+        page/write columns (:func:`~repro.trace.columnar.as_columnar`
+        lifts a request list).  With a shard *router* (``route_batch``,
+        routing from its current state), a read only counts as the next
+        read of requests on its own shard: one column holding every shard's
+        own index.
         """
+        # Lazy import: repro.trace imports repro.simulation, which imports
+        # this module.
+        from repro.trace.columnar import as_columnar
+
         pages: list[Any] = []
         writes: list[Any] = []
         shards: list[Any] = []
-        if hasattr(requests, "iter_columnar"):
-            for chunk in requests.iter_columnar():
-                pages.append(chunk.page)
-                writes.append(chunk.write)
-                if router is not None:
-                    shards.append(router.route_batch(chunk))
-        else:
-            if hasattr(requests, "iter_requests"):
-                requests = requests.iter_requests()
-            page_list: list[int] = []
-            write_list: list[bool] = []
-            shard_list: list[int] = []
-            for request in requests:
-                page_list.append(request.page)
-                write_list.append(not request.is_read)
-                if router is not None:
-                    shard_list.append(router.route(request))
-            pages.append(_np.array(page_list, _np.int64))
-            writes.append(_np.array(write_list, _np.bool_))
-            shards.append(_np.array(shard_list, _np.int64))
+        for chunk in as_columnar(requests).iter_columnar():
+            pages.append(chunk.page)
+            writes.append(chunk.write)
+            if router is not None:
+                shards.append(router.route_batch(chunk))
         if not pages:
             return cls(_np.zeros(0, _np.int64))
         page = _np.concatenate(pages)
@@ -144,12 +133,12 @@ class OPTPolicy(KernelPolicy):
     def build_read_index(requests: Any) -> ReadIndex:
         """Build the next-read index of a request stream.
 
-        *requests* is any request source: a columnar source is indexed from
-        its page/write columns, anything else request by request.  Positions
-        are numbered from 0, matching the sequence numbers the simulator
-        assigns during replay.  The index depends only on the
-        stream (not on the cache capacity), so one index can be shared by
-        many :class:`OPTPolicy` instances via :meth:`adopt_read_index`.
+        *requests* is any request source, indexed from its page/write
+        columns (see :meth:`ReadIndex.build`).  Positions are numbered from
+        0, matching the sequence numbers the simulator assigns during
+        replay.  The index depends only on the stream (not on the cache
+        capacity), so one index can be shared by many :class:`OPTPolicy`
+        instances via :meth:`adopt_read_index`.
         """
         return ReadIndex.build(requests)
 

@@ -47,11 +47,14 @@
  * Space-Saving.  Every request of a tracked or newly tracked id pushes a
  * (count, tiebreak, hint id) entry, with a tiebreak that grows with every
  * push, and the minimum valid entry -- its id tracked with that count --
- * names the counter to recycle.  As in the reference, the heap drops its
- * stale entries when it grows past max(4k, 32) entries.  Tiebreaks are
- * unique, so any binary heap over the same entries pops them in the same
- * order.  The heap never holds more than the W pushes of one window, so
- * its room, min(max(4k, 32) + 1, W), is allocated with the handle.
+ * names the counter to recycle.  Tiebreaks are unique, so any binary heap
+ * over the same entries pops them in the same order.  A stale entry never
+ * validates: when an id's counter is recycled through its live entry, every
+ * older entry of that id has a smaller key and was popped before it.  So
+ * the heap may drop its stale entries at any time (the reference does past
+ * max(4k, 32) entries).  It does when a push fills its room, twice the
+ * reserved hint ids, keeping one entry per tracked id; the push comes
+ * first, so a kept entry pairs the id's count with its newest tiebreak.
  */
 #include <string.h>
 
@@ -117,9 +120,8 @@ typedef struct {
     int64_t top_k;      /* k, or 0 for the exact hint table */
     int32_t *tracked;   /* the tracked hint ids */
     int64_t n_tracked;
-    Entry *counters;    /* Space-Saving's heap */
+    Entry *counters;    /* Space-Saving's heap: room for 2 * hint_room */
     int64_t counters_size;
-    int64_t compact_limit;
     int64_t tiebreak;
 } Clic;
 
@@ -286,7 +288,7 @@ static void oq_remove(Clic *c, int64_t page)
 
 /* ------------------------------------------------------------ statistics */
 
-/* Push hint id h's counter with the next tiebreak; past the limit, keep
+/* Push hint id h's counter with the next tiebreak; a full heap then keeps
  * only the tracked ids' newest entries. */
 static void counter_push(Clic *c, int32_t h)
 {
@@ -297,7 +299,7 @@ static void counter_push(Clic *c, int32_t h)
     item->seq = s->tiebreak;
     item->hint = h;
     sift_up(c->counters, c->counters_size++);
-    if (c->counters_size > c->compact_limit) {
+    if (c->counters_size == 2 * c->hint_room) {
         int64_t i;
         for (i = 0; i < c->n_tracked; i++) {
             const Stats *t = &c->stats[c->tracked[i]];
@@ -424,17 +426,6 @@ Clic *clic_new(int64_t capacity, int64_t oq_capacity, int64_t window, double dec
     }
     c->cache_free = 0;
     c->oq_free = oq_capacity ? 0 : NONE;
-    if (top_k) {
-        int64_t room;
-        /* A heap that never outgrows W never compacts. */
-        c->compact_limit = top_k > window / 4 ? window : top_k > 8 ? 4 * top_k : 32;
-        room = c->compact_limit < window ? c->compact_limit + 1 : window;
-        if ((uint64_t)room > SIZE_MAX / sizeof(Entry)
-            || (c->counters = malloc((size_t)room * sizeof(Entry))) == NULL) {
-            clic_free(c);
-            return NULL;
-        }
-    }
     return c;
 }
 
@@ -472,6 +463,13 @@ int clic_reserve(Clic *c, int64_t hints)
             return -1;
         }
         c->heap = heap;
+        if (c->top_k) {
+            Entry *counters = realloc(c->counters, (size_t)(2 * room) * sizeof(Entry));
+            if (counters == NULL) {
+                return -1;
+            }
+            c->counters = counters;
+        }
         for (h = c->hint_room; h < room; h++) {
             memset(&c->hint[h], 0, sizeof(Hint));
             list_init(&c->hint[h].list);

@@ -25,19 +25,18 @@ can be pickled to worker processes; specs whose factories cannot be pickled
 make the runner fall back to the serial path with a warning rather than
 fail.
 
-Request streams come in two shapes, unified by the *request-source
-protocol*:
-
-* plain sequences (lists/tuples of :class:`IORequest`), lifted chunk by
-  chunk into columns;
-* **lazy sources** — any object with a re-iterable ``iter_requests()``
-  method, e.g. :class:`repro.trace.cache.TraceSpec` or
-  :class:`repro.trace.binio.StreamedTrace` — replayed chunk-by-chunk with
-  bounded memory (the full request list is never materialized); those with
-  ``iter_columnar()`` decode straight into columns.  A lazy source that is
-  also cheaply picklable is what ``jobs > 1`` ships to worker processes:
-  each worker opens the trace itself instead of receiving millions of
-  pickled request objects.
+A request stream reaches the engine in one shape: a columnar stream, any
+object with a re-iterable ``iter_columnar()`` that yields
+:class:`~repro.trace.columnar.ColumnarChunk` batches numbered from
+sequence number 0 (:class:`repro.trace.cache.TraceSpec`,
+:class:`repro.trace.binio.StreamedTrace`,
+:class:`repro.simulation.multiclient.InterleavedSource`).  A request
+sequence or one-shot iterable is lifted into chunks once per run
+(:func:`~repro.trace.columnar.as_columnar`), and the offline index and the
+replay share those chunks.  A trace read from disk is replayed block by
+block with bounded memory, and one that is also cheaply picklable is what
+``jobs > 1`` ships to worker processes: each worker opens the trace itself
+instead of receiving millions of pickled request objects.
 """
 
 from __future__ import annotations
@@ -50,16 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    Protocol,
-    Sequence,
-)
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as _np
 
@@ -80,7 +70,7 @@ from repro.simulation.observers import (
 )
 from repro.simulation.queueing import QueueingModel, QueueingObserver
 from repro.simulation.request import IORequest
-from repro.trace.columnar import ColumnarChunk, columnar_chunks
+from repro.trace.columnar import ColumnarStream, as_columnar
 
 if TYPE_CHECKING:  # imported for type annotations only
     from repro.simulation.queueing import _ArrivalTape
@@ -93,61 +83,8 @@ __all__ = [
     "RequestSource",
 ]
 
-class LazyRequestSource(Protocol):
-    """A re-iterable request stream the engine can replay without
-    materializing it (e.g. :class:`repro.trace.cache.TraceSpec` or
-    :class:`repro.trace.binio.StreamedTrace`)."""
-
-    def iter_requests(self) -> Iterator[IORequest]: ...
-
-
-#: Anything the engine can replay: a request sequence or a lazy source.
-RequestSource = Sequence[IORequest] | LazyRequestSource
-
-
-def _as_request_source(requests: Iterable[IORequest]) -> RequestSource:
-    """Normalize to a sequence or a re-iterable lazy source.
-
-    One-shot iterables (plain generators) are materialized, because replay
-    may need several passes (offline preparation + the replay itself).
-    """
-    if isinstance(requests, (list, tuple)):
-        return requests
-    if hasattr(requests, "iter_requests"):
-        return requests
-    return list(requests)
-
-
-def _iter_request_chunks(source: RequestSource, chunk_size: int) -> Iterator[list[IORequest]]:
-    """Yield *source* as consecutive request lists of at most *chunk_size*."""
-    if isinstance(source, (list, tuple)):
-        for start in range(0, len(source), chunk_size):
-            yield source[start : start + chunk_size]
-        return
-    iterator = source.iter_requests()
-    while True:
-        chunk = list(islice(iterator, chunk_size))
-        if not chunk:
-            return
-        yield chunk
-
-
-def _iter_columnar_chunks(
-    source: RequestSource, chunk_size: int
-) -> Iterator[ColumnarChunk]:
-    """Yield *source* as columnar chunks numbered from sequence number 0.
-
-    Sources exposing ``iter_columnar()`` (:class:`StreamedTrace`,
-    :class:`~repro.trace.cache.TraceSpec`,
-    :class:`~repro.trace.columnar.ColumnarSource`) decode straight into
-    arrays and number their chunks themselves; anything else is cut into
-    request lists and each list is lifted with
-    :meth:`ColumnarChunk.from_requests`.
-    """
-    if hasattr(source, "iter_columnar"):
-        yield from source.iter_columnar()
-        return
-    yield from columnar_chunks(_iter_request_chunks(source, chunk_size))
+#: Anything the engine can replay: a request sequence or a columnar stream.
+RequestSource = Sequence[IORequest] | ColumnarStream
 
 
 class _QueueingTap:
@@ -225,7 +162,9 @@ class MultiPolicySimulator:
     #: instead of being evicted N-1 times per request by the other policies.
     CHUNK_SIZE = 4096
 
-    def run(self, requests: Iterable[IORequest]) -> list[SimulationResult]:
+    def run(
+        self, requests: Iterable[IORequest] | ColumnarStream
+    ) -> list[SimulationResult]:
         """Replay *requests* once through every policy.
 
         The policies never interact, so the engine is free to reorder work
@@ -235,17 +174,18 @@ class MultiPolicySimulator:
         policy, in policy order.  ``elapsed_seconds`` reports the duration of
         the shared pass and is therefore the same for every result.
 
-        ``requests`` may be a sequence or a lazy source (the request-source
-        protocol, see the module docstring).  A lazy source is replayed with
-        bounded memory — at most one chunk of requests is alive at a time —
-        and produces results bit-identical to replaying the materialized
-        list.  The stream's requests are sequence numbers 0, 1, 2, ...: every
+        ``requests`` may be a columnar stream or a request sequence, which
+        is lifted once into :attr:`CHUNK_SIZE` chunks (see the module
+        docstring).  A trace streamed from disk is replayed with bounded
+        memory — at most one block of it is decoded at a time — and
+        produces results bit-identical to replaying the materialized list.
+        The stream's requests are sequence numbers 0, 1, 2, ...: every
         source numbers its chunks that way.
         """
         policies = self._policies
         if not policies:
             return []
-        source = _as_request_source(requests)
+        source = as_columnar(requests, self.CHUNK_SIZE)
         if any(policy.offline for policy in policies):
             self._prepare_offline(source)
 
@@ -299,7 +239,7 @@ class MultiPolicySimulator:
         # results; each policy's hits are masked popcounts of its hit column.
         per_client: dict[str, list] = {}
         started = time.perf_counter()  # lintkit: ignore[wall-clock] elapsed_seconds is runtime telemetry, never replay state
-        for chunk in _iter_columnar_chunks(source, self.CHUNK_SIZE):
+        for chunk in source.iter_columnar():
             client_rows: list[tuple[list, object, object]] = []
             write = chunk.write
             for client_id, mask in chunk.present_clients():
@@ -380,14 +320,13 @@ class MultiPolicySimulator:
             )
         return results
 
-    def _prepare_offline(self, source: RequestSource) -> None:
+    def _prepare_offline(self, source: ColumnarStream) -> None:
         """Prepare offline policies, sharing one future index per index builder.
 
         Policies that can adopt the stream-wide index
         (``shares_read_index``: OPT, and OPT clusters with a page-keyed
         router) get it through ``adopt_read_index``.  The index is built
-        from the source as given, so a columnar source is indexed from its
-        page/write columns and never decodes into request objects.  The
+        from the page/write columns of the chunks the replay reads.  The
         shared-index cache is keyed by the builder function itself, so types
         that delegate to the same builder (``ShardedCache`` reuses OPT's)
         share one index with it instead of each indexing the stream.  Every
@@ -447,7 +386,7 @@ class SweepCell:
     ``requests`` overrides the runner's shared stream for this cell (used by
     sweeps whose cells replay different streams, e.g. the noise-injection
     experiment); ``None`` means the runner's stream.  Either may be a
-    sequence or a lazy request source (e.g. a
+    sequence or a columnar stream (e.g. a
     :class:`repro.trace.cache.TraceSpec`).
 
     ``queueing`` overrides the runner's queueing model for this cell (used
@@ -467,7 +406,7 @@ class SweepCell:
     queueing: QueueingModel | None = None
 
 
-# Per-worker copy of the runner's shared request stream (or the lazy source
+# Per-worker copy of the runner's shared request stream (or the trace spec
 # the worker opens itself), installed once per worker process by the pool
 # initializer instead of being pickled per cell.
 _WORKER_REQUESTS: RequestSource | None = None
@@ -481,12 +420,12 @@ def _init_worker(requests: RequestSource | None) -> None:
 def _stream_group_key(stream: RequestSource) -> object:
     """Group key for folding same-stream cells into one replay pass.
 
-    Hashable lazy sources (e.g. :class:`~repro.trace.cache.TraceSpec`) group
-    by *equality*, so two equal specs share one pass even if they are
+    Hashable columnar streams (e.g. :class:`~repro.trace.cache.TraceSpec`)
+    group by *equality*, so two equal specs share one pass even if they are
     distinct objects (or were pickled separately); everything else groups by
     identity.
     """
-    if hasattr(stream, "iter_requests"):
+    if hasattr(stream, "iter_columnar"):
         try:
             hash(stream)
         except TypeError:
@@ -505,7 +444,7 @@ def _run_cells(
     """Run *cells*, folding same-stream cells into one shared replay pass.
 
     Cells are grouped by request stream alone (stream equality for
-    hashable lazy sources), and one :class:`MultiPolicySimulator` pass per
+    hashable columnar streams), and one :class:`MultiPolicySimulator` pass per
     group covers every cell of it.  Within a group each distinct policy
     spec (specs that compare ``==`` are the same) is built and replayed
     once, however many cells list it: no policy decision reads the
@@ -589,7 +528,7 @@ def _run_cells(
 
 
 def _ensure_streams(streams: Iterable[RequestSource | None]) -> None:
-    """Call ``ensure()`` once per *distinct* lazy source, skipping ``None``.
+    """Call each *distinct* stream's ``ensure()`` once, skipping ``None``.
 
     Wide sweeps hand the runner one equal :class:`~repro.trace.cache
     .TraceSpec` per cell; ensuring each would re-stat (and on a cold cache,
@@ -702,7 +641,7 @@ class ParallelSweepRunner:
     def _run_parallel(
         self, cells: Sequence[SweepCell], jobs: int
     ) -> list[list[SimulationResult]]:
-        # Lazy sources get materialized on disk once, up front, so N workers
+        # Trace specs get materialized on disk once, up front, so N workers
         # opening the same spec hit the trace cache instead of racing to
         # generate the trace N times.
         _ensure_streams(

@@ -17,51 +17,19 @@ specs to its workers instead of the interleaved requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Generic,
-    Hashable,
-    Iterator,
-    Protocol,
-    Sequence,
-    TypeVar,
-    runtime_checkable,
-)
+from typing import Any, Callable, Generic, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as _np
 
 from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.simulation.request import IORequest
-from repro.trace.columnar import ColumnarChunk
+from repro.trace.columnar import ColumnarChunk, ColumnarStream, as_columnar
 
 __all__ = [
-    "ColumnarInput",
     "InterleavedSource",
     "interleave_round_robin",
     "partition_capacity",
 ]
-
-
-@runtime_checkable
-class ColumnarInput(Protocol):
-    """A re-iterable request source that decodes to columnar chunks
-    (:class:`~repro.trace.cache.TraceSpec`,
-    :class:`~repro.trace.binio.StreamedTrace`, ...)."""
-
-    def iter_columnar(self) -> Iterator[ColumnarChunk]: ...
-
-
-#: One client of an :class:`InterleavedSource`: a columnar source, or a
-#: request list lifted into one chunk.
-ClientStream = ColumnarInput | ColumnarChunk
-
-
-def _columns(source: ClientStream) -> Iterator[ColumnarChunk]:
-    if isinstance(source, ColumnarChunk):
-        yield source
-    else:
-        yield from source.iter_columnar()
 
 
 _Entry = TypeVar("_Entry")
@@ -99,8 +67,9 @@ class InterleavedSource:
     """Client traces interleaved round-robin, as a lazy columnar request source.
 
     Build it with :func:`interleave_round_robin`, which fixes
-    ``page_stride`` and ``rounds`` (requests taken from each client: the
-    shortest trace's length).  Request ``r`` of client ``i`` becomes request
+    ``page_stride`` (the largest page of any client, plus one) and
+    ``rounds`` (requests taken from each client: the shortest trace's
+    length).  Request ``r`` of client ``i`` becomes request
     ``r * len(sources) + i`` of the stream, with page ``page + i *
     page_stride``.
 
@@ -110,7 +79,7 @@ class InterleavedSource:
     one block per client at a time.
     """
 
-    sources: tuple[ClientStream, ...]
+    sources: tuple[ColumnarStream, ...]
     page_stride: int
     rounds: int
 
@@ -124,13 +93,6 @@ class InterleavedSource:
             if callable(ensure):
                 ensure()
 
-    def iter_requests(self) -> Iterator[IORequest]:
-        for chunk in self.iter_columnar():
-            yield from chunk.requests()
-
-    def __iter__(self) -> Iterator[IORequest]:
-        return self.iter_requests()
-
     def iter_columnar(self) -> Iterator[ColumnarChunk]:
         """Yield the interleaved stream as chunks, one per run of rounds that
         every client's current block covers.
@@ -138,9 +100,7 @@ class InterleavedSource:
         Hint ids and client indices are remapped into stream-wide tables
         that grow as the clients' tables do; hint id 0 stays the empty set.
         """
-        return self._interleave([_columns(source) for source in self.sources])
-
-    def _interleave(self, streams: list[Iterator[ColumnarChunk]]) -> Iterator[ColumnarChunk]:
+        streams = [source.iter_columnar() for source in self.sources]
         k = len(streams)
         hints = _TableMerge(HintSet.identity, EMPTY_HINT_SET)
         clients: _TableMerge[str] = _TableMerge(str)  # a client id is its own key
@@ -204,37 +164,28 @@ class InterleavedSource:
 
 
 def interleave_round_robin(
-    traces: Sequence[ColumnarInput | Sequence[IORequest]],
-    page_stride: int | None = None,
+    traces: Sequence[Iterable[IORequest] | ColumnarStream],
 ) -> InterleavedSource:
     """Interleave several client traces round-robin into one server workload.
 
     Every trace is truncated to the length of the shortest one (the paper
-    does this to eliminate bias towards longer traces).
+    does this to eliminate bias towards longer traces), and client ``i``'s
+    pages move up by ``i`` times the largest page id of any client plus one,
+    so no two clients share a page.
 
-    Parameters
-    ----------
-    traces:
-        One request source per client: a columnar source
-        (:class:`~repro.trace.cache.TraceSpec`,
-        :class:`~repro.trace.binio.StreamedTrace`) or a request list, which
-        is lifted once with :meth:`ColumnarChunk.from_requests`.
-    page_stride:
-        Distance between the page-id ranges assigned to consecutive clients.
-        ``None`` derives a safe stride from the largest page id observed.
-
-    The lengths and the largest page id come from one columnar pass over
-    each trace, here; the returned source replays lazily.
+    *traces* holds one request source per client: a columnar stream
+    (:class:`~repro.trace.cache.TraceSpec`,
+    :class:`~repro.trace.binio.StreamedTrace`) or a request list, which is
+    lifted once here (:func:`~repro.trace.columnar.as_columnar`).  The
+    lengths and the largest page id come from one columnar pass over each
+    trace, here; the returned source replays lazily.
     """
-    sources: list[ClientStream] = [
-        trace if isinstance(trace, ColumnarInput) else ColumnarChunk.from_requests(trace)
-        for trace in traces
-    ]
+    sources = tuple(as_columnar(trace) for trace in traces)
     lengths: list[int] = []
     top = -1
     for source in sources:
         length = 0
-        for chunk in _columns(source):
+        for chunk in source.iter_columnar():
             if len(chunk):
                 length += len(chunk)
                 top = max(top, int(chunk.page.max()))
@@ -242,8 +193,8 @@ def interleave_round_robin(
             raise ValueError("cannot interleave an empty trace")
         lengths.append(length)
     return InterleavedSource(
-        sources=tuple(sources),
-        page_stride=top + 1 if page_stride is None else page_stride,
+        sources=sources,
+        page_stride=top + 1,
         rounds=min(lengths, default=0),
     )
 

@@ -26,6 +26,7 @@ from repro.simulation.metrics import SimulationResult
 from repro.simulation.observers import ReplayObserver
 from repro.simulation.queueing import QueueingModel
 from repro.simulation.request import IORequest
+from repro.trace.columnar import ColumnarStream
 
 __all__ = ["CacheSimulator", "simulate"]
 
@@ -73,8 +74,9 @@ class CacheSimulator:
     def policy(self) -> CachePolicy:
         return self._policy
 
-    def run(self, requests: Iterable[IORequest]) -> SimulationResult:
-        """Replay *requests* through the policy and return the result.
+    def run(self, requests: Iterable[IORequest] | ColumnarStream) -> SimulationResult:
+        """Replay *requests* (a request sequence or a columnar stream)
+        through the policy and return the result.
 
         Requests are numbered consecutively from sequence number 0.
         """
@@ -83,7 +85,7 @@ class CacheSimulator:
 
 def simulate(
     policy: CachePolicy,
-    requests: Iterable[IORequest],
+    requests: Iterable[IORequest] | ColumnarStream,
     cost_model: CostModel | None = None,
     rolling_window: int | None = None,
     queueing_model: QueueingModel | None = None,

@@ -19,6 +19,8 @@ import dataclasses
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as _np
+
 from repro.cache.base import CachePolicy
 from repro.core.config import CLICConfig
 from repro.simulation.costmodel import CostModel
@@ -29,6 +31,7 @@ from repro.simulation.engine import (
     SweepCell,
 )
 from repro.simulation.metrics import SweepResult
+from repro.trace.columnar import ColumnarStream, as_columnar
 
 __all__ = [
     "sweep_cache_sizes",
@@ -95,18 +98,22 @@ def sweep_top_k(
     """CLIC read hit ratio as a function of the number of tracked hint sets ``k``.
 
     ``None`` in *k_values* means "track all hint sets" (the exact hint table),
-    which the paper uses as the reference point for Figure 9.  Every field of
-    *base_config* other than ``top_k`` is preserved verbatim.
+    which the paper uses as the reference point for Figure 9; its x is the
+    number of distinct hint sets in the stream.  Every field of
+    *base_config* other than ``top_k`` is preserved verbatim.  A request
+    list is lifted once (:func:`~repro.trace.columnar.as_columnar`), for the
+    count and every replay.
     """
     base = base_config or CLICConfig()
     label_for = label_for or (lambda k: "CLIC")
+    source = as_columnar(requests)
     track_all_x: float | None = None
     cells = []
     for k in k_values:
         config = dataclasses.replace(base, top_k=k)
         if k is None:
             if track_all_x is None:
-                track_all_x = float(len({r.hints.key() for r in requests}))
+                track_all_x = float(_distinct_hint_sets(source))
             x = track_all_x
         else:
             x = float(k)
@@ -123,8 +130,18 @@ def sweep_top_k(
                 ),
             )
         )
-    runner = ParallelSweepRunner(requests, jobs=jobs, cost_model=cost_model)
+    runner = ParallelSweepRunner(source, jobs=jobs, cost_model=cost_model)
     return runner.run(cells, parameter="k")
+
+
+def _distinct_hint_sets(source: ColumnarStream) -> int:
+    """The number of distinct :meth:`HintSet.key` values in *source*, read
+    from each chunk's hint table at the hint ids the chunk uses."""
+    keys: set[tuple] = set()
+    for chunk in source.iter_columnar():
+        table = chunk.hint_sets
+        keys.update(table[h].key() for h in _np.unique(chunk.hint_id).tolist())
+    return len(keys)
 
 
 def _build_from_factory(

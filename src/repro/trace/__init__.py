@@ -3,6 +3,7 @@
 from repro.trace.binio import (
     BinaryTraceWriter,
     StreamedTrace,
+    TraceFormatError,
     write_trace_binary,
 )
 from repro.trace.cache import (
@@ -11,7 +12,6 @@ from repro.trace.cache import (
     default_trace_cache,
     set_default_trace_cache,
 )
-from repro.trace.io import TraceFormatError, read_trace, write_trace
 from repro.trace.noise import ZipfSampler, inject_noise_hints
 from repro.trace.records import Trace, TraceSummary
 from repro.trace.schema import (
@@ -26,8 +26,6 @@ __all__ = [
     "Trace",
     "TraceSummary",
     "TraceFormatError",
-    "read_trace",
-    "write_trace",
     "BinaryTraceWriter",
     "StreamedTrace",
     "write_trace_binary",

@@ -1,10 +1,10 @@
 """Binary trace serialization: compact, streamable, dictionary-encoded.
 
-This is the storage format behind the on-disk trace cache
-(:mod:`repro.trace.cache`).  Like the text format (:mod:`repro.trace.io`) it
-dictionary-encodes hint sets — a trace has millions of requests but only tens
-or hundreds of distinct hint sets — but it stores requests as varint-packed
-binary records grouped into length-prefixed blocks, so that
+This is the trace format, and the storage format behind the on-disk trace
+cache (:mod:`repro.trace.cache`).  It dictionary-encodes hint sets — a trace
+has millions of requests but only tens or hundreds of distinct hint sets,
+the skew Section 5 of the paper exploits — and stores requests as
+varint-packed binary records grouped into length-prefixed blocks, so that
 
 * a :class:`BinaryTraceWriter` can stream requests to disk as a workload
   generator produces them, without ever materializing the request list; and
@@ -41,16 +41,12 @@ from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.core.kernel import address, load
 from repro.simulation.request import IORequest
 from repro.trace.columnar import ColumnarChunk
-from repro.trace.io import (
-    TraceFormatError,
-    _decode_hint_set as _decode_hint_set_json,
-    _encode_hint_set as _encode_hint_set_json,
-)
 from repro.trace.records import Trace
 
 __all__ = [
     "BinaryTraceWriter",
     "StreamedTrace",
+    "TraceFormatError",
     "write_trace_binary",
     "FORMAT_VERSION",
 ]
@@ -89,6 +85,14 @@ _HINT_SETS: dict[bytes, HintSet] = {}
 _HINT_SETS_MAX = 4096
 
 
+class TraceFormatError(ValueError):
+    """Raised when a trace file cannot be parsed.
+
+    The message reports the byte offset of the offending record, and no
+    ``KeyError``/``ValueError``/``json.JSONDecodeError`` escapes the reader.
+    """
+
+
 def _encode_varint(value: int) -> bytes:
     """Unsigned LEB128."""
     if value < 0:
@@ -105,8 +109,11 @@ def _encode_varint(value: int) -> bytes:
 
 
 def _encode_hint_set(hints: HintSet) -> bytes:
-    # Same JSON payload as the text format (one codec for both formats).
-    return _encode_hint_set_json(hints).encode("utf-8")
+    """The JSON payload of a HINTSET record."""
+    return json.dumps(
+        {"client": hints.client_id, "names": list(hints.names), "values": list(hints.values)},
+        separators=(",", ":"),
+    ).encode("utf-8")
 
 
 def _decode_hint_set(payload: bytes, offset: int) -> HintSet:
@@ -120,7 +127,17 @@ def _decode_hint_set(payload: bytes, offset: int) -> HintSet:
             raise TraceFormatError(
                 f"byte {offset}: malformed hint set definition: {payload[:80]!r}"
             ) from exc
-        hints = _decode_hint_set_json(text, f"byte {offset}")
+        try:
+            data = json.loads(text)
+            hints = HintSet(
+                client_id=data["client"],
+                names=tuple(data["names"]),
+                values=tuple(data["values"]),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"byte {offset}: malformed hint set definition: {text!r}"
+            ) from exc
         if len(_HINT_SETS) >= _HINT_SETS_MAX:
             _HINT_SETS.clear()
         _HINT_SETS[payload] = hints
@@ -280,10 +297,8 @@ class StreamedTrace:
     iterating replays the BLOCK records one at a time, decoding at most one
     block (:data:`BLOCK_REQUESTS` requests) into memory at once.  Each
     iteration opens a fresh file handle, so the same object can feed an
-    offline policy's preparation pass and the replay pass.
-
-    The shared-replay engine recognises this object through its
-    ``iter_requests`` method (the lazy request-source protocol).
+    offline policy's preparation pass and the replay pass: it is a
+    columnar stream (:meth:`iter_columnar`) for the shared-replay engine.
     """
 
     def __init__(self, path: str | Path):
@@ -308,21 +323,10 @@ class StreamedTrace:
         )
 
     # -------------------------------------------------------------- iteration
-    def iter_requests(self) -> Iterator[IORequest]:
-        """Yield every request in order, decoding one block at a time."""
-        for chunk in self.iter_chunks():
-            yield from chunk
-
-    def __iter__(self) -> Iterator[IORequest]:
-        return self.iter_requests()
-
     def iter_chunks(self) -> Iterator[list[IORequest]]:
-        """Yield the trace as successive lists of requests (one per block).
-
-        The requests of each :meth:`iter_columnar` chunk: one record walker
-        decodes both views, so they hold the same requests and raise the
-        same :class:`TraceFormatError` on a malformed trace.
-        """
+        """Yield the trace as successive lists of requests (one per block):
+        the requests of each :meth:`iter_columnar` chunk, which :meth:`load`
+        materializes."""
         for chunk in self.iter_columnar():
             yield chunk.requests()
 

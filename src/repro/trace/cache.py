@@ -19,9 +19,9 @@ moved with the ``REPRO_TRACE_CACHE`` environment variable (set it to ``off``,
 :class:`TraceSpec` is the *lazy* handle the sweep machinery passes around: a
 tiny picklable description of a trace that each worker process opens itself
 (through this cache), instead of the parent pickling millions of request
-objects to every worker.  A spec is a valid request source for the
-shared-replay engine: iterating it streams requests chunk-by-chunk from the
-cached binary file with bounded memory.
+objects to every worker.  A spec is a columnar stream for the shared-replay
+engine: :meth:`TraceSpec.iter_columnar` decodes the cached binary file
+block by block, with bounded memory.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from hashlib import sha256
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from repro.simulation.request import IORequest
+from repro.trace.binio import BinaryTraceWriter, StreamedTrace
+from repro.trace.columnar import ColumnarChunk, ColumnarSource
+from repro.trace.records import Trace
 
 if TYPE_CHECKING:  # imported for type annotations only (lazy at runtime)
-    from repro.trace.columnar import ColumnarChunk
     from repro.workloads.phased import PhasePlan, PhasedTraceStream
     from repro.workloads.standard import StandardTraceStream
-from repro.trace.binio import BinaryTraceWriter, StreamedTrace
-from repro.trace.records import Trace
 
 __all__ = [
     "TraceSpec",
@@ -92,22 +91,10 @@ class TraceSpec:
         )
 
     # ----------------------------------------------------- request source API
-    def iter_requests(self) -> Iterator[IORequest]:
-        """Stream the trace's requests (generating into the cache on miss)."""
-        return default_trace_cache().open(self).iter_requests()
-
-    def iter_chunks(self) -> Iterator[list[IORequest]]:
-        """Stream the trace's requests in decoded-block chunks."""
-        return default_trace_cache().open(self).iter_chunks()
-
-    def iter_columnar(self) -> "Iterator[ColumnarChunk]":
-        """Stream the trace as columnar chunks (what the engine replays):
-        the same blocks as :meth:`iter_chunks`, decoded straight into
-        arrays."""
+    def iter_columnar(self) -> Iterator[ColumnarChunk]:
+        """Stream the trace as columnar chunks, one per block of the cached
+        file (generating into the cache on a miss)."""
         return default_trace_cache().open(self).iter_columnar()
-
-    def __iter__(self) -> Iterator[IORequest]:
-        return self.iter_requests()
 
     def ensure(self) -> None:
         """Make sure the cached file exists (generate it if necessary).
@@ -307,18 +294,7 @@ class _InMemoryStream:
     def request_count(self) -> int:
         return len(self._trace)
 
-    def iter_requests(self) -> Iterator[IORequest]:
-        return iter(self._trace.requests())
-
-    def __iter__(self) -> Iterator[IORequest]:
-        return self.iter_requests()
-
-    def iter_chunks(self) -> Iterator[list[IORequest]]:
-        yield self._trace.requests()
-
-    def iter_columnar(self) -> "Iterator[ColumnarChunk]":
-        from repro.trace.columnar import ColumnarSource
-
+    def iter_columnar(self) -> Iterator[ColumnarChunk]:
         return ColumnarSource(self._trace.requests()).iter_columnar()
 
     def load(self) -> Trace:

@@ -13,12 +13,14 @@ without materialising per-request objects.
 Request lists convert both ways: :meth:`ColumnarChunk.from_requests` lifts a
 request list into a chunk, and :meth:`ColumnarChunk.requests` materialises
 the exact equivalent request list (memoised, so at most one materialisation
-per chunk serves every scalar consumer).
+per chunk serves every scalar consumer).  :func:`as_columnar` makes any
+request source a :class:`ColumnarStream`, lifting a request list once.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from itertools import islice
+from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -29,7 +31,8 @@ __all__ = [
     "COLUMNAR_CHUNK_REQUESTS",
     "ColumnarChunk",
     "ColumnarSource",
-    "columnar_chunks",
+    "ColumnarStream",
+    "as_columnar",
 ]
 
 #: Requests per chunk produced by :class:`ColumnarSource`; matches the
@@ -239,47 +242,60 @@ class ColumnarChunk:
         return out
 
 
-def columnar_chunks(
-    chunks: Iterator[list[IORequest]] | Sequence[list[IORequest]],
-) -> Iterator[ColumnarChunk]:
-    """Lift an object-chunk stream into a columnar-chunk stream, numbered
-    from 0."""
-    seq = 0
-    for chunk in chunks:
-        yield ColumnarChunk.from_requests(chunk, seq)
-        seq += len(chunk)
+@runtime_checkable
+class ColumnarStream(Protocol):
+    """A re-iterable request stream that decodes into columnar chunks
+    numbered from sequence number 0: the one shape in which a request stream
+    reaches the replay engine (:class:`~repro.trace.cache.TraceSpec`,
+    :class:`~repro.trace.binio.StreamedTrace`, :class:`ColumnarSource`,
+    :class:`~repro.simulation.multiclient.InterleavedSource`)."""
+
+    def iter_columnar(self) -> Iterator[ColumnarChunk]: ...
 
 
 class ColumnarSource:
-    """Adapts an in-memory request list to the columnar source protocol.
+    """A request list lifted once into columnar chunks.
 
-    Exposes all three source methods — ``iter_requests`` (lazy protocol),
-    ``iter_chunks`` (object batches) and ``iter_columnar`` — so it can be
-    handed to the engine, a sweep runner, or pickled into sweep workers
-    like any other request source.
+    The requests are cut into consecutive chunks of at most
+    *chunk_requests*, each lifted with :meth:`ColumnarChunk.from_requests`
+    and numbered from sequence number 0.  Every :meth:`iter_columnar` pass
+    yields the same chunks, so an offline policy's index pass and the
+    replay share one lift.
     """
 
     def __init__(
         self,
-        requests: Sequence[IORequest],
+        requests: Iterable[IORequest],
         chunk_requests: int = COLUMNAR_CHUNK_REQUESTS,
     ):
         if chunk_requests <= 0:
             raise ValueError("chunk_requests must be positive")
-        self._requests = list(requests)
-        self._chunk_requests = chunk_requests
+        iterator = iter(requests)
+        chunks: list[ColumnarChunk] = []
+        seq = 0
+        while part := list(islice(iterator, chunk_requests)):
+            chunks.append(ColumnarChunk.from_requests(part, seq))
+            seq += len(part)
+        self._chunks = tuple(chunks)
+        self._length = seq
 
     def __len__(self) -> int:
-        return len(self._requests)
-
-    def iter_requests(self) -> Iterator[IORequest]:
-        return iter(self._requests)
-
-    def iter_chunks(self) -> Iterator[list[IORequest]]:
-        requests = self._requests
-        size = self._chunk_requests
-        for start in range(0, len(requests), size):
-            yield requests[start : start + size]
+        return self._length
 
     def iter_columnar(self) -> Iterator[ColumnarChunk]:
-        return columnar_chunks(self.iter_chunks())
+        return iter(self._chunks)
+
+
+def as_columnar(
+    requests: Iterable[IORequest] | ColumnarStream,
+    chunk_requests: int = COLUMNAR_CHUNK_REQUESTS,
+) -> ColumnarStream:
+    """*requests* as a columnar stream.
+
+    A columnar stream is returned as it is.  A request sequence or one-shot
+    iterable is lifted once, into a :class:`ColumnarSource` of
+    *chunk_requests*-request chunks.
+    """
+    if isinstance(requests, ColumnarStream):
+        return requests
+    return ColumnarSource(requests, chunk_requests)

@@ -10,7 +10,7 @@ generation parameters of the synthetic configuration that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.simulation.request import IORequest
 
@@ -43,7 +43,12 @@ class TraceSummary:
 
 @dataclass
 class Trace:
-    """An ordered I/O request trace with metadata."""
+    """An ordered I/O request trace with metadata, in memory.
+
+    The binary writer (:func:`repro.trace.binio.write_trace_binary`) and
+    the Figure 3 and 5 analyses iterate it; the replay engine lifts its
+    request list (:meth:`requests`) into columnar chunks once per run.
+    """
 
     name: str
     requests_list: list[IORequest] = field(default_factory=list)
@@ -63,15 +68,6 @@ class Trace:
     def requests(self) -> list[IORequest]:
         """The request list (the simulator consumes this directly)."""
         return self.requests_list
-
-    def iter_requests(self) -> Iterator[IORequest]:
-        """Iterate the requests (the re-iterable request-source protocol).
-
-        Lazy sources (:class:`repro.trace.binio.StreamedTrace`,
-        :class:`repro.trace.cache.TraceSpec`) expose the same method, so code
-        written against the protocol accepts either.
-        """
-        return iter(self.requests_list)
 
     def append(self, request: IORequest) -> None:
         self.requests_list.append(request)

@@ -100,7 +100,7 @@ class DBMSClient(abc.ABC):
         """Run one logical operation through the buffer pool(s)."""
         return [self._to_request(io) for io in self.pool_io(op)]
 
-    def iter_requests(
+    def emit(
         self, operations: Iterable[LogicalOp], target_requests: int | None = None
     ) -> Iterator[IORequest]:
         """Yield emitted I/O requests incrementally.
@@ -120,7 +120,7 @@ class DBMSClient(abc.ABC):
 
     def run(self, operations: Iterable[LogicalOp], target_requests: int | None = None) -> list[IORequest]:
         """Run operations until exhausted or *target_requests* I/Os were emitted."""
-        return list(self.iter_requests(operations, target_requests))
+        return list(self.emit(operations, target_requests))
 
     def collect_trace(
         self,

@@ -254,7 +254,7 @@ class StandardTraceStream:
             )
         self._started = True
         self._warmup_info = _warm_up(self._client, self._workload, self._config)
-        yield from self._client.iter_requests(
+        yield from self._client.emit(
             _operations_forever(self._workload), self.target_requests
         )
 

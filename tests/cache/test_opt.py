@@ -15,7 +15,7 @@ from repro.cache.arc import ARCPolicy
 from repro.cache.lru import LRUPolicy
 from repro.cache.opt import NEVER, OPTPolicy
 from repro.simulation.simulator import CacheSimulator
-from repro.trace.columnar import ColumnarChunk
+from repro.trace.columnar import ColumnarChunk, ColumnarSource
 
 from tests import policy_reference
 from tests.conftest import rd, wr
@@ -143,3 +143,6 @@ class TestOPT:
         requests = [rd(1), wr(2), rd(2), wr(1), rd(3), rd(1), wr(2)]
         index = OPTPolicy.build_read_index(requests)
         assert index.next_read.tolist() == [5, 2, NEVER, 5, NEVER, NEVER, NEVER]
+        # Any chunking of the same stream indexes alike.
+        chunked = OPTPolicy.build_read_index(ColumnarSource(requests, chunk_requests=2))
+        assert chunked.next_read.tolist() == index.next_read.tolist()

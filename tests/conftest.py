@@ -29,6 +29,12 @@ def wr(page: int, hints: HintSet | None = None) -> IORequest:
     return IORequest(page=page, kind=RequestKind.WRITE, hints=hints or EMPTY_HINT_SET)
 
 
+def stream_requests(source) -> list[IORequest]:
+    """Every request of the columnar stream *source*, in order, as the
+    request objects its chunks materialise."""
+    return [request for chunk in source.iter_columnar() for request in chunk.requests()]
+
+
 def kernel_less(policy_class):
     """*policy_class* with the base ``batch_access``: every chunk replays
     through the scalar ``access()`` loop, as for a policy without a fused

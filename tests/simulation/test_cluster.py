@@ -26,6 +26,7 @@ from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
 from repro.trace.columnar import ColumnarChunk, ColumnarSource
 
+from tests.conftest import stream_requests
 from tests.policy_reference import LRUPolicy as ReferenceLRU
 
 
@@ -292,7 +293,7 @@ class TestClusterBehaviour:
 
         sizes = partition_capacity(capacity, 2)
         by_client: dict[str, list[IORequest]] = {}
-        for request in interleaved:
+        for request in stream_requests(interleaved):
             by_client.setdefault(request.client_id, []).append(request)
         clients = list(by_client)                       # first-appearance order
         for index, client in enumerate(clients):
@@ -333,9 +334,9 @@ class TestClusterBehaviour:
                 CacheSimulator(create_policy("OPT", capacity=size)).run(sub).stats
                 for size, sub in zip(partition_capacity(capacity, 2), by_client.values())
             ]
-            # A list is indexed request by request, a columnar source
-            # routed chunk by chunk.
-            for source in (stream, ColumnarSource(stream)):
+            # The router's first-appearance assignments carry across chunk
+            # boundaries, in one chunk or many.
+            for source in (stream, ColumnarSource(stream, chunk_requests=5)):
                 cluster = ShardedCache(
                     capacity=capacity, policy="OPT", shards=2, router="client"
                 )

@@ -38,6 +38,7 @@ from repro.trace.cache import TraceSpec
 from repro.workloads.arrivals import PoissonArrivals
 
 from tests import policy_reference
+from tests.conftest import stream_requests
 from tests.cost_reference import accumulator_for
 from tests.policy_reference import REFERENCES, reference_case
 
@@ -154,7 +155,7 @@ def _inputs(kind: str):
         return STREAM, STREAM
     if kind == "generator":
         return (request for request in STREAM), STREAM
-    return SPEC, list(SPEC.iter_requests())
+    return SPEC, stream_requests(SPEC)
 
 
 def _engine(policies, chunk_size: int, **options) -> MultiPolicySimulator:

@@ -21,9 +21,9 @@ from repro.simulation.multiclient import (
 from repro.simulation.request import IORequest, RequestKind
 from repro.trace import binio
 from repro.trace.cache import TraceSpec
-from repro.trace.columnar import ColumnarChunk
+from repro.trace.columnar import ColumnarChunk, ColumnarSource
 
-from tests.conftest import hint, rd
+from tests.conftest import hint, rd, stream_requests
 from tests.strategies import rich_io_requests
 
 
@@ -32,15 +32,11 @@ def client_trace(client_id: str, pages: list[int]):
     return [rd(page, hs) for page in pages]
 
 
-def oracle_round_robin(
-    traces: list[list[IORequest]], page_stride: int | None = None
-) -> list[IORequest]:
+def oracle_round_robin(traces: list[list[IORequest]]) -> list[IORequest]:
     """The object-path round-robin the columnar interleaver replaced."""
     if not traces:
         return []
-    if page_stride is None:
-        max_page = max(request.page for trace in traces for request in trace)
-        page_stride = max_page + 1
+    page_stride = max(request.page for trace in traces for request in trace) + 1
     length = min(len(trace) for trace in traces)
     interleaved: list[IORequest] = []
     for position in range(length):
@@ -61,8 +57,8 @@ class TestInterleaving:
     def test_round_robin_order(self):
         a = client_trace("a", [1, 2])
         b = client_trace("b", [7, 8])
-        combined = interleave_round_robin([a, b], page_stride=1000)
-        clients = [request.client_id for request in combined]
+        combined = interleave_round_robin([a, b])
+        clients = [request.client_id for request in stream_requests(combined)]
         assert clients == ["a", "b", "a", "b"]
 
     def test_truncation_to_shortest_trace(self):
@@ -75,21 +71,22 @@ class TestInterleaving:
     def test_page_ids_are_disjoint_across_clients(self):
         a = client_trace("a", [1, 2, 3])
         b = client_trace("b", [1, 2, 3])     # same raw page ids
-        combined = interleave_round_robin([a, b])
+        combined = stream_requests(interleave_round_robin([a, b]))
         pages_a = {r.page for r in combined if r.client_id == "a"}
         pages_b = {r.page for r in combined if r.client_id == "b"}
         assert pages_a.isdisjoint(pages_b)
 
-    def test_explicit_stride_respected(self):
+    def test_stride_is_the_largest_page_plus_one(self):
         a = client_trace("a", [1])
-        b = client_trace("b", [1])
-        combined = interleave_round_robin([a, b], page_stride=10_000)
-        assert {r.page for r in combined} == {1, 10_001}
+        b = client_trace("b", [1, 9])
+        combined = interleave_round_robin([a, b])
+        assert combined.page_stride == 10
+        assert {r.page for r in stream_requests(combined)} == {1, 11}
 
     def test_hints_and_kind_preserved(self):
         hs = hint("a", table="stock")
         trace = [rd(1, hs)]
-        combined = list(interleave_round_robin([trace, client_trace("b", [5])]))
+        combined = stream_requests(interleave_round_robin([trace, client_trace("b", [5])]))
         assert combined[0].hints == hs
         assert combined[0].kind is RequestKind.READ
 
@@ -98,7 +95,7 @@ class TestInterleaving:
             interleave_round_robin([client_trace("a", [1]), []])
 
     def test_no_traces_returns_empty(self):
-        assert list(interleave_round_robin([])) == []
+        assert stream_requests(interleave_round_robin([])) == []
 
 
 #: Small real traces, generated once into the session's trace cache.
@@ -133,11 +130,8 @@ def _client_inputs():
 @pytest.mark.property
 class TestInterleavedSourceProperties:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        clients=st.lists(_client_inputs(), min_size=1, max_size=4),
-        page_stride=st.one_of(st.none(), st.integers(min_value=0, max_value=2**41)),
-    )
-    def test_equals_the_object_round_robin(self, clients, page_stride):
+    @given(clients=st.lists(_client_inputs(), min_size=1, max_size=4))
+    def test_equals_the_object_round_robin(self, clients):
         with tempfile.TemporaryDirectory() as tmp:
             sources: list = []
             oracle_inputs: list[list[IORequest]] = []
@@ -150,16 +144,16 @@ class TestInterleavedSourceProperties:
                     sources.append(streamed)
                     # The file's own decode: its dictionary may fold hint
                     # sets that compare equal (True == 1).
-                    oracle_inputs.append(list(streamed.iter_requests()))
+                    oracle_inputs.append(stream_requests(streamed))
                 else:
                     sources.append(payload)
                     oracle_inputs.append(payload)
 
-            source = interleave_round_robin(sources, page_stride=page_stride)
-            oracle = oracle_round_robin(oracle_inputs, page_stride)
+            source = interleave_round_robin(sources)
+            oracle = oracle_round_robin(oracle_inputs)
 
             assert len(source) == len(oracle)
-            assert list(source) == oracle
+            assert stream_requests(source) == oracle
 
             chunks = list(source.iter_columnar())
             expected = ColumnarChunk.from_requests(oracle)
@@ -193,8 +187,29 @@ class TestInterleavedSource:
 
     def test_lists_are_lifted_once_into_chunks(self):
         source = interleave_round_robin([client_trace("a", [1, 2, 3]), SPECS[0]])
-        assert isinstance(source.sources[0], ColumnarChunk)
+        assert isinstance(source.sources[0], ColumnarSource)
         assert source.sources[1] is SPECS[0]
+
+    def test_lifted_list_clients_pickle(self):
+        """Workers receive list clients as their lifted chunks."""
+        source = interleave_round_robin([client_trace("a", [1, 2, 3]), client_trace("b", [4, 5])])
+        copy = pickle.loads(pickle.dumps(source))
+        assert stream_requests(copy) == stream_requests(source)
+
+    def test_two_passes_lift_each_list_client_once(self):
+        traces = [client_trace("a", list(range(5_000))), client_trace("b", list(range(6_000)))]
+        lift = ColumnarChunk.from_requests.__func__
+        lifted = []
+
+        def counting(cls, requests, start_seq=0):
+            lifted.append(len(requests))
+            return lift(cls, requests, start_seq)
+
+        with mock.patch.object(ColumnarChunk, "from_requests", classmethod(counting)):
+            source = interleave_round_robin(traces)
+            first = stream_requests(source)
+            assert stream_requests(source) == first == oracle_round_robin(traces)
+        assert sum(lifted) == 11_000
 
     def test_ensure_delegates_to_the_inputs(self):
         calls = []
@@ -223,7 +238,7 @@ class TestInterleavedSource:
         ]
         source = interleave_round_robin(sources)
         assert [len(chunk) for chunk in source.iter_columnar()] == [4, 2, 2, 4, 2]
-        assert list(source) == oracle_round_robin(traces)
+        assert stream_requests(source) == oracle_round_robin(traces)
 
     def test_a_client_that_shrank_since_interleaving_is_an_error(self):
         blocks = [client_trace("a", [1, 2]), client_trace("a", [3])]

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
-from repro.core.hints import make_hint_set
+from repro.core.hints import HintSet, make_hint_set
 from repro.simulation.metrics import SweepResult, format_table
 from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import (
@@ -16,6 +16,8 @@ from repro.simulation.sweep import (
     sweep_policy_parameter,
     sweep_top_k,
 )
+from repro.trace.binio import StreamedTrace, write_trace_binary
+from repro.trace.records import Trace
 
 from tests.conftest import hint, rd
 
@@ -66,6 +68,33 @@ class TestSweeps:
         curve = sweep.curve("LRU")
         assert len(curve) == 2
         assert curve[0][0] == 50
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["list", "streamed-trace"])
+    def test_track_all_x_is_the_number_of_distinct_hint_keys(self, tmp_path, streamed):
+        """The key omits hint-type names, so hint sets that differ only in
+        their names count once, from a list or from a trace on disk."""
+        named = [HintSet("db2", (name,), (value,)) for name in "ab" for value in (1, 2)]
+        requests = [rd(page, named[page % 4]) for page in range(40)]
+        source = requests
+        if streamed:
+            write_trace_binary(Trace("t", requests), tmp_path / "t.ctb")
+            source = StreamedTrace(tmp_path / "t.ctb")
+        sweep = sweep_top_k(
+            source, capacity=10, k_values=[None, 1], base_config=CLICConfig(window_size=10)
+        )
+        assert [point.x for point in sweep.series["CLIC"]] == [2.0, 1.0]
+
+    def test_top_k_sweep_ships_its_lifted_list_to_workers(self, tiny_trace):
+        """A list is lifted once in the parent and the lifted chunks are
+        what ``jobs=2`` workers replay: results equal the serial sweep."""
+        kwargs = dict(
+            capacity=100, k_values=[None, 1, 2], base_config=CLICConfig(window_size=500)
+        )
+        serial = sweep_top_k(tiny_trace, jobs=1, **kwargs)
+        parallel = sweep_top_k(tiny_trace, jobs=2, **kwargs)
+        assert [(p.x, p.result.stats) for p in parallel.series["CLIC"]] == [
+            (p.x, p.result.stats) for p in serial.series["CLIC"]
+        ]
 
     def test_top_k_sweep_preserves_every_base_config_field(self, rng):
         """Regression: rebuilding the config must not drop a base field.

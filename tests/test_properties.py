@@ -14,8 +14,6 @@ from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
 from repro.simulation.cluster import ShardedCache
 from repro.simulation.simulator import CacheSimulator
-from repro.trace.io import read_trace, write_trace
-from repro.trace.records import Trace
 
 from tests.clic_reference import HintTable, OutQueue, SpaceSaving
 from tests.strategies import capacities, request_streams as request_streams_strategy
@@ -200,19 +198,3 @@ class TestOutQueueProperties:
             latest[page] = seq
         for page, seq in latest.items():
             assert queue.get(page).seq == seq
-
-
-# --------------------------------------------------------------------------- trace I/O
-class TestTraceRoundTripProperties:
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(stream=request_streams)
-    def test_trace_serialization_round_trips(self, stream, tmp_path_factory):
-        trace = Trace(name="prop", requests_list=list(stream), metadata={"k": 1})
-        path = tmp_path_factory.mktemp("traces") / "prop.trace"
-        write_trace(trace, path)
-        loaded = read_trace(path)
-        assert len(loaded) == len(trace)
-        for original, restored in zip(trace, loaded):
-            assert original.page == restored.page
-            assert original.kind == restored.kind
-            assert original.hints.key() == restored.hints.key()

@@ -20,14 +20,14 @@ from repro.trace.binio import (
     BLOCK_REQUESTS,
     BinaryTraceWriter,
     StreamedTrace,
+    TraceFormatError,
     _encode_varint,
     write_trace_binary,
 )
-from repro.trace.io import TraceFormatError, read_trace, write_trace
 from repro.trace.records import Trace
 
 from tests import trace_reference
-from tests.conftest import hint, rd, wr
+from tests.conftest import hint, rd, stream_requests, wr
 from tests.strategies import traces as traces_strategy
 from tests.trace_reference import reference_decoder
 
@@ -60,19 +60,6 @@ class TestRoundTrips:
         path = tmp_path_factory.mktemp("bin") / "t.ctb"
         write_trace_binary(trace, path)
         assert_traces_equal(StreamedTrace(path).load(), trace)
-
-    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow], deadline=None)
-    @given(trace=traces)
-    def test_text_to_binary_to_memory(self, trace, tmp_path_factory):
-        """text -> memory -> binary -> memory preserves the request stream."""
-        tmp = tmp_path_factory.mktemp("conv")
-        write_trace(trace, tmp / "t.trace")
-        from_text = read_trace(tmp / "t.trace")
-        write_trace_binary(from_text, tmp / "t.ctb")
-        from_binary = StreamedTrace(tmp / "t.ctb").load()
-        # The text format derives client ids from hint sets, so compare the
-        # text-loaded trace (not the original) against its binary round trip.
-        assert_traces_equal(from_binary, from_text)
 
     def test_round_trip_across_block_boundaries(self, tmp_path):
         h = make_hint_set("c", object_id=1)
@@ -113,7 +100,7 @@ class TestStreaming:
         path = tmp_path / "t.ctb"
         write_trace_binary(trace, path)
         streamed = StreamedTrace(path)
-        assert list(streamed.iter_requests()) == trace.requests()
+        assert stream_requests(streamed) == trace.requests()
         assert len(streamed) == len(trace)
         assert streamed.name == "sample"
         assert streamed.metadata["seed"] == 7
@@ -122,7 +109,7 @@ class TestStreaming:
         path = tmp_path / "t.ctb"
         write_trace_binary(sample_trace(), path)
         streamed = StreamedTrace(path)
-        assert list(streamed) == list(streamed)
+        assert stream_requests(streamed) == stream_requests(streamed)
 
     def test_chunks_cover_stream_in_order(self, tmp_path):
         h = make_hint_set("c", object_id=0)
@@ -194,7 +181,7 @@ class TestErrors:
         # already parsed, so only iteration notices.
         path.write_bytes(data[:20])
         with pytest.raises(TraceFormatError):
-            list(streamed.iter_requests())
+            list(streamed.iter_columnar())
 
     def test_undefined_hint_set_id(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -210,7 +197,7 @@ class TestErrors:
         data[body_start + 2] = 0x7F
         path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="undefined hint set id"):
-            list(StreamedTrace(path).iter_requests())
+            list(StreamedTrace(path).iter_columnar())
 
     def test_end_count_mismatch(self, tmp_path):
         path = _write_sample(tmp_path)
@@ -220,7 +207,7 @@ class TestErrors:
         data[end_offset + 1] = 0x05  # sample has 6 requests; claim 5
         path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="declares 5 requests"):
-            list(StreamedTrace(path).iter_requests())
+            list(StreamedTrace(path).iter_columnar())
 
     def test_metadata_must_be_object(self, tmp_path):
         path = tmp_path / "bad.ctb"
@@ -232,6 +219,30 @@ class TestErrors:
         path.write_bytes(body)
         with pytest.raises(TraceFormatError, match="JSON object"):
             StreamedTrace(path)
+
+    @pytest.mark.parametrize(
+        "payload, shown",
+        [
+            (b"{not json}", repr("{not json}")),
+            (b'{"client":"c","names":[]}', repr('{"client":"c","names":[]}')),
+            (
+                b'{"client":"c","names":["a"],"values":[]}',
+                repr('{"client":"c","names":["a"],"values":[]}'),
+            ),
+            (b"\xff{}", repr(b"\xff{}")),
+        ],
+        ids=["not-json", "missing-field", "unpaired-name", "not-utf8"],
+    )
+    def test_malformed_hint_set_definition(self, tmp_path, payload, shown):
+        """A HINTSET payload that is not the JSON hint-set object names the
+        record's offset and the payload."""
+        path = tmp_path / "bad.ctb"
+        body = bytearray(b"CLICBT" + bytes([1]))
+        body += bytes([0x02, 0x00, len(payload)]) + payload
+        path.write_bytes(_finish_file(body, count=0))
+        with pytest.raises(TraceFormatError) as excinfo:
+            list(StreamedTrace(path).iter_columnar())
+        assert str(excinfo.value) == f"byte 7: malformed hint set definition: {shown}"
 
 
 # ------------------------------------------------- columnar decode edge cases

@@ -16,6 +16,8 @@ from repro.trace.cache import (
 )
 from repro.workloads.standard import standard_trace
 
+from tests.conftest import stream_requests
+
 SPEC = TraceSpec("MY_H65", seed=5, target_requests=800)
 
 
@@ -60,10 +62,10 @@ class TestTraceCache:
         cache = TraceCache(root=tmp_path)
         set_default_trace_cache(cache)
         try:
-            streamed = list(SPEC.iter_requests())
+            streamed = stream_requests(SPEC)
             assert streamed == standard_trace("MY_H65", seed=5, target_requests=800).requests()
             assert cache.misses == 1
-            assert len(list(SPEC)) == 800
+            assert len(stream_requests(SPEC)) == 800
             assert cache.hits >= 1
         finally:
             set_default_trace_cache(None)
@@ -95,7 +97,7 @@ class TestTraceCache:
         with pytest.raises(RuntimeError):
             cache.ensure(SPEC)
         # The streaming surface still works, backed by memory.
-        assert len(list(cache.open(SPEC).iter_requests())) == 800
+        assert len(stream_requests(cache.open(SPEC))) == 800
 
     @pytest.mark.parametrize(
         "spec",
@@ -118,7 +120,7 @@ class TestTraceCache:
         assert len(in_memory) == len(cached) == cached.request_count
         assert in_memory.name == cached.name
         assert in_memory.metadata == cached.metadata
-        assert list(in_memory.iter_requests()) == list(cached.iter_requests())
+        assert stream_requests(in_memory) == stream_requests(cached)
 
     def test_disabled_spec_ensure_is_noop(self, tmp_path):
         cache = TraceCache(root=tmp_path, enabled=False)

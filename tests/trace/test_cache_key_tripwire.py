@@ -25,6 +25,7 @@ from repro.experiments.common import trace_spec
 from repro.trace.cache import CACHE_KEY_VERSION, TraceSpec
 from repro.workloads.standard import STANDARD_TRACES
 
+from tests.conftest import stream_requests
 from tests.experiments.goldens import GOLDEN_SETTINGS
 
 #: ``{CACHE_KEY_VERSION: {trace: digest}}``.  A new key version pins its
@@ -57,7 +58,7 @@ SPECS = _specs()
 def trace_digest(spec: TraceSpec) -> str:
     """sha256 over every request's page, kind, full hint identity and client."""
     digest = sha256()
-    for request in spec.iter_requests():
+    for request in stream_requests(spec):
         fields = (
             request.page,
             request.is_read,

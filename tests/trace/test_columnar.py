@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
+
 from repro.core.hints import EMPTY_HINT_SET, HintSet, make_hint_set
 from repro.simulation.request import read_request, write_request
-from repro.trace.columnar import ColumnarChunk
+from repro.trace.columnar import ColumnarChunk, ColumnarSource, as_columnar
+from repro.trace.records import Trace
 
 
 class TestFromRequests:
@@ -50,3 +55,48 @@ class TestFromRequests:
         assert len(chunk) == 0
         assert chunk.hint_sets == (EMPTY_HINT_SET,)
         assert chunk.clients == ()
+
+
+REQUESTS = [
+    read_request(page, make_hint_set("a", obj=page % 2), "a") for page in range(7)
+]
+
+
+class TestAsColumnar:
+    def test_a_columnar_stream_passes_through(self):
+        source = ColumnarSource(REQUESTS)
+
+        class Stream:
+            def iter_columnar(self):
+                return iter(())
+
+        stream = Stream()
+        assert as_columnar(source) is source
+        assert as_columnar(stream) is stream
+
+    @pytest.mark.parametrize(
+        "make",
+        [list, tuple, iter, lambda requests: Trace("t", list(requests))],
+        ids=["list", "tuple", "generator", "trace"],
+    )
+    def test_requests_are_lifted_once_into_numbered_chunks(self, make):
+        source = as_columnar(make(REQUESTS), chunk_requests=3)
+        chunks = list(source.iter_columnar())
+        assert [len(chunk) for chunk in chunks] == [3, 3, 1]
+        assert [chunk.seq.tolist() for chunk in chunks] == [[0, 1, 2], [3, 4, 5], [6]]
+        assert [r for chunk in chunks for r in chunk.requests()] == REQUESTS
+        assert len(source) == len(REQUESTS)
+        # A second pass yields the very same chunks: nothing is lifted again.
+        assert all(a is b for a, b in zip(source.iter_columnar(), chunks))
+
+    def test_a_lifted_source_pickles_with_its_chunks(self):
+        source = as_columnar(REQUESTS, chunk_requests=3)
+        copy = pickle.loads(pickle.dumps(source))
+        assert [chunk.seq.tolist() for chunk in copy.iter_columnar()] == [
+            chunk.seq.tolist() for chunk in source.iter_columnar()
+        ]
+        assert [r for chunk in copy.iter_columnar() for r in chunk.requests()] == REQUESTS
+
+    def test_chunk_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="chunk_requests"):
+            as_columnar(REQUESTS, chunk_requests=0)

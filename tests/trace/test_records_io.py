@@ -1,11 +1,7 @@
-"""Tests for the trace container, Figure 5 summaries, and trace serialization."""
+"""Tests for the trace container and its Figure 5 summaries."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.simulation.request import RequestKind
-from repro.trace.io import TraceFormatError, read_trace, write_trace
 from repro.trace.records import Trace
 
 from tests.conftest import hint, rd, wr
@@ -59,110 +55,3 @@ class TestTrace:
         trace = sample_trace()
         assert trace.distinct_pages() == {1, 2, 3}
         assert len(trace.distinct_hint_sets()) == 2
-
-
-class TestTraceIO:
-    def test_round_trip(self, tmp_path):
-        trace = sample_trace()
-        path = tmp_path / "sample.trace"
-        write_trace(trace, path)
-        loaded = read_trace(path)
-        assert loaded.name == "sample"
-        assert len(loaded) == len(trace)
-        for original, restored in zip(trace, loaded):
-            assert original.page == restored.page
-            assert original.kind == restored.kind
-            assert original.hints.key() == restored.hints.key()
-
-    def test_metadata_round_trip(self, tmp_path):
-        trace = sample_trace()
-        path = tmp_path / "sample.trace"
-        write_trace(trace, path)
-        assert read_trace(path).metadata["seed"] == 7
-
-    def test_hint_sets_dictionary_encoded(self, tmp_path):
-        trace = sample_trace()
-        path = tmp_path / "sample.trace"
-        write_trace(trace, path)
-        text = path.read_text()
-        assert text.count("#hintset") == 2     # one definition per distinct hint set
-
-    def test_empty_hint_sets_supported(self, tmp_path):
-        trace = Trace(name="plain", requests_list=[rd(1), wr(2)])
-        path = tmp_path / "plain.trace"
-        write_trace(trace, path)
-        loaded = read_trace(path)
-        assert loaded[0].hints.key() == ("", ())
-        assert loaded[1].kind is RequestKind.WRITE
-
-    def test_malformed_request_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text("R 1\n")
-        with pytest.raises(TraceFormatError):
-            read_trace(path)
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text("X 1 0\n")
-        with pytest.raises(TraceFormatError):
-            read_trace(path)
-
-    def test_undefined_hint_set_rejected(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text("R 1 7\n")
-        with pytest.raises(TraceFormatError):
-            read_trace(path)
-
-    def test_malformed_hint_set_rejected(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text("#hintset 0 {not json}\nR 1 0\n")
-        with pytest.raises(TraceFormatError):
-            read_trace(path)
-
-    def test_malformed_meta_json_rejected_with_line_number(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text("#meta {not json}\nR 1 -1\n")
-        with pytest.raises(TraceFormatError, match="line 1"):
-            read_trace(path)
-
-    def test_meta_must_be_json_object(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text('#meta [1, 2]\n')
-        with pytest.raises(TraceFormatError, match="line 1.*object"):
-            read_trace(path)
-
-    def test_non_integer_hint_set_id_rejected(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text('#hintset x {"client":"c","names":[],"values":[]}\n')
-        with pytest.raises(TraceFormatError, match="line 1.*non-integer hint set id"):
-            read_trace(path)
-
-    def test_truncated_hint_set_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text("#hintset 0\n")
-        with pytest.raises(TraceFormatError, match="line 1"):
-            read_trace(path)
-
-    def test_error_reports_offending_line_number(self, tmp_path):
-        trace = sample_trace()
-        path = tmp_path / "bad.trace"
-        write_trace(trace, path)
-        path.write_text(path.read_text() + "R one 0\n")
-        # 1 meta + 2 hintset + 5 request lines precede the bad line.
-        with pytest.raises(TraceFormatError, match="line 9: non-integer field"):
-            read_trace(path)
-
-    def test_undefined_hint_set_error_names_id_and_line(self, tmp_path):
-        path = tmp_path / "bad.trace"
-        path.write_text("R 1 0\nR 2 7\n")
-        with pytest.raises(TraceFormatError) as excinfo:
-            read_trace(path)
-        assert "line 1" in str(excinfo.value)
-        assert "undefined hint set id 0" in str(excinfo.value)
-
-    def test_blank_lines_ignored(self, tmp_path):
-        trace = sample_trace()
-        path = tmp_path / "sample.trace"
-        write_trace(trace, path)
-        path.write_text(path.read_text() + "\n\n")
-        assert len(read_trace(path)) == 5

@@ -19,9 +19,8 @@ from unittest import mock
 from repro.core.hints import EMPTY_HINT_SET, HintSet
 from repro.simulation.request import IORequest, RequestKind
 from repro.trace import binio
-from repro.trace.binio import _FLAG_CLIENT_ID, _FLAG_WRITE
+from repro.trace.binio import _FLAG_CLIENT_ID, _FLAG_WRITE, TraceFormatError
 from repro.trace.columnar import ColumnarChunk
-from repro.trace.io import TraceFormatError
 
 __all__ = ["decode_block", "reference_decoder"]
 

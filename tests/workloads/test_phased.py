@@ -19,6 +19,8 @@ from repro.workloads.phased import (
 )
 from repro.workloads.standard import StandardTraceStream
 
+from tests.conftest import stream_requests
+
 
 def tiny_plan(total: int = 900) -> PhasePlan:
     return build_phase_plan("tenant", total, seed=5)
@@ -165,7 +167,7 @@ class TestPhasedTraceCache:
         spec.ensure()
         streamed = spec.open()
         mem = phased_trace(plan)
-        assert list(streamed.iter_requests()) == mem.requests()
+        assert stream_requests(streamed) == mem.requests()
         assert streamed.metadata == mem.metadata
 
     def test_cache_key_hashes_the_schedule(self):
