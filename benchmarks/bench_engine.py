@@ -10,8 +10,8 @@ identical read hit ratios:
 
 1. ``seed serial``    — a faithful replica of the seed path: a hand-rolled
                         per-request loop per cell (``policy.access`` +
-                        ``CacheStats.record_outcome`` inline), no engine, no
-                        observers;
+                        the seed's per-request ``record_outcome`` stats
+                        fold), no engine, no observers;
 2. ``pipeline serial``— one :class:`CacheSimulator` pass per cell: the same
                         per-cell structure, but replayed through the
                         observer pipeline (stats observer only);
@@ -128,6 +128,32 @@ PRE_REFACTOR_BASELINE = {
 OVERHEAD_GATE = 1.05
 
 
+class _SeedStats(CacheStats):
+    """:class:`CacheStats` with the seed's per-request fold, which the seed
+    path calls once per request."""
+
+    def record(self, request, hit: bool) -> None:
+        """Record the hit/miss outcome of one request."""
+        if request.is_read:
+            self.read_requests += 1
+            if hit:
+                self.read_hits += 1
+        else:
+            self.write_requests += 1
+            if hit:
+                self.write_hits += 1
+
+    def record_outcome(self, request, outcome) -> None:
+        """Fold one full outcome event into the counters."""
+        self.record(request, outcome.hit)
+        if outcome.admitted:
+            self.admissions += 1
+        if outcome.bypassed:
+            self.bypasses += 1
+        if outcome.evicted:
+            self.evictions += len(outcome.evicted)
+
+
 def seed_serial_sweep(requests, cache_sizes, policies):
     """The seed path: a hand-rolled per-request loop per cell.
 
@@ -142,7 +168,7 @@ def seed_serial_sweep(requests, cache_sizes, policies):
             policy = create_policy(name, capacity=capacity)
             if policy.offline:
                 policy.prepare(requests)
-            stats = CacheStats()
+            stats = _SeedStats()
             record = stats.record_outcome
             access = policy.access
             for seq, request in enumerate(requests):

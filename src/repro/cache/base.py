@@ -2,15 +2,16 @@
 
 Every policy in this package (and :class:`repro.core.clic.CLICPolicy`)
 implements :class:`CachePolicy`.  The trace-driven replay loop feeds a policy
-one :class:`~repro.simulation.request.IORequest` at a time, in arrival order,
-together with the request's server-assigned sequence number; the policy
-returns a structured :class:`AccessOutcome` describing what happened
-(hit/miss, admission, bypass, evicted pages).
+one columnar chunk of requests at a time, in arrival order, each request
+numbered with its server-assigned sequence number; the policy returns an
+:class:`AccessOutcomeBatch` describing what happened to each request
+(hit/miss, admission, bypass, evicted pages).  :meth:`CachePolicy.access`
+is the one-request case, returning one :class:`AccessOutcome`.
 
 Policies are **pure kernels**: they own only their replacement state (which
 pages are cached, in what order/priority), never any accounting.  All
 statistics — including the paper's *read hit ratio* metric — are derived
-from the outcome events by replay observers
+from the outcome batches by replay observers
 (:mod:`repro.simulation.observers`); :class:`CacheStats` is the accounting
 container those observers produce.
 """
@@ -53,10 +54,10 @@ def validate_capacity(capacity: int) -> int:
 class AccessOutcome:
     """What one :meth:`CachePolicy.access` call did, as a value object.
 
-    The outcome is the policy's *only* output channel: replay observers fold
-    outcome streams into statistics, so one counting rule holds for every
-    policy.  The fields mirror the accounting events the old in-policy
-    bookkeeping mutated:
+    The outcome is the policy's *only* output channel (batched per chunk as
+    an :class:`AccessOutcomeBatch`): replay observers fold the batches into
+    statistics, so one counting rule holds for every policy.  The fields
+    mirror the accounting events the old in-policy bookkeeping mutated:
 
     * ``hit`` — the requested page was cached when the request arrived;
     * ``admitted`` — the page was inserted into the cache by this access;
@@ -66,8 +67,8 @@ class AccessOutcome:
       (OPT drops pages it proves dead on their final read).
 
     Hot-path note: the three common cases are interned as module singletons
-    (:data:`HIT`, :data:`MISS_ADMIT`, :data:`MISS_BYPASS`) so the replay
-    loop allocates only for evicting outcomes.
+    (:data:`HIT`, :data:`MISS_ADMIT`, :data:`MISS_BYPASS`) so a
+    per-request loop allocates only for evicting outcomes.
     """
 
     __slots__ = ("hit", "admitted", "bypassed", "evicted")
@@ -136,8 +137,6 @@ class AccessOutcomeBatch:
     (:class:`~repro.simulation.cluster.ShardedCache`) so its observers never
     route a chunk again; ``None`` for every other policy.
 
-    :meth:`outcomes` reconstructs the exact per-request outcome objects
-    (memoised), so scalar consumers see the same event stream either way;
     :meth:`from_outcomes` lifts a scalar outcome list into a batch (the
     default :meth:`CachePolicy.batch_access` fallback uses it).
     """
@@ -149,7 +148,6 @@ class AccessOutcomeBatch:
         "evicted_pages",
         "evicted_offsets",
         "shard",
-        "_outcomes",
     )
 
     def __init__(
@@ -167,7 +165,6 @@ class AccessOutcomeBatch:
         self.evicted_pages = evicted_pages
         self.evicted_offsets = evicted_offsets
         self.shard = shard
-        self._outcomes: list[AccessOutcome] | None = None
 
     def __len__(self) -> int:
         return len(self.hit)
@@ -179,7 +176,7 @@ class AccessOutcomeBatch:
 
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[AccessOutcome]) -> "AccessOutcomeBatch":
-        """Lift a scalar outcome list into a batch (memoising the list)."""
+        """Lift a scalar outcome list into a batch."""
         n = len(outcomes)
         hit = _np.fromiter((outcome.hit for outcome in outcomes), _np.bool_, n)
         admitted = _np.fromiter(
@@ -206,42 +203,15 @@ class AccessOutcomeBatch:
             )
         else:
             pages = _np.zeros(0, _np.int64)
-        batch = cls(hit, admitted, bypassed, pages, offsets)
-        batch._outcomes = list(outcomes)
-        return batch
-
-    def outcome(self, i: int) -> AccessOutcome:
-        """Reconstruct request *i*'s scalar outcome."""
-        start = int(self.evicted_offsets[i])
-        stop = int(self.evicted_offsets[i + 1])
-        hit = bool(self.hit[i])
-        admitted = bool(self.admitted[i])
-        bypassed = bool(self.bypassed[i])
-        if start == stop:
-            if hit and not admitted and not bypassed:
-                return HIT
-            if admitted and not hit and not bypassed:
-                return MISS_ADMIT
-            if bypassed and not hit and not admitted:
-                return MISS_BYPASS
-            return AccessOutcome(hit, admitted=admitted, bypassed=bypassed)
-        evicted = tuple(int(page) for page in self.evicted_pages[start:stop])
-        return AccessOutcome(hit, admitted=admitted, bypassed=bypassed, evicted=evicted)
-
-    def outcomes(self) -> list[AccessOutcome]:
-        """Materialise the equivalent scalar outcome list (memoised)."""
-        if self._outcomes is None:
-            self._outcomes = [self.outcome(i) for i in range(len(self))]
-        return self._outcomes
+        return cls(hit, admitted, bypassed, pages, offsets)
 
 
 @dataclass
 class CacheStats:
     """Hit/miss accounting for one simulation run of a single policy.
 
-    Produced by the stats observer (:class:`repro.simulation.observers
-    .StatsObserver`) from a policy's outcome stream; policies themselves no
-    longer carry one.
+    Produced by the stats observers (:mod:`repro.simulation.observers`)
+    from a policy's outcome batches; policies themselves carry none.
     """
 
     read_requests: int = 0
@@ -268,27 +238,6 @@ class CacheStats:
         if self.requests == 0:
             return 0.0
         return (self.read_hits + self.write_hits) / self.requests
-
-    def record(self, request: IORequest, hit: bool) -> None:
-        """Record the hit/miss outcome of one request."""
-        if request.is_read:
-            self.read_requests += 1
-            if hit:
-                self.read_hits += 1
-        else:
-            self.write_requests += 1
-            if hit:
-                self.write_hits += 1
-
-    def record_outcome(self, request: IORequest, outcome: AccessOutcome) -> None:
-        """Fold one full :class:`AccessOutcome` event into the counters."""
-        self.record(request, outcome.hit)
-        if outcome.admitted:
-            self.admissions += 1
-        if outcome.bypassed:
-            self.bypasses += 1
-        if outcome.evicted:
-            self.evictions += len(outcome.evicted)
 
     def as_dict(self) -> dict:
         return {
@@ -362,7 +311,7 @@ class CachePolicy(abc.ABC):
         the request in the stream).  Implementations mutate only their
         replacement state and report every admission, bypass and eviction in
         the returned :class:`AccessOutcome`; all statistics are derived from
-        outcomes by the replay observers.
+        outcome batches by the replay observers.
         """
 
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:

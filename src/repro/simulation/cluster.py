@@ -11,9 +11,10 @@ module models that fleet as a single composite policy:
   (:class:`~repro.simulation.engine.MultiPolicySimulator`), the sweep
   drivers, and ``jobs=`` parallelism — a cluster is just another policy.
 * Routers (:class:`HashRouter`, :class:`ClientAffinityRouter`) decide
-  which shard owns a request.  All routing is a pure function of the
-  request, so replay is deterministic: the same stream produces the same
-  per-shard sub-streams in every process and at every ``jobs=`` count.
+  which shard owns each request of a chunk.  Routing depends only on the
+  stream, never on scheduling, so replay is deterministic: the same stream
+  produces the same per-shard sub-streams in every process and at every
+  ``jobs=`` count.
 
 Determinism guarantees:
 
@@ -43,10 +44,10 @@ import numpy as _np
 from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
 from repro.cache.opt import OPTPolicy, ReadIndex
 from repro.simulation.multiclient import partition_capacity
+from repro.trace.columnar import ColumnarChunk
 
 if TYPE_CHECKING:  # imported for type annotations only
     from repro.simulation.request import IORequest
-    from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
     "ShardRouter",
@@ -67,11 +68,12 @@ def _validate_shards(shards: int) -> int:
 
 
 class ShardRouter(abc.ABC):
-    """Maps each request to the shard that owns it.
+    """Maps each request of a chunk to the shard that owns it.
 
-    Routing must be a pure function of the request (never of arrival order
-    or any mutable replay state), so that the same stream shards identically
-    in every worker process and at every ``jobs=`` count.
+    Each request gets the same shard however the stream is cut into
+    chunks; routing state carries across calls.  Routing never depends on
+    scheduling, so the same stream shards identically in every worker
+    process and at every ``jobs=`` count.
     """
 
     #: Short name used by :func:`make_router` and in experiment output.
@@ -85,47 +87,22 @@ class ShardRouter(abc.ABC):
         self.shards = _validate_shards(shards)
 
     @abc.abstractmethod
-    def route(self, request: IORequest) -> int:
-        """Return the shard index in ``range(self.shards)`` for *request*."""
-
-    def route_batch(self, chunk: "ColumnarChunk") -> Any:
-        """Vector route: one shard index per request of *chunk* (int64).
-
-        Must agree element-for-element with :meth:`route` applied to the
-        chunk's requests in order.  The default implementation *is* that
-        scalar loop; subclasses override it where the routing function
-        vectorises.
-        """
-        route = self.route
-        return _np.fromiter(
-            (route(request) for request in chunk.requests()),
-            _np.int64,
-            len(chunk),
-        )
+    def route_batch(self, chunk: ColumnarChunk) -> Any:
+        """One shard index in ``range(self.shards)`` per request of *chunk*
+        (an int64 column)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(shards={self.shards})"
 
 
-def _mix_page(page: int) -> int:
-    """Deterministic 64-bit integer mix (murmur3 fmix64 finalizer).
+def _mix_pages(page: Any) -> Any:
+    """Deterministic 64-bit integer mix (murmur3 fmix64 finalizer) of a
+    page column, as a new ``uint64`` column.
 
     Plain ``page % shards`` would alias the strided access patterns of the
     synthetic workloads onto single shards; the mix spreads any page-id
-    structure uniformly.  Pure arithmetic — stable across processes and
-    Python versions (unlike ``hash`` for strings).
-    """
-    page &= 0xFFFFFFFFFFFFFFFF
-    page = ((page ^ (page >> 33)) * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
-    page = ((page ^ (page >> 33)) * 0xC4CEB9FE1A85EC53) & 0xFFFFFFFFFFFFFFFF
-    return page ^ (page >> 33)
-
-
-def _mix_pages(page: Any) -> Any:
-    """:func:`_mix_page` over a page column, as a new ``uint64`` column.
-
-    The wrapping uint64 pipeline is exact — identical to the scalar mix —
-    so vector and scalar routing always agree.
+    structure uniformly.  Pure wrapping ``uint64`` arithmetic — stable
+    across processes and Python versions (unlike ``hash`` for strings).
     """
     pages = page.astype(_np.uint64)
     pages ^= pages >> _np.uint64(33)
@@ -142,10 +119,7 @@ class HashRouter(ShardRouter):
     name = "hash"
     page_keyed = True
 
-    def route(self, request: IORequest) -> int:
-        return _mix_page(request.page) % self.shards
-
-    def route_batch(self, chunk: "ColumnarChunk") -> Any:
+    def route_batch(self, chunk: ColumnarChunk) -> Any:
         return (_mix_pages(chunk.page) % _np.uint64(self.shards)).astype(_np.int64)
 
 
@@ -167,17 +141,9 @@ class ClientAffinityRouter(ShardRouter):
         super().__init__(shards)
         self._assignments: dict[str, int] = {}
 
-    def route(self, request: IORequest) -> int:
-        client_id = request.client_id
-        shard = self._assignments.get(client_id)
-        if shard is None:
-            shard = len(self._assignments) % self.shards
-            self._assignments[client_id] = shard
-        return shard
-
-    def route_batch(self, chunk: "ColumnarChunk") -> Any:
-        # Same first-appearance round-robin as route(), driven from the
-        # client-index column (no request materialisation).
+    def route_batch(self, chunk: ColumnarChunk) -> Any:
+        # First-appearance round-robin, driven from the client-index column
+        # (no request materialisation).
         assignments = self._assignments
         clients = chunk.clients
         shards = self.shards
@@ -302,9 +268,10 @@ class ShardedCache(CachePolicy):
         return self._router.page_keyed
 
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        return self._shards[self._router.route(request)].access(request, seq)
+        routed = self._router.route_batch(ColumnarChunk.from_requests((request,), seq))
+        return self._shards[int(routed[0])].access(request, seq)
 
-    def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
+    def batch_access(self, chunk: ColumnarChunk) -> AccessOutcomeBatch:
         """Batch kernel: route the whole chunk, then batch per shard.
 
         Each shard receives its requests as a gathered sub-chunk in original

@@ -34,11 +34,11 @@ the service times its own :class:`~repro.simulation.costmodel.SeekWalk`
 prices from those columns in stream order.
 
 It is packaged as a :class:`ReplayObserver` (:class:`QueueingObserver`):
-the replay loop feeds it the outcome stream, it prices each outcome with
-the cost model's rules (on seek devices with its **own** heads, one per
-shard, exactly like the cost observer's) and never touches the policy or
-the requests — attaching it cannot change hit/miss stats or service-time
-accounting.
+the replay loop feeds it each chunk's outcome batch, it prices each
+request with the cost model's rules (on seek devices with its **own**
+heads, one per shard, exactly like the cost observer's) and never touches
+the policy or the columns it is handed — attaching it cannot change
+hit/miss stats or service-time accounting.
 Every arrival process is a function of the request index, so the arrival
 column is drawn once, at finalize, from an :class:`arrival tape
 <_ArrivalTape>` that all observers of one model in one replay pass share.
@@ -50,7 +50,7 @@ stream's start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as _np
 
@@ -64,12 +64,11 @@ from repro.simulation.costmodel import (
     histogram_percentile,
 )
 from repro.simulation.cluster import is_cluster, routed_shards
-from repro.simulation.observers import ReplayObserver, lift_outcome
+from repro.simulation.observers import ReplayObserver
 from repro.workloads.arrivals import ArrivalProcess
 
 if TYPE_CHECKING:  # imported for type annotations only
-    from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
-    from repro.simulation.request import IORequest
+    from repro.cache.base import AccessOutcomeBatch, CachePolicy
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
@@ -309,14 +308,14 @@ class _ArrivalTape:
 
 
 class QueueingObserver(ReplayObserver):
-    """Feeds the outcome stream through per-shard FCFS queues.
+    """Feeds the outcome batches through per-shard FCFS queues.
 
     Per chunk it banks what the kernel pass reads: the write and hit
     columns, a cluster's shard ids and, on seek devices, each request's
     service time.  At finalize it reads the stream's arrival column from
     the (possibly shared) arrival tape and runs every shard's Lindley
     recursion, the totals and both histograms in one ``queue_replay``
-    call.  Never mutates requests, outcomes or the policy.
+    call.  Never mutates the chunk, the batch or the policy.
 
     Position-independent devices price by outcome class, so their service
     times are the model's three class prices (read hit, read miss, write),
@@ -326,7 +325,7 @@ class QueueingObserver(ReplayObserver):
     """
 
     __slots__ = (
-        "_route",
+        "_clustered",
         "_shard_count",
         "_tape",
         "_walk",
@@ -346,11 +345,8 @@ class QueueingObserver(ReplayObserver):
     ):
         cost_model = model.cost_model()
         profile = cost_model.profile
-        self._route: Callable[[IORequest], int] | None = None
-        self._shard_count = 1
-        if is_cluster(policy):
-            self._shard_count = policy.shard_count
-            self._route = policy.router.route
+        self._clustered = is_cluster(policy)
+        self._shard_count = policy.shard_count if is_cluster(policy) else 1
         self._walk: SeekWalk | None = None
         self._classes_ns: Any = None
         if profile.position_dependent:
@@ -367,16 +363,13 @@ class QueueingObserver(ReplayObserver):
         self._service_chunks: list = []
         self._finalized: QueueingStats | None = None
 
-    def on_outcome(self, request: "IORequest", seq: int, outcome: "AccessOutcome") -> None:
-        self.on_batch(*lift_outcome(self._route, request, seq, outcome))
-
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
         if not len(chunk):
             return
         self._write_chunks.append(chunk.write)
         self._hit_chunks.append(batch.hit)
         ids: Any = None
-        if self._route is not None:
+        if self._clustered:
             ids = routed_shards(batch)
             self._shard_chunks.append(ids)
         if self._walk is not None:
@@ -402,7 +395,7 @@ class QueueingObserver(ReplayObserver):
         last_arrival = int(arrivals[-1])
         shards: Any = None
         service: Any = None
-        if self._route is not None:
+        if self._clustered:
             shards = np.concatenate(self._shard_chunks).astype(np.int64, copy=False)
         if self._walk is not None:
             service = np.concatenate(self._service_chunks)

@@ -144,8 +144,8 @@ class TraceCache:
         self.misses = 0
         # Disabled-path memo: without a disk file to reuse, repeated passes
         # over the same spec (offline prepare + replay, per-worker opens)
-        # must not regenerate the trace each time.
-        self._memo: dict[TraceSpec, Trace] = {}
+        # must not regenerate or re-lift the trace each time.
+        self._memo: dict[TraceSpec, _InMemoryStream] = {}
 
     # ----------------------------------------------------------------- lookup
     def path_for(self, spec: TraceSpec) -> Path:
@@ -187,20 +187,13 @@ class TraceCache:
     def open(self, spec: TraceSpec) -> StreamedTrace:
         """A streaming view of the cached trace (generating on a miss)."""
         if not self.enabled:
-            return self._materialized_stream(spec)
+            return self._in_memory(spec)
         return StreamedTrace(self.ensure(spec))
 
     def load(self, spec: TraceSpec) -> Trace:
         """The materialized trace (through the cache when enabled)."""
         if not self.enabled:
-            trace = self._memo.get(spec)
-            if trace is None:
-                self.misses += 1
-                trace = self._generate_in_memory(spec)
-                self._memo[spec] = trace
-            else:
-                self.hits += 1
-            return trace
+            return self._in_memory(spec).load()
         return self.open(spec).load()
 
     # ------------------------------------------------------------- accounting
@@ -274,16 +267,27 @@ class TraceCache:
             client_id=spec.client_id,
         )
 
-    def _materialized_stream(self, spec: TraceSpec) -> "_InMemoryStream":
-        return _InMemoryStream(self.load(spec))
+    def _in_memory(self, spec: TraceSpec) -> "_InMemoryStream":
+        """The disabled cache's memoised stream for *spec*."""
+        stream = self._memo.get(spec)
+        if stream is None:
+            self.misses += 1
+            stream = _InMemoryStream(self._generate_in_memory(spec))
+            self._memo[spec] = stream
+        else:
+            self.hits += 1
+        return stream
 
 
 class _InMemoryStream:
     """Adapter giving a materialized trace the :class:`StreamedTrace` surface
-    (used when the cache is disabled, so callers keep one code path)."""
+    (used when the cache is disabled, so callers keep one code path).  The
+    trace is lifted into columns on the first pass, and every pass yields
+    those chunks."""
 
     def __init__(self, trace: Trace):
         self._trace = trace
+        self._source: ColumnarSource | None = None
         self.name = trace.name
         self.metadata = dict(trace.metadata)
 
@@ -295,7 +299,9 @@ class _InMemoryStream:
         return len(self._trace)
 
     def iter_columnar(self) -> Iterator[ColumnarChunk]:
-        return ColumnarSource(self._trace.requests()).iter_columnar()
+        if self._source is None:
+            self._source = ColumnarSource(self._trace.requests())
+        return self._source.iter_columnar()
 
     def load(self) -> Trace:
         return self._trace

@@ -16,6 +16,7 @@ from repro.cache.base import (
 from repro.cache.lru import LRUPolicy
 
 from tests.conftest import rd, wr
+from tests.observer_reference import record, record_outcome
 
 
 class TestAccessOutcome:
@@ -41,10 +42,10 @@ class TestAccessOutcome:
 
     def test_record_outcome_counting_rules(self):
         stats = CacheStats()
-        stats.record_outcome(rd(1), MISS_ADMIT)
-        stats.record_outcome(rd(1), HIT)
-        stats.record_outcome(rd(2), MISS_BYPASS)
-        stats.record_outcome(wr(3), AccessOutcome(False, admitted=True, evicted=(1, 2)))
+        record_outcome(stats, rd(1), MISS_ADMIT)
+        record_outcome(stats, rd(1), HIT)
+        record_outcome(stats, rd(2), MISS_BYPASS)
+        record_outcome(stats, wr(3), AccessOutcome(False, admitted=True, evicted=(1, 2)))
         assert stats.requests == 4
         assert stats.read_hits == 1
         assert stats.admissions == 2
@@ -70,34 +71,34 @@ class TestValidateCapacity:
 class TestCacheStats:
     def test_read_hit_ratio(self):
         stats = CacheStats()
-        stats.record(rd(1), hit=True)
-        stats.record(rd(2), hit=False)
-        stats.record(rd(3), hit=True)
+        record(stats, rd(1), hit=True)
+        record(stats, rd(2), hit=False)
+        record(stats, rd(3), hit=True)
         assert stats.read_hit_ratio == pytest.approx(2 / 3)
 
     def test_read_hit_ratio_zero_reads(self):
         stats = CacheStats()
-        stats.record(wr(1), hit=True)
+        record(stats, wr(1), hit=True)
         assert stats.read_hit_ratio == 0.0
 
     def test_writes_do_not_count_towards_read_hit_ratio(self):
         stats = CacheStats()
-        stats.record(rd(1), hit=False)
-        stats.record(wr(2), hit=True)
+        record(stats, rd(1), hit=False)
+        record(stats, wr(2), hit=True)
         assert stats.read_hit_ratio == 0.0
         assert stats.write_hits == 1
 
     def test_overall_hit_ratio(self):
         stats = CacheStats()
-        stats.record(rd(1), hit=True)
-        stats.record(wr(2), hit=False)
+        record(stats, rd(1), hit=True)
+        record(stats, wr(2), hit=False)
         assert stats.overall_hit_ratio == pytest.approx(0.5)
 
     def test_requests_count(self):
         stats = CacheStats()
         for i in range(3):
-            stats.record(rd(i), hit=False)
-        stats.record(wr(9), hit=False)
+            record(stats, rd(i), hit=False)
+        record(stats, wr(9), hit=False)
         assert stats.requests == 4
 
     def test_as_dict_round_trips_counters(self):

@@ -39,6 +39,8 @@ from repro.trace.columnar import ColumnarChunk
 from repro.core.hints import EMPTY_HINT_SET
 from repro.simulation.request import IORequest
 
+from tests.conftest import chunked
+from tests.observer_reference import decode_outcomes
 from tests.policy_reference import ARCPolicy as ReferenceARC
 from tests.policy_reference import LRUPolicy as ReferenceLRU
 from tests.policy_reference import TQPolicy as ReferenceTQ
@@ -159,19 +161,6 @@ def _references():
         yield
 
 
-def _split(stream, sizes):
-    """Cut *stream* into chunks of the drawn sizes (cycling as needed)."""
-    chunks = []
-    offset = 0
-    index = 0
-    while offset < len(stream):
-        take = sizes[index % len(sizes)]
-        chunks.append((offset, stream[offset : offset + take]))
-        offset += take
-        index += 1
-    return chunks
-
-
 @pytest.mark.parametrize(("name", "kwargs"), [c[1:] for c in CASES], ids=CASE_IDS)
 @given(stream=STREAMS, sizes=CHUNK_SIZES)
 @settings(
@@ -231,12 +220,11 @@ def _assert_batch_matches_scalar(
         scalar.access(request, seq) for seq, request in enumerate(stream)
     ]
     batch_outcomes = []
-    for offset, chunk_requests in _split(stream, sizes):
-        chunk = ColumnarChunk.from_requests(chunk_requests, start_seq=offset)
+    for chunk in chunked(stream, sizes):
         batch = batched.batch_access(chunk)
         assert isinstance(batch, AccessOutcomeBatch)
-        assert len(batch) == len(chunk_requests)
-        batch_outcomes.extend(batch.outcomes())
+        assert len(batch) == len(chunk)
+        batch_outcomes.extend(decode_outcomes(batch))
 
     assert batch_outcomes == scalar_outcomes
     assert len(batched) == len(scalar)
@@ -247,12 +235,11 @@ def _assert_batch_matches_scalar(
 @settings(max_examples=25, deadline=None)
 def test_batch_columns_match_scalar_outcomes(stream, sizes):
     """The batch's column view (hit/admitted/bypassed/CSR evictions) agrees
-    with its own reconstructed outcome objects."""
+    with the outcome objects the reference decoder reconstructs."""
     policy = create_policy("LRU", capacity=CAPACITY)
-    for offset, chunk_requests in _split(stream, sizes):
-        chunk = ColumnarChunk.from_requests(chunk_requests, start_seq=offset)
+    for chunk in chunked(stream, sizes):
         batch = policy.batch_access(chunk)
-        for i, outcome in enumerate(batch.outcomes()):
+        for i, outcome in enumerate(decode_outcomes(batch)):
             assert bool(batch.hit[i]) == outcome.hit
             assert bool(batch.admitted[i]) == outcome.admitted
             assert bool(batch.bypassed[i]) == outcome.bypassed

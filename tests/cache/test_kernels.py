@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 from repro.cache.registry import PAPER_POLICIES, create_policy
 from repro.core.hints import EMPTY_HINT_SET, make_hint_set
 from repro.simulation.request import IORequest, RequestKind
-from repro.trace.columnar import ColumnarChunk
 
 from tests import policy_reference
+from tests.conftest import chunked
+from tests.observer_reference import decode_outcomes
 
 #: Page ids whose low 32 bits are equal share one home slot in a kernel's
 #: table, so these build long probe runs and delete from their middle.
@@ -56,19 +57,6 @@ def streams(draw, hints=(EMPTY_HINT_SET,), min_size=60, max_size=200):
     ]
 
 
-def _replay_in_chunks(policy, stream, sizes):
-    outcomes = []
-    offset = 0
-    index = 0
-    while offset < len(stream):
-        take = sizes[index % len(sizes)]
-        chunk = ColumnarChunk.from_requests(stream[offset : offset + take], start_seq=offset)
-        outcomes.extend(policy.batch_access(chunk).outcomes())
-        offset += take
-        index += 1
-    return outcomes
-
-
 def _assert_kernel_matches(name, kwargs, stream, sizes, reference, expected):
     """The kernel replays *stream* to the reference's *expected* outcomes and
     state, in *sizes* chunks and one request at a time."""
@@ -79,7 +67,11 @@ def _assert_kernel_matches(name, kwargs, stream, sizes, reference, expected):
         if one_by_one:
             outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
         else:
-            outcomes = _replay_in_chunks(policy, stream, sizes)
+            outcomes = [
+                outcome
+                for chunk in chunked(stream, sizes)
+                for outcome in decode_outcomes(policy.batch_access(chunk))
+            ]
         assert outcomes == expected
         assert len(policy) == len(reference)
         assert sorted(policy.cached_pages()) == sorted(reference.cached_pages())

@@ -19,6 +19,7 @@ from repro.trace.columnar import ColumnarChunk, ColumnarSource
 
 from tests import policy_reference
 from tests.conftest import rd, wr
+from tests.observer_reference import decode_outcomes
 
 ReferenceOPT = policy_reference.OPTPolicy
 
@@ -136,7 +137,7 @@ class TestOPT:
         batch_outcomes = []
         for start in range(0, len(requests), 97):
             chunk = ColumnarChunk.from_requests(requests[start : start + 97], start)
-            batch_outcomes.extend(batched.batch_access(chunk).outcomes())
+            batch_outcomes.extend(decode_outcomes(batched.batch_access(chunk)))
         assert batch_outcomes == expected
 
     def test_index_holds_the_next_read_of_each_position(self):

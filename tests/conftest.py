@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import cycle
 
 import pytest
 
@@ -35,6 +36,19 @@ def stream_requests(source) -> list[IORequest]:
     return [request for chunk in source.iter_columnar() for request in chunk.requests()]
 
 
+def chunked(requests, sizes):
+    """*requests* as consecutive columnar chunks of the *sizes* (cycled),
+    numbered from sequence number 0."""
+    from repro.trace.columnar import ColumnarChunk
+
+    offset = 0
+    for size in cycle(sizes):
+        if offset >= len(requests):
+            return
+        yield ColumnarChunk.from_requests(requests[offset : offset + size], offset)
+        offset += size
+
+
 def kernel_less(policy_class):
     """*policy_class* with the base ``batch_access``: every chunk replays
     through the scalar ``access()`` loop, as for a policy without a fused
@@ -53,6 +67,23 @@ def run_policy(policy, requests):
     from repro.simulation.simulator import CacheSimulator
 
     return CacheSimulator(policy).run(requests)
+
+
+@pytest.fixture
+def lifted(monkeypatch) -> list[int]:
+    """The length of every request list the test lifts into a chunk with
+    ``ColumnarChunk.from_requests``, in order."""
+    from repro.trace.columnar import ColumnarChunk
+
+    lift = ColumnarChunk.from_requests.__func__
+    lengths: list[int] = []
+
+    def counting(cls, requests, start_seq=0):
+        lengths.append(len(requests))
+        return lift(cls, requests, start_seq)
+
+    monkeypatch.setattr(ColumnarChunk, "from_requests", classmethod(counting))
+    return lengths
 
 
 @pytest.fixture(scope="session", autouse=True)

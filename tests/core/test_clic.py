@@ -14,10 +14,10 @@ from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
 from repro.simulation.simulator import CacheSimulator
-from repro.trace.columnar import ColumnarChunk
 
 from tests.clic_reference import CLICPolicy as ReferenceCLIC
-from tests.conftest import hint, rd, wr
+from tests.conftest import chunked, hint, rd, wr
+from tests.observer_reference import decode_outcomes
 
 #: Runs a test on the kernel and on the reference.
 both = pytest.mark.parametrize(
@@ -377,17 +377,11 @@ class TestVictimSelectionProperty:
                 outcome = reference.access(request, seq)
                 victims.append((victim[3],) if outcome.evicted else ())
             kernel = CLICPolicy(capacity=4, config=small_config(window_size=7))
-            evicted = []
-            offset = 0
-            index = 0
-            while offset < len(requests):
-                take = sizes[index % len(sizes)]
-                chunk = ColumnarChunk.from_requests(
-                    requests[offset : offset + take], start_seq=offset
-                )
-                evicted.extend(o.evicted for o in kernel.batch_access(chunk).outcomes())
-                offset += take
-                index += 1
+            evicted = [
+                outcome.evicted
+                for chunk in chunked(requests, sizes)
+                for outcome in decode_outcomes(kernel.batch_access(chunk))
+            ]
             assert evicted == victims
 
         run()

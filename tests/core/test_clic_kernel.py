@@ -21,10 +21,11 @@ from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
 from repro.core.hints import make_hint_set
 from repro.simulation.request import IORequest, RequestKind
-from repro.trace.columnar import ColumnarChunk
 from repro.workloads.standard import standard_trace
 
 from tests.clic_reference import CLICPolicy as ReferenceCLIC
+from tests.conftest import chunked
+from tests.observer_reference import decode_outcomes
 
 #: Page ids whose low 32 bits are equal share one home slot in the kernel's
 #: tables, so these build long probe runs and delete from their middle.
@@ -65,19 +66,12 @@ def _replay_in_lockstep(policy, reference, stream, sizes):
     windows.  Returns the policy's outcomes and the reference's."""
     outcomes = []
     expected = []
-    offset = 0
-    index = 0
-    while offset < len(stream):
-        take = sizes[index % len(sizes)]
-        requests = stream[offset : offset + take]
-        chunk = ColumnarChunk.from_requests(requests, start_seq=offset)
-        outcomes.extend(policy.batch_access(chunk).outcomes())
-        for seq, request in enumerate(requests, start=offset):
+    for chunk in chunked(stream, sizes):
+        outcomes.extend(decode_outcomes(policy.batch_access(chunk)))
+        for seq, request in enumerate(chunk.requests(), start=chunk.seq_base):
             expected.append(reference.access(request, seq))
         assert _bits(policy.current_priorities()) == _bits(reference.current_priorities())
         assert policy.windows_completed == reference.windows_completed
-        offset += take
-        index += 1
     return outcomes, expected
 
 

@@ -12,14 +12,15 @@ engine oracle's scalar replay price with them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.simulation.cluster import is_cluster
 from repro.simulation.costmodel import CostModel, LatencyStats
 from repro.simulation.request import RequestKind
 
+from tests.observer_reference import reference_route
+
 if TYPE_CHECKING:  # imported for type annotations only
-    from repro.simulation.cluster import ShardRouter
     from repro.simulation.request import IORequest
 
 __all__ = ["CostAccumulator", "ShardedCostAccumulator", "accumulator_for"]
@@ -41,7 +42,7 @@ def accumulator_for(model: CostModel, policy: object) -> "CostAccumulator | Shar
         # Also for shards=1: the single sub-accumulator prices exactly
         # like the wrapped policy, preserving the cluster layer's
         # shards=1 bit-identity on every reporting surface.
-        return ShardedCostAccumulator(model, policy.router, policy.shard_count)
+        return ShardedCostAccumulator(model, reference_route(policy.router), policy.shard_count)
     return CostAccumulator(model)
 
 
@@ -169,9 +170,8 @@ class CostAccumulator:
 class ShardedCostAccumulator:
     """Seek-aware accounting for a sharded cluster: one head per shard.
 
-    Each request is routed with the cluster's own router (a pure function
-    of the request — and :meth:`charge` runs after the facade's ``access``,
-    so stateful routers have already made their assignment) to a per-shard
+    Each request is routed by *route*, a per-request reference route of
+    the cluster's router (``tests/observer_reference.py``), to a per-shard
     :class:`CostAccumulator`, keeping every shard's seek head independent.
     :meth:`finalize` returns the merged fleet view — which is therefore
     *exactly* the sum of the per-shard breakdowns exposed by
@@ -180,15 +180,17 @@ class ShardedCostAccumulator:
     topology, not the pricing method.
     """
 
-    __slots__ = ("_router", "_shards", "_finalized")
+    __slots__ = ("_route", "_shards", "_finalized")
 
-    def __init__(self, model: CostModel, router: "ShardRouter", shard_count: int):
-        self._router = router
+    def __init__(
+        self, model: CostModel, route: "Callable[[IORequest], int]", shard_count: int
+    ):
+        self._route = route
         self._shards = [CostAccumulator(model) for _ in range(shard_count)]
         self._finalized: tuple[LatencyStats, ...] | None = None
 
     def charge(self, request: "IORequest", hit: bool) -> None:
-        self._shards[self._router.route(request)].charge(request, hit)
+        self._shards[self._route(request)].charge(request, hit)
 
     def finalize(self) -> LatencyStats:
         self._finalized = tuple(shard.finalize() for shard in self._shards)

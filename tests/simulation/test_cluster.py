@@ -17,6 +17,7 @@ from repro.simulation.cluster import (
     ClientAffinityRouter,
     HashRouter,
     ShardedCache,
+    ShardRouter,
     make_router,
 )
 from repro.simulation.engine import MultiPolicySimulator, PolicySpec, SweepCell
@@ -26,7 +27,8 @@ from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
 from repro.trace.columnar import ColumnarChunk, ColumnarSource
 
-from tests.conftest import stream_requests
+from tests.conftest import chunked, stream_requests
+from tests.observer_reference import decode_outcomes, reference_route
 from tests.policy_reference import LRUPolicy as ReferenceLRU
 
 
@@ -48,27 +50,41 @@ def _request(page: int, client: str = "c") -> IORequest:
     return IORequest(page=page, kind=RequestKind.READ, hints=make_hint_set(client))
 
 
+def _route_in_chunks(router, requests, size: int) -> list[int]:
+    """Route *requests* with *router*'s ``route_batch``, *size* at a time."""
+    chunks = chunked(requests, [size])
+    return [shard for chunk in chunks for shard in router.route_batch(chunk).tolist()]
+
+
 class TestRouters:
     def test_hash_router_is_deterministic_and_in_range(self):
-        router = HashRouter(5)
-        for page in range(1000):
-            shard = router.route(_request(page))
-            assert 0 <= shard < 5
-            assert shard == HashRouter(5).route(_request(page))
+        requests = [_request(page) for page in range(1000)]
+        shards = _route_in_chunks(HashRouter(5), requests, 97)
+        assert all(0 <= shard < 5 for shard in shards)
+        assert shards == _route_in_chunks(HashRouter(5), requests, len(requests))
 
     def test_hash_router_spreads_strided_pages(self):
         """A strided page pattern must not alias onto a single shard."""
-        router = HashRouter(4)
-        shards = {router.route(_request(page)) for page in range(0, 4000, 4)}
-        assert shards == {0, 1, 2, 3}
+        requests = [_request(page) for page in range(0, 4000, 4)]
+        assert set(_route_in_chunks(HashRouter(4), requests, len(requests))) == {0, 1, 2, 3}
 
     def test_client_router_assigns_by_first_appearance(self):
-        router = ClientAffinityRouter(3)
-        assert router.route(_request(1, "a")) == 0
-        assert router.route(_request(2, "b")) == 1
-        assert router.route(_request(3, "c")) == 2
-        assert router.route(_request(4, "d")) == 0       # wraps round-robin
-        assert router.route(_request(9, "b")) == 1       # sticky per client
+        requests = [
+            _request(1, "a"),
+            _request(2, "b"),
+            _request(3, "c"),
+            _request(4, "d"),  # wraps round-robin
+            _request(9, "b"),  # sticky per client
+        ]
+        for size in (1, len(requests)):
+            assert _route_in_chunks(ClientAffinityRouter(3), requests, size) == [0, 1, 2, 0, 1]
+
+    def test_a_router_must_route_batches(self):
+        class Unrouted(ShardRouter):
+            name = "unrouted"
+
+        with pytest.raises(TypeError, match="route_batch"):
+            Unrouted(2)
 
     def test_make_router_names_and_errors(self):
         assert isinstance(make_router("hash", 2), HashRouter)
@@ -88,28 +104,20 @@ class TestRouters:
         shards=st.integers(min_value=1, max_value=9),
     )
     def test_hash_route_batch_matches_route(self, pages, shards):
-        """The vector fmix64 pipeline wraps exactly like the scalar one."""
-        router = HashRouter(shards)
+        """The vector fmix64 pipeline wraps exactly like the reference's
+        Python ints, however the stream is chunked."""
         requests = [_request(page) for page in pages]
-        chunk = ColumnarChunk.from_requests(requests, start_seq=0)
-        assert router.route_batch(chunk).tolist() == [
-            router.route(request) for request in requests
-        ]
+        expected = list(map(reference_route(HashRouter(shards)), requests))
+        for size in (1, 7, len(requests)):
+            assert _route_in_chunks(HashRouter(shards), requests, size) == expected
 
     def test_client_route_batch_matches_route_across_chunks(self, rng):
         """First-appearance assignments carry over from one chunk to the next
         exactly as they do request by request."""
         requests = _trace(rng, clients=("a", "b", "c", "d", "e"), n=700)
-        scalar = ClientAffinityRouter(3)
-        expected = [scalar.route(request) for request in requests]
-        batched = ClientAffinityRouter(3)
-        routed: list[int] = []
-        for start in range(0, len(requests), 97):
-            chunk = ColumnarChunk.from_requests(
-                requests[start : start + 97], start_seq=start
-            )
-            routed.extend(batched.route_batch(chunk).tolist())
-        assert routed == expected
+        expected = list(map(reference_route(ClientAffinityRouter(3)), requests))
+        for size in (1, 97):
+            assert _route_in_chunks(ClientAffinityRouter(3), requests, size) == expected
 
     def test_shard_count_validation(self):
         with pytest.raises(ValueError):
@@ -130,9 +138,10 @@ class TestShardedCacheBasics:
             cluster.access(request, seq)
             assert len(cluster) <= cluster.capacity
         # Each cached page lives only in the shard that owns it.
+        route = reference_route(cluster.router)
         for index, shard in enumerate(cluster.shards):
             for page in shard.cached_pages():
-                assert cluster.router.route(_request(page)) == index
+                assert route(_request(page)) == index
         assert sorted(cluster.cached_pages()) == sorted(
             page for shard in cluster.shards for page in shard.cached_pages()
         )
@@ -192,7 +201,7 @@ class TestShardedCacheBasics:
         assert len(sub_chunks) == 3
         assert sum(sub_chunks) == len(requests)
         scalar = ShardedCache(capacity=60, policy="LRU", shards=3)
-        assert batch.outcomes() == [
+        assert decode_outcomes(batch) == [
             scalar.access(request, seq) for seq, request in enumerate(requests)
         ]
 
@@ -216,13 +225,12 @@ class TestShardedCacheBasics:
         requests = _trace(rng, n=1500, pages=300)
         batched = ShardedCache(capacity=60, policy="PAIR-EVICTING-LRU", shards=3)
         scalar = ShardedCache(capacity=60, policy="PAIR-EVICTING-LRU", shards=3)
-        outcomes = []
-        for start in range(0, len(requests), 400):
-            chunk = ColumnarChunk.from_requests(requests[start : start + 400], start_seq=start)
-            outcomes.extend(batched.batch_access(chunk).outcomes())
+        replayed = []
+        for chunk in chunked(requests, [400]):
+            replayed.extend(decode_outcomes(batched.batch_access(chunk)))
         expected = [scalar.access(request, seq) for seq, request in enumerate(requests)]
         assert any(len(outcome.evicted) == 2 for outcome in expected)
-        assert outcomes == expected
+        assert replayed == expected
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

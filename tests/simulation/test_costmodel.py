@@ -28,6 +28,7 @@ from repro.trace.columnar import ColumnarChunk
 
 from tests.conftest import rd, wr
 from tests.cost_reference import CostAccumulator, ShardedCostAccumulator
+from tests.observer_reference import record_outcome, reference_route
 
 
 def small_trace(pages: int = 40, repeats: int = 6) -> list:
@@ -199,7 +200,7 @@ class TestAccumulator:
             for seq, request in enumerate(small_trace()):
                 outcome = policy.access(request, seq)
                 accumulator.charge(request, outcome.hit)
-                stats.record_outcome(request, outcome)
+                record_outcome(stats, request, outcome)
             latency = accumulator.finalize()
             assert latency.as_dict() == model.latency_from_stats(stats).as_dict()
 
@@ -528,7 +529,9 @@ class TestSeekWalkMatchesTheReference:
         policy = build()
         fleet = CostAccumulator(model)
         sharded = (
-            ShardedCostAccumulator(model, policy.router, shards) if shards > 1 else None
+            ShardedCostAccumulator(model, reference_route(policy.router), shards)
+            if shards > 1
+            else None
         )
         for seq, request in enumerate(requests):
             hit = policy.access(request, seq).hit

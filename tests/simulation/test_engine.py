@@ -6,7 +6,6 @@ import random
 import sys
 import warnings
 from functools import partial
-from unittest import mock
 
 import pytest
 
@@ -22,7 +21,6 @@ from repro.simulation.engine import (
 from repro.simulation.queueing import QueueingModel
 from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
-from repro.trace.columnar import ColumnarChunk
 from repro.workloads.arrivals import BurstyArrivals, PoissonArrivals
 
 from repro.core.hints import make_hint_set
@@ -155,22 +153,14 @@ class TestMultiPolicySimulator:
         )
         assert result.stats == expected.stats
 
-    def test_a_list_is_lifted_once_for_the_index_and_the_replay(self, rng):
+    def test_a_list_is_lifted_once_for_the_index_and_the_replay(self, rng, lifted):
         """OPT's index and the replay read the same lifted chunks: an
         n-request list passes n requests through ``from_requests`` in all."""
         requests = _mixed_trace(rng, n=2 * MultiPolicySimulator.CHUNK_SIZE + 100)
-        lift = ColumnarChunk.from_requests.__func__
-        lifted = []
-
-        def counting(cls, chunk, start_seq=0):
-            lifted.append(len(chunk))
-            return lift(cls, chunk, start_seq)
-
         names = ["OPT", "LRU", "OPT"]
-        with mock.patch.object(ColumnarChunk, "from_requests", classmethod(counting)):
-            results = MultiPolicySimulator(
-                [create_policy(name, capacity=60) for name in names]
-            ).run(requests)
+        results = MultiPolicySimulator(
+            [create_policy(name, capacity=60) for name in names]
+        ).run(requests)
         assert sum(lifted) == len(requests)
         for name, result in zip(names, results):
             expected = CacheSimulator(create_policy(name, capacity=60)).run(requests)

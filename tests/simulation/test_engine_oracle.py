@@ -3,9 +3,10 @@
 :class:`~repro.simulation.engine.MultiPolicySimulator` replays columnar
 chunks: batch kernels, column-native observers, per-client rows as masked
 popcounts, chunks that end inside rolling windows.  The oracle here is
-the definition those shortcuts must reproduce: one ``access()`` per request
-in stream order, each observer folding that outcome through its scalar
-``on_outcome``, per-client stats counted request by request.  Every field
+the definition those shortcuts must reproduce, one request at a time in
+stream order: ``access()`` (a cluster's shard's, routed by the reference
+route), the per-request folds of ``tests/observer_reference.py``, per-client
+stats counted request by request.  Every field
 of every result must match — stats, per-client, per-shard, latency,
 per-shard latency, rolling windows and queueing — at every engine chunk
 size: no observer's result may depend on where chunks end.  Every paper
@@ -25,13 +26,9 @@ from repro.cache.base import CachePolicy, CacheStats
 from repro.cache.registry import available_policies, create_policy
 from repro.core.config import CLICConfig
 from repro.core.hints import make_hint_set
+from repro.simulation.cluster import is_cluster
 from repro.simulation.costmodel import CostModel
 from repro.simulation.engine import MultiPolicySimulator
-from repro.simulation.observers import (
-    RollingObserver,
-    StatsObserver,
-    shard_observer_for,
-)
 from repro.simulation.queueing import QueueingModel
 from repro.simulation.request import IORequest, RequestKind
 from repro.trace.cache import TraceSpec
@@ -40,6 +37,13 @@ from repro.workloads.arrivals import PoissonArrivals
 from tests import policy_reference
 from tests.conftest import stream_requests
 from tests.cost_reference import accumulator_for
+from tests.observer_reference import (
+    RollingReference,
+    lift_outcome,
+    record,
+    record_outcome,
+    reference_route,
+)
 from tests.policy_reference import REFERENCES, reference_case
 
 CAPACITY = 150
@@ -166,34 +170,44 @@ def _engine(policies, chunk_size: int, **options) -> MultiPolicySimulator:
 
 def scalar_replay(policy, requests, cost_model=None, rolling_window=None,
                   queueing_model=None) -> dict:
-    """The reference replay: ``access()`` then every observer's
-    ``on_outcome`` and the reference cost accumulator's ``charge``, one
-    request at a time."""
+    """The reference replay, one request at a time: ``access()``, then the
+    per-request folds, the reference cost accumulator's ``charge`` and the
+    queueing observer's ``on_batch`` over the lifted request."""
     if policy.offline:
         policy.prepare(requests)
-    stats = StatsObserver()
-    shard = shard_observer_for(policy)
+    route = None
+    per_shard: tuple[CacheStats, ...] = ()
+    if is_cluster(policy):
+        route = reference_route(policy.router)
+        shards = policy.shards
+        per_shard = tuple(CacheStats() for _ in shards)
+    stats = CacheStats()
     cost = accumulator_for(cost_model, policy) if cost_model else None
-    roll = RollingObserver(rolling_window) if rolling_window else None
+    roll = RollingReference(rolling_window) if rolling_window else None
     queueing = queueing_model.observer_for(policy) if queueing_model else None
-    observers = [obs for obs in (stats, shard, roll, queueing) if obs is not None]
     per_client: dict[str, CacheStats] = {}
+    shard = None
     for seq, request in enumerate(requests):
-        outcome = policy.access(request, seq)
-        for observer in observers:
-            observer.on_outcome(request, seq, outcome)
+        if route is None:
+            outcome = policy.access(request, seq)
+        else:
+            shard = route(request)
+            outcome = shards[shard].access(request, seq)
+            record_outcome(per_shard[shard], request, outcome)
+        record_outcome(stats, request, outcome)
+        if roll is not None:
+            roll.on_outcome(request, seq, outcome)
+        if queueing is not None:
+            queueing.on_batch(*lift_outcome(shard, request, seq, outcome))
         if cost is not None:
             cost.charge(request, outcome.hit)
-        per_client.setdefault(request.client_id, CacheStats()).record(
-            request, outcome.hit
-        )
-    per_shard = shard.finalize() if shard is not None else ()
+        record(per_client.setdefault(request.client_id, CacheStats()), request, outcome.hit)
     latency = cost.finalize() if cost is not None else None
     shard_latency = ()
     if cost is not None and per_shard:
         shard_latency = cost.shard_latencies() or cost_model.shard_latencies(per_shard)
     return {
-        "stats": stats.finalize(),
+        "stats": stats,
         "per_client": list(per_client.items()),
         "per_shard": per_shard,
         "latency": latency,

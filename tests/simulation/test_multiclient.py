@@ -196,19 +196,11 @@ class TestInterleavedSource:
         copy = pickle.loads(pickle.dumps(source))
         assert stream_requests(copy) == stream_requests(source)
 
-    def test_two_passes_lift_each_list_client_once(self):
+    def test_two_passes_lift_each_list_client_once(self, lifted):
         traces = [client_trace("a", list(range(5_000))), client_trace("b", list(range(6_000)))]
-        lift = ColumnarChunk.from_requests.__func__
-        lifted = []
-
-        def counting(cls, requests, start_seq=0):
-            lifted.append(len(requests))
-            return lift(cls, requests, start_seq)
-
-        with mock.patch.object(ColumnarChunk, "from_requests", classmethod(counting)):
-            source = interleave_round_robin(traces)
-            first = stream_requests(source)
-            assert stream_requests(source) == first == oracle_round_robin(traces)
+        source = interleave_round_robin(traces)
+        first = stream_requests(source)
+        assert stream_requests(source) == first == oracle_round_robin(traces)
         assert sum(lifted) == 11_000
 
     def test_ensure_delegates_to_the_inputs(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.cache.base import CacheStats
@@ -20,9 +21,9 @@ from repro.simulation.observers import (
     shard_observer_for,
 )
 from repro.simulation.simulator import CacheSimulator, simulate
-from repro.trace.columnar import ColumnarChunk
 
-from tests.conftest import rd, wr
+from tests.conftest import chunked, rd, wr
+from tests.observer_reference import record_outcome, reference_route
 
 
 def _trace(n=2000, pages=120, seed=3):
@@ -35,8 +36,7 @@ def _trace(n=2000, pages=120, seed=3):
 
 def _drive(observer: ReplayObserver, policy, stream, chunk=256):
     """Feed *observer* the outcome stream of *policy*, chunk-batched."""
-    for base in range(0, len(stream), chunk):
-        part = ColumnarChunk.from_requests(stream[base : base + chunk], base)
+    for part in chunked(stream, [chunk]):
         observer.on_batch(part, policy.batch_access(part))
 
 
@@ -49,14 +49,15 @@ class TestStatsObserver:
         expected = simulate(LRUPolicy(40), stream).stats
         assert observer.finalize() == expected
 
-    def test_on_outcome_and_on_batch_agree(self):
+    def test_batch_fold_matches_the_scalar_fold(self):
         stream = _trace(n=500)
-        a, b = StatsObserver(), StatsObserver()
-        pa, pb = LRUPolicy(30), LRUPolicy(30)
-        _drive(a, pa, stream)
+        observer = StatsObserver()
+        _drive(observer, LRUPolicy(30), stream)
+        policy, expected = LRUPolicy(30), CacheStats()
         for seq, request in enumerate(stream):
-            b.on_outcome(request, seq, pb.access(request, seq))
-        assert a.finalize() == b.finalize()
+            record_outcome(expected, request, policy.access(request, seq))
+        assert observer.finalize() == expected
+        assert expected.evictions and expected.write_hits
 
 
 class TestRollingObserver:
@@ -68,13 +69,11 @@ class TestRollingObserver:
         assert observer.finalize() == expected
 
     def test_unaligned_chunks_self_correct(self):
-        # Per-request driving must still close windows at every boundary
+        # One-request chunks must still close windows at every boundary
         # crossing.
         stream = _trace(n=700)
-        policy = LRUPolicy(40)
         observer = RollingObserver(window=100)
-        for seq, request in enumerate(stream):
-            observer.on_outcome(request, seq, policy.access(request, seq))
+        _drive(observer, LRUPolicy(40), stream, chunk=1)
         expected = simulate(LRUPolicy(40), stream, rolling_window=100).rolling
         assert observer.finalize() == expected
 
@@ -97,17 +96,20 @@ class TestShardStatsObserver:
 
     def test_batch_fold_matches_the_scalar_fold(self):
         """The batch fold reads the shard ids off the cluster's batch; the
-        scalar ``on_outcome`` routes each request itself."""
+        scalar reference routes each request itself and steps its shard."""
         stream = _trace()
         batched = ShardedCache(capacity=36, policy="LRU", shards=3)
         observer = shard_observer_for(batched)
         _drive(observer, batched, stream)
         scalar = ShardedCache(capacity=36, policy="LRU", shards=3)
-        reference = shard_observer_for(scalar)
+        route = reference_route(scalar.router)
+        shards = scalar.shards
+        expected = tuple(CacheStats() for _ in shards)
         for seq, request in enumerate(stream):
-            reference.on_outcome(request, seq, scalar.access(request, seq))
+            shard = route(request)
+            record_outcome(expected[shard], request, shards[shard].access(request, seq))
         per_shard = observer.finalize()
-        assert per_shard == reference.finalize()
+        assert per_shard == expected
         assert all(stats.write_hits and stats.evictions for stats in per_shard)
 
     def test_plain_policies_get_no_shard_observer(self):
@@ -131,12 +133,25 @@ class _EvictionLog(ReplayObserver):
     def __init__(self):
         self.events: list[tuple[int, int]] = []  # (seq, page)
 
-    def on_outcome(self, request, seq, outcome):
-        for page in outcome.evicted:
-            self.events.append((seq, page))
+    def on_batch(self, chunk, batch):
+        seqs = np.repeat(chunk.seq, np.diff(batch.evicted_offsets))
+        self.events.extend(zip(seqs.tolist(), batch.evicted_pages.tolist()))
 
     def finalize(self):
         return list(self.events)
+
+
+class TestObserverContract:
+    @pytest.mark.parametrize("missing", ["on_batch", "finalize"])
+    def test_an_observer_must_fold_batches_and_finalize(self, missing):
+        body = {
+            "on_batch": lambda self, chunk, batch: None,
+            "finalize": lambda self: None,
+        }
+        del body[missing]
+        partial = type("Partial", (ReplayObserver,), body)
+        with pytest.raises(TypeError, match=missing):
+            partial()
 
 
 class TestObserverFactories:

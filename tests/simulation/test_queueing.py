@@ -42,6 +42,7 @@ from repro.trace.columnar import ColumnarChunk
 from repro.workloads.arrivals import PoissonArrivals
 
 from tests.cost_reference import CostAccumulator
+from tests.observer_reference import lift_outcome, reference_route
 from tests.strategies import request_streams
 
 #: SSD pricing classes under write-through (see DEVICE_PROFILES["ssd"]):
@@ -250,21 +251,21 @@ class TestStructuralLaws:
         recursions over the routed sub-streams, in sub-stream order."""
         cluster = create_policy("SHARDED", capacity=9, policy="LRU", shards=3)
         outcomes = [cluster.access(request, seq) for seq, request in enumerate(stream)]
+        route = reference_route(cluster.router)
+        routed = [route(request) for request in stream]
         model = _poisson_model(rate, seed=seed)
-        replay = create_policy("SHARDED", capacity=9, policy="LRU", shards=3)
-        observer = QueueingObserver(model, replay)
-        for seq, (request, outcome) in enumerate(zip(stream, outcomes)):
-            replay.access(request, seq)
-            observer.on_outcome(request, seq, outcome)
+        observer = QueueingObserver(model, cluster)
+        for seq, (request, outcome, shard) in enumerate(zip(stream, outcomes, routed)):
+            observer.on_batch(*lift_outcome(shard, request, seq, outcome))
         stats = observer.finalize()
 
         busy: dict[int, int] = defaultdict(int)
         per_shard_departs: dict[int, list[int]] = defaultdict(list)
         total_delay = total_sojourn = 0
-        route = cluster.router.route
-        for t_us, request, outcome in zip(model.arrivals.times(), stream, outcomes):
+        for t_us, request, outcome, shard in zip(
+            model.arrivals.times(), stream, outcomes, routed
+        ):
             t = _quantize_ns(t_us)
-            shard = route(request)
             service = _reference_price_ns(request, outcome.hit)
             start = busy[shard] if busy[shard] > t else t
             busy[shard] = start + service
@@ -359,9 +360,9 @@ class TestStructuralLaws:
             hits.extend(batch.hit.tolist())
         stats = observer.finalize()
 
-        # Routing after the replay is a pure lookup, even for the stateful
-        # client router.
-        shards = [policy.router.route(r) for r in stream] if router else [0] * len(stream)
+        # A fresh reference router assigns the client shards in the same
+        # first-appearance order as the replay's.
+        shards = list(map(reference_route(policy.router), stream)) if router else [0] * len(stream)
         servers = 4 if router else 1
         assert stats == _reference_stats(model, stream, hits, shards, servers)
         assert stats.total_delay_ns > 0

@@ -55,9 +55,6 @@ class _SeqLog(ReplayObserver):
     def __init__(self) -> None:
         self.chunks: list[np.ndarray] = []
 
-    def on_outcome(self, request, seq, outcome) -> None:
-        self.chunks.append(np.array([seq], np.int64))
-
     def on_batch(self, chunk, batch) -> None:
         self.chunks.append(chunk.seq.copy())
 

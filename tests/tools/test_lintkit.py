@@ -94,6 +94,20 @@ def test_clean_fixture_passes_its_family(stem: str, family: set) -> None:
     assert result.violations == []
 
 
+def test_observer_rule_reports_every_write_into_a_parameter() -> None:
+    """Item assignment, an ``out=`` argument and an in-place ndarray method
+    into a parameter's columns: one finding per marked line."""
+    path = FIXTURES / "observer_bad.py"
+    marked = [
+        number
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if line.endswith("# observer-param-mutation")
+    ]
+    result = run_paths([path], fixture_config(), select=["observer-param-mutation"])
+    assert len(marked) == 3
+    assert sorted(v.line for v in result.violations) == marked
+
+
 def test_typing_gate_fires_only_in_strict_packages() -> None:
     config = fixture_config(strict_typing_packages=("typing_bad", "typing_clean"))
     bad = run_paths(

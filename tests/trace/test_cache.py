@@ -7,6 +7,8 @@ import pickle
 
 import pytest
 
+from repro.cache.opt import OPTPolicy
+from repro.simulation.simulator import CacheSimulator
 from repro.trace.cache import (
     CACHE_ENV_VAR,
     TraceCache,
@@ -121,6 +123,20 @@ class TestTraceCache:
         assert in_memory.name == cached.name
         assert in_memory.metadata == cached.metadata
         assert stream_requests(in_memory) == stream_requests(cached)
+
+    def test_disabled_cache_lifts_a_spec_once(self, tmp_path, lifted):
+        """With the cache off, OPT's index pass and the replay share one
+        lift of the spec's trace, and a second run of the spec lifts none."""
+        spec = TraceSpec("DB2_C60", seed=17, target_requests=10_000)
+        set_default_trace_cache(TraceCache(root=tmp_path, enabled=False))
+        try:
+            CacheSimulator(OPTPolicy(500)).run(spec)
+            assert sum(lifted) == 10_000
+            lifted.clear()
+            CacheSimulator(OPTPolicy(500)).run(spec)
+            assert lifted == []
+        finally:
+            set_default_trace_cache(None)
 
     def test_disabled_spec_ensure_is_noop(self, tmp_path):
         cache = TraceCache(root=tmp_path, enabled=False)

@@ -1,10 +1,10 @@
 """Family 3 — observer-purity.
 
-Replay observers (``ReplayObserver`` implementations) share one outcome
-stream: many observers see the same request/outcome objects, and the cluster
-or policy they were constructed around keeps serving the replay loop.  An
-observer may *read* anything it was handed but may only ever *write* its own
-state.
+Replay observers (``ReplayObserver`` implementations) share one replay
+pass: every policy's pipeline is handed the same chunk's numpy columns, the
+next policy replays that chunk, and the cluster or policy an observer was
+constructed around keeps serving the replay loop.  An observer may *read*
+anything it was handed but may only ever *write* its own state.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from tools.lintkit.core import (
 __all__ = ["ObserverParamMutationRule"]
 
 _OBSERVER_BASE = "ReplayObserver"
+
+#: ndarray methods that write into the array they are called on.
+_IN_PLACE_METHODS = frozenset({"fill", "sort", "partition", "put", "resize"})
 
 
 def observer_classes(project: Project) -> list[tuple[FileContext, ast.ClassDef]]:
@@ -45,11 +48,14 @@ def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
 
 
 class ObserverParamMutationRule(ProjectRule):
-    """Observers never assign to attributes of anything they were handed —
-    not the policy/cluster they observe, not requests, not outcomes."""
+    """Observers never write into anything they were handed — not the
+    policy/cluster they observe, not a chunk's or a batch's columns: no
+    attribute or item assignment, no ``setattr``, no ``out=`` argument and
+    no in-place ndarray method (``fill``, ``sort``, ``partition``, ``put``,
+    ``resize``) rooted at a parameter."""
 
     rule_id = "observer-param-mutation"
-    summary = "observers assign only to self; never to policy/request/outcome"
+    summary = "observers write only their own state, never into a parameter"
 
     def check_project(
         self, project: Project, config: LintConfig
@@ -85,17 +91,7 @@ class ObserverParamMutationRule(ProjectRule):
             elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
                 targets = [node.target]
             elif isinstance(node, ast.Call):
-                chain = dotted_name(node.func)
-                if chain == "setattr" and node.args:
-                    root = _root_name(node.args[0])
-                    if root in params:
-                        yield ctx.violation(
-                            node,
-                            self.rule_id,
-                            f"`{cls.name}.{fn.name}` mutates parameter "
-                            f"`{root}` via setattr(); observers write only "
-                            "their own state",
-                        )
+                yield from self._check_call(ctx, cls, fn, params, node)
                 continue
             for target in targets:
                 if isinstance(target, (ast.Attribute, ast.Subscript)):
@@ -108,6 +104,47 @@ class ObserverParamMutationRule(ProjectRule):
                             f"`{ast.unparse(target)}`, an attribute of a "
                             "parameter; observers write only their own state",
                         )
+
+    def _check_call(
+        self,
+        ctx: FileContext,
+        cls: ast.ClassDef,
+        fn: ast.FunctionDef,
+        params: set[str],
+        node: ast.Call,
+    ) -> Iterator[Violation]:
+        where = f"`{cls.name}.{fn.name}`"
+        if dotted_name(node.func) == "setattr" and node.args:
+            root = _root_name(node.args[0])
+            if root in params:
+                yield ctx.violation(
+                    node,
+                    self.rule_id,
+                    f"{where} mutates parameter `{root}` via setattr(); "
+                    "observers write only their own state",
+                )
+        for keyword in node.keywords:
+            if keyword.arg == "out" and _root_name(keyword.value) in params:
+                yield ctx.violation(
+                    node,
+                    self.rule_id,
+                    f"{where} writes into `{ast.unparse(keyword.value)}` via "
+                    "out=, a column of a parameter; observers write only "
+                    "their own state",
+                )
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _IN_PLACE_METHODS
+            and _root_name(func.value) in params
+        ):
+            yield ctx.violation(
+                node,
+                self.rule_id,
+                f"{where} calls `{ast.unparse(func)}()`, which writes into a "
+                "parameter's array in place; observers write only their "
+                "own state",
+            )
 
 
 def _root_name(node: ast.AST) -> str | None:
