@@ -17,8 +17,8 @@ complete request stream before feeding requests.  The future knowledge is a
 :class:`ReadIndex` — one next-read column over the stream.  The
 per-request loop runs in C (``repro/core/_opt_kernel.c``): the cached pages
 with their next reads and a lazily validated max-heap of (next read, page)
-entries.  Python keeps the index and hands each kernel call its requests'
-next reads, gathered by sequence number.
+entries.  Python keeps the index and hands each kernel call its next-read
+column, which the kernel reads by each request's sequence number.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as _np
 
-from repro.cache.base import AccessOutcome, AccessOutcomeBatch
-from repro.core.kernel import KernelPolicy, address
+from repro.cache.base import AccessOutcome
+from repro.core.kernel import KernelPolicy
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.simulation.request import IORequest
@@ -68,11 +68,11 @@ class ReadIndex(NamedTuple):
 
     ``next_read[i]`` is the sequence number of the first read of request
     *i*'s page strictly after request *i* (:data:`NEVER` if there is none).
-    Request *i* is sequence number *i*, and lookups go by sequence number,
-    so a gathered sub-chunk (one shard's requests, carrying non-contiguous
-    global seqs) indexes the column directly.  The index depends only on
-    the stream, never on the cache capacity, so one index serves every OPT
-    instance replaying that stream.
+    Request *i* is sequence number *i*, and the kernel looks a request's
+    next read up by its sequence number, so a cluster's OPT shards, each
+    stepping only its own requests, read one shared column.  The index
+    depends only on the stream, never on the cache capacity, so one index
+    serves every OPT instance replaying that stream.
     """
 
     next_read: Any
@@ -120,12 +120,15 @@ class OPTPolicy(KernelPolicy):
 
     name = "OPT"
     kernel = "opt"
+    lookup_key = "seq"
     offline = True
     shares_read_index = True
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._index: ReadIndex | None = None
+        #: The index's next-read column, as the kernel reads it.
+        self._next_read: Any = None
         self._open(capacity)
 
     # --------------------------------------------------------------- set-up
@@ -153,25 +156,25 @@ class OPTPolicy(KernelPolicy):
         stream and share it across every OPT instance in a sweep.
         """
         self._index = index
+        self._next_read = _np.ascontiguousarray(index.next_read, _np.int64)
 
-    def _prepared_index(self) -> ReadIndex:
-        if self._index is None:
+    def _lookup(self, chunk: "ColumnarChunk | None") -> Any:
+        """The next read of each sequence number: the adopted index."""
+        if self._next_read is None:
             raise RuntimeError("OPTPolicy.access called before prepare()")
-        return self._index
+        return self._next_read
 
     # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
         # A page never read again is dropped on its hit or bypassed on its
         # miss; otherwise a full cache evicts the page read farthest in the
         # future, unless the requested page is read even later (bypass).
-        self._one[4] = self._prepared_index().next_read.item(seq)
+        # The one-request columns hold the request's next read as a
+        # one-entry lookup column, read at their seq, which stays 0.
+        self._one[3] = self._lookup(None).item(seq)
         self._one[0] = request.page
         return self._replay_one()
 
-    def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        # Gathered by seq, so per-shard sub-chunks read their own entries.
-        next_reads = _np.ascontiguousarray(self._prepared_index().next_read[chunk.seq], _np.int64)
-        pages = _np.ascontiguousarray(chunk.page, _np.int64)
-        if len(next_reads) != len(pages):
-            raise ValueError(f"chunk columns differ in length from its {len(pages)} pages")
-        return self._replay_chunk(pages, next_read=address(next_reads))
+    # Bound here so that instrumentation wrapping a class's own methods
+    # times OPT by itself.
+    batch_access = KernelPolicy.batch_access

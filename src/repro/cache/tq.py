@@ -36,10 +36,10 @@ hint-index column.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
-from repro.cache.base import AccessOutcome, AccessOutcomeBatch
-from repro.core.kernel import KernelPolicy, address
+from repro.cache.base import AccessOutcome
+from repro.core.kernel import KernelPolicy
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.core.hints import HintSet
@@ -64,6 +64,7 @@ class TQPolicy(KernelPolicy):
 
     name = "TQ"
     kernel = "tq"
+    lookup_key = "hint"
 
     def __init__(
         self,
@@ -102,9 +103,10 @@ class TQPolicy(KernelPolicy):
             one[3] = self._write_class(request.hints)
         return self._replay_one()
 
-    def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        pages, writes, hints, seqs, classes = self._hinted_columns(chunk, self._write_class)
-        return self._replay_chunk(
-            pages, write=address(writes), hint=address(hints), seq=address(seqs),
-            ids=address(classes),
-        )
+    # Bound here so that instrumentation wrapping a class's own methods
+    # times TQ by itself.
+    batch_access = KernelPolicy.batch_access
+
+    def _lookup(self, chunk: "ColumnarChunk") -> Any:
+        """The write class of each entry of the chunk's hint table."""
+        return self._per_hint_set(chunk, self._write_class)

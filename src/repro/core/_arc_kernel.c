@@ -121,71 +121,68 @@ static int64_t replace(Arc *c, int in_b2)
     return c->nodes[n].page;
 }
 
-/* Replay the *n* requests of *columns* (reads page). */
-void arc_replay(Arc *c, int64_t n, const Columns *columns)
+/* Step request i (reads page). */
+STEP arc_step(Arc *c, const Columns *columns, const int64_t *lookup, int64_t i,
+              int64_t *evictions)
 {
-    const int64_t *page = columns->page;
+    const int64_t p = columns->page[i];
     const int64_t capacity = c->capacity;
     List *t1 = &c->list[T1], *t2 = &c->list[T2];
     List *b1 = &c->list[B1], *b2 = &c->list[B2];
     int64_t *evicted = columns->evicted;
-    int64_t evictions = 0;
-    int64_t i;
-    columns->offsets[0] = 0;
-    for (i = 0; i < n; i++) {
-        const int64_t p = page[i];
-        const int32_t node = table_find(&c->table, p);
-        const int tag = node == NONE ? NONE : c->nodes[node].tag;
-        uint8_t hit = 0;
-        if (tag == T1 || tag == T2) {
-            /* Case I: hit in T1 or T2 -> move to MRU of T2. */
-            move_to(c, node, T2);
-            hit = 1;
-        } else if (tag == B1) {
-            /* Case II: ghost hit in B1 -> favour recency (grow p). */
-            const double delta =
-                b1->size >= b2->size ? 1.0 : (double)b2->size / (double)b1->size;
-            const double grown = c->p + delta;
-            c->p = (double)capacity < grown ? (double)capacity : grown;
-            evicted[evictions++] = replace(c, 0);
-            move_to(c, node, T2);
-        } else if (tag == B2) {
-            /* Case III: ghost hit in B2 -> favour frequency (shrink p). */
-            const double delta =
-                b2->size >= b1->size ? 1.0 : (double)b1->size / (double)b2->size;
-            const double shrunk = c->p - delta;
-            c->p = 0.0 > shrunk ? 0.0 : shrunk;
-            evicted[evictions++] = replace(c, 1);
-            move_to(c, node, T2);
-        } else {
-            /* Case IV: complete miss. */
-            const int64_t l1 = t1->size + b1->size;
-            const int64_t l2 = t2->size + b2->size;
-            int32_t fresh;
-            if (l1 == capacity) {
-                if (t1->size < capacity) {
-                    drop_head(c, B1);
-                    evicted[evictions++] = replace(c, 0);
-                } else {
-                    /* B1 is empty; evict the LRU page of T1 directly. */
-                    evicted[evictions++] = c->nodes[t1->head].page;
-                    drop_head(c, T1);
-                }
-            } else if (l1 < capacity && l1 + l2 >= capacity) {
-                if (l1 + l2 == 2 * capacity) {
-                    drop_head(c, B2);
-                }
-                evicted[evictions++] = replace(c, 0);
+    const int32_t node = table_find(&c->table, p);
+    const int tag = node == NONE ? NONE : c->nodes[node].tag;
+    uint8_t hit = 0;
+    (void)lookup;
+    if (tag == T1 || tag == T2) {
+        /* Case I: hit in T1 or T2 -> move to MRU of T2. */
+        move_to(c, node, T2);
+        hit = 1;
+    } else if (tag == B1) {
+        /* Case II: ghost hit in B1 -> favour recency (grow p). */
+        const double delta =
+            b1->size >= b2->size ? 1.0 : (double)b2->size / (double)b1->size;
+        const double grown = c->p + delta;
+        c->p = (double)capacity < grown ? (double)capacity : grown;
+        evicted[(*evictions)++] = replace(c, 0);
+        move_to(c, node, T2);
+    } else if (tag == B2) {
+        /* Case III: ghost hit in B2 -> favour frequency (shrink p). */
+        const double delta =
+            b2->size >= b1->size ? 1.0 : (double)b1->size / (double)b2->size;
+        const double shrunk = c->p - delta;
+        c->p = 0.0 > shrunk ? 0.0 : shrunk;
+        evicted[(*evictions)++] = replace(c, 1);
+        move_to(c, node, T2);
+    } else {
+        /* Case IV: complete miss. */
+        const int64_t l1 = t1->size + b1->size;
+        const int64_t l2 = t2->size + b2->size;
+        int32_t fresh;
+        if (l1 == capacity) {
+            if (t1->size < capacity) {
+                drop_head(c, B1);
+                evicted[(*evictions)++] = replace(c, 0);
+            } else {
+                /* B1 is empty; evict the LRU page of T1 directly. */
+                evicted[(*evictions)++] = c->nodes[t1->head].page;
+                drop_head(c, T1);
             }
-            fresh = node_take(c->nodes, &c->free);
-            c->nodes[fresh].page = p;
-            c->nodes[fresh].tag = T1;
-            table_insert(&c->table, p, fresh);
-            list_append(c->nodes, t1, fresh);
+        } else if (l1 < capacity && l1 + l2 >= capacity) {
+            if (l1 + l2 == 2 * capacity) {
+                drop_head(c, B2);
+            }
+            evicted[(*evictions)++] = replace(c, 0);
         }
-        columns->hit[i] = hit;
-        columns->admitted[i] = (uint8_t)!hit;
-        columns->bypassed[i] = 0;
-        columns->offsets[i + 1] = evictions;
+        fresh = node_take(c->nodes, &c->free);
+        c->nodes[fresh].page = p;
+        c->nodes[fresh].tag = T1;
+        table_insert(&c->table, p, fresh);
+        list_append(c->nodes, t1, fresh);
     }
+    columns->hit[i] = hit;
+    columns->admitted[i] = (uint8_t)!hit;
+    columns->bypassed[i] = 0;
 }
+
+KERNEL_ENTRY_POINTS(arc, Arc)

@@ -21,7 +21,8 @@
  * shared library, and repro/core/clic.py calls it through ctypes.  Python
  * interns hint-set keys to dense hint ids and reserves room for each new
  * id (clic_reserve), so clic_replay() allocates nothing and replays a
- * whole chunk.  Each request is, in this order:
+ * whole chunk, and clic_cluster() a whole chunk of a cluster of CLIC
+ * shards.  Each request (clic_step) is, in this order:
  *
  *   1. a read re-reference credit to the hint id of the page's previous
  *      request, if that request is remembered (cached or in the outqueue).
@@ -528,120 +529,112 @@ int64_t clic_priorities(const Clic *c, int64_t *ids, double *pr)
 
 /* ---------------------------------------------------------------- replay */
 
-/* Replay the *n* requests of *columns* (reads page, write, hint, seq and
- * ids, whose hint ids must be reserved). */
-void clic_replay(Clic *c, int64_t n, const Columns *columns)
+/* Step request i (reads page, write, hint and seq, and through hint the
+ * lookup column, the hint id of each hint-table entry, which must be
+ * reserved). */
+STEP clic_step(Clic *c, const Columns *columns, const int64_t *lookup, int64_t i,
+               int64_t *evictions)
 {
-    const int64_t *page = columns->page;
-    const uint8_t *write = columns->write;
-    const int64_t *hint = columns->hint;
-    const int64_t *seq = columns->seq;
-    const int64_t *ids = columns->ids;
-    uint8_t *hit = columns->hit;
-    uint8_t *admitted = columns->admitted;
-    uint8_t *bypassed = columns->bypassed;
-    int64_t *offsets = columns->offsets;
-    int64_t *evicted = columns->evicted;
-    int64_t evictions = 0;
-    int64_t i;
-    offsets[0] = 0;
-    for (i = 0; i < n; i++) {
-        const int64_t p = page[i];
-        const int64_t s = seq[i];
-        const int32_t h = (int32_t)ids[hint[i]];
-        const int32_t node = table_find(&c->cache_table, p);
-        int32_t oq_node = NONE;
+    const int64_t p = columns->page[i];
+    const int64_t s = columns->seq[i];
+    const uint8_t write = columns->write[i];
+    const int32_t h = (int32_t)lookup[columns->hint[i]];
+    const int32_t node = table_find(&c->cache_table, p);
+    int32_t oq_node = NONE;
+    uint8_t hit = 0, admitted = 0, bypassed = 0;
 
-        /* Hint analysis (Section 3.1): a read re-reference of a page whose
-         * previous request is remembered, cached or in the outqueue. */
-        if (!write[i]) {
-            const Node *prev = NULL;
-            if (node != NONE) {
-                prev = &c->cache[node];
-            } else if (c->oq_capacity) {
-                oq_node = table_find(&c->oq_table, p);
-                if (oq_node != NONE) {
-                    prev = &c->oq[oq_node];
-                }
-            }
-            if (prev != NULL && s > prev->seq) {
-                Stats *credited = &c->stats[prev->tag];
-                if (!c->top_k || credited->slot != NONE) {
-                    credited->rereferences++;
-                    credited->distance += s - prev->seq;
-                }
-            }
-        }
-
-        /* Cache management (Figure 4) with the priorities of previous
-         * windows. */
-        hit[i] = admitted[i] = bypassed[i] = 0;
+    /* Hint analysis (Section 3.1): a read re-reference of a page whose
+     * previous request is remembered, cached or in the outqueue. */
+    if (!write) {
+        const Node *prev = NULL;
         if (node != NONE) {
-            Node *cached = &c->cache[node];
-            const int32_t old = cached->tag;
-            list_unlink(c->cache, &c->hint[old].list, node);
-            cached->seq = s;
-            cached->tag = h;
-            if (old != h && c->hint[h].list.head == NONE) {
-                heap_push(c, h, s);
-            }
-            list_append(c->cache, &c->hint[h].list, node);
-            hit[i] = 1;
-        } else {
-            int admit = c->cached < c->capacity;
-            const double priority = c->hint[h].pr;
-            /* Pr(H) == 0 never beats the victim's priority (priorities are
-             * nonnegative), so the heap is not consulted. */
-            if (!admit && priority != 0.0) {
-                const int32_t victim_hint = peek_victim(c);
-                if (victim_hint != NONE && priority > c->heap[0].key) {
-                    /* Evict the victim; its metadata becomes its outqueue
-                     * entry (a cached page has none yet), and its node holds
-                     * the admitted page. */
-                    const int32_t victim = c->hint[victim_hint].list.head;
-                    const Node *v = &c->cache[victim];
-                    list_unlink(c->cache, &c->hint[victim_hint].list, victim);
-                    table_remove(&c->cache_table, v->page);
-                    oq_put(c, NONE, v->page, v->seq, v->tag);
-                    evicted[evictions++] = v->page;
-                    c->cached--;
-                    node_give(c->cache, &c->cache_free, victim);
-                    admit = 1;
-                }
-            }
-            if (admit) {
-                const int32_t fresh_node = node_take(c->cache, &c->cache_free);
-                Node *fresh = &c->cache[fresh_node];
-                c->cached++;
-                fresh->page = p;
-                fresh->seq = s;
-                fresh->tag = h;
-                table_insert(&c->cache_table, p, fresh_node);
-                if (c->hint[h].list.head == NONE) {
-                    heap_push(c, h, s);
-                }
-                list_append(c->cache, &c->hint[h].list, fresh_node);
-                oq_remove(c, p);
-                admitted[i] = 1;
-            } else {
-                /* Do not cache p; remember its request in the outqueue. */
-                if (write[i] && c->oq_capacity) {
-                    oq_node = table_find(&c->oq_table, p);
-                }
-                oq_put(c, oq_node, p, s, h);
-                bypassed[i] = 1;
+            prev = &c->cache[node];
+        } else if (c->oq_capacity) {
+            oq_node = table_find(&c->oq_table, p);
+            if (oq_node != NONE) {
+                prev = &c->oq[oq_node];
             }
         }
-        offsets[i + 1] = evictions;
-
-        /* Window accounting (Section 3.2). */
-        if (c->top_k) {
-            offer(c, h);
-        } else {
-            c->stats[h].requests++;
-        }
-        if (++c->in_window == c->window) {
-            close_window(c);
+        if (prev != NULL && s > prev->seq) {
+            Stats *credited = &c->stats[prev->tag];
+            if (!c->top_k || credited->slot != NONE) {
+                credited->rereferences++;
+                credited->distance += s - prev->seq;
+            }
         }
     }
+
+    /* Cache management (Figure 4) with the priorities of previous
+     * windows. */
+    if (node != NONE) {
+        Node *cached = &c->cache[node];
+        const int32_t old = cached->tag;
+        list_unlink(c->cache, &c->hint[old].list, node);
+        cached->seq = s;
+        cached->tag = h;
+        if (old != h && c->hint[h].list.head == NONE) {
+            heap_push(c, h, s);
+        }
+        list_append(c->cache, &c->hint[h].list, node);
+        hit = 1;
+    } else {
+        int admit = c->cached < c->capacity;
+        const double priority = c->hint[h].pr;
+        /* Pr(H) == 0 never beats the victim's priority (priorities are
+         * nonnegative), so the heap is not consulted. */
+        if (!admit && priority != 0.0) {
+            const int32_t victim_hint = peek_victim(c);
+            if (victim_hint != NONE && priority > c->heap[0].key) {
+                /* Evict the victim; its metadata becomes its outqueue
+                 * entry (a cached page has none yet), and its node holds
+                 * the admitted page. */
+                const int32_t victim = c->hint[victim_hint].list.head;
+                const Node *v = &c->cache[victim];
+                list_unlink(c->cache, &c->hint[victim_hint].list, victim);
+                table_remove(&c->cache_table, v->page);
+                oq_put(c, NONE, v->page, v->seq, v->tag);
+                columns->evicted[(*evictions)++] = v->page;
+                c->cached--;
+                node_give(c->cache, &c->cache_free, victim);
+                admit = 1;
+            }
+        }
+        if (admit) {
+            const int32_t fresh_node = node_take(c->cache, &c->cache_free);
+            Node *fresh = &c->cache[fresh_node];
+            c->cached++;
+            fresh->page = p;
+            fresh->seq = s;
+            fresh->tag = h;
+            table_insert(&c->cache_table, p, fresh_node);
+            if (c->hint[h].list.head == NONE) {
+                heap_push(c, h, s);
+            }
+            list_append(c->cache, &c->hint[h].list, fresh_node);
+            oq_remove(c, p);
+            admitted = 1;
+        } else {
+            /* Do not cache p; remember its request in the outqueue. */
+            if (write && c->oq_capacity) {
+                oq_node = table_find(&c->oq_table, p);
+            }
+            oq_put(c, oq_node, p, s, h);
+            bypassed = 1;
+        }
+    }
+    columns->hit[i] = hit;
+    columns->admitted[i] = admitted;
+    columns->bypassed[i] = bypassed;
+
+    /* Window accounting (Section 3.2). */
+    if (c->top_k) {
+        offer(c, h);
+    } else {
+        c->stats[h].requests++;
+    }
+    if (++c->in_window == c->window) {
+        close_window(c);
+    }
 }
+
+KERNEL_ENTRY_POINTS(clic, Clic)

@@ -5,8 +5,8 @@
  * Nodes in one fixed array, linked into index-based lists, with unused
  * nodes on a free chain, and finds a page's node through an open-addressing
  * page table.  Everything here is static inline, so each kernel's source
- * compiles its own copy and the library exports only the kernels' entry
- * points.
+ * compiles its own copy, and the library exports only the kernels' entry
+ * points, which KERNEL_ENTRY_POINTS defines around each kernel's step.
  */
 #ifndef REPRO_KERNEL_H
 #define REPRO_KERNEL_H
@@ -50,25 +50,73 @@ typedef struct {
 } Table;
 
 /* A chunk's columns, one entry per request: inputs page, write (0/1), hint
- * (an index into ids, the per-hint-table-entry column: CLIC's hint ids,
- * TQ's write classes), seq and next_read (OPT's next read of the page);
- * outputs hit, admitted and bypassed (0/1), and the CSR eviction columns --
- * offsets[i + 1] counts the evictions of requests [0, i], and the evicted
- * pages follow each other in evicted (at most one per request).  A kernel
- * reads only the inputs it needs. */
+ * (an index into the chunk's hint table), seq and, for a sharded cluster,
+ * shard (the shard each request is routed to); the kernel's lookup column,
+ * read through hint (CLIC's hint id and TQ's write class of each hint-table
+ * entry) or through seq (OPT's next read of each seq), and for a cluster
+ * lookups, each shard's lookup column; outputs hit, admitted and bypassed
+ * (0/1), and the CSR eviction columns -- offsets[i + 1] counts the
+ * evictions of requests [0, i], and the evicted pages follow each other in
+ * evicted (at most one per request).  A kernel reads only the inputs it
+ * needs. */
 typedef struct {
     const int64_t *page;
     const uint8_t *write;
     const int64_t *hint;
     const int64_t *seq;
-    const int64_t *ids;
-    const int64_t *next_read;
+    const int64_t *lookup;
+    const int64_t *shard;
+    const int64_t *const *lookups;
     uint8_t *hit;
     uint8_t *admitted;
     uint8_t *bypassed;
     int64_t *offsets;
     int64_t *evicted;
 } Columns;
+
+/* A kernel's per-request step, inlined into both of its entry points: a
+ * step is most of its loop's body, and called from two places a compiler
+ * may keep a large one out of line, which costs up to ~15% per request. */
+#define STEP static inline __attribute__((always_inline)) void
+
+/* A kernel's two chunk entry points, around its per-request step
+ *
+ *     STEP k_step(K *c, const Columns *columns, const int64_t *lookup,
+ *                 int64_t i, int64_t *evictions);
+ *
+ * which steps request i on c, reading the kernel's lookup column through
+ * *lookup*, writes the request's flags and appends its evicted page at
+ * evicted[*evictions].  k_replay steps the n requests of a chunk on one
+ * handle, with columns->lookup; k_cluster steps each request i of a sharded
+ * cluster's chunk on the handle shards[shard[i]], with lookups[shard[i]],
+ * and so writes the whole cluster's outputs in request order.  Each copies
+ * the columns to a local first: the flag writes may alias anything, and a
+ * local whose address never escapes the inlined step stays in registers. */
+#define KERNEL_ENTRY_POINTS(k, K)                                              \
+    void k##_replay(K *c, int64_t n, const Columns *columns)                   \
+    {                                                                          \
+        const Columns local = *columns;                                        \
+        int64_t evictions = 0;                                                 \
+        int64_t i;                                                             \
+        local.offsets[0] = 0;                                                  \
+        for (i = 0; i < n; i++) {                                              \
+            k##_step(c, &local, local.lookup, i, &evictions);                  \
+            local.offsets[i + 1] = evictions;                                  \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
+    void k##_cluster(K *const *shards, int64_t n, const Columns *columns)      \
+    {                                                                          \
+        const Columns local = *columns;                                        \
+        int64_t evictions = 0;                                                 \
+        int64_t i;                                                             \
+        local.offsets[0] = 0;                                                  \
+        for (i = 0; i < n; i++) {                                              \
+            const int64_t s = local.shard[i];                                  \
+            k##_step(shards[s], &local, local.lookups[s], i, &evictions);      \
+            local.offsets[i + 1] = evictions;                                  \
+        }                                                                      \
+    }
 
 /* ------------------------------------------------------------ page tables */
 

@@ -65,36 +65,32 @@ void lru_pages(const Lru *c, int64_t *out)
     }
 }
 
-/* Replay the *n* requests of *columns* (reads page). */
-void lru_replay(Lru *c, int64_t n, const Columns *columns)
+/* Step request i (reads page). */
+STEP lru_step(Lru *c, const Columns *columns, const int64_t *lookup, int64_t i,
+              int64_t *evictions)
 {
-    const int64_t *page = columns->page;
-    int64_t *evicted = columns->evicted;
-    int64_t evictions = 0;
-    int64_t i;
-    columns->offsets[0] = 0;
-    for (i = 0; i < n; i++) {
-        const int64_t p = page[i];
-        int32_t node = table_find(&c->table, p);
-        const int hit = node != NONE;
-        if (hit) {
+    const int64_t p = columns->page[i];
+    int32_t node = table_find(&c->table, p);
+    const int hit = node != NONE;
+    (void)lookup;
+    if (hit) {
+        list_unlink(c->nodes, &c->recency, node);
+    } else {
+        if (c->recency.size >= c->capacity) {
+            node = c->recency.head;
             list_unlink(c->nodes, &c->recency, node);
+            table_remove(&c->table, c->nodes[node].page);
+            columns->evicted[(*evictions)++] = c->nodes[node].page;
         } else {
-            if (c->recency.size >= c->capacity) {
-                node = c->recency.head;
-                list_unlink(c->nodes, &c->recency, node);
-                table_remove(&c->table, c->nodes[node].page);
-                evicted[evictions++] = c->nodes[node].page;
-            } else {
-                node = node_take(c->nodes, &c->free);
-            }
-            c->nodes[node].page = p;
-            table_insert(&c->table, p, node);
+            node = node_take(c->nodes, &c->free);
         }
-        list_append(c->nodes, &c->recency, node);
-        columns->hit[i] = (uint8_t)hit;
-        columns->admitted[i] = (uint8_t)!hit;
-        columns->bypassed[i] = 0;
-        columns->offsets[i + 1] = evictions;
+        c->nodes[node].page = p;
+        table_insert(&c->table, p, node);
     }
+    list_append(c->nodes, &c->recency, node);
+    columns->hit[i] = (uint8_t)hit;
+    columns->admitted[i] = (uint8_t)!hit;
+    columns->bypassed[i] = 0;
 }
+
+KERNEL_ENTRY_POINTS(lru, Lru)

@@ -5,7 +5,8 @@
  * One Opt handle holds the state of one OPTPolicy instance: the cached
  * pages, each node holding the page's next read, and a max-heap of
  * (next read, page) entries with lazy deletion.  Python keeps the stream's
- * future-read index and hands each call its requests' next reads.
+ * future-read index, one next read per seq, and hands each call that
+ * column; a request looks its next read up by its seq.
  *
  * Victim choice.  Every cached page has an entry with its current key, and
  * an entry is live when its key is its page's current one, so the first
@@ -188,63 +189,59 @@ static void uncache(Opt *c, int32_t n)
     c->cached--;
 }
 
-/* Replay the *n* requests of *columns* (reads page and next_read). */
-void opt_replay(Opt *c, int64_t n, const Columns *columns)
+/* Step request i (reads page and seq, and through seq the lookup column,
+ * the next read of each seq). */
+STEP opt_step(Opt *c, const Columns *columns, const int64_t *lookup, int64_t i,
+              int64_t *evictions)
 {
-    const int64_t limit = 2 * c->capacity;
-    int64_t *evicted = columns->evicted;
-    int64_t evictions = 0;
-    int64_t i;
-    columns->offsets[0] = 0;
-    for (i = 0; i < n; i++) {
-        const int64_t p = columns->page[i];
-        const int64_t next_read = columns->next_read[i];
-        int32_t node = table_find(&c->table, p);
-        uint8_t hit = 0, admitted = 0, bypassed = 0;
-        if (node != NONE) {
-            hit = 1;
-            if (next_read == NEVER) {
-                /* Never read again: the hit frees the slot at once. */
-                uncache(c, node);
-                evicted[evictions++] = p;
-                node = NONE;
+    const int64_t p = columns->page[i];
+    const int64_t next_read = lookup[columns->seq[i]];
+    int32_t node = table_find(&c->table, p);
+    uint8_t hit = 0, admitted = 0, bypassed = 0;
+    if (node != NONE) {
+        hit = 1;
+        if (next_read == NEVER) {
+            /* Never read again: the hit frees the slot at once. */
+            uncache(c, node);
+            columns->evicted[(*evictions)++] = p;
+            node = NONE;
+        }
+    } else if (next_read == NEVER) {
+        bypassed = 1;
+    } else if (c->cached >= c->capacity) {
+        const int32_t victim = pop_farthest(c);
+        if (victim == NONE || c->nodes[victim].seq <= next_read) {
+            /* Every cached page is read sooner: bypass, and put the
+             * victim's entry back. */
+            if (victim != NONE) {
+                push(c, c->nodes[victim].seq, c->nodes[victim].page);
             }
-        } else if (next_read == NEVER) {
             bypassed = 1;
-        } else if (c->cached >= c->capacity) {
-            const int32_t victim = pop_farthest(c);
-            if (victim == NONE || c->nodes[victim].seq <= next_read) {
-                /* Every cached page is read sooner: bypass, and put the
-                 * victim's entry back. */
-                if (victim != NONE) {
-                    push(c, c->nodes[victim].seq, c->nodes[victim].page);
-                }
-                bypassed = 1;
-            } else {
-                evicted[evictions++] = c->nodes[victim].page;
-                uncache(c, victim);
-                admitted = 1;
-            }
         } else {
+            columns->evicted[(*evictions)++] = c->nodes[victim].page;
+            uncache(c, victim);
             admitted = 1;
         }
-        if (admitted) {
-            node = node_take(c->nodes, &c->free);
-            c->nodes[node].page = p;
-            c->nodes[node].tag = 1;
-            table_insert(&c->table, p, node);
-            c->cached++;
-        }
-        if (node != NONE) {
-            c->nodes[node].seq = next_read;
-            push(c, next_read, p);
-            if (c->heap_size > limit) {
-                compact(c);
-            }
-        }
-        columns->hit[i] = hit;
-        columns->admitted[i] = admitted;
-        columns->bypassed[i] = bypassed;
-        columns->offsets[i + 1] = evictions;
+    } else {
+        admitted = 1;
     }
+    if (admitted) {
+        node = node_take(c->nodes, &c->free);
+        c->nodes[node].page = p;
+        c->nodes[node].tag = 1;
+        table_insert(&c->table, p, node);
+        c->cached++;
+    }
+    if (node != NONE) {
+        c->nodes[node].seq = next_read;
+        push(c, next_read, p);
+        if (c->heap_size > 2 * c->capacity) {
+            compact(c);
+        }
+    }
+    columns->hit[i] = hit;
+    columns->admitted[i] = admitted;
+    columns->bypassed[i] = bypassed;
 }
+
+KERNEL_ENTRY_POINTS(opt, Opt)

@@ -9,7 +9,7 @@
  * to the cold end of the low queue before each request.
  *
  * A request's write class depends only on its hint set, so Python computes
- * it once per hint-table entry; the kernel reads it as ids[hint[i]] for
+ * it once per hint-table entry; the kernel reads it as lookup[hint[i]] for
  * writes (reads are always OTHER).
  */
 #include "_kernel.h"
@@ -86,68 +86,64 @@ void tq_pages(const Tq *c, int64_t *out)
     }
 }
 
-/* Replay the *n* requests of *columns* (reads page, write, hint, seq and
- * ids, the write class of each hint-table entry). */
-void tq_replay(Tq *c, int64_t n, const Columns *columns)
+/* Step request i (reads page, write, hint and seq, and through hint the
+ * lookup column, the write class of each hint-table entry). */
+STEP tq_step(Tq *c, const Columns *columns, const int64_t *lookup, int64_t i,
+             int64_t *evictions)
 {
     List *high = &c->queue[HIGH], *low = &c->queue[LOW];
     Node *nodes = c->nodes;
-    int64_t *evicted = columns->evicted;
-    int64_t evictions = 0;
-    int64_t i;
-    columns->offsets[0] = 0;
-    for (i = 0; i < n; i++) {
-        const int64_t p = columns->page[i];
-        const int64_t s = columns->seq[i];
-        const int64_t klass = columns->write[i] ? columns->ids[columns->hint[i]] : OTHER;
-        int32_t node = table_find(&c->table, p);
-        uint8_t hit = 0, admitted = 0, bypassed = 0;
+    const int64_t p = columns->page[i];
+    const int64_t s = columns->seq[i];
+    const int64_t klass = columns->write[i] ? lookup[columns->hint[i]] : OTHER;
+    int32_t node = table_find(&c->table, p);
+    uint8_t hit = 0, admitted = 0, bypassed = 0;
 
-        /* Replacement-written pages never read back lose their protection
-         * and become the low queue's coldest entries. */
-        while (high->size) {
-            const int32_t oldest = high->head;
-            if (s - nodes[oldest].seq <= c->lifetime) {
-                break;
-            }
-            list_unlink(nodes, high, oldest);
-            nodes[oldest].tag = LOW;
-            list_prepend(nodes, low, oldest);
+    /* Replacement-written pages never read back lose their protection
+     * and become the low queue's coldest entries. */
+    while (high->size) {
+        const int32_t oldest = high->head;
+        if (s - nodes[oldest].seq <= c->lifetime) {
+            break;
         }
-
-        if (node != NONE) {
-            /* Re-queue according to the class of the most recent request. */
-            list_unlink(nodes, &c->queue[nodes[node].tag], node);
-            hit = 1;
-        } else if (klass == RECOVERY && c->bypass_recovery) {
-            bypassed = 1;
-        } else {
-            if (high->size + low->size >= c->capacity) {
-                List *from = low->size ? low : high;
-                node = from->head;
-                list_unlink(nodes, from, node);
-                table_remove(&c->table, nodes[node].page);
-                evicted[evictions++] = nodes[node].page;
-            } else {
-                node = node_take(nodes, &c->free);
-            }
-            nodes[node].page = p;
-            table_insert(&c->table, p, node);
-            admitted = 1;
-        }
-        if (!bypassed) {
-            if (klass == REPLACEMENT) {
-                nodes[node].seq = s;
-                nodes[node].tag = HIGH;
-                list_append(nodes, high, node);
-            } else {
-                nodes[node].tag = LOW;
-                list_append(nodes, low, node);
-            }
-        }
-        columns->hit[i] = hit;
-        columns->admitted[i] = admitted;
-        columns->bypassed[i] = bypassed;
-        columns->offsets[i + 1] = evictions;
+        list_unlink(nodes, high, oldest);
+        nodes[oldest].tag = LOW;
+        list_prepend(nodes, low, oldest);
     }
+
+    if (node != NONE) {
+        /* Re-queue according to the class of the most recent request. */
+        list_unlink(nodes, &c->queue[nodes[node].tag], node);
+        hit = 1;
+    } else if (klass == RECOVERY && c->bypass_recovery) {
+        bypassed = 1;
+    } else {
+        if (high->size + low->size >= c->capacity) {
+            List *from = low->size ? low : high;
+            node = from->head;
+            list_unlink(nodes, from, node);
+            table_remove(&c->table, nodes[node].page);
+            columns->evicted[(*evictions)++] = nodes[node].page;
+        } else {
+            node = node_take(nodes, &c->free);
+        }
+        nodes[node].page = p;
+        table_insert(&c->table, p, node);
+        admitted = 1;
+    }
+    if (!bypassed) {
+        if (klass == REPLACEMENT) {
+            nodes[node].seq = s;
+            nodes[node].tag = HIGH;
+            list_append(nodes, high, node);
+        } else {
+            nodes[node].tag = LOW;
+            list_append(nodes, low, node);
+        }
+    }
+    columns->hit[i] = hit;
+    columns->admitted[i] = admitted;
+    columns->bypassed[i] = bypassed;
 }
+
+KERNEL_ENTRY_POINTS(tq, Tq)

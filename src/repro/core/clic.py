@@ -32,11 +32,11 @@ call per chunk, and ``access()`` its one-request case.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.cache.base import AccessOutcome, AccessOutcomeBatch
+from repro.cache.base import AccessOutcome
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
 from repro.core.kernel import KernelPolicy, address
@@ -53,6 +53,7 @@ class CLICPolicy(KernelPolicy):
 
     name = "CLIC"
     kernel = "clic"
+    lookup_key = "hint"
 
     def __init__(self, capacity: int, config: CLICConfig | None = None):
         super().__init__(capacity)
@@ -60,9 +61,11 @@ class CLICPolicy(KernelPolicy):
         # The paper charges CLIC for its tracking metadata by shrinking the
         # usable cache (~1% for the default parameters).
         self._effective_capacity = config.effective_capacity(capacity)
-        # Interned hint-set keys: hint id -> key and key -> hint id.
+        # Interned hint-set keys: hint id -> key and key -> hint id, and the
+        # hint ids the kernel has room for.
         self._keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
+        self._room = 0
         # ctypes wraps an int past int64 silently.  The clamps change no
         # result: no replay closes a window of 2**62 requests, and the W
         # requests of a window offer at most W hint sets, so k >= W never
@@ -90,17 +93,24 @@ class CLICPolicy(KernelPolicy):
 
     # ------------------------------------------------------------- hint ids
     def _hint_id(self, hints: HintSet) -> int:
-        """The interned id of *hints*' key, assigning the next one, with room
-        in the kernel, if it is new."""
+        """The interned id of *hints*' key, assigning the next one if it is
+        new (:meth:`_reserve` then makes room for it in the kernel)."""
         hint_key = hints.key()
         hint_id = self._ids.get(hint_key)
         if hint_id is None:
-            hint_id = len(self._keys)
-            if self._lib.clic_reserve(self._handle, hint_id + 1):
-                raise MemoryError(f"cannot allocate CLIC state for {hint_id + 1} hint sets")
-            self._ids[hint_key] = hint_id
+            hint_id = self._ids[hint_key] = len(self._keys)
             self._keys.append(hint_key)
         return hint_id
+
+    def _reserve(self) -> None:
+        """Make room in the kernel for every interned hint id, before the
+        kernel reads one: a failure raises here, not part-way through a
+        chunk."""
+        hints = len(self._keys)
+        if hints > self._room:
+            if self._lib.clic_reserve(self._handle, hints):
+                raise MemoryError(f"cannot allocate CLIC state for {hints} hint sets")
+            self._room = hints
 
     # --------------------------------------------------------------- access
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
@@ -108,15 +118,19 @@ class CLICPolicy(KernelPolicy):
         one[0] = request.page
         one[2] = seq
         one[3] = self._hint_id(request.hints)
+        self._reserve()
         self._one_flags[0] = request.is_write
         return self._replay_one()
 
-    def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        pages, writes, hints, seqs, ids = self._hinted_columns(chunk, self._hint_id)
-        return self._replay_chunk(
-            pages, write=address(writes), hint=address(hints), seq=address(seqs),
-            ids=address(ids),
-        )
+    # Bound here so that instrumentation wrapping a class's own methods
+    # times CLIC by itself.
+    batch_access = KernelPolicy.batch_access
+
+    def _lookup(self, chunk: "ColumnarChunk") -> Any:
+        """The interned hint id of each entry of the chunk's hint table."""
+        column = self._per_hint_set(chunk, self._hint_id)
+        self._reserve()
+        return column
 
     # ------------------------------------------------------------ inspection
     def current_priorities(self) -> dict[tuple, float]:

@@ -1,8 +1,9 @@
 """Build and load the C library of policy kernels through ctypes.
 
 The library holds the per-request loops of every cache policy (CLIC, LRU,
-ARC, TQ and OPT: ``_<name>_kernel.c``), the queueing simulation's two hot
-loops (``_queueing_kernel.c``) and the binary trace format's BLOCK decoder
+ARC, TQ and OPT: ``_<name>_kernel.c``), the sharded cluster's hash router
+(``_route_kernel.c``), the queueing simulation's two hot loops
+(``_queueing_kernel.c``) and the binary trace format's BLOCK decoder
 (``_trace_kernel.c``), all built from the sources beside this module and the
 header the policies share (``_kernel.h``).  The first :func:`load`
 in a process compiles them with the system C compiler into one library in
@@ -18,6 +19,8 @@ fallback.
 :class:`KernelPolicy` is the Python side every compiled policy shares: the
 instance's kernel handle, freed with the instance, the inspection accessors,
 and one kernel call per chunk (``access()`` is the one-request case).
+:func:`replay` hands a chunk's columns to that call, on one handle or on
+every shard handle of a sharded cluster.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,13 +63,14 @@ __all__ = [
     "build",
     "columns",
     "load",
+    "replay",
 ]
 
 _HERE = Path(__file__).parent
 #: The library's C sources, shipped as package data.
 SOURCES = tuple(
     _HERE / f"_{name}_kernel.c"
-    for name in ("clic", "lru", "arc", "tq", "opt", "queueing", "trace")
+    for name in ("clic", "lru", "arc", "tq", "opt", "route", "queueing", "trace")
 )
 #: The header the sources share.
 HEADERS = (_HERE / "_kernel.h",)
@@ -130,6 +135,7 @@ def load() -> ctypes.CDLL:
             ("arc_p", ctypes.c_double, [handle]),
             ("tq_new", handle, [i64, i64, status]),
             ("opt_new", handle, [i64]),
+            ("route_hash", None, [i64, handle, i64, handle]),
             (
                 "queue_replay",
                 status,
@@ -154,6 +160,7 @@ def load() -> ctypes.CDLL:
                 (f"{kernel}_contains", status, [handle, i64]),
                 (f"{kernel}_pages", None, [handle, handle]),
                 (f"{kernel}_replay", None, [handle, i64, handle]),
+                (f"{kernel}_cluster", None, [handle, i64, handle]),
             ]
         for name, restype, argtypes in signatures:
             function = getattr(library, name)
@@ -176,18 +183,72 @@ def columns(
     write: int = 0,
     hint: int = 0,
     seq: int = 0,
-    ids: int = 0,
-    next_read: int = 0,
+    lookup: int = 0,
+    shard: int = 0,
+    lookups: int = 0,
 ) -> Any:
     """The kernels' ``Columns`` struct for *n* requests, from the addresses
     of the hit/admitted/bypassed flag rows (*n* bytes apart), the eviction
     columns (*n* + 1 offsets, then the evicted pages) and the input columns
     a kernel reads (0 for the others)."""
     return np.array(
-        [page, write, hint, seq, ids, next_read, flags, flags + n, flags + 2 * n,
+        [page, write, hint, seq, lookup, shard, lookups, flags, flags + n, flags + 2 * n,
          evictions, evictions + 8 * (n + 1)],
         np.int64,
     )
+
+
+def replay(
+    call: Callable[[int, int], None],
+    chunk: "ColumnarChunk",
+    lookup_key: str | None,
+    lookups: Sequence[Any],
+    shard: Any = None,
+) -> AccessOutcomeBatch:
+    """Replay *chunk* in one kernel call, ``call(n, columns)``: a handle's
+    ``<kernel>_replay`` with the one lookup column of *lookups*, or, given a
+    cluster's int64 *shard* column (checked by the cluster), the shard
+    handles' ``<kernel>_cluster``, shard s reading ``lookups[s]``.
+
+    Every kernel reads the page column.  One with a lookup column (see
+    :attr:`KernelPolicy.lookup_key`) also reads the seq column, and one that
+    looks up through hint indexes the write and hint-index columns too.
+    The kernel trusts these: every column has one entry per request, and
+    every lookup key indexes every lookup column, so both are checked here.
+    A kernel without a lookup column gets ``None``s.
+    """
+    page = np.ascontiguousarray(chunk.page, np.int64)
+    n = len(page)
+    write: Any = None
+    hint: Any = None
+    seq: Any = None
+    if lookup_key is not None:
+        seq = key = np.ascontiguousarray(chunk.seq, np.int64)
+        if lookup_key == "hint":
+            write = np.ascontiguousarray(chunk.write, np.bool_)
+            hint = key = np.ascontiguousarray(chunk.hint_id, np.int64)
+        if any(column is not None and len(column) != n for column in (write, hint, seq)):
+            raise ValueError(f"chunk columns differ in length from its {n} pages")
+        room = min(len(lookup) for lookup in lookups)
+        # As uint64, a negative key lies past every room as well.
+        if n and key.view(np.uint64).max() >= room:
+            raise IndexError(f"lookup key outside the kernel's {room}-entry lookup column")
+    flags = np.empty((3, n), np.bool_)
+    evictions = np.empty(2 * n + 1, np.int64)
+    inputs = [0 if column is None else address(column) for column in (page, write, hint, seq)]
+    addresses = [0 if lookup is None else address(lookup) for lookup in lookups]
+    if shard is None:
+        struct = columns(n, address(flags), address(evictions), *inputs, addresses[0])
+    else:
+        # The kernel reads the shards' lookup columns through this array.
+        pointers = np.array(addresses, np.int64)
+        struct = columns(
+            n, address(flags), address(evictions), *inputs,
+            shard=address(shard), lookups=address(pointers),
+        )
+    call(n, address(struct))
+    evicted = evictions[n + 1 : n + 1 + int(evictions[n])]
+    return AccessOutcomeBatch(flags[0], flags[1], flags[2], evicted, evictions[: n + 1], shard=shard)
 
 
 class KernelPolicy(CachePolicy, abc.ABC):
@@ -195,21 +256,29 @@ class KernelPolicy(CachePolicy, abc.ABC):
 
     A subclass names its kernel (:attr:`kernel`) and opens it with
     :meth:`_open`.  The library runs kernel ``k`` through ``k_new``,
-    ``k_free``, ``k_len``, ``k_contains``, ``k_pages`` and ``k_replay``.
+    ``k_free``, ``k_len``, ``k_contains``, ``k_pages``, ``k_replay`` and
+    ``k_cluster`` (a sharded cluster's chunk, over every shard's handle).
     Each instance owns one handle, freed when the instance is, so an
     instance cannot be copied or pickled.
 
-    :meth:`batch_access` is one kernel call per chunk, and ``access()`` its
-    one-request case: it writes the request into the instance's one-request
-    columns (:attr:`_one`, laid out as page, hint index 0, seq, hint id or
-    class, next read, the two eviction offsets and the evicted page;
+    :meth:`batch_access` is one kernel call per chunk (:func:`replay`),
+    over the chunk columns the kernel reads and the instance's lookup
+    column (:meth:`_lookup`).  ``access()`` is its one-request case: it
+    writes the request into the instance's one-request columns
+    (:attr:`_one`, laid out as page, hint index 0, seq, the request's
+    lookup entry, the two eviction offsets and the evicted page;
     :attr:`_one_flags` as write, hit, admitted, bypassed) and decodes the
-    outcome.  Both hand over only the page column; a kernel that reads more
-    overrides them.
+    outcome.  A kernel that reads more than the page overrides it.
     """
 
     #: The kernel's name in the library.
     kernel: str
+
+    #: The chunk column through which the kernel reads its lookup column
+    #: (:meth:`_lookup`): ``"hint"`` for a column over the chunk's hint
+    #: table, ``"seq"`` for one over sequence numbers, ``None`` for a kernel
+    #: that reads the page alone.
+    lookup_key: str | None = None
 
     def _open(self, *args: float) -> None:
         """Create this instance's kernel state with ``<kernel>_new(*args)``."""
@@ -225,19 +294,19 @@ class KernelPolicy(CachePolicy, abc.ABC):
         self._kernel_len = getattr(library, f"{self.kernel}_len")
         self._kernel_contains = getattr(library, f"{self.kernel}_contains")
         self._kernel_pages = getattr(library, f"{self.kernel}_pages")
-        self._one = np.zeros(8, np.int64)
+        self._call = partial(self._kernel_replay, handle)
+        self._one = np.zeros(7, np.int64)
         self._one_flags = np.zeros(4, np.uint8)
         one, flags = address(self._one), address(self._one_flags)
         self._one_columns = columns(
-            1, flags + 1, one + 40, one, flags, one + 8, one + 16, one + 24, one + 32
+            1, flags + 1, one + 32, one, flags, one + 8, one + 16, one + 24
         )
         self._one_address = address(self._one_columns)
         # The one-request replay's arguments, converted once.
         self._one_args = (
             ctypes.c_void_p(handle), ctypes.c_int64(1), ctypes.c_void_p(self._one_address)
         )
-        # The hint table of the last hinted chunk and its column (the
-        # chunks of one stream share their table).
+        # The hint table of the last hinted chunk and its lookup column.
         self._table: tuple[HintSet, ...] | None = None
         self._table_column = np.zeros(0, np.int64)
 
@@ -251,49 +320,21 @@ class KernelPolicy(CachePolicy, abc.ABC):
         return self._replay_one()
 
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        return self._replay_chunk(np.ascontiguousarray(chunk.page, np.int64))
+        return replay(self._call, chunk, self.lookup_key, (self._lookup(chunk),))
 
-    def _hinted_columns(
-        self, chunk: "ColumnarChunk", entry: Callable[[HintSet], int]
-    ) -> tuple[Any, Any, Any, Any, Any]:
-        """The chunk's page, write, hint-index and seq columns, checked for
-        the kernel, and the int64 column of *entry* over the chunk's hint
-        table, which the kernel reads through the hint indexes.  The column
-        is computed once per table."""
+    def _lookup(self, chunk: "ColumnarChunk") -> Any:
+        """The int64 column the kernel reads through :attr:`lookup_key` for
+        *chunk*, or ``None`` for a kernel that reads the page alone."""
+        return None
+
+    def _per_hint_set(self, chunk: "ColumnarChunk", entry: Callable[[HintSet], int]) -> Any:
+        """The int64 column of *entry* over the chunk's hint table, computed
+        once per table (the chunks of a stream share their table)."""
         table = chunk.hint_sets
         if table is not self._table:
             self._table_column = np.array([entry(hints) for hints in table], np.int64)
             self._table = table
-        column = self._table_column
-        pages = np.ascontiguousarray(chunk.page, np.int64)
-        writes = np.ascontiguousarray(chunk.write, np.bool_)
-        hints = np.ascontiguousarray(chunk.hint_id, np.int64)
-        seqs = np.ascontiguousarray(chunk.seq, np.int64)
-        n = len(pages)
-        # The kernel trusts these: every column has n entries, and every
-        # hint index has an entry in the chunk's hint table.
-        if not len(writes) == len(hints) == len(seqs) == n:
-            raise ValueError(f"chunk columns differ in length from its {n} pages")
-        if n and (hints.min() < 0 or hints.max() >= len(column)):
-            raise IndexError(f"hint index outside the chunk's {len(column)}-entry hint table")
-        return pages, writes, hints, seqs, column
-
-    def _replay_chunk(
-        self, pages: Any, write: int = 0, hint: int = 0, seq: int = 0, ids: int = 0,
-        next_read: int = 0,
-    ) -> AccessOutcomeBatch:
-        """Replay a chunk's *pages* (an int64 column) and the addresses of
-        the other columns the kernel reads, in one ``<kernel>_replay`` call."""
-        n = len(pages)
-        flags = np.empty((3, n), np.bool_)
-        evictions = np.empty(2 * n + 1, np.int64)
-        struct = columns(
-            n, address(flags), address(evictions), address(pages), write, hint, seq, ids,
-            next_read,
-        )
-        self._kernel_replay(self._handle, n, address(struct))
-        evicted = evictions[n + 1 : n + 1 + int(evictions[n])]
-        return AccessOutcomeBatch(flags[0], flags[1], flags[2], evicted, evictions[: n + 1])
+        return self._table_column
 
     def _replay_one(self) -> AccessOutcome:
         """Replay the request in the one-request columns."""
@@ -303,10 +344,10 @@ class KernelPolicy(CachePolicy, abc.ABC):
     def _one_outcome(self) -> AccessOutcome:
         """The outcome the one-request columns hold."""
         _, hit, admitted, bypassed = self._one_flags.tolist()
-        if self._one.item(6):
+        if self._one.item(5):
             return AccessOutcome(
                 bool(hit), admitted=bool(admitted), bypassed=bool(bypassed),
-                evicted=(self._one.item(7),),
+                evicted=(self._one.item(6),),
             )
         if hit:
             return HIT

@@ -37,12 +37,15 @@ from __future__ import annotations
 
 import abc
 import copy
+import inspect
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, TypeGuard
 
 import numpy as _np
 
 from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
 from repro.cache.opt import OPTPolicy, ReadIndex
+from repro.core.kernel import KernelPolicy, address, load, replay
 from repro.simulation.multiclient import partition_capacity
 from repro.trace.columnar import ColumnarChunk
 
@@ -95,32 +98,24 @@ class ShardRouter(abc.ABC):
         return f"{type(self).__name__}(shards={self.shards})"
 
 
-def _mix_pages(page: Any) -> Any:
-    """Deterministic 64-bit integer mix (murmur3 fmix64 finalizer) of a
-    page column, as a new ``uint64`` column.
+class HashRouter(ShardRouter):
+    """Uniform page-hash routing: shard = mix(page) mod S, with the murmur3
+    fmix64 finalizer as the mix (``route_hash`` in the kernel library).
 
     Plain ``page % shards`` would alias the strided access patterns of the
     synthetic workloads onto single shards; the mix spreads any page-id
-    structure uniformly.  Pure wrapping ``uint64`` arithmetic — stable
-    across processes and Python versions (unlike ``hash`` for strings).
+    structure uniformly.  It is wrapping ``uint64`` arithmetic, so a page
+    gets the same shard in every process and Python version.
     """
-    pages = page.astype(_np.uint64)
-    pages ^= pages >> _np.uint64(33)
-    pages *= _np.uint64(0xFF51AFD7ED558CCD)
-    pages ^= pages >> _np.uint64(33)
-    pages *= _np.uint64(0xC4CEB9FE1A85EC53)
-    pages ^= pages >> _np.uint64(33)
-    return pages
-
-
-class HashRouter(ShardRouter):
-    """Uniform page-hash routing: shard = mix(page) mod S."""
 
     name = "hash"
     page_keyed = True
 
     def route_batch(self, chunk: ColumnarChunk) -> Any:
-        return (_mix_pages(chunk.page) % _np.uint64(self.shards)).astype(_np.int64)
+        pages = _np.ascontiguousarray(chunk.page, _np.int64)
+        out = _np.empty(len(pages), _np.int64)
+        load().route_hash(len(pages), address(pages), self.shards, address(out))
+        return out
 
 
 class ClientAffinityRouter(ShardRouter):
@@ -210,6 +205,12 @@ class ShardedCache(CachePolicy):
     the replay loop's shard observer (:class:`~repro.simulation.observers
     .ShardStatsObserver`) from the shard ids each batch carries.
 
+    Shards of a compiled policy (a :class:`~repro.core.kernel.KernelPolicy`
+    whose ``batch_access`` is its kernel's) replay a chunk in one
+    ``<kernel>_cluster`` call, which steps each request on its shard's
+    handle; any other shard policy replays the chunk request by request
+    through each request's shard's ``access()``.
+
     The total ``capacity`` is split across shards with
     :func:`~repro.simulation.multiclient.partition_capacity` (any remainder
     goes to the first shards), so a cluster always competes against a
@@ -241,6 +242,23 @@ class ShardedCache(CachePolicy):
             for size in partition_capacity(capacity, shards)
         ]
         self.name = f"{self._shards[0].name}x{shards}[{self._router.name}]"
+        # Kernel shards replay a chunk in one call of their kernel's cluster
+        # entry point over the shard handles; None when the shard policy
+        # has no kernel, or batches through a Python override of it (such
+        # as ``batch_access = CachePolicy.batch_access``, which a subclass
+        # overriding ``access`` sets).  ``unwrap`` sees through decorators.
+        kernels = [
+            shard
+            for shard in self._shards
+            if isinstance(shard, KernelPolicy)
+            and inspect.unwrap(type(shard).batch_access) is KernelPolicy.batch_access
+        ]
+        self._kernels = kernels if len(kernels) == shards else None
+        if self._kernels is not None:
+            self._handles = _np.array([shard._handle for shard in kernels], _np.int64)
+            self._kernel_call = partial(
+                getattr(kernels[0]._lib, f"{kernels[0].kernel}_cluster"), address(self._handles)
+            )
 
     # ------------------------------------------------------------------ API
     @property
@@ -268,50 +286,54 @@ class ShardedCache(CachePolicy):
         return self._router.page_keyed
 
     def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        routed = self._router.route_batch(ColumnarChunk.from_requests((request,), seq))
+        routed = self._route(ColumnarChunk.from_requests((request,), seq))
         return self._shards[int(routed[0])].access(request, seq)
 
     def batch_access(self, chunk: ColumnarChunk) -> AccessOutcomeBatch:
-        """Batch kernel: route the whole chunk, then batch per shard.
+        """Route the whole chunk, then replay it in request order, each
+        request on its shard with its original (global) sequence number:
+        exactly the sub-stream ``access()`` would feed each shard.
 
-        Each shard receives its requests as a gathered sub-chunk in original
-        order, carrying the original (global) sequence numbers — exactly the
-        sub-stream the scalar loop would feed it — and the per-shard batches
-        are scattered back into request order.  A shard policy without a
-        fused kernel runs the base ``batch_access``, the scalar loop over its
-        sub-chunk, so the split is exact for any policy.  The batch carries
-        the shard ids as its ``shard`` column, which the cluster's observers
-        read instead of routing the chunk again.
+        Kernel shards replay the chunk in one ``<kernel>_cluster`` call,
+        which writes the flags and CSR evictions in request order, each
+        shard reading its own lookup column (CLIC's hint ids, TQ's write
+        classes, OPT's next reads).  Other shards replay it request by
+        request through their ``access()``.  The batch carries the shard
+        ids as its ``shard`` column, which the cluster's observers read
+        instead of routing the chunk again.
         """
-        shard_ids = self._router.route_batch(chunk)
+        shard_ids = self._route(chunk)
+        kernels = self._kernels
+        if kernels is None:
+            shards = self._shards
+            outcomes = [
+                shards[shard].access(request, seq)
+                for request, seq, shard in zip(
+                    chunk.requests(), chunk.seq_list(), shard_ids.tolist()
+                )
+            ]
+            batch = AccessOutcomeBatch.from_outcomes(outcomes)
+            batch.shard = shard_ids
+            return batch
+        lookups = [shard._lookup(chunk) for shard in kernels]
+        return replay(self._kernel_call, chunk, kernels[0].lookup_key, lookups, shard_ids)
+
+    def _route(self, chunk: ColumnarChunk) -> Any:
+        """The router's int64 shard column for *chunk*, checked: the kernel
+        trusts it to name a shard for every request."""
+        shard_ids = _np.ascontiguousarray(self._router.route_batch(chunk), _np.int64)
         n = len(chunk)
-        hit = _np.zeros(n, _np.bool_)
-        admitted = _np.zeros(n, _np.bool_)
-        bypassed = _np.zeros(n, _np.bool_)
-        counts = _np.zeros(n, _np.int64)
-        evicting: list[tuple[Any, Any, AccessOutcomeBatch]] = []
-        for s, shard in enumerate(self._shards):
-            idx = _np.flatnonzero(shard_ids == s)
-            if not idx.size:
-                continue
-            batch = shard.batch_access(chunk.take(idx))
-            hit[idx] = batch.hit
-            admitted[idx] = batch.admitted
-            bypassed[idx] = batch.bypassed
-            sub_counts = _np.diff(batch.evicted_offsets)
-            counts[idx] = sub_counts
-            if batch.eviction_count:
-                evicting.append((idx, sub_counts, batch))
-        offsets = _np.zeros(n + 1, _np.int64)
-        _np.cumsum(counts, out=offsets[1:])
-        pages = _np.zeros(int(offsets[-1]), _np.int64)
-        for idx, sub_counts, batch in evicting:
-            # CSR scatter: the shard's evicted page j, of its local request
-            # r, lands at offsets[idx[r]] + (j - evicted_offsets[r]).
-            shift = offsets[idx] - batch.evicted_offsets[:-1]
-            dest = _np.repeat(shift, sub_counts) + _np.arange(batch.eviction_count)
-            pages[dest] = batch.evicted_pages
-        return AccessOutcomeBatch(hit, admitted, bypassed, pages, offsets, shard=shard_ids)
+        if len(shard_ids) != n:
+            raise ValueError(
+                f"router {self._router.name!r} routed {len(shard_ids)} of the chunk's {n} requests"
+            )
+        # As uint64, a negative id lies past the last shard as well.
+        if n and shard_ids.view(_np.uint64).max() >= len(self._shards):
+            raise ValueError(
+                f"router {self._router.name!r} routed a request outside shards "
+                f"[0, {len(self._shards)})"
+            )
+        return shard_ids
 
     def contains(self, page: int) -> bool:
         return any(shard.contains(page) for shard in self._shards)

@@ -47,7 +47,6 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -55,7 +54,7 @@ import numpy as _np
 
 from repro.cache.base import CachePolicy, CacheStats
 from repro.cache.registry import create_policy
-from repro.simulation.costmodel import CostModel
+from repro.simulation.costmodel import CostModel, LatencyStats
 from repro.simulation.metrics import (
     SimulationResult,
     SweepResult,
@@ -455,9 +454,10 @@ def _run_cells(
     policy.  Every (cell, spec) slot gets its own result: the spec's
     replay plus the queueing stats of that cell's model.  A spec filling
     one slot hands over the engine's accounting as it is; further slots
-    get deep copies, so no two results share mutable stats.  Used both by
-    the serial path (with all cells) and inside each worker process (with
-    that worker's batch of cells).
+    get copies of its mutable containers (:func:`_unshared`), so no two
+    results share mutable stats.  Used both by the serial path (with all
+    cells) and inside each worker process (with that worker's batch of
+    cells).
     """
     groups: dict[object, list[int]] = {}
     streams: dict[object, RequestSource] = {}
@@ -520,11 +520,37 @@ def _run_cells(
                     else None
                 )
                 slot = replace(result, queueing=queueing)
-                placed[index, position] = slot if count == 0 else deepcopy(slot)
+                placed[index, position] = slot if count == 0 else _unshared(slot)
     return [
         [placed[index, position] for position in range(len(cell.specs))]
         for index, cell in enumerate(cells)
     ]
+
+
+def _unshared(result: SimulationResult) -> SimulationResult:
+    """A copy of *result* that shares no mutable container with it: its
+    :class:`CacheStats`, per-client dict, latency and queueing stats and
+    their histogram lists are copied.  Two cells with one queueing model
+    share a finalized :class:`~repro.simulation.queueing.QueueingStats`,
+    so it is copied too; the rolling series is frozen and stays shared."""
+
+    def latency(stats: LatencyStats) -> LatencyStats:
+        return replace(stats, read_histogram=list(stats.read_histogram))
+
+    queueing = result.queueing
+    return replace(
+        result,
+        stats=replace(result.stats),
+        per_client={client: replace(stats) for client, stats in result.per_client.items()},
+        per_shard=tuple(replace(stats) for stats in result.per_shard),
+        latency=None if result.latency is None else latency(result.latency),
+        shard_latency=tuple(map(latency, result.shard_latency)),
+        queueing=None if queueing is None else replace(
+            queueing,
+            delay_histogram=list(queueing.delay_histogram),
+            sojourn_histogram=list(queueing.sojourn_histogram),
+        ),
+    )
 
 
 def _ensure_streams(streams: Iterable[RequestSource | None]) -> None:

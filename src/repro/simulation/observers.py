@@ -102,6 +102,23 @@ class StatsObserver(ReplayObserver):
         return replace(self._stats)
 
 
+#: Per 4-bit outcome code (write, hit, admitted and bypassed, from the
+#: high bit down), whether a request of that code counts as a request, a
+#: write, a hit, a write hit, an admission and a bypass: the columns of the
+#: matrix that turns a shard's code counts into its counters.
+_CODES = _np.arange(16)
+_TALLIES = _np.stack(
+    [_np.ones(16, _np.int64), _CODES >> 3 & 1, _CODES >> 2 & 1, _CODES >> 2 & _CODES >> 3 & 1,
+     _CODES >> 1 & 1, _CODES & 1],
+    axis=1,
+)
+
+
+def _bits(flags: Any) -> Any:
+    """A bool column's bytes, as 0/1 ``uint8``."""
+    return _np.asarray(flags, _np.bool_).view(_np.uint8)
+
+
 class ShardStatsObserver(ReplayObserver):
     """Per-shard :class:`CacheStats` for sharded clusters.
 
@@ -109,50 +126,48 @@ class ShardStatsObserver(ReplayObserver):
     ``shard`` column, set by :meth:`~repro.simulation.cluster.ShardedCache
     .batch_access`), and the routed shard's outcome unchanged, so counting
     each request on its shard reconstructs what the shard's own accounting
-    would report.
+    would report.  Each chunk is one ``bincount`` over (shard, outcome code)
+    pairs, plus one over the shards weighted by evictions; the counters are
+    derived from those counts at :meth:`finalize`.
     """
 
-    __slots__ = ("_shards",)
+    __slots__ = ("_codes", "_evictions")
 
     def __init__(self, cluster: "ShardedCache"):
-        self._shards = [CacheStats() for _ in range(cluster.shard_count)]
+        shards = cluster.shard_count
+        self._codes = _np.zeros(16 * shards, _np.int64)
+        self._evictions = _np.zeros(shards, _np.int64)
 
     def on_batch(self, chunk: "ColumnarChunk", batch: "AccessOutcomeBatch") -> None:
-        # One shard-indexed count per counter, over the ids the cluster
-        # routed the chunk with.
         ids = routed_shards(batch)
-        shards = len(self._shards)
-        write = chunk.write
-        hit = batch.hit
-
-        def count(mask: Any) -> list[int]:
-            return _np.bincount(ids[mask], minlength=shards).tolist()
-
-        totals = _np.bincount(ids, minlength=shards).tolist()
-        columns = zip(
-            totals,
-            count(write),
-            count(hit),
-            count(hit & write),
-            count(batch.admitted),
-            count(batch.bypassed),
-            _np.bincount(
-                ids, weights=_np.diff(batch.evicted_offsets), minlength=shards
-            ).astype(_np.int64).tolist(),
+        key = ids << 4
+        key |= (
+            _bits(chunk.write) << 3
+            | _bits(batch.hit) << 2
+            | _bits(batch.admitted) << 1
+            | _bits(batch.bypassed)
         )
-        for stats, (total, wr, hits, wh, admitted, bypassed, evictions) in zip(
-            self._shards, columns
-        ):
-            stats.read_requests += total - wr
-            stats.read_hits += hits - wh
-            stats.write_requests += wr
-            stats.write_hits += wh
-            stats.admissions += admitted
-            stats.bypasses += bypassed
-            stats.evictions += evictions
+        self._codes += _np.bincount(key, minlength=len(self._codes))
+        self._evictions += _np.bincount(
+            ids, weights=_np.diff(batch.evicted_offsets), minlength=len(self._evictions)
+        ).astype(_np.int64)
 
     def finalize(self) -> tuple[CacheStats, ...]:
-        return tuple(replace(stats) for stats in self._shards)
+        tallies = (self._codes.reshape(-1, 16) @ _TALLIES).tolist()
+        return tuple(
+            CacheStats(
+                read_requests=requests - writes,
+                read_hits=hits - write_hits,
+                write_requests=writes,
+                write_hits=write_hits,
+                evictions=evictions,
+                admissions=admissions,
+                bypasses=bypasses,
+            )
+            for (requests, writes, hits, write_hits, admissions, bypasses), evictions in zip(
+                tallies, self._evictions.tolist()
+            )
+        )
 
 
 def shard_observer_for(policy: object) -> ShardStatsObserver | None:

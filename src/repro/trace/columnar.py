@@ -60,8 +60,7 @@ class ColumnarChunk:
         int64 — index into ``clients``.
     ``seq``
         int64 — global sequence number of each request.  Engine-produced
-        chunks are contiguous (``seq[i] = seq_base + i``); gathered
-        sub-chunks (e.g. per-shard splits) are not.
+        chunks are contiguous (``seq[i] = seq_base + i``).
 
     ``hint_sets`` and ``clients`` are lookup tables shared across every
     chunk of a stream; they may contain entries a particular chunk never
@@ -207,23 +206,6 @@ class ColumnarChunk:
         if self._seq_list is None:
             self._seq_list = self.seq.tolist()
         return self._seq_list
-
-    # ---------------------------------------------------------------- slicing
-    def take(self, indices: Array) -> "ColumnarChunk":
-        """Gathered sub-chunk (e.g. one shard's requests, original order)."""
-        chunk = ColumnarChunk(
-            self.page[indices],
-            self.write[indices],
-            self.hint_id[indices],
-            self.client_idx[indices],
-            self.seq[indices],
-            self.hint_sets,
-            self.clients,
-        )
-        if self._requests is not None:
-            requests = self._requests
-            chunk._requests = [requests[i] for i in indices.tolist()]
-        return chunk
 
     # ------------------------------------------------------------- accounting
     def present_clients(self) -> list[tuple[str, Array]]:

@@ -40,7 +40,7 @@ from repro.core.hints import EMPTY_HINT_SET
 from repro.simulation.request import IORequest
 
 from tests.conftest import chunked
-from tests.observer_reference import decode_outcomes
+from tests.observer_reference import decode_outcomes, reference_route
 from tests.policy_reference import ARCPolicy as ReferenceARC
 from tests.policy_reference import LRUPolicy as ReferenceLRU
 from tests.policy_reference import TQPolicy as ReferenceTQ
@@ -55,10 +55,10 @@ _POLICY_KWARGS = {
     "SHARDED": {"policy": "LRU", "shards": 3, "router": "hash"},
 }
 
-#: Sharded variants: the cluster's gather/scatter batch path for every
-#: (policy, router) pair the cluster experiment runs, and OPT shards reading
-#: the stream-wide index (hash) or the cluster's per-shard index (client:
-#: the streams' two clients share page ids).
+#: Sharded variants: the cluster's one-call kernel path for every (policy,
+#: router) pair the cluster experiment runs, and OPT shards reading the
+#: stream-wide index (hash) or the cluster's per-shard index (client: the
+#: streams' two clients share page ids).
 _CLIC_SHARD_KWARGS = {"config": CLICConfig(window_size=20, charge_metadata=False)}
 _SHARDED_VARIANTS = [
     ("SHARDED[LRU,hash]", {"policy": "LRU", "shards": 3, "router": "hash"}),
@@ -190,9 +190,9 @@ _KERNEL_LESS_SHARDED = [
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_kernel_less_shards_match_scalar(kwargs, stream, sizes):
-    """The cluster batches per shard for any shard policy: one without a
-    kernel runs the base ``batch_access`` on its gathered sub-chunk, which
-    is the scalar loop over exactly the sub-stream ``access()`` would see."""
+    """A cluster of shards without a kernel replays each chunk request by
+    request through each request's shard's ``access()``: exactly the
+    sub-stream the scalar loop feeds that shard."""
     _assert_batch_matches_scalar("SHARDED", kwargs, stream, sizes)
 
 
@@ -231,23 +231,40 @@ def _assert_batch_matches_scalar(
     assert sorted(batched.cached_pages()) == sorted(scalar.cached_pages())
 
 
+@pytest.mark.parametrize(
+    "kwargs", [v[1] for v in _SHARDED_VARIANTS], ids=[v[0] for v in _SHARDED_VARIANTS]
+)
 @given(stream=STREAMS, sizes=CHUNK_SIZES)
-@settings(max_examples=25, deadline=None)
-def test_batch_columns_match_scalar_outcomes(stream, sizes):
-    """The batch's column view (hit/admitted/bypassed/CSR evictions) agrees
-    with the outcome objects the reference decoder reconstructs."""
-    policy = create_policy("LRU", capacity=CAPACITY)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_batch_columns_match_scalar_outcomes(kwargs, stream, sizes):
+    """A kernel cluster's batch, column by column, request by request: its
+    ``shard`` column is the reference router's shard, and its flags and CSR
+    evictions are what that shard's reference reports for the request."""
+    cluster = _build("SHARDED", kwargs)
+    reference = _build(*reference_case("SHARDED", kwargs))
+    if cluster.offline:
+        cluster.prepare(stream)
+        reference.prepare(stream)
+    route = reference_route(cluster.router)
+    shards = reference.shards
     for chunk in chunked(stream, sizes):
-        batch = policy.batch_access(chunk)
-        for i, outcome in enumerate(decode_outcomes(batch)):
+        batch = cluster.batch_access(chunk)
+        assert batch.shard.dtype == np.int64 and len(batch.shard) == len(chunk)
+        offsets = batch.evicted_offsets.tolist()
+        assert offsets[0] == 0 and offsets[-1] == batch.eviction_count
+        for i, (request, seq) in enumerate(zip(chunk.requests(), chunk.seq_list())):
+            shard = route(request)
+            assert batch.shard[i] == shard
+            outcome = shards[shard].access(request, seq)
             assert bool(batch.hit[i]) == outcome.hit
             assert bool(batch.admitted[i]) == outcome.admitted
             assert bool(batch.bypassed[i]) == outcome.bypassed
-            start = int(batch.evicted_offsets[i])
-            stop = int(batch.evicted_offsets[i + 1])
-            assert tuple(int(p) for p in batch.evicted_pages[start:stop]) == (
-                outcome.evicted
-            )
+            evicted = batch.evicted_pages[offsets[i] : offsets[i + 1]]
+            assert tuple(evicted.tolist()) == outcome.evicted
 
 
 def test_default_batch_access_materialises_chunk_once(monkeypatch):

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import registry
 from repro.cache.base import AccessOutcome, CachePolicy, CacheStats
+from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.hints import make_hint_set
 from repro.simulation.cluster import (
@@ -30,6 +32,7 @@ from repro.trace.columnar import ColumnarChunk, ColumnarSource
 from tests.conftest import chunked, stream_requests
 from tests.observer_reference import decode_outcomes, reference_route
 from tests.policy_reference import LRUPolicy as ReferenceLRU
+from tests.policy_reference import registered
 
 
 def _trace(rng: random.Random, clients=("alpha",), n=3000, pages=800):
@@ -183,32 +186,13 @@ class TestShardedCacheBasics:
         assert isinstance(rebuilt, ShardedCache)
         assert rebuilt.shard_count == 3
 
-    def test_kernel_less_shards_get_one_sub_chunk_each(self, rng, monkeypatch):
-        """A shard policy without a kernel is batched per shard like any
-        other: one gathered sub-chunk per shard, run through the base
-        ``batch_access``, with the scalar replay's outcomes."""
-        sub_chunks: list[int] = []
-
-        class CountingLRU(ReferenceLRU):
-            def batch_access(self, chunk):
-                sub_chunks.append(len(chunk))
-                return CachePolicy.batch_access(self, chunk)
-
-        monkeypatch.setitem(registry._REGISTRY, "COUNTING-LRU", CountingLRU)
-        requests = _trace(rng, n=1500, pages=300)
-        cluster = ShardedCache(capacity=60, policy="COUNTING-LRU", shards=3)
-        batch = cluster.batch_access(ColumnarChunk.from_requests(requests, start_seq=0))
-        assert len(sub_chunks) == 3
-        assert sum(sub_chunks) == len(requests)
-        scalar = ShardedCache(capacity=60, policy="LRU", shards=3)
-        assert decode_outcomes(batch) == [
-            scalar.access(request, seq) for seq, request in enumerate(requests)
-        ]
-
-    def test_multi_page_evictions_scatter_to_their_request(self, rng, monkeypatch):
-        """A shard policy that evicts two pages on one access: the cluster
-        batch puts both, in order, in that request's slot, as the scalar
-        replay reports them."""
+    @pytest.mark.parametrize("overriding", ["pair-evicting", "kernel-subclass"])
+    def test_shards_batching_through_access_match_scalar(self, rng, monkeypatch, overriding):
+        """Shard policies whose ``batch_access`` is the base class's loop over
+        their own ``access()`` are replayed through it request by request:
+        one that evicts two pages on one access gets both, in order, in that
+        request's slot, and a subclass of a kernel policy that overrides
+        ``access()`` (odd pages bypass) is not stepped by the kernel."""
 
         class PairEvictingLRU(ReferenceLRU):
             def access(self, request, seq):
@@ -221,15 +205,27 @@ class TestShardedCacheBasics:
 
             batch_access = CachePolicy.batch_access
 
-        monkeypatch.setitem(registry._REGISTRY, "PAIR-EVICTING-LRU", PairEvictingLRU)
+        class OddBypassingLRU(LRUPolicy):
+            def access(self, request, seq):
+                if request.page % 2:
+                    return AccessOutcome(False, admitted=False, bypassed=True)
+                return super().access(request, seq)
+
+            batch_access = CachePolicy.batch_access
+
+        policy, shows = {
+            "pair-evicting": (PairEvictingLRU, lambda outcome: len(outcome.evicted) == 2),
+            "kernel-subclass": (OddBypassingLRU, lambda outcome: outcome.bypassed),
+        }[overriding]
+        monkeypatch.setitem(registry._REGISTRY, "OVERRIDING-LRU", policy)
         requests = _trace(rng, n=1500, pages=300)
-        batched = ShardedCache(capacity=60, policy="PAIR-EVICTING-LRU", shards=3)
-        scalar = ShardedCache(capacity=60, policy="PAIR-EVICTING-LRU", shards=3)
+        batched = ShardedCache(capacity=60, policy="OVERRIDING-LRU", shards=3)
+        scalar = ShardedCache(capacity=60, policy="OVERRIDING-LRU", shards=3)
         replayed = []
         for chunk in chunked(requests, [400]):
             replayed.extend(decode_outcomes(batched.batch_access(chunk)))
         expected = [scalar.access(request, seq) for seq, request in enumerate(requests)]
-        assert any(len(outcome.evicted) == 2 for outcome in expected)
+        assert any(map(shows, expected))
         assert replayed == expected
 
     def test_invalid_parameters(self):
@@ -237,6 +233,105 @@ class TestShardedCacheBasics:
             ShardedCache(capacity=10, policy="LRU", shards=0)
         with pytest.raises(ValueError):
             ShardedCache(capacity=2, policy="LRU", shards=5)  # < 1 page per shard
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("called")
+
+
+#: Every compiled shard policy of the cluster layer.
+_KERNELS = ("LRU", "ARC", "TQ", "OPT", "CLIC")
+
+
+class TestKernelClusterCall:
+    """A cluster of kernel shards replays each chunk in one call of its
+    kernel's cluster entry point, with one route per chunk."""
+
+    @staticmethod
+    def _stream(rng, router: str) -> tuple[list[IORequest], list[int]]:
+        """Four clients' requests and chunk sizes cutting them into a
+        0-request chunk, a 1-request chunk, a chunk that leaves shard 3
+        empty (the hash router's shard 0 only; the client router gives
+        three clients shards 0-2) and the rest."""
+        requests = _trace(rng, clients=("a", "b", "c"), n=300, pages=120)
+        if router == "hash":
+            route = reference_route(HashRouter(4))
+            one_shard = [r for r in requests if route(r) == 0][:40]
+        else:
+            one_shard = requests[:40]
+        rest = _trace(rng, clients=("a", "b", "c", "d"), n=400, pages=120)
+        return [requests[0], *one_shard, *rest], [0, 1, len(one_shard), len(rest)]
+
+    @pytest.mark.parametrize("router", ["hash", "client"])
+    @pytest.mark.parametrize("policy", _KERNELS)
+    def test_one_kernel_call_per_chunk_and_no_shard_batch_access(
+        self, rng, monkeypatch, policy, router
+    ):
+        stream, sizes = self._stream(rng, router)
+        with registered():
+            reference = ShardedCache(
+                capacity=40, policy=f"{policy}-REFERENCE", shards=4, router=router
+            )
+        cluster = ShardedCache(capacity=40, policy=policy, shards=4, router=router)
+        if cluster.offline:
+            cluster.prepare(stream)
+            reference.prepare(stream)
+        calls: list[int] = []
+        kernel_call = cluster._kernel_call
+        monkeypatch.setattr(
+            cluster, "_kernel_call", lambda n, columns: (calls.append(n), kernel_call(n, columns))
+        )
+        routes: list[int] = []
+        route_batch = cluster.router.route_batch
+        monkeypatch.setattr(
+            cluster.router, "route_batch", lambda chunk: (routes.append(len(chunk)), route_batch(chunk))[1]
+        )
+        for shard in cluster.shards:
+            for method in ("access", "batch_access", "_kernel_replay", "_call"):
+                monkeypatch.setattr(shard, method, _fail)
+
+        replayed, empty_shards = [], []
+        offset = 0
+        for size in sizes:
+            chunk = ColumnarChunk.from_requests(stream[offset : offset + size], offset)
+            offset += size
+            batch = cluster.batch_access(chunk)
+            assert len(batch) == len(batch.shard) == size
+            empty_shards.append(set(range(4)) - set(batch.shard.tolist()))
+            replayed.extend(decode_outcomes(batch))
+        assert calls == routes == sizes
+        assert empty_shards[2] >= {3}
+        expected = [reference.access(request, seq) for seq, request in enumerate(stream)]
+        assert replayed == expected
+        assert sorted(cluster.cached_pages()) == sorted(reference.cached_pages())
+
+    @pytest.mark.parametrize("policy", ["LRU", "LRU-REFERENCE"])
+    @pytest.mark.parametrize(
+        "routed",
+        [
+            pytest.param(lambda n: np.full(n, 3), id="past-the-last-shard"),
+            pytest.param(lambda n: np.full(n, -1), id="negative"),
+            pytest.param(lambda n: np.zeros(n + 1, np.int64), id="too-long"),
+            pytest.param(lambda n: np.zeros(n - 1, np.int64), id="too-short"),
+        ],
+    )
+    def test_a_bad_route_raises_before_any_kernel_call(self, rng, monkeypatch, policy, routed):
+        class BadRouter(ShardRouter):
+            name = "bad"
+
+            def route_batch(self, chunk):
+                return routed(len(chunk))
+
+        with registered():
+            cluster = ShardedCache(capacity=30, policy=policy, shards=3, router=BadRouter(3))
+        monkeypatch.setattr(cluster, "_kernel_call", _fail, raising=False)
+        for shard in cluster.shards:
+            monkeypatch.setattr(shard, "access", _fail)
+            monkeypatch.setattr(shard, "batch_access", _fail)
+        chunk = ColumnarChunk.from_requests(_trace(rng, n=50), 0)
+        with pytest.raises(ValueError, match="router 'bad' routed"):
+            cluster.batch_access(chunk)
+        assert len(cluster) == 0
 
 
 class TestSingleShardEquivalence:

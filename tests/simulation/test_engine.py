@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import warnings
@@ -437,6 +438,57 @@ class TestFoldedSweeps:
             # One replay, three loads: equal accounting, distinct queueing.
             assert results[0].stats == results[1].stats == results[2].stats
             assert results[0].queueing != results[2].queueing
+
+    def test_a_spec_filling_two_slots_shares_no_mutable_container(self, rng):
+        """Two cells with one queueing model list one cluster spec: the
+        second slot's result is a copy, sharing no list, dict or mutable
+        dataclass with the first (their finalized queueing stats included)."""
+        requests = _mixed_trace(rng, clients=("alpha", "beta"), n=800)
+        spec = PolicySpec(
+            label="SHARDED[LRU,hash]x2",
+            name="SHARDED",
+            capacity=60,
+            kwargs={"policy": "LRU", "shards": 2, "router": "hash"},
+        )
+        model = QueueingModel(
+            arrivals=PoissonArrivals(rate_rps=250.0, seed=3), device="hdd", page_span=1_300
+        )
+        cells = [SweepCell(x=x, specs=(spec,), queueing=model) for x in (1.0, 2.0)]
+        sweep = ParallelSweepRunner(
+            requests, cost_model=CostModel(device="hdd", page_span=1_300), rolling_window=200
+        ).run(cells, parameter="x")
+        first, second = [point.result for point in sweep.series[spec.label]]
+        for result in (first, second):
+            assert result.per_client and result.per_shard and result.shard_latency
+            assert result.latency and result.rolling and result.queueing
+        assert _result_view(first) == _result_view(second)
+        assert not _mutable_parts(first) & _mutable_parts(second)
+
+
+def _mutable_parts(value: object) -> set[int]:
+    """The ids of every list, dict and non-frozen dataclass reachable from
+    *value* (through dataclass fields, tuples, lists and dicts)."""
+    found: set[int] = set()
+    seen: set[int] = set()
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, dict):
+            found.add(id(item))
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            if isinstance(item, list):
+                found.add(id(item))
+            stack.extend(item)
+        elif dataclasses.is_dataclass(item) and not isinstance(item, type):
+            if not item.__dataclass_params__.frozen:
+                found.add(id(item))
+            stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
+    return found
 
 
 class TestPolicySpec:

@@ -153,8 +153,8 @@ def _registry_cases() -> list[Case]:
 
 
 def _kernel_less_cluster(capacity: int, **kwargs: Any) -> CachePolicy:
-    """A cluster whose shards are the pure-Python references, which run the
-    base ``batch_access`` on every sub-chunk the cluster routes them."""
+    """A cluster whose shards are the pure-Python references: it replays
+    each chunk request by request through its shards' ``access()``."""
     name, reference_kwargs = reference_case("SHARDED", kwargs)
     with registered():
         return create_policy(name, capacity=capacity, **reference_kwargs)
