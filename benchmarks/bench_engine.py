@@ -3,15 +3,17 @@
 The seed implementation of ``sweep_cache_sizes`` replayed the request stream
 once per (policy, cache-size) cell, strictly serially, with each policy
 mutating its own counters inline.  After the kernel/observer refactor the
-policies are pure (``access`` returns an :class:`AccessOutcome`) and all
-accounting happens in observers driven by one replay loop.  This benchmark
-runs the same 4-policy x 4-size grid four ways and verifies they produce
-identical read hit ratios:
+policies are pure C kernels (``batch_access`` returns an outcome batch per
+chunk) and all accounting happens in observers driven by one replay loop.
+This benchmark runs the same 4-policy x 4-size grid four ways and verifies
+they produce identical read hit ratios:
 
 1. ``seed serial``    — a faithful replica of the seed path: a hand-rolled
-                        per-request loop per cell (``policy.access`` +
-                        the seed's per-request ``record_outcome`` stats
-                        fold), no engine, no observers;
+                        per-request loop per cell over the seed's own
+                        per-request policies (the pure-Python references
+                        in ``tests/policy_reference.py``: ``access`` + the
+                        seed's per-request ``record_outcome`` stats fold),
+                        no engine, no observers;
 2. ``pipeline serial``— one :class:`CacheSimulator` pass per cell: the same
                         per-cell structure, but replayed through the
                         observer pipeline (stats observer only);
@@ -46,19 +48,20 @@ A second, columnar section follows: the paper grid (``PAPER_POLICIES``:
 OPT, LRU, ARC, TQ and CLIC, each with a fused batch kernel) is replayed
 from the same cached binary trace three ways — the bench-local ``object
 replay`` baseline (:func:`object_replay_sweep`: the scalar loop the engine
-ran before it became columnar-only, sharing one OPT future-read index as
-the engine does), engine serial and engine ``jobs=N`` — with three gates:
+ran before it became columnar-only, over the seed's per-request policies —
+the references in ``tests/policy_reference.py`` and
+``tests/clic_reference.py`` — sharing one OPT future-read index as the
+engine does), engine serial and engine ``jobs=N`` — with three gates:
 
 * **columnar identity** — every path must produce identical per-point
-  hit/miss stats: batch kernels and column-native observers are a pure
-  fast path over ``access()``, never a fork;
+  hit/miss stats: the C kernels and column-native observers are a pure
+  fast path over the per-request definitions, never a fork;
 * **columnar speedup (full grid)** — engine serial must replay the paper
   grid at >= ``--columnar-gate`` (default 2.0x) the object-replay
-  throughput.  Every paper policy's loop is C code: the object-replay
-  baseline times the one-request C ``access()`` per request, whose
-  per-call ctypes overhead the batch path amortises over a chunk.  The
-  gate is the one set when the kernels were Python (measured value in
-  ``BENCH_9.json``);
+  throughput.  Every paper policy's loop is C code, called once per
+  chunk; the object-replay baseline steps each request through the
+  policy's Python reference.  The gate is the one set when the kernels
+  were Python (measured value in ``BENCH_9.json``);
 * **columnar core speedup** — LRU, the one always-admit kernel, where
   batching eliminates nearly all per-request engine overhead, must replay
   at >= ``--columnar-core-gate`` (default 3.5x, raised from the 3.0x the
@@ -83,6 +86,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from bench_common import best_of, effective_jobs, emit_bench_json, usable_cpus
 
@@ -93,6 +97,12 @@ from repro.experiments.common import ExperimentSettings, generate_trace, trace_s
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
 from repro.simulation.simulator import CacheSimulator
 from repro.simulation.sweep import sweep_cache_sizes
+
+# The per-request baselines step the references in tests/.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))
+
+from tests.policy_reference import REFERENCES  # noqa: E402
 
 DEFAULT_POLICIES = ("OPT", "LRU", "ARC", "TQ")
 DEFAULT_SIZES = (450, 900, 1_800, 3_600)
@@ -157,15 +167,17 @@ class _SeedStats(CacheStats):
 def seed_serial_sweep(requests, cache_sizes, policies):
     """The seed path: a hand-rolled per-request loop per cell.
 
-    No engine, no observers — ``access`` plus inline stats accounting, the
-    way the seed's ``CacheSimulator`` worked before the refactor.  This is
-    the baseline the observer pipeline is gated against.
+    No engine, no observers — the policy's reference (the seed's
+    per-request policy) steps each request with ``access``, plus inline
+    stats accounting, the way the seed's ``CacheSimulator`` worked before
+    the refactor.  This is the baseline the observer pipeline is gated
+    against.
     """
     curves = {}
     for name in policies:
         curves[name] = []
         for capacity in cache_sizes:
-            policy = create_policy(name, capacity=capacity)
+            policy = REFERENCES[name](capacity)
             if policy.offline:
                 policy.prepare(requests)
             stats = _SeedStats()
@@ -213,12 +225,13 @@ def object_replay_sweep(spec, cache_sizes, policies):
     Per decoded block of the cached trace (``spec.open().iter_chunks()``) it does
     what the engine's object loop did per chunk before the engine replayed
     only columnar chunks: ``list(map(policy.access, chunk, seqs))`` for
-    every (policy, size) cell, then one counting pass over the outcomes.
-    Offline cells (OPT) adopt one future-read index built up front, as the
-    engine shares it.  Returns ``{name: [(capacity, CacheStats), ...]}``.
+    every (policy, size) cell, each policy its per-request reference, then
+    one counting pass over the outcomes.  Offline cells (OPT) adopt one
+    future-read index built up front, as the engine shares it.  Returns
+    ``{name: [(capacity, CacheStats), ...]}``.
     """
     cells = [
-        (name, capacity, create_policy(name, capacity=capacity))
+        (name, capacity, REFERENCES[name](capacity))
         for capacity in cache_sizes
         for name in policies
     ]

@@ -38,7 +38,6 @@ class ARCPolicy(KernelPolicy):
 
     # The kernel reads only the page column.  Bound here so that
     # instrumentation wrapping a class's own methods times ARC by itself.
-    access = KernelPolicy.access
     batch_access = KernelPolicy.batch_access
 
     @property

@@ -5,8 +5,8 @@ implements :class:`CachePolicy`.  The trace-driven replay loop feeds a policy
 one columnar chunk of requests at a time, in arrival order, each request
 numbered with its server-assigned sequence number; the policy returns an
 :class:`AccessOutcomeBatch` describing what happened to each request
-(hit/miss, admission, bypass, evicted pages).  :meth:`CachePolicy.access`
-is the one-request case, returning one :class:`AccessOutcome`.
+(hit/miss, admission, bypass, evicted pages).  :meth:`CachePolicy.batch_access`
+is a policy's one replay method.
 
 Policies are **pure kernels**: they own only their replacement state (which
 pages are cached, in what order/priority), never any accounting.  All
@@ -20,22 +20,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
-
-from typing import TYPE_CHECKING
-
-import numpy as _np
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
-    from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
-    "AccessOutcome",
     "AccessOutcomeBatch",
-    "HIT",
-    "MISS_ADMIT",
-    "MISS_BYPASS",
     "CacheStats",
     "CachePolicy",
     "validate_capacity",
@@ -51,94 +42,25 @@ def validate_capacity(capacity: int) -> int:
     return capacity
 
 
-class AccessOutcome:
-    """What one :meth:`CachePolicy.access` call did, as a value object.
-
-    The outcome is the policy's *only* output channel (batched per chunk as
-    an :class:`AccessOutcomeBatch`): replay observers fold the batches into
-    statistics, so one counting rule holds for every policy.  The fields
-    mirror the accounting events the old in-policy bookkeeping mutated:
-
-    * ``hit`` — the requested page was cached when the request arrived;
-    * ``admitted`` — the page was inserted into the cache by this access;
-    * ``bypassed`` — the policy consciously declined to admit a missed page;
-    * ``evicted`` — pages removed from the cache by this access, in eviction
-      order.  Usually empty or one page; an eviction may accompany a *hit*
-      (OPT drops pages it proves dead on their final read).
-
-    Hot-path note: the three common cases are interned as module singletons
-    (:data:`HIT`, :data:`MISS_ADMIT`, :data:`MISS_BYPASS`) so a
-    per-request loop allocates only for evicting outcomes.
-    """
-
-    __slots__ = ("hit", "admitted", "bypassed", "evicted")
-
-    def __init__(
-        self,
-        hit: bool,
-        admitted: bool = False,
-        bypassed: bool = False,
-        evicted: tuple[int, ...] = (),
-    ):
-        self.hit = hit
-        self.admitted = admitted
-        self.bypassed = bypassed
-        self.evicted = evicted
-
-    def __bool__(self) -> bool:
-        """Truthiness is the hit flag (``if policy.access(...)`` reads as
-        "if it hit", matching the historical bool return)."""
-        return self.hit
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AccessOutcome):
-            return NotImplemented
-        return (
-            self.hit == other.hit
-            and self.admitted == other.admitted
-            and self.bypassed == other.bypassed
-            and self.evicted == other.evicted
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.hit, self.admitted, self.bypassed, self.evicted))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flags = [f"hit={self.hit}"]
-        if self.admitted:
-            flags.append("admitted")
-        if self.bypassed:
-            flags.append("bypassed")
-        if self.evicted:
-            flags.append(f"evicted={self.evicted}")
-        return f"AccessOutcome({', '.join(flags)})"
-
-
-#: The requested page was cached; nothing else changed.
-HIT = AccessOutcome(True)
-#: Miss, page admitted, nothing evicted (the cache had room).
-MISS_ADMIT = AccessOutcome(False, admitted=True)
-#: Miss, page deliberately not admitted.
-MISS_BYPASS = AccessOutcome(False, bypassed=True)
-
-
 class AccessOutcomeBatch:
-    """One :class:`AccessOutcome` per request of a chunk, as columns.
+    """What a policy did with each request of a chunk, as columns.
 
-    The batch-kernel analogue of :class:`AccessOutcome`: ``hit``,
-    ``admitted`` and ``bypassed`` are numpy bool arrays (one lane per
-    request), and evictions are stored CSR-style — ``evicted_pages`` holds
-    every evicted page in request order, ``evicted_offsets`` (length
-    ``n + 1``) delimits request *i*'s evictions as
-    ``evicted_pages[evicted_offsets[i]:evicted_offsets[i + 1]]``.
+    The batch is a policy's *only* output channel: replay observers fold
+    it into statistics, so one counting rule holds for every policy.
+    ``hit``, ``admitted`` and ``bypassed`` are numpy bool arrays (one lane
+    per request): the requested page was cached when the request arrived,
+    the request inserted its page, or the policy consciously declined to
+    insert a missed page.  Evictions are stored CSR-style —
+    ``evicted_pages`` holds every page removed from the cache in request
+    order, ``evicted_offsets`` (length ``n + 1``) delimits request *i*'s
+    evictions as ``evicted_pages[evicted_offsets[i]:evicted_offsets[i + 1]]``.
+    An eviction may accompany a *hit* (OPT drops pages it proves dead on
+    their final read).
 
     ``shard`` is the int64 column of the shard each request was routed to,
     set by a sharded cluster
     (:class:`~repro.simulation.cluster.ShardedCache`) so its observers never
     route a chunk again; ``None`` for every other policy.
-
-    :meth:`from_outcomes` lifts a scalar outcome list into a batch (the
-    default :meth:`CachePolicy.batch_access` fallback uses it).
     """
 
     __slots__ = (
@@ -173,37 +95,6 @@ class AccessOutcomeBatch:
     def eviction_count(self) -> int:
         """Total pages evicted across the batch."""
         return len(self.evicted_pages)
-
-    @classmethod
-    def from_outcomes(cls, outcomes: Sequence[AccessOutcome]) -> "AccessOutcomeBatch":
-        """Lift a scalar outcome list into a batch."""
-        n = len(outcomes)
-        hit = _np.fromiter((outcome.hit for outcome in outcomes), _np.bool_, n)
-        admitted = _np.fromiter(
-            (outcome.admitted for outcome in outcomes), _np.bool_, n
-        )
-        bypassed = _np.fromiter(
-            (outcome.bypassed for outcome in outcomes), _np.bool_, n
-        )
-        offsets = _np.zeros(n + 1, _np.int64)
-        _np.cumsum(
-            _np.fromiter((len(outcome.evicted) for outcome in outcomes), _np.int64, n),
-            out=offsets[1:],
-        )
-        total = int(offsets[-1])
-        if total:
-            pages = _np.fromiter(
-                (
-                    page
-                    for outcome in outcomes
-                    for page in outcome.evicted
-                ),
-                _np.int64,
-                total,
-            )
-        else:
-            pages = _np.zeros(0, _np.int64)
-        return cls(hit, admitted, bypassed, pages, offsets)
 
 
 @dataclass
@@ -257,12 +148,12 @@ class CachePolicy(abc.ABC):
 
     Subclasses implement the **policy kernel contract**:
 
-    * :meth:`access` processes one request, mutates only replacement state,
-      and reports everything it did as an :class:`AccessOutcome` — it must
-      never count anything itself;
+    * :meth:`batch_access` replays one chunk, mutates only replacement
+      state, and reports everything it did as an
+      :class:`AccessOutcomeBatch` — it must never count anything itself;
     * the number of cached pages stays at or below ``capacity`` after every
-      access;
-    * the evicted pages reported in outcomes are exactly the pages that left
+      request;
+    * the evicted pages reported in batches are exactly the pages that left
       the cache, so ``admissions - evictions == len(policy)`` holds at all
       times (one admission per residency);
     * a policy is built for one replay and then dropped, and every piece of
@@ -296,7 +187,7 @@ class CachePolicy(abc.ABC):
         """Give offline policies (OPT) the full request stream in advance.
 
         Online policies ignore this.  The simulator calls it once before the
-        first :meth:`access` when the policy declares ``offline = True``.
+        first :meth:`batch_access` when the policy declares ``offline = True``.
         The engine passes the columnar stream it replays
         (``iter_columnar()``); called directly, *requests* may be any
         request source.  The replay numbers the stream's requests from 0,
@@ -304,39 +195,25 @@ class CachePolicy(abc.ABC):
         """
 
     @abc.abstractmethod
-    def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        """Process one request; return what happened as an outcome event.
-
-        ``seq`` is the server-assigned sequence number (0-based position of
-        the request in the stream).  Implementations mutate only their
-        replacement state and report every admission, bypass and eviction in
-        the returned :class:`AccessOutcome`; all statistics are derived from
-        outcome batches by the replay observers.
-        """
-
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
-        """Process one columnar chunk of requests; return batched outcomes.
+        """Replay one columnar chunk; return what happened to each request.
 
-        **Batch kernel contract**: the returned batch must be
-        outcome-for-outcome identical to calling :meth:`access` on each of
-        the chunk's requests in order (with the chunk's own sequence
-        numbers), and must leave the policy in the identical state.  The
-        default implementation *is* that scalar loop — it materialises the
-        chunk's requests and folds the outcomes — so overriding is purely a
-        performance fast path, never a semantic one.  Every override must be
-        covered by the scalar==batch equivalence suite
-        (``tests/cache/test_batch_parity.py``); lintkit's
-        ``batch-kernel-parity`` rule enforces this.
+        The chunk's requests are processed in order, each with its own
+        sequence number (``chunk.seq``: the 0-based position of the request
+        in the stream).  Implementations mutate only their replacement
+        state and report every admission, bypass and eviction in the
+        returned batch; all statistics are derived from the batches by the
+        replay observers.  The chunk is shared by every policy of a replay
+        pass, so it is never written to.
 
-        The replay engine calls only this method, so a subclass that
-        overrides :meth:`access` of a policy with a fused kernel must
-        override this one too, or set ``batch_access =
-        CachePolicy.batch_access`` to route every request through its
-        :meth:`access`.
+        Outcomes and final state depend only on the request stream, never on
+        where it is cut into chunks: one chunk of the whole stream and one
+        chunk per request replay identically.  The scalar==batch
+        equivalence suite (``tests/cache/test_batch_parity.py``) holds
+        every implementation to a per-request reference over random chunk
+        splits; lintkit's ``batch-kernel-parity`` rule enforces that every
+        implementation is covered there.
         """
-        requests = chunk.requests()
-        outcomes = list(map(self.access, requests, chunk.seq_list()))
-        return AccessOutcomeBatch.from_outcomes(outcomes)
 
     @abc.abstractmethod
     def contains(self, page: int) -> bool:

@@ -28,5 +28,4 @@ class LRUPolicy(KernelPolicy):
 
     # The kernel reads only the page column.  Bound here so that
     # instrumentation wrapping a class's own methods times LRU by itself.
-    access = KernelPolicy.access
     batch_access = KernelPolicy.batch_access

@@ -27,11 +27,9 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as _np
 
-from repro.cache.base import AccessOutcome
 from repro.core.kernel import KernelPolicy
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
-    from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = ["NEVER", "OPTPolicy", "ReadIndex"]
@@ -158,22 +156,11 @@ class OPTPolicy(KernelPolicy):
         self._index = index
         self._next_read = _np.ascontiguousarray(index.next_read, _np.int64)
 
-    def _lookup(self, chunk: "ColumnarChunk | None") -> Any:
+    def _lookup(self, chunk: "ColumnarChunk") -> Any:
         """The next read of each sequence number: the adopted index."""
         if self._next_read is None:
-            raise RuntimeError("OPTPolicy.access called before prepare()")
+            raise RuntimeError("OPTPolicy.batch_access called before prepare()")
         return self._next_read
-
-    # --------------------------------------------------------------- access
-    def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        # A page never read again is dropped on its hit or bypassed on its
-        # miss; otherwise a full cache evicts the page read farthest in the
-        # future, unless the requested page is read even later (bypass).
-        # The one-request columns hold the request's next read as a
-        # one-entry lookup column, read at their seq, which stays 0.
-        self._one[3] = self._lookup(None).item(seq)
-        self._one[0] = request.page
-        return self._replay_one()
 
     # Bound here so that instrumentation wrapping a class's own methods
     # times OPT by itself.

@@ -38,12 +38,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.cache.base import AccessOutcome
 from repro.core.kernel import KernelPolicy
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.core.hints import HintSet
-    from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = ["TQPolicy", "DEFAULT_REQUEST_TYPE_HINT", "DEFAULT_REPLACEMENT_VALUES", "DEFAULT_RECOVERY_VALUES"]
@@ -93,15 +91,6 @@ class TQPolicy(KernelPolicy):
         if value in self._recovery_values:
             return _RECOVERY
         return _OTHER
-
-    def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        one = self._one
-        one[0] = request.page
-        one[2] = seq
-        self._one_flags[0] = request.is_write
-        if request.is_write:
-            one[3] = self._write_class(request.hints)
-        return self._replay_one()
 
     # Bound here so that instrumentation wrapping a class's own methods
     # times TQ by itself.

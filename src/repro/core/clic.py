@@ -27,7 +27,7 @@ constant-expected-time structures the paper describes, the window
 statistics and the window close.  Python interns each hint-set key to the
 dense hint id the kernel indexes by, once per hint table, and reads the
 learned priorities back for inspection.  ``batch_access`` is one kernel
-call per chunk, and ``access()`` its one-request case.
+call per chunk.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.cache.base import AccessOutcome
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
 from repro.core.kernel import KernelPolicy, address
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
-    from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = ["CLICPolicy"]
@@ -112,16 +110,7 @@ class CLICPolicy(KernelPolicy):
                 raise MemoryError(f"cannot allocate CLIC state for {hints} hint sets")
             self._room = hints
 
-    # --------------------------------------------------------------- access
-    def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        one = self._one
-        one[0] = request.page
-        one[2] = seq
-        one[3] = self._hint_id(request.hints)
-        self._reserve()
-        self._one_flags[0] = request.is_write
-        return self._replay_one()
-
+    # --------------------------------------------------------------- replay
     # Bound here so that instrumentation wrapping a class's own methods
     # times CLIC by itself.
     batch_access = KernelPolicy.batch_access

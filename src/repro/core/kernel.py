@@ -18,7 +18,7 @@ fallback.
 
 :class:`KernelPolicy` is the Python side every compiled policy shares: the
 instance's kernel handle, freed with the instance, the inspection accessors,
-and one kernel call per chunk (``access()`` is the one-request case).
+and one kernel call per chunk.
 :func:`replay` hands a chunk's columns to that call, on one handle or on
 every shard handle of a sharded cluster.
 """
@@ -39,18 +39,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.cache.base import (
-    HIT,
-    MISS_ADMIT,
-    MISS_BYPASS,
-    AccessOutcome,
-    AccessOutcomeBatch,
-    CachePolicy,
-)
+from repro.cache.base import AccessOutcomeBatch, CachePolicy
 
 if TYPE_CHECKING:  # imported for type annotations only (avoids an import cycle)
     from repro.core.hints import HintSet
-    from repro.simulation.request import IORequest
     from repro.trace.columnar import ColumnarChunk
 
 __all__ = [
@@ -263,12 +255,7 @@ class KernelPolicy(CachePolicy, abc.ABC):
 
     :meth:`batch_access` is one kernel call per chunk (:func:`replay`),
     over the chunk columns the kernel reads and the instance's lookup
-    column (:meth:`_lookup`).  ``access()`` is its one-request case: it
-    writes the request into the instance's one-request columns
-    (:attr:`_one`, laid out as page, hint index 0, seq, the request's
-    lookup entry, the two eviction offsets and the evicted page;
-    :attr:`_one_flags` as write, hit, admitted, bypassed) and decodes the
-    outcome.  A kernel that reads more than the page overrides it.
+    column (:meth:`_lookup`).
     """
 
     #: The kernel's name in the library.
@@ -290,22 +277,10 @@ class KernelPolicy(CachePolicy, abc.ABC):
             )
         self._handle: int = handle
         weakref.finalize(self, getattr(library, f"{self.kernel}_free"), handle)
-        self._kernel_replay = getattr(library, f"{self.kernel}_replay")
         self._kernel_len = getattr(library, f"{self.kernel}_len")
         self._kernel_contains = getattr(library, f"{self.kernel}_contains")
         self._kernel_pages = getattr(library, f"{self.kernel}_pages")
-        self._call = partial(self._kernel_replay, handle)
-        self._one = np.zeros(7, np.int64)
-        self._one_flags = np.zeros(4, np.uint8)
-        one, flags = address(self._one), address(self._one_flags)
-        self._one_columns = columns(
-            1, flags + 1, one + 32, one, flags, one + 8, one + 16, one + 24
-        )
-        self._one_address = address(self._one_columns)
-        # The one-request replay's arguments, converted once.
-        self._one_args = (
-            ctypes.c_void_p(handle), ctypes.c_int64(1), ctypes.c_void_p(self._one_address)
-        )
+        self._call = partial(getattr(library, f"{self.kernel}_replay"), handle)
         # The hint table of the last hinted chunk and its lookup column.
         self._table: tuple[HintSet, ...] | None = None
         self._table_column = np.zeros(0, np.int64)
@@ -315,10 +290,6 @@ class KernelPolicy(CachePolicy, abc.ABC):
         raise TypeError(f"{type(self).__name__} holds C state; it cannot be copied or pickled")
 
     # ---------------------------------------------------------------- replay
-    def access(self, request: "IORequest", seq: int) -> AccessOutcome:
-        self._one[0] = request.page
-        return self._replay_one()
-
     def batch_access(self, chunk: "ColumnarChunk") -> AccessOutcomeBatch:
         return replay(self._call, chunk, self.lookup_key, (self._lookup(chunk),))
 
@@ -335,23 +306,6 @@ class KernelPolicy(CachePolicy, abc.ABC):
             self._table_column = np.array([entry(hints) for hints in table], np.int64)
             self._table = table
         return self._table_column
-
-    def _replay_one(self) -> AccessOutcome:
-        """Replay the request in the one-request columns."""
-        self._kernel_replay(*self._one_args)
-        return self._one_outcome()
-
-    def _one_outcome(self) -> AccessOutcome:
-        """The outcome the one-request columns hold."""
-        _, hit, admitted, bypassed = self._one_flags.tolist()
-        if self._one.item(5):
-            return AccessOutcome(
-                bool(hit), admitted=bool(admitted), bypassed=bool(bypassed),
-                evicted=(self._one.item(6),),
-            )
-        if hit:
-            return HIT
-        return MISS_ADMIT if admitted else MISS_BYPASS
 
     # ------------------------------------------------------------ inspection
     def contains(self, page: int) -> bool:

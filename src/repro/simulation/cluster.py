@@ -6,8 +6,8 @@ The paper evaluates one storage server shared by several DBMS clients
 module models that fleet as a single composite policy:
 
 * :class:`ShardedCache` implements the :class:`~repro.cache.base.CachePolicy`
-  interface by routing each request to one of S independent per-shard policy
-  instances, so a cluster composes transparently with the existing engine
+  interface by routing each request to one of S independent per-shard kernel
+  policy instances, so a cluster composes transparently with the existing engine
   (:class:`~repro.simulation.engine.MultiPolicySimulator`), the sweep
   drivers, and ``jobs=`` parallelism — a cluster is just another policy.
 * Routers (:class:`HashRouter`, :class:`ClientAffinityRouter`) decide
@@ -39,18 +39,15 @@ import abc
 import copy
 import inspect
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, TypeGuard
+from typing import Any, Iterator, Mapping, TypeGuard
 
 import numpy as _np
 
-from repro.cache.base import AccessOutcome, AccessOutcomeBatch, CachePolicy
+from repro.cache.base import AccessOutcomeBatch, CachePolicy
 from repro.cache.opt import OPTPolicy, ReadIndex
 from repro.core.kernel import KernelPolicy, address, load, replay
 from repro.simulation.multiclient import partition_capacity
 from repro.trace.columnar import ColumnarChunk
-
-if TYPE_CHECKING:  # imported for type annotations only
-    from repro.simulation.request import IORequest
 
 __all__ = [
     "ShardRouter",
@@ -199,17 +196,17 @@ class ShardedCache(CachePolicy):
 
     Each request is routed to exactly one shard, which processes it with the
     request's original (global) sequence number; the other shards never see
-    it.  The facade returns the routed shard's :class:`AccessOutcome`
-    unchanged, so one outcome stream describes the whole cluster; the
-    per-shard breakdown surfaced as ``per_shard`` on results is rebuilt by
-    the replay loop's shard observer (:class:`~repro.simulation.observers
+    it.  The facade reports the routed shard's outcome unchanged, so one
+    outcome stream describes the whole cluster; the per-shard breakdown
+    surfaced as ``per_shard`` on results is rebuilt by the replay loop's
+    shard observer (:class:`~repro.simulation.observers
     .ShardStatsObserver`) from the shard ids each batch carries.
 
-    Shards of a compiled policy (a :class:`~repro.core.kernel.KernelPolicy`
-    whose ``batch_access`` is its kernel's) replay a chunk in one
-    ``<kernel>_cluster`` call, which steps each request on its shard's
-    handle; any other shard policy replays the chunk request by request
-    through each request's shard's ``access()``.
+    Shards are compiled policies (a :class:`~repro.core.kernel.KernelPolicy`
+    whose ``batch_access`` is its kernel's), and the cluster replays a
+    chunk in one ``<kernel>_cluster`` call, which steps each request on its
+    shard's handle.  Any other shard policy raises ``TypeError`` when the
+    cluster is built.
 
     The total ``capacity`` is split across shards with
     :func:`~repro.simulation.multiclient.partition_capacity` (any remainder
@@ -237,28 +234,28 @@ class ShardedCache(CachePolicy):
         shards = _validate_shards(shards)
         self._router = make_router(router, shards)
         kwargs = dict(policy_kwargs or {})
-        self._shards: list[CachePolicy] = [
-            create_policy(policy, capacity=size, **kwargs)
-            for size in partition_capacity(capacity, shards)
-        ]
-        self.name = f"{self._shards[0].name}x{shards}[{self._router.name}]"
-        # Kernel shards replay a chunk in one call of their kernel's cluster
-        # entry point over the shard handles; None when the shard policy
-        # has no kernel, or batches through a Python override of it (such
-        # as ``batch_access = CachePolicy.batch_access``, which a subclass
-        # overriding ``access`` sets).  ``unwrap`` sees through decorators.
-        kernels = [
-            shard
-            for shard in self._shards
-            if isinstance(shard, KernelPolicy)
-            and inspect.unwrap(type(shard).batch_access) is KernelPolicy.batch_access
-        ]
-        self._kernels = kernels if len(kernels) == shards else None
-        if self._kernels is not None:
-            self._handles = _np.array([shard._handle for shard in kernels], _np.int64)
-            self._kernel_call = partial(
-                getattr(kernels[0]._lib, f"{kernels[0].kernel}_cluster"), address(self._handles)
-            )
+        # The shards replay a chunk in one call of their kernel's cluster
+        # entry point over the shard handles, so each must batch through
+        # that kernel, not a Python override of it.  ``unwrap`` sees
+        # through decorators.
+        self._shards: list[KernelPolicy] = []
+        for size in partition_capacity(capacity, shards):
+            shard = create_policy(policy, capacity=size, **kwargs)
+            if not (
+                isinstance(shard, KernelPolicy)
+                and inspect.unwrap(type(shard).batch_access) is KernelPolicy.batch_access
+            ):
+                raise TypeError(
+                    f"shard policy {policy!r} ({type(shard).__name__}) does not replay "
+                    "through its policy kernel; a sharded cluster needs compiled shards"
+                )
+            self._shards.append(shard)
+        kernel = self._shards[0]
+        self.name = f"{kernel.name}x{shards}[{self._router.name}]"
+        self._handles = _np.array([shard._handle for shard in self._shards], _np.int64)
+        self._kernel_call = partial(
+            getattr(kernel._lib, f"{kernel.kernel}_cluster"), address(self._handles)
+        )
 
     # ------------------------------------------------------------------ API
     @property
@@ -266,7 +263,7 @@ class ShardedCache(CachePolicy):
         return self._router
 
     @property
-    def shards(self) -> list[CachePolicy]:
+    def shards(self) -> list[KernelPolicy]:
         """The per-shard policy instances, in shard order."""
         return list(self._shards)
 
@@ -285,38 +282,22 @@ class ShardedCache(CachePolicy):
         shard that looks it up."""
         return self._router.page_keyed
 
-    def access(self, request: IORequest, seq: int) -> AccessOutcome:
-        routed = self._route(ColumnarChunk.from_requests((request,), seq))
-        return self._shards[int(routed[0])].access(request, seq)
-
     def batch_access(self, chunk: ColumnarChunk) -> AccessOutcomeBatch:
-        """Route the whole chunk, then replay it in request order, each
-        request on its shard with its original (global) sequence number:
-        exactly the sub-stream ``access()`` would feed each shard.
+        """Route the whole chunk, then replay it in one ``<kernel>_cluster``
+        call: in request order, each request on its shard with its original
+        (global) sequence number, so each shard sees exactly its own
+        sub-stream.
 
-        Kernel shards replay the chunk in one ``<kernel>_cluster`` call,
-        which writes the flags and CSR evictions in request order, each
+        The call writes the flags and CSR evictions in request order, each
         shard reading its own lookup column (CLIC's hint ids, TQ's write
-        classes, OPT's next reads).  Other shards replay it request by
-        request through their ``access()``.  The batch carries the shard
-        ids as its ``shard`` column, which the cluster's observers read
-        instead of routing the chunk again.
+        classes, OPT's next reads).  The batch carries the shard ids as its
+        ``shard`` column, which the cluster's observers read instead of
+        routing the chunk again.
         """
         shard_ids = self._route(chunk)
-        kernels = self._kernels
-        if kernels is None:
-            shards = self._shards
-            outcomes = [
-                shards[shard].access(request, seq)
-                for request, seq, shard in zip(
-                    chunk.requests(), chunk.seq_list(), shard_ids.tolist()
-                )
-            ]
-            batch = AccessOutcomeBatch.from_outcomes(outcomes)
-            batch.shard = shard_ids
-            return batch
-        lookups = [shard._lookup(chunk) for shard in kernels]
-        return replay(self._kernel_call, chunk, kernels[0].lookup_key, lookups, shard_ids)
+        shards = self._shards
+        lookups = [shard._lookup(chunk) for shard in shards]
+        return replay(self._kernel_call, chunk, shards[0].lookup_key, lookups, shard_ids)
 
     def _route(self, chunk: ColumnarChunk) -> Any:
         """The router's int64 shard column for *chunk*, checked: the kernel

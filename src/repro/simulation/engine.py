@@ -558,28 +558,19 @@ def _ensure_streams(streams: Iterable[RequestSource | None]) -> None:
 
     Wide sweeps hand the runner one equal :class:`~repro.trace.cache
     .TraceSpec` per cell; ensuring each would re-stat (and on a cold cache,
-    race to re-generate) the same trace once per cell.  Hashable sources
-    dedup by equality — matching :func:`_stream_group_key`, so exactly the
-    streams that will fold into one replay pass share one ``ensure()`` —
-    and unhashable ones by identity.
+    race to re-generate) the same trace once per cell.  Streams are told
+    apart by :func:`_stream_group_key`, so exactly the streams that will
+    fold into one replay pass share one ``ensure()``.
     """
     seen: set[object] = set()
-    seen_ids: set[int] = set()
     for stream in streams:
-        if stream is None:
-            continue
         ensure = getattr(stream, "ensure", None)
         if not callable(ensure):
             continue
-        try:
-            if stream in seen:
-                continue
-            seen.add(stream)
-        except TypeError:
-            if id(stream) in seen_ids:
-                continue
-            seen_ids.add(id(stream))
-        ensure()
+        key = _stream_group_key(stream)
+        if key not in seen:
+            seen.add(key)
+            ensure()
 
 
 def _run_cell_batch(payload: bytes) -> list[list[SimulationResult]]:

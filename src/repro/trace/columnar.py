@@ -76,7 +76,6 @@ class ColumnarChunk:
         "hint_sets",
         "clients",
         "_requests",
-        "_seq_list",
     )
 
     def __init__(
@@ -97,7 +96,6 @@ class ColumnarChunk:
         self.hint_sets = hint_sets
         self.clients = clients
         self._requests: list[IORequest] | None = None
-        self._seq_list: list[int] | None = None
 
     # ------------------------------------------------------------- properties
     def __len__(self) -> int:
@@ -171,9 +169,9 @@ class ColumnarChunk:
         """Materialise the equivalent request list (memoised).
 
         The list is identical — field for field — to what the scalar
-        decoder produces for the same records, so every scalar consumer
-        (the default ``batch_access`` and ``on_batch``, seek-aware pricing)
-        sees exactly the requests the trace holds.
+        decoder produces for the same records, so every consumer of request
+        objects (``StreamedTrace.iter_chunks``) sees exactly the requests
+        the trace holds.
         """
         if self._requests is None:
             read_kind = RequestKind.READ
@@ -195,17 +193,6 @@ class ColumnarChunk:
                 )
             ]
         return self._requests
-
-    def seq_list(self) -> list[int]:
-        """The seq column as a Python list (memoised).
-
-        The scalar-lifting default ``batch_access`` zips this with
-        :meth:`requests`; memoising it at the chunk means N fallback
-        policies sharing one chunk convert the column once, not N times.
-        """
-        if self._seq_list is None:
-            self._seq_list = self.seq.tolist()
-        return self._seq_list
 
     # ------------------------------------------------------------- accounting
     def present_clients(self) -> list[tuple[str, Array]]:

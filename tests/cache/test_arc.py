@@ -16,7 +16,8 @@ from repro.cache.lru import LRUPolicy
 from repro.simulation.simulator import CacheSimulator
 
 from tests import policy_reference
-from tests.conftest import rd
+from tests.conftest import chunked, rd
+from tests.observer_reference import step
 
 ReferenceARC = policy_reference.ARCPolicy
 
@@ -33,14 +34,15 @@ def classes(request):
 class TestARCBasics:
     def test_hit_and_miss(self, classes):
         arc = classes[0](4)
-        assert not arc.access(rd(1), 0).hit
-        assert arc.access(rd(1), 1).hit
+        assert not step(arc, rd(1), 0).hit
+        assert step(arc, rd(1), 1).hit
 
     def test_capacity_never_exceeded(self, classes):
         arc = classes[0](8)
         rng = random.Random(5)
-        for seq in range(2000):
-            arc.access(rd(rng.randrange(64)), seq)
+        requests = [rd(rng.randrange(64)) for _ in range(2000)]
+        for chunk in chunked(requests, [1, 2, 3, 5, 8, 13]):
+            arc.batch_access(chunk)
             assert len(arc) <= 8
 
     def test_repeated_access_promotes_to_frequency_list(self):

@@ -4,19 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.base import (
+from repro.cache.base import CachePolicy, CacheStats, validate_capacity
+from repro.cache.lru import LRUPolicy
+from repro.trace.columnar import ColumnarChunk
+
+from tests.conftest import rd, wr
+from tests.observer_reference import (
     HIT,
     MISS_ADMIT,
     MISS_BYPASS,
     AccessOutcome,
-    CachePolicy,
-    CacheStats,
-    validate_capacity,
+    record,
+    record_outcome,
 )
-from repro.cache.lru import LRUPolicy
-
-from tests.conftest import rd, wr
-from tests.observer_reference import record, record_outcome
 
 
 class TestAccessOutcome:
@@ -114,10 +114,24 @@ class TestCachePolicyBase:
 
     def test_check_invariant_passes_for_valid_policy(self):
         policy = LRUPolicy(2)
-        for seq, page in enumerate([1, 2, 3, 4]):
-            policy.access(rd(page), seq)
+        policy.batch_access(ColumnarChunk.from_requests([rd(page) for page in [1, 2, 3, 4]]))
         policy._check_invariant()
 
     def test_abstract_base_cannot_be_instantiated(self):
         with pytest.raises(TypeError):
             CachePolicy(4)  # type: ignore[abstract]
+
+    def test_batch_access_is_the_one_replay_method(self):
+        """A policy replays only through ``batch_access``, which has no
+        default: a subclass without it cannot be built."""
+        assert CachePolicy.__abstractmethods__ == {"batch_access", "contains", "__len__"}
+
+        class NoReplay(CachePolicy):
+            def contains(self, page):
+                return False
+
+            def __len__(self):
+                return 0
+
+        with pytest.raises(TypeError, match="batch_access"):
+            NoReplay(4)

@@ -2,20 +2,18 @@
 
 The batch kernel contract (:meth:`repro.cache.base.CachePolicy
 .batch_access`) says a batch call must be outcome-for-outcome identical to
-the scalar ``access()`` loop over the same requests — and must leave the
-policy in the identical state.  This suite derives its policy list from the
-registry (:func:`repro.cache.registry.available_policies`), so every
-registered policy — each has a fused batch kernel (LRU, ARC, CLIC, TQ, OPT
-and the sharded cluster) — is held to the contract over random request
-streams and random chunk splits.  The default materialising fallback that
-a policy without a kernel runs is pinned below and by the engine oracle.
-lintkit's ``batch-kernel-parity`` rule enforces that any policy overriding
+the per-request definition of the policy over the same requests — and must
+leave the policy in the identical state.  This suite derives its policy list
+from the registry (:func:`repro.cache.registry.available_policies`), so
+every registered policy — each has a fused batch kernel (LRU, ARC, CLIC,
+TQ, OPT and the sharded cluster) — is held to the contract over random
+request streams and random chunk splits.  lintkit's
+``batch-kernel-parity`` rule enforces that any policy overriding
 ``batch_access`` stays covered here.
 
-Every paper policy's batch kernel is C code, and its own ``access()`` is
-the one-request case of the same call; so wherever a case builds one, alone
-or as cluster shards, the scalar side replays its pure-Python reference
-(``tests/policy_reference.py``) instead.
+Every paper policy's batch kernel is C code, so the scalar side replays its
+pure-Python reference (``tests/policy_reference.py``) one request at a
+time, and a cluster's replays the reference cluster over reference shards.
 
 The engine-level half of the contract — the replay produces the same
 results at any job count — is pinned by the sweep test at the bottom; that
@@ -34,16 +32,12 @@ from repro.cache.base import AccessOutcomeBatch, CachePolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.config import CLICConfig
 from repro.simulation.engine import ParallelSweepRunner, PolicySpec, SweepCell
-from repro.trace.columnar import ColumnarChunk
 
 from repro.core.hints import EMPTY_HINT_SET
 from repro.simulation.request import IORequest
 
 from tests.conftest import chunked
 from tests.observer_reference import decode_outcomes, reference_route
-from tests.policy_reference import ARCPolicy as ReferenceARC
-from tests.policy_reference import LRUPolicy as ReferenceLRU
-from tests.policy_reference import TQPolicy as ReferenceTQ
 from tests.policy_reference import reference_case, registered
 from tests.strategies import hint_sets, io_requests, request_streams
 
@@ -172,30 +166,6 @@ def test_batch_access_matches_scalar(name, kwargs, stream, sizes):
     _assert_batch_matches_scalar(name, kwargs, stream, sizes)
 
 
-#: Clusters whose shard policy has no kernel: the references, registered
-#: by :func:`_references`.
-_KERNEL_LESS_SHARDED = [
-    ("SHARDED[kernel-less LRU,hash]", {"policy": "LRU-REFERENCE", "shards": 3, "router": "hash"}),
-    ("SHARDED[kernel-less TQ,client]", {"policy": "TQ-REFERENCE", "shards": 2, "router": "client"}),
-]
-
-
-@pytest.mark.parametrize(
-    "kwargs", [v[1] for v in _KERNEL_LESS_SHARDED], ids=[v[0] for v in _KERNEL_LESS_SHARDED]
-)
-@given(stream=STREAMS, sizes=CHUNK_SIZES)
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_kernel_less_shards_match_scalar(kwargs, stream, sizes):
-    """A cluster of shards without a kernel replays each chunk request by
-    request through each request's shard's ``access()``: exactly the
-    sub-stream the scalar loop feeds that shard."""
-    _assert_batch_matches_scalar("SHARDED", kwargs, stream, sizes)
-
-
 @pytest.mark.parametrize("kwargs", [v[1] for v in _TQ_VARIANTS], ids=[v[0] for v in _TQ_VARIANTS])
 @given(stream=TQ_STREAMS, sizes=CHUNK_SIZES)
 @settings(
@@ -256,7 +226,7 @@ def test_batch_columns_match_scalar_outcomes(kwargs, stream, sizes):
         assert batch.shard.dtype == np.int64 and len(batch.shard) == len(chunk)
         offsets = batch.evicted_offsets.tolist()
         assert offsets[0] == 0 and offsets[-1] == batch.eviction_count
-        for i, (request, seq) in enumerate(zip(chunk.requests(), chunk.seq_list())):
+        for i, (request, seq) in enumerate(zip(chunk.requests(), chunk.seq.tolist())):
             shard = route(request)
             assert batch.shard[i] == shard
             outcome = shards[shard].access(request, seq)
@@ -265,52 +235,6 @@ def test_batch_columns_match_scalar_outcomes(kwargs, stream, sizes):
             assert bool(batch.bypassed[i]) == outcome.bypassed
             evicted = batch.evicted_pages[offsets[i] : offsets[i + 1]]
             assert tuple(evicted.tolist()) == outcome.evicted
-
-
-def test_default_batch_access_materialises_chunk_once(monkeypatch):
-    """The scalar-lifting fallback shares one materialisation per chunk.
-
-    Regression: the default ``batch_access`` used to convert the seq column
-    itself (``chunk.seq.tolist()``), so N fallback policies replaying one
-    chunk paid N conversions.  Both the request list and the seq list are
-    now memoised at the chunk — replaying the same decoded chunk through
-    several fallback policies must construct each request object exactly
-    once, ever.
-    """
-    import repro.trace.columnar as columnar_mod
-    from repro.core.hints import HintSet
-    from repro.simulation.request import IORequest, RequestKind
-
-    stream = [
-        IORequest(
-            page=i % 7,
-            kind=RequestKind.READ if i % 3 else RequestKind.WRITE,
-            hints=HintSet(client_id="a", names=("kind",), values=(i % 2,)),
-        )
-        for i in range(40)
-    ]
-    chunk = ColumnarChunk.from_requests(stream, start_seq=0)
-    # from_requests pre-memoises the objects; null the memos so the chunk
-    # looks freshly array-decoded (the iter_columnar case).
-    chunk._requests = None
-    chunk._seq_list = None
-
-    constructed = 0
-
-    def counting_request(*args, **kwargs):
-        nonlocal constructed
-        constructed += 1
-        return IORequest(*args, **kwargs)
-
-    monkeypatch.setattr(columnar_mod, "IORequest", counting_request)
-
-    for reference_class in (ReferenceLRU, ReferenceARC, ReferenceTQ):
-        batch = reference_class(CAPACITY).batch_access(chunk)
-        assert len(batch) == len(chunk)
-
-    assert constructed == len(chunk)
-    assert chunk.requests() is chunk.requests()
-    assert chunk.seq_list() is chunk.seq_list()
 
 
 @pytest.mark.slow

@@ -3,8 +3,8 @@
 Each kernel is held to its pure-Python reference (``tests/policy_reference.py``)
 on streams built to reach its corners: page ids that share a home slot in
 the kernel's page table (multiples of ``2**32``) and the extreme ids ``0``
-and ``2**63 - 1``, capacities 1-4, replayed in random chunk splits and one
-request at a time.  Each kernel's own corner is forced by a stream prefix:
+and ``2**63 - 1``, capacities 1-4, replayed in random chunk splits and in
+one-request chunks.  Each kernel's own corner is forced by a stream prefix:
 ARC's directory fills (T1, T2, B1 and B2 hold 2c pages), TQ demotes and
 caches recovery writes under short lifetimes, and OPT's heap compacts.
 
@@ -26,7 +26,7 @@ from repro.simulation.request import IORequest, RequestKind
 
 from tests import policy_reference
 from tests.conftest import chunked
-from tests.observer_reference import decode_outcomes
+from tests.observer_reference import decode_outcomes, step
 
 #: Page ids whose low 32 bits are equal share one home slot in a kernel's
 #: table, so these build long probe runs and delete from their middle.
@@ -59,19 +59,17 @@ def streams(draw, hints=(EMPTY_HINT_SET,), min_size=60, max_size=200):
 
 def _assert_kernel_matches(name, kwargs, stream, sizes, reference, expected):
     """The kernel replays *stream* to the reference's *expected* outcomes and
-    state, in *sizes* chunks and one request at a time."""
-    for one_by_one in (False, True):
+    state, in *sizes* chunks and in one-request chunks (the kernel's
+    ``n == 1`` replay)."""
+    for split in (sizes, [1]):
         policy = create_policy(name, capacity=reference.capacity, **kwargs)
         if policy.offline:
             policy.prepare(stream)
-        if one_by_one:
-            outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
-        else:
-            outcomes = [
-                outcome
-                for chunk in chunked(stream, sizes)
-                for outcome in decode_outcomes(policy.batch_access(chunk))
-            ]
+        outcomes = [
+            outcome
+            for chunk in chunked(stream, split)
+            for outcome in decode_outcomes(policy.batch_access(chunk))
+        ]
         assert outcomes == expected
         assert len(policy) == len(reference)
         assert sorted(policy.cached_pages()) == sorted(reference.cached_pages())
@@ -107,7 +105,7 @@ def test_arc_kernel_matches_reference_with_full_ghost_lists(stream, capacity, si
     _assert_kernel_matches("ARC", {}, stream, sizes, reference, expected)
     kernel = create_policy("ARC", capacity=capacity)
     for seq, request in enumerate(stream):
-        kernel.access(request, seq)
+        step(kernel, request, seq)
         assert kernel.target_t1_size == targets[seq]
 
 

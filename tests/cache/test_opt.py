@@ -18,8 +18,8 @@ from repro.simulation.simulator import CacheSimulator
 from repro.trace.columnar import ColumnarChunk, ColumnarSource
 
 from tests import policy_reference
-from tests.conftest import rd, wr
-from tests.observer_reference import decode_outcomes
+from tests.conftest import chunked, rd, wr
+from tests.observer_reference import decode_outcomes, step
 
 ReferenceOPT = policy_reference.OPTPolicy
 
@@ -41,7 +41,7 @@ class TestOPT:
         opt_class = classes[0]
         opt = opt_class(2)
         with pytest.raises(RuntimeError):
-            opt.access(rd(1), 0)
+            step(opt, rd(1), 0)
 
     def test_simple_belady_decision(self, classes):
         opt_class, lru_class, _ = classes
@@ -92,8 +92,8 @@ class TestOPT:
         requests = [rd(rng.randrange(100)) for _ in range(2000)]
         opt = opt_class(16)
         opt.prepare(requests)
-        for seq, request in enumerate(requests):
-            opt.access(request, seq)
+        for chunk in chunked(requests, [1, 2, 3, 5, 8, 13]):
+            opt.batch_access(chunk)
             assert len(opt) <= 16
 
     def test_shared_read_index_adoption(self, classes):
@@ -107,7 +107,7 @@ class TestOPT:
         for seq, request in enumerate(requests):
             # Full AccessOutcome equality: same hit *and* the same
             # admission/bypass/eviction event, request for request.
-            assert direct.access(request, seq) == adopted.access(request, seq)
+            assert step(direct, request, seq) == step(adopted, request, seq)
 
     def test_heap_stays_bounded_and_compaction_keeps_outcomes(self):
         """Regression: stale heap entries only left through _pop_farthest,

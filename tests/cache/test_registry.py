@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import registry
 from repro.cache.base import CachePolicy
 from repro.cache.lru import LRUPolicy
 from repro.cache.registry import (
@@ -12,6 +13,8 @@ from repro.cache.registry import (
     create_policy,
     register_policy,
 )
+from repro.core.kernel import KernelPolicy
+from repro.simulation.cluster import ShardedCache
 
 
 class TestRegistry:
@@ -36,10 +39,12 @@ class TestRegistry:
         policy = create_policy("TQ", capacity=4, cache_recovery_writes=True)
         assert policy._cache_recovery_writes is True
 
-    def test_register_custom_policy(self):
+    def test_register_custom_policy(self, monkeypatch):
         class AlwaysEmpty(LRUPolicy):
             name = "EMPTY-TEST"
 
+        # A private copy of the registry, so the policy leaves with the test.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
         register_policy("EMPTY-TEST", AlwaysEmpty, overwrite=True)
         assert isinstance(create_policy("EMPTY-TEST", capacity=2), AlwaysEmpty)
 
@@ -48,11 +53,13 @@ class TestRegistry:
             register_policy("LRU", LRUPolicy)
 
     def test_builtin_policies_have_batch_kernels(self):
-        """Every built-in policy overrides the scalar-lifting default
-        ``batch_access``: the replay runs each through its fused kernel."""
-        for name in (*PAPER_POLICIES, "SHARDED"):
+        """The replay runs every built-in policy through a fused kernel: a
+        paper policy through its C kernel's call, the cluster through its
+        shard kernels' cluster call."""
+        for name in PAPER_POLICIES:
             policy_class = type(create_policy(name, capacity=8))
-            assert policy_class.batch_access is not CachePolicy.batch_access, name
+            assert policy_class.batch_access is KernelPolicy.batch_access, name
+        assert type(create_policy("SHARDED", capacity=8)).batch_access is ShardedCache.batch_access
 
     def test_clic_created_with_default_config(self):
         policy = create_policy("CLIC", capacity=100)

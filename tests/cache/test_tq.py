@@ -16,6 +16,7 @@ from repro.simulation.request import IORequest
 
 from tests import policy_reference
 from tests.conftest import hint, rd, wr
+from tests.observer_reference import step
 
 ReferenceTQ = policy_reference.TQPolicy
 
@@ -48,7 +49,7 @@ class TestClassification:
 
     def test_recovery_write_is_bypassed(self, classes):
         tq = classes[0](4)
-        outcome = tq.access(wr(1, RECOVERY), 0)
+        outcome = step(tq, wr(1, RECOVERY), 0)
         assert not tq.contains(1)
         assert outcome.bypassed and not outcome.admitted
 
@@ -73,18 +74,18 @@ class TestClassification:
 class TestEvictionOrder:
     def test_low_queue_evicted_before_high_queue(self, classes):
         tq = classes[0](2)
-        tq.access(wr(1, REPLACEMENT), 0)   # high
-        tq.access(rd(2, READ), 1)          # low
-        tq.access(rd(3, READ), 2)          # evicts page 2 (low LRU), keeps page 1
+        step(tq, wr(1, REPLACEMENT), 0)   # high
+        step(tq, rd(2, READ), 1)          # low
+        step(tq, rd(3, READ), 2)          # evicts page 2 (low LRU), keeps page 1
         assert tq.contains(1)
         assert not tq.contains(2)
         assert tq.contains(3)
 
     def test_high_queue_evicted_when_low_is_empty(self, classes):
         tq = classes[0](2)
-        tq.access(wr(1, REPLACEMENT), 0)
-        tq.access(wr(2, REPLACEMENT), 1)
-        tq.access(wr(3, REPLACEMENT), 2)   # evicts page 1 (oldest in high)
+        step(tq, wr(1, REPLACEMENT), 0)
+        step(tq, wr(2, REPLACEMENT), 1)
+        step(tq, wr(3, REPLACEMENT), 2)   # evicts page 1 (oldest in high)
         assert not tq.contains(1)
         assert tq.contains(2) and tq.contains(3)
 
@@ -100,7 +101,7 @@ class TestEvictionOrder:
         for seq in range(60):
             page = seq % 9
             req = wr(page, REPLACEMENT) if seq % 2 else rd(page, READ)
-            tq.access(req, seq)
+            step(tq, req, seq)
             assert len(tq) <= 3
 
 

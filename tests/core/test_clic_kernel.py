@@ -104,10 +104,16 @@ def test_kernel_matches_reference_on_colliding_pages(
     assert sorted(batched.cached_pages()) == sorted(reference.cached_pages())
     assert all(batched.contains(page) == reference.contains(page) for page in PAGES)
 
-    scalar = CLICPolicy(capacity, config)
-    assert [scalar.access(request, seq) for seq, request in enumerate(stream)] == expected
-    assert len(scalar) == len(reference)
-    assert _bits(scalar.current_priorities()) == _bits(reference.current_priorities())
+    # One-request chunks: the kernel's n == 1 replay.
+    single = CLICPolicy(capacity, config)
+    outcomes = [
+        outcome
+        for chunk in chunked(stream, [1])
+        for outcome in decode_outcomes(single.batch_access(chunk))
+    ]
+    assert outcomes == expected
+    assert len(single) == len(reference)
+    assert _bits(single.current_priorities()) == _bits(reference.current_priorities())
 
 
 @pytest.fixture(scope="module")

@@ -30,16 +30,22 @@ from repro.cache.registry import create_policy
 from repro.core.config import CLICConfig
 from repro.core.hints import make_hint_set
 from repro.simulation.request import IORequest, RequestKind
+from repro.trace.columnar import ColumnarChunk
 hints = [make_hint_set("c", obj=i) for i in range(4)]
+requests = [
+    IORequest((seq * 7) % 23, RequestKind.READ, hints[seq % 4 if seq % 3 else 0])
+    for seq in range(400)
+]
 results = {}
 for name in ("CLIC", "LRU", "ARC", "TQ"):
     kwargs = {"config": CLICConfig(window_size=10, charge_metadata=False)} if name == "CLIC" else {}
     policy = create_policy(name, capacity=8, **kwargs)
-    outcomes = results[name] = []
-    for seq in range(400):
-        request = IORequest((seq * 7) % 23, RequestKind.READ, hints[seq % 4 if seq % 3 else 0])
-        outcome = policy.access(request, seq)
-        outcomes.append([outcome.hit, outcome.admitted, outcome.bypassed, list(outcome.evicted)])
+    batch = policy.batch_access(ColumnarChunk.from_requests(requests))
+    results[name] = [
+        column.tolist()
+        for column in (batch.hit, batch.admitted, batch.bypassed, batch.evicted_pages,
+                       batch.evicted_offsets)
+    ]
 print(json.dumps(results))
 """
 
@@ -62,7 +68,8 @@ def test_concurrent_builds_into_one_directory_replay_equal_outcomes(tmp_path):
         assert process.returncode == 0, stderr
     first, second = (json.loads(stdout) for stdout, _ in outputs)
     assert first == second
-    assert all(any(evicted for *_, evicted in outcomes) for outcomes in first.values())
+    # Every policy evicted a page.
+    assert all(evicted_pages for _, _, _, evicted_pages, _ in first.values())
     # One finished library, no half-written temporary left behind.
     assert [path.name for path in directory.iterdir()] == [kernel.build(directory).name]
 

@@ -1,18 +1,22 @@
-"""The scalar LRU, ARC, TQ and OPT policies: the references their C kernels are held to.
+"""The scalar LRU, ARC, TQ and OPT policies and the sharded cluster: the
+references their C kernels are held to.
 
 These are the pure-Python policies that ``repro.cache`` replaced with C
 kernels (``repro/core/_{lru,arc,tq,opt}_kernel.c``), one request at a time,
-unchanged in behaviour; ``tests/clic_reference.py`` holds CLIC's.  The
+unchanged in behaviour; ``tests/clic_reference.py`` holds CLIC's.  Each is a
+:class:`~tests.observer_reference.ScalarPolicy`: it defines ``access``,
+and its ``batch_access`` is the scalar lift over it.
+:class:`ReferenceCluster` is the per-request definition of
+:class:`~repro.simulation.cluster.ShardedCache` over these references.  The
 parity suite (``tests/cache/test_batch_parity.py``), the engine oracle
 (``tests/simulation/test_engine_oracle.py``) and the invariant suite's
 kernel-less cases (``tests/test_registry_invariants.py``) replay them beside
 the kernels and require identical outcomes and cached pages; tests that
 read a policy's internals (``_t1``, ``_high``, ``_heap``) read them here.
 
-:func:`registered` puts all five references in the policy registry under
-``<NAME>-REFERENCE``, so clusters can build reference shards by name, and
-:func:`reference_case` maps a registry case onto the one that replays the
-references.
+:func:`registered` puts all six references in the policy registry under
+``<NAME>-REFERENCE``, and :func:`reference_case` maps a registry case onto
+the one that replays the references.
 """
 
 from __future__ import annotations
@@ -20,40 +24,44 @@ from __future__ import annotations
 import contextlib
 import heapq
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 import pytest
 
 from repro.cache import registry
-from repro.cache.base import (
-    HIT,
-    MISS_ADMIT,
-    MISS_BYPASS,
-    AccessOutcome,
-    CachePolicy,
-)
 from repro.cache.opt import NEVER, ReadIndex
 from repro.cache.tq import (
     DEFAULT_RECOVERY_VALUES,
     DEFAULT_REPLACEMENT_VALUES,
     DEFAULT_REQUEST_TYPE_HINT,
 )
+from repro.simulation.cluster import ShardRouter, make_router
+from repro.simulation.multiclient import partition_capacity
 from repro.simulation.request import IORequest
 
 from tests import clic_reference
+from tests.observer_reference import (
+    HIT,
+    MISS_ADMIT,
+    MISS_BYPASS,
+    AccessOutcome,
+    ScalarPolicy,
+    reference_route,
+)
 
 __all__ = [
     "ARCPolicy",
     "LRUPolicy",
     "OPTPolicy",
     "REFERENCES",
+    "ReferenceCluster",
     "TQPolicy",
     "reference_case",
     "registered",
 ]
 
 
-class LRUPolicy(CachePolicy):
+class LRUPolicy(ScalarPolicy):
     """Classic LRU over all requests (reads and writes)."""
 
     name = "LRU"
@@ -85,7 +93,7 @@ class LRUPolicy(CachePolicy):
     def cached_pages(self) -> Iterable[int]:
         return iter(self._pages)
 
-class ARCPolicy(CachePolicy):
+class ARCPolicy(ScalarPolicy):
     """Adaptive Replacement Cache."""
 
     name = "ARC"
@@ -179,7 +187,7 @@ class ARCPolicy(CachePolicy):
         """Current value of the adaptation parameter ``p`` (for tests/inspection)."""
         return self._p
 
-class TQPolicy(CachePolicy):
+class TQPolicy(ScalarPolicy):
     """Two-queue, write-hint-aware replacement."""
 
     name = "TQ"
@@ -282,7 +290,7 @@ class TQPolicy(CachePolicy):
         yield from self._low
         yield from self._high
 
-class OPTPolicy(CachePolicy):
+class OPTPolicy(ScalarPolicy):
     """Belady's MIN with future knowledge of read references."""
 
     name = "OPT"
@@ -418,7 +426,7 @@ class OPTPolicy(CachePolicy):
 
 
 #: The reference of each compiled policy, by registry name.
-REFERENCES: dict[str, type[CachePolicy]] = {
+REFERENCES: dict[str, type[ScalarPolicy]] = {
     "LRU": LRUPolicy,
     "ARC": ARCPolicy,
     "TQ": TQPolicy,
@@ -427,11 +435,69 @@ REFERENCES: dict[str, type[CachePolicy]] = {
 }
 
 
+class ReferenceCluster(ScalarPolicy):
+    """:class:`~repro.simulation.cluster.ShardedCache`, one request at a time.
+
+    Takes the cluster's arguments.  Each request is routed by the
+    reference route of the cluster's router (:func:`~tests.observer_reference
+    .reference_route`) to one of the references of *policy*, whose
+    capacities split the total by :func:`~repro.simulation.multiclient
+    .partition_capacity`, and that shard's outcome is the cluster's.
+    Offline shards are indexed as :meth:`ShardedCache.prepare` indexes
+    them: the stream-wide index under a page-keyed router, each shard's
+    sub-stream otherwise.
+    """
+
+    def __init__(
+        self,
+        capacity: int,
+        policy: str = "LRU",
+        shards: int = 1,
+        router: str | ShardRouter = "hash",
+        policy_kwargs: Mapping[str, object] | None = None,
+    ):
+        super().__init__(capacity)
+        self.router = make_router(router, shards)
+        #: The shard of each request, fed in stream order (client routing
+        #: assigns shards in order of first appearance).
+        self.route = reference_route(self.router)
+        self.shards = [
+            REFERENCES[policy](size, **dict(policy_kwargs or {}))
+            for size in partition_capacity(capacity, shards)
+        ]
+        self.shard_count = shards
+        self.offline = self.shards[0].offline
+        self.name = f"{self.shards[0].name}x{shards}[{self.router.name}]"
+
+    def access(self, request: IORequest, seq: int) -> AccessOutcome:
+        return self.shards[self.route(request)].access(request, seq)
+
+    def prepare(self, requests: Any) -> None:
+        if self.router.page_keyed:
+            index = ReadIndex.build(requests)
+        else:
+            index = ReadIndex.build(requests, make_router(self.router.name, self.shard_count))
+        for shard in self.shards:
+            if shard.offline:
+                shard.adopt_read_index(index)
+
+    def contains(self, page: int) -> bool:
+        return any(shard.contains(page) for shard in self.shards)
+
+    def __len__(self) -> int:
+        return sum(len(shard) for shard in self.shards)
+
+    def cached_pages(self) -> Iterable[int]:
+        for shard in self.shards:
+            yield from shard.cached_pages()
+
+
 @contextlib.contextmanager
 def registered() -> Iterator[None]:
-    """Register every reference as ``<NAME>-REFERENCE`` while active."""
+    """Register every reference as ``<NAME>-REFERENCE`` while active, and
+    the reference cluster as ``SHARDED-REFERENCE``."""
     with pytest.MonkeyPatch.context() as patch:
-        for name, policy_class in REFERENCES.items():
+        for name, policy_class in {**REFERENCES, "SHARDED": ReferenceCluster}.items():
             patch.setitem(registry._REGISTRY, f"{name}-REFERENCE", policy_class)
         yield
 
@@ -440,8 +506,6 @@ def reference_case(name: str, kwargs: dict[str, Any]) -> tuple[str, dict[str, An
     """The registry case that replays the references wherever *name* and
     *kwargs* build a C kernel: a compiled policy itself, and clusters of
     its shards (both need :func:`registered`)."""
-    if name in REFERENCES:
+    if name in REFERENCES or name == "SHARDED":
         return f"{name}-REFERENCE", kwargs
-    if name == "SHARDED" and kwargs.get("policy") in REFERENCES:
-        return name, {**kwargs, "policy": f"{kwargs['policy']}-REFERENCE"}
     return name, kwargs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import pickle
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import registry
-from repro.cache.base import AccessOutcome, CachePolicy, CacheStats
+from repro.cache.base import AccessOutcomeBatch, CacheStats
 from repro.cache.lru import LRUPolicy
 from repro.cache.registry import available_policies, create_policy
 from repro.core.hints import make_hint_set
@@ -32,7 +33,7 @@ from repro.trace.columnar import ColumnarChunk, ColumnarSource
 from tests.conftest import chunked, stream_requests
 from tests.observer_reference import decode_outcomes, reference_route
 from tests.policy_reference import LRUPolicy as ReferenceLRU
-from tests.policy_reference import registered
+from tests.policy_reference import ReferenceCluster
 
 
 def _trace(rng: random.Random, clients=("alpha",), n=3000, pages=800):
@@ -137,8 +138,8 @@ class TestShardedCacheBasics:
 
     def test_capacity_invariant_and_disjoint_shards(self, rng):
         cluster = ShardedCache(capacity=30, policy="LRU", shards=4)
-        for seq, request in enumerate(_trace(rng, n=2000, pages=300)):
-            cluster.access(request, seq)
+        for chunk in chunked(_trace(rng, n=2000, pages=300), [1, 2, 3, 5, 8, 13]):
+            cluster.batch_access(chunk)
             assert len(cluster) <= cluster.capacity
         # Each cached page lives only in the shard that owns it.
         route = reference_route(cluster.router)
@@ -186,47 +187,40 @@ class TestShardedCacheBasics:
         assert isinstance(rebuilt, ShardedCache)
         assert rebuilt.shard_count == 3
 
-    @pytest.mark.parametrize("overriding", ["pair-evicting", "kernel-subclass"])
-    def test_shards_batching_through_access_match_scalar(self, rng, monkeypatch, overriding):
-        """Shard policies whose ``batch_access`` is the base class's loop over
-        their own ``access()`` are replayed through it request by request:
-        one that evicts two pages on one access gets both, in order, in that
-        request's slot, and a subclass of a kernel policy that overrides
-        ``access()`` (odd pages bypass) is not stepped by the kernel."""
-
-        class PairEvictingLRU(ReferenceLRU):
-            def access(self, request, seq):
-                pages = self._pages
-                if request.page in pages or len(pages) < self.capacity:
-                    return super().access(request, seq)
-                victims = tuple(pages.popitem(last=False)[0] for _ in range(min(2, len(pages))))
-                pages[request.page] = None
-                return AccessOutcome(False, admitted=True, evicted=victims)
-
-            batch_access = CachePolicy.batch_access
+    @pytest.mark.parametrize("shard", ["python-policy", "kernel-subclass"])
+    def test_shards_without_their_kernel_are_refused(self, monkeypatch, shard):
+        """A cluster replays every chunk in one ``<kernel>_cluster`` call, so
+        a shard policy that does not batch through its policy kernel — a
+        Python policy, or a subclass of a kernel policy that overrides
+        ``batch_access`` — is refused when the cluster is built."""
 
         class OddBypassingLRU(LRUPolicy):
-            def access(self, request, seq):
-                if request.page % 2:
-                    return AccessOutcome(False, admitted=False, bypassed=True)
-                return super().access(request, seq)
+            def batch_access(self, chunk) -> AccessOutcomeBatch:
+                batch = super().batch_access(chunk)
+                batch.bypassed |= chunk.page % 2 == 1
+                return batch
 
-            batch_access = CachePolicy.batch_access
-
-        policy, shows = {
-            "pair-evicting": (PairEvictingLRU, lambda outcome: len(outcome.evicted) == 2),
-            "kernel-subclass": (OddBypassingLRU, lambda outcome: outcome.bypassed),
-        }[overriding]
+        policy = {"python-policy": ReferenceLRU, "kernel-subclass": OddBypassingLRU}[shard]
         monkeypatch.setitem(registry._REGISTRY, "OVERRIDING-LRU", policy)
-        requests = _trace(rng, n=1500, pages=300)
-        batched = ShardedCache(capacity=60, policy="OVERRIDING-LRU", shards=3)
-        scalar = ShardedCache(capacity=60, policy="OVERRIDING-LRU", shards=3)
-        replayed = []
-        for chunk in chunked(requests, [400]):
-            replayed.extend(decode_outcomes(batched.batch_access(chunk)))
-        expected = [scalar.access(request, seq) for seq, request in enumerate(requests)]
-        assert any(map(shows, expected))
-        assert replayed == expected
+        with pytest.raises(TypeError, match="OVERRIDING-LRU.*compiled shards"):
+            ShardedCache(capacity=60, policy="OVERRIDING-LRU", shards=3)
+
+    def test_a_wrapped_kernel_batch_access_is_still_the_kernel(self, rng, monkeypatch):
+        """Instrumentation that wraps a shard class's ``batch_access`` (with
+        ``functools.wraps``) leaves it the kernel's: the cluster builds and
+        replays through its cluster call."""
+        kernel_batch_access = LRUPolicy.batch_access
+
+        @functools.wraps(kernel_batch_access)
+        def timed(self, chunk):
+            return kernel_batch_access(self, chunk)
+
+        monkeypatch.setattr(LRUPolicy, "batch_access", timed)
+        requests = _trace(rng, n=500, pages=100)
+        cluster = ShardedCache(capacity=30, policy="LRU", shards=3)
+        expected = ReferenceCluster(capacity=30, policy="LRU", shards=3)
+        replayed = decode_outcomes(cluster.batch_access(ColumnarChunk.from_requests(requests)))
+        assert replayed == [expected.access(request, seq) for seq, request in enumerate(requests)]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -268,10 +262,7 @@ class TestKernelClusterCall:
         self, rng, monkeypatch, policy, router
     ):
         stream, sizes = self._stream(rng, router)
-        with registered():
-            reference = ShardedCache(
-                capacity=40, policy=f"{policy}-REFERENCE", shards=4, router=router
-            )
+        reference = ReferenceCluster(capacity=40, policy=policy, shards=4, router=router)
         cluster = ShardedCache(capacity=40, policy=policy, shards=4, router=router)
         if cluster.offline:
             cluster.prepare(stream)
@@ -287,7 +278,7 @@ class TestKernelClusterCall:
             cluster.router, "route_batch", lambda chunk: (routes.append(len(chunk)), route_batch(chunk))[1]
         )
         for shard in cluster.shards:
-            for method in ("access", "batch_access", "_kernel_replay", "_call"):
+            for method in ("batch_access", "_call"):
                 monkeypatch.setattr(shard, method, _fail)
 
         replayed, empty_shards = [], []
@@ -305,7 +296,6 @@ class TestKernelClusterCall:
         assert replayed == expected
         assert sorted(cluster.cached_pages()) == sorted(reference.cached_pages())
 
-    @pytest.mark.parametrize("policy", ["LRU", "LRU-REFERENCE"])
     @pytest.mark.parametrize(
         "routed",
         [
@@ -315,18 +305,16 @@ class TestKernelClusterCall:
             pytest.param(lambda n: np.zeros(n - 1, np.int64), id="too-short"),
         ],
     )
-    def test_a_bad_route_raises_before_any_kernel_call(self, rng, monkeypatch, policy, routed):
+    def test_a_bad_route_raises_before_any_kernel_call(self, rng, monkeypatch, routed):
         class BadRouter(ShardRouter):
             name = "bad"
 
             def route_batch(self, chunk):
                 return routed(len(chunk))
 
-        with registered():
-            cluster = ShardedCache(capacity=30, policy=policy, shards=3, router=BadRouter(3))
-        monkeypatch.setattr(cluster, "_kernel_call", _fail, raising=False)
+        cluster = ShardedCache(capacity=30, policy="LRU", shards=3, router=BadRouter(3))
+        monkeypatch.setattr(cluster, "_kernel_call", _fail)
         for shard in cluster.shards:
-            monkeypatch.setattr(shard, "access", _fail)
             monkeypatch.setattr(shard, "batch_access", _fail)
         chunk = ColumnarChunk.from_requests(_trace(rng, n=50), 0)
         with pytest.raises(ValueError, match="router 'bad' routed"):

@@ -29,6 +29,7 @@ from repro.trace.columnar import ColumnarChunk
 from tests.conftest import rd, wr
 from tests.cost_reference import CostAccumulator, ShardedCostAccumulator
 from tests.observer_reference import record_outcome, reference_route
+from tests.policy_reference import LRUPolicy as ReferenceLRU
 
 
 def small_trace(pages: int = 40, repeats: int = 6) -> list:
@@ -195,7 +196,7 @@ class TestAccumulator:
         for device in ("ssd", "nvme"):
             model = CostModel(device)
             accumulator = CostAccumulator(model)
-            policy = LRUPolicy(capacity=10)
+            policy = ReferenceLRU(capacity=10)
             stats = CacheStats()
             for seq, request in enumerate(small_trace()):
                 outcome = policy.access(request, seq)
@@ -241,7 +242,7 @@ class TestAccumulator:
 
         def total_read_us(requests):
             accumulator = CostAccumulator(model)
-            policy = LRUPolicy(capacity=1)
+            policy = ReferenceLRU(capacity=1)
             for seq, request in enumerate(requests):
                 accumulator.charge(request, policy.access(request, seq))
             return accumulator.finalize().total_read_us
@@ -533,8 +534,8 @@ class TestSeekWalkMatchesTheReference:
             if shards > 1
             else None
         )
-        for seq, request in enumerate(requests):
-            hit = policy.access(request, seq).hit
+        hits = policy.batch_access(ColumnarChunk.from_requests(requests)).hit.tolist()
+        for request, hit in zip(requests, hits):
             fleet.charge(request, hit)
             if sharded is not None:
                 sharded.charge(request, hit)

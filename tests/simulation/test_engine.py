@@ -550,3 +550,28 @@ class TestEnsureStreams:
 
         _ensure_streams([[], None])  # nothing with ensure(): no error, no calls
         assert self.CountingSpec.calls == {}
+
+    def test_streams_share_an_ensure_exactly_when_they_share_a_pass(self):
+        """Equal hashable sources that are not columnar streams replay in
+        a pass each (``_stream_group_key`` keys them by identity), so each
+        is ensured once."""
+        from repro.simulation.engine import _ensure_streams, _stream_group_key
+
+        ensured = []
+
+        class ObjectSpec:
+            """Hashable, all instances equal, and not a columnar stream."""
+
+            def __eq__(self, other):
+                return isinstance(other, ObjectSpec)
+
+            def __hash__(self):
+                return 0
+
+            def ensure(self):
+                ensured.append(id(self))
+
+        first, second = ObjectSpec(), ObjectSpec()
+        assert _stream_group_key(first) != _stream_group_key(second)
+        _ensure_streams([first, second, first])
+        assert ensured == [id(first), id(second)]

@@ -4,16 +4,16 @@
 chunks: batch kernels, column-native observers, per-client rows as masked
 popcounts, chunks that end inside rolling windows.  The oracle here is
 the definition those shortcuts must reproduce, one request at a time in
-stream order: ``access()`` (a cluster's shard's, routed by the reference
-route), the per-request folds of ``tests/observer_reference.py``, per-client
-stats counted request by request.  Every field
-of every result must match — stats, per-client, per-shard, latency,
-per-shard latency, rolling windows and queueing — at every engine chunk
-size: no observer's result may depend on where chunks end.  Every paper
-policy's ``access()`` is the one-request case of its C kernel, so the oracle
-replays the pure-Python references (``tests/policy_reference.py``) instead,
-alone and as cluster shards, and every kernel must evict on these streams,
-so each eviction path is under the oracle.
+stream order: the pure-Python references' ``access()``
+(``tests/policy_reference.py``; a reference cluster's shard's, routed by the
+reference route), the per-request folds of ``tests/observer_reference.py``,
+per-client stats counted request by request.  Every field of every result
+must match — stats, per-client, per-shard, latency, per-shard latency,
+rolling windows and queueing — at every engine chunk size: no observer's
+result may depend on where chunks end.  Every kernel must evict on these
+streams, so each eviction path is under the oracle.  While the references
+are registered, the registry lists them too, so the engine also replays
+each reference through its scalar lift.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from tests.observer_reference import (
     lift_outcome,
     record,
     record_outcome,
-    reference_route,
 )
 from tests.policy_reference import REFERENCES, reference_case
 
@@ -63,25 +62,13 @@ _POLICY_KWARGS = {
 }
 
 
-class _ScalarLRU(policy_reference.LRUPolicy):
-    """LRU without a batch kernel.  Replayed beside the registry so the
-    base ``batch_access`` — the scalar lift every policy without a kernel
-    runs — stays under the oracle."""
-
-    name = "ScalarLRU"
-
-
 def _build(name: str) -> CachePolicy:
-    if name == _ScalarLRU.name:
-        return _ScalarLRU(CAPACITY)
     return create_policy(name, capacity=CAPACITY, **_POLICY_KWARGS.get(name, {}))
 
 
 def _oracle_build(name: str) -> CachePolicy:
     """The policy the oracle replays for *name*: the reference of a
-    compiled policy, alone or as cluster shards."""
-    if name == _ScalarLRU.name:
-        return _build(name)
+    compiled policy or of a cluster."""
     reference, kwargs = reference_case(name, _POLICY_KWARGS.get(name, {}))
     return create_policy(reference, capacity=CAPACITY, **kwargs)
 
@@ -168,30 +155,32 @@ def _engine(policies, chunk_size: int, **options) -> MultiPolicySimulator:
     return engine
 
 
-def scalar_replay(policy, requests, cost_model=None, rolling_window=None,
+def scalar_replay(policy, replayed, requests, cost_model=None, rolling_window=None,
                   queueing_model=None) -> dict:
-    """The reference replay, one request at a time: ``access()``, then the
-    per-request folds, the reference cost accumulator's ``charge`` and the
-    queueing observer's ``on_batch`` over the lifted request."""
+    """The reference replay of *policy*, one request at a time: ``access()``,
+    then the per-request folds, the reference cost accumulator's ``charge``
+    and the queueing observer's ``on_batch`` over the lifted request.
+
+    The accounting is the engine's for *replayed*, the policy the engine
+    replayed: per shard for a cluster, whose reference *policy* routes each
+    request to the shard reference that replays it."""
     if policy.offline:
         policy.prepare(requests)
-    route = None
     per_shard: tuple[CacheStats, ...] = ()
-    if is_cluster(policy):
-        route = reference_route(policy.router)
+    if is_cluster(replayed):
         shards = policy.shards
         per_shard = tuple(CacheStats() for _ in shards)
     stats = CacheStats()
-    cost = accumulator_for(cost_model, policy) if cost_model else None
+    cost = accumulator_for(cost_model, replayed) if cost_model else None
     roll = RollingReference(rolling_window) if rolling_window else None
-    queueing = queueing_model.observer_for(policy) if queueing_model else None
+    queueing = queueing_model.observer_for(replayed) if queueing_model else None
     per_client: dict[str, CacheStats] = {}
     shard = None
     for seq, request in enumerate(requests):
-        if route is None:
+        if not per_shard:
             outcome = policy.access(request, seq)
         else:
-            shard = route(request)
+            shard = policy.route(request)
             outcome = shards[shard].access(request, seq)
             record_outcome(per_shard[shard], request, outcome)
         record_outcome(stats, request, outcome)
@@ -232,13 +221,14 @@ def engine_fields(result) -> dict:
 @pytest.mark.parametrize("kind,chunk_size", _SOURCES)
 def test_every_registered_policy_matches_the_scalar_replay(kind, chunk_size):
     source, requests = _inputs(kind)
-    names = [*available_policies(), _ScalarLRU.name]
-    assert "OPT" in names
+    names = list(available_policies())
+    assert {"OPT", "LRU-REFERENCE", "SHARDED-REFERENCE"} <= set(names)
 
-    results = _engine([_build(name) for name in names], chunk_size).run(source)
-    for name, result in zip(names, results):
+    policies = [_build(name) for name in names]
+    results = _engine(policies, chunk_size).run(source)
+    for name, policy, result in zip(names, policies, results):
         oracle = _oracle_build(name)
-        expected = scalar_replay(oracle, requests)
+        expected = scalar_replay(oracle, policy, requests)
         assert engine_fields(result) == expected, name
         if name in REFERENCES:
             assert expected["stats"].evictions > 0, name
@@ -264,11 +254,10 @@ def test_clusters_with_every_observer_match_the_scalar_replay(kind, chunk_size, 
     def build(name, kwargs):
         return create_policy(name, capacity=CAPACITY, **kwargs)
 
-    results = _engine(
-        [build("SHARDED", kwargs) for _, kwargs in _OBSERVED_CLUSTERS], chunk_size, **options
-    ).run(source)
-    for (label, kwargs), result in zip(_OBSERVED_CLUSTERS, results):
+    clusters = [build("SHARDED", kwargs) for _, kwargs in _OBSERVED_CLUSTERS]
+    results = _engine(clusters, chunk_size, **options).run(source)
+    for (label, kwargs), cluster, result in zip(_OBSERVED_CLUSTERS, clusters, results):
         reference = build(*reference_case("SHARDED", kwargs))
-        expected = scalar_replay(reference, requests, **options)
+        expected = scalar_replay(reference, cluster, requests, **options)
         assert expected["shard_latency"] and expected["queueing"].request_count
         assert engine_fields(result) == expected, label

@@ -23,7 +23,9 @@ from repro.simulation.observers import (
 from repro.simulation.simulator import CacheSimulator, simulate
 
 from tests.conftest import chunked, rd, wr
-from tests.observer_reference import record_outcome, reference_route
+from tests.observer_reference import record_outcome
+from tests.policy_reference import LRUPolicy as ReferenceLRU
+from tests.policy_reference import ReferenceCluster
 
 
 def _trace(n=2000, pages=120, seed=3):
@@ -53,7 +55,7 @@ class TestStatsObserver:
         stream = _trace(n=500)
         observer = StatsObserver()
         _drive(observer, LRUPolicy(30), stream)
-        policy, expected = LRUPolicy(30), CacheStats()
+        policy, expected = ReferenceLRU(30), CacheStats()
         for seq, request in enumerate(stream):
             record_outcome(expected, request, policy.access(request, seq))
         assert observer.finalize() == expected
@@ -101,8 +103,8 @@ class TestShardStatsObserver:
         batched = ShardedCache(capacity=36, policy="LRU", shards=3)
         observer = shard_observer_for(batched)
         _drive(observer, batched, stream)
-        scalar = ShardedCache(capacity=36, policy="LRU", shards=3)
-        route = reference_route(scalar.router)
+        scalar = ReferenceCluster(capacity=36, policy="LRU", shards=3)
+        route = scalar.route
         shards = scalar.shards
         expected = tuple(CacheStats() for _ in shards)
         for seq, request in enumerate(stream):

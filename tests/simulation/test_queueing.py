@@ -31,7 +31,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.base import HIT, MISS_ADMIT, AccessOutcomeBatch
 from repro.cache.registry import create_policy
 from repro.simulation.costmodel import HISTOGRAM_BUCKET_BOUNDS_US
 from repro.simulation.observers import shard_observer_for
@@ -42,7 +41,14 @@ from repro.trace.columnar import ColumnarChunk
 from repro.workloads.arrivals import PoissonArrivals
 
 from tests.cost_reference import CostAccumulator
-from tests.observer_reference import lift_outcome, reference_route
+from tests.observer_reference import (
+    HIT,
+    MISS_ADMIT,
+    batch_of,
+    decode_outcomes,
+    lift_outcome,
+    reference_route,
+)
 from tests.strategies import request_streams
 
 #: SSD pricing classes under write-through (see DEVICE_PROFILES["ssd"]):
@@ -122,9 +128,14 @@ def _drive(model: QueueingModel, requests, outcomes):
     observer = QueueingObserver(model, _NoPolicy())
     observer.on_batch(
         ColumnarChunk.from_requests(requests),
-        AccessOutcomeBatch.from_outcomes(outcomes),
+        batch_of(outcomes),
     )
     return observer
+
+
+def _replay(policy, requests):
+    """*policy*'s outcomes for *requests*, replayed as one chunk."""
+    return decode_outcomes(policy.batch_access(ColumnarChunk.from_requests(requests)))
 
 
 def _all_miss_reads(n: int):
@@ -220,7 +231,7 @@ class TestStructuralLaws:
         from the documented SSD constants — for any stream and load.
         Integer event clock: the agreement is exact, not approximate."""
         policy = create_policy("LRU", capacity=8)
-        outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
+        outcomes = _replay(policy, stream)
         model = _poisson_model(rate, seed=seed)
         observer = _drive(model, stream, outcomes)
         stats = observer.finalize()
@@ -250,7 +261,7 @@ class TestStructuralLaws:
         cluster's totals decompose exactly into per-shard Lindley
         recursions over the routed sub-streams, in sub-stream order."""
         cluster = create_policy("SHARDED", capacity=9, policy="LRU", shards=3)
-        outcomes = [cluster.access(request, seq) for seq, request in enumerate(stream)]
+        outcomes = _replay(cluster, stream)
         route = reference_route(cluster.router)
         routed = [route(request) for request in stream]
         model = _poisson_model(rate, seed=seed)
@@ -292,7 +303,7 @@ class TestStructuralLaws:
         Lindley recursion and integrate the step function up to the last
         arrival.  Exact, for any stream and load."""
         policy = create_policy("LRU", capacity=8)
-        outcomes = [policy.access(request, seq) for seq, request in enumerate(stream)]
+        outcomes = _replay(policy, stream)
         model = _poisson_model(rate)
         stats = _drive(model, stream, outcomes).finalize()
 
@@ -452,7 +463,7 @@ class TestModelAndPlumbing:
         route a chunk again, so a batch without them is an error."""
         stream = _all_miss_reads(10)
         chunk = ColumnarChunk.from_requests(stream)
-        batch = AccessOutcomeBatch.from_outcomes([MISS_ADMIT] * 10)
+        batch = batch_of([MISS_ADMIT] * 10)
         cluster = create_policy("SHARDED", capacity=9, policy="LRU", shards=3)
         with pytest.raises(ValueError, match="no shard column"):
             QueueingObserver(_poisson_model(1_000.0), cluster).on_batch(chunk, batch)
@@ -472,7 +483,7 @@ class TestModelAndPlumbing:
         """The kernel indexes its servers with the shard ids, so an id out
         of range, or a column shorter than the chunk, is an error."""
         stream = _all_miss_reads(4)
-        batch = AccessOutcomeBatch.from_outcomes([MISS_ADMIT] * 4)
+        batch = batch_of([MISS_ADMIT] * 4)
         batch.shard = np.array(shard, np.int64)
         cluster = create_policy("SHARDED", capacity=9, policy="LRU", shards=3)
         observer = QueueingObserver(_poisson_model(1_000.0), cluster)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.base import CachePolicy
 from repro.cache.lru import LRUPolicy
 from repro.cache.opt import OPTPolicy
 from repro.simulation.simulator import CacheSimulator, simulate
@@ -24,13 +23,9 @@ class TestCacheSimulator:
         seen = []
 
         class Recorder(LRUPolicy):
-            # Replay calls batch_access: the base scalar lift routes every
-            # request through the access() override below.
-            batch_access = CachePolicy.batch_access
-
-            def access(self, request, seq):
-                seen.append(seq)
-                return super().access(request, seq)
+            def batch_access(self, chunk):
+                seen.extend(chunk.seq.tolist())
+                return super().batch_access(chunk)
 
         CacheSimulator(Recorder(4)).run([rd(1), rd(2), rd(3)])
         assert seen == [0, 1, 2]

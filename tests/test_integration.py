@@ -13,6 +13,8 @@ from repro.analysis.hint_analysis import figure3_rows
 from repro.cache.registry import create_policy
 from repro.core.clic import CLICPolicy
 from repro.core.config import CLICConfig
+from repro.experiments.common import ExperimentSettings
+from repro.experiments.policies import FIGURE8_TRACES, run_figure8
 from repro.simulation.simulator import CacheSimulator
 from repro.trace.binio import StreamedTrace, write_trace_binary
 from repro.trace.noise import inject_noise_hints
@@ -49,6 +51,13 @@ def c300_trace():
 @pytest.fixture(scope="module")
 def c60_trace():
     return standard_trace("DB2_C60", seed=SEED, target_requests=TARGET_REQUESTS)
+
+
+@pytest.fixture(scope="module")
+def figure8():
+    """Figure 8's sweeps: every paper policy over the MySQL TPC-H traces
+    (MY_H65, MY_H98) at their three server cache sizes."""
+    return run_figure8(ExperimentSettings(target_requests=TARGET_REQUESTS, seed=SEED))
 
 
 class TestPaperClaims:
@@ -135,6 +144,24 @@ class TestPaperClaims:
         requests = request.getfixturevalue(trace).requests()
         with_outqueue = run_clic(requests, outqueue_factor=5.0)
         assert with_outqueue >= run_clic(requests, outqueue_factor=0.0) - 0.05
+
+    @pytest.mark.parametrize("trace", FIGURE8_TRACES)
+    def test_opt_bounds_every_policy_on_the_mysql_traces(self, figure8, trace):
+        """Figure 8: OPT's read hit ratio bounds LRU, ARC, TQ and CLIC at
+        every cache size of the MySQL TPC-H traces."""
+        sweep = figure8[trace]
+        opt = sweep.hit_ratios("OPT")
+        for label in ("LRU", "ARC", "TQ", "CLIC"):
+            for bound, ratio in zip(opt, sweep.hit_ratios(label)):
+                assert bound >= ratio - 1e-9, label
+
+    @pytest.mark.parametrize("trace", FIGURE8_TRACES)
+    def test_clic_beats_lru_on_the_mysql_traces(self, figure8, trace):
+        """Figure 8: CLIC exploits the MySQL hints (file id, request type),
+        so it beats plain LRU at the middle cache size."""
+        sweep = figure8[trace]
+        middle = len(sweep.xs("CLIC")) // 2
+        assert sweep.hit_ratios("CLIC")[middle] > sweep.hit_ratios("LRU")[middle]
 
     @TRACES
     def test_charging_metadata_costs_at_most_a_little(self, trace, request):

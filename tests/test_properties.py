@@ -16,6 +16,7 @@ from repro.simulation.cluster import ShardedCache
 from repro.simulation.simulator import CacheSimulator
 
 from tests.clic_reference import HintTable, OutQueue, SpaceSaving
+from tests.observer_reference import step
 from tests.strategies import capacities, request_streams as request_streams_strategy
 
 pytestmark = pytest.mark.property
@@ -38,7 +39,7 @@ class TestPolicyProperties:
         else:
             policy = policy_class(capacity)
         for seq, request in enumerate(stream):
-            policy.access(request, seq)
+            step(policy, request, seq)
             assert len(policy) <= capacity
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -51,7 +52,7 @@ class TestPolicyProperties:
             policy = policy_class(capacity)
         for seq, request in enumerate(stream):
             expected_hit = policy.contains(request.page)
-            assert policy.access(request, seq).hit == expected_hit
+            assert step(policy, request, seq).hit == expected_hit
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(stream=request_streams, capacity=capacities)

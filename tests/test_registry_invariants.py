@@ -12,8 +12,8 @@ to:
   separately (and per client);
 * **determinism** — replaying the same stream through a same-configured
   policy yields an identical :class:`SimulationResult`;
-* **outcome conservation** — the :class:`AccessOutcome` event stream is the
-  single source of truth: summing its admission/eviction events reproduces
+* **outcome conservation** — the outcome event stream is the single source
+  of truth: summing its admission/eviction events reproduces
   the policy's cached-page count (``admissions - evictions == len(policy)``)
   and the stats the replay reports;
 * **isolation** — two fresh instances replaying one stream in lockstep
@@ -27,16 +27,12 @@ must never change replay outcomes, and a cluster is held to the same laws as
 the policy it wraps.  So are the CLIC configurations the experiments run
 beyond the exact hint table: the Space-Saving tracker (Figures 9-10), the
 decay ablation and the outqueue ablation.  Every registered policy is also
-replayed without its fused kernel: the base ``batch_access`` — the scalar
-lift that a policy added through
-:func:`~repro.cache.registry.register_policy` runs until it grows a kernel —
-must obey the same laws.  Every paper policy's ``access()`` is the
-one-request case of its C kernel, so their kernel-less cases replay the
-pure-Python references in ``tests/policy_reference.py`` (the base
-``batch_access`` over a kernel's ``access()`` would just be the kernel
-again).  A cluster's ``batch_access`` is its routing, not a kernel — its
-batches carry the shard ids its observers read — so the kernel-less
-cluster is one of kernel-less shards.
+replayed without its fused kernel: its pure-Python reference in
+``tests/policy_reference.py`` (the reference cluster over reference shards
+for ``SHARDED``), whose ``batch_access`` is the scalar lift over its
+``access()``, must obey the same laws.  The laws step a policy one request
+at a time through its ``batch_access`` (:func:`~tests.observer_reference
+.step`).
 """
 
 from __future__ import annotations
@@ -64,8 +60,8 @@ from repro.simulation.request import RequestKind, read_request, write_request
 from repro.simulation.simulator import CacheSimulator
 from repro.workloads.arrivals import PoissonArrivals
 
-from tests.policy_reference import REFERENCES, reference_case, registered
-from tests.conftest import kernel_less
+from tests.observer_reference import step
+from tests.policy_reference import REFERENCES, ReferenceCluster
 from tests.strategies import request_streams
 
 #: Constructor kwargs giving each registry policy a test-sized configuration.
@@ -140,24 +136,14 @@ def _registry_cases() -> list[Case]:
         Case(label, partial(create_policy, "SHARDED"), kwargs)
         for label, kwargs in _SHARDED_VARIANTS
     )
-    for name in available_policies():
-        kwargs = _POLICY_KWARGS.get(name, {})
-        if name == "SHARDED":
-            factory: Callable[..., CachePolicy] = _kernel_less_cluster
-        else:
-            factory = kernel_less(
-                REFERENCES.get(name) or type(create_policy(name, capacity=CAPACITY, **kwargs))
-            )
-        cases.append(Case(f"{name}[kernel-less]", factory, kwargs))
+    references: dict[str, Callable[..., CachePolicy]] = {
+        **REFERENCES, "SHARDED": ReferenceCluster
+    }
+    cases.extend(
+        Case(f"{name}[kernel-less]", references[name], _POLICY_KWARGS.get(name, {}))
+        for name in available_policies()
+    )
     return cases
-
-
-def _kernel_less_cluster(capacity: int, **kwargs: Any) -> CachePolicy:
-    """A cluster whose shards are the pure-Python references: it replays
-    each chunk request by request through its shards' ``access()``."""
-    name, reference_kwargs = reference_case("SHARDED", kwargs)
-    with registered():
-        return create_policy(name, capacity=capacity, **reference_kwargs)
 
 
 CASES = _registry_cases()
@@ -203,7 +189,7 @@ class TestRegistryInvariants:
         if policy.offline:
             policy.prepare(stream)
         for seq, request in enumerate(stream):
-            policy.access(request, seq)
+            step(policy, request, seq)
             assert len(policy) <= policy.capacity
             cached = list(policy.cached_pages())
             assert len(cached) == len(set(cached)) == len(policy)
@@ -261,7 +247,7 @@ class TestRegistryInvariants:
             policy.prepare(stream)
         admissions = evictions = bypasses = 0
         for seq, request in enumerate(stream):
-            outcome = policy.access(request, seq)
+            outcome = step(policy, request, seq)
             admissions += outcome.admitted
             bypasses += outcome.bypassed
             evictions += len(outcome.evicted)
@@ -294,7 +280,7 @@ class TestRegistryInvariants:
             first.prepare(stream)
             second.prepare(stream)
         for seq, request in enumerate(stream):
-            assert first.access(request, seq) == second.access(request, seq)
+            assert step(first, request, seq) == step(second, request, seq)
             assert sorted(first.cached_pages()) == sorted(second.cached_pages())
 
     @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)

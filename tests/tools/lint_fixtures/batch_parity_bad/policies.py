@@ -3,10 +3,6 @@ parity suite can never reach — it is neither registered nor named in the
 suite."""
 
 
-class AccessOutcome:
-    pass
-
-
 class AccessOutcomeBatch:
     pass
 
@@ -20,9 +16,6 @@ class RegisteredBatchPolicy(CachePolicy):
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
 
-    def access(self, request, seq) -> AccessOutcome:
-        return AccessOutcome()
-
     def batch_access(self, chunk) -> AccessOutcomeBatch:
         return AccessOutcomeBatch()
 
@@ -30,9 +23,6 @@ class RegisteredBatchPolicy(CachePolicy):
 class OrphanBatchPolicy(CachePolicy):
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-
-    def access(self, request, seq) -> AccessOutcome:
-        return AccessOutcome()
 
     def batch_access(self, chunk) -> AccessOutcomeBatch:
         return AccessOutcomeBatch()

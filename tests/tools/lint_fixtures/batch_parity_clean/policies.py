@@ -3,10 +3,6 @@ parity suite — RegisteredBatchPolicy and HintAwareBatchPolicy through the
 registry, NamedBatchPolicy by explicit mention in the suite."""
 
 
-class AccessOutcome:
-    pass
-
-
 class AccessOutcomeBatch:
     pass
 
@@ -19,9 +15,6 @@ class CachePolicy:
 class RegisteredBatchPolicy(CachePolicy):
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-
-    def access(self, request, seq) -> AccessOutcome:
-        return AccessOutcome()
 
     def batch_access(self, chunk) -> AccessOutcomeBatch:
         return AccessOutcomeBatch()
@@ -38,9 +31,6 @@ class HintAwareBatchPolicy(CachePolicy):
         self.capacity = capacity
         self.tracked: dict = {}
 
-    def access(self, request, seq) -> AccessOutcome:
-        return AccessOutcome()
-
     def batch_access(self, chunk) -> AccessOutcomeBatch:
         for hint_key in getattr(chunk, "hint_sets", ()):
             self.tracked[hint_key] = self.tracked.get(hint_key, 0) + 1
@@ -50,9 +40,6 @@ class HintAwareBatchPolicy(CachePolicy):
 class NamedBatchPolicy(CachePolicy):
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-
-    def access(self, request, seq) -> AccessOutcome:
-        return AccessOutcome()
 
     def batch_access(self, chunk) -> AccessOutcomeBatch:
         return AccessOutcomeBatch()

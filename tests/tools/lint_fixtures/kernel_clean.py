@@ -1,7 +1,7 @@
 """Known-clean fixture: GoodPolicy satisfies every kernel-contract rule."""
 
 
-class AccessOutcome:
+class AccessOutcomeBatch:
     pass
 
 
@@ -13,5 +13,7 @@ class GoodPolicy(CachePolicy):
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
 
-    def access(self, request, seq) -> AccessOutcome:
-        return AccessOutcome()
+    def batch_access(self, chunk) -> AccessOutcomeBatch:
+        pages = chunk.page.copy()
+        pages.sort()
+        return AccessOutcomeBatch()

@@ -1,7 +1,7 @@
 """Registry-bad fixture: OrphanPolicy is never mentioned in registry.py."""
 
 
-class AccessOutcome:
+class AccessOutcomeBatch:
     pass
 
 
@@ -13,5 +13,5 @@ class OrphanPolicy(CachePolicy):
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
 
-    def access(self, request, seq) -> AccessOutcome:
-        return AccessOutcome()
+    def batch_access(self, chunk) -> AccessOutcomeBatch:
+        return AccessOutcomeBatch()

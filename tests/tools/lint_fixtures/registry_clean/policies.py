@@ -1,7 +1,7 @@
 """Registry-clean fixture: GoodPolicy is registered by name."""
 
 
-class AccessOutcome:
+class AccessOutcomeBatch:
     pass
 
 
@@ -13,5 +13,5 @@ class GoodPolicy(CachePolicy):
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
 
-    def access(self, request, seq) -> AccessOutcome:
-        return AccessOutcome()
+    def batch_access(self, chunk) -> AccessOutcomeBatch:
+        return AccessOutcomeBatch()

@@ -108,6 +108,29 @@ def test_observer_rule_reports_every_write_into_a_parameter() -> None:
     assert sorted(v.line for v in result.violations) == marked
 
 
+def test_kernel_rules_read_batch_access() -> None:
+    """``batch_access`` is the policy's one replay method: a policy with
+    only a per-request ``access()`` defines none, and each finding on
+    ``BadPolicy.batch_access`` sits on its marked line."""
+    path = FIXTURES / "kernel_bad.py"
+    lines = path.read_text().splitlines()
+    for rule_id in ("kernel-access-outcome", "kernel-request-mutation"):
+        marked = [
+            number
+            for number, line in enumerate(lines, start=1)
+            if f"# {rule_id}" in line
+        ]
+        result = run_paths([path], fixture_config(), select=[rule_id])
+        assert sorted(v.line for v in result.violations) == marked, rule_id
+    outcome = run_paths([path], fixture_config(), select=["kernel-access-outcome"])
+    assert any(
+        "`ScalarOnlyPolicy` defines no batch_access()" in v.message
+        for v in outcome.violations
+    )
+    mutation = run_paths([path], fixture_config(), select=["kernel-request-mutation"])
+    assert len(mutation.violations) == 4
+
+
 def test_typing_gate_fires_only_in_strict_packages() -> None:
     config = fixture_config(strict_typing_packages=("typing_bad", "typing_clean"))
     bad = run_paths(

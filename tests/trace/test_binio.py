@@ -309,7 +309,7 @@ class TestColumnarDecodeEdgeCases:
         # requests.
         assert chunk._requests is None
         assert chunk.hint_sets == (EMPTY_HINT_SET, hints)
-        assert chunk.seq_list() == [0]
+        assert chunk.seq.tolist() == [0]
         assert _agreeing_chunks(path) == [[rd(5, hints)]]
 
     def test_nine_byte_page_varint_decodes_as_the_reference(self, tmp_path):

@@ -49,6 +49,7 @@ class TestFromRequests:
         assert chunk.seq.tolist() == [40, 41, 42, 43]
         chunk._requests = None  # rebuild from the columns
         assert chunk.requests() == requests
+        assert chunk.requests() is chunk.requests()  # built once, then memoised
 
     def test_empty_list(self):
         chunk = ColumnarChunk.from_requests([], start_seq=5)

@@ -9,7 +9,8 @@ enforces the machine-checkable part of those laws on every file, at CI time:
 * **no-nondeterminism** — no wall-clock reads, no unseeded randomness, no
   set/frozenset iteration flowing into ordering-sensitive sinks;
 * **kernel-contract** — registered cache policies implement
-  ``access() -> AccessOutcome`` and perform no I/O or request mutation;
+  ``batch_access(chunk) -> AccessOutcomeBatch`` and perform no I/O and no
+  store into the chunk they are handed;
 * **observer-purity** — replay observers mutate only their own state;
 * **int-clock-safety** — nothing float-valued feeds an integer-nanosecond
   (``*_ns``) clock accumulator;

@@ -1,9 +1,9 @@
 """Family 2 — kernel-contract.
 
 Policies are pure kernels (see ``docs/architecture.md``, "policy kernel
-contract"): ``access(request, seq)`` returns an ``AccessOutcome`` and
+contract"): ``batch_access(chunk)`` returns an ``AccessOutcomeBatch`` and
 mutates nothing but replacement state; kernels never touch files, sockets
-or the request they were handed.  These rules apply to every class in the
+or the chunk they were handed.  These rules apply to every class in the
 analysis set that subclasses ``CachePolicy`` — and the registry is
 cross-checked so a policy cannot dodge them by not being analyzed.
 """
@@ -21,6 +21,7 @@ from tools.lintkit.core import (
     Violation,
     dotted_name,
 )
+from tools.lintkit.rules.observer_purity import parameter_stores
 
 __all__ = [
     "KernelAccessOutcomeRule",
@@ -74,11 +75,11 @@ def _annotation_text(annotation: ast.AST | None) -> str | None:
 
 
 class KernelAccessOutcomeRule(ProjectRule):
-    """``access`` is the kernel's only output channel: it must exist, be
-    annotated ``-> AccessOutcome``, and never return bare/None."""
+    """``batch_access`` is the kernel's only output channel: it must exist,
+    be annotated ``-> AccessOutcomeBatch``, and never return bare/None."""
 
     rule_id = "kernel-access-outcome"
-    summary = "policy classes implement access(request, seq) -> AccessOutcome"
+    summary = "policy classes implement batch_access(chunk) -> AccessOutcomeBatch"
 
     def check_project(
         self, project: Project, config: LintConfig
@@ -87,26 +88,26 @@ class KernelAccessOutcomeRule(ProjectRule):
             if _is_abstract(cls):
                 continue
             table = _lineage_methods(project, ctx, cls)
-            access = table.get("access")
-            if access is None:
+            replay = table.get("batch_access")
+            if replay is None:
                 yield ctx.violation(
                     cls,
                     self.rule_id,
-                    f"policy class `{cls.name}` defines no access() method "
+                    f"policy class `{cls.name}` defines no batch_access() method "
                     "anywhere in its lineage",
                 )
                 continue
-            returns = _annotation_text(access.returns)
-            if returns is None or returns.split(".")[-1].strip('"\'') != "AccessOutcome":
+            returns = _annotation_text(replay.returns)
+            if returns is None or returns.split(".")[-1].strip('"\'') != "AccessOutcomeBatch":
                 yield ctx.violation(
-                    access if access in cls.body else cls,
+                    replay if replay in cls.body else cls,
                     self.rule_id,
-                    f"`{cls.name}.access` must be annotated "
-                    f"`-> AccessOutcome` (found `{returns}`)",
+                    f"`{cls.name}.batch_access` must be annotated "
+                    f"`-> AccessOutcomeBatch` (found `{returns}`)",
                 )
-            own_access = _methods(cls).get("access")
-            if own_access is not None:
-                for node in ast.walk(own_access):
+            own_replay = _methods(cls).get("batch_access")
+            if own_replay is not None:
+                for node in ast.walk(own_replay):
                     if isinstance(node, ast.Return) and (
                         node.value is None
                         or (
@@ -117,8 +118,8 @@ class KernelAccessOutcomeRule(ProjectRule):
                         yield ctx.violation(
                             node,
                             self.rule_id,
-                            f"`{cls.name}.access` returns None; every access "
-                            "must produce an AccessOutcome event",
+                            f"`{cls.name}.batch_access` returns None; every "
+                            "replay must produce an AccessOutcomeBatch",
                         )
 
 
@@ -162,7 +163,7 @@ class KernelNoIORule(ProjectRule):
                         node,
                         self.rule_id,
                         f"`{chain}()` inside policy class `{cls.name}`: kernels "
-                        "perform no I/O; report through AccessOutcome instead",
+                        "perform no I/O; report through AccessOutcomeBatch instead",
                     )
                 elif root in self._MODULE_ROOTS and "." in chain:
                     yield ctx.violation(
@@ -174,13 +175,16 @@ class KernelNoIORule(ProjectRule):
 
 
 class KernelRequestMutationRule(ProjectRule):
-    """The request is shared by every policy in a multi-policy replay;
-    a kernel writing to it corrupts its neighbours' inputs."""
+    """The chunk is shared by every policy in a multi-policy replay pass; a
+    kernel writing into it corrupts its neighbours' inputs.  No attribute
+    or item assignment, no ``setattr``, no ``out=`` argument and no
+    in-place ndarray method rooted at the chunk (or at the stream
+    ``prepare`` indexes)."""
 
     rule_id = "kernel-request-mutation"
-    summary = "access()/prepare() never assign to the request they receive"
+    summary = "batch_access()/prepare() never store into the chunk or stream they receive"
 
-    _METHODS = ("access", "prepare")
+    _METHODS = ("batch_access", "prepare")
 
     def check_project(
         self, project: Project, config: LintConfig
@@ -196,48 +200,13 @@ class KernelRequestMutationRule(ProjectRule):
                 ]
                 if not params:
                     continue
-                request_param = params[0]
-                yield from self._check_stores(ctx, cls, fn, request_param)
-
-    def _check_stores(
-        self, ctx: FileContext, cls: ast.ClassDef, fn: ast.FunctionDef, param: str
-    ) -> Iterator[Violation]:
-        for node in ast.walk(fn):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Call):
-                chain = dotted_name(node.func)
-                if chain == "setattr" and node.args:
-                    root = _root_name(node.args[0])
-                    if root == param:
-                        yield ctx.violation(
-                            node,
-                            self.rule_id,
-                            f"`{cls.name}.{fn.name}` mutates its request via "
-                            "setattr(); requests are immutable inputs",
-                        )
-                continue
-            for target in targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    if _root_name(target) == param:
-                        yield ctx.violation(
-                            node,
-                            self.rule_id,
-                            f"`{cls.name}.{fn.name}` assigns to "
-                            f"`{ast.unparse(target)}`; requests are shared, "
-                            "immutable inputs",
-                        )
-
-
-def _root_name(node: ast.AST) -> str | None:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+                for node, store in parameter_stores(fn, {params[0]}):
+                    yield ctx.violation(
+                        node,
+                        self.rule_id,
+                        f"`{cls.name}.{fn.name}` {store}; the requests a policy "
+                        "is handed are shared, immutable inputs",
+                    )
 
 
 def _is_abstract(cls: ast.ClassDef) -> bool:

@@ -21,7 +21,7 @@ from tools.lintkit.core import (
     dotted_name,
 )
 
-__all__ = ["ObserverParamMutationRule"]
+__all__ = ["ObserverParamMutationRule", "parameter_stores"]
 
 _OBSERVER_BASE = "ReplayObserver"
 
@@ -73,78 +73,55 @@ class ObserverParamMutationRule(ProjectRule):
                     params.add(fn.args.vararg.arg)
                 if fn.args.kwarg:
                     params.add(fn.args.kwarg.arg)
-                if not params:
-                    continue
-                yield from self._check_stores(ctx, cls, fn, params)
+                for node, store in parameter_stores(fn, params):
+                    yield ctx.violation(
+                        node,
+                        self.rule_id,
+                        f"`{cls.name}.{fn.name}` {store}; observers write only "
+                        "their own state",
+                    )
 
-    def _check_stores(
-        self,
-        ctx: FileContext,
-        cls: ast.ClassDef,
-        fn: ast.FunctionDef,
-        params: set[str],
-    ) -> Iterator[Violation]:
-        for node in ast.walk(fn):
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(ctx, cls, fn, params, node)
-                continue
-            for target in targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    root = _root_name(target)
-                    if root in params:
-                        yield ctx.violation(
-                            node,
-                            self.rule_id,
-                            f"`{cls.name}.{fn.name}` assigns to "
-                            f"`{ast.unparse(target)}`, an attribute of a "
-                            "parameter; observers write only their own state",
-                        )
 
-    def _check_call(
-        self,
-        ctx: FileContext,
-        cls: ast.ClassDef,
-        fn: ast.FunctionDef,
-        params: set[str],
-        node: ast.Call,
-    ) -> Iterator[Violation]:
-        where = f"`{cls.name}.{fn.name}`"
-        if dotted_name(node.func) == "setattr" and node.args:
-            root = _root_name(node.args[0])
-            if root in params:
-                yield ctx.violation(
-                    node,
-                    self.rule_id,
-                    f"{where} mutates parameter `{root}` via setattr(); "
-                    "observers write only their own state",
+def parameter_stores(
+    fn: ast.FunctionDef, params: set[str]
+) -> Iterator[tuple[ast.AST, str]]:
+    """Each store of *fn* into one of *params*, with what it does: an
+    attribute or item assignment, ``setattr``, an ``out=`` argument or an
+    in-place ndarray method (``fill``, ``sort``, ``partition``, ``put``,
+    ``resize``) rooted at the parameter."""
+    for node in ast.walk(fn):
+        targets: list[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            if dotted_name(node.func) == "setattr" and node.args:
+                root = _root_name(node.args[0])
+                if root in params:
+                    yield node, f"mutates parameter `{root}` via setattr()"
+            for keyword in node.keywords:
+                if keyword.arg == "out" and _root_name(keyword.value) in params:
+                    yield node, (
+                        f"writes into `{ast.unparse(keyword.value)}` via out=, "
+                        "a column of a parameter"
+                    )
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in _IN_PLACE_METHODS
+                and _root_name(func.value) in params
+            ):
+                yield node, (
+                    f"calls `{ast.unparse(func)}()`, which writes into a "
+                    "parameter's array in place"
                 )
-        for keyword in node.keywords:
-            if keyword.arg == "out" and _root_name(keyword.value) in params:
-                yield ctx.violation(
-                    node,
-                    self.rule_id,
-                    f"{where} writes into `{ast.unparse(keyword.value)}` via "
-                    "out=, a column of a parameter; observers write only "
-                    "their own state",
-                )
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _IN_PLACE_METHODS
-            and _root_name(func.value) in params
-        ):
-            yield ctx.violation(
-                node,
-                self.rule_id,
-                f"{where} calls `{ast.unparse(func)}()`, which writes into a "
-                "parameter's array in place; observers write only their "
-                "own state",
-            )
+        for target in targets:
+            if isinstance(target, (ast.Attribute, ast.Subscript)):
+                if _root_name(target) in params:
+                    yield node, (
+                        f"assigns to `{ast.unparse(target)}`, an attribute of a parameter"
+                    )
 
 
 def _root_name(node: ast.AST) -> str | None:
